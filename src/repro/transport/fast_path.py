@@ -207,6 +207,7 @@ class FastStripedSender(StripeSenderPipeline):
             arq = self.reliable.stats
             stats["burst_submits"] = arq.burst_submits
             stats["sack_scans"] = arq.sack_scans
+            stats["sack_visits"] = arq.sack_visits
             stats["fast_retransmissions"] = arq.fast_retransmissions
             stats["batched_retransmissions"] = arq.batched_retransmissions
         return stats

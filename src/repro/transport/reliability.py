@@ -33,6 +33,7 @@ constraint (section 2.1: data packets are never modified):
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -216,8 +217,11 @@ class ReliabilityStats:
     backpressure_stalls: int = 0
     #: bursts accepted through :meth:`ReliableSender.submit_many`
     burst_submits: int = 0
-    #: single-pass SACK scoreboard scans (one per ack processed)
+    #: SACK scoreboard updates (one per ack processed)
     sack_scans: int = 0
+    #: records examined across those updates; ``sack_visits / sack_scans``
+    #: tracks holes plus newly covered records per ack, not the window
+    sack_visits: int = 0
     #: retransmissions resubmitted as one batch through the striper
     batched_retransmissions: int = 0
     #: packets replayed from the retransmit buffer by a crash-recovery
@@ -290,6 +294,10 @@ class ReliableSender:
         self.next_rseq = 0
         #: unacked records in rseq (insertion) order
         self.unacked: Dict[int, _TxRecord] = {}
+        #: the un-sacked records of ``unacked``, in the same (rseq) order.
+        #: Derived state, never checkpointed: ``register_restored`` and
+        #: ``reconcile`` rebuild it.
+        self._unsacked: Dict[int, _TxRecord] = {}
         self._overflow: Deque[Any] = deque()
         self._timer: Any = None
         #: per-channel bytes retransmitted (fairness-envelope accounting)
@@ -329,7 +337,9 @@ class ReliableSender:
         self._launch(packet)
 
     def _launch(self, packet: Any) -> None:
-        self.unacked[packet.rseq] = _TxRecord(packet=packet, size=packet.size)
+        record = _TxRecord(packet=packet, size=packet.size)
+        self.unacked[packet.rseq] = record
+        self._unsacked[packet.rseq] = record
         self._submit(packet)
 
     def submit_many(self, packets: List[Any]) -> None:
@@ -351,6 +361,7 @@ class ReliableSender:
             for packet in packets:
                 self.on_register(packet)
         unacked = self.unacked
+        unsacked = self._unsacked
         overflow = self._overflow
         window = self.window_packets
         burst: List[Any] = []
@@ -359,9 +370,9 @@ class ReliableSender:
                 self.stats.backpressure_stalls += 1
                 overflow.append(packet)
             else:
-                unacked[packet.rseq] = _TxRecord(
-                    packet=packet, size=packet.size
-                )
+                record = _TxRecord(packet=packet, size=packet.size)
+                unacked[packet.rseq] = record
+                unsacked[packet.rseq] = record
                 burst.append(packet)
         if burst:
             self._stripe_burst(burst)
@@ -431,35 +442,48 @@ class ReliableSender:
     def on_ack(self, ack: Any) -> None:
         """Process a :class:`SackInfo` (or anything carrying one).
 
-        The SACK scoreboard update is a *single* merge pass: the ack's
-        blocks are sorted and walked alongside the (rseq-ordered)
-        unacked map, marking covered records and collecting the holes
-        between them in one traversal — no per-rseq dict probes, no
-        second full scan for fast retransmit.
+        The scoreboard update costs O(what the ack changes or exposes),
+        not O(window).  The ack's blocks are sorted and merge-walked
+        against the *un-sacked index* — the rseq-ordered records of
+        ``unacked`` not yet selectively acked — up to the newest acked
+        rseq.  Each record visited is either newly covered (marked,
+        RTT-sampled, dropped from the index) or a hole below the newest
+        acked data (a fast-retransmit candidate); records an earlier ack
+        already covered are never looked at again.
+
+        The index is derived from ``unacked`` and the ``sacked`` flags:
+        ``_launch``/``submit_many`` append to it, this method and
+        ``_absorb_cum_ack`` remove from it, and ``register_restored`` and
+        ``reconcile`` (the one place a flag goes back to False) rebuild it.
         """
         sack: SackInfo = getattr(ack, "sack", ack)
         opened = self._absorb_cum_ack(sack.cum_ack)
-        self.stats.sack_scans += 1
         blocks = sorted(sack.blocks)
         newest = sack.cum_ack - 1
         if blocks:
             newest = max(newest, blocks[-1][1] - 1)
         holes: List[_TxRecord] = []
+        covered: List[int] = []
         bi = 0
         n_blocks = len(blocks)
-        for rseq, record in self.unacked.items():
+        visits = 0
+        unsacked = self._unsacked
+        for rseq, record in unsacked.items():
             if rseq > newest:
                 break  # insertion order == rseq order
+            visits += 1
             while bi < n_blocks and blocks[bi][1] <= rseq:
                 bi += 1
             if bi < n_blocks and blocks[bi][0] <= rseq:
-                if not record.sacked:
-                    record.sacked = True
-                    self._maybe_sample(record)
-            elif rseq < newest and not record.sacked and (
-                record.transmissions > 0
-            ):
+                record.sacked = True
+                covered.append(rseq)
+                self._maybe_sample(record)
+            elif rseq < newest and record.transmissions > 0:
                 holes.append(record)
+        for rseq in covered:
+            del unsacked[rseq]
+        self.stats.sack_scans += 1
+        self.stats.sack_visits += visits
         self._fast_retransmit(holes)
         opened = self._refill() or opened
         self._ensure_timer()
@@ -469,6 +493,7 @@ class ReliableSender:
     def _absorb_cum_ack(self, cum_ack: int) -> bool:
         """Retire every record below ``cum_ack``; True if window opened."""
         unacked = self.unacked
+        unsacked = self._unsacked
         was_full = len(unacked) >= self.window_packets
         on_retire = self.on_retire
         # One forward scan (insertion order == rseq order): collect the
@@ -480,8 +505,10 @@ class ReliableSender:
                 break
             ripe.append((rseq, record))
         retired = len(ripe)
-        for rseq, _ in ripe:
+        for rseq, record in ripe:
             del unacked[rseq]
+            if not record.sacked:
+                del unsacked[rseq]
         for _, record in ripe:
             if not record.sacked:
                 self._maybe_sample(record)
@@ -500,7 +527,7 @@ class ReliableSender:
         """Retransmit holes the SACK scoreboard has repeatedly exposed.
 
         ``holes`` are the un-sacked records below the newest acked data,
-        collected by the :meth:`on_ack` merge pass.  Ripe holes are
+        collected by the :meth:`on_ack` index walk.  Ripe holes are
         resubmitted as one batch, so a multi-packet repair is striped
         through ``assign_many`` like any other burst.
         """
@@ -590,6 +617,9 @@ class ReliableSender:
                 self.next_rseq = packet.rseq + 1
         if next_rseq is not None and next_rseq > self.next_rseq:
             self.next_rseq = next_rseq
+        self._unsacked = {
+            rseq: r for rseq, r in self.unacked.items() if not r.sacked
+        }
 
     def reconcile(self, cum_ack: int, blocks: Any) -> int:
         """Adopt a resume report as the authoritative receiver state.
@@ -600,20 +630,27 @@ class ReliableSender:
         once acknowledged (SACK reneging, which the normal ack path is
         forbidden to express) — then replays every live record through
         the striper and collapses RTO backoff per Karn (samples from the
-        dead incarnation describe a path that no longer exists).
+        dead incarnation describe a path that no longer exists).  The
+        un-sacked index is rebuilt from the records left live.
 
         Returns the number of packets replayed.
         """
         opened = self._absorb_cum_ack(cum_ack)
         block_list = sorted(tuple(b) for b in blocks)
-        live: List[_TxRecord] = []
+        unsacked: Dict[int, _TxRecord] = {}
+        bi = 0
+        n_blocks = len(block_list)
         for rseq, record in self.unacked.items():
-            covered = any(start <= rseq < end for start, end in block_list)
+            while bi < n_blocks and block_list[bi][1] <= rseq:
+                bi += 1
+            covered = bi < n_blocks and block_list[bi][0] <= rseq
             record.sacked = covered
             record.dup_hints = 0
             record.rtx_pending = False
             if not covered:
-                live.append(record)
+                unsacked[rseq] = record
+        self._unsacked = unsacked
+        live = list(unsacked.values())
         self.stats.replays += len(live)
         if live:
             self._retransmit_many(live)
@@ -631,8 +668,8 @@ class ReliableSender:
     # retransmission timer (single timer for the oldest outstanding)
 
     def _oldest_outstanding(self) -> Optional[_TxRecord]:
-        for record in self.unacked.values():
-            if not record.sacked and record.transmissions > 0:
+        for record in self._unsacked.values():
+            if record.transmissions > 0:
                 return record
         return None
 
@@ -727,6 +764,12 @@ class ReliableReceiver:
         self.stats = ReceiverReliabilityStats()
         self.next_expected = 0
         self._ooo: Dict[int, Any] = {}
+        #: the runs of ``_ooo`` as a sorted interval set: block ``i`` is
+        #: ``[_starts[i], _ends[i])``, ascending, never adjacent.  Derived
+        #: state, never checkpointed: ``restore_window`` and ``adopt_base``
+        #: rebuild it.
+        self._starts: List[int] = []
+        self._ends: List[int] = []
         self._unacked_deliveries = 0
         self._ack_timer: Any = None
         self._last_ooo: Optional[int] = None
@@ -777,13 +820,50 @@ class ReliableReceiver:
         self.stats.out_of_order += 1
         self._ooo[rseq] = packet
         self._last_ooo = rseq
+        self._add_to_blocks(rseq)
         self._ack_now()
+
+    def _add_to_blocks(self, rseq: int) -> None:
+        """Insert a newly buffered ``rseq``, merging with its neighbours."""
+        starts = self._starts
+        ends = self._ends
+        i = bisect_right(starts, rseq)
+        joins_left = i > 0 and ends[i - 1] == rseq
+        joins_right = i < len(starts) and starts[i] == rseq + 1
+        if joins_left and joins_right:
+            ends[i - 1] = ends.pop(i)
+            del starts[i]
+        elif joins_left:
+            ends[i - 1] = rseq + 1
+        elif joins_right:
+            starts[i] = rseq
+        else:
+            starts.insert(i, rseq)
+            ends.insert(i, rseq + 1)
+
+    def _rebuild_blocks(self) -> None:
+        """Recompute the interval set after ``_ooo`` was replaced or trimmed."""
+        starts: List[int] = []
+        ends: List[int] = []
+        for rseq in sorted(self._ooo):
+            if ends and ends[-1] == rseq:
+                ends[-1] = rseq + 1
+            else:
+                starts.append(rseq)
+                ends.append(rseq + 1)
+        self._starts = starts
+        self._ends = ends
 
     def _deliver_run(self, packet: Any) -> None:
         """Deliver ``packet`` plus any now-contiguous buffered followers."""
         self._deliver(packet)
-        while self.next_expected in self._ooo:
-            self._deliver(self._ooo.pop(self.next_expected))
+        if self._starts and self._starts[0] == self.next_expected:
+            # The followers are exactly the lowest block.
+            del self._starts[0]
+            end = self._ends.pop(0)
+            pop = self._ooo.pop
+            for rseq in range(self.next_expected, end):
+                self._deliver(pop(rseq))
 
     def _deliver(self, packet: Any) -> None:
         self.next_expected += 1
@@ -797,35 +877,39 @@ class ReliableReceiver:
     def sack_info(self, max_blocks: Optional[int] = None) -> SackInfo:
         """Current cumulative-ack + SACK-block state.
 
-        Blocks are coalesced from the out-of-order buffer; the block
-        containing the most recent out-of-order arrival is reported
-        first (RFC 2018 custom), then the rest newest-edge first, so a
-        truncated piggyback still carries the freshest information.
+        The block containing the most recent out-of-order arrival is
+        reported first (RFC 2018 custom), then the rest newest-edge
+        first, so a truncated piggyback still carries the freshest
+        information.
+
+        Blocks are read straight off the interval set (``_starts`` /
+        ``_ends``) that ``push`` maintains — one bisect for the block
+        holding the last arrival plus the top ``max_blocks`` — so the
+        cost does not depend on how many packets are buffered.  The set
+        is derived from ``_ooo``: ``push`` inserts with left/right merge,
+        ``_deliver_run`` drops the lowest block as it consumes it, and
+        ``restore_window`` / ``adopt_base`` rebuild it.
         """
-        if not self._ooo:
+        starts = self._starts
+        if not starts:
             return SackInfo(cum_ack=self.next_expected)
         if max_blocks is None:
             max_blocks = self.max_sack_blocks
-        blocks = self._coalesced_blocks()
-        if len(blocks) > 1 and self._last_ooo is not None:
-            for i, (start, end) in enumerate(blocks):
-                if start <= self._last_ooo < end:
-                    blocks.insert(0, blocks.pop(i))
-                    break
-        return SackInfo(
-            cum_ack=self.next_expected, blocks=tuple(blocks[:max_blocks])
-        )
-
-    def _coalesced_blocks(self) -> List[Tuple[int, int]]:
-        blocks: List[Tuple[int, int]] = []
-        for rseq in sorted(self._ooo):
-            if blocks and rseq == blocks[-1][1]:
-                blocks[-1] = (blocks[-1][0], rseq + 1)
-            else:
-                blocks.append((rseq, rseq + 1))
+        ends = self._ends
+        n = len(starts)
+        low = max(n - max_blocks, 0)
         # Newest-edge first: the highest blocks describe the live edge.
+        blocks = list(zip(starts[low:], ends[low:]))
         blocks.reverse()
-        return blocks
+        last = self._last_ooo
+        if n > 1 and last is not None:
+            i = bisect_right(starts, last) - 1
+            if i >= low and last < ends[i]:
+                blocks.insert(0, blocks.pop(n - 1 - i))
+            elif i >= 0 and last < ends[i]:
+                # Below the truncation: it displaces the stalest block.
+                blocks = ([(starts[i], ends[i])] + blocks)[:max_blocks]
+        return SackInfo(cum_ack=self.next_expected, blocks=tuple(blocks))
 
     def _ack_progress(self) -> None:
         """In-order delivery: ack every Nth packet, else delay-ack."""
@@ -870,6 +954,7 @@ class ReliableReceiver:
         self.next_expected = next_expected
         self._ooo = dict(ooo)
         self._last_ooo = last_ooo
+        self._rebuild_blocks()
 
     def adopt_base(self, base: int) -> None:
         """Advance the cursor to ``base`` (never backwards).
@@ -890,3 +975,4 @@ class ReliableReceiver:
             self.next_expected += 1
             self.stats.delivered += 1
             self.on_deliver(packet)
+        self._rebuild_blocks()

@@ -275,6 +275,8 @@ class TestFastPathCounters:
         assert stats["sack_scans"] > 0
         arq = testbed.sender.reliable
         assert arq.stats.acked > 0
+        # A clean run's acks are cumulative only: nothing left to visit.
+        assert stats["sack_visits"] == arq.stats.sack_visits
 
     @pytest.mark.parametrize("fast", [False, True])
     def test_marker_free_pool_recycles_at_delivery(self, fast):

@@ -49,6 +49,7 @@ from repro.transport.recovery import (
     sender_to_bytes,
     unpack_packet,
 )
+from tests.transport.arq_oracles import receiver_blocks, unsacked_index
 
 # ---------------------------------------------------------------------- #
 # tagged tree codec + frame
@@ -525,3 +526,112 @@ class TestRecoveryManagers:
         assert recovery.install() is False
         assert recovery.cold is True
         recovery.stop()
+
+
+# ---------------------------------------------------------------------- #
+# derived ARQ state across a restart: the SACK interval set and the
+# un-sacked index are not in the checkpoint and must come back equal to a
+# rebuild from what is
+
+
+def _assert_arq_indices_rebuilt(sender, receiver):
+    arq_tx, arq_rx = sender.reliable, receiver.reliable
+    assert list(arq_tx._unsacked.items()) == unsacked_index(arq_tx)
+    assert (arq_rx._starts, arq_rx._ends) == receiver_blocks(arq_rx)
+
+
+class TestArqIndicesAcrossRestart:
+    _rig = TestRecoveryManagers._rig
+
+    def _crashed_pair(self):
+        """Lossy reliable traffic, checkpointed mid-recovery, then killed.
+
+        The checkpoints are taken at an instant with two holes open at
+        the receiver and a partly sacked window; traffic then runs on
+        until the first hole fills, so both write-ahead logs hold
+        post-checkpoint records and the delivery cursor has moved into
+        the checkpointed out-of-order buffer.
+        """
+        sim = Simulator()
+        channels, sender, receiver, _ = self._rig(sim)
+        persistent_loss_schedule(N_CHANNELS, 0.15, until=1.0).install(
+            sim, channels, seed=3
+        )
+        stores = CheckpointStore(), CheckpointStore()
+        managers = (
+            SenderRecovery(sender, stores[0], sim=sim),
+            ReceiverRecovery(receiver, stores[1], sim=sim),
+        )
+        for manager in managers:
+            manager.install()
+        seq = [0]
+
+        def tick():
+            if sender.can_submit():
+                sender.submit_packet(Packet(size=500, seq=seq[0]))
+                seq[0] += 1
+            sim.schedule(2e-4, tick)
+
+        sim.schedule_at(0.0, tick)
+
+        def partly_sacked():
+            flags = {r.sacked for r in sender.reliable.unacked.values()}
+            blocks = receiver_blocks(receiver.reliable)[0]
+            return flags == {True, False} and len(blocks) > 1
+
+        while not partly_sacked():
+            assert sim.now < 1.0, "never reached a partly sacked window"
+            sim.run(until=sim.now + 1e-4)
+        for manager in managers:
+            manager.checkpoint()
+        delivered = receiver.reliable.next_expected
+        while receiver.reliable.next_expected == delivered:
+            sim.run(until=sim.now + 1e-4)
+        for manager in managers:
+            manager.stop()
+        return stores
+
+    def _restart(self, stores):
+        sim = Simulator()
+        _, sender, receiver, _ = self._rig(sim)
+        to_receiver, to_sender = [], []
+        tx = SenderRecovery(
+            sender, stores[0], sim=sim, send_control=to_receiver.append
+        )
+        rx = ReceiverRecovery(
+            receiver, stores[1], sim=sim, send_control=to_sender.append
+        )
+        return sender, receiver, tx, rx, to_receiver, to_sender
+
+    def test_warm_restore_rebuilds_both_indices(self):
+        stores = self._crashed_pair()
+        sender, receiver, tx, rx, _, to_sender = self._restart(stores)
+        assert tx.install() is True and rx.install() is True
+        # The restored state is the interesting one: sacked and un-sacked
+        # records side by side, a buffer the WAL cursor has trimmed.
+        assert {r.sacked for r in sender.reliable.unacked.values()} == {
+            True, False,
+        }
+        assert rx.wal_cursor_restored > 0
+        assert receiver.reliable._ooo
+        _assert_arq_indices_rebuilt(sender, receiver)
+
+        tx.on_control(to_sender[-1])  # the warm report: reconcile + replay
+        assert tx.replayed_packets > 0
+        _assert_arq_indices_rebuilt(sender, receiver)
+
+    def test_cold_resync_rebuilds_both_indices(self):
+        stores = self._crashed_pair()
+        stores[1].lose_data()
+        sender, receiver, tx, rx, to_receiver, to_sender = self._restart(
+            stores
+        )
+        assert tx.install() is True and rx.install() is False
+        tx.on_control(to_sender[-1])  # cold report: whole-window replay
+        assert not any(r.sacked for r in sender.reliable.unacked.values())
+        assert tx.replayed_packets == len(sender.reliable.unacked) > 0
+        _assert_arq_indices_rebuilt(sender, receiver)
+
+        rx.on_control(to_receiver[-1])  # adopt the sender's replay base
+        assert receiver.reliable.next_expected == min(sender.reliable.unacked)
+        _assert_arq_indices_rebuilt(sender, receiver)

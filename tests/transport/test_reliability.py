@@ -11,7 +11,11 @@ submitted message exactly once in FIFO order on both the socket stack and
 the session stack, and the sender's retransmission state fully drains.
 """
 
+import dataclasses
+import random
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.packet import Packet, SackInfo
 from repro.sim.engine import Simulator
@@ -21,6 +25,12 @@ from repro.transport.reliability import (
     ReliableReceiver,
     ReliableSender,
     RtoEstimator,
+)
+from tests.transport.arq_oracles import (
+    FullScanSender,
+    receiver_blocks,
+    sack_blocks,
+    unsacked_index,
 )
 
 
@@ -144,7 +154,10 @@ class SenderHarness:
     not transmitted it yet (``note_sent`` never fires).
     """
 
-    def __init__(self, sim, auto_send=True, channel=0, **options):
+    def __init__(
+        self, sim, auto_send=True, channel=0, sender_cls=ReliableSender,
+        **options
+    ):
         self.sent = []
         self.auto_send = auto_send
         self.channel = channel
@@ -155,7 +168,7 @@ class SenderHarness:
             "on_window_open",
             lambda: setattr(self, "window_opens", self.window_opens + 1),
         )
-        self.sender = ReliableSender(self._stripe, sim, **options)
+        self.sender = sender_cls(self._stripe, sim, **options)
 
     def _stripe(self, packet):
         self.sent.append(packet)
@@ -502,9 +515,15 @@ class TestReceiverAcks:
 
 
 class TestLoopback:
-    def run_loopback(self, sim, lose, n=50, delay=0.002):
+    def run_loopback(
+        self, sim, lose, n=50, delay=0.002, window=64,
+        sender_cls=ReliableSender,
+    ):
         """Stripe sender->receiver with per-copy drop decisions."""
-        h = SenderHarness(sim, auto_send=False)
+        h = SenderHarness(
+            sim, auto_send=False, sender_cls=sender_cls,
+            window_packets=window,
+        )
         hr = ReceiverHarness(
             sim=sim, ack_every=2, ack_delay_s=0.004,
         )
@@ -536,6 +555,27 @@ class TestLoopback:
         assert [p.seq for p in hr.delivered] == list(range(50))
         assert not h.sender.unacked
         assert h.sender.stats.retransmissions > 0
+
+    def test_ack_cost_tracks_changes_not_the_window(self):
+        """Window 512 at 5% loss: an ack examines the holes and what it
+        newly covers, far fewer records than the window holds.  Counted,
+        not timed; the full-scan reference on the same traffic shows the
+        bound is one a scan of the window does not meet."""
+        window = 512
+        per_ack = {}
+        for sender_cls in (ReliableSender, FullScanSender):
+            sim = Simulator()
+            rng = random.Random(5)
+            h, hr = self.run_loopback(
+                sim, lose=lambda i: rng.random() < 0.05, n=4000,
+                window=window, sender_cls=sender_cls,
+            )
+            assert [p.seq for p in hr.delivered] == list(range(4000))
+            stats = h.sender.stats
+            assert stats.retransmissions > 0
+            per_ack[sender_cls] = stats.sack_visits / stats.sack_scans
+        assert per_ack[ReliableSender] < window / 4
+        assert per_ack[FullScanSender] > window / 4
 
 
 # ---------------------------------------------------------------------- #
@@ -658,10 +698,10 @@ class BurstHarness:
     one ``note_burst``.
     """
 
-    def __init__(self, sim, **options):
+    def __init__(self, sim, sender_cls=ReliableSender, **options):
         self.sent = []
         self.bursts = []
-        self.sender = ReliableSender(
+        self.sender = sender_cls(
             self._stripe, sim, submit_many=self._stripe_many, **options
         )
 
@@ -741,3 +781,186 @@ class TestBatchedArq:
         assert h.sender.stats.sack_scans == FAST_RETRANSMIT_HINTS
         assert h.sender.stats.retransmissions == 2
         assert h.sender.retransmitted_bytes[0] == 200
+
+
+# ---------------------------------------------------------------------- #
+# derived ack-path state against from-scratch references: the receiver's
+# SACK interval set and the sender's un-sacked index (arq_oracles.py)
+
+RX_WINDOW = 12
+
+receiver_steps = st.lists(
+    st.one_of(
+        # in-order, out-of-order, duplicate and beyond-window arrivals
+        st.tuples(st.just("push"), st.integers(-3, RX_WINDOW + 3)),
+        st.tuples(st.just("adopt_base"), st.integers(0, 8)),
+        st.tuples(
+            st.just("restore_window"),
+            st.integers(0, 40),
+            st.sets(st.integers(1, RX_WINDOW - 1)),
+            st.one_of(st.none(), st.integers(0, RX_WINDOW - 1)),
+        ),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(receiver_steps)
+def test_sack_blocks_equal_a_from_scratch_rebuild(steps):
+    h = ReceiverHarness(window_packets=RX_WINDOW, send_ack=None)
+    rx = h.receiver
+    for step in steps:
+        if step[0] == "push":
+            h.push(rx.next_expected + step[1])
+        elif step[0] == "adopt_base":
+            rx.adopt_base(rx.next_expected + step[1])
+        else:
+            _, base, offsets, last = step
+            rx.restore_window(
+                base,
+                {base + off: Packet(size=100, seq=0) for off in offsets},
+                last_ooo=None if last is None else base + last,
+            )
+        assert (rx._starts, rx._ends) == receiver_blocks(rx)
+        for max_blocks in (1, 2, 4):
+            assert rx.sack_info(max_blocks) == SackInfo(
+                cum_ack=rx.next_expected,
+                blocks=sack_blocks(rx._ooo, rx._last_ooo, max_blocks),
+            )
+
+
+class ArqTwin:
+    """One input stream fed to a sender and to its full-scan reference.
+
+    Each side has its own simulator and packets; ``step`` applies one
+    input to both.  A real receiver fed from the sender's transmissions
+    produces the acks, which the steps then deliver late, twice, out of
+    order or not at all.
+    """
+
+    def __init__(self, batched):
+        self.sides = []
+        for sender_cls in (ReliableSender, FullScanSender):
+            sim = Simulator()
+            harness = (BurstHarness if batched else SenderHarness)(
+                sim, sender_cls=sender_cls, window_packets=8, max_retries=2
+            )
+            self.sides.append((sim, harness))
+        self.sender = self.sides[0][1].sender
+        self.rx = ReliableReceiver(lambda packet: None, window_packets=16)
+        self.in_flight = []
+        self.acks = []
+        self.seen = 0
+
+    def _collect_transmissions(self):
+        sent = self.sides[0][1].sent
+        self.in_flight.extend(p.rseq for p in sent[self.seen:])
+        self.seen = len(sent)
+
+    def step(self, step):
+        kind = step[0]
+        if kind == "submit":
+            for _, harness in self.sides:
+                packets = [Packet(size=100, seq=i) for i in range(step[1])]
+                if step[2]:
+                    harness.sender.submit_many(packets)
+                else:
+                    for packet in packets:
+                        harness.sender.submit(packet)
+        elif kind == "arrive" and self.in_flight:
+            packet = Packet(size=100, seq=0)
+            packet.rseq = self.in_flight.pop(step[1] % len(self.in_flight))
+            self.rx.push(packet)
+            self.acks.append(self.rx.sack_info(step[2]))
+        elif kind == "lose" and self.in_flight:
+            self.in_flight.pop(step[1] % len(self.in_flight))
+        elif kind == "lose_ack" and self.acks:
+            self.acks.pop(step[1] % len(self.acks))
+        elif kind == "ack" and self.acks:
+            index = step[1] % len(self.acks)
+            ack = self.acks[index] if step[2] else self.acks.pop(index)
+            for _, harness in self.sides:
+                harness.sender.on_ack(ack)
+        elif kind == "advance":
+            for sim, _ in self.sides:
+                sim.run(until=sim.now + step[1])
+        elif kind == "reconcile":
+            if step[1]:  # the receiver restarted without its buffer
+                self.rx.restore_window(self.rx.next_expected, {})
+            report = self.rx.sack_info(64)
+            self.acks.clear()  # the old incarnation's acks are fenced off
+            for _, harness in self.sides:
+                harness.sender.reconcile(report.cum_ack, report.blocks)
+        self._collect_transmissions()
+
+    @staticmethod
+    def observe(harness):
+        sender = harness.sender
+        stats = dataclasses.asdict(sender.stats)
+        del stats["sack_visits"]  # the two sides differ in it by design
+        return (
+            [
+                (
+                    rseq, r.sacked, r.dup_hints, r.transmissions,
+                    r.rtx_pending, r.last_sent, r.escalated,
+                )
+                for rseq, r in sender.unacked.items()
+            ],
+            stats,  # rtt_samples, fast_retransmissions, timeouts, ...
+            [p.rseq for p in harness.sent],  # retransmit order
+            (sender.rto.srtt, sender.rto.rttvar, sender.rto.rto),
+            sender.backlog,
+            sender.retransmitted_bytes,
+        )
+
+
+arrive_step = st.tuples(
+    st.just("arrive"), st.integers(0, 63), st.sampled_from((1, 2, 4))
+)
+# keep=True leaves the ack queued: it comes again later, stale
+ack_step = st.tuples(st.just("ack"), st.integers(0, 63), st.booleans())
+advance_step = st.tuples(
+    st.just("advance"), st.sampled_from((0.001, 0.001, 0.05, 0.5))
+)
+# Arrivals and acks are drawn several times as often as the rest, so that
+# most examples reach a partly sacked window, dup hints and fast
+# retransmits rather than dying as a list of no-ops.
+sender_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.integers(1, 6), st.booleans()),
+        arrive_step, arrive_step, arrive_step, arrive_step,
+        st.tuples(st.just("lose"), st.integers(0, 63)),
+        ack_step, ack_step, ack_step, ack_step,
+        st.tuples(st.just("lose_ack"), st.integers(0, 63)),
+        advance_step, advance_step,
+        st.tuples(st.just("reconcile"), st.booleans()),
+    ),
+    min_size=10,
+    max_size=120,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sender_steps, st.booleans())
+@example(  # two holes ripen together: one batched fast retransmit
+    [("arrive", 3, 4), ("advance", 0.001)] + [("ack", 0, True)] * 4
+    + [("arrive", 0, 4), ("ack", 1, False), ("advance", 0.05)],
+    True,
+)
+@example(  # SACK reneging: a restarted receiver lost what it had acked
+    [("arrive", 2, 2), ("arrive", 3, 2), ("ack", 1, False),
+     ("reconcile", True), ("arrive", 0, 4), ("ack", 0, False),
+     ("advance", 0.5)],
+    False,
+)
+def test_unsacked_index_equals_a_full_scan(steps, batched):
+    twin = ArqTwin(batched)
+    (_, indexed), (_, full_scan) = twin.sides
+    for step in [("submit", 6, batched)] + steps:
+        twin.step(step)
+        assert twin.observe(indexed) == twin.observe(full_scan), step
+        index = list(twin.sender._unsacked.items())
+        expected = unsacked_index(twin.sender)
+        assert index == expected
+        assert all(a[1] is b[1] for a, b in zip(index, expected))
