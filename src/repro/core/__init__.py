@@ -37,13 +37,9 @@ from repro.core.srr import (
 from repro.core.dks import DKS, DKSState
 from repro.core.kernel import (
     CFQKernelAdapter,
-    DRRKernel,
     SchedulerKernel,
-    SharerKernel,
     SRRKernel,
     kernel_for,
-    make_grr_kernel,
-    make_rr_kernel,
 )
 from repro.core.schemes import SeededRandomFQ, WeightedRandomFQ
 from repro.core.transform import (
@@ -106,12 +102,8 @@ __all__ = [
     "SRRState",
     "SchedulerKernel",
     "SRRKernel",
-    "SharerKernel",
     "CFQKernelAdapter",
-    "DRRKernel",
     "kernel_for",
-    "make_rr_kernel",
-    "make_grr_kernel",
     "DRR",
     "DKS",
     "DKSState",

@@ -15,13 +15,9 @@ groups, and scheduling live in :mod:`repro.transport.fec`.
   matrix is invertible over a field, so any combination of up to ``m``
   erasures is decodable with any ``m`` surviving parities — the
   Vandermonde construction famously lacks that guarantee over GF(2^8).
-* Pure python is the default and the reference: per-coefficient 256-byte
-  translation tables make the scalar path one ``bytes.translate`` plus
-  one big-int XOR per (row, shard).  :class:`NumpyXorCodec` /
-  :class:`NumpyGF256Codec` vectorize the same arithmetic (same tables,
-  bit-exact by construction) and fall back to the scalar path for shards
-  below ``min_batch`` bytes, mirroring the ``NumpySRRKernel`` pattern:
-  optional dependency, identical results, perf counters.
+* The arithmetic is pure python: per-coefficient 256-byte translation
+  tables make a multiply-accumulate one ``bytes.translate`` plus one
+  big-int XOR per (row, shard).
 
 Shards within one call must share a length; the framing layer pads a
 group's shards to its longest member before encoding.
@@ -29,31 +25,18 @@ group's shards to its longest member before encoding.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
-
-try:  # pragma: no cover - trivial import guard
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+from typing import Dict, List, Optional, Sequence
 
 __all__ = [
     "FecCodec",
     "FecDecodeError",
     "GF256Codec",
-    "NumpyGF256Codec",
-    "NumpyXorCodec",
     "XorCodec",
-    "fec_numpy_available",
     "gf_div",
     "gf_inv",
     "gf_mul",
     "make_codec",
 ]
-
-
-def fec_numpy_available() -> bool:
-    """True if the optional numpy-backed codecs can be constructed."""
-    return _np is not None
 
 
 class FecDecodeError(ValueError):
@@ -333,181 +316,8 @@ class GF256Codec(FecCodec):
         return out  # type: ignore[return-value]
 
 
-# --------------------------------------------------------------------- #
-# optional numpy vectorization (mirrors the NumpySRRKernel pattern:
-# hard ImportError without numpy, bit-exact results, silent scalar path
-# for batches too small to amortize array setup, perf counters)
-
-#: shards shorter than this go through the scalar path (array setup and
-#: dtype conversion cost more than they save on tiny shards)
-_DEFAULT_MIN_BATCH = 64
-
-
-class NumpyXorCodec(XorCodec):
-    """Vectorized XOR parity; bit-exact with :class:`XorCodec`."""
-
-    def __init__(self, k: int, min_batch: int = _DEFAULT_MIN_BATCH) -> None:
-        if _np is None:
-            raise ImportError(
-                "NumpyXorCodec requires numpy; use XorCodec instead"
-            )
-        super().__init__(k)
-        self.min_batch = min_batch
-        #: encode/decode calls served by the vectorized path
-        self.vector_batches = 0
-        #: calls routed to the scalar reference path
-        self.scalar_batches = 0
-
-    def encode(self, shards: Sequence[bytes]) -> List[bytes]:
-        length = self._check_group(shards)
-        if length < self.min_batch or len(shards) < 2:
-            self.scalar_batches += 1
-            return super().encode(shards)
-        self.vector_batches += 1
-        self.encodes += 1
-        stack = _np.frombuffer(b"".join(shards), dtype=_np.uint8)
-        stack = stack.reshape(len(shards), length)
-        return [_np.bitwise_xor.reduce(stack, axis=0).tobytes()]
-
-    def decode(
-        self,
-        data: Sequence[Optional[bytes]],
-        parity: Sequence[Optional[bytes]],
-    ) -> List[bytes]:
-        missing = self._erasures(data, parity)
-        if not missing:
-            return list(data)  # type: ignore[arg-type]
-        present = [shard for shard in data if shard is not None]
-        present.append(parity[0])  # type: ignore[arg-type]
-        length = len(present[0])
-        if length < self.min_batch or len(present) < 2:
-            self.scalar_batches += 1
-            return super().decode(data, parity)
-        self.vector_batches += 1
-        self.decodes += 1
-        stack = _np.frombuffer(b"".join(present), dtype=_np.uint8)
-        stack = stack.reshape(len(present), length)
-        out = list(data)
-        out[missing[0]] = _np.bitwise_xor.reduce(stack, axis=0).tobytes()
-        return out  # type: ignore[return-value]
-
-
-class NumpyGF256Codec(GF256Codec):
-    """Vectorized Cauchy/GF(256) codec; bit-exact with :class:`GF256Codec`.
-
-    Multiplication is the same table lookup as the scalar path — a
-    lazily built 256x256 product table indexed per coefficient — so the
-    outputs are identical byte for byte; only the per-byte loop moves
-    into numpy.
-    """
-
-    _mul_table: Any = None  # class-level lazy 256x256 uint8 product table
-
-    def __init__(
-        self, k: int, m: int, min_batch: int = _DEFAULT_MIN_BATCH
-    ) -> None:
-        if _np is None:
-            raise ImportError(
-                "NumpyGF256Codec requires numpy; use GF256Codec instead"
-            )
-        super().__init__(k, m)
-        self.min_batch = min_batch
-        self.vector_batches = 0
-        self.scalar_batches = 0
-        if NumpyGF256Codec._mul_table is None:
-            table = _np.empty((256, 256), dtype=_np.uint8)
-            for a in range(256):
-                table[a] = _np.frombuffer(self._table(a), dtype=_np.uint8)
-            NumpyGF256Codec._mul_table = table
-
-    def _rows_vector(
-        self,
-        rows: List[List[int]],
-        shards: List[bytes],
-        columns: List[int],
-        length: int,
-    ) -> List[bytes]:
-        """``[sum_i rows[r][columns[i]] * shards[i] for r]``, vectorized."""
-        mul = NumpyGF256Codec._mul_table
-        stack = _np.frombuffer(b"".join(shards), dtype=_np.uint8)
-        stack = stack.reshape(len(shards), length)
-        out: List[bytes] = []
-        for row in rows:
-            acc = _np.zeros(length, dtype=_np.uint8)
-            for i, col in enumerate(columns):
-                coefficient = row[col]
-                if coefficient == 0:
-                    continue
-                if coefficient == 1:
-                    acc ^= stack[i]
-                else:
-                    acc ^= mul[coefficient][stack[i]]
-            out.append(acc.tobytes())
-        return out
-
-    def encode(self, shards: Sequence[bytes]) -> List[bytes]:
-        length = self._check_group(shards)
-        if length < self.min_batch:
-            self.scalar_batches += 1
-            return super().encode(shards)
-        self.vector_batches += 1
-        self.encodes += 1
-        return self._rows_vector(
-            self.matrix, list(shards), list(range(len(shards))), length
-        )
-
-    def decode(
-        self,
-        data: Sequence[Optional[bytes]],
-        parity: Sequence[Optional[bytes]],
-    ) -> List[bytes]:
-        missing = self._erasures(data, parity)
-        if not missing:
-            return list(data)  # type: ignore[arg-type]
-        length = len(next(s for s in parity if s is not None))
-        if length < self.min_batch:
-            self.scalar_batches += 1
-            return super().decode(data, parity)
-        self.vector_batches += 1
-        self.decodes += 1
-        rows = [j for j, shard in enumerate(parity) if shard is not None]
-        rows = rows[: len(missing)]
-        known_idx = [i for i, shard in enumerate(data) if shard is not None]
-        known = [data[i] for i in known_idx]
-        contributions = (
-            self._rows_vector(
-                [self.matrix[j] for j in rows], known, known_idx, length
-            )
-            if known
-            else [bytes(length)] * len(rows)
-        )
-        syndromes = [
-            (
-                _np.frombuffer(parity[j], dtype=_np.uint8)
-                ^ _np.frombuffer(contributions[r], dtype=_np.uint8)
-            ).tobytes()
-            for r, j in enumerate(rows)
-        ]
-        sub = [[self.matrix[j][i] for i in missing] for j in rows]
-        inverse = _gf_matrix_invert(sub)
-        repaired = self._rows_vector(
-            inverse, syndromes, list(range(len(syndromes))), length
-        )
-        out = list(data)
-        for c, position in enumerate(missing):
-            out[position] = repaired[c]
-        return out  # type: ignore[return-value]
-
-
-def make_codec(k: int, m: int, *, numpy: Any = False) -> FecCodec:
-    """Build the right codec for a ``(k, m)`` group geometry.
-
-    ``numpy`` selects the vectorized implementation: ``True`` requires
-    it (ImportError when numpy is absent), ``"auto"`` uses it when numpy
-    is importable and falls back silently, ``False`` (the default) stays
-    pure python — matching :func:`repro.core.kernel.kernel_for`.
-    """
-    use_numpy = numpy is True or (numpy == "auto" and fec_numpy_available())
+def make_codec(k: int, m: int) -> FecCodec:
+    """Build the right codec for a ``(k, m)`` group geometry."""
     if m == 1:
-        return NumpyXorCodec(k) if use_numpy else XorCodec(k)
-    return NumpyGF256Codec(k, m) if use_numpy else GF256Codec(k, m)
+        return XorCodec(k)
+    return GF256Codec(k, m)

@@ -3,57 +3,36 @@
 The paper's central observation is that *one* causal FQ algorithm drives
 both ends of the stripe (Theorems 3.1 / 4.1): the sender steps it to pick
 output channels, the receiver steps the very same algorithm to predict
-arrival channels.  Historically this repo stepped that algorithm through
-several divergent per-packet paths — ``CausalFQ.select``/``update`` with
-frozen :class:`~repro.core.srr.SRRState` dataclasses, the two-phase
-``LoadSharer.choose``/``notify_sent`` protocol, and ad-hoc loops in the FQ
-drivers.  Allocating a frozen dataclass (plus a list copy and a tuple) per
-packet dominated the hot path.
-
-A :class:`SchedulerKernel` is the consolidation: a *mutable* stepping
-engine with
+arrival channels.  The ``(s0, f, g)`` algebra of
+:class:`~repro.core.cfq.CausalFQ` over frozen
+:class:`~repro.core.srr.SRRState` values is the specification and the test
+oracle; stepping it allocates a state object per packet, so the data path
+steps a :class:`SchedulerKernel` instead: a *mutable* engine with
 
 * in-place :meth:`~SchedulerKernel.step` — account one packet, return the
   channel it goes to,
 * batched :meth:`~SchedulerKernel.assign_many` — assign a whole burst of
   packet sizes in one tight loop,
 * explicit :meth:`~SchedulerKernel.snapshot` / :meth:`~SchedulerKernel.restore`
-  — immutable state capture replacing the per-packet frozen states, while
-  preserving the ``(R, D)`` implicit-numbering and marker-adoption
-  semantics of sections 4–5 (an :class:`SRRKernel` snapshot *is* an
-  :class:`~repro.core.srr.SRRState`).
+  — immutable state capture, preserving the ``(R, D)`` implicit-numbering
+  and marker-adoption semantics of sections 4–5 (an :class:`SRRKernel`
+  snapshot *is* an :class:`~repro.core.srr.SRRState`).
 
-:func:`kernel_for` builds the fastest kernel available for any
-:class:`~repro.core.cfq.CausalFQ`: a native :class:`SRRKernel` for the SRR
-family (SRR / RR / GRR share one engine via the unified cost function) and
-a :class:`CFQKernelAdapter` wrapping ``select``/``update`` for everything
-else (e.g. the seeded randomized schemes), so every layer can hold a
-kernel without caring which algorithm is underneath.
-
-:class:`DRRKernel` is the mutable engine for classic (non-causal) DRR; it
-exists for the fair-queuing direction only and deliberately does *not*
-implement :class:`SchedulerKernel` — its selection needs head-of-line
-sizes, which is exactly why DRR cannot be striped with logical reception.
+There is one kernel and one adapter.  :func:`kernel_for` builds the native
+:class:`SRRKernel` for the SRR family (SRR / RR / GRR share one engine via
+the unified cost function) and a :class:`CFQKernelAdapter` wrapping
+``select``/``update`` for every other causal algorithm (e.g. the seeded
+randomized schemes), so every layer can hold a kernel without caring which
+algorithm is underneath.
 """
 
 from __future__ import annotations
 
 import abc
-import copy
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.core.cfq import CausalFQ
 from repro.core.srr import SRR, SRRState
-
-try:  # optional acceleration; the pure-python kernels never need it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-
-
-def numpy_available() -> bool:
-    """True if the optional numpy-backed kernel can be constructed."""
-    return _np is not None
 
 
 class SchedulerKernel(abc.ABC):
@@ -235,151 +214,6 @@ class SRRKernel(SchedulerKernel):
         return (rnd, d)
 
 
-class NumpySRRKernel(SRRKernel):
-    """:class:`SRRKernel` with a vectorized ``assign_many`` for uniform bursts.
-
-    Byte-mode SRR over *mixed* sizes is inherently sequential — each
-    advance decision depends on the exact bytes served so far, so there is
-    no exact data-parallel formulation.  But the two workloads the striping
-    benchmarks actually run are closed-form:
-
-    * packet-counting mode (RR / GRR): every packet costs ``1.0``;
-    * uniform-size bursts (the constant-MTU bulk-transfer case): every
-      packet costs the same ``size``.
-
-    With a uniform cost ``c`` a channel's cumulative serve count depends
-    only on its own granted budget, never on the interleaving: by the end
-    of its ``j``-th visit, a channel with first-visit budget ``o`` and
-    quantum ``q`` has served exactly ``max(0, ceil((o + j*q) / c))``
-    packets.  Evaluating that threshold matrix for all visits at once,
-    differencing per visit, and ``repeat``-ing the visit channels yields
-    the whole assignment without stepping.
-
-    Exactness: the closed form multiplies where the reference loop
-    repeatedly subtracts.  When quanta, deficits and cost are all
-    integer-valued (true for every byte-counting testbed in this repo) both
-    are exact in float64 below 2**53, except that ``ceil`` of a float
-    division may misround — fixed up with two exact multiply-compares.
-    Whenever exactness cannot be guaranteed (mixed sizes, fractional
-    quanta in byte mode, tiny bursts) the kernel silently falls back to
-    the inherited scalar loop, so assignments are *always* bit-identical
-    to :class:`SRRKernel`.
-    """
-
-    __slots__ = ("min_batch", "vector_batches", "scalar_batches")
-
-    def __init__(self, algorithm: SRR, min_batch: int = 32) -> None:
-        if _np is None:
-            raise ImportError(
-                "NumpySRRKernel requires numpy; use SRRKernel instead"
-            )
-        super().__init__(algorithm)
-        self.min_batch = min_batch
-        #: batches served by the vectorized path (perf counter)
-        self.vector_batches = 0
-        #: batches that fell back to the scalar loop (perf counter)
-        self.scalar_batches = 0
-
-    # ------------------------------------------------------------------ #
-
-    def _uniform_cost(self, sizes: Sequence[int]) -> Optional[float]:
-        """The single per-packet cost, or None if not vectorizable."""
-        if self.count_packets:
-            return 1.0
-        arr = _np.asarray(sizes)
-        first = arr.flat[0]
-        if not bool((arr == first).all()):
-            return None
-        cost = float(first)
-        return cost if cost > 0 and cost.is_integer() else None
-
-    def _exact(self) -> bool:
-        """True if quanta and live deficits are all integer-valued."""
-        return all(float(q).is_integer() for q in self.quanta) and all(
-            float(d).is_integer() for d in self.dc
-        )
-
-    def assign_many(self, sizes: Sequence[int]) -> List[int]:
-        n_packets = len(sizes)
-        if n_packets >= self.min_batch and self.dc[self.ptr] > 0:
-            cost = self._uniform_cost(sizes)
-            if cost is not None and self._exact():
-                out = self._vector_assign(n_packets, cost)
-                if out is not None:
-                    self.vector_batches += 1
-                    return out
-        self.scalar_batches += 1
-        return super().assign_many(sizes)
-
-    def _vector_assign(self, n_packets: int, cost: float) -> Optional[List[int]]:
-        np = _np
-        n = len(self.quanta)
-        ptr0 = self.ptr
-        q = np.asarray(self.quanta, dtype=np.float64)
-        dc0 = np.asarray(self.dc, dtype=np.float64)
-        # visit order: the pointer walks channels (ptr0, ptr0+1, ...) % n;
-        # column m of the threshold matrix is channel cols[m]
-        cols = (ptr0 + np.arange(n)) % n
-        qv = q[cols]
-        ov = dc0[cols].copy()
-        # every channel but the current one banks a quantum on first visit
-        ov[1:] += qv[1:]
-        qsum = float(qv.sum())
-        rows = int(max(0.0, n_packets * cost - float(ov.sum())) // qsum) + 3
-        if rows * n > max(8 * n_packets, 4096):
-            return None  # deep-overdraw pathologies: scalar loop is fine
-        while True:
-            j = np.arange(rows, dtype=np.float64)[:, None]
-            # T[j, m]: channel cols[m]'s cumulative budget at end of its
-            # j-th visit
-            T = ov[None, :] + j * qv[None, :]
-            # packets served by then: smallest m with m*cost >= T
-            m = np.ceil(T / cost)
-            m += m * cost < T  # division rounded the ceil down
-            m -= (m - 1.0) * cost >= T  # division rounded the ceil up
-            cum_served = np.maximum.accumulate(np.maximum(m, 0.0), axis=0)
-            cnt = np.diff(cum_served, axis=0, prepend=0.0).ravel()
-            cum = np.cumsum(cnt)
-            if cum[-1] >= n_packets:
-                break
-            rows *= 2  # safety net; the sizing bound makes this unreachable
-        k_last = int(np.searchsorted(cum, n_packets, side="left"))
-        spill = int(cum[k_last]) - n_packets
-        cnt = cnt[: k_last + 1].astype(np.int64)
-        cnt[k_last] -= spill
-        visit_ch = np.tile(cols, rows)[: k_last + 1]
-        out = np.repeat(visit_ch, cnt)
-        # --- reconstruct the final kernel state analytically ---
-        served = np.bincount(visit_ch, weights=cnt, minlength=n)
-        a = ptr0 + k_last
-        ptr = a % n
-        rnd = self.round_number + a // n
-        full, rem = divmod(k_last + 1, n)
-        dc = self.dc
-        quanta = self.quanta
-        for c in range(n):
-            visits = full + (1 if (c - ptr0) % n < rem else 0)
-            if visits:
-                # the current channel's first visit spends its live deficit
-                # without banking a quantum; later visits bank one each
-                grants = visits - 1 if c == ptr0 else visits
-                dc[c] = dc[c] + grants * quanta[c] - float(served[c]) * cost
-        if dc[ptr] <= 0:
-            # the last packet exhausted the visit: emulate the advance loop
-            while True:
-                ptr += 1
-                if ptr == n:
-                    ptr = 0
-                    rnd += 1
-                d = dc[ptr] + quanta[ptr]
-                dc[ptr] = d
-                if d > 0:
-                    break
-        self.ptr = ptr
-        self.round_number = rnd
-        return out.tolist()
-
-
 class CFQKernelAdapter(SchedulerKernel):
     """Kernel over any immutable :class:`~repro.core.cfq.CausalFQ`.
 
@@ -431,177 +265,16 @@ class CFQKernelAdapter(SchedulerKernel):
         self.state = self.algorithm.initial_state()
 
 
-class _SizedProbe:
-    """A minimal packet stand-in for size-only kernel stepping."""
-
-    __slots__ = ("size", "flow")
-
-    def __init__(self, size: int, flow: Any = None) -> None:
-        self.size = size
-        self.flow = flow
-
-
-class SharerKernel(SchedulerKernel):
-    """Kernel surface over any load-sharing policy, causal or not.
-
-    The comparison baselines (shortest queue first, random selection,
-    address hashing) implement the two-phase
-    :class:`~repro.core.transform.LoadSharer` protocol rather than the
-    ``(s0, f, g)`` algebra, so they historically sat outside the kernel
-    machinery.  This adapter runs choose/notify behind the standard
-    stepping surface, so one endpoint pipeline can hold *any* discipline
-    as a kernel.
-
-    Depth-sensitive policies (SQF) see live queue depths through the
-    ``depths`` provider; without one they degrade exactly as the policy
-    itself degrades.  Snapshots deep-copy the sharer's mutable attributes —
-    these policies keep a few scalars (and at most one PRNG) of state.
-    """
-
-    __slots__ = ("sharer", "depths")
-
-    def __init__(
-        self,
-        sharer: Any,
-        depths: Optional[Callable[[], Sequence[int]]] = None,
-    ) -> None:
-        self.sharer = sharer
-        self.depths = depths
-
-    @property
-    def n_channels(self) -> int:
-        return self.sharer.n_channels
-
-    def _depths(self) -> Optional[Sequence[int]]:
-        return self.depths() if self.depths is not None else None
-
-    def peek(self) -> int:
-        return self.sharer.choose(None, self._depths())
-
-    def step(self, size: int) -> int:
-        return self.step_packet(_SizedProbe(size))
-
-    def step_packet(self, packet: Any) -> int:
-        """Step with a real packet (address hashing reads ``flow``)."""
-        channel = self.sharer.choose(packet, self._depths())
-        self.sharer.notify_sent(channel, packet)
-        return channel
-
-    def assign_many(self, sizes: Sequence[int]) -> List[int]:
-        return self.sharer.assign_many(
-            [_SizedProbe(size) for size in sizes], self._depths()
-        )
-
-    def snapshot(self) -> Any:
-        return copy.deepcopy(vars(self.sharer))
-
-    def restore(self, snapshot: Any) -> None:
-        vars(self.sharer).clear()
-        vars(self.sharer).update(copy.deepcopy(snapshot))
-
-    def reset(self) -> None:
-        self.sharer.reset()
-
-
-def kernel_for(algorithm: Any, *, numpy: Any = False) -> SchedulerKernel:
+def kernel_for(algorithm: CausalFQ) -> SchedulerKernel:
     """The fastest kernel available for ``algorithm``.
 
     SRR-family algorithms (SRR, and RR / GRR via :func:`~repro.core.srr.make_rr`
     / :func:`~repro.core.srr.make_grr`) get the native :class:`SRRKernel`;
-    other :class:`~repro.core.cfq.CausalFQ` algorithms are wrapped in a
-    :class:`CFQKernelAdapter`, and plain load sharers (the non-causal
-    baselines) in a :class:`SharerKernel`.
-
-    ``numpy`` selects the vectorized :class:`NumpySRRKernel` for the SRR
-    family: ``True`` requires it (ImportError when numpy is absent),
-    ``"auto"`` uses it when numpy is importable and falls back silently,
-    and ``False`` (the default) always builds the pure-python kernel.
-    The selection is construction-time only — both kernels produce
-    bit-identical assignments.
+    every other :class:`~repro.core.cfq.CausalFQ` is wrapped in a
+    :class:`CFQKernelAdapter`.
     """
     if isinstance(algorithm, SRR):
-        if numpy is True or (numpy == "auto" and numpy_available()):
-            return NumpySRRKernel(algorithm)
         return SRRKernel(algorithm)
     if isinstance(algorithm, CausalFQ):
         return CFQKernelAdapter(algorithm)
-    if hasattr(algorithm, "choose") and hasattr(algorithm, "notify_sent"):
-        return SharerKernel(algorithm)
     raise TypeError(f"no kernel available for {algorithm!r}")
-
-
-def make_rr_kernel(n: int) -> SRRKernel:
-    """Native kernel for ordinary round robin over ``n`` channels."""
-    from repro.core.srr import make_rr
-
-    return SRRKernel(make_rr(n))
-
-
-def make_grr_kernel(weights: Sequence[int]) -> SRRKernel:
-    """Native kernel for GRR with integer per-channel weights."""
-    from repro.core.srr import make_grr
-
-    return SRRKernel(make_grr(weights))
-
-
-class DRRKernel:
-    """Mutable engine for classic (non-causal) Deficit Round Robin.
-
-    The fair-queuing direction only: selection must see head-of-line sizes
-    (:meth:`next`), which is why DRR is not a :class:`SchedulerKernel` and
-    cannot be striped with logical reception.  Snapshot/restore mirror the
-    causal kernels so FQ drivers can treat all engines uniformly.
-    """
-
-    __slots__ = ("quanta", "ptr", "dc")
-
-    def __init__(self, quanta: Sequence[float]) -> None:
-        if not quanta or any(q <= 0 for q in quanta):
-            raise ValueError("quanta must be positive")
-        self.quanta = tuple(float(q) for q in quanta)
-        self.reset()
-
-    @property
-    def n_queues(self) -> int:
-        return len(self.quanta)
-
-    def reset(self) -> None:
-        self.ptr = 0
-        self.dc = [0.0] * len(self.quanta)
-        self.dc[0] = self.quanta[0]
-
-    def next(self, head_sizes: Sequence[Optional[int]]) -> int:
-        """Pick the queue to serve given head-of-line sizes (mutates state).
-
-        Walks the round-robin ring banking quanta until the current queue's
-        head fits its deficit, exactly as
-        :meth:`repro.core.srr.DRR.next` does over immutable states.
-        """
-        ptr = self.ptr
-        dc = self.dc
-        quanta = self.quanta
-        n = len(quanta)
-        max_head = max((h for h in head_sizes if h is not None), default=0)
-        visits = n * (2 + int(max_head / min(quanta))) + n
-        for _ in range(visits):
-            head = head_sizes[ptr]
-            if head is not None and head <= dc[ptr]:
-                self.ptr = ptr
-                return ptr
-            if head is None:
-                dc[ptr] = 0.0  # empty queue forfeits its deficit
-            ptr = (ptr + 1) % n
-            dc[ptr] += quanta[ptr]
-        raise RuntimeError("DRR walk failed to find a serviceable queue")
-
-    def consume(self, queue: int, size: int) -> None:
-        """Account for the packet just sent from ``queue``."""
-        self.dc[queue] -= size
-
-    def snapshot(self) -> Tuple[int, Tuple[float, ...]]:
-        return (self.ptr, tuple(self.dc))
-
-    def restore(self, snapshot: Tuple[int, Tuple[float, ...]]) -> None:
-        ptr, dc = snapshot
-        self.ptr = ptr
-        self.dc = list(dc)

@@ -25,7 +25,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, List, Optional, Protocol, Sequence
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 from repro.core.kernel import SRRKernel
 from repro.core.packet import MarkerPacket, Packet
@@ -34,8 +43,25 @@ from repro.core.transform import LoadSharer, TransformedLoadSharer
 from repro.sim.trace import NULL_TRACER, Tracer
 
 
+@runtime_checkable
 class ChannelPort(Protocol):
-    """What the striper needs from a channel's sender side."""
+    """What the striper needs from one channel's sender side.
+
+    Required surface::
+
+        send(packet, force=False) -> bool   # enqueue for transmission
+        can_accept() -> bool                # queue space for one more?
+        queue_length -> int                 # packets queued (depth policies)
+
+    Optional surface, detected by attribute presence:
+
+    * ``send_burst(packets)`` + ``free_capacity() -> int`` — enables the
+      batched pump (:class:`repro.transport.endpoint.FastStriper`).
+    * ``close()`` — release the underlying transport resource.
+    * ``on_unblocked`` — a slot the endpoint pipeline fills with its pump
+      so the port can resume a stalled sender (ARP resolution, credit
+      arrival).
+    """
 
     def send(self, packet: Any, force: bool = False) -> bool: ...
 

@@ -43,7 +43,7 @@ class Experiment:
     run: Callable[..., Any]  # accepts quick: bool (and fast: bool if supported)
     quick_supported: bool = True
     #: True if the experiment can run on the burst-batched simulation fast
-    #: path (``--fast``); results are identical, only wall clock changes.
+    #: path (``--fast``): same deliveries, lower wall clock.
     fast_supported: bool = False
 
 
@@ -219,24 +219,6 @@ def _run_cell_striping(quick: bool = False):
     return run_cell_striping()
 
 
-def _run_kernel_bench(quick: bool = False):
-    from repro.experiments.kernel_bench import run_kernel_bench
-
-    if quick:
-        return run_kernel_bench(n_packets=50_000, repeats=1)
-    return run_kernel_bench()
-
-
-def _run_sim_bench(quick: bool = False):
-    from repro.experiments.sim_bench import run_sim_bench
-
-    if quick:
-        return run_sim_bench(
-            channel_counts=(2, 8), duration_s=0.3, repeats=1
-        )
-    return run_sim_bench()
-
-
 EXPERIMENTS: Dict[str, Experiment] = {
     e.name: e
     for e in [
@@ -348,16 +330,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
             "Cell vs packet striping over ATM: the early-discard argument",
             _run_cell_striping,
         ),
-        Experiment(
-            "kernel_bench", "Conclusion (perf)",
-            "Scheduler-kernel stepping: frozen vs mutable vs batched",
-            _run_kernel_bench,
-        ),
-        Experiment(
-            "sim_bench", "Section 6 (perf)",
-            "End-to-end simulator: reference path vs batched fast path",
-            _run_sim_bench,
-        ),
     ]
 }
 
@@ -387,7 +359,9 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--fast", action="store_true",
         help="run on the burst-batched simulation fast path where "
-             "supported (identical results, lower wall clock)",
+             "supported (identical deliveries, lower wall clock; counters "
+             "sampled at the horizon can differ by up to one transmit "
+             "queue per channel)",
     )
     parser.add_argument(
         "--list", action="store_true", help="list experiments and exit"

@@ -95,8 +95,9 @@ def run_scalability(
     """Measure throughput / ordering / overhead / recovery vs channel count.
 
     ``fast=True`` runs every testbed on the burst-batched fast path
-    (:mod:`repro.transport.fast_path`); results are identical (the fast
-    path is property-tested equivalent), only wall-clock time changes.
+    (:mod:`repro.transport.fast_path`): deliveries are identical (the
+    fast path is property-tested equivalent); the marker-overhead column,
+    sampled at the horizon, can differ (see :mod:`repro.sim.channel`).
     """
     rows: List[ScalabilityRow] = []
     for n in channel_counts:

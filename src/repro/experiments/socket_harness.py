@@ -75,9 +75,14 @@ class SocketTestbedConfig:
     data_only_loss: bool = False
     #: if True, build the direct-to-channel fast path (burst-batched
     #: channels + batched striper pump) instead of the full UDP/IP stack.
-    #: Delivery behaviour is identical (property-tested) in every
-    #: reliability mode; credit flow control is not supported on the
-    #: fast path.
+    #: The ``(time, seq)`` delivery records are identical to the reference
+    #: path (property-tested in every reliability mode).  Burst-mode
+    #: channels give a back-pressured sender up to 2 x
+    #: ``link_queue_frames`` of buffering (see :mod:`repro.sim.channel`),
+    #: so counters sampled at the horizon (``sent``, ``markers_sent``,
+    #: ``marker_overhead_fraction``) can differ by up to one transmit
+    #: queue per channel, and ``use_credit`` / ``buffer_packets``, which
+    #: act on sender-side queue depth, are rejected on the fast path.
     fast: bool = False
     #: optional receiver-side dead-channel watchdog
     #: (:class:`repro.transport.endpoint.ChannelFailureDetector`);
@@ -108,6 +113,12 @@ class SocketTestbedConfig:
             setattr(self, name, tuple(values))
         if self.fast and self.use_credit:
             raise ValueError("credit flow control requires the reference path")
+        if self.fast and self.buffer_packets is not None:
+            raise ValueError(
+                "buffer_packets requires the reference path (the receiver "
+                "buffer-cap drop rule depends on sender-side queue depth, "
+                "which burst mode changes)"
+            )
         if self.reliability not in (
             "best_effort", "quasi_fifo",
         ) and self.discipline not in (None, "srr"):

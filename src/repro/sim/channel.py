@@ -17,8 +17,15 @@ Fast path (``fast=True``): while the channel is *static* — no live loss,
 no corruption, no dynamic skew — the whole transmit queue is serialized as
 one back-to-back burst per event instead of one ``_tx_done`` event per
 packet.  Completion and arrival times are accumulated with exactly the
-same floating-point expressions the per-packet path evaluates, so burst
-mode is time-identical, packet for packet.  Deliveries run off a *train*:
+same floating-point expressions the per-packet path evaluates, so a packet
+that enters the queue at the same instant on both paths arrives at the
+same instant.  What differs is the sender's view: a burst moves the whole
+queue out of the counted ``queue_length`` at burst start and signals
+``on_space`` once per burst, so a back-pressured sender gets up to
+2 x ``queue_limit`` of buffering, and anything that reads queue depth or
+samples a counter mid-burst (a receiver buffer cap, ``sent`` at the
+horizon) can see up to one transmit queue of difference.  Deliveries run
+off a *train*:
 a FIFO of precomputed ``(arrival, packet, size)`` entries with a single
 armed slot-free engine callback that re-arms itself for the next distinct
 arrival time.  A channel whose loss model is live (or that has corruption
@@ -78,8 +85,10 @@ class Channel:
             (default: ``packet.size`` attribute).  Interfaces override this
             to add framing overhead (Ethernet headers, ATM cell padding).
         fast: opt in to the burst-batched transmit path (see module
-            docstring).  Time-identical to the per-packet path; lossy or
-            skewed channels automatically stay on the classic pipeline.
+            docstring).  Same arrival instants for the same enqueue
+            instants; a back-pressured sender sees up to 2 x
+            ``queue_limit`` of buffering.  Lossy or skewed channels
+            automatically stay on the classic pipeline.
     """
 
     def __init__(

@@ -15,10 +15,10 @@ Two scheduling surfaces coexist:
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
   :class:`Event` handle that supports cancellation — the general-purpose
   API used by timers (retransmit, ARP retry, keepalive).
-* :meth:`Simulator.schedule_call` and :meth:`Simulator.schedule_many` are
-  the *slot-free fast path*: they take pre-bound zero-argument callbacks,
-  allocate no handle, and cannot be cancelled.  The batched channel
-  transmit path (:mod:`repro.sim.channel`) runs almost entirely on these.
+* :meth:`Simulator.schedule_call` is the *slot-free fast path*: it takes
+  a pre-bound zero-argument callback, allocates no handle, and cannot be
+  cancelled.  The batched channel transmit path (:mod:`repro.sim.channel`)
+  runs almost entirely on it.
 
 Cancelled events are skipped when popped; on top of that the heap is
 *lazily compacted*: once more than half of a non-trivial heap is dead, the
@@ -30,7 +30,7 @@ cancelled before firing) cannot leak memory.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 #: Heap entry slots: [time, seq, callback, args].  A cancelled entry has
 #: its callback slot set to None and is dropped when popped (or compacted).
@@ -198,46 +198,6 @@ class Simulator:
             entry = [time, self._seq, callback, (), _POOL_TOKEN]
         heapq.heappush(self._heap, entry)
         self._seq += 1
-
-    def schedule_many(
-        self, items: Iterable[Tuple[float, Callable[[], Any]]]
-    ) -> int:
-        """Schedule many ``(absolute_time, zero_arg_callback)`` pairs.
-
-        The batched counterpart of :meth:`schedule_call`: one call, one
-        validation pass, no handles.  Items need not be sorted; each gets
-        the next insertion sequence number in iteration order, so the
-        ``(time, seq)`` determinism contract is preserved.  Returns the
-        number of events scheduled.
-        """
-        heap = self._heap
-        push = heapq.heappush
-        pool = self._entry_pool
-        now = self._now
-        seq = self._seq
-        count = 0
-        reused = 0
-        for time, callback in items:
-            if time < now:
-                self._seq = seq
-                self._entries_reused += reused
-                raise SimulationError(
-                    f"cannot schedule at {time} before current time {now}"
-                )
-            if pool:
-                entry = pool.pop()
-                entry[_TIME] = time
-                entry[_SEQ] = seq
-                entry[_CALLBACK] = callback
-                reused += 1
-            else:
-                entry = [time, seq, callback, (), _POOL_TOKEN]
-            push(heap, entry)
-            seq += 1
-            count += 1
-        self._seq = seq
-        self._entries_reused += reused
-        return count
 
     # ------------------------------------------------------------------ #
     # cancellation bookkeeping

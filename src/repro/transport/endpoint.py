@@ -46,14 +46,12 @@ from typing import (
     Dict,
     List,
     Optional,
-    Protocol,
     Sequence,
-    runtime_checkable,
 )
 
 from repro.core.cfq import CausalFQ
 from repro.core.packet import Packet, is_marker
-from repro.core.striper import MarkerPolicy, Striper
+from repro.core.striper import ChannelPort, MarkerPolicy, Striper
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.transport.discipline import (
     DISCIPLINES,
@@ -116,31 +114,9 @@ _BATCH_MIN = 4
 _MISSING = object()
 
 
-@runtime_checkable
-class ChannelPort(Protocol):
-    """What the endpoint layer needs from one striped channel.
-
-    Required surface::
-
-        send(packet, force=False) -> bool   # enqueue for transmission
-        can_accept() -> bool                # queue space for one more?
-        queue_length -> int                 # packets queued (depth policies)
-
-    Optional surface, detected by attribute presence:
-
-    * ``send_burst(packets)`` + ``free_capacity() -> int`` — enables the
-      batched fast pump (:class:`FastStriper`).
-    * ``close()`` — release the underlying transport resource.
-    * ``on_unblocked`` — a slot the pipeline fills with its pump so the
-      port can resume a stalled sender (ARP resolution, credit arrival).
-    """
-
-    def send(self, packet: Any, force: bool = False) -> bool: ...
-
-    def can_accept(self) -> bool: ...
-
-    @property
-    def queue_length(self) -> int: ...
+def _burst_capable(port: Any) -> bool:
+    """True if ``port`` has :class:`ChannelPort`'s optional burst surface."""
+    return hasattr(port, "send_burst") and hasattr(port, "free_capacity")
 
 
 # --------------------------------------------------------------------- #
@@ -381,7 +357,7 @@ def _wrap_recording_ports(
     return [
         (
             _RecordingBurstPort(port, i, note_sent, note_burst)
-            if hasattr(port, "send_burst") and hasattr(port, "free_capacity")
+            if _burst_capable(port)
             else _RecordingPort(port, i, note_sent)
         )
         for i, port in enumerate(ports)
@@ -405,9 +381,6 @@ class StripeSenderPipeline:
         marker_keepalive_s: if set, force a marker batch whenever no marker
             was emitted for this long (stalled/idle senders must keep the
             receiver — and piggybacked credits — refreshed).
-        fast: force the batched (True) or per-packet (False) pump; by
-            default the batched pump is used when every port supports
-            ``send_burst``/``free_capacity``.
         reliability: service level — ``"best_effort"`` / ``"quasi_fifo"``
             (the default; both leave the submit path untouched),
             ``"reliable"``, which sequences every submitted packet
@@ -423,7 +396,7 @@ class StripeSenderPipeline:
             ``on_channel_suspect``, ...).  FEC knobs ride under the
             ``"fec"`` key — a dict forwarded to
             :class:`~repro.transport.fec.FecSender` (``k``, ``m``,
-            ``seal_timeout_s``, ``numpy``, ...) — so transport adapters
+            ``seal_timeout_s``, ...) — so transport adapters
             forwarding ``reliability_options`` support every mode
             unchanged.
         discipline_options: forwarded to :func:`make_discipline` when
@@ -446,7 +419,6 @@ class StripeSenderPipeline:
         credit: Any = None,
         sim: Any = None,
         marker_keepalive_s: Optional[float] = None,
-        fast: Optional[bool] = None,
         tracer: Tracer = NULL_TRACER,
         clock: Optional[Callable[[], float]] = None,
         reliability: str = "quasi_fifo",
@@ -522,14 +494,10 @@ class StripeSenderPipeline:
                 ),
                 **fec_options,
             )
-        if fast is None:
-            fast = all(
-                hasattr(port, "send_burst") and hasattr(port, "free_capacity")
-                for port in self.ports
-            )
         if clock is None and sim is not None:
             clock = lambda: sim.now  # noqa: E731
-        striper_cls = FastStriper if fast else Striper
+        burst = all(_burst_capable(port) for port in self.ports)
+        striper_cls = FastStriper if burst else Striper
         self.striper = striper_cls(
             sharer,
             self.ports,

@@ -5,9 +5,9 @@ the same ``(s0, f, g)`` algorithm run in opposite directions.  This module
 runs it in *both* directions at once, stacked:
 
 * **above** the striper, a :class:`FabricScheduler` runs weighted Deficit
-  Round Robin across per-flow queues (the fair-queuing direction — DRR is
-  the non-causal engine in :class:`repro.core.kernel.DRRKernel`, here in
-  an active-list formulation that is O(1) amortized at 10k+ flows);
+  Round Robin across per-flow queues (the fair-queuing direction — the
+  non-causal :class:`repro.core.srr.DRR`, here in an active-list
+  formulation that is O(1) amortized at 10k+ flows);
 * **below**, the unchanged SRR striper spreads the merged stream across
   channels (the load-sharing direction).
 
@@ -208,7 +208,7 @@ class FabricSnapshot:
     """Scheduling state only — flow queues are the caller's to preserve.
 
     Mirrors the kernel snapshots (:class:`repro.core.srr.SRRState`): the
-    ``(ptr, deficits)`` pair of :class:`repro.core.kernel.DRRKernel`
+    ``(ptr, deficits)`` pair of :class:`repro.core.srr.DRR`
     generalized to the active list — per-flow ``(deficit, visits)`` plus
     the active ring order and whether the head flow has already banked
     this visit's quantum.
@@ -346,7 +346,7 @@ class FabricScheduler:
     def pump(self) -> int:
         """Drain in weighted-DRR order while the downstream is ready.
 
-        Semantics match :class:`repro.core.kernel.DRRKernel` over the
+        Semantics match :class:`repro.core.srr.DRR` over the
         backlogged flows: each visit banks the flow's quantum once, the
         flow sends while its head fits the deficit, an emptied flow
         forfeits its deficit and leaves the active list, a flow whose

@@ -27,11 +27,17 @@ delay.  The fast path therefore strips it away:
   stack, so the experiment harness can swap them in behind a ``fast=True``
   flag.
 
-Determinism contract: for any configuration the harness builds, the fast
-path produces the *identical delivery sequence* as the reference path, and
-for loss-free runs the identical ``(time, seq)`` delivery records — the
-property tests in ``tests/properties/test_fast_path_equivalence.py`` check
-both.  The batched pump reconstructs marker-position crossings from the
+Determinism contract: for any configuration the harness builds (it
+rejects a receiver buffer cap or credit flow control on this path), the
+fast path produces the *identical delivery sequence* as the reference
+path, and for loss-free runs the identical ``(time, seq)`` delivery
+records — the property tests in
+``tests/properties/test_fast_path_equivalence.py`` check both.  Counters
+sampled at the horizon (``sent``, ``markers_sent``,
+``marker_overhead_fraction``) are *not* part of the contract: they can
+differ by up to one transmit queue per channel (the burst-mode buffering
+described in :mod:`repro.sim.channel`).
+The batched pump reconstructs marker-position crossings from the
 ``assign_many`` channel vector; if the pointer trajectory cannot be
 reconstructed exactly (a deep-overdraw multi-channel hop, only possible
 when a packet exceeds the smallest quantum), it falls back to the exact

@@ -197,9 +197,7 @@ class FecSender:
         seal_timeout_s: how long a partial group may wait for more data
             before sealing short.
         codec: explicit :class:`~repro.core.fec.FecCodec` (overrides
-            ``k``/``m``/``numpy``).
-        numpy: codec vectorization selector (``False`` | ``True`` |
-            ``"auto"``), as :func:`~repro.core.fec.make_codec`.
+            ``k``/``m``).
         downstream_many: optional burst data path (``submit_many``); falls
             back to per-packet ``downstream``.
     """
@@ -214,10 +212,9 @@ class FecSender:
         sim: Any = None,
         seal_timeout_s: float = 0.01,
         codec: Optional[FecCodec] = None,
-        numpy: Any = False,
         downstream_many: Optional[Callable[[Sequence[Any]], Any]] = None,
     ) -> None:
-        self.codec = codec if codec is not None else make_codec(k, m, numpy=numpy)
+        self.codec = codec if codec is not None else make_codec(k, m)
         self.k = self.codec.k
         self.m = self.codec.m
         self._downstream = downstream
@@ -372,14 +369,13 @@ class FecReceiver:
         k: int = 6,
         m: int = 2,
         codec: Optional[FecCodec] = None,
-        numpy: Any = False,
         ordered: bool = True,
         sim: Any = None,
         group_timeout_s: float = 0.25,
         escalate_after: int = 3,
         on_escalate: Optional[Callable[[int], Any]] = None,
     ) -> None:
-        self.codec = codec if codec is not None else make_codec(k, m, numpy=numpy)
+        self.codec = codec if codec is not None else make_codec(k, m)
         self.on_deliver = on_deliver
         self.ordered = ordered
         self.sim = sim

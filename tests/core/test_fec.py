@@ -15,7 +15,6 @@ from repro.core.fec import (
     FecDecodeError,
     GF256Codec,
     XorCodec,
-    fec_numpy_available,
     gf_div,
     gf_inv,
     gf_mul,
@@ -159,45 +158,3 @@ def test_stats_count_operations():
     stats = codec.stats()
     assert stats["encodes"] == 1
     assert stats["decodes"] == 1
-
-
-# --------------------------------------------------------------------- #
-# numpy parity (bit-exactness with the scalar reference)
-
-needs_numpy = pytest.mark.skipif(
-    not fec_numpy_available(), reason="numpy not installed"
-)
-
-
-@needs_numpy
-@pytest.mark.parametrize("k,m", [(3, 1), (4, 2), (6, 3)])
-def test_numpy_codec_bit_exact_with_scalar(k, m):
-    scalar = make_codec(k, m, numpy=False)
-    vector = make_codec(k, m, numpy=True)
-    # Over the vector threshold so the numpy path actually runs.
-    shards = _shards(k, 256)
-    assert vector.encode(shards) == scalar.encode(shards)
-    parity = scalar.encode(shards)
-    for lost in itertools.combinations(range(k), min(m, k)):
-        data = [None if i in lost else shards[i] for i in range(k)]
-        assert vector.decode(data, list(parity)) == scalar.decode(
-            data, list(parity)
-        )
-    assert vector.vector_batches > 0
-
-
-@needs_numpy
-def test_numpy_codec_falls_back_below_min_batch():
-    vector = make_codec(4, 2, numpy=True)
-    shards = _shards(4, 8)  # far below the 64-byte vector threshold
-    parity = vector.encode(shards)
-    assert vector.scalar_batches > 0
-    scalar = make_codec(4, 2, numpy=False)
-    assert parity == scalar.encode(shards)
-
-
-def test_make_codec_auto_never_raises():
-    codec = make_codec(4, 2, numpy="auto")
-    shards = _shards(4, 128)
-    parity = codec.encode(shards)
-    assert make_codec(4, 2).decode([None] + shards[1:], parity) == shards

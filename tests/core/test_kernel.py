@@ -5,20 +5,16 @@ import random
 
 import pytest
 
-from repro.core.cfq import fq_service_order_noncausal
 from repro.core.kernel import (
     CFQKernelAdapter,
-    DRRKernel,
     SRRKernel,
     kernel_for,
-    make_grr_kernel,
-    make_rr_kernel,
 )
 from repro.core.markers import SRRReceiver
 from repro.core.packet import Packet
 from repro.core.schemes import SeededRandomFQ
 from repro.core.session import StripeConfig, StripeReceiverSession, StripeSenderSession
-from repro.core.srr import DRR, SRR, SRRState
+from repro.core.srr import SRR, SRRState, make_grr, make_rr
 from repro.core.striper import ListPort, MarkerPolicy, Striper
 from repro.core.transform import TransformedLoadSharer, stripe_sequence
 from repro.sim.engine import Simulator
@@ -45,9 +41,9 @@ class TestKernelBasics:
             assert kernel.step(size) == expected
 
     def test_factories(self):
-        rr = make_rr_kernel(3)
+        rr = SRRKernel(make_rr(3))
         assert rr.assign_many([999, 1, 77]) == [0, 1, 2]
-        grr = make_grr_kernel([2, 1])
+        grr = SRRKernel(make_grr([2, 1]))
         assert grr.assign_many([10] * 6) == [0, 0, 1, 0, 0, 1]
 
     def test_reset_returns_to_initial_state(self):
@@ -107,43 +103,6 @@ class TestSnapshotRestore:
         tail_a = kernel.assign_many([30, 40, 50])
         kernel.restore(snap)
         assert kernel.assign_many([30, 40, 50]) == tail_a
-
-
-class TestDRRKernel:
-    def test_matches_immutable_drr(self):
-        quanta = [500.0, 300.0]
-        packets = make_packets(60, seed=3, lo=1, hi=450)
-        queues = [packets[0::2], packets[1::2]]
-        reference = fq_service_order_noncausal(DRR(quanta), queues)
-
-        kernel = DRRKernel(quanta)
-        positions = [0, 0]
-        order = []
-        while True:
-            heads = [
-                queues[i][positions[i]].size
-                if positions[i] < len(queues[i]) else None
-                for i in range(2)
-            ]
-            if all(h is None for h in heads):
-                break
-            queue = kernel.next(heads)
-            packet = queues[queue][positions[queue]]
-            positions[queue] += 1
-            order.append(packet)
-            kernel.consume(queue, packet.size)
-        assert [p.uid for p in order] == [p.uid for p in reference]
-
-    def test_snapshot_restore(self):
-        kernel = DRRKernel([100.0, 100.0])
-        kernel.next([60, 60])
-        kernel.consume(0, 60)
-        snap = kernel.snapshot()
-        kernel.next([60, 60])
-        kernel.consume(0, 60)
-        assert kernel.snapshot() != snap
-        kernel.restore(snap)
-        assert kernel.snapshot() == snap
 
 
 class TestReceiverSnapshotAdoption:

@@ -18,7 +18,7 @@ class TestRegistry:
             "credit_fc", "video", "fault_tolerance", "chaos", "reliability",
             "recovery", "fec", "mtu", "multiflow", "fabric", "scalability",
             "sprinklers",
-            "tcp_channels", "cell_striping", "kernel_bench", "sim_bench",
+            "tcp_channels", "cell_striping",
         }
         assert expected == set(EXPERIMENTS)
 

@@ -32,10 +32,9 @@ from repro.sim.faults import (
 DURATION_S = 0.4
 
 #: ARQ options the reliable-mode runs use on BOTH paths — the same
-#: BDP-sized window / coarse ack cadence the benchmark's reliable row
-#: runs with (see ``RELIABLE_BENCH_OPTIONS`` in
-#: ``repro.experiments.sim_bench``), so the equivalence property is
-#: exercised in the configuration whose speedup the gate asserts.
+#: BDP-sized window / coarse ack cadence perfbench's lossy workloads run
+#: with (``ARQ_OPTIONS`` in ``perfbench/rigs.py``), so the equivalence
+#: property is exercised in the configuration the benchmark measures.
 RELIABLE_OPTIONS = {
     "sender": {"window_packets": 512},
     "receiver": {"ack_every": 16},
@@ -252,6 +251,34 @@ class TestReliabilityModeEquivalence:
         for testbed in (ref_bed, fast_bed):
             arq = testbed.sender.reliable
             assert arq is not None and arq.stats.retransmissions > 0
+
+
+class TestDissimilarRates:
+    """A 10 Mb/s + 1 Mb/s pair keeps the sender back-pressured, which is
+    where a burst-mode channel's extra buffering shows."""
+
+    @staticmethod
+    def _pair(mode, **overrides):
+        return SocketTestbedConfig(
+            n_channels=2, link_mbps=(10.0, 1.0), mode=mode, **overrides
+        )
+
+    @pytest.mark.parametrize("mode", ["marker", "plain"])
+    def test_uncapped_records_identical(self, mode):
+        config = self._pair(mode)
+        ref_records, _ = _run(config, fast=False, batch=False)
+        fast_records, _ = _run(config, fast=True, batch=True)
+        assert len(ref_records) > 50
+        assert fast_records == ref_records
+
+    def test_receiver_cap_rejected_on_fast_path(self):
+        """The buffer-cap drop rule reads sender-side queue depth, which
+        burst mode changes: with ``buffer_packets=8`` the two paths
+        delivered 158 vs 141 packets on this pair before the combination
+        was refused."""
+        self._pair("marker", buffer_packets=8)  # reference path: accepted
+        with pytest.raises(ValueError, match="buffer_packets"):
+            self._pair("marker", buffer_packets=8, fast=True)
 
 
 class TestFastPathCounters:

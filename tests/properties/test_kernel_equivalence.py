@@ -15,8 +15,6 @@ from repro.core.kernel import (
     CFQKernelAdapter,
     SRRKernel,
     kernel_for,
-    make_grr_kernel,
-    make_rr_kernel,
 )
 from repro.core.packet import Packet
 from repro.core.schemes import SeededRandomFQ
@@ -81,7 +79,7 @@ class TestKernelEquivalence:
         expected_channels, expected_states = frozen_assignments(
             algorithm, sizes
         )
-        kernel = make_rr_kernel(n)
+        kernel = SRRKernel(algorithm)
         assert kernel.assign_many(sizes) == expected_channels
         assert kernel.snapshot() == expected_states[-1]
 
@@ -92,7 +90,7 @@ class TestKernelEquivalence:
         expected_channels, expected_states = frozen_assignments(
             algorithm, sizes
         )
-        kernel = make_grr_kernel(weights)
+        kernel = SRRKernel(algorithm)
         assert kernel.assign_many(sizes) == expected_channels
         assert kernel.snapshot() == expected_states[-1]
 

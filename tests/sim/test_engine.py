@@ -188,34 +188,6 @@ class TestSlotFreeScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_call(1.0, lambda: None)
 
-    def test_schedule_many_preserves_insertion_order(self, sim):
-        order = []
-        count = sim.schedule_many(
-            (1.0, lambda tag=tag: order.append(tag)) for tag in "abc"
-        )
-        sim.schedule(1.0, order.append, "d")
-        sim.run()
-        assert count == 3
-        assert order == ["a", "b", "c", "d"]
-
-    def test_schedule_many_accepts_unsorted_times(self, sim):
-        order = []
-        sim.schedule_many(
-            [
-                (3.0, lambda: order.append("c")),
-                (1.0, lambda: order.append("a")),
-                (2.0, lambda: order.append("b")),
-            ]
-        )
-        sim.run()
-        assert order == ["a", "b", "c"]
-
-    def test_schedule_many_rejects_past(self, sim):
-        sim.schedule(5.0, lambda: None)
-        sim.run()
-        with pytest.raises(SimulationError):
-            sim.schedule_many([(6.0, lambda: None), (1.0, lambda: None)])
-
 
 class TestCompaction:
     def test_cancelled_events_are_reclaimed(self, sim):
@@ -360,19 +332,6 @@ class TestEntryFreeList:
         sim.run()
         assert seen == [0, 1, 2, 3, 4] * 2
         assert sim.entries_reused == 5
-
-    def test_schedule_many_draws_from_pool(self, sim):
-        sim.schedule_call(1.0, lambda: None)
-        sim.run()
-        seen = []
-        count = sim.schedule_many(
-            [(sim.now + 1.0, lambda: seen.append("a")),
-             (sim.now + 2.0, lambda: seen.append("b"))]
-        )
-        assert count == 2
-        sim.run()
-        assert seen == ["a", "b"]
-        assert sim.entries_reused >= 1
 
     def test_handle_scheduled_events_are_not_pooled(self, sim):
         sim.schedule(1.0, lambda: None)

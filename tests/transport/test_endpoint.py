@@ -2,8 +2,8 @@
 
 Covers the discipline registry (any (s0, f, g) scheme into any
 transport), the shared sender/receiver pipelines over in-memory ports,
-the kernel surface for non-causal sharers, and the dead-channel
-regressions for the plain striped-socket and TCP paths.
+and the dead-channel regressions for the plain striped-socket and TCP
+paths.
 """
 
 import pytest
@@ -12,10 +12,9 @@ from repro.baselines import (
     BondingFrame,
     MpppDiscipline,
     MpppFragment,
-    RandomSelection,
     ShortestQueueFirst,
 )
-from repro.core.kernel import SharerKernel, kernel_for
+from repro.core.kernel import kernel_for
 from repro.core.packet import MarkerPacket, Packet, is_marker
 from repro.core.srr import SRR, make_rr
 from repro.core.striper import ListPort, MarkerPolicy, Striper
@@ -95,39 +94,6 @@ class TestDisciplineRegistry:
         assert sync_model_for("direct") == "hash"  # mode strings work too
         with pytest.raises(ValueError, match="unknown receiver mode"):
             sync_model_for("telepathy")
-
-
-class TestSharerKernel:
-    def test_kernel_for_builds_sharer_kernel(self):
-        kernel = kernel_for(ShortestQueueFirst(2))
-        assert isinstance(kernel, SharerKernel)
-        assert kernel.n_channels == 2
-
-    def test_step_matches_direct_use(self):
-        import random
-
-        kernel = kernel_for(RandomSelection(3, random.Random(7)))
-        direct = RandomSelection(3, random.Random(7))
-        packets = [Packet(size=100, seq=i) for i in range(20)]
-        via_kernel = [kernel.step_packet(p) for p in packets]
-        via_direct = []
-        for p in packets:
-            c = direct.choose(p, None)
-            direct.notify_sent(c, p)
-            via_direct.append(c)
-        assert via_kernel == via_direct
-
-    def test_snapshot_restore_round_trip(self):
-        import random
-
-        kernel = kernel_for(RandomSelection(3, random.Random(11)))
-        for _ in range(5):
-            kernel.step(100)
-        snap = kernel.snapshot()
-        first = [kernel.step(100) for _ in range(10)]
-        kernel.restore(snap)
-        replay = [kernel.step(100) for _ in range(10)]
-        assert first == replay
 
 
 class TestSenderPipeline:
