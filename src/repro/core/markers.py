@@ -341,6 +341,12 @@ class SRRReceiver:
         # Last adopted (round, deficit) per channel; implicit numbers are
         # non-decreasing on a channel, so an exact repeat is a duplicate.
         self._last_marker: List[Optional[Tuple[int, float]]] = [None] * n
+        #: the live channel whose empty buffer the last :meth:`drain`
+        #: parked on.  Until a packet arrives there, arrivals elsewhere
+        #: can only buffer (Theorem 4.1), so :meth:`push` skips the scan.
+        #: Every :meth:`drain` (so ``fail_channel`` and ``adopt_snapshot``
+        #: too) recomputes it; ``restore`` and ``revive_channel`` clear it.
+        self._blocked_on: Optional[int] = None
 
     # ------------------------------------------------------------------ #
 
@@ -365,6 +371,9 @@ class SRRReceiver:
         self._buffered += 1
         if self._buffered > self.stats.max_buffered:
             self.stats.max_buffered = self._buffered
+        blocked_on = self._blocked_on
+        if blocked_on is not None and blocked_on != channel:
+            return []
         return self.drain()
 
     # ------------------------------------------------------------------ #
@@ -404,6 +413,7 @@ class SRRReceiver:
         if channel not in self.failed:
             return
         self.failed.discard(channel)
+        self._blocked_on = None
         self.dc[channel] = 0.0
         self.pending[channel] = True
         self.sync_round[channel] = None
@@ -418,6 +428,9 @@ class SRRReceiver:
     def drain(self) -> List[Any]:
         """Deliver every packet currently deliverable, honoring C1 skips."""
         out: List[Any] = []
+        # Re-set where the scan parks; cleared first so that a delivery
+        # callback that raises cannot leave a stale channel behind.
+        self._blocked_on = None
         # This is the receive-side per-packet hot loop (every arrival on
         # both the reference and the fast path funnels through it), so
         # loop-invariant attribute lookups are hoisted into locals.  The
@@ -486,7 +499,12 @@ class SRRReceiver:
                         pending[c] = True
                         self._advance()
                     continue
-                return out  # block on this channel
+                # Block on this channel.  A dead one does not park the
+                # scan: data arriving elsewhere lets it write the expected
+                # packet off and move on.
+                if c not in failed:
+                    self._blocked_on = c
+                return out
             assumed_budget = 64 * n
             packet = buffer.popleft()
             self._buffered -= 1
@@ -660,6 +678,7 @@ class SRRReceiver:
         self.pending = list(snapshot.pending)
         self.sync_round = list(snapshot.sync_round)
         self._last_marker = [None] * self.n_channels
+        self._blocked_on = None
 
     def adopt_snapshot(self, state: SRRState) -> List[Any]:
         """Adopt a *sender* kernel snapshot wholesale (all channels at once).

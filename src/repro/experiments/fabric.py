@@ -182,7 +182,7 @@ def run_fabric(
     )
     for index, channel in enumerate(channels):
         channel.on_deliver = receiver.channel_handler(index)
-        channel.on_space = sender._pump
+        channel.on_space = sender.pump
 
     # The all-backlogged burst: every flow submits its full demand at t=0.
     # Registration order fixes the DRR ring order; packets are stamped

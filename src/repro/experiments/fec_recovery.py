@@ -165,7 +165,7 @@ class _Rig:
         )
         for index, channel in enumerate(self.channels):
             channel.on_deliver = self.receiver.channel_handler(index)
-            channel.on_space = self.sender._pump
+            channel.on_space = self.sender.pump
 
     def start_source(self, interval: float, stop_at: float) -> None:
         sim = self.sim

@@ -174,7 +174,7 @@ class RecoveryRig:
 
     def _on_space(self) -> None:
         if self.sender is not None:
-            self.sender._pump()
+            self.sender.pump()
 
     def _control_to_receiver(self, packet: Any) -> None:
         self.sim.schedule(PROP_DELAY, self._deliver_control_rx, packet)

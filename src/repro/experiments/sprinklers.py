@@ -437,7 +437,7 @@ def _run_scale_leg(
         )
     for index, channel in enumerate(channels):
         channel.on_deliver = receiver.channel_handler(index)
-        channel.on_space = sender._pump
+        channel.on_space = sender.pump
 
     rng = random.Random(11)
     flow_ids = [f"f{i}" for i in range(n_flows)]

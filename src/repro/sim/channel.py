@@ -324,7 +324,11 @@ class Channel:
             stats.delivered_bytes += size
             if on_deliver is not None:
                 on_deliver(packet)
-        self._arm_train()
+        # Re-arm inline (this runs once per distinct arrival instant).
+        if train:
+            self.sim.schedule_call(train[0][0], self._run_train)
+        else:
+            self._train_armed = False
 
     def _start_next(self) -> None:
         if not self._queue:

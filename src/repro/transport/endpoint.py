@@ -141,12 +141,14 @@ class FastStriper(Striper):
         self._min_quantum: Optional[float] = None
         if self._kernel is not None:
             self._min_quantum = min(self._kernel.quanta)
-        #: pump calls that engaged the batch machinery
+        #: pump calls that sent at least one batched chunk
         self.batched_pumps = 0
         #: data packets sent through batched chunks
         self.batched_packets = 0
         #: pump calls (or mid-pump bailouts) routed to the per-packet pump
         self.fallback_pumps = 0
+        #: pump calls that found the pointer port full and sent nothing
+        self.blocked_pumps = 0
 
     def stats(self) -> Dict[str, int]:
         """Cheap perf counters for the batched pump."""
@@ -154,6 +156,7 @@ class FastStriper(Striper):
             "batched_pumps": self.batched_pumps,
             "batched_packets": self.batched_packets,
             "fallback_pumps": self.fallback_pumps,
+            "blocked_pumps": self.blocked_pumps,
         }
 
     def pump(self) -> int:
@@ -167,10 +170,15 @@ class FastStriper(Striper):
         queue = self.input_queue
         if not queue:
             return 0
+        ports = self.ports
+        if ports[kernel.ptr].free_capacity() <= 0:
+            # Head-of-line: causality forbids sending anywhere but the
+            # pointer channel, so no other port's room can matter.
+            self.blocked_pumps += 1
+            return 0
         if len(queue) < _BATCH_MIN:
             self.fallback_pumps += 1
             return super().pump()
-        ports = self.ports
         n = kernel.n_channels
         markers = self._markers_enabled
         position = interval = 0
@@ -179,10 +187,10 @@ class FastStriper(Striper):
             position = policy.position % n
             interval = policy.interval_rounds
         sent_total = 0
-        while queue:
+        # The pointer port has room here and again at every re-entry, so
+        # each chunk sends at least its first packet.
+        while True:
             free = [port.free_capacity() for port in ports]
-            if free[kernel.ptr] <= 0:
-                break  # head-of-line: causality forbids sending elsewhere
             budget = 0
             for f in free:
                 budget += f
@@ -193,8 +201,9 @@ class FastStriper(Striper):
             chans = kernel.assign_many(sizes)
             end_ptr = kernel.ptr
             # Longest admissible prefix under per-channel free slots.  The
-            # first packet is always admissible (free[chans[0]] > 0 was
-            # just checked), so q >= 1 and the loop makes progress.
+            # first packet is always admissible (the pointer port had room
+            # when this chunk started), so q >= 1 and the loop makes
+            # progress.
             q = chunk
             for i in range(chunk):
                 c = chans[i]
@@ -257,6 +266,8 @@ class FastStriper(Striper):
             self.batched_packets += q
             if emit:
                 self._emit_markers()
+            if not queue or ports[kernel.ptr].free_capacity() <= 0:
+                break
         self.batched_pumps += 1
         return sent_total
 
@@ -516,12 +527,12 @@ class StripeSenderPipeline:
         )
         self.credit = credit
         if credit is not None:
-            credit.on_unblocked = self._pump
+            credit.on_unblocked = self.pump
         for port in self.ports:
             # Fill empty resume slots; ports without the slot (or with one
             # already claimed) are left alone.
             if getattr(port, "on_unblocked", _MISSING) is None:
-                port.on_unblocked = self._pump
+                port.on_unblocked = self.pump
         self.messages_submitted = 0
         self._closed = False
         self.fabric: Any = None
@@ -543,9 +554,10 @@ class StripeSenderPipeline:
         ``pump``), normally a
         :class:`~repro.transport.fabric.FabricScheduler`.  It drains into
         the pipeline's ordinary submit path — through the ARQ layer in
-        reliable mode — but only while the pipeline is ready: reliable
-        window open and striper input queue below ``backlog_limit``
-        (default ``4 × n_channels``).  Backlog therefore waits in
+        reliable mode — in batches no larger than the pipeline has room
+        for: free reliable-window slots and striper input queue slots
+        below ``backlog_limit`` (default ``4 × n_channels``), whichever
+        is fewer.  Backlog therefore waits in
         per-flow queues where the weighted DRR arbitrates it, instead of
         congealing into the shared FIFO below, and every transport
         adapter built on this pipeline gets multi-flow submission with
@@ -555,7 +567,11 @@ class StripeSenderPipeline:
             backlog_limit = 4 * len(self.ports)
         self.fabric = fabric
         self._fabric_backlog_limit = backlog_limit
-        fabric.bind(self._submit, ready=self._fabric_ready)
+        fabric.bind(
+            self._submit,
+            ready=self._fabric_ready,
+            downstream_many=self._submit_many,
+        )
         if self.reliable is not None:
             # A draining ARQ window reopens the fabric gate: chain the
             # fabric pump behind any callback the owner already installed.
@@ -569,10 +585,15 @@ class StripeSenderPipeline:
             self.reliable.on_window_open = _window_open
         return fabric
 
-    def _fabric_ready(self) -> bool:
-        if self.reliable is not None and not self.reliable.can_submit():
-            return False
-        return self.striper.backlog < self._fabric_backlog_limit
+    def _fabric_ready(self) -> int:
+        """Packets the fabric may hand down now: the striper's backlog
+        room, capped by the ARQ window's."""
+        room = self._fabric_backlog_limit - self.striper.backlog
+        if self.reliable is not None:
+            window = self.reliable.window_room()
+            if window < room:
+                return window
+        return room
 
     def submit(self, flow_id: Any, packet: Packet) -> bool:
         """Flow-addressed submission: queue ``packet`` on ``flow_id``.
@@ -696,15 +717,10 @@ class StripeSenderPipeline:
     def pump(self) -> int:
         sent = self.striper.pump()
         if self.fabric is not None:
-            self.fabric.pump()
-        return sent
-
-    def _pump(self) -> None:
-        self.striper.pump()
-        if self.fabric is not None:
             # Freed port/credit capacity may have reopened the fabric
             # gate; refill the striper from the per-flow queues.
             self.fabric.pump()
+        return sent
 
     def close(self) -> None:
         if self.fec is not None and not self._closed:

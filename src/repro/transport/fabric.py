@@ -227,9 +227,9 @@ class FabricScheduler:
     per-flow queues; :meth:`pump` merges them in weighted-DRR order into
     the ``downstream`` callable (typically a
     :class:`~repro.transport.endpoint.StripeSenderPipeline`'s submit
-    path), but only while ``ready()`` holds — the hook through which the
-    downstream ARQ window and striper backlog exert backpressure without
-    ever holding fabric packets themselves.
+    path), but only as many as ``ready()`` has room for — the hook
+    through which the downstream ARQ window and striper backlog exert
+    backpressure without ever holding fabric packets themselves.
 
     Active-list formulation (Shreedhar & Varghese): only backlogged flows
     are visited, so scheduling cost is O(1) amortized per packet
@@ -260,7 +260,8 @@ class FabricScheduler:
         self.stats = FabricStats()
         self._active: Deque[FlowState] = deque()
         self._downstream: Optional[Callable[[Any], None]] = None
-        self._ready: Optional[Callable[[], bool]] = None
+        self._downstream_many: Optional[Callable[[List[Any]], None]] = None
+        self._ready: Optional[Callable[[], int]] = None
         self._head_credited = False
         self._pumping = False
 
@@ -270,10 +271,20 @@ class FabricScheduler:
     def bind(
         self,
         downstream: Callable[[Any], None],
-        ready: Optional[Callable[[], bool]] = None,
+        ready: Optional[Callable[[], int]] = None,
+        *,
+        downstream_many: Optional[Callable[[List[Any]], None]] = None,
     ) -> None:
-        """Connect the drain: ``downstream(packet)`` gated by ``ready()``."""
+        """Connect the drain: ``downstream(packet)`` gated by ``ready()``.
+
+        ``ready()`` returns how many packets the downstream can take now;
+        a bool gate works unchanged (True is room for one, False for
+        none) and ``None`` means unlimited.  With ``downstream_many``
+        each drained batch goes down as one list in service order
+        instead of one ``downstream`` call per packet.
+        """
         self._downstream = downstream
+        self._downstream_many = downstream_many
         self._ready = ready
 
     def register(self, flow_id: Any, **kwargs: Any) -> FlowState:
@@ -338,60 +349,83 @@ class FabricScheduler:
     # ------------------------------------------------------------------ #
     # the weighted-DRR drain
 
-    def _downstream_ready(self) -> bool:
-        if self._downstream is None:
-            return False
-        return self._ready is None or self._ready()
-
     def pump(self) -> int:
-        """Drain in weighted-DRR order while the downstream is ready.
+        """Drain in weighted-DRR order, one batch per downstream room count.
 
         Semantics match :class:`repro.core.srr.DRR` over the
         backlogged flows: each visit banks the flow's quantum once, the
         flow sends while its head fits the deficit, an emptied flow
         forfeits its deficit and leaves the active list, a flow whose
         head no longer fits rotates to the tail carrying its deficit.
-        Re-entrant calls (downstream submit can re-trigger port pumps)
-        are folded into the outer drain.
+
+        ``ready()`` says how many packets the downstream has room for
+        (a plain bool gate reads as 0 or 1).  Visits are walked until
+        that room is spent and the packets go down as one batch; the
+        gate is asked again after each batch.  The service order is a
+        function of the deficits alone, so it does not depend on where
+        the batches are cut.  Re-entrant calls (downstream submit can
+        re-trigger port pumps) are folded into the outer drain.
         """
-        if self._pumping:
+        if self._pumping or self._downstream is None:
             return 0
-        self._pumping = True
+        active = self._active
+        ready = self._ready
         sent = 0
+        self._pumping = True
         try:
-            active = self._active
-            while active and self._downstream_ready():
-                flow = active[0]
-                if not self._head_credited:
-                    flow.deficit += flow.quantum
-                    self._head_credited = True
-                queue = flow.queue
-                while queue and getattr(queue[0], "size", 0) <= flow.deficit:
-                    if not self._downstream_ready():
-                        # Mid-visit pause: keep the head flow (and its
-                        # banked quantum) in place so the resumed pump
-                        # continues exactly where this one stopped.
-                        return sent
-                    packet = queue.popleft()
-                    size = getattr(packet, "size", 0)
-                    flow.deficit -= size
-                    flow.serviced_packets += 1
-                    flow.serviced_bytes += size
-                    self.stats.packets_scheduled += 1
-                    self.stats.bytes_scheduled += size
-                    sent += 1
-                    self._downstream(packet)
-                # The visit is over: empty flows forfeit their deficit and
-                # deactivate; backlogged flows rotate to the tail with the
-                # remainder (always < their head packet's size).
-                self._head_credited = False
-                flow.visits += 1
-                active.popleft()
-                if queue:
-                    active.append(flow)
+            while active:
+                room = math.inf if ready is None else ready()
+                if room <= 0:
+                    break
+                batch: List[Any] = []
+                batch_bytes = 0
+                while active and room > 0:
+                    flow = active[0]
+                    if not self._head_credited:
+                        flow.deficit += flow.quantum
+                        self._head_credited = True
+                    queue = flow.queue
+                    while (
+                        queue
+                        and getattr(queue[0], "size", 0) <= flow.deficit
+                    ):
+                        if room <= 0:
+                            # Mid-visit pause: keep the head flow (and its
+                            # banked quantum) in place so the next batch
+                            # continues exactly where this one stopped.
+                            break
+                        packet = queue.popleft()
+                        size = getattr(packet, "size", 0)
+                        flow.deficit -= size
+                        flow.serviced_packets += 1
+                        flow.serviced_bytes += size
+                        batch_bytes += size
+                        batch.append(packet)
+                        room -= 1
+                    else:
+                        # The visit is over: empty flows forfeit their
+                        # deficit and deactivate; backlogged flows rotate
+                        # to the tail with the remainder (always < their
+                        # head packet's size).
+                        self._head_credited = False
+                        flow.visits += 1
+                        active.popleft()
+                        if queue:
+                            active.append(flow)
+                        else:
+                            flow.deficit = 0.0
+                            flow.active = False
+                if not batch:
+                    break  # only flows with nothing queued were active
+                self.stats.packets_scheduled += len(batch)
+                self.stats.bytes_scheduled += batch_bytes
+                sent += len(batch)
+                if self._downstream_many is not None:
+                    self._downstream_many(batch)
                 else:
-                    flow.deficit = 0.0
-                    flow.active = False
+                    downstream = self._downstream
+                    for packet in batch:
+                        downstream(packet)
         finally:
             self._pumping = False
         return sent

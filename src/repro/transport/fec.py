@@ -33,12 +33,13 @@ Layering (receiver)::
 
 Data packets pass straight through (hybrid: into the ARQ receiver, whose
 ``rseq`` cursor dedups late retransmits of packets FEC already repaired);
-their shard bytes are cached until the group resolves.  Parity packets
-carry the group geometry (base ``fseq``, member count, parity index) and
-are consumed here.  As soon as ``missing <= surviving parity`` the group
-decodes and the missing members are synthesized — fresh uids,
-``synthesized=True`` (a :class:`~repro.core.packet.PacketPool` refuses
-them), original ``seq``/``rseq``/payload restored bit-exact.
+their shard fields are kept until the group resolves and packed into
+bytes only if it decodes.  Parity packets carry the group geometry
+(base ``fseq``, member count, parity index) and are consumed here.  As
+soon as ``missing <= surviving parity`` the group decodes and the
+missing members are synthesized — fresh uids, ``synthesized=True`` (a
+:class:`~repro.core.packet.PacketPool` refuses them), original
+``seq``/``rseq``/payload restored bit-exact.
 
 Unrecoverable groups (erasures exceed surviving parity at the group
 timeout) resolve to ARQ in hybrid mode — the SACK holes are still open, so
@@ -55,7 +56,16 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.fec import FecCodec, FecDecodeError, make_codec
 from ..core.packet import Codepoint, Packet, _packet_ids
@@ -89,8 +99,8 @@ _SHARD_HEADER = struct.Struct("!IqqI")
 PARITY_HEADER_BYTES = 24
 
 
-def shard_for(packet: Any) -> bytes:
-    """The byte shard encoding ``packet`` for parity arithmetic."""
+def _shard_fields(packet: Any) -> Tuple[int, int, int, bytes]:
+    """The ``(size, seq, rseq, body)`` a shard is packed from."""
     payload = packet.payload
     if payload is None:
         body = b""
@@ -104,7 +114,16 @@ def shard_for(packet: Any) -> bytes:
         )
     seq = -1 if packet.seq is None else packet.seq
     rseq = -1 if packet.rseq is None else packet.rseq
-    return _SHARD_HEADER.pack(packet.size, seq, rseq, len(body)) + body
+    return packet.size, seq, rseq, body
+
+
+def _pack_shard(size: int, seq: int, rseq: int, body: bytes) -> bytes:
+    return _SHARD_HEADER.pack(size, seq, rseq, len(body)) + body
+
+
+def shard_for(packet: Any) -> bytes:
+    """The byte shard encoding ``packet`` for parity arithmetic."""
+    return _pack_shard(*_shard_fields(packet))
 
 
 def packet_from_shard(shard: bytes, fseq: int) -> Packet:
@@ -382,7 +401,10 @@ class FecReceiver:
         self.group_timeout_s = group_timeout_s
         self.escalate_after = escalate_after
         self.on_escalate = on_escalate
-        self._shards: Dict[int, bytes] = {}
+        #: ``(size, seq, rseq, body)`` of every data packet seen, by fseq
+        #: — the fields, not the packet (pools recycle it) and not the
+        #: shard: only a group that decodes ever needs its bytes packed.
+        self._shards: Dict[int, Tuple[int, int, int, bytes]] = {}
         self._groups: Dict[int, _Group] = {}
         self._base_of: Dict[int, int] = {}
         self._resolved_fifo: Deque[int] = deque()
@@ -426,7 +448,7 @@ class FecReceiver:
             self.stats.duplicate_packets += 1
             self.on_deliver(packet)
             return
-        self._shards[fseq] = shard_for(packet)
+        self._shards[fseq] = _shard_fields(packet)
         self._shard_log.append(fseq)
         self._prune_orphans()
         if self.ordered:
@@ -494,10 +516,12 @@ class FecReceiver:
             return  # wait for more data or parity (or the timeout)
         data: List[Optional[bytes]] = []
         for fseq in span:
-            shard = self._shards.get(fseq)
-            if shard is not None and len(shard) < group.shard_len:
-                shard = shard.ljust(group.shard_len, b"\x00")
-            data.append(shard)
+            fields = self._shards.get(fseq)
+            data.append(
+                None
+                if fields is None
+                else _pack_shard(*fields).ljust(group.shard_len, b"\x00")
+            )
         parity: List[Optional[bytes]] = [
             group.parity.get(j) for j in range(group.nparity)
         ]

@@ -96,7 +96,7 @@ class StripedTcpSender(StripeSenderPipeline):
             sender = BulkSender(
                 tcp_layer, target, base_port + index, 41000 + index, mss=mss
             )
-            sender.on_writable = self._pump
+            sender.on_writable = self.pump
             connections.append(sender)
             ports.append(TcpChannelPort(sender, max_backlog_bytes))
         self.connections = connections

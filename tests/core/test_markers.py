@@ -1,10 +1,11 @@
 """Unit tests for the marker-synchronized receiver (section 5)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.markers import SRRReceiver
 from repro.core.packet import MarkerPacket, Packet, is_marker
-from repro.core.srr import SRR, make_rr
+from repro.core.srr import SRR, SRRState, make_rr
 from repro.core.striper import ListPort, MarkerPolicy, Striper
 from repro.core.transform import TransformedLoadSharer
 from repro.sim.trace import Tracer
@@ -276,3 +277,139 @@ class TestValidation:
         receiver.push(0, Packet(999, seq=0))
         receiver.push(1, Packet(40, seq=1))
         assert delivered == [0, 1]
+
+
+class AlwaysDrainReceiver(SRRReceiver):
+    """The receiver without the parked scan: every push runs ``drain()``.
+
+    This is ``push`` as it was before ``_blocked_on``, kept as the oracle
+    the shortcut is checked against.
+    """
+
+    def push(self, channel, packet):
+        if not 0 <= channel < self._n:
+            raise ValueError(f"channel {channel} out of range")
+        self.buffers[channel].append(packet)
+        self._buffered += 1
+        if self._buffered > self.stats.max_buffered:
+            self.stats.max_buffered = self._buffered
+        return self.drain()
+
+
+@st.composite
+def receiver_scripts(draw):
+    n = draw(st.integers(2, 4))
+    quanta = draw(
+        st.lists(st.sampled_from([300.0, 500.0, 1000.0]), min_size=n,
+                 max_size=n)
+    )
+    sizes = draw(
+        st.lists(st.sampled_from([64, 200, 500, 900]), min_size=5,
+                 max_size=60)
+    )
+    interval = draw(st.integers(1, 3))
+    channel = st.integers(0, n - 1)
+    # An arrival takes the next packet of that channel's striped stream;
+    # one in eight is lost on the way.
+    arrive = st.tuples(st.just("arrive"), channel, st.integers(0, 7))
+    ops = draw(
+        st.lists(
+            st.one_of(
+                arrive, arrive, arrive,
+                st.tuples(
+                    st.just("marker"), channel, st.integers(0, 8),
+                    st.sampled_from([-200.0, 0.0, 100.0, 500.0]),
+                ),
+                st.tuples(st.just("fail"), channel),
+                st.tuples(st.just("revive"), channel),
+                st.tuples(st.just("snapshot")),
+                st.tuples(st.just("restore")),
+                st.tuples(st.just("adopt"), channel, st.integers(1, 6)),
+            ),
+            max_size=150,
+        )
+    )
+    return quanta, sizes, interval, ops
+
+
+class TestParkedScanMatchesAlwaysDrain:
+    @given(script=receiver_scripts())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_outputs_and_mirror_state_after_every_step(self, script):
+        quanta, sizes, interval, ops = script
+        n = len(quanta)
+        streams = stripe_with_markers(
+            SRR(quanta), make_packets(sizes), interval=interval
+        )
+        fast = SRRReceiver(SRR(quanta))
+        oracle = AlwaysDrainReceiver(SRR(quanta))
+
+        def both(method, *args):
+            return getattr(fast, method)(*args), getattr(oracle, method)(*args)
+
+        cursor = [0] * n
+        saved = None
+        # Whatever the script leaves of the streams arrives at the end.
+        tail = [
+            ("arrive", channel, 1)
+            for channel in range(n)
+            for _ in streams[channel]
+        ]
+        for op in ops + tail:
+            kind = op[0]
+            if kind == "arrive":
+                _, channel, fate = op
+                if cursor[channel] == len(streams[channel]):
+                    continue
+                packet = streams[channel][cursor[channel]]
+                cursor[channel] += 1
+                if fate == 0:
+                    continue
+                got, want = both("push", channel, packet)
+            elif kind == "marker":
+                _, channel, round_number, deficit = op
+                marker = MarkerPacket(
+                    channel=channel, round_number=round_number,
+                    deficit=deficit,
+                )
+                got, want = both("push", channel, marker)
+            elif kind == "fail":
+                got, want = both("fail_channel", op[1])
+            elif kind == "revive":
+                got, want = both("revive_channel", op[1])
+            elif kind == "snapshot":
+                saved = fast.snapshot()
+                assert saved == oracle.snapshot()
+                continue
+            elif kind == "restore":
+                if saved is None:
+                    continue
+                got, want = both("restore", saved)
+            else:
+                _, ptr, round_number = op
+                state = SRRState(
+                    ptr=ptr, round_number=round_number,
+                    dc=tuple(
+                        q if c == ptr else 0.0 for c, q in enumerate(quanta)
+                    ),
+                )
+                got, want = both("adopt_snapshot", state)
+            assert got == want
+            assert fast.mirror_state() == oracle.mirror_state()
+            assert fast.stats == oracle.stats
+            assert fast.buffered == oracle.buffered
+
+    def test_raising_callback_does_not_leave_the_scan_parked(self):
+        receiver = SRRReceiver(SRR([100.0, 100.0]))
+        receiver.push(1, Packet(100, seq=1))  # parks on channel 0
+
+        def refuse_seq_1(packet):
+            if packet.seq == 1:
+                raise RuntimeError("application error")
+
+        receiver.on_deliver = refuse_seq_1
+        with pytest.raises(RuntimeError):
+            receiver.push(0, Packet(100, seq=0))  # the scan is at 1 by now
+        receiver.on_deliver = None
+        late = Packet(100, seq=3)
+        assert receiver.push(1, late) == [late]

@@ -99,7 +99,7 @@ class FabricChaosRig:
         )
         for index, channel in enumerate(self.channels):
             channel.on_deliver = self.receiver.channel_handler(index)
-            channel.on_space = self.sender._pump
+            channel.on_space = self.sender.pump
 
     def prefill(self) -> None:
         for flow_id, weight in FLOW_WEIGHTS:

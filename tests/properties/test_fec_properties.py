@@ -128,7 +128,7 @@ class FecRig:
                 inner(packet)
 
             channel.on_deliver = handler
-            channel.on_space = self.sender._pump
+            channel.on_space = self.sender.pump
 
     def start_source(self, interval: float, stop_at: float) -> None:
         sim = self.sim

@@ -569,7 +569,7 @@ class TestCorruptDeliver:
         )
         for i, ch in enumerate(channels):
             ch.on_deliver = receiver.channel_handler(i)
-            ch.on_space = sender._pump
+            ch.on_space = sender.pump
         schedule = FaultSchedule(
             [
                 FaultEvent(

@@ -442,7 +442,7 @@ class TestDetectorBounds:
         )
         for index, channel in enumerate(channels):
             channel.on_deliver = receiver.channel_handler(index)
-            channel.on_space = sender._pump
+            channel.on_space = sender.pump
 
         def tick():
             if sim.now < 0.2:  # the source stops at t=0.2

@@ -8,9 +8,11 @@ neither block siblings nor leak shared window slots), and the 512-flow
 fairness smoke run backing ``make fabric-smoke``.
 """
 
-from typing import List, Tuple
+from collections import deque
+from typing import Dict, List, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.packet import Packet
 from repro.core.srr import SRR
@@ -203,10 +205,226 @@ class TestFabricScheduler:
             other.restore(snap)
 
 
+class PerPacketDRR:
+    """Weighted DRR that asks its gate before every packet: the reference.
+
+    Written from the algorithm, not from :class:`FabricScheduler`: one
+    permit moves one packet, and a visit whose flow can send nothing more
+    is closed before the permits are looked at again.
+    """
+
+    def __init__(self, quanta: Dict[str, float]) -> None:
+        self.quantum = dict(quanta)
+        self.queue: Dict[str, deque] = {f: deque() for f in quanta}
+        self.deficit = dict.fromkeys(quanta, 0.0)
+        self.visits = dict.fromkeys(quanta, 0)
+        self.serviced_packets = dict.fromkeys(quanta, 0)
+        self.serviced_bytes = dict.fromkeys(quanta, 0)
+        self.active: deque = deque()
+        self.head_credited = False
+        self.out: List[int] = []
+
+    def submit(self, flow: str, label: int, size: int) -> None:
+        self.queue[flow].append((label, size))
+        if flow not in self.active:
+            self.active.append(flow)
+
+    def pump(self, permits: int) -> None:
+        while self.active and permits > 0:
+            flow = self.active[0]
+            if not self.head_credited:
+                self.deficit[flow] += self.quantum[flow]
+                self.head_credited = True
+            queue = self.queue[flow]
+            while queue and queue[0][1] <= self.deficit[flow]:
+                if permits <= 0:
+                    return  # mid-visit pause
+                label, size = queue.popleft()
+                permits -= 1
+                self.deficit[flow] -= size
+                self.serviced_packets[flow] += 1
+                self.serviced_bytes[flow] += size
+                self.out.append(label)
+            self.head_credited = False
+            self.visits[flow] += 1
+            self.active.popleft()
+            if queue:
+                self.active.append(flow)
+            else:
+                self.deficit[flow] = 0.0
+
+    def state(self):
+        return (
+            {
+                f: (
+                    self.deficit[f], self.visits[f],
+                    self.serviced_packets[f], self.serviced_bytes[f],
+                )
+                for f in self.quantum
+            },
+            tuple(self.active),
+            self.head_credited,
+        )
+
+
+def fabric_state(fabric: FabricScheduler):
+    return (
+        {
+            f.flow_id: (
+                f.deficit, f.visits, f.serviced_packets, f.serviced_bytes
+            )
+            for f in fabric.table
+        },
+        tuple(f.flow_id for f in fabric._active),
+        fabric._head_credited,
+    )
+
+
+def permits_of(rooms) -> int:
+    """Packets a drain may move when its gate answers ``rooms`` in turn."""
+    total = 0
+    for room in rooms:
+        if int(room) <= 0:
+            break
+        total += int(room)
+    return total
+
+
+ROOMS = st.lists(
+    st.sampled_from([0, 1, 2, 3, 7, True, False]), min_size=1, max_size=4
+)
+WEIGHTS = st.lists(
+    st.sampled_from([0.5, 1.0, 1.5, 2.0, 4.0]), min_size=1, max_size=5
+)
+SIZES = st.sampled_from([40, 100, 150, 250, 400])
+
+
+@st.composite
+def drain_scripts(draw):
+    weights = draw(WEIGHTS)
+    flows = st.integers(0, len(weights) - 1)
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("submit"), flows, SIZES),
+                st.tuples(st.just("pump"), ROOMS),
+                st.tuples(st.just("snapshot")),
+            ),
+            max_size=60,
+        )
+    )
+    return weights, ops
+
+
+class TestBatchedDrainMatchesPerPacket:
+    """The batch the room count cuts is invisible in the service order."""
+
+    @given(script=drain_scripts(), batched=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_random_rooms_and_snapshots(self, script, batched):
+        weights, ops = script
+        table = FlowTable(quantum_bytes=100.0)
+        fabric = FabricScheduler(
+            table, flow_buffer_packets=None, auto_register=False
+        )
+        names = [f"f{i}" for i in range(len(weights))]
+        for name, weight in zip(names, weights):
+            table.register(name, weight=weight)
+        reference = PerPacketDRR(
+            {n: 100.0 * w for n, w in zip(names, weights)}
+        )
+        out: List[int] = []
+        rooms: List = []  # what the gate answers next; empty reads closed
+
+        def ready():
+            return rooms.pop(0) if rooms else 0
+
+        fabric.bind(
+            lambda p: out.append(p.label),
+            ready=ready,
+            downstream_many=(
+                (lambda ps: out.extend(p.label for p in ps))
+                if batched else None
+            ),
+        )
+        label = 0
+        for op in ops + [("pump", [10**6])]:
+            if op[0] == "submit":
+                _, flow, size = op
+                fabric.submit(names[flow], pkt(size, label=label))
+                reference.submit(names[flow], label, size)
+                label += 1
+            elif op[0] == "pump":
+                rooms[:] = op[1]
+                fabric.pump()
+                reference.pump(permits_of(op[1]))
+                rooms.clear()
+            else:
+                # Scramble everything a snapshot covers, then restore it.
+                snap = fabric.snapshot()
+                for flow in table:
+                    flow.deficit += 17.0
+                    flow.visits += 3
+                fabric._active.rotate(1)
+                fabric._head_credited = not fabric._head_credited
+                fabric.restore(snap)
+            assert out == reference.out
+            assert fabric_state(fabric) == reference.state()
+        assert len(out) == label and fabric.backlog == 0
+
+    @given(
+        weights=WEIGHTS,
+        demand=st.lists(st.tuples(st.integers(0, 4), SIZES), max_size=80),
+        window=st.integers(1, 7),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_arq_window_smaller_than_backlog_limit(
+        self, weights, demand, window
+    ):
+        """Two channels give a backlog limit of 8; the window is smaller,
+        so it is the window that sizes every batch.  Nothing may be parked
+        behind it, and the order is still the DRR order."""
+        names = [f"f{i}" for i in range(len(weights))]
+        table = FlowTable(quantum_bytes=200.0)
+        fabric = FabricScheduler(
+            table, flow_buffer_packets=None, auto_register=False
+        )
+        reference = PerPacketDRR(
+            {n: 200.0 * w for n, w in zip(names, weights)}
+        )
+        for name, weight in zip(names, weights):
+            table.register(name, weight=weight)
+        # Unbound, the fabric only queues: the whole demand is in the
+        # per-flow queues before the pipeline's gate first answers.
+        for label, (flow, size) in enumerate(demand):
+            name = names[flow % len(names)]
+            fabric.submit(name, pkt(size, payload=label))
+            reference.submit(name, label, size)
+        reference.pump(len(demand))
+
+        sim = Simulator()
+        rig = ReliableFabricRig(
+            sim, fabric=fabric,
+            reliability_options={"window_packets": window},
+        )
+        rig.sender.pump()
+        sim.run(until=5.0)
+        assert rig.delivered == reference.out
+        arq = rig.sender.reliable
+        assert arq.stats.backpressure_stalls == 0 and not arq.unacked
+        assert arq.stats.submitted == len(demand)
+
+
 class ReliableFabricRig:
     """Two channels, reliable mode, a fabric with a small per-flow cap."""
 
-    def __init__(self, sim: Simulator, flow_buffer_packets: int = 4) -> None:
+    def __init__(
+        self,
+        sim: Simulator,
+        flow_buffer_packets: int = 4,
+        fabric: FabricScheduler = None,
+        reliability_options: dict = None,
+    ) -> None:
         self.sim = sim
         self.channels = [
             Channel(sim, bandwidth_bps=8e6, prop_delay=0.5e-3,
@@ -215,7 +433,7 @@ class ReliableFabricRig:
         ]
         ports = [FastChannelPort(ch) for ch in self.channels]
         quanta = [200.0, 200.0]
-        self.fabric = FabricScheduler(
+        self.fabric = fabric if fabric is not None else FabricScheduler(
             FlowTable(quantum_bytes=200.0),
             flow_buffer_packets=flow_buffer_packets,
         )
@@ -226,6 +444,7 @@ class ReliableFabricRig:
             sim=sim,
             marker_keepalive_s=0.02,
             reliability="reliable",
+            reliability_options=reliability_options,
             fabric=self.fabric,
         )
         self.delivered: List[Tuple[str, int]] = []
@@ -242,7 +461,7 @@ class ReliableFabricRig:
         )
         for index, channel in enumerate(self.channels):
             channel.on_deliver = self.receiver.channel_handler(index)
-            channel.on_space = self.sender._pump
+            channel.on_space = self.sender.pump
 
 
 class TestReliableInterop:

@@ -367,7 +367,7 @@ def test_registry_cell_serialization_is_a_fixpoint(disc, rel):
     sender, receiver, mode = _build_pair(sim, channels, disc, rel, deliveries)
     for i, ch in enumerate(channels):
         ch.on_deliver = receiver.channel_handler(i)
-        ch.on_space = sender._pump
+        ch.on_space = sender.pump
     persistent_loss_schedule(N_CHANNELS, 0.15, until=0.05).install(
         sim, channels, seed=3
     )
@@ -456,7 +456,7 @@ class TestRecoveryManagers:
         )
         for i, ch in enumerate(channels):
             ch.on_deliver = receiver.channel_handler(i)
-            ch.on_space = sender._pump
+            ch.on_space = sender.pump
         return channels, sender, receiver, deliveries
 
     def test_install_assigns_epoch_and_first_install_does_not_announce(self):
