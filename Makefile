@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction repo.
 
 .PHONY: install test bench experiments quick-experiments examples clean \
-	smoke lint-endpoints
+	smoke lint-endpoints perf perf-ab
 
 install:
 	pip install -e . || python setup.py develop
@@ -24,6 +24,51 @@ smoke:
 		benchmarks/test_bench_sprinklers.py -x -q
 	FEC_BENCH_TOTAL_S=0.4 FEC_BENCH_RATES=0.03,0.10 \
 		PYTHONPATH=src pytest benchmarks/test_bench_fec.py -x -q
+
+# The performance benchmark (BENCHMARK.json): all five workloads, end to
+# end and per layer, report written to perfbench/out/ for compare.py.
+perf:
+	python3 -m perfbench
+
+# A/B of one workload between two checkouts, the way the benchmark driver
+# measures a claim: PAIRS (10) pairs of driver-form runs on one seed,
+# alternating which side runs first, then each side's median and quartiles
+# of wall_ns_per_pkt and how many pairs B won.
+#   make perf-ab W=skewed_small A=/tmp/parent B=. SEED=31337
+PAIRS ?= 10
+define PERF_AB
+import json, subprocess, sys
+from statistics import median, quantiles
+workload, a, b, seed, pairs = sys.argv[1:]
+def run(tree):
+    done = subprocess.run(
+        ["python3", "-m", "perfbench", "--workload", workload, "--seed", seed,
+         "--seconds", "20", "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    if done.returncode:
+        sys.exit(f"{tree}: perfbench failed\n{done.stderr}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return result["metrics"]["wall_ns_per_pkt"]["value"]
+walls = {a: [], b: []}
+for pair in range(int(pairs)):
+    for tree in ((a, b) if pair % 2 == 0 else (b, a)):
+        walls[tree].append(run(tree))
+    print(f"pair {pair}: A {walls[a][-1]:.0f}  B {walls[b][-1]:.0f}  "
+          f"B/A {walls[b][-1] / walls[a][-1]:.3f}", flush=True)
+for side, tree in (("A", a), ("B", b)):
+    q1, _, q3 = quantiles(walls[tree], n=4)
+    print(f"{side} {tree}: median {median(walls[tree]):.0f} ns/pkt, "
+          f"quartiles {q1:.0f}..{q3:.0f} ({q3 - q1:.0f} apart)")
+wins = sum(y < x for x, y in zip(walls[a], walls[b]))
+ties = sum(y == x for x, y in zip(walls[a], walls[b]))
+print(f"{workload} seed {seed}: B ahead in {wins} of {pairs} pairs, {ties} tied")
+endef
+export PERF_AB
+perf-ab:
+	@test -n "$(W)" -a -n "$(SEED)" -a -d "$(A)" -a -d "$(B)" || { \
+		echo "usage: make perf-ab W=<workload> A=<checkout> B=<checkout> SEED=<n>"; \
+		exit 2; }
+	@python3 -c "$$PERF_AB" "$(W)" "$(A)" "$(B)" "$(SEED)" "$(PAIRS)"
 
 # Complexity/length guard for src/repro/transport/ (C901, PLR0915);
 # ruff is not vendored — install it locally to run this target.

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.core.kernel import SRRKernel
-from repro.core.packet import MarkerPacket, SackInfo, is_marker
+from repro.core.packet import Codepoint, MarkerPacket, SackInfo, is_marker
 from repro.core.srr import SRR, SRRState
 from repro.sim.trace import NULL_TRACER, Tracer
 
@@ -376,6 +376,33 @@ class SRRReceiver:
             return []
         return self.drain()
 
+    def arrival(self, channel: int) -> Callable[[Any], List[Any]]:
+        """``push`` bound to ``channel``, for transports that demux.
+
+        The returned callable does exactly what ``push(channel, packet)``
+        does and returns what it returns, in one frame and with the range
+        check paid here.  It stays valid for the receiver's life: the
+        per-channel buffers and the stats block keep their identity
+        across :meth:`restore`, :meth:`adopt_snapshot` and
+        :meth:`revive_channel`; everything else is read per call.
+        """
+        if not 0 <= channel < self._n:
+            raise ValueError(f"channel {channel} out of range")
+        append = self.buffers[channel].append
+        stats = self.stats
+
+        def arrive(packet: Any) -> List[Any]:
+            append(packet)
+            buffered = self._buffered = self._buffered + 1
+            if buffered > stats.max_buffered:
+                stats.max_buffered = buffered
+            blocked_on = self._blocked_on
+            if blocked_on is not None and blocked_on != channel:
+                return []
+            return self.drain()
+
+        return arrive
+
     # ------------------------------------------------------------------ #
 
     def _advance(self) -> None:
@@ -449,7 +476,7 @@ class SRRReceiver:
         stats = self.stats
         tracing = self.tracer.enabled
         on_deliver = self.on_deliver
-        marker = is_marker
+        marker_code = Codepoint.MARKER
         # The scan terminates: each iteration either consumes a buffered
         # packet, advances the pointer toward the minimum pending sync
         # round, or blocks.  The skip budget bounds pathological spins.
@@ -508,7 +535,8 @@ class SRRReceiver:
             assumed_budget = 64 * n
             packet = buffer.popleft()
             self._buffered -= 1
-            if marker(packet):
+            # is_marker(packet), without its frame
+            if getattr(packet, "codepoint", None) == marker_code:
                 if self._is_duplicate_marker(c, packet):
                     continue
                 self._adopt(c, packet)

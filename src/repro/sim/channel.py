@@ -84,6 +84,8 @@ class Channel:
         size_of: maps a packet object to its size in bytes on this channel
             (default: ``packet.size`` attribute).  Interfaces override this
             to add framing overhead (Ethernet headers, ATM cell padding).
+            Called once per offered packet, at :meth:`send`; the size then
+            travels with the packet through the queue and the wire.
         fast: opt in to the burst-batched transmit path (see module
             docstring).  Same arrival instants for the same enqueue
             instants; a back-pressured sender sees up to 2 x
@@ -125,6 +127,7 @@ class Channel:
         self.on_drop: Optional[Callable[[Any, str], None]] = None
         self.on_space: Optional[Callable[[], None]] = None
 
+        # Transmit queue of (packet, wire size) pairs.
         self._queue: Deque[Any] = deque()
         self._transmitting = False
         self._paused = False
@@ -134,6 +137,7 @@ class Channel:
         # with at most one armed engine callback at a time.
         self._train: Deque[Any] = deque()
         self._train_armed = False
+        self._run_train_cb = self._run_train
 
     # ------------------------------------------------------------------ #
     # sender side
@@ -145,7 +149,7 @@ class Channel:
 
     @property
     def queued_bytes(self) -> int:
-        return sum(self.size_of(p) for p in self._queue)
+        return sum(size for _, size in self._queue)
 
     @property
     def in_flight(self) -> int:
@@ -170,7 +174,7 @@ class Channel:
         self.stats.offered_packets += 1
         self.stats.offered_bytes += size
         if force:
-            self._queue.append(packet)
+            self._queue.append((packet, size))
             if not self._transmitting:
                 self._kick()
             return True
@@ -179,7 +183,7 @@ class Channel:
             if self.on_drop is not None:
                 self.on_drop(packet, "queue_full")
             return False
-        self._queue.append(packet)
+        self._queue.append((packet, size))
         if not self._transmitting:
             self._kick()
         return True
@@ -218,9 +222,10 @@ class Channel:
         stats = self.stats
         size_of = self.size_of
         for packet in packets:
+            size = size_of(packet)
             stats.offered_packets += 1
-            stats.offered_bytes += size_of(packet)
-            queue.append(packet)
+            stats.offered_bytes += size
+            queue.append((packet, size))
         if not self._transmitting:
             self._kick()
 
@@ -272,7 +277,6 @@ class Channel:
         queue = self._queue
         sim = self.sim
         bandwidth = self.bandwidth_bps
-        size_of = self.size_of
         prop = self.prop_delay
         stats = self.stats
         train = self._train
@@ -280,8 +284,7 @@ class Channel:
         t = sim.now
         count = len(queue)
         while queue:
-            packet = queue.popleft()
-            size = size_of(packet)
+            packet, size = queue.popleft()
             tx_time = (8.0 * size) / bandwidth
             stats.busy_time += tx_time
             t += tx_time
@@ -309,13 +312,15 @@ class Channel:
         train = self._train
         if train:
             self._train_armed = True
-            self.sim.schedule_call(train[0][0], self._run_train)
+            self.sim.schedule_call(train[0][0], self._run_train_cb)
         else:
             self._train_armed = False
 
     def _run_train(self) -> None:
         train = self._train
-        now = self.sim.now
+        # Armed for the head's arrival instant, and only this callback
+        # pops the train: the head's stamp is the clock.
+        now = train[0][0]
         stats = self.stats
         on_deliver = self.on_deliver
         while train and train[0][0] <= now:
@@ -326,7 +331,7 @@ class Channel:
                 on_deliver(packet)
         # Re-arm inline (this runs once per distinct arrival instant).
         if train:
-            self.sim.schedule_call(train[0][0], self._run_train)
+            self.sim.schedule_call(train[0][0], self._run_train_cb)
         else:
             self._train_armed = False
 
@@ -335,8 +340,7 @@ class Channel:
             self._transmitting = False
             return
         self._transmitting = True
-        packet = self._queue.popleft()
-        size = self.size_of(packet)
+        packet, size = self._queue.popleft()
         tx_time = (8.0 * size) / self.bandwidth_bps
         self.stats.busy_time += tx_time
         self.sim.schedule(tx_time, self._tx_done, packet, size)

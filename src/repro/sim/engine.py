@@ -242,6 +242,8 @@ class Simulator:
                 Semantically identical to the default loop — same
                 ``(time, seq)`` order, cancellations honored at execution
                 time — but cheaper when many events share a timestamp.
+                A timestamp that holds one event runs it directly, as the
+                default loop does.
 
         Returns:
             The number of events processed during this call.
@@ -253,59 +255,49 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         pool = self._entry_pool
+        group: List[list] = []
         try:
-            if not batch:
-                while heap:
-                    entry = heap[0]
-                    if entry[_CALLBACK] is None:
-                        pop(heap)
-                        self._cancelled -= 1
-                        continue
-                    if max_events is not None and processed >= max_events:
-                        break
-                    time = entry[_TIME]
-                    if until is not None and time > until:
-                        break
+            while heap:
+                entry = heap[0]
+                if entry[_CALLBACK] is None:
                     pop(heap)
-                    self._now = time
+                    self._cancelled -= 1
+                    continue
+                if max_events is not None and processed >= max_events:
+                    break
+                time = entry[_TIME]
+                if until is not None and time > until:
+                    break
+                pop(heap)
+                self._now = time
+                if not (batch and heap and heap[0][_TIME] == time):
+                    # The only event of its timestamp (always, unbatched).
                     entry[_CALLBACK](*entry[_ARGS])
                     processed += 1
                     if entry[-1] is _POOL_TOKEN and len(pool) < _POOL_MAX:
                         entry[_CALLBACK] = None
                         pool.append(entry)
-            else:
-                group: List[list] = []
-                while heap:
-                    entry = heap[0]
-                    if entry[_CALLBACK] is None:
-                        pop(heap)
+                    continue
+                # Pop the whole same-timestamp batch, then execute it
+                # FIFO.  Callbacks may cancel later batch members (the
+                # callback slot is re-checked at execution) or schedule
+                # new events at this same timestamp (they have higher
+                # seq, so they form the next batch — same order as the
+                # unbatched loop).
+                group.clear()
+                group.append(entry)
+                while heap and heap[0][_TIME] == time:
+                    group.append(pop(heap))
+                for entry in group:
+                    callback = entry[_CALLBACK]
+                    if callback is None:
                         self._cancelled -= 1
                         continue
-                    if max_events is not None and processed >= max_events:
-                        break
-                    time = entry[_TIME]
-                    if until is not None and time > until:
-                        break
-                    # Pop the whole same-timestamp batch, then execute it
-                    # FIFO.  Callbacks may cancel later batch members (the
-                    # callback slot is re-checked at execution) or schedule
-                    # new events at this same timestamp (they have higher
-                    # seq, so they form the next batch — same order as the
-                    # unbatched loop).
-                    group.clear()
-                    while heap and heap[0][_TIME] == time:
-                        group.append(pop(heap))
-                    self._now = time
-                    for entry in group:
-                        callback = entry[_CALLBACK]
-                        if callback is None:
-                            self._cancelled -= 1
-                            continue
-                        callback(*entry[_ARGS])
-                        processed += 1
-                        if entry[-1] is _POOL_TOKEN and len(pool) < _POOL_MAX:
-                            entry[_CALLBACK] = None
-                            pool.append(entry)
+                    callback(*entry[_ARGS])
+                    processed += 1
+                    if entry[-1] is _POOL_TOKEN and len(pool) < _POOL_MAX:
+                        entry[_CALLBACK] = None
+                        pool.append(entry)
         finally:
             self._running = False
             self._events_processed += processed

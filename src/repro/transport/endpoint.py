@@ -39,6 +39,7 @@ the in-memory list ports the offline tests use.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice
 from typing import (
     Any,
@@ -50,7 +51,7 @@ from typing import (
 )
 
 from repro.core.cfq import CausalFQ
-from repro.core.packet import Packet, is_marker
+from repro.core.packet import Codepoint, Packet, is_marker
 from repro.core.striper import ChannelPort, MarkerPolicy, Striper
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.transport.discipline import (
@@ -737,6 +738,25 @@ class StripeSenderPipeline:
 # receiver side
 
 
+def _arrival_check(slot: str) -> property:
+    """A :class:`StripeReceiverPipeline` attribute that, while set, sends
+    every arrival down :meth:`~StripeReceiverPipeline.push`'s checked path.
+
+    Assignment re-evaluates the choice the
+    :meth:`~StripeReceiverPipeline.channel_handler` closures read, so a
+    handler issued before the assignment follows it.
+    """
+
+    def get(pipeline: Any) -> Any:
+        return getattr(pipeline, slot)
+
+    def set_(pipeline: Any, value: Any) -> None:
+        setattr(pipeline, slot, value)
+        pipeline._choose_arrival_path()
+
+    return property(get, set_)
+
+
 class StripeReceiverPipeline:
     """The one striped-receive pump, over any transport's arrivals.
 
@@ -788,6 +808,10 @@ class StripeReceiverPipeline:
             sender pipeline.
     """
 
+    buffer_packets = _arrival_check("_buffer_packets")
+    credit = _arrival_check("_credit")
+    failure_detector = _arrival_check("_failure_detector")
+
     def __init__(
         self,
         n_channels: int,
@@ -812,7 +836,7 @@ class StripeReceiverPipeline:
         self.n_channels = n_channels
         self.sim = sim
         self.on_message = on_message
-        self.buffer_packets = buffer_packets
+        self._buffer_packets = buffer_packets
         self.buffer_drops = 0
         self.delivered: List[Any] = []
         #: keep every delivered packet in :attr:`delivered` (the default).
@@ -847,7 +871,7 @@ class StripeReceiverPipeline:
                 sim=sim,
                 **fec_options,
             )
-        self.credit = credit
+        self._credit = credit
         if clock is None and sim is not None:
             clock = lambda: sim.now  # noqa: E731
         # The synchronization model binds the reception engine's delivery
@@ -871,11 +895,12 @@ class StripeReceiverPipeline:
         self._pushed_data: List[int] = [0] * n_channels
         self._credited: List[int] = [0] * n_channels
         self.failed_channels: set = set()
-        self.failure_detector = failure_detector
+        self._failure_detector = failure_detector
         if failure_detector is not None:
             failure_detector.bind(
                 n_channels, self.fail_channel, on_revival=self.revive_channel
             )
+        self._choose_arrival_path()
 
     # -- synchronization-model state forwarded for the transports ------ #
 
@@ -886,6 +911,7 @@ class StripeReceiverPipeline:
     @credit_sink.setter
     def credit_sink(self, fn: Optional[Callable[[int, int], None]]) -> None:
         self.sync.credit_sink = fn
+        self._choose_arrival_path()
 
     @property
     def sack_sink(self) -> Optional[Callable[[Any], None]]:
@@ -894,6 +920,19 @@ class StripeReceiverPipeline:
     @sack_sink.setter
     def sack_sink(self, fn: Optional[Callable[[Any], None]]) -> None:
         self.sync.sack_sink = fn
+        self._choose_arrival_path()
+
+    def _choose_arrival_path(self) -> None:
+        """Whether arrivals need :meth:`push`'s per-packet checks: the
+        drop rule, credits, the watchdog, or a piggyback sink for markers."""
+        sync = self.sync
+        self._checked_arrivals = (
+            self._buffer_packets is not None
+            or self._credit is not None
+            or self._failure_detector is not None
+            or sync.credit_sink is not None
+            or sync.sack_sink is not None
+        )
 
     @property
     def marker_decode_errors(self) -> int:
@@ -911,7 +950,7 @@ class StripeReceiverPipeline:
         Returns the application packets delivered in logical order as a
         result (also passed to ``on_message``).
         """
-        detector = self.failure_detector
+        detector = self._failure_detector
         if detector is not None:
             detector.note_arrival(channel)
         if type(packet) is bytes:
@@ -921,8 +960,8 @@ class StripeReceiverPipeline:
             return self.push_wire(channel, packet)
         if not is_marker(packet):
             if (
-                self.buffer_packets is not None
-                and self._buffered_data(channel) >= self.buffer_packets
+                self._buffer_packets is not None
+                and self._buffered_data(channel) >= self._buffer_packets
             ):
                 self.buffer_drops += 1
                 return []
@@ -930,7 +969,7 @@ class StripeReceiverPipeline:
             out = self.resequencer.push(channel, packet)
         else:
             out = self.sync.on_marker(channel, packet)
-        if self.credit is not None:
+        if self._credit is not None:
             self._issue_credits()
         return out
 
@@ -949,35 +988,38 @@ class StripeReceiverPipeline:
         return self.push(channel, marker)
 
     def channel_handler(self, index: int) -> Callable[[Any], None]:
-        """A per-channel arrival callback (for transports that demux)."""
-        if (
-            self.buffer_packets is None
-            and self.credit is None
-            and self.failure_detector is None
-            and self.sack_sink is None
-        ):
-            # Hot path (the fast transport): no drop rule, no credits, no
-            # watchdog — skip their per-packet checks entirely.  Reliable
-            # mode rides along fine: the ARQ receiver hangs off the
-            # resequencer's delivery callback, not off this arrival path.
-            push = self.resequencer.push
-            pushed = self._pushed_data
+        """A per-channel arrival callback (for transports that demux).
 
-            def handle(packet: Any) -> None:
-                if type(packet) is bytes:
-                    # Corrupted-in-flight wire frame: codec path counts
-                    # and drops it (cheap C-level type check keeps the
-                    # hot loop unburdened).
-                    self.push_wire(index, packet)
-                    return
-                if not is_marker(packet):
-                    pushed[index] += 1
-                push(index, packet)
-
-            return handle
+        While no drop rule, credit layer, watchdog or piggyback sink is
+        configured (the fast transport) an arrival skips :meth:`push`'s
+        per-packet checks: it is counted and handed straight to the
+        reception engine.  Reliable mode rides along fine: the ARQ
+        receiver hangs off the engine's delivery callback, not off this
+        arrival path.  The choice is read per arrival, so a handler
+        follows a ``credit``/``sack_sink``/... assigned after it was taken.
+        """
+        engine = self.resequencer
+        if hasattr(engine, "arrival"):
+            arrive = engine.arrival(index)
+        else:
+            arrive = partial(engine.push, index)
+        pushed = self._pushed_data
+        marker_code = Codepoint.MARKER
 
         def handle(packet: Any) -> None:
-            self.push(index, packet)
+            if self._checked_arrivals:
+                self.push(index, packet)
+                return
+            # not is_marker(packet), without its frame
+            codepoint = getattr(packet, "codepoint", None)
+            if codepoint != marker_code:
+                if codepoint is None and type(packet) is bytes:
+                    # Corrupted-in-flight wire frame: the codec path
+                    # counts and drops it.
+                    self.push_wire(index, packet)
+                    return
+                pushed[index] += 1
+            arrive(packet)
 
         return handle
 
@@ -1021,7 +1063,7 @@ class StripeReceiverPipeline:
         single push can unblock deliveries on *other* channels, so all
         channels are re-examined.
         """
-        credit = self.credit
+        credit = self._credit
         assert credit is not None
         for index in range(len(self._pushed_data)):
             consumed = self._pushed_data[index] - self._buffered_data(index)

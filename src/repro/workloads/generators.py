@@ -14,14 +14,30 @@ The paper's workloads:
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, List, Optional, Sequence
+from bisect import bisect
+from itertools import accumulate
+from math import inf, isfinite
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.packet import Packet
 from repro.sim.engine import Simulator
 
 
 class RandomMixSizes:
-    """Draws packet sizes from a discrete mix (defaults: small and large)."""
+    """Draws packet sizes from a discrete mix (defaults: small and large).
+
+    A weighted mix draws exactly what ``rng.choices(sizes, weights)`` would
+    (one ``rng.random()`` per draw, bisected into the running totals), so
+    a seed yields the same size sequence; the running totals are built once
+    here rather than once per draw.  ``sizes`` and ``weights`` are
+    read-only tuples so the table cannot go stale; ``rng`` may be
+    reassigned.
+
+    Raises:
+        ValueError: empty or non-positive ``sizes``; ``weights`` of another
+            length than ``sizes``, with a negative or non-finite entry, or
+            summing to zero.
+    """
 
     def __init__(
         self,
@@ -31,14 +47,41 @@ class RandomMixSizes:
     ) -> None:
         if not sizes or any(s <= 0 for s in sizes):
             raise ValueError("sizes must be positive")
-        self.sizes = list(sizes)
-        self.weights = list(weights) if weights is not None else None
+        self._sizes = tuple(sizes)
+        self._weights = tuple(weights) if weights is not None else None
         self.rng = rng if rng is not None else random.Random(0)
+        if self._weights is not None:
+            if len(self._weights) != len(self._sizes):
+                raise ValueError(
+                    "the number of weights does not match the number of sizes"
+                )
+            if any(not (0 <= w < inf) for w in self._weights):
+                raise ValueError("weights must be finite and non-negative")
+            # What random.choices computes per call: running totals, the
+            # float total, and a bisect bound that keeps the last size
+            # reachable only through its own weight.
+            self._cum = list(accumulate(self._weights))
+            self._total = self._cum[-1] + 0.0
+            self._hi = len(self._sizes) - 1
+            if self._total <= 0.0:
+                raise ValueError("total of weights must be greater than zero")
+            if not isfinite(self._total):
+                raise ValueError("total of weights must be finite")
+
+    @property
+    def sizes(self) -> Tuple[int, ...]:
+        return self._sizes
+
+    @property
+    def weights(self) -> Optional[Tuple[float, ...]]:
+        return self._weights
 
     def __call__(self) -> int:
-        if self.weights is None:
-            return self.rng.choice(self.sizes)
-        return self.rng.choices(self.sizes, weights=self.weights, k=1)[0]
+        if self._weights is None:
+            return self.rng.choice(self._sizes)
+        return self._sizes[
+            bisect(self._cum, self.rng.random() * self._total, 0, self._hi)
+        ]
 
 
 class AlternatingSizes:
@@ -234,7 +277,18 @@ class ClosedLoopSource:
                     deficit = min(deficit, self.count - self.generated)
                 if deficit <= 0:
                     return
-                self.submit_many([self._make() for _ in range(deficit)])
+                # One refill, no per-packet frame: the same draws, seqs
+                # and packets as ``deficit`` calls of :meth:`_make`.
+                size_fn = self.size_fn
+                first = self.generated
+                seqs = range(first, first + deficit)
+                if self.pool is not None:
+                    acquire = self.pool.acquire
+                    batch = [acquire(size_fn(), seq=seq) for seq in seqs]
+                else:
+                    batch = [Packet(size=size_fn(), seq=seq) for seq in seqs]
+                self.generated = first + deficit
+                self.submit_many(batch)
             return
         while self.backlog_fn() < self.target:
             if self._stopped or (

@@ -270,6 +270,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             receiver.push(3, Packet(100))
 
+    def test_arrival_checks_the_channel_once_at_creation(self):
+        receiver = SRRReceiver(SRR([100.0, 100.0]))
+        for channel in (-1, 2):
+            with pytest.raises(ValueError):
+                receiver.arrival(channel)
+
     def test_rr_family_supported(self):
         receiver = SRRReceiver(make_rr(2))
         delivered = []
@@ -332,16 +338,51 @@ def receiver_scripts(draw):
     return quanta, sizes, interval, ops
 
 
+class ArrivalCallableReceiver(SRRReceiver):
+    """``push`` routed through the per-channel :meth:`arrival` callables.
+
+    The callables are taken once, at construction — before any
+    ``restore`` / ``adopt_snapshot`` / ``revive_channel`` of a script — so
+    a closure that captured state those calls replace would show — and
+    ``drain`` is replaced on the instance afterwards, the way
+    ``tests/integration/test_wakeup_counts.py`` counts scans.
+    """
+
+    def __init__(self, algorithm):
+        super().__init__(algorithm)
+        self._arrivals = [self.arrival(c) for c in range(self._n)]
+        self.drains = 0
+        drain = self.drain
+
+        def counting_drain():
+            self.drains += 1
+            return drain()
+
+        self.drain = counting_drain
+
+    def push(self, channel, packet):
+        return self._arrivals[channel](packet)
+
+
 class TestParkedScanMatchesAlwaysDrain:
     @given(script=receiver_scripts())
     @settings(max_examples=300, deadline=None)
     def test_equal_outputs_and_mirror_state_after_every_step(self, script):
+        self.check(SRRReceiver, script)
+
+    @given(script=receiver_scripts())
+    @settings(max_examples=300, deadline=None)
+    def test_arrival_callables_match_push_after_every_step(self, script):
+        self.check(ArrivalCallableReceiver, script)
+
+    @staticmethod
+    def check(receiver_cls, script):
         quanta, sizes, interval, ops = script
         n = len(quanta)
         streams = stripe_with_markers(
             SRR(quanta), make_packets(sizes), interval=interval
         )
-        fast = SRRReceiver(SRR(quanta))
+        fast = receiver_cls(SRR(quanta))
         oracle = AlwaysDrainReceiver(SRR(quanta))
 
         def both(method, *args):

@@ -1,11 +1,14 @@
 """Unit tests for the FIFO channel model."""
 
+import random
+from collections import deque
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.packet import Packet
 from repro.sim.channel import Channel
 from repro.sim.loss import BernoulliLoss, DeterministicLoss, CorruptionModel
-import random
 
 
 def collect(channel):
@@ -316,3 +319,88 @@ class TestFastBurstMode:
         channel.send(Packet(1000, seq=2))
         sim.run()
         assert spaces  # backpressure callback still functions in burst mode
+
+
+class _ResizingQueue(deque):
+    """A transmit queue that forgets the carried size and asks ``size_of``
+    again at every read: the channel as it was when the queue held bare
+    packets, kept as the oracle for the size carried from ``send``."""
+
+    def __init__(self, size_of):
+        super().__init__()
+        self.size_of = size_of
+
+    def popleft(self):
+        packet, _ = super().popleft()
+        return packet, self.size_of(packet)
+
+    def __iter__(self):
+        return ((packet, self.size_of(packet)) for packet, _ in super().__iter__())
+
+
+_channel_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("send"), st.integers(40, 1500), st.booleans()),
+        st.tuples(
+            st.just("burst"),
+            st.lists(st.integers(40, 1500), min_size=1, max_size=5),
+        ),
+        st.tuples(st.just("pause")),
+        st.tuples(st.just("resume")),
+        st.tuples(st.just("advance"), st.sampled_from([1e-4, 1e-3, 0.02])),
+    ),
+    max_size=60,
+)
+
+
+class TestSizeCarriedFromSend:
+    @given(
+        ops=_channel_ops,
+        fast=st.booleans(),
+        queue_limit=st.none() | st.integers(1, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_size_of_every_time_twin(self, ops, fast, queue_limit):
+        from repro.sim.engine import Simulator
+
+        def play(twin):
+            sim = Simulator()
+            calls = []
+
+            def size_of(packet):  # framing that differs per packet
+                calls.append(packet.seq)
+                return packet.size + 18 + packet.seq % 5
+
+            channel = Channel(
+                sim, bandwidth_bps=1e6, prop_delay=0.003, fast=fast,
+                queue_limit=queue_limit, size_of=size_of,
+            )
+            if twin:
+                channel._queue = _ResizingQueue(size_of)
+            arrivals = []
+            channel.on_deliver = lambda p: arrivals.append((sim.now, p.seq))
+            seen = []
+            seq = 0
+            for op in ops + [("resume",), ("advance", 1.0)]:
+                if op[0] == "send":
+                    channel.send(Packet(op[1], seq=seq), force=op[2])
+                    seq += 1
+                elif op[0] == "burst":
+                    channel.send_burst(
+                        [Packet(size, seq=seq + i) for i, size in enumerate(op[1])]
+                    )
+                    seq += len(op[1])
+                elif op[0] == "advance":
+                    sim.run(until=sim.now + op[1], batch=fast)
+                else:
+                    getattr(channel, op[0])()
+                seen.append(
+                    (channel.queue_length, channel.queued_bytes,
+                     channel.in_flight, vars(channel.stats).copy())
+                )
+            return arrivals, seen, seq, calls
+
+        arrivals, seen, offered, calls = play(twin=False)
+        assert (arrivals, seen) == play(twin=True)[:2]
+        # One size per wire packet; queued_bytes reads it back, never asks.
+        assert sorted(calls) == list(range(offered))

@@ -1,6 +1,9 @@
 """Unit tests for the discrete-event engine."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
 
@@ -241,7 +244,92 @@ class TestCompaction:
         assert seen == ["after", "mid"]
 
 
+#: delays that collide (0.0 = "at now", repeated values) and ones that
+#: do not, so schedules mix shared and single-event timestamps
+_DELAYS = (0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 1.75)
+
+#: one event: (delay index, use schedule_call, handle to cancel, children)
+_event_specs = st.recursive(
+    st.tuples(
+        st.integers(0, len(_DELAYS) - 1), st.booleans(),
+        st.none() | st.integers(0, 30), st.just(()),
+    ),
+    lambda children: st.tuples(
+        st.integers(0, len(_DELAYS) - 1), st.booleans(),
+        st.none() | st.integers(0, 30),
+        st.lists(children, max_size=3).map(tuple),
+    ),
+    max_leaves=25,
+)
+
+
+def _play(program, batch, until, max_events):
+    """Run ``program`` to the horizon in calls of ``max_events``; returns
+    the ``(time, id)`` trace, the per-call counts and the final clock."""
+    sim = Simulator()
+    trace = []
+    handles = []
+    ids = itertools.count()
+
+    def plant(spec):
+        delay, slot_free, cancel, children = spec
+        ident = next(ids)  # planted in execution order, like the seq
+
+        def fire():
+            trace.append((sim.now, ident))
+            for child in children:
+                plant(child)
+            if cancel is not None and handles:
+                handles[cancel % len(handles)].cancel()
+
+        if slot_free:
+            sim.schedule_call(sim.now + _DELAYS[delay], fire)
+        else:
+            handles.append(sim.schedule(_DELAYS[delay], fire))
+
+    for spec in program:
+        plant(spec)
+    counts = []
+    while True:
+        counts.append(
+            sim.run(until=until, max_events=max_events, batch=batch)
+        )
+        if max_events is None or counts[-1] == 0:
+            return trace, counts, sim.now, sim.events_processed
+
+
 class TestBatchPop:
+    @given(
+        program=st.lists(_event_specs, min_size=1, max_size=8),
+        until=st.none() | st.sampled_from([0.0, 0.5, 1.6, 3.0]),
+        max_events=st.none() | st.integers(1, 6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_batch_runs_the_unbatched_trace(self, program, until, max_events):
+        trace, counts, now, total = _play(program, False, until, max_events)
+        b_trace, b_counts, b_now, b_total = _play(
+            program, True, until, max_events
+        )
+        assert (b_trace, b_now, b_total) == (trace, now, total)
+        assert sum(b_counts) == sum(counts) == len(trace)
+        if max_events is None:
+            assert b_counts == counts
+            return
+        # The budget is checked between timestamps: a call may overshoot
+        # it, but only to finish the timestamp the budget ran out in.
+        done = 0
+        for count in b_counts[:-1]:
+            assert count >= min(max_events, len(trace) - done)
+            budget_time = trace[done + max_events - 1][0] if (
+                count > max_events
+            ) else None
+            for time, _ in trace[done + max_events:done + count]:
+                assert time == budget_time
+            done += count
+        times = [time for time, _ in trace]
+        if len(set(times)) == len(times):
+            assert b_counts == counts
+
     def test_batch_matches_unbatched_order(self):
         def run_once(batch):
             sim = Simulator()

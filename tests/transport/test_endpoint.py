@@ -246,6 +246,71 @@ class TestReceiverPipeline:
         pipeline.push(0, marker)
         assert seen == [SackInfo(cum_ack=5, blocks=((7, 9),))]
 
+    def test_issued_handler_follows_a_sink_assigned_later(self):
+        from repro.core.markers import attach_sack
+        from repro.core.packet import SackInfo
+
+        pipeline = StripeReceiverPipeline(2, SRR([100.0, 100.0]))
+        handle = pipeline.channel_handler(0)  # taken on the unchecked path
+        sacks, credits = [], []
+        pipeline.sack_sink = sacks.append
+        marker = MarkerPacket(channel=0, round_number=0, deficit=100.0)
+        attach_sack(marker, SackInfo(cum_ack=5, blocks=((7, 9),)))
+        handle(marker)
+        assert sacks == [SackInfo(cum_ack=5, blocks=((7, 9),))]
+        pipeline.sack_sink = None
+        pipeline.credit_sink = lambda ch, credit: credits.append((ch, credit))
+        handle(MarkerPacket(channel=0, round_number=1, deficit=100.0, credit=4))
+        assert credits == [(0, 4)]
+
+    def test_issued_handler_follows_credit_and_cap_assigned_later(self):
+        class StubCredit:
+            consumed = 0
+
+            def on_consumed(self, channel):
+                self.consumed += 1
+
+        pipeline = StripeReceiverPipeline(2, SRR([100.0, 100.0]))
+        handlers = [pipeline.channel_handler(i) for i in range(2)]
+        pipeline.credit = credit = StubCredit()
+        handlers[0](Packet(size=100, seq=0))
+        assert credit.consumed == 1  # _issue_credits ran
+        pipeline.credit = None
+        pipeline.buffer_packets = 2
+        # One is delivered, then the scan waits on channel 0: two buffer.
+        for seq in range(1, 6):
+            handlers[1](Packet(size=100, seq=seq))
+        assert pipeline.buffer_drops == 2
+        pipeline.buffer_packets = None  # back on the unchecked path
+        handlers[1](Packet(size=100, seq=6))
+        assert pipeline.buffer_drops == 2
+
+    def test_handler_paths_deliver_alike(self):
+        def run(checked):
+            pipeline = StripeReceiverPipeline(2, SRR([100.0, 100.0]))
+            handlers = [pipeline.channel_handler(i) for i in range(2)]
+            if checked:
+                pipeline.sack_sink = lambda sack: None
+            ports = make_ports(2)
+            sender = StripeSenderPipeline(
+                ports, SRR([100.0, 100.0]),
+                marker_policy=MarkerPolicy(interval_rounds=1),
+            )
+            for i in range(20):
+                sender.submit_packet(Packet(size=100 + 7 * i, seq=i))
+            for index, port in enumerate(ports):
+                for packet in port.sent:
+                    handlers[index](packet)
+            handlers[0](b"\x00" * 31)  # a corrupted wire frame is counted
+            stats = pipeline.resequencer.stats
+            return (
+                [p.seq for p in pipeline.delivered], list(pipeline._pushed_data),
+                stats, pipeline.marker_decode_errors,
+            )
+
+        assert run(checked=False) == run(checked=True)
+        assert run(checked=False)[0] == list(range(20))
+
     def test_push_wire_decodes_markers(self):
         from repro.core.markers import encode_marker
 

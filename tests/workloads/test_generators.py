@@ -1,9 +1,12 @@
 """Unit tests for traffic generators."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.packet import PacketPool
 from repro.sim.engine import Simulator
 from repro.workloads.generators import (
     AlternatingSizes,
@@ -52,6 +55,74 @@ class TestSizeGenerators:
             ConstantSizes(0)
         with pytest.raises(ValueError):
             RandomMixSizes(())
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (1.0,),
+            (1.0, 2.0, 3.0),
+            (2.0, -1.0),
+            (1.0, math.nan),
+            (1.0, math.inf),
+            (0.0, 0.0),
+            (1e308, 1e308),
+        ],
+    )
+    def test_random_mix_rejects_bad_weights_at_construction(self, weights):
+        # Not at the first draw, which is inside a running simulation.
+        with pytest.raises(ValueError):
+            RandomMixSizes((64, 576), weights=weights)
+
+    def test_random_mix_table_cannot_go_stale(self):
+        gen = RandomMixSizes((64, 576), weights=[3.0, 1.0])
+        assert gen.sizes == (64, 576) and gen.weights == (3.0, 1.0)
+        with pytest.raises(AttributeError):
+            gen.weights = (1.0, 3.0)
+        with pytest.raises(AttributeError):
+            gen.sizes = (100, 200)
+        assert RandomMixSizes((64, 576)).weights is None
+
+    @given(
+        mix=st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(1, 9000), min_size=n, max_size=n),
+                st.lists(
+                    st.one_of(
+                        st.integers(0, 50),
+                        st.floats(0.0, 1e6, allow_nan=False),
+                    ),
+                    min_size=n, max_size=n,
+                ).filter(lambda weights: sum(weights) > 0),
+            )
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_mix_weighted_draws_are_random_choices_draws(
+        self, mix, seed
+    ):
+        sizes, weights = mix
+        gen = RandomMixSizes(sizes, weights, rng=random.Random(seed))
+        twin = random.Random(seed)
+        assert [gen() for _ in range(1000)] == [
+            twin.choices(sizes, weights=weights, k=1)[0] for _ in range(1000)
+        ]
+        # Both generators are left in the same state.
+        assert gen.rng.random() == twin.random()
+
+    @given(
+        sizes=st.lists(st.integers(1, 9000), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_random_mix_unweighted_draws_are_random_choice_draws(
+        self, sizes, seed
+    ):
+        gen = RandomMixSizes(sizes, rng=random.Random(seed))
+        twin = random.Random(seed)
+        assert [gen() for _ in range(200)] == [
+            twin.choice(sizes) for _ in range(200)
+        ]
 
 
 class TestPacketFactories:
@@ -136,3 +207,29 @@ class TestClosedLoopSource:
         source.start()
         sim.run(until=0.1)
         assert len(submitted) == 7
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_batched_refill_makes_the_per_packet_refill_s_packets(self, pooled):
+        def run(batched):
+            sim = Simulator()
+            backlog = []
+            pool = PacketPool() if pooled else None
+            source = ClosedLoopSource(
+                sim, backlog.append, lambda: len(backlog),
+                RandomMixSizes((64, 576), (3.0, 1.0), rng=random.Random(5)),
+                target=6, count=40, pool=pool,
+                submit_many=backlog.extend if batched else None,
+            )
+            made = []
+            source.start()
+            for _ in range(12):
+                sim.run(until=sim.now + source.check_interval)
+                made.extend((p.seq, p.size) for p in backlog[:4])
+                if pool is not None:
+                    for packet in backlog[:4]:
+                        pool.release(packet)
+                del backlog[:4]
+            return made, source.generated
+
+        assert run(batched=True) == run(batched=False)
+        assert run(batched=True)[1] == 40
