@@ -13,17 +13,17 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 # End-to-end check beyond `make test`: the chaos, reliability, fabric and
-# recovery experiments run to completion at --quick, then the two
-# behavioural benchmarks assert their acceptance bars at quick settings
-# (Sprinklers: zero reorder / zero receiver memory / zero markers on
-# stable transports; FEC: hybrid goodput >= pure ARQ at every point).
+# recovery experiments run to completion at --quick, then the three
+# behavioural benchmarks assert their acceptance bars at their quick
+# settings (Sprinklers: zero reorder / zero receiver memory / zero markers
+# on stable transports; FEC: hybrid goodput >= pure ARQ at every point;
+# fabric: per-tenant Jain and weighted shares).  Writes no tracked file.
 smoke:
-	PYTHONPATH=src python -m repro.experiments.runner --quick \
+	PYTHONPATH=src python -m repro.experiments --quick \
 		chaos reliability fabric recovery
-	SPRINKLERS_BENCH_QUICK=1 PYTHONPATH=src pytest \
-		benchmarks/test_bench_sprinklers.py -x -q
-	FEC_BENCH_TOTAL_S=0.4 FEC_BENCH_RATES=0.03,0.10 \
-		PYTHONPATH=src pytest benchmarks/test_bench_fec.py -x -q
+	PYTHONPATH=src pytest benchmarks/test_bench_sprinklers.py \
+		benchmarks/test_bench_fec.py benchmarks/test_bench_fabric.py \
+		-k quick -x -q
 
 # The performance benchmark (BENCHMARK.json): all five workloads, end to
 # end and per layer, report written to perfbench/out/ for compare.py.

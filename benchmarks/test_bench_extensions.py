@@ -49,8 +49,8 @@ def test_bench_duplex_piggybacked_credits(benchmark):
         return sim, end_a, end_b
 
     sim, end_a, end_b = benchmark.pedantic(run, rounds=1, iterations=1)
-    a_count = len(end_a.delivered)
-    b_count = len(end_b.delivered)
+    a_count = len(end_a.receiver.delivered)
+    b_count = len(end_b.receiver.delivered)
     print()
     print("§6.3 extension: duplex striping, credits riding markers only")
     print(f"  A<-B delivered: {a_count}, B<-A delivered: {b_count}")
@@ -62,7 +62,7 @@ def test_bench_duplex_piggybacked_credits(benchmark):
     assert end_a.receiver.buffer_drops == 0
     assert end_b.receiver.buffer_drops == 0
     for endpoint in (end_a, end_b):
-        seqs = [p.seq for p in endpoint.delivered]
+        seqs = [p.seq for p in endpoint.receiver.delivered]
         assert seqs == sorted(seqs)
 
 

@@ -13,42 +13,29 @@ the striped endpoint pipelines.  Acceptance bars asserted here:
   parity budget at light loss (>= 98% completeness at <= 5% random
   loss).
 
-Results are written to ``BENCH_fec.json`` at the repo root so the
-numbers are tracked across PRs.
-
-Environment knobs (for the CI smoke job and local quick runs):
-
-* ``FEC_BENCH_TOTAL_S`` — seconds of traffic per cell (default 0.8).
-* ``FEC_BENCH_RATES`` — comma-separated loss rates
-  (default ``0.01,0.03,0.05,0.10``).
+The recorded full-size numbers are the ``fec`` rows of EXPERIMENTS.md.
+``test_bench_fec_quick`` is the CI smoke setting (``make smoke`` selects
+``-k quick``).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-from pathlib import Path
-
 from repro.experiments.fec_recovery import run_fec_recovery
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_fec.json"
 
-TOTAL_S = float(os.environ.get("FEC_BENCH_TOTAL_S", "0.8"))
-RATES = tuple(
-    float(token)
-    for token in os.environ.get(
-        "FEC_BENCH_RATES", "0.01,0.03,0.05,0.10"
-    ).split(",")
-)
+def test_bench_fec_quick():
+    """Two loss rates, 0.4 s of traffic per cell."""
+    _check(run_fec_recovery(quick=True))
 
 
-def test_bench_fec_recovery_sweep():
-    """Loss x shape x mode sweep: recovery bars + JSON artifact."""
-    started = time.perf_counter()
-    result = run_fec_recovery(loss_rates=RATES, total_s=TOTAL_S)
-    wall_s = time.perf_counter() - started
+def test_bench_fec_full():
+    """Four loss rates, 0.8 s of traffic per cell."""
+    _check(run_fec_recovery())
 
+
+def _check(result) -> None:
+    """Loss x shape x mode sweep: the recovery bars."""
+    rates = sorted({r.loss_rate for r in result.rows})
     by_cell = {(r.mode, r.loss_kind, r.loss_rate): r for r in result.rows}
     for row in result.rows:
         if row.mode in ("reliable", "hybrid"):
@@ -64,7 +51,7 @@ def test_bench_fec_recovery_sweep():
 
     saved_total = 0
     for kind in ("random", "burst"):
-        for rate in RATES:
+        for rate in rates:
             arq = by_cell[("reliable", kind, rate)]
             hybrid = by_cell[("hybrid", kind, rate)]
             assert hybrid.goodput_mbps >= arq.goodput_mbps, (
@@ -78,41 +65,5 @@ def test_bench_fec_recovery_sweep():
             saved_total += arq.retransmissions - hybrid.retransmissions
     assert saved_total > 0, "parity never displaced a retransmission"
 
-    report = {
-        "workload": {
-            "loss_rates": list(RATES),
-            "loss_kinds": ["random", "burst"],
-            "modes": ["reliable", "fec", "hybrid"],
-            "sim_duration_s": TOTAL_S,
-            "code": "systematic Cauchy GF(256), k=6 m=2",
-        },
-        "results": {
-            "cells": [
-                {
-                    "mode": r.mode,
-                    "loss_kind": r.loss_kind,
-                    "loss_rate": r.loss_rate,
-                    "submitted": r.submitted,
-                    "delivered": r.delivered,
-                    "completeness": r.completeness,
-                    "goodput_mbps": r.goodput_mbps,
-                    "mean_latency_ms": r.mean_latency_ms,
-                    "retransmissions": r.retransmissions,
-                    "reconstructed": r.reconstructed,
-                    "skipped": r.skipped,
-                    "redundancy_overhead": r.redundancy_overhead,
-                }
-                for r in result.rows
-            ],
-            "retransmissions_saved_by_hybrid": saved_total,
-            "wall_clock_s": wall_s,
-        },
-        "acceptance": {
-            "guaranteed_modes_exactly_once": True,
-            "hybrid_goodput_ge_arq_everywhere": True,
-            "pure_fec_min_completeness_at_5pct": 0.98,
-        },
-    }
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
     print()
     print(result.render())

@@ -18,22 +18,12 @@ marker-free acceptance bars:
 * at scale, every submitted packet is delivered exactly once and Jain's
   index across equal-weight flows stays >= 0.95.
 
-Results are written to ``BENCH_sprinklers.json`` at the repo root so the
-numbers are tracked across PRs.
-
-Environment knobs (for the CI smoke job and local quick runs):
-
-* ``SPRINKLERS_BENCH_QUICK=1`` — short runs (the CI smoke setting).
-* ``SPRINKLERS_BENCH_FLOWS`` — scale-leg flow count (default 10000).
+The recorded full-size numbers are the ``sprinklers`` rows of
+EXPERIMENTS.md.  ``test_bench_sprinklers_quick`` is the CI smoke setting
+(``make smoke`` selects ``-k quick``).
 """
 
 from __future__ import annotations
-
-import dataclasses
-import json
-import os
-import time
-from pathlib import Path
 
 from repro.experiments.sprinklers import (
     STABLE_TRANSPORTS,
@@ -41,23 +31,21 @@ from repro.experiments.sprinklers import (
     run_sprinklers,
 )
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sprinklers.json"
-
-QUICK = os.environ.get("SPRINKLERS_BENCH_QUICK", "") == "1"
-N_FLOWS = int(os.environ.get("SPRINKLERS_BENCH_FLOWS", "10000"))
 GOODPUT_PARITY = 0.90
 MIN_JAIN = 0.95
 
 
-def test_bench_sprinklers_head_to_head():
-    """Sprinklers acceptance bars on all five transports + JSON."""
-    started = time.perf_counter()
-    if QUICK:
-        result = run_sprinklers(quick=True)
-    else:
-        result = run_sprinklers(scale_flows=N_FLOWS)
-    wall_s = time.perf_counter() - started
+def test_bench_sprinklers_quick():
+    """Acceptance bars on short runs, one chaos seed, 1,000 flows."""
+    _check(run_sprinklers(quick=True))
 
+
+def test_bench_sprinklers_full():
+    """Acceptance bars at full size: two chaos seeds, 10,000 flows."""
+    _check(run_sprinklers())
+
+
+def _check(result) -> None:
     assert {row.transport for row in result.head_to_head} == set(TRANSPORTS)
     for transport in STABLE_TRANSPORTS:
         sprinklers = result.row(transport, "sprinklers")
@@ -93,26 +81,5 @@ def test_bench_sprinklers_head_to_head():
     ]
     assert all(row.receiver_hwm == 0 for row in sprinklers_scale)
 
-    report = {
-        "workload": {
-            "transports": list(TRANSPORTS),
-            "stable_transports": list(STABLE_TRANSPORTS),
-            "scale_flows": result.scale[0].n_flows if result.scale else 0,
-            "quick": QUICK,
-        },
-        "head_to_head": [
-            dataclasses.asdict(row) for row in result.head_to_head
-        ],
-        "chaos": [dataclasses.asdict(row) for row in result.chaos],
-        "scale": [dataclasses.asdict(row) for row in result.scale],
-        "acceptance": {
-            "stable_reorder_rate": 0.0,
-            "stable_receiver_hwm": 0,
-            "goodput_parity": GOODPUT_PARITY,
-            "min_jain": MIN_JAIN,
-        },
-        "wall_clock_s": wall_s,
-    }
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n")
     print()
     print(result.render())

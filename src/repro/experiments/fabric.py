@@ -21,8 +21,7 @@ drain together and stay backlogged through the mid-run fairness sample
 depress any naive fairness number).
 
 Results are emitted as :class:`FabricResult`; the benchmark wrapper
-(``benchmarks/test_bench_fabric.py``) asserts the acceptance bars and
-writes ``BENCH_fabric.json``.
+(``benchmarks/test_bench_fabric.py``) asserts the acceptance bars.
 """
 
 from __future__ import annotations

@@ -22,15 +22,18 @@ experiments exercise the session-control implementation of those ideas:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.analysis.reorder import analyze_order
 from repro.core.session import LocalChecker, StripeConfig
 from repro.core.striper import MarkerPolicy
-from repro.net.ethernet import EthernetInterface
-from repro.net.stack import Link, Stack
+from repro.experiments.socket_harness import (
+    build_two_hosts,
+    drive_closed_loop,
+    seeded_losses,
+)
+from repro.net.stack import Link
 from repro.sim.engine import Simulator
 from repro.sim.loss import BernoulliLoss
 from repro.transport.session_striping import (
@@ -89,51 +92,22 @@ def build_session_testbed(
     the paper's SRR for any registry discipline on both ends (marker-free
     ones run without markers and without a resequencer).
     """
-    link_mbps = list(link_mbps)
-    loss_rates = list(loss_rates)
-    if len(link_mbps) == 1:
-        link_mbps *= n_channels
-    if len(loss_rates) == 1:
-        loss_rates *= n_channels
-    sender_stack = Stack(sim, "S")
-    receiver_stack = Stack(sim, "R")
-    links: List[Link] = []
-    loss_models: List[BernoulliLoss] = []
-    destinations = []
-    rng = random.Random(seed)
-    for index in range(n_channels):
-        s_ip = f"10.{30 + index}.0.1"
-        r_ip = f"10.{30 + index}.0.2"
-        s_if = EthernetInterface(sim, f"ch{index}s", s_ip)
-        r_if = EthernetInterface(sim, f"ch{index}r", r_ip)
-        sender_stack.add_interface(s_if)
-        receiver_stack.add_interface(r_if)
-        loss = BernoulliLoss(
-            loss_rates[index], rng=random.Random(rng.randrange(1 << 30))
-        )
-        loss_models.append(loss)
-        links.append(
-            Link(
-                sim, s_if, r_if,
-                bandwidth_bps=link_mbps[index] * 1e6,
-                prop_delay=0.5e-3,
-                queue_limit=queue_frames,
-                loss_ab=loss,
-                name=f"channel{index}",
-            )
-        )
-        sender_stack.routing.add(r_ip, 24, s_if)
-        receiver_stack.routing.add(s_ip, 24, r_if)
-        s_if.arp_cache.install(r_if.ip_address, r_if.mac)
-        r_if.arp_cache.install(s_if.ip_address, s_if.mac)
-        destinations.append((r_ip, BASE_PORT + index))
+    loss_models = seeded_losses(loss_rates, n_channels, seed)
+    host_a, host_b, links = build_two_hosts(
+        sim, n_channels, link_mbps=link_mbps,
+        queue_frames=queue_frames, loss_ab=loss_models,
+    )
+    destinations = [
+        (ip, BASE_PORT + index)
+        for index, ip in enumerate(host_b.local_addresses())
+    ]
 
     config = StripeConfig(
         quanta=tuple(quanta) if quanta else tuple([float(message_bytes)] * n_channels)
     )
     arq_options = reliability_options or {}
     sender = SessionSocketSender(
-        sim, sender_stack, destinations, config,
+        sim, host_a, destinations, config,
         marker_policy=MarkerPolicy(interval_rounds=1),
         control_port=CONTROL_PORT,
         health_monitor=health_monitor,
@@ -146,9 +120,9 @@ def build_session_testbed(
     )
     deliveries: List[Tuple[float, int]] = []
     receiver = SessionSocketReceiver(
-        sim, receiver_stack, n_channels, config,
+        sim, host_b, n_channels, config,
         base_port=BASE_PORT,
-        control_to="10.30.0.1",
+        control_to=host_a.local_addresses()[0],
         control_port=CONTROL_PORT,
         on_message=lambda p: deliveries.append((sim.now, p.seq)),
         checker=checker,
@@ -159,33 +133,15 @@ def build_session_testbed(
         discipline_options=discipline_options,
     )
 
-    def submit_backlog() -> int:
-        # A full ARQ window reads as "backlogged" so the closed-loop
-        # source honors the retransmission buffer's backpressure.
-        if not sender.can_submit():
-            return 1 << 30
-        return sender.backlog
-
+    forward = [link.ab for link in links]
     source: Optional[ClosedLoopSource] = None
     if closed_loop:
-        source = ClosedLoopSource(
-            sim,
-            submit=sender.submit_packet,
-            backlog_fn=submit_backlog,
-            size_fn=ConstantSizes(message_bytes),
-            target=16,
+        source = drive_closed_loop(
+            sim, sender, forward, ConstantSizes(message_bytes), target=16
         )
-        source.start()
-
-    def wake() -> None:
-        sender.pump()
-        if source is not None:
-            source.poke()
-
-    for link in links:
-        link.ab.on_space = wake
-    if sender.reliable is not None and sender.reliable.on_window_open is None:
-        sender.reliable.on_window_open = wake
+    else:
+        for channel in forward:
+            channel.on_space = sender.pump
 
     return SessionTestbed(
         sim=sim, sender=sender, receiver=receiver, source=source,

@@ -40,11 +40,7 @@ class Experiment:
     name: str
     paper_ref: str
     description: str
-    run: Callable[..., Any]  # accepts quick: bool (and fast: bool if supported)
-    quick_supported: bool = True
-    #: True if the experiment can run on the burst-batched simulation fast
-    #: path (``--fast``): same deliveries, lower wall clock.
-    fast_supported: bool = False
+    run: Callable[..., Any]  # accepts quick: bool
 
 
 def _run_table1(quick: bool = False) -> str:
@@ -187,14 +183,12 @@ def _run_fabric(quick: bool = False):
     return run_fabric()
 
 
-def _run_scalability(quick: bool = False, fast: bool = False):
+def _run_scalability(quick: bool = False):
     from repro.experiments.scalability import run_scalability
 
     if quick:
-        return run_scalability(
-            channel_counts=(2, 8), duration_s=1.0, fast=fast
-        )
-    return run_scalability(fast=fast)
+        return run_scalability(channel_counts=(2, 8), duration_s=1.0)
+    return run_scalability()
 
 
 def _run_sprinklers(quick: bool = False):
@@ -312,7 +306,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         Experiment(
             "scalability", "Title claim (extension)",
             "Throughput / ordering / recovery vs channel count",
-            _run_scalability, fast_supported=True,
+            _run_scalability,
         ),
         Experiment(
             "sprinklers", "Synchronization models (extension)",
@@ -334,15 +328,13 @@ EXPERIMENTS: Dict[str, Experiment] = {
 }
 
 
-def run_experiment(name: str, quick: bool = False, fast: bool = False) -> Any:
+def run_experiment(name: str, quick: bool = False) -> Any:
     """Run one experiment by registry name; returns its result object."""
     experiment = EXPERIMENTS.get(name)
     if experiment is None:
         raise KeyError(
             f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}"
         )
-    if fast and experiment.fast_supported:
-        return experiment.run(quick=quick, fast=True)
     return experiment.run(quick=quick)
 
 
@@ -355,13 +347,6 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--all", action="store_true", help="run everything")
     parser.add_argument(
         "--quick", action="store_true", help="shorter simulations"
-    )
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="run on the burst-batched simulation fast path where "
-             "supported (identical deliveries, lower wall clock; counters "
-             "sampled at the horizon can differ by up to one transmit "
-             "queue per channel)",
     )
     parser.add_argument(
         "--list", action="store_true", help="list experiments and exit"
@@ -388,10 +373,7 @@ def main(argv: List[str] | None = None) -> int:
         banner = f"=== {experiment.paper_ref}: {experiment.description} ==="
         print(banner)
         start = time.time()
-        if args.fast and experiment.fast_supported:
-            result = experiment.run(quick=args.quick, fast=True)
-        else:
-            result = experiment.run(quick=args.quick)
+        result = experiment.run(quick=args.quick)
         text = result if isinstance(result, str) else result.render()
         print(text)
         print(f"--- {name} done in {time.time() - start:.1f}s ---\n")

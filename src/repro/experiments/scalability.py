@@ -90,31 +90,33 @@ def run_scalability(
     message_bytes: int = 1000,
     with_recovery_probe: bool = True,
     seed: int = 0,
-    fast: bool = False,
 ) -> ScalabilityResult:
     """Measure throughput / ordering / overhead / recovery vs channel count.
 
-    ``fast=True`` runs every testbed on the burst-batched fast path
-    (:mod:`repro.transport.fast_path`): deliveries are identical (the
-    fast path is property-tested equivalent); the marker-overhead column,
-    sampled at the horizon, can differ (see :mod:`repro.sim.channel`).
+    Every testbed runs over direct channel ports
+    (:mod:`repro.transport.fast_path`): nothing here needs credits, a
+    receiver cap or the UDP/IP stack, and deliveries are property-tested
+    identical to the stack path's.
     """
     rows: List[ScalabilityRow] = []
     for n in channel_counts:
+
+        def config(loss_rate: float) -> SocketTestbedConfig:
+            return SocketTestbedConfig(
+                n_channels=n,
+                link_mbps=(link_mbps,),
+                prop_delay_s=tuple(0.5e-3 + 0.1e-3 * i for i in range(n)),
+                loss_rates=(loss_rate,),
+                message_bytes=message_bytes,
+                marker_interval_rounds=1,
+                source_backlog=4 * n,
+                seed=seed,
+                fast=True,
+            )
+
         # --- clean throughput run ----------------------------------------
         sim = Simulator()
-        config = SocketTestbedConfig(
-            n_channels=n,
-            link_mbps=(link_mbps,),
-            prop_delay_s=tuple(0.5e-3 + 0.1e-3 * i for i in range(n)),
-            loss_rates=(0.0,),
-            message_bytes=message_bytes,
-            marker_interval_rounds=1,
-            source_backlog=4 * n,
-            seed=seed,
-            fast=fast,
-        )
-        testbed = build_socket_testbed(sim, config)
+        testbed = build_socket_testbed(sim, config(0.0))
         sim.run(until=duration_s)
         report = analyze_order(testbed.delivered_seqs(), testbed.messages_sent)
         goodput = (
@@ -135,22 +137,7 @@ def run_scalability(
         recovery_time: Optional[float] = None
         if with_recovery_probe:
             sim2 = Simulator()
-            probe = build_socket_testbed(
-                sim2,
-                SocketTestbedConfig(
-                    n_channels=n,
-                    link_mbps=(link_mbps,),
-                    prop_delay_s=tuple(
-                        0.5e-3 + 0.1e-3 * i for i in range(n)
-                    ),
-                    loss_rates=(0.3,),
-                    message_bytes=message_bytes,
-                    marker_interval_rounds=1,
-                    source_backlog=4 * n,
-                    seed=seed,
-                    fast=fast,
-                ),
-            )
+            probe = build_socket_testbed(sim2, config(0.3))
             loss_stop = 0.5
             probe.stop_losses_at(loss_stop)
             sim2.run(until=loss_stop + 1.0)

@@ -1,43 +1,174 @@
 """Shared harness for the transport-level (section 6.3) experiments.
 
-Builds N parallel links between two hosts, a striped-socket sender
-(SRR + markers over UDP) and receiver, a closed-loop message source, and
-per-delivery records for reordering analysis.  Loss models are installed on
-the forward channels and can be switched off mid-run (the "after packet
-losses stopped" part of the paper's findings).
+Three layers, each used on its own by the other transport experiments:
+
+* :func:`build_two_hosts` — two hosts joined by N parallel Ethernet links
+  (routes, pre-installed ARP, optional per-link loss), the topology every
+  striped-transport rig stands on;
+* :func:`drive_closed_loop` — a closed-loop message source over any
+  sender, woken by draining transmit queues and ARQ windows;
+* :func:`build_socket_testbed` — the §6.3 testbed itself: the two endpoint
+  pipelines over UDP ports (or, with ``fast``, over direct channel ports),
+  a closed-loop source, and per-delivery records for reordering analysis.
+  Loss models are installed on the forward channels and can be switched
+  off mid-run (the "after packet losses stopped" part of the paper's
+  findings).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.packet import PacketPool
 from repro.core.srr import SRR
 from repro.core.striper import MarkerPolicy
 from repro.net.ethernet import EthernetInterface
 from repro.net.stack import Link, Stack
+from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
 from repro.sim.loss import BernoulliLoss, SizeGatedLoss
-from repro.transport.credit import CreditSender
-from repro.transport.endpoint import make_discipline, receiver_mode_for
-from repro.transport.reliability import arq_enabled
-from repro.transport.fast_path import (
-    FastStripedReceiver,
-    FastStripedSender,
-    wire_fast_ack_path,
-    wire_size,
+from repro.transport.credit import CreditReceiver, CreditSender
+from repro.transport.discipline import make_discipline, receiver_args_for
+from repro.transport.endpoint import (
+    StripeReceiverPipeline,
+    StripeSenderPipeline,
 )
+from repro.transport.fast_path import (
+    FastChannelPort,
+    bind_fast_receiver,
+    wire_fast_ack_path,
+)
+from repro.transport.reliability import arq_enabled
 from repro.transport.socket_striping import (
-    StripedSocketReceiver,
-    StripedSocketSender,
+    ack_listener,
+    bind_udp_receiver,
+    credit_listener,
+    udp_ack_flow,
+    udp_credit_flow,
+    udp_listen,
+    udp_ports,
 )
 from repro.workloads.generators import ClosedLoopSource, ConstantSizes
 
 BASE_PORT = 6000
 CREDIT_PORT = 6999
 ACK_PORT = 6998
+
+
+def per_link(values: Sequence[Any], n_links: int, name: str) -> tuple:
+    """``values`` as one entry per link (a single entry is repeated)."""
+    values = tuple(values)
+    if len(values) == 1:
+        values = values * n_links
+    if len(values) != n_links:
+        raise ValueError(f"{name} must have {n_links} entries")
+    return values
+
+
+def seeded_losses(
+    rates: Sequence[float], n_links: int, seed: int
+) -> List[BernoulliLoss]:
+    """One independently seeded Bernoulli loss model per link."""
+    rng = random.Random(seed)
+    return [
+        BernoulliLoss(rate, rng=random.Random(rng.randrange(1 << 30)))
+        for rate in per_link(rates, n_links, "loss_rates")
+    ]
+
+
+def build_two_hosts(
+    sim: Simulator,
+    n_links: int,
+    link_mbps: Sequence[float] = (10.0,),
+    prop_delay_s: Sequence[float] = (0.5e-3,),
+    queue_frames: int = 40,
+    loss_ab: Optional[Sequence[Any]] = None,
+    loss_ba: Optional[Sequence[Any]] = None,
+) -> Tuple[Stack, Stack, List[Link]]:
+    """Hosts A and B joined by ``n_links`` Ethernet links: ``(a, b, links)``.
+
+    Link *i* is its own subnet, so ``b.local_addresses()[i]`` is where A
+    reaches B over it (and vice versa); routes and ARP are in place.
+    ``link_mbps`` / ``prop_delay_s`` take one entry per link or a single
+    entry for all; ``loss_ab`` / ``loss_ba`` are per-link loss models for
+    the A->B and B->A channels.
+    """
+    link_mbps = per_link(link_mbps, n_links, "link_mbps")
+    prop_delay_s = per_link(prop_delay_s, n_links, "prop_delay_s")
+    a, b, links = Stack(sim, "A"), Stack(sim, "B"), []
+    for index in range(n_links):
+        a_if = EthernetInterface(sim, f"ch{index}a", f"10.{10 + index}.0.1")
+        b_if = EthernetInterface(sim, f"ch{index}b", f"10.{10 + index}.0.2")
+        a.add_interface(a_if)
+        b.add_interface(b_if)
+        links.append(
+            Link(
+                sim, a_if, b_if,
+                bandwidth_bps=link_mbps[index] * 1e6,
+                prop_delay=prop_delay_s[index],
+                queue_limit=queue_frames,
+                loss_ab=loss_ab[index] if loss_ab else None,
+                loss_ba=loss_ba[index] if loss_ba else None,
+                name=f"channel{index}",
+            )
+        )
+        a.routing.add(b_if.ip_address, 24, a_if)
+        b.routing.add(a_if.ip_address, 24, b_if)
+        # Pre-populate ARP: the paper's channels are long-lived, and an
+        # ARP exchange lost to injected channel loss would otherwise
+        # dominate the measurement.
+        a_if.arp_cache.install(b_if.ip_address, b_if.mac)
+        b_if.arp_cache.install(a_if.ip_address, a_if.mac)
+    return a, b, links
+
+
+def drive_closed_loop(
+    sim: Simulator,
+    sender: Any,
+    channels: Sequence[Channel],
+    size_fn: Callable[[], int],
+    target: int,
+    **source_options: Any,
+) -> ClosedLoopSource:
+    """Keep ``target`` packets queued at ``sender`` for the whole run.
+
+    ``sender`` is anything with ``submit_packet`` / ``can_submit`` /
+    ``backlog`` / ``pump`` (a pipeline, a session sender, a duplex
+    endpoint's sender).  The striper is pumped and the source refilled
+    whenever one of ``channels`` drains a transmit slot or the ARQ window
+    opens — the backpressure feedback path.
+    """
+
+    def submit_backlog() -> int:
+        # A full ARQ window must read as "backlogged" to the closed-loop
+        # source: the retransmission buffer exerts backpressure instead
+        # of absorbing unbounded overflow.
+        if not sender.can_submit():
+            return 1 << 30
+        return sender.backlog
+
+    source = ClosedLoopSource(
+        sim,
+        submit=sender.submit_packet,
+        backlog_fn=submit_backlog,
+        size_fn=size_fn,
+        target=target,
+        **source_options,
+    )
+    source.start()
+
+    def wake() -> None:
+        sender.pump()
+        source.poke()
+
+    for channel in channels:
+        channel.on_space = wake
+    reliable = getattr(sender, "reliable", None)
+    if reliable is not None and reliable.on_window_open is None:
+        reliable.on_window_open = wake
+    return source
 
 
 @dataclass
@@ -73,7 +204,7 @@ class SocketTestbedConfig:
     #: giving an identical data-loss pattern across control-plane variants
     #: (used by the marker-position study).
     data_only_loss: bool = False
-    #: if True, build the direct-to-channel fast path (burst-batched
+    #: if True, the pipelines run over direct channel ports (burst-batched
     #: channels + batched striper pump) instead of the full UDP/IP stack.
     #: The ``(time, seq)`` delivery records are identical to the reference
     #: path (property-tested in every reliability mode).  Burst-mode
@@ -85,8 +216,7 @@ class SocketTestbedConfig:
     #: act on sender-side queue depth, are rejected on the fast path.
     fast: bool = False
     #: optional receiver-side dead-channel watchdog
-    #: (:class:`repro.transport.endpoint.ChannelFailureDetector`);
-    #: reference path only.
+    #: (:class:`repro.transport.endpoint.ChannelFailureDetector`)
     failure_detector: Optional[object] = None
     #: service level (``best_effort | quasi_fifo | reliable | fec |
     #: hybrid``); reliable/hybrid arm selective-repeat ARQ end to end,
@@ -105,12 +235,9 @@ class SocketTestbedConfig:
 
     def __post_init__(self) -> None:
         for name in ("link_mbps", "prop_delay_s", "loss_rates"):
-            values = list(getattr(self, name))
-            if len(values) == 1:
-                values = values * self.n_channels
-            if len(values) != self.n_channels:
-                raise ValueError(f"{name} must have {self.n_channels} entries")
-            setattr(self, name, tuple(values))
+            setattr(
+                self, name, per_link(getattr(self, name), self.n_channels, name)
+            )
         if self.fast and self.use_credit:
             raise ValueError("credit flow control requires the reference path")
         if self.fast and self.buffer_packets is not None:
@@ -151,12 +278,10 @@ class SocketTestbed:
 
     sim: Simulator
     config: SocketTestbedConfig
-    sender_stack: Stack
-    receiver_stack: Stack
     links: List[Link]
     loss_models: List[BernoulliLoss]
-    sender: StripedSocketSender | FastStripedSender
-    receiver: StripedSocketReceiver | FastStripedReceiver
+    sender: StripeSenderPipeline
+    receiver: StripeReceiverPipeline
     source: Optional[ClosedLoopSource]
     pool: Optional[PacketPool] = None
     deliveries: List[Delivery] = field(default_factory=list)
@@ -186,49 +311,27 @@ class SocketTestbed:
 def build_socket_testbed(
     sim: Simulator, config: SocketTestbedConfig
 ) -> SocketTestbed:
-    """Assemble hosts, N links, striped sockets, and the message source."""
-    sender_stack = Stack(sim, "S")
-    receiver_stack = Stack(sim, "R")
-    links: List[Link] = []
-    loss_models: List[BernoulliLoss] = []
-    destinations: List[Tuple[str, int]] = []
-    rng = random.Random(config.seed)
+    """Assemble hosts, N links, the two pipelines, and the message source.
 
-    for index in range(config.n_channels):
-        s_ip = f"10.{10 + index}.0.1"
-        r_ip = f"10.{10 + index}.0.2"
-        s_if = EthernetInterface(sim, f"ch{index}s", s_ip)
-        r_if = EthernetInterface(sim, f"ch{index}r", r_ip)
-        sender_stack.add_interface(s_if)
-        receiver_stack.add_interface(r_if)
-        loss = BernoulliLoss(
-            config.loss_rates[index],
-            rng=random.Random(rng.randrange(1 << 30)),
-        )
-        loss_models.append(loss)
-        installed_loss = (
-            SizeGatedLoss(loss, min_size=500)
-            if config.data_only_loss
+    ``config.fast`` only picks the ports and the arrival wiring; the
+    sender and the receiver are the same two pipelines either way.
+    """
+    n = config.n_channels
+    loss_models = seeded_losses(config.loss_rates, n, config.seed)
+    host_a, host_b, links = build_two_hosts(
+        sim,
+        n,
+        link_mbps=config.link_mbps,
+        prop_delay_s=config.prop_delay_s,
+        queue_frames=config.link_queue_frames,
+        loss_ab=[
+            SizeGatedLoss(loss, min_size=500) if config.data_only_loss
             else loss
-        )
-        links.append(
-            Link(
-                sim, s_if, r_if,
-                bandwidth_bps=config.link_mbps[index] * 1e6,
-                prop_delay=config.prop_delay_s[index],
-                queue_limit=config.link_queue_frames,
-                loss_ab=installed_loss,
-                name=f"channel{index}",
-            )
-        )
-        sender_stack.routing.add(r_ip, 24, s_if)
-        receiver_stack.routing.add(s_ip, 24, r_if)
-        # Pre-populate ARP: the paper's channels are long-lived, and an
-        # ARP exchange lost to injected channel loss would otherwise
-        # dominate the measurement.
-        s_if.arp_cache.install(r_if.ip_address, r_if.mac)
-        r_if.arp_cache.install(s_if.ip_address, s_if.mac)
-        destinations.append((r_ip, BASE_PORT + index))
+            for loss in loss_models
+        ],
+    )
+    forward = [link.ab for link in links]
+    reverse_to = host_a.local_addresses()[0]
 
     if config.discipline is not None:
         # Any (s0, f, g) scheme through the same testbed: the sender gets
@@ -237,18 +340,13 @@ def build_socket_testbed(
             quantum=float(config.message_bytes), seed=config.seed
         )
         options.update(config.discipline_options or {})
-        algorithm_s = make_discipline(
-            config.discipline, config.n_channels, **options
+        algorithm_s = make_discipline(config.discipline, n, **options)
+        config.mode, algorithm_r = receiver_args_for(
+            config.discipline, n, **options
         )
-        config.mode = receiver_mode_for(algorithm_s)
-        algorithm_r = None
-        if config.mode == "plain":
-            algorithm_r = make_discipline(
-                config.discipline, config.n_channels, **options
-            ).algorithm
     else:
-        algorithm_s = SRR([float(config.message_bytes)] * config.n_channels)
-        algorithm_r = SRR([float(config.message_bytes)] * config.n_channels)
+        algorithm_s = SRR([float(config.message_bytes)] * n)
+        algorithm_r = SRR([float(config.message_bytes)] * n)
     marker_policy = None
     if config.mode == "marker" and config.marker_interval_rounds > 0:
         marker_policy = MarkerPolicy(
@@ -256,37 +354,51 @@ def build_socket_testbed(
             position=config.marker_position,
         )
 
+    # FCVC credits and ARQ acks each ride a dedicated reverse flow to the
+    # sender's first address.
     credit_sender: Optional[CreditSender] = None
+    credit_receiver: Optional[CreditReceiver] = None
     if config.use_credit:
         if config.buffer_packets is None:
             raise ValueError("use_credit requires buffer_packets")
-        credit_sender = CreditSender(
-            config.n_channels, initial_credit=config.buffer_packets
+        credit_sender = CreditSender(n, initial_credit=config.buffer_packets)
+        udp_listen(host_a, CREDIT_PORT, credit_listener(credit_sender))
+        credit_receiver = CreditReceiver(
+            n, config.buffer_packets,
+            send_credit=udp_credit_flow(host_b, reverse_to, CREDIT_PORT),
         )
 
     reliable = arq_enabled(config.reliability)
     arq_options = config.reliability_options or {}
-    sender: StripedSocketSender | FastStripedSender
     if config.fast:
-        sender = FastStripedSender(
-            sim, [link.ab for link in links], algorithm_s,
-            marker_policy=marker_policy,
-            reliability=config.reliability,
-            reliability_options=arq_options.get("sender"),
-        )
+        ports = [FastChannelPort(channel) for channel in forward]
     else:
-        sender = StripedSocketSender(
-            sim, sender_stack, destinations, algorithm_s,
-            marker_policy=marker_policy,
+        ports = udp_ports(
+            host_a,
+            [
+                (ip, BASE_PORT + index)
+                for index, ip in enumerate(host_b.local_addresses())
+            ],
             credit=credit_sender,
-            credit_port=CREDIT_PORT if config.use_credit else None,
-            reliability=config.reliability,
-            ack_port=ACK_PORT if reliable else None,
-            reliability_options=arq_options.get("sender"),
         )
+    sender = StripeSenderPipeline(
+        ports, algorithm_s,
+        marker_policy=marker_policy,
+        credit=credit_sender,
+        sim=sim,
+        reliability=config.reliability,
+        reliability_options=arq_options.get("sender"),
+    )
+    send_ack = None
+    if reliable and config.fast:
+        # Acks ride the first link's reverse channel directly (the
+        # reference path routes its UDP ack flow over the same link).
+        send_ack = wire_fast_ack_path(links[0].ba, sender).send_sack
+    elif reliable:
+        udp_listen(host_a, ACK_PORT, ack_listener(sender))
+        send_ack = udp_ack_flow(host_b, reverse_to, ACK_PORT)
 
-    testbed_ref: List[SocketTestbed] = []
-
+    deliveries: List[Delivery] = []
     pool: Optional[PacketPool] = None
     release_on_delivery = False
     if config.packet_pool:
@@ -302,64 +414,26 @@ def build_socket_testbed(
         seq = getattr(packet, "seq", None)
         if seq is None:
             seq = getattr(packet, "sequence", -1)
-        testbed_ref[0].deliveries.append(
-            Delivery(time=sim.now, seq=seq, size=packet.size)
-        )
+        deliveries.append(Delivery(time=sim.now, seq=seq, size=packet.size))
         if release_on_delivery:
             pool.release(packet)
 
-    receiver: StripedSocketReceiver | FastStripedReceiver
+    receiver = StripeReceiverPipeline(
+        n, algorithm_r,
+        mode=config.mode,
+        on_message=on_message,
+        buffer_packets=config.buffer_packets,
+        credit=credit_receiver,
+        failure_detector=config.failure_detector,
+        sim=sim,
+        reliability=config.reliability,
+        send_ack=send_ack,
+        reliability_options=arq_options.get("receiver"),
+    )
     if config.fast:
-        send_ack = None
-        if reliable:
-            # Reverse ack flow, fast counterpart: acks ride the first
-            # link's reverse channel directly (the reference path routes
-            # them over the same link as a dedicated UDP flow).
-            ack_port = wire_fast_ack_path(links[0].ba, sender)
-            send_ack = ack_port.send_sack
-        receiver = FastStripedReceiver(
-            sim, config.n_channels, algorithm_r,
-            mode=config.mode,
-            on_message=on_message,
-            buffer_packets=config.buffer_packets,
-            reliability=config.reliability,
-            send_ack=send_ack,
-            reliability_options=arq_options.get("receiver"),
-        )
-        # Bypass the UDP/IP/Ethernet plumbing: transport payloads ride the
-        # forward channels directly, with the stack's framing bytes folded
-        # into size_of so wire timing is unchanged, and arrivals feed the
-        # receiver without the interface demux chain.
-        for index, link in enumerate(links):
-            channel = link.ab
-            channel.fast = True
-            channel.size_of = wire_size
-            channel.on_deliver = receiver.channel_handler(index)
+        bind_fast_receiver(forward, receiver)
     else:
-        receiver = StripedSocketReceiver(
-            sim, receiver_stack, config.n_channels, algorithm_r,
-            base_port=BASE_PORT,
-            mode=config.mode,
-            on_message=on_message,
-            buffer_packets=config.buffer_packets,
-            credit_to="10.10.0.1" if config.use_credit else None,
-            credit_port=CREDIT_PORT if config.use_credit else None,
-            failure_detector=config.failure_detector,
-            reliability=config.reliability,
-            ack_to="10.10.0.1" if reliable else None,
-            ack_port=ACK_PORT if reliable else None,
-            reliability_options=(config.reliability_options or {}).get(
-                "receiver"
-            ),
-        )
-
-    def submit_backlog() -> int:
-        # A full ARQ window must read as "backlogged" to the closed-loop
-        # source: the retransmission buffer exerts backpressure instead
-        # of absorbing unbounded overflow.
-        if not sender.can_submit():
-            return 1 << 30
-        return sender.backlog
+        bind_udp_receiver(host_b, receiver, BASE_PORT)
 
     if pool is not None:
         receiver.retain_delivered = False
@@ -371,47 +445,31 @@ def build_socket_testbed(
             def release_drop(packet, reason) -> None:
                 pool.release(packet)
 
-            for link in links:
-                if link.ab.on_drop is None:
-                    link.ab.on_drop = release_drop
+            for channel in forward:
+                if channel.on_drop is None:
+                    channel.on_drop = release_drop
 
     source: Optional[ClosedLoopSource] = None
     if config.closed_loop:
-        source = ClosedLoopSource(
-            sim,
-            submit=sender.submit_packet,
-            backlog_fn=submit_backlog,
-            size_fn=ConstantSizes(config.message_bytes),
+        source = drive_closed_loop(
+            sim, sender, forward,
+            ConstantSizes(config.message_bytes),
             target=config.source_backlog,
             submit_many=sender.submit_packets,
             pool=pool,
         )
-        source.start()
+    else:
+        for channel in forward:
+            channel.on_space = sender.pump
 
-    # Wake the striper (and refill the source) whenever a channel's
-    # transmit queue drains — the backpressure feedback path.
-    def wake() -> None:
-        sender.pump()
-        if source is not None:
-            source.poke()
-
-    for link in links:
-        link.ab.on_space = wake
-    reliable_sender = getattr(sender, "reliable", None)
-    if reliable_sender is not None and reliable_sender.on_window_open is None:
-        reliable_sender.on_window_open = wake
-
-    testbed = SocketTestbed(
+    return SocketTestbed(
         sim=sim,
         config=config,
-        sender_stack=sender_stack,
-        receiver_stack=receiver_stack,
         links=links,
         loss_models=loss_models,
         sender=sender,
         receiver=receiver,
         source=source,
         pool=pool,
+        deliveries=deliveries,
     )
-    testbed_ref.append(testbed)
-    return testbed

@@ -27,14 +27,14 @@ transport the repo has:
 Results are emitted as :class:`SprinklersResult`; the benchmark wrapper
 (``benchmarks/test_bench_sprinklers.py``) asserts the acceptance bars
 (zero reordering on stable transports, zero receiver memory, goodput
-parity) and writes ``BENCH_sprinklers.json``.
+parity).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.reorder import analyze_order
 from repro.core.fairness import jain_fairness_index
@@ -45,6 +45,7 @@ from repro.experiments.fault_tolerance import build_session_testbed
 from repro.experiments.socket_harness import (
     SocketTestbedConfig,
     build_socket_testbed,
+    build_two_hosts,
 )
 from repro.experiments.tcp_channels import build_tcp_striped
 from repro.sim.channel import Channel
@@ -54,8 +55,10 @@ from repro.transport.endpoint import (
     StripeReceiverPipeline,
     StripeSenderPipeline,
 )
+from repro.transport.duplex import connect_duplex
 from repro.transport.fabric import FabricScheduler, FlowTable
 from repro.transport.fast_path import FastChannelPort
+from repro.workloads.generators import ClosedLoopSource
 
 TRANSPORTS = ("socket", "fast", "session", "tcp", "duplex")
 #: transports whose channels are stable (fixed-rate FIFO links) — the
@@ -178,14 +181,6 @@ def _receiver_hwm(candidate) -> int:
     return int(getattr(candidate, "max_buffered", 0))
 
 
-def _markers_sent(*candidates) -> int:
-    for candidate in candidates:
-        count = getattr(candidate, "markers_sent", None)
-        if count is not None:
-            return int(count)
-    return 0
-
-
 # --------------------------------------------------------------------- #
 # head-to-head runs, one per (transport, discipline)
 
@@ -198,26 +193,31 @@ def _discipline_kwargs(discipline: str) -> Dict:
     return {}  # the harness default IS SRR+markers
 
 
-def _run_socket(discipline: str, duration_s: float, fast: bool):
-    sim = Simulator()
-    config = SocketTestbedConfig(
+def _socket_config(
+    discipline: str, seed: int, fast: bool = False
+) -> SocketTestbedConfig:
+    return SocketTestbedConfig(
         n_channels=N_CHANNELS,
         link_mbps=(10.0,),
         prop_delay_s=(1e-3,) * N_CHANNELS,
         loss_rates=(0.0,),
         message_bytes=MESSAGE_BYTES,
         fast=fast,
-        seed=2,
+        seed=seed,
         **_discipline_kwargs(discipline),
     )
-    testbed = build_socket_testbed(sim, config)
+
+
+def _run_socket(discipline: str, duration_s: float, fast: bool):
+    sim = Simulator()
+    testbed = build_socket_testbed(sim, _socket_config(discipline, 2, fast))
     sim.run(until=duration_s)
     seqs = testbed.delivered_seqs()
     goodput = sum(d.size for d in testbed.deliveries) * 8 / duration_s / 1e6
     return (
         seqs, goodput,
         _receiver_hwm(testbed.receiver),
-        _markers_sent(getattr(testbed.sender, "striper", None)),
+        testbed.sender.striper.markers_sent,
     )
 
 
@@ -234,7 +234,7 @@ def _run_session(discipline: str, duration_s: float):
     return (
         seqs, goodput,
         _receiver_hwm(testbed.receiver.session.receiver),
-        _markers_sent(testbed.sender.session.striper),
+        testbed.sender.session.striper.markers_sent,
     )
 
 
@@ -254,29 +254,10 @@ def _run_tcp(discipline: str, duration_s: float):
 
 
 def _run_duplex(discipline: str, duration_s: float):
-    from repro.net.ethernet import EthernetInterface
-    from repro.net.stack import Link, Stack
-    from repro.transport.duplex import connect_duplex
-    from repro.workloads.generators import ClosedLoopSource
-
     sim = Simulator()
-    a, b = Stack(sim, "A"), Stack(sim, "B")
-    a_targets, b_targets, links = [], [], []
-    for index in range(N_CHANNELS):
-        ia = EthernetInterface(sim, f"sp{index}a", f"10.{120+index}.0.1")
-        ib = EthernetInterface(sim, f"sp{index}b", f"10.{120+index}.0.2")
-        a.add_interface(ia)
-        b.add_interface(ib)
-        links.append(Link(
-            sim, ia, ib, bandwidth_bps=10e6, prop_delay=1e-3,
-            queue_limit=40, name=f"spduplex{index}",
-        ))
-        a.routing.add(f"10.{120+index}.0.2", 24, ia)
-        b.routing.add(f"10.{120+index}.0.1", 24, ib)
-        ia.arp_cache.install(ib.ip_address, ib.mac)
-        ib.arp_cache.install(ia.ip_address, ia.mac)
-        a_targets.append((f"10.{120+index}.0.2", 7100 + index))
-        b_targets.append((f"10.{120+index}.0.1", 7000 + index))
+    a, b, links = build_two_hosts(sim, N_CHANNELS, prop_delay_s=(1e-3,))
+    a_targets = [(ip, 7100 + i) for i, ip in enumerate(b.local_addresses())]
+    b_targets = [(ip, 7000 + i) for i, ip in enumerate(a.local_addresses())]
     if discipline == "sprinklers":
         end_a, end_b = connect_duplex(
             sim, a, b, a_targets, b_targets,
@@ -292,7 +273,7 @@ def _run_duplex(discipline: str, duration_s: float):
             buffer_packets=64,
         )
     source = ClosedLoopSource(
-        sim, end_a.submit_packet, lambda: end_a.sender.backlog,
+        sim, end_a.sender.submit_packet, lambda: end_a.sender.backlog,
         lambda: MESSAGE_BYTES, target=16,
     )
     source.start()
@@ -300,12 +281,12 @@ def _run_duplex(discipline: str, duration_s: float):
         link.ab.on_space = end_a.sender.pump
         link.ba.on_space = end_b.sender.pump
     sim.run(until=duration_s)
-    seqs = [p.seq for p in end_b.delivered]
+    seqs = [p.seq for p in end_b.receiver.delivered]
     goodput = len(seqs) * MESSAGE_BYTES * 8 / duration_s / 1e6
     return (
         seqs, goodput,
         _receiver_hwm(end_b.receiver),
-        _markers_sent(getattr(end_a.sender, "striper", None)),
+        end_a.sender.striper.markers_sent,
     )
 
 
@@ -346,16 +327,7 @@ def _run_chaos_leg(
 ) -> ChaosRow:
     faults_start, faults_cease = 0.3, min(1.1, total_s - 0.4)
     sim = Simulator()
-    config = SocketTestbedConfig(
-        n_channels=N_CHANNELS,
-        link_mbps=(10.0,),
-        prop_delay_s=(1e-3,) * N_CHANNELS,
-        loss_rates=(0.0,),
-        message_bytes=MESSAGE_BYTES,
-        seed=seed,
-        **_discipline_kwargs(discipline),
-    )
-    testbed = build_socket_testbed(sim, config)
+    testbed = build_socket_testbed(sim, _socket_config(discipline, seed))
     plan = FaultPlan(
         n_channels=N_CHANNELS,
         cease_by=faults_cease,

@@ -25,12 +25,16 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.core.srr import SRR
-from repro.net.ethernet import EthernetInterface
-from repro.net.stack import Link, Stack
+from repro.experiments.socket_harness import build_two_hosts
 from repro.sim.engine import Simulator
 from repro.sim.loss import BernoulliLoss
+from repro.transport.discipline import receiver_args_for
+from repro.transport.endpoint import (
+    StripeReceiverPipeline,
+    StripeSenderPipeline,
+)
 from repro.transport.tcp import TcpLayer
-from repro.transport.tcp_striping import StripedTcpReceiver, StripedTcpSender
+from repro.transport.tcp_striping import bind_tcp_receiver, tcp_ports
 from repro.workloads.generators import ClosedLoopSource, RandomMixSizes
 
 
@@ -45,54 +49,44 @@ def build_tcp_striped(
     closed_loop: bool = True,
     discipline: str | None = None,
     discipline_options: dict | None = None,
-) -> Tuple[StripedTcpSender, StripedTcpReceiver, list]:
+) -> Tuple[StripeSenderPipeline, StripeReceiverPipeline, list]:
     """Two hosts, one link per TCP channel, closed-loop striped stream.
 
     With ``closed_loop=False`` no source is created; the caller paces
     submissions (e.g. through an attached fabric).  ``discipline`` swaps
     the default SRR for any registry discipline on both ends (both halves
-    resolve the same name, so the receiver mode follows automatically).
+    resolve the same name, so the receiver mode follows automatically: a
+    CFQ algorithm gets plain logical reception — guaranteed FIFO over
+    reliable channels — and a marker-free discipline ``"direct"``, no
+    resequencer at all).  A whole connection can still die; the optional
+    ``failure_detector`` turns that into assumed-lost gaps instead of a
+    permanent stall.
     """
-    s = Stack(sim, "S")
-    r = Stack(sim, "R")
-    dst_ips = []
-    links = []
-    for index in range(n_channels):
-        ia = EthernetInterface(sim, f"t{index}s", f"10.{70 + index}.0.1")
-        ib = EthernetInterface(sim, f"t{index}r", f"10.{70 + index}.0.2")
-        s.add_interface(ia)
-        r.add_interface(ib)
-        loss_model = (
+    host_a, host_b, links = build_two_hosts(
+        sim, n_channels, link_mbps=(link_mbps,),
+        loss_ab=[
             BernoulliLoss(loss, rng=random.Random(seed * 31 + index))
-            if loss else None
-        )
-        links.append(Link(
-            sim, ia, ib, bandwidth_bps=link_mbps * 1e6, prop_delay=0.5e-3,
-            queue_limit=40, loss_ab=loss_model, name=f"tcpch{index}",
-        ))
-        s.routing.add(f"10.{70 + index}.0.2", 24, ia)
-        r.routing.add(f"10.{70 + index}.0.1", 24, ib)
-        ia.arp_cache.install(ib.ip_address, ib.mac)
-        ib.arp_cache.install(ia.ip_address, ia.mac)
-        dst_ips.append(f"10.{70 + index}.0.2")
-    ts = TcpLayer(s, sim)
-    tr = TcpLayer(r, sim)
+            for index in range(n_channels)
+        ] if loss else None,
+    )
+    options = discipline_options or {}
+
     def spec():
         if discipline is not None:
             return discipline
         return SRR([1000.0] * n_channels)
 
-    receiver = StripedTcpReceiver(
-        tr, n_channels, spec(),
-        failure_detector=failure_detector,
-        discipline_options=discipline_options,
+    mode, algorithm = receiver_args_for(spec(), n_channels, **options)
+    receiver = StripeReceiverPipeline(
+        n_channels, algorithm, mode=mode, failure_detector=failure_detector,
     )
-    sender = StripedTcpSender(
-        ts, dst_ips[0], n_channels, spec(),
-        dst_ips=dst_ips,
-        discipline_options=discipline_options,
+    bind_tcp_receiver(TcpLayer(host_b, sim), receiver)
+    # Markers are unnecessary here: the channels are reliable and FIFO.
+    sender = StripeSenderPipeline(
+        tcp_ports(TcpLayer(host_a, sim), host_b.local_addresses()),
+        spec(),
+        discipline_options=options,
     )
-    sender.start()
     if closed_loop:
         sizes = RandomMixSizes(message_sizes, rng=random.Random(seed))
         source = ClosedLoopSource(
@@ -163,7 +157,7 @@ def run_tcp_channels(
                     delivered=len(seqs),
                     fifo=seqs == sorted(seqs),
                     channel_retransmits=sum(
-                        c.retransmits for c in sender.connections
+                        port.sender.retransmits for port in sender.ports
                     ),
                 )
             )

@@ -1,4 +1,6 @@
-"""Transport substrate: UDP, simplified TCP, FCVC credits, socket striping.
+"""Transport substrate: the striping endpoint pipelines and their ports.
+
+Substrate protocols:
 
 * :mod:`repro.transport.udp` — datagram sockets over the simulated stack.
 * :mod:`repro.transport.tcp` — the sliding-window TCP used to drive the
@@ -6,8 +8,12 @@
   reordering and loss have their real effects).
 * :mod:`repro.transport.credit` — Kung/Chapman credit-based flow control
   (section 6.3).
-* :mod:`repro.transport.endpoint` — the transport-agnostic striping
-  endpoint layer: channel-port protocol and sender/receiver pipelines.
+
+The endpoint layer (one sender pipeline, one receiver pipeline):
+
+* :mod:`repro.transport.endpoint` — the channel-port protocol, the two
+  pipelines, and the ARQ/FEC recovery-stack builders they share with the
+  session transport.
 * :mod:`repro.transport.discipline` — the striping-discipline registry
   with its receiver-mode and synchronization-model axes.
 * :mod:`repro.transport.sync_model` — synchronization models: how the
@@ -15,11 +21,31 @@
   header-based).
 * :mod:`repro.transport.health` — channel-health machinery: failure
   detection, the channel lifecycle, the sender stall watch.
-* :mod:`repro.transport.socket_striping` — striping across UDP sockets at
-  the transport layer (section 6.3's experimental harness).
+
+Layers mounted on the pipelines:
+
+* :mod:`repro.transport.reliability` — selective-repeat ARQ
+  (``reliable`` / ``hybrid``).
+* :mod:`repro.transport.fec` — erasure-coded stripe groups (``fec`` /
+  ``hybrid``).
 * :mod:`repro.transport.fabric` — the multi-tenant session fabric: a
-  flow table plus a weighted-DRR scheduler mounted above any sender
-  pipeline (FQ across flows x SRR across channels).
+  flow table plus a weighted-DRR scheduler above any sender pipeline
+  (FQ across flows x SRR across channels).
+* :mod:`repro.transport.recovery` — crash-tolerant endpoints: checkpoints
+  and epoch-stamped resume.
+
+Transports — a port type plus the functions that build and bind it:
+
+* :mod:`repro.transport.socket_striping` — UDP flows through the stack
+  (section 6.3's experimental harness), with the reverse credit/ack flows.
+* :mod:`repro.transport.tcp_striping` — message-mode TCP connections
+  (section 2's transport channels).
+* :mod:`repro.transport.fast_path` — simulated channels driven directly,
+  no UDP/IP stack in between.
+* :mod:`repro.transport.duplex` — two UDP endpoints with credits and
+  SACKs piggybacked on each other's markers.
+* :mod:`repro.transport.session_striping` — UDP ports under the
+  reset/reconfiguration sessions of :mod:`repro.core.session`.
 """
 
 from repro.transport.endpoint import (
@@ -52,9 +78,9 @@ from repro.transport.tcp import (
 )
 from repro.transport.credit import CreditPacket, CreditReceiver, CreditSender
 from repro.transport.socket_striping import (
-    StripedSocketReceiver,
-    StripedSocketSender,
     UdpChannelPort,
+    bind_udp_receiver,
+    udp_ports,
 )
 from repro.transport.session_striping import (
     SessionSocketReceiver,
@@ -62,8 +88,7 @@ from repro.transport.session_striping import (
 )
 from repro.transport.fast_path import (
     FastChannelPort,
-    FastStripedReceiver,
-    FastStripedSender,
+    bind_fast_receiver,
     wire_size,
 )
 from repro.transport.duplex import DuplexStripedEndpoint, connect_duplex
@@ -73,9 +98,9 @@ from repro.transport.fabric import (
     logarithmic_tenant_weights,
 )
 from repro.transport.tcp_striping import (
-    StripedTcpReceiver,
-    StripedTcpSender,
     TcpChannelPort,
+    bind_tcp_receiver,
+    tcp_ports,
 )
 
 __all__ = [
@@ -98,8 +123,7 @@ __all__ = [
     "SenderHealthMonitor",
     "UdpChannelPort",
     "FastChannelPort",
-    "FastStripedSender",
-    "FastStripedReceiver",
+    "bind_fast_receiver",
     "wire_size",
     "UdpDatagram",
     "UdpLayer",
@@ -113,8 +137,8 @@ __all__ = [
     "CreditPacket",
     "CreditReceiver",
     "CreditSender",
-    "StripedSocketSender",
-    "StripedSocketReceiver",
+    "udp_ports",
+    "bind_udp_receiver",
     "SessionSocketSender",
     "SessionSocketReceiver",
     "ChannelFailureDetector",
@@ -123,7 +147,7 @@ __all__ = [
     "FlowTable",
     "FabricScheduler",
     "logarithmic_tenant_weights",
-    "StripedTcpSender",
-    "StripedTcpReceiver",
     "TcpChannelPort",
+    "tcp_ports",
+    "bind_tcp_receiver",
 ]

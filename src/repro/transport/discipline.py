@@ -22,7 +22,7 @@ and no marker-decode path at all (see
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.cfq import CausalFQ
 from repro.core.transform import LoadSharer, TransformedLoadSharer
@@ -31,6 +31,7 @@ __all__ = [
     "DISCIPLINES",
     "SYNC_MODELS",
     "make_discipline",
+    "receiver_args_for",
     "receiver_mode_for",
     "resolve_discipline",
     "sync_model_for",
@@ -192,6 +193,25 @@ def receiver_mode_for(spec: Any, markers: bool = False) -> str:
     if isinstance(spec, CausalFQ) or getattr(spec, "simulatable", False):
         return "marker" if markers else "plain"
     return "none"
+
+
+def receiver_args_for(
+    spec: Any, n_channels: int, markers: bool = False, **options: Any
+) -> Tuple[str, Optional[CausalFQ]]:
+    """``(mode, algorithm)`` for the receiver matching a sender's ``spec``.
+
+    ``spec`` is a discipline name (built with ``options``) or the
+    receiver's *own* instance of the sender's policy — logical reception
+    simulates it, so the two ends must not share one.  ``algorithm`` is
+    the CFQ algorithm the logical-reception modes simulate, None for the
+    engines that need none (direct, header-based, arrival order).
+    """
+    if isinstance(spec, str):
+        spec = make_discipline(spec, n_channels, **options)
+    mode = receiver_mode_for(spec, markers)
+    if mode not in ("marker", "plain"):
+        return mode, None
+    return mode, getattr(spec, "algorithm", spec)
 
 
 #: Synchronization-model families, by what the receiver needs from the

@@ -6,7 +6,7 @@ marker packets."  That sentence assumes bidirectional striping: each
 direction's periodic markers carry the *other* direction's credit
 advertisements, so flow control costs zero extra packets.
 
-:class:`DuplexStripedEndpoint` bundles a striped sender and receiver on one
+:class:`DuplexStripedEndpoint` is the sender and receiver pipeline of one
 host; :func:`connect_duplex` wires two endpoints so that
 
 * endpoint A's markers carry A-receiver credits for the B→A direction,
@@ -15,58 +15,39 @@ host; :func:`connect_duplex` wires two endpoints so that
   sender's :class:`~repro.transport.credit.CreditSender`.
 
 No standalone credit packets are sent at all.  Everything here is plain
-composition over the endpoint layer: the sender/receiver halves are the
-:class:`~repro.transport.endpoint.StripeSenderPipeline` /
-:class:`~repro.transport.endpoint.StripeReceiverPipeline` adapters from
-:mod:`repro.transport.socket_striping`, and the piggyback plumbing is the
-pipelines' ``marker_decorator`` / ``credit_sink`` hooks.
+composition over the endpoint layer: each side is a
+:class:`~repro.transport.endpoint.StripeSenderPipeline` over
+:func:`~repro.transport.socket_striping.udp_ports` and a
+:class:`~repro.transport.endpoint.StripeReceiverPipeline` bound with
+:func:`~repro.transport.socket_striping.bind_udp_receiver`, and the
+piggyback plumbing is the pipelines' ``marker_decorator`` /
+``credit_sink`` / ``sack_sink`` hooks — all of it local to one side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.markers import MAX_SACK_BLOCKS_WIRE, attach_sack
-from repro.core.packet import MarkerPacket, Packet
+from repro.core.packet import MarkerPacket
 from repro.core.striper import MarkerPolicy
 from repro.net.stack import Stack
 from repro.sim.engine import Simulator
-from repro.transport.credit import CreditSender
-from repro.transport.reliability import arq_enabled
-from repro.transport.socket_striping import (
-    StripedSocketReceiver,
-    StripedSocketSender,
+from repro.transport.credit import CreditReceiver, CreditSender
+from repro.transport.discipline import make_discipline, receiver_args_for
+from repro.transport.endpoint import (
+    StripeReceiverPipeline,
+    StripeSenderPipeline,
 )
+from repro.transport.reliability import arq_enabled
+from repro.transport.socket_striping import bind_udp_receiver, udp_ports
 
 
-@dataclass
-class DuplexStripedEndpoint:
-    """One side of a bidirectional striped session."""
+class DuplexStripedEndpoint(NamedTuple):
+    """One side of a bidirectional striped session: its two pipelines."""
 
-    sender: StripedSocketSender
-    receiver: StripedSocketReceiver
-
-    def send_message(self, size: int, payload=None, flow_id=None) -> Packet:
-        return self.sender.send_message(size, payload, flow_id=flow_id)
-
-    def submit_packet(self, packet: Packet, flow_id=None) -> None:
-        self.sender.submit_packet(packet, flow_id=flow_id)
-
-    def submit(self, flow_id, packet: Packet) -> bool:
-        """Flow-addressed submission through this side's sender fabric."""
-        return self.sender.submit(flow_id, packet)
-
-    def attach_fabric(self, fabric, *, backlog_limit=None):
-        """Mount a flow-layer scheduler on this side's sender pipeline."""
-        return self.sender.attach_fabric(fabric, backlog_limit=backlog_limit)
-
-    def can_submit(self, flow_id=None) -> bool:
-        return self.sender.can_submit(flow_id)
-
-    @property
-    def delivered(self) -> List[Packet]:
-        return self.receiver.delivered
+    sender: StripeSenderPipeline
+    receiver: StripeReceiverPipeline
 
 
 def connect_duplex(
@@ -76,7 +57,7 @@ def connect_duplex(
     a_to_b: Sequence[Tuple[str, int]],
     b_to_a: Sequence[Tuple[str, int]],
     algorithm_factory=None,
-    buffer_packets: int = 0,
+    buffer_packets: Optional[int] = None,
     marker_policy: Optional[MarkerPolicy] = None,
     base_port_a: int = 7000,
     base_port_b: int = 7100,
@@ -88,6 +69,9 @@ def connect_duplex(
 ) -> Tuple[DuplexStripedEndpoint, DuplexStripedEndpoint]:
     """Build two endpoints with marker-piggybacked FCVC in both directions.
 
+    Every argument is validated before the first socket is bound, so a
+    rejected call leaves both stacks untouched.
+
     Args:
         a_to_b: per-channel ``(b_ip, port)`` targets for A's data (ports
             must be ``base_port_b + i``).
@@ -96,7 +80,10 @@ def connect_duplex(
         algorithm_factory: zero-arg callable building the (identical)
             SRR-family algorithm for each striper/resequencer instance
             (mutually exclusive with ``discipline``).
-        buffer_packets: per-channel receiver buffer (the FCVC bound).
+        buffer_packets: per-channel receiver buffer, at least 1 — the
+            FCVC bound, and the physical drop rule's cap.  Required with
+            markers (the credits ride them); None means no cap and is
+            accepted only by the marker-free variant below.
         reliability: ``"reliable"`` arms selective-repeat ARQ in *both*
             directions, with SACKs piggybacked on the reverse markers
             exactly like the credits (an ack-worthy event forces a
@@ -108,191 +95,105 @@ def connect_duplex(
             SRR-family ``algorithm_factory`` on both sides.  A
             **marker-free** discipline (Sprinklers, address hashing)
             builds the *marker-free duplex variant*: no marker stream in
-            either direction, hence no credit or SACK piggybacking — and
-            none is needed, because direct reception buffers nothing
-            (FCVC bounds resequencer memory, which is structurally zero
-            here).  Reliable mode is rejected for marker-free duplex:
-            its SACKs have no markers to ride on.
+            either direction, hence no credit or SACK piggybacking and no
+            keepalives — and none is needed, because direct reception
+            buffers nothing (FCVC bounds resequencer memory, which is
+            structurally zero here).  Reliable mode is rejected for
+            marker-free duplex: its SACKs have no markers to ride on.
         discipline_options: forwarded to ``make_discipline``.
     """
     n = len(a_to_b)
     if len(b_to_a) != n:
         raise ValueError("both directions must have the same channel count")
-    mode = "marker"
     if discipline is not None:
         if algorithm_factory is not None:
             raise ValueError("pass either algorithm_factory or discipline")
-        from repro.transport.endpoint import (
-            make_discipline,
-            receiver_mode_for,
-        )
-
-        _options = dict(discipline_options or {})
+        made = dict(discipline_options or {})
 
         def algorithm_factory():
-            return make_discipline(discipline, n, **_options)
+            return make_discipline(discipline, n, **made)
 
-        mode = receiver_mode_for(algorithm_factory(), markers=True)
     elif algorithm_factory is None:
         raise ValueError("need an algorithm_factory or a discipline")
+    mode, _ = receiver_args_for(algorithm_factory(), n, markers=True)
     marker_free = mode == "direct"
-    if marker_free:
-        if arq_enabled(reliability):
+    arq = arq_enabled(reliability)
+    if marker_free and arq:
+        raise ValueError(
+            f"marker-free duplex cannot be {reliability}: piggybacked "
+            "SACKs need a marker stream to ride on"
+        )
+    if buffer_packets is None:
+        if not marker_free:
             raise ValueError(
-                f"marker-free duplex cannot be {reliability}: piggybacked "
-                "SACKs need a marker stream to ride on"
+                "buffer_packets is required: marker-piggybacked FCVC "
+                "needs the per-channel receiver buffer it bounds"
             )
-        return _connect_duplex_marker_free(
-            sim, stack_a, stack_b, a_to_b, b_to_a, algorithm_factory,
-            buffer_packets=buffer_packets,
-            base_port_a=base_port_a, base_port_b=base_port_b,
-            reliability=reliability,
-            reliability_options=reliability_options,
+    elif buffer_packets < 1:
+        raise ValueError(
+            f"buffer_packets must be at least 1, got {buffer_packets}"
         )
-    if marker_policy is None:
+    if advertise_every < 1:
+        raise ValueError("advertise_every must be >= 1")
+    if marker_free:
+        marker_policy = None
+    elif marker_policy is None:
         marker_policy = MarkerPolicy(interval_rounds=1)
-
-    credit_a = CreditSender(n, initial_credit=buffer_packets)  # A's data out
-    credit_b = CreditSender(n, initial_credit=buffer_packets)  # B's data out
     options = reliability_options or {}
-    sender_options = options.get("sender")
-    receiver_options = options.get("receiver")
 
-    def receiver_algorithm():
-        algorithm = algorithm_factory()
-        if mode in ("marker", "plain") and hasattr(algorithm, "algorithm"):
-            algorithm = algorithm.algorithm
-        return algorithm
-
-    # Receivers first (their credit state feeds the marker decorators).
-    receiver_a = StripedSocketReceiver(
-        sim, stack_a, n, receiver_algorithm(),
-        base_port=base_port_a, buffer_packets=buffer_packets, mode=mode,
-        reliability=reliability, reliability_options=receiver_options,
-    )
-    receiver_b = StripedSocketReceiver(
-        sim, stack_b, n, receiver_algorithm(),
-        base_port=base_port_b, buffer_packets=buffer_packets, mode=mode,
-        reliability=reliability, reliability_options=receiver_options,
-    )
-    # Manual credit accounting (no standalone advertisement sockets).
-    from repro.transport.credit import CreditReceiver
-
-    receiver_a.credit = CreditReceiver(
-        n, buffer_packets, send_credit=None, advertise_every=advertise_every
-    )
-    receiver_b.credit = CreditReceiver(
-        n, buffer_packets, send_credit=None, advertise_every=advertise_every
-    )
-
-    def decorate_a(channel: int, marker: MarkerPacket) -> None:
-        # A's marker on channel c grants B the right to push more B->A data.
-        marker.credit = receiver_a.credit.piggyback_limit(channel)
-        if receiver_a.reliable is not None:
-            # ... and acknowledges the B->A data A has received so far.
-            attach_sack(
-                marker, receiver_a.reliable.sack_info(MAX_SACK_BLOCKS_WIRE)
+    def side(stack: Stack, targets, base_port: int) -> DuplexStripedEndpoint:
+        credit_out = credit_in = decorate = None
+        if not marker_free:
+            credit_out = CreditSender(n, initial_credit=buffer_packets)
+            # Manual credit accounting: no standalone advertisement flow.
+            credit_in = CreditReceiver(
+                n, buffer_packets, send_credit=None,
+                advertise_every=advertise_every,
             )
 
-    def decorate_b(channel: int, marker: MarkerPacket) -> None:
-        marker.credit = receiver_b.credit.piggyback_limit(channel)
-        if receiver_b.reliable is not None:
-            attach_sack(
-                marker, receiver_b.reliable.sack_info(MAX_SACK_BLOCKS_WIRE)
+            def decorate(channel: int, marker: MarkerPacket) -> None:
+                # This side's marker on channel c grants the peer the
+                # right to push more data at this side's receiver ...
+                marker.credit = credit_in.piggyback_limit(channel)
+                if receiver.reliable is not None:
+                    # ... and acknowledges what it has received so far.
+                    attach_sack(
+                        marker,
+                        receiver.reliable.sack_info(MAX_SACK_BLOCKS_WIRE),
+                    )
+
+        _, algorithm = receiver_args_for(algorithm_factory(), n, markers=True)
+        receiver = StripeReceiverPipeline(
+            n, algorithm, mode=mode, buffer_packets=buffer_packets,
+            credit=credit_in, sim=sim, reliability=reliability,
+            reliability_options=options.get("receiver"),
+        )
+        bind_udp_receiver(stack, receiver, base_port)
+        sender = StripeSenderPipeline(
+            udp_ports(stack, targets, credit=credit_out),
+            algorithm_factory(),
+            marker_policy=marker_policy, marker_decorator=decorate,
+            credit=credit_out, sim=sim,
+            marker_keepalive_s=None if marker_free else 0.01,
+            reliability=reliability,
+            reliability_options=options.get("sender"),
+        )
+        if credit_out is not None:
+            # Arriving piggybacked credits feed the co-located sender.
+            receiver.credit_sink = credit_out.on_credit
+        if arq:
+            # Arriving piggybacked SACKs feed the co-located sender's ARQ,
+            # and an ack-worthy event (out-of-order arrival, delayed-ack
+            # expiry) forces a marker batch out of the co-located sender
+            # so the fresh SACK travels immediately — zero standalone
+            # acks, mirroring the credit scheme.
+            receiver.sack_sink = sender.on_ack
+            receiver.reliable.send_ack = (
+                lambda sack: sender.striper.force_marker_batch()
             )
-
-    sender_a = StripedSocketSender(
-        sim, stack_a, a_to_b, algorithm_factory(),
-        marker_policy=marker_policy, credit=credit_a,
-        marker_decorator=decorate_a, marker_keepalive_s=0.01,
-        reliability=reliability, reliability_options=sender_options,
-    )
-    sender_b = StripedSocketSender(
-        sim, stack_b, b_to_a, algorithm_factory(),
-        marker_policy=marker_policy, credit=credit_b,
-        marker_decorator=decorate_b, marker_keepalive_s=0.01,
-        reliability=reliability, reliability_options=sender_options,
-    )
-
-    # Arriving piggybacked credits feed the co-located sender.
-    receiver_a.credit_sink = lambda ch, limit: credit_a.on_credit(ch, limit)
-    receiver_b.credit_sink = lambda ch, limit: credit_b.on_credit(ch, limit)
-    credit_a.on_unblocked = sender_a.pump
-    credit_b.on_unblocked = sender_b.pump
-
-    if arq_enabled(reliability):
-        # Arriving piggybacked SACKs feed the co-located sender's ARQ,
-        # and an ack-worthy event (out-of-order arrival, delayed-ack
-        # expiry) forces a marker batch out of the co-located sender so
-        # the fresh SACK travels immediately — zero standalone acks,
-        # mirroring the credit scheme.
-        receiver_a.sack_sink = sender_a.on_ack
-        receiver_b.sack_sink = sender_b.on_ack
-        receiver_a.reliable.send_ack = (
-            lambda sack: sender_a.striper.force_marker_batch()
-        )
-        receiver_b.reliable.send_ack = (
-            lambda sack: sender_b.striper.force_marker_batch()
-        )
+        return DuplexStripedEndpoint(sender=sender, receiver=receiver)
 
     return (
-        DuplexStripedEndpoint(sender=sender_a, receiver=receiver_a),
-        DuplexStripedEndpoint(sender=sender_b, receiver=receiver_b),
-    )
-
-
-def _connect_duplex_marker_free(
-    sim: Simulator,
-    stack_a: Stack,
-    stack_b: Stack,
-    a_to_b: Sequence[Tuple[str, int]],
-    b_to_a: Sequence[Tuple[str, int]],
-    sharer_factory,
-    *,
-    buffer_packets: int,
-    base_port_a: int,
-    base_port_b: int,
-    reliability: str,
-    reliability_options: Optional[dict],
-) -> Tuple[DuplexStripedEndpoint, DuplexStripedEndpoint]:
-    """The duplex variant for hash-synchronized (marker-free) disciplines.
-
-    Strictly less machinery than the marker path: no marker stream, no
-    credit piggybacking, no keepalives — each direction is two independent
-    direct-reception pipelines.  The FCVC scheme isn't dropped so much as
-    made redundant: its job is bounding *resequencer* memory, and direct
-    reception holds zero packets by construction (``buffer_packets`` still
-    applies the physical per-channel drop rule if set).
-    """
-    n = len(a_to_b)
-    options = reliability_options or {}
-    receiver_a = StripedSocketReceiver(
-        sim, stack_a, n, None,
-        base_port=base_port_a,
-        buffer_packets=buffer_packets or None,
-        mode="direct",
-        reliability=reliability,
-        reliability_options=options.get("receiver"),
-    )
-    receiver_b = StripedSocketReceiver(
-        sim, stack_b, n, None,
-        base_port=base_port_b,
-        buffer_packets=buffer_packets or None,
-        mode="direct",
-        reliability=reliability,
-        reliability_options=options.get("receiver"),
-    )
-    sender_a = StripedSocketSender(
-        sim, stack_a, a_to_b, sharer_factory(),
-        reliability=reliability,
-        reliability_options=options.get("sender"),
-    )
-    sender_b = StripedSocketSender(
-        sim, stack_b, b_to_a, sharer_factory(),
-        reliability=reliability,
-        reliability_options=options.get("sender"),
-    )
-    return (
-        DuplexStripedEndpoint(sender=sender_a, receiver=receiver_a),
-        DuplexStripedEndpoint(sender=sender_b, receiver=receiver_b),
+        side(stack_a, a_to_b, base_port_a),
+        side(stack_b, b_to_a, base_port_b),
     )

@@ -1,11 +1,12 @@
 """The transport-agnostic striping endpoint layer.
 
-Every transport stack in this package — UDP sockets, session-managed UDP,
-TCP connections, the direct-to-channel fast path, duplex sessions — used
-to carry its own copy of the same machinery: a stripe pump feeding channel
-ports, marker placement, credit hooks, a per-channel receive buffer with a
-drop rule, logical reception through a resequencer, and (sometimes) a
-dead-channel watchdog.  This module is the single copy.
+Every transport in this package — UDP sockets, session-managed UDP, TCP
+connections, the direct-to-channel fast path, duplex sessions — needs the
+same machinery: a stripe pump feeding channel ports, marker placement,
+credit hooks, a per-channel receive buffer with a drop rule, logical
+reception through a resequencer, and (sometimes) a dead-channel watchdog.
+This module is the single copy; a transport contributes a port type and
+nothing else.
 
 * :class:`ChannelPort` — the protocol a transport must implement per
   striped channel: ``send`` / ``can_accept`` / ``queue_length``, plus
@@ -18,6 +19,10 @@ dead-channel watchdog.  This module is the single copy.
 * :class:`StripeReceiverPipeline` — per-channel buffering with the
   physical buffer-cap drop rule, plus everything order-related delegated
   to the discipline's synchronization model.
+* :func:`build_sender_recovery` / :func:`build_receiver_recovery` — the
+  ARQ/FEC stacking (recording ports -> ARQ -> FEC; reception engine -> FEC
+  -> ARQ -> application), assembled once at construction time for both
+  pipelines and for the session transport.
 
 How sender and receiver agree on order is **not** this module's business
 any more: each pipeline owns a
@@ -48,6 +53,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
 )
 
 from repro.core.cfq import CausalFQ
@@ -97,6 +103,8 @@ __all__ = [
     "StripeReceiverPipeline",
     "StripeSenderPipeline",
     "SynchronizationModel",
+    "build_receiver_recovery",
+    "build_sender_recovery",
     "make_discipline",
     "make_sync_model",
     "receiver_mode_for",
@@ -289,7 +297,7 @@ class _RecordingPort:
         inner: Any,
         index: int,
         note_sent: Callable[[int, Any], None],
-        note_burst: Optional[Callable[[int, List[Any]], None]] = None,
+        note_burst: Callable[[int, List[Any]], None],
     ) -> None:
         self._inner = inner
         self._index = index
@@ -331,49 +339,151 @@ class _RecordingPort:
 class _RecordingBurstPort(_RecordingPort):
     """Recording proxy for burst-capable ports (keeps the fast pump).
 
-    When a ``note_burst`` callback is wired, a whole burst's sequenced
-    packets are reported to the ARQ layer in one call (one clock read, one
-    timer check) instead of one call per packet; reporting still happens
-    *before* the inner ``send_burst``, exactly like the per-packet proxy
-    reports before returning from ``send``.
+    A whole burst's sequenced packets are reported to the ARQ layer in one
+    call (one clock read, one timer check) instead of one call per packet;
+    reporting still happens *before* the inner ``send_burst``, exactly
+    like the per-packet proxy reports before returning from ``send``.
     """
 
     def send_burst(self, packets: Sequence[Any]) -> None:
-        note_burst = self._note_burst
-        if note_burst is not None:
-            sequenced: List[Any] = []
-            for packet in packets:
-                if not is_marker(packet):
-                    self.data_bytes_sent += packet.size
-                    if getattr(packet, "rseq", None) is not None:
-                        sequenced.append(packet)
-            if sequenced:
-                note_burst(self._index, sequenced)
-        else:
-            for packet in packets:
-                if not is_marker(packet):
-                    self.data_bytes_sent += packet.size
-                    if getattr(packet, "rseq", None) is not None:
-                        self._note_sent(self._index, packet)
+        sequenced: List[Any] = []
+        for packet in packets:
+            if not is_marker(packet):
+                self.data_bytes_sent += packet.size
+                if getattr(packet, "rseq", None) is not None:
+                    sequenced.append(packet)
+        if sequenced:
+            self._note_burst(self._index, sequenced)
         self._inner.send_burst(packets)
 
     def free_capacity(self) -> int:
         return self._inner.free_capacity()
 
 
-def _wrap_recording_ports(
-    ports: Sequence[Any],
-    note_sent: Callable[[int, Any], None],
-    note_burst: Optional[Callable[[int, List[Any]], None]] = None,
-) -> List[Any]:
-    return [
-        (
-            _RecordingBurstPort(port, i, note_sent, note_burst)
-            if _burst_capable(port)
-            else _RecordingPort(port, i, note_sent)
+def _split_fec_options(options: Optional[Dict[str, Any]]):
+    """``(arq_options, fec_options)``: FEC knobs ride under the ``"fec"`` key."""
+    options = dict(options or {})
+    return options, dict(options.pop("fec", None) or {})
+
+
+def _check_reliability(reliability: str) -> None:
+    if reliability not in RELIABILITY_MODES:
+        raise ValueError(
+            f"unknown reliability mode {reliability!r}; "
+            f"known: {RELIABILITY_MODES}"
         )
-        for i, port in enumerate(ports)
+
+
+def build_sender_recovery(
+    ports: Sequence[Any],
+    reliability: str,
+    sim: Any,
+    stripe: Callable[[Any], None],
+    stripe_many: Callable[[Sequence[Any]], None],
+    options: Optional[Dict[str, Any]] = None,
+) -> Tuple[List[Any], Optional[ReliableSender], Optional[FecSender]]:
+    """The send-side recovery stack, built once at construction time:
+    recording ports -> :class:`ReliableSender` -> :class:`FecSender`.
+
+    ``stripe`` / ``stripe_many`` are the owner's entries into its striper
+    (they may be bound before the striper exists).  Returns ``(ports,
+    reliable, fec)``: the port list to stripe over (recording proxies
+    whenever a recovery layer is mounted) and the layers ``reliability``
+    asked for, ``None`` otherwise.  ``options`` go to the ARQ sender, with
+    the FEC sender's under the ``"fec"`` key.
+    """
+    _check_reliability(reliability)
+    ports = list(ports)
+    arq = arq_enabled(reliability)
+    fec = fec_enabled(reliability)
+    reliable: Optional[ReliableSender] = None
+    fec_sender: Optional[FecSender] = None
+    if not (arq or fec):
+        return ports, reliable, fec_sender
+    if arq and sim is None:
+        raise ValueError(f"{reliability} mode needs an event scheduler")
+    # Recording proxies report actual transmissions (channel + time) back
+    # to the ARQ layer; the striper stays oblivious.  Pure fec wraps too,
+    # for the envelope byte accounting — its packets carry no rseq, so
+    # the ARQ hooks never fire.
+    notes = (
+        lambda c, p: reliable.note_sent(c, p),
+        lambda c, ps: reliable.note_burst(c, ps),
+    )
+    ports = [
+        (_RecordingBurstPort if _burst_capable(port) else _RecordingPort)(
+            port, index, *notes
+        )
+        for index, port in enumerate(ports)
     ]
+    options, fec_options = _split_fec_options(options)
+    if arq:
+        options.setdefault("submit_many", stripe_many)
+        reliable = ReliableSender(stripe, sim, **options)
+    if fec:
+        # FEC sits above ARQ: the downstream stamps rseq (hybrid) before
+        # the shard is serialized, and parity bypasses the retransmission
+        # buffer — it is expendable redundancy — but still stripes
+        # through the kernel's rotated placement.
+        fec_sender = FecSender(
+            reliable.submit if arq else stripe,
+            stripe_many,
+            sim=sim,
+            downstream_many=reliable.submit_many if arq else stripe_many,
+            **fec_options,
+        )
+    return ports, reliable, fec_sender
+
+
+def build_receiver_recovery(
+    reliability: str,
+    sim: Any,
+    final: Callable[[Any], None],
+    send_ack: Optional[Callable[[Any], None]] = None,
+    options: Optional[Dict[str, Any]] = None,
+) -> Tuple[
+    Optional[ReliableReceiver], Optional[FecReceiver], Callable[[Any], Any]
+]:
+    """The receive-side recovery chain, built once at construction time:
+    reception engine -> [:class:`FecReceiver`] -> [:class:`ReliableReceiver`]
+    -> ``final``.
+
+    Returns ``(reliable, fec, head)``; ``head`` is what the reception
+    engine's delivery callback binds to.  In hybrid mode the FEC layer
+    passes packets through to the ARQ receiver (which owns rseq
+    ordering/dedup) and fills its holes with reconstructions; in pure fec
+    it resequences by fseq itself.  ``options`` go to the ARQ receiver,
+    with the FEC receiver's under the ``"fec"`` key.
+    """
+    _check_reliability(reliability)
+    options, fec_options = _split_fec_options(options)
+    reliable: Optional[ReliableReceiver] = None
+    fec: Optional[FecReceiver] = None
+    head = final
+    if arq_enabled(reliability):
+        reliable = ReliableReceiver(
+            final, send_ack=send_ack, sim=sim, **options
+        )
+        head = reliable.push
+    if fec_enabled(reliability):
+        fec = FecReceiver(
+            head, ordered=reliable is None, sim=sim, **fec_options
+        )
+        head = fec.on_packet
+    return reliable, fec, head
+
+
+def chain_window_open(reliable: ReliableSender, fn: Callable[[], Any]) -> None:
+    """Call ``fn`` whenever the ARQ window drains, after any callback the
+    owner already installed on ``on_window_open``."""
+    chained = reliable.on_window_open
+
+    def _window_open() -> None:
+        if chained is not None:
+            chained()
+        fn()
+
+    reliable.on_window_open = _window_open
 
 
 class StripeSenderPipeline:
@@ -408,9 +518,8 @@ class StripeSenderPipeline:
             ``on_channel_suspect``, ...).  FEC knobs ride under the
             ``"fec"`` key — a dict forwarded to
             :class:`~repro.transport.fec.FecSender` (``k``, ``m``,
-            ``seal_timeout_s``, ...) — so transport adapters
-            forwarding ``reliability_options`` support every mode
-            unchanged.
+            ``seal_timeout_s``, ...) — so one dict configures every
+            mode.
         discipline_options: forwarded to :func:`make_discipline` when
             ``discipline`` is a name.
         fabric: optional :class:`~repro.transport.fabric.FabricScheduler`
@@ -438,17 +547,11 @@ class StripeSenderPipeline:
         discipline_options: Optional[Dict[str, Any]] = None,
         fabric: Any = None,
     ) -> None:
-        if reliability not in RELIABILITY_MODES:
-            raise ValueError(
-                f"unknown reliability mode {reliability!r}; "
-                f"known: {RELIABILITY_MODES}"
-            )
         self.reliability = reliability
-        self.reliable: Optional[ReliableSender] = None
-        self.ports: List[Any] = list(ports)
         self.sim = sim
+        n_ports = len(ports)
         sharer = resolve_discipline(
-            discipline, len(self.ports), **(discipline_options or {})
+            discipline, n_ports, **(discipline_options or {})
         )
         self.sharer = sharer
         # The discipline's synchronization model, sender half: custody of
@@ -458,7 +561,7 @@ class StripeSenderPipeline:
         family = sync_model_for(sharer, markers=marker_policy is not None)
         if family == "hash":
             self.sync: Any = HashSyncModel(
-                len(self.ports), marker_policy=marker_policy
+                n_ports, marker_policy=marker_policy
             )
         elif family == "header":
             self.sync = HeaderSyncModel(marker_policy=marker_policy)
@@ -467,45 +570,17 @@ class StripeSenderPipeline:
         #: discipline-supplied packet transformation (MPPP headers,
         #: BONDING frames); None for the paper's no-modification schemes.
         self._wrap = getattr(sharer, "wrap_packet", None)
-        arq = arq_enabled(reliability)
-        fec = fec_enabled(reliability)
-        self.fec: Optional[FecSender] = None
-        if arq or fec:
-            if arq and sim is None:
-                raise ValueError(f"{reliability} mode needs an event scheduler")
-            if self._wrap is not None:
-                raise ValueError(
-                    f"{reliability} mode needs a non-transforming discipline "
-                    "(MPPP/BONDING fragment packets below the recovery layer)"
-                )
-            # Recording proxies report actual transmissions (channel +
-            # time) back to the ARQ layer; the striper stays oblivious.
-            # Pure fec wraps too, for the envelope byte accounting — its
-            # packets carry no rseq, so the ARQ hooks never fire.
-            self.ports = _wrap_recording_ports(
-                self.ports,
-                lambda c, p: self.reliable.note_sent(c, p),
-                lambda c, ps: self.reliable.note_burst(c, ps),
+        if self._wrap is not None and (
+            arq_enabled(reliability) or fec_enabled(reliability)
+        ):
+            raise ValueError(
+                f"{reliability} mode needs a non-transforming discipline "
+                "(MPPP/BONDING fragment packets below the recovery layer)"
             )
-        options = dict(reliability_options or {})
-        fec_options = dict(options.pop("fec", None) or {})
-        if arq:
-            options.setdefault("submit_many", self._stripe_many)
-            self.reliable = ReliableSender(self._stripe, sim, **options)
-        if fec:
-            # FEC sits above ARQ: the downstream stamps rseq (hybrid)
-            # before the shard is serialized, and parity bypasses the
-            # retransmission buffer — it is expendable redundancy — but
-            # still stripes through the kernel's rotated placement.
-            self.fec = FecSender(
-                self.reliable.submit if arq else self._stripe,
-                self._stripe_many,
-                sim=sim,
-                downstream_many=(
-                    self.reliable.submit_many if arq else self._stripe_many
-                ),
-                **fec_options,
-            )
+        self.ports, self.reliable, self.fec = build_sender_recovery(
+            ports, reliability, sim, self._stripe, self._stripe_many,
+            reliability_options,
+        )
         if clock is None and sim is not None:
             clock = lambda: sim.now  # noqa: E731
         burst = all(_burst_capable(port) for port in self.ports)
@@ -560,9 +635,9 @@ class StripeSenderPipeline:
         below ``backlog_limit`` (default ``4 × n_channels``), whichever
         is fewer.  Backlog therefore waits in
         per-flow queues where the weighted DRR arbitrates it, instead of
-        congealing into the shared FIFO below, and every transport
-        adapter built on this pipeline gets multi-flow submission with
-        no adapter-side flow logic.
+        congealing into the shared FIFO below, and every transport —
+        whatever its ports — gets multi-flow submission with no flow
+        logic of its own.
         """
         if backlog_limit is None:
             backlog_limit = 4 * len(self.ports)
@@ -574,16 +649,8 @@ class StripeSenderPipeline:
             downstream_many=self._submit_many,
         )
         if self.reliable is not None:
-            # A draining ARQ window reopens the fabric gate: chain the
-            # fabric pump behind any callback the owner already installed.
-            chained = self.reliable.on_window_open
-
-            def _window_open() -> None:
-                if chained is not None:
-                    chained()
-                fabric.pump()
-
-            self.reliable.on_window_open = _window_open
+            # A draining ARQ window reopens the fabric gate.
+            chain_window_open(self.reliable, fabric.pump)
         return fabric
 
     def _fabric_ready(self) -> int:
@@ -828,11 +895,6 @@ class StripeReceiverPipeline:
         send_ack: Optional[Callable[[Any], None]] = None,
         reliability_options: Optional[Dict[str, Any]] = None,
     ) -> None:
-        if reliability not in RELIABILITY_MODES:
-            raise ValueError(
-                f"unknown reliability mode {reliability!r}; "
-                f"known: {RELIABILITY_MODES}"
-            )
         self.n_channels = n_channels
         self.sim = sim
         self.on_message = on_message
@@ -844,33 +906,10 @@ class StripeReceiverPipeline:
         #: would alias the recycled object's next life.
         self.retain_delivered = True
         self.reliability = reliability
-        self.reliable: Optional[ReliableReceiver] = None
-        self.fec: Optional[FecReceiver] = None
-        options = dict(reliability_options or {})
-        fec_options = dict(options.pop("fec", None) or {})
-        if arq_enabled(reliability):
-            self.reliable = ReliableReceiver(
-                self._deliver_final,
-                send_ack=send_ack,
-                sim=sim,
-                **options,
-            )
-        # Delivery chain: sync model -> [FecReceiver] -> [ReliableReceiver]
-        # -> final.  In hybrid mode the FEC layer passes packets through to
-        # the ARQ receiver (which owns rseq ordering/dedup) and fills its
-        # holes with reconstructions; in pure fec it resequences by fseq
-        # itself.
-        final_sink = (
-            self.reliable.push if self.reliable is not None
-            else self._deliver_final
+        self.reliable, self.fec, head = build_receiver_recovery(
+            reliability, sim, self._deliver_final, send_ack,
+            reliability_options,
         )
-        if fec_enabled(reliability):
-            self.fec = FecReceiver(
-                final_sink,
-                ordered=self.reliable is None,
-                sim=sim,
-                **fec_options,
-            )
         self._credit = credit
         if clock is None and sim is not None:
             clock = lambda: sim.now  # noqa: E731
@@ -882,9 +921,7 @@ class StripeReceiverPipeline:
             mode,
             algorithm,
             n_channels=n_channels,
-            on_deliver=(
-                self.fec.on_packet if self.fec is not None else final_sink
-            ),
+            on_deliver=head,
             clock=clock,
             sim=sim,
         )
@@ -1070,15 +1107,6 @@ class StripeReceiverPipeline:
             while self._credited[index] < consumed:
                 self._credited[index] += 1
                 credit.on_consumed(index)
-
-    def _deliver(self, packet: Any) -> None:
-        """Resequencer output: quasi-FIFO stream (still with loss gaps)."""
-        if self.fec is not None:
-            self.fec.on_packet(packet)
-        elif self.reliable is not None:
-            self.reliable.push(packet)
-        else:
-            self._deliver_final(packet)
 
     def _deliver_final(self, packet: Any) -> None:
         if self.retain_delivered:

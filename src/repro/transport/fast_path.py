@@ -1,75 +1,49 @@
-"""Fast-path transport striping: batched pump over direct channel ports.
+"""Fast-path transport striping: direct channel ports, no UDP/IP stack.
 
-The slow (reference) path of :mod:`repro.transport.socket_striping` walks
-every packet through the full UDP/IP/Ethernet stack — socket ``sendto``,
-routing lookup, ARP check, Ethernet encapsulation — and pays one engine
-event plus one Python callback chain per packet per hop.  All of that
-plumbing is *synchronous in simulated time*: it adds framing bytes but no
-delay.  The fast path therefore strips it away:
+The reference path of :mod:`repro.transport.socket_striping` walks every
+packet through the full UDP/IP/Ethernet stack — socket ``sendto``, routing
+lookup, ARP check, Ethernet encapsulation — and pays one engine event plus
+one Python callback chain per packet per hop.  All of that plumbing is
+*synchronous in simulated time*: it adds framing bytes but no delay.  The
+fast path therefore strips it away:
 
 * :class:`FastChannelPort` talks to a :class:`~repro.sim.channel.Channel`
-  directly and accounts for the framing the stack would have added via the
-  channel's ``size_of`` hook (:func:`wire_size`), so wire timing is
-  bit-identical to the reference path.
-* :class:`~repro.transport.endpoint.FastStriper` (re-exported here)
-  replaces the per-packet choose/send/notify loop with a batched pump:
-  snapshot the SRR kernel, assign a whole chunk of the input queue with
-  :meth:`~repro.core.kernel.SRRKernel.assign_many`, cut the chunk at the
-  first head-of-line block or marker emission point, and hand each channel
-  its packets as one burst (:meth:`~repro.sim.channel.Channel.send_burst`).
-* :class:`FastStripedSender` / :class:`FastStripedReceiver` are thin
-  adapters over the shared endpoint pipelines
-  (:class:`~repro.transport.endpoint.StripeSenderPipeline` /
-  :class:`~repro.transport.endpoint.StripeReceiverPipeline`): the port
-  capabilities select the batched pump automatically, and the surface
-  (ports with ``sent_data``/``sent_markers``, ``submit_packet``,
-  ``backlog``, per-channel arrival handlers) matches the striped-socket
-  stack, so the experiment harness can swap them in behind a ``fast=True``
-  flag.
+  directly; its burst surface (``send_burst`` / ``free_capacity``) makes
+  :class:`~repro.transport.endpoint.StripeSenderPipeline` pick the batched
+  pump (:class:`~repro.transport.endpoint.FastStriper`), which hands each
+  channel its packets as one burst.
+* :func:`bind_fast_receiver` points the channels' deliveries at a
+  receiver pipeline and installs :func:`wire_size` as their ``size_of``
+  hook — the framing the stack would have added — so wire timing is
+  bit-identical to the reference path; :func:`wire_fast_ack_path` does the
+  same for the reverse ack flow.
 
-Determinism contract: for any configuration the harness builds (it
-rejects a receiver buffer cap or credit flow control on this path), the
-fast path produces the *identical delivery sequence* as the reference
-path, and for loss-free runs the identical ``(time, seq)`` delivery
-records — the property tests in
+Determinism contract: the fast path produces the *identical delivery
+sequence* as the reference path, and for loss-free runs the identical
+``(time, seq)`` delivery records — the property tests in
 ``tests/properties/test_fast_path_equivalence.py`` check both.  Counters
 sampled at the horizon (``sent``, ``markers_sent``,
 ``marker_overhead_fraction``) are *not* part of the contract: they can
 differ by up to one transmit queue per channel (the burst-mode buffering
 described in :mod:`repro.sim.channel`).
-The batched pump reconstructs marker-position crossings from the
-``assign_many`` channel vector; if the pointer trajectory cannot be
-reconstructed exactly (a deep-overdraw multi-channel hop, only possible
-when a packet exceeds the smallest quantum), it falls back to the exact
-per-packet pump for that chunk.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Sequence
 
-from repro.core.cfq import CausalFQ
 from repro.core.packet import SackInfo, is_marker
-from repro.core.striper import MarkerPolicy
 from repro.net.ethernet import ETHERNET_MIN_PAYLOAD, ETHERNET_OVERHEAD
 from repro.net.ip import IP_HEADER_BYTES
 from repro.sim.channel import Channel
-from repro.sim.engine import Simulator
-from repro.transport.endpoint import (
-    _UNBOUNDED,
-    FastStriper,
-    StripeReceiverPipeline,
-    StripeSenderPipeline,
-)
+from repro.transport.endpoint import _UNBOUNDED
 from repro.transport.reliability import AckPacket
 from repro.transport.udp import UDP_HEADER_BYTES
 
 __all__ = [
     "FastAckPort",
     "FastChannelPort",
-    "FastStripedReceiver",
-    "FastStripedSender",
-    "FastStriper",
+    "bind_fast_receiver",
     "wire_fast_ack_path",
     "wire_size",
 ]
@@ -134,6 +108,19 @@ class FastChannelPort:
         return self.channel.queue_length
 
 
+def bind_fast_receiver(channels: Sequence[Channel], receiver: Any) -> None:
+    """Channel *i*'s deliveries feed ``receiver`` directly.
+
+    Transport payloads ride the channels without the UDP/IP/Ethernet
+    plumbing: the stack's framing bytes are folded into ``size_of`` so
+    wire timing is unchanged, and arrivals skip the interface demux chain.
+    """
+    for index, channel in enumerate(channels):
+        channel.fast = True
+        channel.size_of = wire_size
+        channel.on_deliver = receiver.channel_handler(index)
+
+
 class FastAckPort:
     """Reverse-path ack transmitter writing straight into a channel.
 
@@ -175,81 +162,3 @@ def wire_fast_ack_path(channel: Channel, sender: Any) -> FastAckPort:
 
     channel.on_deliver = deliver
     return FastAckPort(channel)
-
-
-class FastStripedSender(StripeSenderPipeline):
-    """Drop-in fast replacement for ``StripedSocketSender``.
-
-    Same submission surface and per-port counters, but packets go straight
-    to the channels through :class:`FastChannelPort`, whose burst support
-    makes the shared pipeline pick the batched
-    :class:`~repro.transport.endpoint.FastStriper`.  No credit flow
-    control — the FCVC experiments measure per-packet control-plane
-    behaviour and stay on the reference path.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        channels: Sequence[Channel],
-        algorithm: CausalFQ,
-        marker_policy: Optional[MarkerPolicy] = None,
-        reliability: str = "quasi_fifo",
-        reliability_options: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        super().__init__(
-            [FastChannelPort(channel) for channel in channels],
-            algorithm,
-            marker_policy=marker_policy,
-            sim=sim,
-            reliability=reliability,
-            reliability_options=reliability_options,
-        )
-
-    def stats(self) -> Dict[str, Any]:
-        """Fast-path perf counters: batched pump plus (if any) ARQ stats."""
-        stats: Dict[str, Any] = dict(self.striper.stats())
-        if self.reliable is not None:
-            arq = self.reliable.stats
-            stats["burst_submits"] = arq.burst_submits
-            stats["sack_scans"] = arq.sack_scans
-            stats["sack_visits"] = arq.sack_visits
-            stats["fast_retransmissions"] = arq.fast_retransmissions
-            stats["batched_retransmissions"] = arq.batched_retransmissions
-        return stats
-
-
-class FastStripedReceiver(StripeReceiverPipeline):
-    """Drop-in fast replacement for ``StripedSocketReceiver``.
-
-    Channel arrivals are plain transport payloads (no datagram wrapper);
-    :meth:`~repro.transport.endpoint.StripeReceiverPipeline.channel_handler`
-    builds the per-channel callback to install as the channel's
-    ``on_deliver``.  The resequencing modes and the physical buffer-cap
-    drop rule come from the shared pipeline and match the reference
-    receiver exactly.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        n_channels: int,
-        algorithm: CausalFQ,
-        mode: str = "marker",
-        on_message: Optional[Callable[[Any], None]] = None,
-        buffer_packets: Optional[int] = None,
-        reliability: str = "quasi_fifo",
-        send_ack: Optional[Callable[[Any], None]] = None,
-        reliability_options: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        super().__init__(
-            n_channels,
-            algorithm,
-            mode=mode,
-            on_message=on_message,
-            buffer_packets=buffer_packets,
-            sim=sim,
-            reliability=reliability,
-            send_ack=send_ack,
-            reliability_options=reliability_options,
-        )

@@ -16,39 +16,36 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.packet import Packet
+from repro.core.resequencer import make_resequencer
 from repro.core.session import (
     ChannelProber,
     LocalChecker,
+    ResetRequestPacket,
     StripeConfig,
     StripeReceiverSession,
     StripeSenderSession,
 )
-from repro.core.striper import MarkerPolicy
+from repro.core.striper import MarkerPolicy, Striper
 from repro.net.addresses import IPAddress
 from repro.net.stack import Stack
 from repro.sim.engine import Simulator
+from repro.transport.discipline import (
+    make_discipline,
+    receiver_args_for,
+    receiver_mode_for,
+)
 from repro.transport.endpoint import (
     ChannelFailureDetector,
-    ChannelLifecycleManager,
     SenderHealthMonitor,
-    _wrap_recording_ports,
+    build_receiver_recovery,
+    build_sender_recovery,
+    chain_window_open,
 )
-from repro.transport.fec import FecReceiver, FecSender
-from repro.transport.reliability import (
-    RELIABILITY_MODES,
-    AckPacket,
-    ReliableReceiver,
-    ReliableSender,
-    arq_enabled,
-    fec_enabled,
-)
-from repro.transport.socket_striping import UdpChannelPort, _udp_layer_for
+from repro.transport.reliability import AckPacket, arq_enabled
+from repro.transport.socket_striping import udp_flow, udp_listen, udp_ports
 
 __all__ = [
     "ChannelFailureDetector",
-    "ChannelLifecycleManager",
-    "ChannelProber",
-    "SenderHealthMonitor",
     "SessionSocketReceiver",
     "SessionSocketSender",
 ]
@@ -97,53 +94,28 @@ class SessionSocketSender:
         discipline_options: Optional[dict] = None,
     ) -> None:
         self.sim = sim
-        self.stack = stack
-        self.udp = _udp_layer_for(stack)
-        self.ports: List[Any] = []
-        for index, (dst_ip, dst_port) in enumerate(destinations):
-            socket = self.udp.bind()
-            self.ports.append(
-                UdpChannelPort(
-                    socket, IPAddress.parse(dst_ip), dst_port,
-                    src_ip=None, channel_index=index, credit_sender=None,
-                )
-            )
-        if reliability not in RELIABILITY_MODES:
-            raise ValueError(
-                f"unknown reliability mode {reliability!r}; "
-                f"known: {RELIABILITY_MODES}"
-            )
         self.reliability = reliability
-        self.reliable: Optional[ReliableSender] = None
-        self.fec: Optional[FecSender] = None
+        options = dict(reliability_options or {})
         if arq_enabled(reliability):
-            # Recording proxies keep their *full-set* index, which is the
-            # channel id resets and exclusions speak — escalation maps a
-            # suspect packet straight onto session.exclude_channel.
-            self.ports = _wrap_recording_ports(
-                self.ports, lambda c, p: self.reliable.note_sent(c, p)
-            )
+            options.setdefault("on_channel_suspect", self._exclude)
+        # Recording proxies keep their *full-set* index, which is the
+        # channel id resets and exclusions speak — escalation maps a
+        # suspect packet straight onto session.exclude_channel.
+        self.ports, self.reliable, self.fec = build_sender_recovery(
+            udp_ports(stack, destinations), reliability, sim,
+            self._stripe, self._stripe_many, options,
+        )
         striper_factory = None
         if discipline is not None:
-            from repro.core.striper import Striper
-            from repro.transport.discipline import (
-                make_discipline,
-                receiver_mode_for,
-            )
-
-            options = dict(discipline_options or {})
-            probe = make_discipline(discipline, len(self.ports), **options)
-            if hasattr(probe, "wrap_packet"):
-                raise ValueError(
-                    f"session transport cannot run {discipline!r}: the "
-                    "epoch striper moves whole packets, not fragments"
-                )
+            made = dict(discipline_options or {})
+            probe = make_discipline(discipline, len(self.ports), **made)
+            _reject_transforming(discipline, probe)
             if receiver_mode_for(probe) != "marker":
                 marker_policy = None  # nothing at the far end decodes them
 
             def striper_factory(cfg: StripeConfig, active: List[Any]):
                 return Striper(
-                    make_discipline(discipline, len(active), **options),
+                    make_discipline(discipline, len(active), **made),
                     active,
                     marker_policy,
                 )
@@ -152,34 +124,18 @@ class SessionSocketSender:
             sim, self.ports, config, marker_policy=marker_policy,
             striper_factory=striper_factory,
         )
-        options = dict(reliability_options or {})
-        fec_options = dict(options.pop("fec", None) or {})
-        if arq_enabled(reliability):
-            options.setdefault("on_channel_suspect", self._on_suspect)
-            self.reliable = ReliableSender(
-                self.session.submit, sim, **options
-            )
+        if self.reliable is not None:
             self.session.on_ack = self.reliable.on_ack
-        if fec_enabled(reliability):
-            # The session exposes a per-packet submit only; parity rides
-            # the same path (striped by the epoch's kernel, never through
-            # the ARQ retransmit buffer).
-            self.fec = FecSender(
-                self.reliable.submit
-                if self.reliable is not None
-                else self.session.submit,
-                self._stripe_parity,
-                sim=sim,
-                **fec_options,
-            )
+        #: top of the submit stack: FEC above ARQ above the epoch striper
+        self._submit = (self.fec or self.reliable or self.session).submit
         for port in self.ports:
             port.on_unblocked = self.pump
-        self.udp.bind(control_port, on_datagram=self._on_control)
+        udp_listen(stack, control_port, self.session.on_control)
         self.messages_submitted = 0
         self.health_monitor = health_monitor
         if health_monitor is not None:
             health_monitor.bind(
-                self.ports, self._on_stall, backlog_fn=lambda: self.backlog
+                self.ports, self._exclude, backlog_fn=lambda: self.backlog
             )
         # Chain before the prober so its reset hook wraps ours.
         self.session.on_reset_complete = self._on_reset_complete
@@ -207,14 +163,7 @@ class SessionSocketSender:
         if self.reliable is not None:
             downstream = self.reliable.submit
             extra_ready = self.reliable.can_submit
-            chained = self.reliable.on_window_open
-
-            def _window_open() -> None:
-                if chained is not None:
-                    chained()
-                fabric.pump()
-
-            self.reliable.on_window_open = _window_open
+            chain_window_open(self.reliable, fabric.pump)
         self.session.attach_fabric(
             fabric,
             downstream=downstream,
@@ -245,15 +194,15 @@ class SessionSocketSender:
             self.submit(flow_id, packet)
             return
         self.messages_submitted += 1
-        if self.fec is not None:
-            self.fec.submit(packet)
-        elif self.reliable is not None:
-            self.reliable.submit(packet)
-        else:
-            self.session.submit(packet)
+        self._submit(packet)
 
-    def _stripe_parity(self, parity: Sequence[Any]) -> None:
-        for packet in parity:
+    def _stripe(self, packet: Any) -> None:
+        self.session.submit(packet)
+
+    def _stripe_many(self, packets: Sequence[Any]) -> None:
+        # The session exposes a per-packet submit only (a reset may
+        # start between two packets of a burst).
+        for packet in packets:
             self.session.submit(packet)
 
     def flush(self) -> None:
@@ -273,8 +222,9 @@ class SessionSocketSender:
             return self.fabric.can_submit(flow_id)
         return self.reliable is None or self.reliable.can_submit()
 
-    def _on_suspect(self, port_index: int) -> None:
-        """ARQ escalation: a packet kept dying on this channel.
+    def _exclude(self, port_index: int) -> None:
+        """ARQ escalation (a packet kept dying on this channel) or a
+        sender-side stall: reconfigure without the channel.
 
         ``exclude_channel`` itself declines non-actionable requests
         (already resetting, inactive, or the last surviving channel).
@@ -289,12 +239,6 @@ class SessionSocketSender:
 
     def pump(self) -> int:
         return self.session.pump()
-
-    def _on_control(self, datagram: Any, src: IPAddress) -> None:
-        self.session.on_control(datagram.payload)
-
-    def _on_stall(self, port_index: int) -> None:
-        self.session.exclude_channel(port_index)
 
     def _on_reset_complete(self, epoch: int) -> None:
         if self.health_monitor is not None:
@@ -345,67 +289,33 @@ class SessionSocketReceiver:
         discipline: Optional[str] = None,
         discipline_options: Optional[dict] = None,
     ) -> None:
-        if reliability not in RELIABILITY_MODES:
-            raise ValueError(
-                f"unknown reliability mode {reliability!r}; "
-                f"known: {RELIABILITY_MODES}"
-            )
         self.sim = sim
-        self.stack = stack
-        self.udp = _udp_layer_for(stack)
         self.n_ports = n_ports
         self.on_message = on_message
         self.delivered: List[Packet] = []
-        self._control_to = IPAddress.parse(control_to)
-        self._control_port = control_port
-        self._control_socket = self.udp.bind()
         self.reliability = reliability
-        self.reliable: Optional[ReliableReceiver] = None
-        self.fec: Optional[FecReceiver] = None
-        _options = dict(reliability_options or {})
-        _fec_options = dict(_options.pop("fec", None) or {})
-        if arq_enabled(reliability):
-            # Acks ride the existing reverse control flow (the RESET/ACK
-            # path), so reliable mode needs no extra socket plumbing.
-            self.reliable = ReliableReceiver(
-                self._deliver_final,
-                send_ack=self._send_ack,
-                sim=sim,
-                **_options,
-            )
-        if fec_enabled(reliability):
-            self.fec = FecReceiver(
-                self.reliable.push
-                if self.reliable is not None
-                else self._deliver_final,
-                ordered=self.reliable is None,
-                sim=sim,
-                **_fec_options,
-            )
+        self._send_control = send_control = udp_flow(
+            stack, control_to, control_port, force=True
+        )
+        # Acks ride the existing reverse control flow (the RESET/ACK
+        # path), so reliable mode needs no extra socket plumbing.
+        self.reliable, self.fec, head = build_receiver_recovery(
+            reliability, sim, self._deliver_final,
+            lambda sack: send_control(AckPacket(sack=sack)),
+            reliability_options,
+        )
 
         receiver_factory = None
         if discipline is not None:
-            from repro.core.resequencer import make_resequencer
-            from repro.transport.discipline import (
-                make_discipline,
-                receiver_mode_for,
+            options = dict(discipline_options or {})
+            _reject_transforming(
+                discipline, make_discipline(discipline, n_ports, **options)
             )
 
-            options = dict(discipline_options or {})
-            probe = make_discipline(discipline, n_ports, **options)
-            if hasattr(probe, "wrap_packet"):
-                raise ValueError(
-                    f"session transport cannot run {discipline!r}: the "
-                    "epoch striper moves whole packets, not fragments"
-                )
-            mode = receiver_mode_for(probe)
-
             def receiver_factory(cfg: StripeConfig, deliver):
-                algorithm = None
-                if mode == "plain":
-                    algorithm = make_discipline(
-                        discipline, cfg.n_channels, **options
-                    ).algorithm
+                mode, algorithm = receiver_args_for(
+                    discipline, cfg.n_channels, **options
+                )
                 return make_resequencer(
                     algorithm, mode,
                     n_channels=cfg.n_channels,
@@ -417,58 +327,42 @@ class SessionSocketReceiver:
         self.session = StripeReceiverSession(
             sim, n_ports, config,
             send_control=self._send_control,
-            on_deliver=self._deliver,
+            on_deliver=head,
             checker=checker,
             receiver_factory=receiver_factory,
         )
         self.failure_detector = failure_detector
         if failure_detector is not None:
             failure_detector.attach(self)
-
         for index in range(n_ports):
-            self.udp.bind(
-                base_port + index,
-                on_datagram=self._make_handler(index),
-            )
+            udp_listen(stack, base_port + index, self._arrival(index))
 
-    def _make_handler(self, index: int):
-        def handle(datagram: Any, src: IPAddress) -> None:
+    def _arrival(self, index: int) -> Callable[[Any], None]:
+        def arrive(payload: Any) -> None:
             if self.failure_detector is not None:
                 self.failure_detector.note_arrival(index)
-            self.session.push(index, datagram.payload)
+            self.session.push(index, payload)
 
-        return handle
-
-    def _deliver(self, packet: Packet) -> None:
-        """Session output: quasi-FIFO stream (still with loss gaps)."""
-        if self.fec is not None:
-            self.fec.on_packet(packet)
-        elif self.reliable is not None:
-            self.reliable.push(packet)
-        else:
-            self._deliver_final(packet)
+        return arrive
 
     def _deliver_final(self, packet: Packet) -> None:
         self.delivered.append(packet)
         if self.on_message is not None:
             self.on_message(packet)
 
-    def _send_ack(self, sack: Any) -> None:
-        self._send_control(AckPacket(sack=sack))
-
-    def _send_control(self, packet: Any) -> None:
-        self._control_socket.sendto(
-            packet, packet.size, self._control_to, self._control_port,
-            force=True,
-        )
-
     def request_drop_channel(self, port_index: int) -> None:
         """Ask the sender to reconfigure without a dead channel."""
-        from repro.core.session import ResetRequestPacket
-
         self._send_control(
             ResetRequestPacket(
                 reason=f"channel {port_index} silent",
                 exclude_channel=port_index,
             )
+        )
+
+
+def _reject_transforming(discipline: str, probe: Any) -> None:
+    if hasattr(probe, "wrap_packet"):
+        raise ValueError(
+            f"session transport cannot run {discipline!r}: the "
+            "epoch striper moves whole packets, not fragments"
         )

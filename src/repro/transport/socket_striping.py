@@ -6,37 +6,36 @@ packets across multiple application sockets using the same SRR striping
 and resequencing algorithm."
 
 One striped *channel* here is a UDP flow (a socket pair on a dedicated
-port).  Both classes are thin adapters over the shared endpoint layer
-(:mod:`repro.transport.endpoint`): :class:`UdpChannelPort` maps one UDP
-flow onto the :class:`~repro.transport.endpoint.ChannelPort` protocol, and
-the sender/receiver subclasses of
+port), and the UDP transport is a port type plus the functions that build
+and bind it — the pipelines themselves are
 :class:`~repro.transport.endpoint.StripeSenderPipeline` /
-:class:`~repro.transport.endpoint.StripeReceiverPipeline` only add the
-socket plumbing: binding, datagram demux, and the dedicated reverse UDP
-flow for FCVC credit advertisements (credits can also piggyback on
-reverse-direction markers — see :mod:`repro.transport.duplex`).
+:class:`~repro.transport.endpoint.StripeReceiverPipeline`, unmodified:
 
-These classes are the workhorses of the marker-frequency, marker-position,
-loss-sweep, flow-control, and video experiments.
+* :class:`UdpChannelPort` maps one UDP flow onto the
+  :class:`~repro.transport.endpoint.ChannelPort` protocol (ARP and FCVC
+  credit stalls resume the pump through ``on_unblocked``);
+* :func:`udp_ports` builds the N sender-side ports,
+  :func:`bind_udp_receiver` binds the N arrival sockets to
+  ``receiver.push``;
+* :func:`udp_flow` / :func:`udp_listen` are the two ends of a reverse
+  control flow, and :func:`udp_credit_flow` + :func:`credit_listener`,
+  :func:`udp_ack_flow` + :func:`ack_listener` specialise them for FCVC
+  credit advertisements and reliability acknowledgments (both can also
+  piggyback on reverse-direction markers — see
+  :mod:`repro.transport.duplex`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.core.cfq import CausalFQ
 from repro.core.markers import piggybacked_credit
-from repro.core.packet import Packet, is_marker
-from repro.core.striper import MarkerPolicy
+from repro.core.packet import is_marker
 from repro.net.addresses import IPAddress
 from repro.net.stack import Stack
-from repro.sim.engine import Simulator
-from repro.transport.credit import CreditPacket, CreditReceiver, CreditSender
-from repro.transport.endpoint import (
-    StripeReceiverPipeline,
-    StripeSenderPipeline,
-)
-from repro.transport.reliability import AckPacket, arq_enabled
+from repro.transport.credit import CreditPacket, CreditSender
+from repro.transport.reliability import AckPacket
 from repro.transport.udp import UdpLayer, UdpSocket
 
 
@@ -128,216 +127,101 @@ class UdpChannelPort:
         return channel.stats.delivered_packets + channel.stats.lost_packets
 
 
-#: Backwards-compatible private alias (pre-endpoint-layer name).
-_UdpChannelPort = UdpChannelPort
-
-
-class StripedSocketSender(StripeSenderPipeline):
-    """Stripes application messages across N UDP flows with SRR + markers.
-
-    Args:
-        sim: event engine.
-        stack: the local host.
-        destinations: per-channel ``(dst_ip, dst_port)``; each pair is one
-            striped channel.
-        algorithm: SRR-family CFQ algorithm (or any endpoint discipline).
-        marker_policy: marker emission policy (None = no markers).
-        source_ips: optional per-channel source address (multihomed hosts).
-        credit: optional :class:`CreditSender` for FCVC flow control.
-        credit_port: local port on which credit advertisements arrive.
-        reliability: service level (``best_effort | quasi_fifo |
-            reliable``); see the endpoint pipeline.
-        ack_port: local port on which reliability acknowledgments
-            (:class:`~repro.transport.reliability.AckPacket`) arrive.
-        reliability_options: forwarded to the ARQ sender.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        stack: Stack,
-        destinations: Sequence[tuple],
-        algorithm: CausalFQ,
-        marker_policy: Optional[MarkerPolicy] = None,
-        source_ips: Optional[Sequence[IPAddress | str]] = None,
-        credit: Optional[CreditSender] = None,
-        credit_port: Optional[int] = None,
-        marker_decorator=None,
-        marker_keepalive_s: Optional[float] = None,
-        reliability: str = "quasi_fifo",
-        ack_port: Optional[int] = None,
-        reliability_options: Optional[dict] = None,
-    ) -> None:
-        self.stack = stack
-        self.udp = _udp_layer_for(stack)
-        ports: List[UdpChannelPort] = []
-        for index, (dst_ip, dst_port) in enumerate(destinations):
-            src = None
-            if source_ips is not None:
-                src = IPAddress.parse(source_ips[index])
-            ports.append(
-                UdpChannelPort(
-                    self.udp.bind(), IPAddress.parse(dst_ip), dst_port,
-                    src, index, credit,
-                )
-            )
-        super().__init__(
-            ports,
-            algorithm,
-            marker_policy=marker_policy,
-            marker_decorator=marker_decorator,
-            credit=credit,
-            sim=sim,
-            marker_keepalive_s=marker_keepalive_s,
-            reliability=reliability,
-            reliability_options=reliability_options,
+def udp_ports(
+    stack: Stack,
+    destinations: Sequence[Tuple[IPAddress | str, int]],
+    credit: Optional[CreditSender] = None,
+) -> List[UdpChannelPort]:
+    """One :class:`UdpChannelPort` per ``(dst_ip, dst_port)`` pair, each on
+    its own socket; ``credit`` is the FCVC sender every port charges its
+    data sends to."""
+    layer = _udp_layer_for(stack)
+    return [
+        UdpChannelPort(
+            layer.bind(), IPAddress.parse(dst_ip), dst_port, None, index,
+            credit,
         )
-        if credit_port is not None:
-            self.udp.bind(credit_port, on_datagram=self._on_credit_datagram)
-        if ack_port is not None:
-            self.udp.bind(ack_port, on_datagram=self._on_ack_datagram)
+        for index, (dst_ip, dst_port) in enumerate(destinations)
+    ]
 
-    def _on_credit_datagram(self, datagram: Any, src: IPAddress) -> None:
-        payload = datagram.payload
-        if self.credit is None:
-            return
+
+def udp_listen(
+    stack: Stack, port: int, on_payload: Callable[[Any], Any]
+) -> UdpSocket:
+    """Bind ``port`` on ``stack``; every datagram's payload goes to
+    ``on_payload``."""
+    return _udp_layer_for(stack).bind(
+        port, on_datagram=lambda datagram, src: on_payload(datagram.payload)
+    )
+
+
+def bind_udp_receiver(
+    stack: Stack, receiver: Any, base_port: int
+) -> List[UdpSocket]:
+    """Channel *i* of ``receiver`` arrives on ``base_port + i``."""
+    return [
+        udp_listen(stack, base_port + index, partial(receiver.push, index))
+        for index in range(receiver.n_channels)
+    ]
+
+
+def udp_flow(
+    stack: Stack, to: IPAddress | str, port: int, force: bool = False
+) -> Callable[[Any], bool]:
+    """``send(packet)`` over a dedicated UDP flow to ``(to, port)``;
+    ``force`` bypasses egress queue limits (control traffic)."""
+    socket = _udp_layer_for(stack).bind()
+    to = IPAddress.parse(to)
+    return lambda packet: socket.sendto(
+        packet, packet.size, to, port, force=force
+    )
+
+
+def udp_credit_flow(
+    stack: Stack, to: IPAddress | str, port: int
+) -> Callable[[int, int], None]:
+    """A :class:`~repro.transport.credit.CreditReceiver` ``send_credit``
+    advertising over a dedicated reverse UDP flow."""
+    send = udp_flow(stack, to, port)
+    return lambda channel, limit: send(
+        CreditPacket(channel=channel, limit=limit)
+    )
+
+
+def credit_listener(credit: CreditSender) -> Callable[[Any], None]:
+    """The sender end of a credit flow: standalone advertisements, or
+    credits piggybacked on reverse-direction markers."""
+
+    def on_payload(payload: Any) -> None:
         if isinstance(payload, CreditPacket):
-            self.credit.on_credit(payload.channel, payload.limit)
+            credit.on_credit(payload.channel, payload.limit)
         else:
-            # piggybacked credit on a reverse-direction marker
             piggyback = piggybacked_credit(payload)
             if piggyback is not None:
-                self.credit.on_credit(*piggyback)
+                credit.on_credit(*piggyback)
 
-    def _on_ack_datagram(self, datagram: Any, src: IPAddress) -> None:
-        payload = datagram.payload
+    return on_payload
+
+
+def udp_ack_flow(
+    stack: Stack, to: IPAddress | str, port: int
+) -> Callable[[Any], None]:
+    """A receiver pipeline ``send_ack`` over a dedicated reverse UDP flow
+    (like the credit one).  Without it acks must ride the reverse
+    direction's markers (the duplex piggyback)."""
+    send = udp_flow(stack, to, port, force=True)
+    return lambda sack: send(AckPacket(sack=sack))
+
+
+def ack_listener(sender: Any) -> Callable[[Any], None]:
+    """The sender end of an ack flow: SACK-bearing payloads reach
+    ``sender.on_ack``."""
+
+    def on_payload(payload: Any) -> None:
         if getattr(payload, "sack", None) is not None:
-            self.on_ack(payload)
+            sender.on_ack(payload)
 
-
-class StripedSocketReceiver(StripeReceiverPipeline):
-    """Receives N UDP flows and reassembles the FIFO stream.
-
-    Args:
-        sim: event engine.
-        stack: the local host.
-        n_channels: number of striped channels.
-        algorithm: the sender's algorithm (for simulation).
-        base_port: channel *i* is bound to ``base_port + i``.
-        mode: ``"marker"``, ``"plain"``, or ``"none"`` (ablations).
-        on_message: callback for in-order application messages.
-        buffer_packets: per-channel physical buffer cap; arrivals beyond it
-            are dropped (counted) — this is the loss that credit flow
-            control eliminates.
-        credit_to / credit_port: if set, send FCVC credit advertisements to
-            that (ip, port) as packets are consumed.
-        advertise_every: batch credit advertisements (1 = per packet).
-        failure_detector: optional dead-channel watchdog; see
-            :class:`~repro.transport.endpoint.ChannelFailureDetector`.
-        reliability: service level (``best_effort | quasi_fifo |
-            reliable``); see the endpoint pipeline.
-        ack_to / ack_port: where reliability acknowledgments are sent
-            (required in reliable mode; a dedicated reverse UDP flow
-            like the credit one).
-        reliability_options: forwarded to the ARQ receiver.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        stack: Stack,
-        n_channels: int,
-        algorithm: CausalFQ,
-        base_port: int,
-        mode: str = "marker",
-        on_message: Optional[Callable[[Packet], None]] = None,
-        buffer_packets: Optional[int] = None,
-        credit_to: Optional[IPAddress | str] = None,
-        credit_port: Optional[int] = None,
-        advertise_every: int = 1,
-        failure_detector=None,
-        reliability: str = "quasi_fifo",
-        ack_to: Optional[IPAddress | str] = None,
-        ack_port: Optional[int] = None,
-        reliability_options: Optional[dict] = None,
-    ) -> None:
-        self.stack = stack
-        self.udp = _udp_layer_for(stack)
-        self._credit_to: Optional[IPAddress] = None
-        self._credit_port: Optional[int] = None
-        self._credit_socket: Optional[UdpSocket] = None
-        credit: Optional[CreditReceiver] = None
-        if credit_to is not None:
-            if buffer_packets is None:
-                raise ValueError("credit flow control needs buffer_packets")
-            self._credit_to = IPAddress.parse(credit_to)
-            self._credit_port = credit_port
-            self._credit_socket = self.udp.bind()
-            credit = CreditReceiver(
-                n_channels,
-                buffer_packets,
-                send_credit=self._send_credit,
-                advertise_every=advertise_every,
-            )
-        self._ack_to: Optional[IPAddress] = None
-        self._ack_port: Optional[int] = None
-        self._ack_socket: Optional[UdpSocket] = None
-        send_ack = None
-        if (ack_to is None) != (ack_port is None):
-            raise ValueError("ack_to and ack_port go together")
-        if arq_enabled(reliability) and ack_to is not None:
-            # Standalone ack flow; without it acks must ride the reverse
-            # direction's markers (duplex piggyback — the caller wires
-            # ``reliable.send_ack`` / the reverse ``sack_sink``).
-            self._ack_to = IPAddress.parse(ack_to)
-            self._ack_port = ack_port
-            self._ack_socket = self.udp.bind()
-            send_ack = self._send_ack
-        super().__init__(
-            n_channels,
-            algorithm,
-            mode=mode,
-            on_message=on_message,
-            buffer_packets=buffer_packets,
-            credit=credit,
-            failure_detector=failure_detector,
-            sim=sim,
-            reliability=reliability,
-            send_ack=send_ack,
-            reliability_options=reliability_options,
-        )
-        self.sockets: List[UdpSocket] = []
-        for index in range(n_channels):
-            socket = self.udp.bind(
-                base_port + index,
-                on_datagram=self._make_channel_handler(index),
-            )
-            self.sockets.append(socket)
-
-    # ------------------------------------------------------------------ #
-
-    def _make_channel_handler(self, index: int):
-        def handle(datagram: Any, src: IPAddress) -> None:
-            self.push(index, datagram.payload)
-
-        return handle
-
-    def _send_credit(self, channel: int, limit: int) -> None:
-        if self._credit_socket is None or self._credit_to is None:
-            return
-        assert self._credit_port is not None
-        credit = CreditPacket(channel=channel, limit=limit)
-        self._credit_socket.sendto(
-            credit, credit.size, self._credit_to, self._credit_port
-        )
-
-    def _send_ack(self, sack: Any) -> None:
-        assert self._ack_socket is not None
-        assert self._ack_to is not None and self._ack_port is not None
-        ack = AckPacket(sack=sack)
-        self._ack_socket.sendto(
-            ack, ack.size, self._ack_to, self._ack_port, force=True
-        )
+    return on_payload
 
 
 def _udp_layer_for(stack: Stack) -> UdpLayer:

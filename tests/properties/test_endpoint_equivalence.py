@@ -339,40 +339,25 @@ class TestMultiFlowCrossTransportEquivalence:
 
     def _duplex_seqs(self):
         from repro.core.srr import SRR
-        from repro.net.ethernet import EthernetInterface
-        from repro.net.stack import Link, Stack
+        from repro.experiments.socket_harness import build_two_hosts
         from repro.transport.duplex import connect_duplex
 
         sim = Simulator()
-        a, b = Stack(sim, "A"), Stack(sim, "B")
-        a_targets, b_targets, links = [], [], []
-        for index in range(2):
-            ia = EthernetInterface(sim, f"mf{index}a", f"10.{90+index}.0.1")
-            ib = EthernetInterface(sim, f"mf{index}b", f"10.{90+index}.0.2")
-            a.add_interface(ia)
-            b.add_interface(ib)
-            links.append(Link(
-                sim, ia, ib, bandwidth_bps=10e6, prop_delay=0.5e-3,
-                queue_limit=40, name=f"mfduplex{index}",
-            ))
-            a.routing.add(f"10.{90+index}.0.2", 24, ia)
-            b.routing.add(f"10.{90+index}.0.1", 24, ib)
-            ia.arp_cache.install(ib.ip_address, ib.mac)
-            ib.arp_cache.install(ia.ip_address, ia.mac)
-            a_targets.append((f"10.{90+index}.0.2", 7100 + index))
-            b_targets.append((f"10.{90+index}.0.1", 7000 + index))
+        a, b, links = build_two_hosts(sim, 2)
+        a_targets = [(ip, 7100 + i) for i, ip in enumerate(b.local_addresses())]
+        b_targets = [(ip, 7000 + i) for i, ip in enumerate(a.local_addresses())]
         end_a, end_b = connect_duplex(
             sim, a, b, a_targets, b_targets,
             algorithm_factory=lambda: SRR([float(self.MESSAGE_BYTES)] * 2),
             buffer_packets=16,
         )
-        end_a.attach_fabric(self._prefilled_fabric())
+        end_a.sender.attach_fabric(self._prefilled_fabric())
         end_a.sender.pump()
         for link in links:
             link.ab.on_space = end_a.sender.pump
             link.ba.on_space = end_b.sender.pump
         sim.run(until=0.6)
-        return [p.seq for p in end_b.delivered]
+        return [p.seq for p in end_b.receiver.delivered]
 
     def test_all_adapters_drain_the_fabric_in_reference_drr_order(self):
         reference = self._reference_order()

@@ -48,12 +48,11 @@ SURFACE = {
         "SYNC_MODELS", "sync_model_for", "make_sync_model",
         "SynchronizationModel", "MarkerSyncModel", "HashSyncModel",
         "HeaderSyncModel",
-        "StripedSocketSender", "StripedSocketReceiver", "UdpChannelPort",
+        "UdpChannelPort", "udp_ports", "bind_udp_receiver",
+        "TcpChannelPort", "tcp_ports", "bind_tcp_receiver",
+        "FastChannelPort", "bind_fast_receiver", "wire_size",
         "SessionSocketSender", "SessionSocketReceiver",
         "ChannelFailureDetector", "connect_duplex",
-        "StripedTcpSender", "StripedTcpReceiver",
-        "FastStripedSender", "FastStripedReceiver", "FastChannelPort",
-        "wire_size",
     ],
     "repro.baselines": [
         "ShortestQueueFirst", "RandomSelection", "AddressHashing",

@@ -3,10 +3,18 @@
 import pytest
 
 from repro.core.srr import SRR
-from repro.net.ethernet import EthernetInterface
-from repro.net.stack import Link, Stack
+from repro.experiments.socket_harness import build_two_hosts
+from repro.net.stack import Stack
 from repro.transport.duplex import connect_duplex
 from repro.workloads.generators import ClosedLoopSource, ConstantSizes
+
+
+def duplex_hosts(sim, **link_options):
+    """Hosts A and B, two links, and each side's data targets."""
+    a, b, links = build_two_hosts(sim, 2, **link_options)
+    a_targets = [(ip, 7100 + i) for i, ip in enumerate(b.local_addresses())]
+    b_targets = [(ip, 7000 + i) for i, ip in enumerate(a.local_addresses())]
+    return a, b, links, a_targets, b_targets
 
 
 def build_duplex(sim, link_mbps=(10.0, 10.0), buffer_packets=16,
@@ -29,29 +37,11 @@ def build_duplex(sim, link_mbps=(10.0, 10.0), buffer_packets=16,
             BernoulliLoss(p, rng=random.Random(seed)), min_size=500
         )
 
-    a = Stack(sim, "A")
-    b = Stack(sim, "B")
-    a_targets = []
-    b_targets = []
-    links = []
-    for index in range(2):
-        ia = EthernetInterface(sim, f"ch{index}a", f"10.{50+index}.0.1")
-        ib = EthernetInterface(sim, f"ch{index}b", f"10.{50+index}.0.2")
-        a.add_interface(ia)
-        b.add_interface(ib)
-        links.append(Link(
-            sim, ia, ib,
-            bandwidth_bps=link_mbps[index] * 1e6, prop_delay=0.5e-3,
-            queue_limit=40, name=f"duplex{index}",
-            loss_ab=gated(data_loss[0], 100 + index),
-            loss_ba=gated(data_loss[1], 200 + index),
-        ))
-        a.routing.add(f"10.{50+index}.0.2", 24, ia)
-        b.routing.add(f"10.{50+index}.0.1", 24, ib)
-        ia.arp_cache.install(ib.ip_address, ib.mac)
-        ib.arp_cache.install(ia.ip_address, ia.mac)
-        a_targets.append((f"10.{50+index}.0.2", 7100 + index))
-        b_targets.append((f"10.{50+index}.0.1", 7000 + index))
+    a, b, links, a_targets, b_targets = duplex_hosts(
+        sim, link_mbps=link_mbps,
+        loss_ab=[gated(data_loss[0], 100 + index) for index in range(2)],
+        loss_ba=[gated(data_loss[1], 200 + index) for index in range(2)],
+    )
     end_a, end_b = connect_duplex(
         sim, a, b, a_targets, b_targets,
         algorithm_factory=lambda: SRR([float(message_bytes)] * 2),
@@ -69,11 +59,11 @@ def build_duplex(sim, link_mbps=(10.0, 10.0), buffer_packets=16,
         return backlog
 
     src_a = ClosedLoopSource(
-        sim, end_a.submit_packet, backlog_fn(end_a),
+        sim, end_a.sender.submit_packet, backlog_fn(end_a),
         ConstantSizes(message_bytes), target=8,
     )
     src_b = ClosedLoopSource(
-        sim, end_b.submit_packet, backlog_fn(end_b),
+        sim, end_b.sender.submit_packet, backlog_fn(end_b),
         ConstantSizes(message_bytes), target=8,
     )
     src_a.start()
@@ -89,7 +79,7 @@ class TestDuplexCredits:
         end_a, end_b, _ = build_duplex(sim)
         sim.run(until=1.0)
         for endpoint in (end_a, end_b):
-            seqs = [p.seq for p in endpoint.delivered]
+            seqs = [p.seq for p in endpoint.receiver.delivered]
             assert len(seqs) > 100
             assert seqs == sorted(seqs)
 
@@ -101,8 +91,8 @@ class TestDuplexCredits:
         assert end_a.sender.credit.limits[0] > 16
         assert end_b.sender.credit.limits[0] > 16
         # ...that arrived exclusively on markers (no credit sockets exist).
-        assert end_a.receiver._credit_socket is None
-        assert end_b.receiver._credit_socket is None
+        assert end_a.receiver.credit.send_credit is None
+        assert end_b.receiver.credit.send_credit is None
 
     def test_mismatched_rates_no_buffer_overflow(self, sim):
         end_a, end_b, _ = build_duplex(
@@ -127,7 +117,7 @@ class TestDuplexReliable:
         end_b.sender.reliable.on_window_open = None
         sim.run(until=4.0)
         for endpoint, peer in ((end_a, end_b), (end_b, end_a)):
-            seqs = [p.seq for p in endpoint.delivered]
+            seqs = [p.seq for p in endpoint.receiver.delivered]
             assert len(seqs) > 100
             assert seqs == sorted(seqs)  # in order
             assert len(seqs) == len(set(seqs))  # exactly once
@@ -142,7 +132,7 @@ class TestDuplexReliable:
         )
         sim.run(until=1.0)
         for endpoint in (end_a, end_b):
-            assert endpoint.receiver._credit_socket is None
+            assert endpoint.receiver.credit.send_credit is None
             # The senders did consume acks (the windows move)...
             assert endpoint.sender.reliable.stats.acked > 100
             # ...which only markers could have carried.
@@ -155,7 +145,7 @@ class TestDuplexReliable:
         for endpoint in (end_a, end_b):
             assert endpoint.sender.reliable is None
             assert endpoint.receiver.reliable is None
-            assert len(endpoint.delivered) > 50
+            assert len(endpoint.receiver.delivered) > 50
 
 
 class TestValidation:
@@ -168,3 +158,39 @@ class TestValidation:
                 algorithm_factory=lambda: SRR([1000.0]),
                 buffer_packets=8,
             )
+
+    @pytest.mark.parametrize("rejected", [{}, {"buffer_packets": 0}])
+    def test_rejected_buffer_binds_nothing(self, sim, rejected):
+        """A missing or zero ``buffer_packets`` is refused before any
+        socket is bound: the retry on the same stacks succeeds (it used
+        to die with ``port 7000 already bound``)."""
+        a, b, _, a_targets, b_targets = duplex_hosts(sim)
+
+        def connect(**kwargs):
+            return connect_duplex(
+                sim, a, b, a_targets, b_targets,
+                algorithm_factory=lambda: SRR([1000.0] * 2), **kwargs,
+            )
+
+        with pytest.raises(ValueError, match="buffer_packets"):
+            connect(**rejected)
+        end_a, end_b = connect(buffer_packets=8)
+        for size in (1000,) * 20:
+            end_a.sender.send_message(size)
+        sim.run(until=0.2)
+        assert [p.seq for p in end_b.receiver.delivered] == list(range(20))
+
+    def test_zero_buffer_means_the_same_without_markers(self, sim):
+        """0 is not "no cap" on the marker-free branch and "invalid" on
+        the marker branch: it is invalid on both, None is "no cap"."""
+        a, b, _, a_targets, b_targets = duplex_hosts(sim)
+        with pytest.raises(ValueError, match="buffer_packets"):
+            connect_duplex(
+                sim, a, b, a_targets, b_targets,
+                discipline="sprinklers", buffer_packets=0,
+            )
+        end_a, end_b = connect_duplex(
+            sim, a, b, a_targets, b_targets,
+            discipline="sprinklers",
+        )
+        assert end_a.receiver.buffer_packets is None

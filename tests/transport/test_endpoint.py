@@ -421,27 +421,98 @@ class TestFailureDetectorPipeline:
         assert receiver.resequencer.buffered == 0
 
 
-class TestAdapterSurfaces:
-    def test_stacks_share_the_pipeline(self):
-        from repro.transport.fast_path import (
-            FastStripedReceiver,
-            FastStripedSender,
-        )
-        from repro.transport.socket_striping import (
-            StripedSocketReceiver,
-            StripedSocketSender,
-        )
-        from repro.transport.tcp_striping import (
-            StripedTcpReceiver,
-            StripedTcpSender,
-        )
+def _udp_behind_arp(sim, a, b, links):
+    from repro.transport.socket_striping import udp_ports
 
-        assert issubclass(StripedSocketSender, StripeSenderPipeline)
-        assert issubclass(FastStripedSender, StripeSenderPipeline)
-        assert issubclass(StripedTcpSender, StripeSenderPipeline)
-        assert issubclass(StripedSocketReceiver, StripeReceiverPipeline)
-        assert issubclass(FastStripedReceiver, StripeReceiverPipeline)
-        assert issubclass(StripedTcpReceiver, StripeReceiverPipeline)
+    for iface in a.interfaces:
+        iface.arp_cache._entries.clear()  # next hop unresolved again
+    ports = udp_ports(
+        a, [(ip, 6000 + i) for i, ip in enumerate(b.local_addresses())]
+    )
+    return ports, None, lambda: sim.run(until=0.05)  # ARP replies arrive
+
+
+def _udp_behind_credit(sim, a, b, links):
+    from repro.transport.credit import CreditPacket, CreditSender
+    from repro.transport.socket_striping import credit_listener, udp_ports
+
+    credit = CreditSender(2, initial_credit=0)
+    ports = udp_ports(
+        a, [(ip, 6000 + i) for i, ip in enumerate(b.local_addresses())],
+        credit=credit,
+    )
+    on_payload = credit_listener(credit)
+    return ports, credit, lambda: on_payload(CreditPacket(channel=0, limit=1))
+
+
+def _tcp_before_handshake(sim, a, b, links):
+    from repro.transport.tcp import BulkReceiver, TcpLayer
+    from repro.transport.tcp_striping import tcp_ports
+
+    listening = TcpLayer(b, sim)
+    for index in range(2):
+        BulkReceiver(listening, 8800 + index)
+    ports = tcp_ports(TcpLayer(a, sim), b.local_addresses())
+    return ports, None, lambda: sim.run(until=0.05)  # SYN-ACKs arrive
+
+
+def _fast_behind_full_queue(sim, a, b, links):
+    from repro.transport.fast_path import FastChannelPort
+
+    ports = [FastChannelPort(link.ab) for link in links]
+    for port in ports:
+        port.channel.queue_limit = 0
+    return ports, None, None  # no slot: the rig owns channel.on_space
+
+
+class TestPortFactories:
+    """A transport is a port type: whatever a factory returns drives the
+    one sender pipeline, and a stalled port resumes it by itself."""
+
+    @pytest.mark.parametrize("blocked_ports", [
+        _udp_behind_arp,
+        _udp_behind_credit,
+        _tcp_before_handshake,
+        _fast_behind_full_queue,
+    ])
+    def test_ports_satisfy_protocol_and_resume_the_pump(
+        self, sim, blocked_ports
+    ):
+        from repro.core.striper import ChannelPort
+        from repro.experiments.socket_harness import build_two_hosts
+
+        ports, credit, unblock = blocked_ports(sim, *build_two_hosts(sim, 2))
+        assert ports and all(isinstance(p, ChannelPort) for p in ports)
+        sender = StripeSenderPipeline(
+            ports, SRR([1000.0, 1000.0]), credit=credit, sim=sim
+        )
+        sender.send_message(1000)
+        assert sender.backlog == 1  # channel 0 cannot take it yet
+        if unblock is None:
+            assert not hasattr(ports[0], "on_unblocked")
+            return
+        # Nothing but the port's own resume path pumps from here on.
+        unblock()
+        assert sender.backlog == 0
+
+    def test_no_transport_subclasses_a_pipeline(self):
+        """Transports differ in their ports only; the two pipelines are
+        subclassed nowhere in the package."""
+        import importlib
+        import pkgutil
+
+        import repro.transport
+
+        for info in pkgutil.iter_modules(repro.transport.__path__):
+            module = importlib.import_module(f"repro.transport.{info.name}")
+            for value in vars(module).values():
+                if not isinstance(value, type):
+                    continue
+                if value in (StripeSenderPipeline, StripeReceiverPipeline):
+                    continue
+                assert not issubclass(
+                    value, (StripeSenderPipeline, StripeReceiverPipeline)
+                ), f"{module.__name__}.{value.__name__}"
 
 
 class TestSenderPipelineClose:

@@ -43,6 +43,25 @@ class TestSessionDataPath:
         assert testbed.sender.session.state == "running"
 
 
+    def test_pure_fec_accounts_bytes_per_port_like_the_pipeline(self):
+        """The session mounts the same recovery stack as the pipelines:
+        pure ``fec`` records per-port data bytes (the fairness-envelope
+        accounting), parity included, with no ARQ layer at all."""
+        sim = Simulator()
+        testbed = build_session_testbed(
+            sim, n_channels=2, reliability="fec"
+        )
+        sim.run(until=0.3)
+        sender = testbed.sender
+        assert sender.reliable is None and sender.fec is not None
+        assert sender.fec.stats.parity_packets > 0
+        sent = [port.data_bytes_sent for port in sender.ports]
+        # Everything delivered was counted on the way out, plus parity.
+        assert sum(sent) > 1000 * len(testbed.deliveries) > 0
+        # SRR's equal quanta: the two ports carry the same bytes +- Max.
+        assert abs(sent[0] - sent[1]) <= 3 * 1000
+
+
 class TestLinkFailureScenario:
     def test_without_handling_stream_stalls(self):
         result = run_link_failure(fail_at=0.5, total_s=1.6)

@@ -2,27 +2,20 @@
 
 import pytest
 
-from repro.net.ethernet import EthernetInterface
-from repro.net.stack import Link, Stack
+from repro.experiments.socket_harness import build_two_hosts
 from repro.sim.loss import BernoulliLoss, DeterministicLoss
 from repro.transport.tcp import BulkReceiver, BulkSender, TcpLayer
 import random
 
+DST = "10.10.0.2"
+
 
 def tcp_pair(sim, loss_ab=None, loss_ba=None, bandwidth=10e6, queue_limit=50):
-    s = Stack(sim, "S")
-    r = Stack(sim, "R")
-    a = EthernetInterface(sim, "eth0", "10.0.1.1")
-    b = EthernetInterface(sim, "eth0", "10.0.1.2")
-    s.add_interface(a)
-    r.add_interface(b)
-    Link(sim, a, b, bandwidth_bps=bandwidth, prop_delay=0.0005,
-         queue_limit=queue_limit, loss_ab=loss_ab, loss_ba=loss_ba)
-    s.routing.add("10.0.1.0", 24, a)
-    r.routing.add("10.0.1.0", 24, b)
-    a.arp_cache.install(b.ip_address, b.mac)
-    b.arp_cache.install(a.ip_address, a.mac)
-    return TcpLayer(s, sim), TcpLayer(r, sim)
+    a, b, _ = build_two_hosts(
+        sim, 1, link_mbps=(bandwidth / 1e6,), queue_frames=queue_limit,
+        loss_ab=[loss_ab], loss_ba=[loss_ba],
+    )
+    return TcpLayer(a, sim), TcpLayer(b, sim)
 
 
 class TestRtoBehaviour:
@@ -30,12 +23,12 @@ class TestRtoBehaviour:
         """With the forward path dead, successive timeouts double the RTO."""
         ts, tr = tcp_pair(sim)
         BulkReceiver(tr, 80)
-        tx = BulkSender(ts, "10.0.1.2", 80, 1000)  # unbounded transfer
+        tx = BulkSender(ts, DST, 80, 1000)  # unbounded transfer
         tx.start()
         sim.run(until=0.05)  # establish + get some data out
         assert tx.state == "ESTABLISHED"
         # Kill the forward path entirely.
-        route = ts.stack.routing.lookup("10.0.1.2")
+        route = ts.stack.routing.lookup(DST)
         route.interface.channel_out.loss_model = BernoulliLoss(1.0)
         rto_before = tx.rto
         sim.run(until=10.0)
@@ -50,7 +43,7 @@ class TestRtoBehaviour:
             sim, loss_ab=DeterministicLoss(range(12, 18))
         )
         rx = BulkReceiver(tr, 80)
-        tx = BulkSender(ts, "10.0.1.2", 80, 1000, total_bytes=400_000)
+        tx = BulkSender(ts, DST, 80, 1000, total_bytes=400_000)
         tx.start()
         sim.run(until=15.0)
         assert rx.bytes_delivered == 400_000
@@ -64,7 +57,7 @@ class TestRtoBehaviour:
             sim, loss_ba=BernoulliLoss(0.3, rng=random.Random(5))
         )
         rx = BulkReceiver(tr, 80)
-        tx = BulkSender(ts, "10.0.1.2", 80, 1000, total_bytes=300_000)
+        tx = BulkSender(ts, DST, 80, 1000, total_bytes=300_000)
         tx.start()
         sim.run(until=20.0)
         assert rx.bytes_delivered == 300_000
@@ -74,7 +67,7 @@ class TestRtoBehaviour:
             sim, loss_ab=BernoulliLoss(0.1, rng=random.Random(9))
         )
         rx = BulkReceiver(tr, 80)
-        tx = BulkSender(ts, "10.0.1.2", 80, 1000, total_bytes=200_000)
+        tx = BulkSender(ts, DST, 80, 1000, total_bytes=200_000)
         tx.start()
         sim.run(until=60.0)
         assert rx.bytes_delivered == 200_000
@@ -89,7 +82,7 @@ class TestGoBackN:
         ts, tr = tcp_pair(sim, loss_ab=DeterministicLoss(range(10, 22)))
         rx = BulkReceiver(tr, 80)
         tx = BulkSender(
-            ts, "10.0.1.2", 80, 1000,
+            ts, DST, 80, 1000,
             segment_size_fn=lambda: next(sizes), total_bytes=100_000,
         )
         tx.start()
@@ -101,10 +94,10 @@ class TestGoBackN:
     def test_cwnd_collapses_to_one_mss_on_timeout(self, sim):
         ts, tr = tcp_pair(sim)
         BulkReceiver(tr, 80)
-        tx = BulkSender(ts, "10.0.1.2", 80, 1000)
+        tx = BulkSender(ts, DST, 80, 1000)
         tx.start()
         sim.run(until=0.3)
-        route = ts.stack.routing.lookup("10.0.1.2")
+        route = ts.stack.routing.lookup(DST)
         route.interface.channel_out.loss_model = BernoulliLoss(1.0)
         sim.run(until=2.0)
         assert tx.timeouts >= 1
@@ -115,7 +108,7 @@ class TestStatCoherence:
     def test_counters_consistent_on_clean_run(self, sim):
         ts, tr = tcp_pair(sim, queue_limit=2000)
         rx = BulkReceiver(tr, 80)
-        tx = BulkSender(ts, "10.0.1.2", 80, 1000, total_bytes=150_000)
+        tx = BulkSender(ts, DST, 80, 1000, total_bytes=150_000)
         tx.start()
         sim.run(until=5.0)
         assert rx.bytes_delivered == 150_000

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.experiments.socket_harness import build_two_hosts
 from repro.experiments.tcp_channels import build_tcp_striped
 from repro.net.ethernet import EthernetInterface
-from repro.net.stack import Link, Stack
+from repro.net.stack import Stack
 from repro.transport.tcp import BulkReceiver, BulkSender, TcpLayer
 
 
@@ -35,7 +36,7 @@ class TestTcpChannelStriping:
         assert len(seqs) > 200
         assert seqs == sorted(seqs)
         # losses really happened inside the channels
-        assert any(c.retransmits > 0 for c in sender.connections)
+        assert any(port.sender.retransmits > 0 for port in sender.ports)
 
     def test_message_boundaries_preserved(self, sim):
         sender, receiver, _ = build_tcp_striped(
@@ -48,25 +49,17 @@ class TestTcpChannelStriping:
     def test_backpressure_bounds_connection_queue(self, sim):
         sender, receiver, _ = build_tcp_striped(sim, link_mbps=1.0)
         sim.run(until=1.0)
-        for connection in sender.connections:
-            assert connection.queued_message_bytes <= 64 * 1024 + 1460
+        for port in sender.ports:
+            assert port.sender.queued_message_bytes <= 64 * 1024 + 1460
 
 
 class TestMessageModeUnit:
     def test_write_message_roundtrip(self, sim):
-        s = Stack(sim, "S")
-        r = Stack(sim, "R")
-        a = EthernetInterface(sim, "eth0", "10.0.1.1")
-        b = EthernetInterface(sim, "eth0", "10.0.1.2")
-        s.add_interface(a)
-        r.add_interface(b)
-        Link(sim, a, b, bandwidth_bps=10e6, prop_delay=0.0005)
-        s.routing.add("10.0.1.0", 24, a)
-        r.routing.add("10.0.1.0", 24, b)
-        ts, tr = TcpLayer(s, sim), TcpLayer(r, sim)
+        a, b, _ = build_two_hosts(sim, 1)
+        ts, tr = TcpLayer(a, sim), TcpLayer(b, sim)
         got = []
         BulkReceiver(tr, 80, on_message=got.append)
-        tx = BulkSender(ts, "10.0.1.2", 80, 1000)
+        tx = BulkSender(ts, b.local_addresses()[0], 80, 1000)
         tx.start()
         sim.run(until=0.05)
         from repro.core.packet import Packet
@@ -78,19 +71,11 @@ class TestMessageModeUnit:
         assert got == messages
 
     def test_small_messages_pack_into_one_segment(self, sim):
-        s = Stack(sim, "S")
-        r = Stack(sim, "R")
-        a = EthernetInterface(sim, "eth0", "10.0.1.1")
-        b = EthernetInterface(sim, "eth0", "10.0.1.2")
-        s.add_interface(a)
-        r.add_interface(b)
-        Link(sim, a, b, bandwidth_bps=10e6, prop_delay=0.0005)
-        s.routing.add("10.0.1.0", 24, a)
-        r.routing.add("10.0.1.0", 24, b)
-        ts, tr = TcpLayer(s, sim), TcpLayer(r, sim)
+        a, b, _ = build_two_hosts(sim, 1)
+        ts, tr = TcpLayer(a, sim), TcpLayer(b, sim)
         got = []
         BulkReceiver(tr, 80, on_message=got.append)
-        tx = BulkSender(ts, "10.0.1.2", 80, 1000, mss=1460)
+        tx = BulkSender(ts, b.local_addresses()[0], 80, 1000, mss=1460)
         tx.start()
         sim.run(until=0.05)
         segments_before = tx.segments_sent
