@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction repo.
 
 .PHONY: install test bench experiments quick-experiments examples clean \
-	smoke lint-endpoints perf perf-ab
+	smoke lint-endpoints perf perf-ab frames
 
 install:
 	pip install -e . || python setup.py develop
@@ -29,6 +29,15 @@ smoke:
 # end and per layer, report written to perfbench/out/ for compare.py.
 perf:
 	python3 -m perfbench
+
+# What a delivered packet costs in counts, no wall clock: Python frames per
+# delivered packet, kernel steps per packet sent and schedule_call frames
+# per packet for the five workload shapes at 0.02 scale (seconds to run;
+# tests/integration/test_call_counts.py guards bounds on the same rigs).
+#   make frames            the table
+#   make frames TOP=25     plus the 25 busiest functions under each shape
+frames:
+	PYTHONPATH=src python -m tests.frames $(if $(TOP),--top $(TOP))
 
 # A/B of one workload between two checkouts, the way the benchmark driver
 # measures a claim: PAIRS (10) pairs of driver-form runs on one seed,

@@ -12,7 +12,8 @@ steps a :class:`SchedulerKernel` instead: a *mutable* engine with
 * in-place :meth:`~SchedulerKernel.step` — account one packet, return the
   channel it goes to,
 * batched :meth:`~SchedulerKernel.assign_many` — assign a whole burst of
-  packet sizes in one tight loop,
+  packet sizes in one tight loop (:meth:`SRRKernel.assign_admitted` is
+  the sender pump's form: one step per packet its port can take),
 * explicit :meth:`~SchedulerKernel.snapshot` / :meth:`~SchedulerKernel.restore`
   — immutable state capture, preserving the ``(R, D)`` implicit-numbering
   and marker-adoption semantics of sections 4–5 (an :class:`SRRKernel`
@@ -29,7 +30,7 @@ algorithm is underneath.
 from __future__ import annotations
 
 import abc
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.cfq import CausalFQ
 from repro.core.srr import SRR, SRRState
@@ -172,6 +173,69 @@ class SRRKernel(SchedulerKernel):
         self.round_number = rnd
         return out
 
+    def assign_admitted(
+        self,
+        queue: Iterable[Any],
+        capacity: Sequence[Callable[[], int]],
+        position: int = -1,
+        due: int = 0,
+    ) -> Tuple[List[int], int]:
+        """Assign the head of ``queue`` for as long as its ports have room.
+
+        The sender pump's kernel contract: one step per packet sent,
+        nothing speculative, nothing undone.  Packets of ``queue`` (read
+        for ``size``, not consumed) are stepped in order while the pointer
+        channel has a free slot; ``capacity[c]()`` is channel ``c``'s free
+        slots, asked when the pointer first lands on ``c`` in this call
+        and counted down from there.  With ``due > 0`` the call also stops
+        after the step that takes the pointer into channel ``position``
+        for the ``due``-th time — a marker batch is owed there — counting
+        every entry, including each one of a hop over several channels or
+        rounds that a deep overdraw makes in one step.
+
+        Returns ``(channels, crossings)``: the channel of each packet
+        stepped and how often the pointer entered ``position``.
+        """
+        out: List[int] = []
+        append = out.append
+        ptr = self.ptr
+        rnd = self.round_number
+        dc = self.dc
+        quanta = self.quanta
+        n = len(quanta)
+        count_packets = self.count_packets
+        rooms: Dict[int, int] = {}
+        room = capacity[ptr]()
+        crossings = 0
+        for packet in queue:
+            if room <= 0:
+                break
+            room -= 1
+            append(ptr)
+            d = dc[ptr] - (1.0 if count_packets else packet.size)
+            dc[ptr] = d
+            if d <= 0:
+                rooms[ptr] = room
+                while True:
+                    ptr += 1
+                    if ptr == n:
+                        ptr = 0
+                        rnd += 1
+                    if ptr == position:
+                        crossings += 1
+                    d = dc[ptr] + quanta[ptr]
+                    dc[ptr] = d
+                    if d > 0:
+                        break
+                if crossings >= due > 0:
+                    break
+                room = rooms.get(ptr)
+                if room is None:
+                    room = capacity[ptr]()
+        self.ptr = ptr
+        self.round_number = rnd
+        return out, crossings
+
     def snapshot(self) -> SRRState:
         return SRRState(self.ptr, self.round_number, tuple(self.dc))
 
@@ -192,26 +256,26 @@ class SRRKernel(SchedulerKernel):
         """The ``(R, D)`` implicit number of the next packet to be sent."""
         return (self.round_number, self.dc[self.ptr])
 
-    def next_number_for_channel(self, channel: int) -> Tuple[int, float]:
-        """The implicit number ``(r, d)`` of the next packet on ``channel``.
+    def next_numbers(self) -> List[Tuple[int, float]]:
+        """Every channel's next implicit number ``(r, d)``, in one pass.
 
-        This is what a marker for ``channel`` carries; see
+        This is what one marker batch carries, a marker per channel; see
         :meth:`repro.core.srr.SRR.next_number_for_channel`.
         """
-        if not 0 <= channel < len(self.quanta):
-            raise ValueError(f"channel {channel} out of range")
-        if channel == self.ptr:
-            return (self.round_number, self.dc[channel])
-        d = self.dc[channel]
-        if channel > self.ptr:
-            rnd = self.round_number  # visited later this round
-        else:
-            rnd = self.round_number + 1  # next round
-        d += self.quanta[channel]
-        while d <= 0:
-            rnd += 1
-            d += self.quanta[channel]
-        return (rnd, d)
+        ptr, this_round, dc = self.ptr, self.round_number, self.dc
+        out: List[Tuple[int, float]] = []
+        for channel, quantum in enumerate(self.quanta):
+            rnd, d = this_round, dc[channel]
+            if channel != ptr:
+                # Visited later this round, or not before the next one.
+                if channel < ptr:
+                    rnd += 1
+                d += quantum
+                while d <= 0:
+                    rnd += 1
+                    d += quantum
+            out.append((rnd, d))
+        return out
 
 
 class CFQKernelAdapter(SchedulerKernel):
@@ -241,19 +305,6 @@ class CFQKernelAdapter(SchedulerKernel):
         channel = self.algorithm.select(self.state)
         self.state = self.algorithm.update(self.state, size)
         return channel
-
-    def assign_many(self, sizes: Sequence[int]) -> List[int]:
-        algorithm = self.algorithm
-        select = algorithm.select
-        update = algorithm.update
-        state = self.state
-        out: List[int] = []
-        append = out.append
-        for size in sizes:
-            append(select(state))
-            state = update(state, size)
-        self.state = state
-        return out
 
     def snapshot(self) -> Any:
         return self.state

@@ -376,7 +376,12 @@ class SRRReceiver:
             return []
         return self.drain()
 
-    def arrival(self, channel: int) -> Callable[[Any], List[Any]]:
+    def arrival(
+        self,
+        channel: int,
+        data_count: Optional[List[int]] = None,
+        divert: Optional[Tuple[List[bool], Callable[[int, Any], Any]]] = None,
+    ) -> Callable[[Any], Any]:
         """``push`` bound to ``channel``, for transports that demux.
 
         The returned callable does exactly what ``push(channel, packet)``
@@ -385,13 +390,32 @@ class SRRReceiver:
         per-channel buffers and the stats block keep their identity
         across :meth:`restore`, :meth:`adopt_snapshot` and
         :meth:`revive_channel`; everything else is read per call.
+
+        Two hooks fold an endpoint's per-arrival step into that frame:
+        ``data_count[channel]`` goes up by one per data (non-marker)
+        packet buffered, and ``divert = (switch, fn)`` sends the arrival
+        to ``fn(channel, packet)`` instead while ``switch[0]`` is true
+        (read per arrival) or when it carries no codepoint (a wire frame).
         """
         if not 0 <= channel < self._n:
             raise ValueError(f"channel {channel} out of range")
         append = self.buffers[channel].append
         stats = self.stats
+        counts = data_count if data_count is not None else [0] * self._n
+        switch, fn = divert if divert is not None else ((False,), None)
+        marker_code = Codepoint.MARKER
 
-        def arrive(packet: Any) -> List[Any]:
+        def arrive(packet: Any) -> Any:
+            if switch[0]:
+                return fn(channel, packet)
+            try:
+                data = packet.codepoint != marker_code
+            except AttributeError:
+                if fn is not None:
+                    return fn(channel, packet)
+                data = True
+            if data:
+                counts[channel] += 1
             append(packet)
             buffered = self._buffered = self._buffered + 1
             if buffered > stats.max_buffered:
@@ -460,13 +484,16 @@ class SRRReceiver:
         self._blocked_on = None
         # This is the receive-side per-packet hot loop (every arrival on
         # both the reference and the fast path funnels through it), so
-        # loop-invariant attribute lookups are hoisted into locals.  The
-        # mutable lists (dc, pending, ...) are aliases: helper methods
-        # mutate them in place, so the locals always see current state.
+        # loop-invariant attribute lookups are hoisted into locals and the
+        # per-packet helpers (adoption when not tracing, deficit charge,
+        # pointer advance) are written out in place.  The mutable lists
+        # (dc, pending, ...) are aliases the helper methods mutate in
+        # place; ``ptr`` / ``round_number`` stay on ``self``, where the
+        # helpers and the delivery callback read them.
         n = self._n
-        assumed_budget = 64 * n
+        assumed_budget = full_budget = 64 * n
         algorithm = self.algorithm
-        cost = algorithm.cost
+        count_packets = algorithm.count_packets
         quanta = algorithm.quanta
         dc = self.dc
         pending = self.pending
@@ -474,6 +501,7 @@ class SRRReceiver:
         buffers = self.buffers
         failed = self.failed
         stats = self.stats
+        last_marker = self._last_marker
         tracing = self.tracer.enabled
         on_deliver = self.on_deliver
         marker_code = Codepoint.MARKER
@@ -521,7 +549,7 @@ class SRRReceiver:
                     # expected packet off as lost and keep scanning.
                     stats.assumed_lost += 1
                     assumed_budget -= 1
-                    dc[c] -= cost(self._nominal_size(c))
+                    dc[c] -= algorithm.cost(self._nominal_size(c))
                     if dc[c] <= 0:
                         pending[c] = True
                         self._advance()
@@ -532,14 +560,26 @@ class SRRReceiver:
                 if c not in failed:
                     self._blocked_on = c
                 return out
-            assumed_budget = 64 * n
+            assumed_budget = full_budget
             packet = buffer.popleft()
             self._buffered -= 1
             # is_marker(packet), without its frame
             if getattr(packet, "codepoint", None) == marker_code:
-                if self._is_duplicate_marker(c, packet):
-                    continue
-                self._adopt(c, packet)
+                if tracing:
+                    if not self._adopt(c, packet):
+                        continue
+                else:
+                    # _adopt(c, packet), without its frame
+                    number = (packet.round_number, packet.deficit)
+                    stats.markers_received += 1
+                    if last_marker[c] == number:
+                        stats.duplicate_markers += 1
+                        continue
+                    stats.adoptions += 1
+                    dc[c] = packet.deficit
+                    sync_round[c] = packet.round_number
+                    pending[c] = False
+                    last_marker[c] = number
                 if packet.round_number < self.round_number:
                     # The marker is stale: the scan has already passed the
                     # round it describes, so data buffered behind it (late
@@ -558,13 +598,20 @@ class SRRReceiver:
                     self.clock(), "receiver", "deliver",
                     channel=c, G=self.round_number, dc=dc[c],
                 )
-            dc[c] -= cost(packet.size)
-            if dc[c] <= 0:
+            # algorithm.cost(size) and _advance(), without their frames
+            d = dc[c] - (1.0 if count_packets else packet.size)
+            dc[c] = d
+            if d <= 0:
                 pending[c] = True
-                self._advance()
+                c += 1
+                if c == n:
+                    c = 0
+                    self.round_number += 1
+                self.ptr = c
 
-    def _is_duplicate_marker(self, channel: int, marker: MarkerPacket) -> bool:
-        """True if ``marker`` exactly repeats the last adoption on its channel.
+    def _adopt(self, channel: int, marker: MarkerPacket) -> bool:
+        """Install the marker's ``(r, d)`` as channel state (section 5);
+        False if it exactly repeats the last adoption on its channel.
 
         Implicit numbers ``(r, d)`` are non-decreasing per channel, so a
         marker matching the last adopted pair after any consumption is a
@@ -573,26 +620,23 @@ class SRRReceiver:
         data was consumed would reinstall a stale deficit and skip rounds;
         adoption must be idempotent, so exact repeats are dropped.
         """
-        if self._last_marker[channel] != (marker.round_number, marker.deficit):
+        number = (marker.round_number, marker.deficit)
+        self.stats.markers_received += 1
+        if self._last_marker[channel] == number:
+            self.stats.duplicate_markers += 1
             return False
-        self.stats.markers_received += 1
-        self.stats.duplicate_markers += 1
-        return True
-
-    def _adopt(self, channel: int, marker: MarkerPacket) -> None:
-        """Install the marker's ``(r, d)`` as channel state (section 5)."""
-        self.stats.markers_received += 1
         self.stats.adoptions += 1
         self.dc[channel] = marker.deficit
         self.sync_round[channel] = marker.round_number
         self.pending[channel] = False
-        self._last_marker[channel] = (marker.round_number, marker.deficit)
+        self._last_marker[channel] = number
         if self.tracer.enabled:
             self.tracer.emit(
                 self.clock(), "receiver", "marker",
                 channel=channel, r=marker.round_number, d=marker.deficit,
                 G=self.round_number,
             )
+        return True
 
     def _flush_lag(self, channel: int, out: List[Any]) -> None:
         """Release data whose logical slot the scan has already passed.
@@ -620,9 +664,8 @@ class SRRReceiver:
             if buffer and is_marker(buffer[0]):
                 marker = buffer.popleft()
                 self._buffered -= 1
-                if self._is_duplicate_marker(channel, marker):
+                if not self._adopt(channel, marker):
                     continue
-                self._adopt(channel, marker)
                 if marker.round_number >= self.round_number:
                     return  # live edge (or C1 future; the scan handles it)
                 lag = self.round_number - marker.round_number

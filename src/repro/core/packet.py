@@ -40,7 +40,14 @@ class Codepoint:
     PARITY = "parity"
 
 
-@dataclass(frozen=True)
+# The wire types are built once or more per packet, so constructing one
+# costs a single frame: the uid factory is a C call, and a type that must
+# validate has a hand-written ``__init__`` doing so inline instead of a
+# generated one plus ``__post_init__``.  Fields, ``eq``, ``repr`` and slots
+# stay the dataclass decorator's.
+
+
+@dataclass(frozen=True, init=False)
 class SackInfo:
     """Selective-acknowledgment state for the reliability layer.
 
@@ -53,18 +60,22 @@ class SackInfo:
     cum_ack: int
     blocks: Tuple[Tuple[int, int], ...] = ()
 
-    def __post_init__(self) -> None:
-        for start, end in self.blocks:
-            if not self.cum_ack <= start < end:
+    def __init__(
+        self, cum_ack: int, blocks: Tuple[Tuple[int, int], ...] = ()
+    ) -> None:
+        for start, end in blocks:
+            if not cum_ack <= start < end:
                 raise ValueError(
-                    f"bad SACK block [{start}, {end}) for cum {self.cum_ack}"
+                    f"bad SACK block [{start}, {end}) for cum {cum_ack}"
                 )
+        object.__setattr__(self, "cum_ack", cum_ack)
+        object.__setattr__(self, "blocks", blocks)
 
 
 _packet_ids = itertools.count()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Packet:
     """An ordinary, unmodified data packet.
 
@@ -86,7 +97,7 @@ class Packet:
     label: Optional[str] = None
     flow: Optional[Any] = None
     payload: Optional[Any] = None
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    uid: int = field(default_factory=_packet_ids.__next__)
     codepoint: str = Codepoint.DATA
     #: bundle sequence number assigned by the reliability layer
     #: (:mod:`repro.transport.reliability`); None in best-effort and
@@ -104,9 +115,25 @@ class Packet:
     #: be in flight or in an ARQ retransmit buffer).
     synthesized: bool = False
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"packet size must be positive, got {self.size}")
+    def __init__(
+        self, size: int, seq: Optional[int] = None,
+        label: Optional[str] = None, flow: Optional[Any] = None,
+        payload: Optional[Any] = None, uid: Optional[int] = None,
+        codepoint: str = Codepoint.DATA, rseq: Optional[int] = None,
+        fseq: Optional[int] = None, synthesized: bool = False,
+    ) -> None:
+        if size <= 0:
+            raise ValueError(f"packet size must be positive, got {size}")
+        self.size = size
+        self.seq = seq
+        self.label = label
+        self.flow = flow
+        self.payload = payload
+        self.uid = next(_packet_ids) if uid is None else uid
+        self.codepoint = codepoint
+        self.rseq = rseq
+        self.fseq = fseq
+        self.synthesized = synthesized
 
     def __repr__(self) -> str:
         tag = self.label if self.label is not None else self.seq
@@ -139,7 +166,7 @@ class MarkerPacket:
     #: optional piggybacked selective acknowledgment (reverse-path SACK of
     #: the reliability layer); rides the marker exactly like ``credit``.
     sack: Optional[SackInfo] = None
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    uid: int = field(default_factory=_packet_ids.__next__)
     codepoint: str = Codepoint.MARKER
 
     def __repr__(self) -> str:

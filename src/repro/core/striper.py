@@ -38,7 +38,6 @@ from typing import (
 
 from repro.core.kernel import SRRKernel
 from repro.core.packet import MarkerPacket, Packet
-from repro.core.srr import SRRState
 from repro.core.transform import LoadSharer, TransformedLoadSharer
 from repro.sim.trace import NULL_TRACER, Tracer
 
@@ -180,7 +179,7 @@ class Striper:
         Equivalent to ``submit(p)`` per packet — the pump drains greedily
         either way, so sends, marker points, and backpressure stops are
         identical — but a batched pump (``FastStriper``) sees the whole
-        burst at once and can assign it through ``assign_many``.
+        burst at once and can assign it in one kernel pass.
         """
         self.input_queue.extend(packets)
         self.pump()
@@ -247,11 +246,6 @@ class Striper:
     # ------------------------------------------------------------------ #
     # marker machinery
 
-    def _srr_state(self) -> Optional[SRRState]:
-        if self._kernel is None:
-            return None
-        return self._kernel.snapshot()
-
     def _check_marker_crossing(self, old_ptr: int, old_round: int) -> None:
         """Emit markers if the pointer advanced into the policy position.
 
@@ -289,25 +283,25 @@ class Striper:
         policy = self.marker_policy
         assert kernel is not None and policy is not None
         trace = self.tracer.enabled
-        for channel in range(kernel.n_channels):
-            round_number, deficit = kernel.next_number_for_channel(channel)
-            marker = MarkerPacket(
-                channel=channel,
-                round_number=round_number,
-                deficit=deficit,
-                size=policy.marker_size,
-            )
-            if self.marker_decorator is not None:
-                self.marker_decorator(channel, marker)
-            self.ports[channel].send(marker, force=True)
+        size = policy.marker_size
+        decorator = self.marker_decorator
+        on_marker = self.on_marker
+        ports = self.ports
+        for channel, (round_number, deficit) in enumerate(
+            kernel.next_numbers()
+        ):
+            marker = MarkerPacket(channel, round_number, deficit, size)
+            if decorator is not None:
+                decorator(channel, marker)
+            ports[channel].send(marker, True)
             self.markers_sent += 1
             if trace:
                 self.tracer.emit(
                     self.clock(), "striper", "marker",
                     channel=channel, r=round_number, d=deficit,
                 )
-            if self.on_marker is not None:
-                self.on_marker(channel, marker)
+            if on_marker is not None:
+                on_marker(channel, marker)
 
     def force_marker_batch(self) -> None:
         """Emit a marker batch now (used for time-based keepalive markers)."""

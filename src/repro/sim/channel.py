@@ -137,7 +137,6 @@ class Channel:
         # with at most one armed engine callback at a time.
         self._train: Deque[Any] = deque()
         self._train_armed = False
-        self._run_train_cb = self._run_train
 
     # ------------------------------------------------------------------ #
     # sender side
@@ -171,15 +170,15 @@ class Channel:
         that must not be lost to transient data backlog.
         """
         size = self.size_of(packet)
-        self.stats.offered_packets += 1
-        self.stats.offered_bytes += size
-        if force:
-            self._queue.append((packet, size))
-            if not self._transmitting:
-                self._kick()
-            return True
-        if self.queue_limit is not None and len(self._queue) >= self.queue_limit:
-            self.stats.queue_drops += 1
+        stats = self.stats
+        stats.offered_packets += 1
+        stats.offered_bytes += size
+        if (
+            not force
+            and self.queue_limit is not None
+            and len(self._queue) >= self.queue_limit
+        ):
+            stats.queue_drops += 1
             if self.on_drop is not None:
                 self.on_drop(packet, "queue_full")
             return False
@@ -239,31 +238,31 @@ class Channel:
         channel whose loss model goes quiescent mid-run (``stop_losses_at``
         zeroing the drop probability) upgrades to burst mode for the rest
         of the run, and vice versa.
+
+        A burst is eligible when per-packet boundary work cannot observe
+        anything.  Loss and corruption draws happen at per-packet
+        transmission boundaries and may consume RNG state or see mutated
+        probabilities, so any live model forces the classic pipeline.  A
+        Bernoulli-style model with ``p == 0.0`` draws nothing, so it is
+        safe to batch — note this assumes the probability is only ever
+        *lowered* mid-run (the ``stop_losses_at`` pattern), never raised.
         """
         if self._paused:
             # The in-flight packet (if any) just completed; service of the
             # queue resumes only via :meth:`resume`.
             self._transmitting = False
             return
-        if self.fast and self._queue and self._burst_capable():
+        loss = self.loss_model
+        if (
+            self.fast
+            and self._queue
+            and self.corruption is None
+            and self.skew is None
+            and (type(loss) is NoLoss or getattr(loss, "p", 1.0) == 0.0)
+        ):
             self._start_burst()
         else:
             self._start_next()
-
-    def _burst_capable(self) -> bool:
-        """True when per-packet boundary work cannot observe anything.
-
-        Loss and corruption draws happen at per-packet transmission
-        boundaries and may consume RNG state or see mutated probabilities,
-        so any live model forces the classic pipeline.  A Bernoulli-style
-        model with ``p == 0.0`` draws nothing, so it is safe to batch —
-        note this assumes the probability is only ever *lowered* mid-run
-        (the ``stop_losses_at`` pattern), never raised.
-        """
-        loss = self.loss_model
-        if type(loss) is not NoLoss and getattr(loss, "p", 1.0) != 0.0:
-            return False
-        return self.corruption is None and self.skew is None
 
     def _start_burst(self) -> None:
         """Serialize the whole queue back-to-back in one engine event.
@@ -281,23 +280,26 @@ class Channel:
         stats = self.stats
         train = self._train
         last_arrival = self._last_arrival
+        busy = stats.busy_time
         t = sim.now
         count = len(queue)
         while queue:
             packet, size = queue.popleft()
             tx_time = (8.0 * size) / bandwidth
-            stats.busy_time += tx_time
+            busy += tx_time
             t += tx_time
             arrival = t + prop
             if arrival < last_arrival:
                 arrival = last_arrival
             last_arrival = arrival
             train.append((arrival, packet, size))
+        stats.busy_time = busy
         self._last_arrival = last_arrival
         self._offered_index += count
         sim.schedule_call(t, self._burst_done)
         if not self._train_armed:
-            self._arm_train()
+            self._train_armed = True
+            sim.schedule_call(train[0][0], self._run_train)
 
     def _burst_done(self) -> None:
         self._transmitting = False
@@ -308,15 +310,7 @@ class Channel:
         ):
             self.on_space()
 
-    def _arm_train(self) -> None:
-        train = self._train
-        if train:
-            self._train_armed = True
-            self.sim.schedule_call(train[0][0], self._run_train_cb)
-        else:
-            self._train_armed = False
-
-    def _run_train(self) -> None:
+    def _run_train(self) -> Optional[float]:
         train = self._train
         # Armed for the head's arrival instant, and only this callback
         # pops the train: the head's stamp is the clock.
@@ -329,11 +323,13 @@ class Channel:
             stats.delivered_bytes += size
             if on_deliver is not None:
                 on_deliver(packet)
-        # Re-arm inline (this runs once per distinct arrival instant).
+        # Re-arm for the next distinct arrival instant by returning it
+        # (the engine's re-arm contract); a delivery above may have
+        # lengthened the train.
         if train:
-            self.sim.schedule_call(train[0][0], self._run_train_cb)
-        else:
-            self._train_armed = False
+            return train[0][0]
+        self._train_armed = False
+        return None
 
     def _start_next(self) -> None:
         if not self._queue:

@@ -17,8 +17,9 @@ Two scheduling surfaces coexist:
   API used by timers (retransmit, ARP retry, keepalive).
 * :meth:`Simulator.schedule_call` is the *slot-free fast path*: it takes
   a pre-bound zero-argument callback, allocates no handle, and cannot be
-  cancelled.  The batched channel transmit path (:mod:`repro.sim.channel`)
-  runs almost entirely on it.
+  cancelled.  A slot-free callback that returns a time is run again at
+  that time (it *re-arms*), which is how a channel's delivery train
+  (:mod:`repro.sim.channel`) walks from one arrival instant to the next.
 
 Cancelled events are skipped when popped; on top of that the heap is
 *lazily compacted*: once more than half of a non-trivial heap is dead, the
@@ -36,14 +37,10 @@ from typing import Any, Callable, List, Optional
 #: its callback slot set to None and is dropped when popped (or compacted).
 _TIME, _SEQ, _CALLBACK, _ARGS = 0, 1, 2, 3
 
-#: Slot-free entries carry this token as a fifth element so the run loop
-#: can recycle them into the entry free-list after execution.  Heap
-#: comparisons never reach index 4: ``(time, seq)`` is unique per entry.
-_POOL_TOKEN = object()
-
-#: Upper bound on the entry free-list; beyond this, retired entries are
-#: simply dropped to the garbage collector.
-_POOL_MAX = 4096
+#: Slot-free entries carry this token as a fifth element: only they may
+#: re-arm by return value.  Heap comparisons never reach index 4:
+#: ``(time, seq)`` is unique per entry.
+_SLOT_FREE = object()
 
 #: Compaction threshold: rebuild once the heap is larger than this *and*
 #: more than half of it is cancelled entries.
@@ -117,20 +114,14 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: current simulated time in seconds: a plain attribute, read on
+        #: every hot path; only the engine assigns it
+        self.now: float = 0.0
         self._heap: List[list] = []
         self._seq: int = 0
         self._running: bool = False
         self._events_processed: int = 0
         self._cancelled: int = 0
-        #: free-list of retired slot-free heap entries (see _POOL_TOKEN)
-        self._entry_pool: List[list] = []
-        self._entries_reused: int = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -147,11 +138,6 @@ class Simulator:
         """Cancelled events still occupying heap slots (pre-compaction)."""
         return self._cancelled
 
-    @property
-    def entries_reused(self) -> int:
-        """Slot-free heap entries served from the free-list (perf counter)."""
-        return self._entries_reused
-
     # ------------------------------------------------------------------ #
     # scheduling
 
@@ -161,15 +147,15 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any
     ) -> Event:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
+                f"cannot schedule at {time} before current time {self.now}"
             )
         entry = [time, self._seq, callback, args]
         self._seq += 1
@@ -180,23 +166,15 @@ class Simulator:
         """Slot-free fast path: a pre-bound zero-arg callback at ``time``.
 
         No :class:`Event` handle is allocated, so the event cannot be
-        cancelled.  This is the per-burst scheduling primitive of the
-        batched channel transmit path.
+        cancelled.  If ``callback`` returns a time (not None) it is run
+        again at that time — see :meth:`run`.  This is the per-burst
+        scheduling primitive of the batched channel transmit path.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
+                f"cannot schedule at {time} before current time {self.now}"
             )
-        pool = self._entry_pool
-        if pool:
-            entry = pool.pop()
-            entry[_TIME] = time
-            entry[_SEQ] = self._seq
-            entry[_CALLBACK] = callback
-            self._entries_reused += 1
-        else:
-            entry = [time, self._seq, callback, (), _POOL_TOKEN]
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, [time, self._seq, callback, (), _SLOT_FREE])
         self._seq += 1
 
     # ------------------------------------------------------------------ #
@@ -245,17 +223,48 @@ class Simulator:
                 A timestamp that holds one event runs it directly, as the
                 default loop does.
 
+        A slot-free callback (:meth:`schedule_call`) that returns a time
+        is run again at that time, on the heap entry it already has and
+        with the ``(time, seq)`` a ``schedule_call`` as the callback's
+        last act would have drawn: both ways of coming back order every
+        event identically, returning only skips the call and the entry.
+
         Returns:
             The number of events processed during this call.
         """
+        processed = self._execute(until, max_events, batch)
+        if until is not None and self.now < until:
+            self.now = until
+        return processed
+
+    def step(self, until: Optional[float] = None) -> bool:
+        """Process exactly one event.  Returns False if none are eligible.
+
+        Honors the same contracts as :meth:`run`: re-entrant calls raise
+        :class:`SimulationError`, and with ``until`` set the event is only
+        processed if it fires at or before the horizon — otherwise the
+        clock advances to ``until`` and False is returned (mirroring
+        ``run(until=...)``'s clock semantics).
+        """
+        if self._execute(until, 1, False):
+            return True
+        if until is not None and self.now < until:
+            self.now = until
+        return False
+
+    def _execute(
+        self, until: Optional[float], max_events: Optional[int], batch: bool
+    ) -> int:
+        """The loop behind :meth:`run` and :meth:`step`; leaves the clock
+        at the last event run."""
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         processed = 0
         heap = self._heap
         pop = heapq.heappop
-        pool = self._entry_pool
-        group: List[list] = []
+        push = heapq.heappush
+        rest: List[list] = []
         try:
             while heap:
                 entry = heap[0]
@@ -269,79 +278,43 @@ class Simulator:
                 if until is not None and time > until:
                     break
                 pop(heap)
-                self._now = time
-                if not (batch and heap and heap[0][_TIME] == time):
-                    # The only event of its timestamp (always, unbatched).
-                    entry[_CALLBACK](*entry[_ARGS])
-                    processed += 1
-                    if entry[-1] is _POOL_TOKEN and len(pool) < _POOL_MAX:
-                        entry[_CALLBACK] = None
-                        pool.append(entry)
-                    continue
-                # Pop the whole same-timestamp batch, then execute it
-                # FIFO.  Callbacks may cancel later batch members (the
-                # callback slot is re-checked at execution) or schedule
-                # new events at this same timestamp (they have higher
-                # seq, so they form the next batch — same order as the
-                # unbatched loop).
-                group.clear()
-                group.append(entry)
-                while heap and heap[0][_TIME] == time:
-                    group.append(pop(heap))
-                for entry in group:
+                self.now = time
+                if batch and heap and heap[0][_TIME] == time:
+                    # Pop the rest of the same-timestamp batch, then run
+                    # it FIFO.  Callbacks may cancel later batch members
+                    # (the callback slot is re-checked at execution) or
+                    # schedule new events at this same timestamp (they
+                    # have higher seq, so they form the next batch — same
+                    # order as the unbatched loop).
+                    while heap and heap[0][_TIME] == time:
+                        rest.append(pop(heap))
+                    rest.reverse()
+                # ``rest`` is empty for the only event of its timestamp
+                # (always, unbatched): it runs without touching the list.
+                while True:
                     callback = entry[_CALLBACK]
                     if callback is None:
                         self._cancelled -= 1
-                        continue
-                    callback(*entry[_ARGS])
-                    processed += 1
-                    if entry[-1] is _POOL_TOKEN and len(pool) < _POOL_MAX:
-                        entry[_CALLBACK] = None
-                        pool.append(entry)
+                    else:
+                        again = callback(*entry[_ARGS])
+                        processed += 1
+                        if again is not None and entry[-1] is _SLOT_FREE:
+                            if again < time:
+                                raise SimulationError(
+                                    f"cannot re-arm at {again} before "
+                                    f"current time {time}"
+                                )
+                            entry[_TIME] = again
+                            entry[_SEQ] = self._seq
+                            self._seq += 1
+                            push(heap, entry)
+                    if not rest:
+                        break
+                    entry = rest.pop()
         finally:
             self._running = False
             self._events_processed += processed
-        if until is not None and self._now < until:
-            self._now = until
         return processed
-
-    def step(self, until: Optional[float] = None) -> bool:
-        """Process exactly one event.  Returns False if none are eligible.
-
-        Honors the same contracts as :meth:`run`: re-entrant calls raise
-        :class:`SimulationError`, and with ``until`` set the event is only
-        processed if it fires at or before the horizon — otherwise the
-        clock advances to ``until`` and False is returned (mirroring
-        ``run(until=...)``'s clock semantics).
-        """
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[_CALLBACK] is None:
-                heapq.heappop(heap)
-                self._cancelled -= 1
-                continue
-            time = entry[_TIME]
-            if until is not None and time > until:
-                break
-            heapq.heappop(heap)
-            self._running = True
-            try:
-                self._now = time
-                entry[_CALLBACK](*entry[_ARGS])
-            finally:
-                self._running = False
-                self._events_processed += 1
-            pool = self._entry_pool
-            if entry[-1] is _POOL_TOKEN and len(pool) < _POOL_MAX:
-                entry[_CALLBACK] = None
-                pool.append(entry)
-            return True
-        if until is not None and self._now < until:
-            self._now = until
-        return False
 
     def peek_time(self) -> Optional[float]:
         """Time of the next non-cancelled event, or None if heap is empty."""

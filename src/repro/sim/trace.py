@@ -68,28 +68,22 @@ class NullTracer(Tracer):
 
     Hot paths default to :data:`NULL_TRACER` and additionally guard emit
     calls with ``if tracer.enabled:`` so the per-event kwargs dict is never
-    even built when tracing is off; this class backstops any unguarded
-    call site with a constant-time no-op and refuses to be enabled (a
-    shared module-level instance must stay inert).
+    even built when tracing is off; an unguarded call site gets
+    :meth:`Tracer.emit`'s constant-time return.  ``enabled`` is a plain
+    attribute (the guards read it per packet) that refuses to be set: a
+    shared module-level instance must stay inert.
     """
 
     def __init__(self) -> None:
         super().__init__(enabled=False)
 
-    def emit(self, time: float, source: str, kind: str, **detail: Any) -> None:
-        pass
-
-    @property
-    def enabled(self) -> bool:  # type: ignore[override]
-        return False
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        if value:
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name == "enabled" and value:
             raise ValueError(
                 "NULL_TRACER is shared and cannot be enabled; "
                 "create a Tracer() instead"
             )
+        super().__setattr__(name, value)
 
 
 #: A shared disabled tracer components can default to.

@@ -45,7 +45,6 @@ the in-memory list ports the offline tests use.
 from __future__ import annotations
 
 from functools import partial
-from itertools import islice
 from typing import (
     Any,
     Callable,
@@ -112,20 +111,7 @@ __all__ = [
     "sync_model_for",
 ]
 
-#: A value safely larger than any queue limit, used for unbounded queues.
-_UNBOUNDED = 1 << 30
-
-#: Input backlogs below this run the per-packet pump: snapshotting and
-#: scanning the batch machinery costs more than it saves for a couple of
-#: packets (the common case for per-submit pumps of a closed-loop source).
-_BATCH_MIN = 4
-
 _MISSING = object()
-
-
-def _burst_capable(port: Any) -> bool:
-    """True if ``port`` has :class:`ChannelPort`'s optional burst surface."""
-    return hasattr(port, "send_burst") and hasattr(port, "free_capacity")
 
 
 # --------------------------------------------------------------------- #
@@ -133,28 +119,28 @@ def _burst_capable(port: Any) -> bool:
 
 
 class FastStriper(Striper):
-    """A :class:`~repro.core.striper.Striper` with a batched pump.
+    """A :class:`~repro.core.striper.Striper` with a single-pass batched pump.
 
     Semantically identical to the base per-packet pump for SRR-family
-    policies — same channel assignments (the kernel is causal), same
-    per-channel packet order, same marker emission points — but the kernel
-    is advanced with one ``assign_many`` per chunk and each channel
-    receives its packets as one burst.  Requires ports with
-    ``send_burst``/``free_capacity``.  Non-SRR policies, enabled tracers,
-    and unreconstructable pointer trajectories fall back to the exact base
-    pump.
+    policies — same channel assignments (the kernel is causal, so the
+    channel of the next packet is known before the packet is looked at),
+    same per-channel packet order, same marker emission points — but each
+    pass is one :meth:`~repro.core.kernel.SRRKernel.assign_admitted` (one
+    kernel step per packet sent, stopped where a port fills or a marker
+    batch falls due) and one ``send_burst`` per channel.  Requires ports
+    with ``send_burst``/``free_capacity``.  A non-SRR policy or an enabled
+    tracer runs the base pump.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self._min_quantum: Optional[float] = None
-        if self._kernel is not None:
-            self._min_quantum = min(self._kernel.quanta)
-        #: pump calls that sent at least one batched chunk
+        # Bound once: a striper's port list is fixed at construction.
+        self._capacity = [port.free_capacity for port in self.ports]
+        #: pump calls that sent at least one packet through the batched pump
         self.batched_pumps = 0
-        #: data packets sent through batched chunks
+        #: data packets sent by the batched pump
         self.batched_packets = 0
-        #: pump calls (or mid-pump bailouts) routed to the per-packet pump
+        #: pump calls routed to the per-packet pump (non-SRR or tracing)
         self.fallback_pumps = 0
         #: pump calls that found the pointer port full and sent nothing
         self.blocked_pumps = 0
@@ -179,106 +165,54 @@ class FastStriper(Striper):
         queue = self.input_queue
         if not queue:
             return 0
-        ports = self.ports
-        if ports[kernel.ptr].free_capacity() <= 0:
-            # Head-of-line: causality forbids sending anywhere but the
-            # pointer channel, so no other port's room can matter.
-            self.blocked_pumps += 1
-            return 0
-        if len(queue) < _BATCH_MIN:
-            self.fallback_pumps += 1
-            return super().pump()
-        n = kernel.n_channels
-        markers = self._markers_enabled
-        position = interval = 0
-        if markers:
+        position, interval = -1, 0
+        if self._markers_enabled:
             policy = self.marker_policy
-            position = policy.position % n
+            position = policy.position % len(self.ports)
             interval = policy.interval_rounds
-        sent_total = 0
-        # The pointer port has room here and again at every re-entry, so
-        # each chunk sends at least its first packet.
-        while True:
-            free = [port.free_capacity() for port in ports]
-            budget = 0
-            for f in free:
-                budget += f
-            backlog = len(queue)
-            chunk = budget if budget < backlog else backlog
-            sizes = [p.size for p in islice(queue, chunk)]
-            snapshot = kernel.snapshot()
-            chans = kernel.assign_many(sizes)
-            end_ptr = kernel.ptr
-            # Longest admissible prefix under per-channel free slots.  The
-            # first packet is always admissible (the pointer port had room
-            # when this chunk started), so q >= 1 and the loop makes
-            # progress.
-            q = chunk
-            for i in range(chunk):
-                c = chans[i]
-                f = free[c]
-                if f <= 0:
-                    q = i
-                    break
-                free[c] = f - 1
-            emit = False
-            if markers:
-                # Walk the pointer trajectory packet by packet: chans[i+1]
-                # (or the post-chunk pointer) is the live pointer after
-                # packet i.  Each single-channel advance is one potential
-                # marker-position crossing; a multi-channel hop (deep
-                # overdraw) cannot be reconstructed from the channel
-                # vector alone, so it falls back to the per-packet pump.
-                crossings = self._crossings_seen
-                ptr = chans[0]
-                stop = q
-                for i in range(q):
-                    nxt = chans[i + 1] if i + 1 < chunk else end_ptr
-                    if nxt == ptr:
-                        continue
-                    step = nxt - ptr
-                    if step != 1 and step != 1 - n:
-                        kernel.restore(snapshot)
-                        self.fallback_pumps += 1
-                        return sent_total + super().pump()
-                    ptr = nxt
-                    if nxt == position:
-                        crossings += 1
-                        if crossings % interval == 0:
-                            # Cut after the crossing packet so the marker
-                            # batch lands exactly where the per-packet
-                            # pump would put it.
-                            stop = i + 1
-                            emit = True
-                            break
-                self._crossings_seen = crossings
-                q = stop
-            if q < chunk:
-                kernel.restore(snapshot)
-                kernel.assign_many(sizes[:q])
+        ports = self.ports
+        capacity = self._capacity
+        popleft = queue.popleft
+        sent = 0
+        while queue:
+            # Stop the pass where the next marker batch falls due, so the
+            # batch lands exactly where the per-packet pump would put it.
+            seen = self._crossings_seen
+            due = interval - seen % interval if interval else 0
+            channels, crossings = kernel.assign_admitted(
+                queue, capacity, position, due
+            )
+            if not channels:
+                # Head-of-line: causality forbids sending anywhere but the
+                # pointer channel, so no other port's room can matter.
+                break
             bursts: Dict[int, List[Any]] = {}
-            bytes_sent = 0
-            for i in range(q):
-                packet = queue.popleft()
-                bytes_sent += sizes[i]
-                c = chans[i]
-                burst = bursts.get(c)
+            size = 0
+            for channel in channels:
+                packet = popleft()
+                size += packet.size
+                burst = bursts.get(channel)
                 if burst is None:
-                    bursts[c] = [packet]
+                    bursts[channel] = [packet]
                 else:
                     burst.append(packet)
-            for c, burst in bursts.items():
-                ports[c].send_burst(burst)
-            self.packets_sent += q
-            self.bytes_sent += bytes_sent
-            sent_total += q
-            self.batched_packets += q
-            if emit:
-                self._emit_markers()
-            if not queue or ports[kernel.ptr].free_capacity() <= 0:
-                break
-        self.batched_pumps += 1
-        return sent_total
+            for channel, burst in bursts.items():
+                ports[channel].send_burst(burst)
+            sent += len(channels)
+            self.packets_sent += len(channels)
+            self.bytes_sent += size
+            if crossings:
+                self._crossings_seen = seen + crossings
+                for _ in range(
+                    (seen + crossings) // interval - seen // interval
+                ):
+                    self._emit_markers()
+        if sent:
+            self.batched_packets += sent
+            self.batched_pumps += 1
+        else:
+            self.blocked_pumps += 1
+        return sent
 
 
 class _RecordingPort:
@@ -287,17 +221,18 @@ class _RecordingPort:
     Reliable mode needs to know *when* and *on which channel* each
     sequenced packet actually left the striper (RTT sampling, per-channel
     retransmission accounting, channel-suspect escalation).  The proxy
-    intercepts ``send`` and reports sequenced data packets to the
-    reliability layer; everything else forwards to the wrapped port, so
-    transports cannot tell the difference.
+    intercepts ``send`` / ``send_burst`` and reports sequenced data
+    packets to the reliability layer; everything else (``can_accept``,
+    ``queue_length``, ``free_capacity`` where the wrapped port has it)
+    forwards to the wrapped port, so transports cannot tell the difference.
     """
 
     def __init__(
         self,
         inner: Any,
         index: int,
-        note_sent: Callable[[int, Any], None],
-        note_burst: Callable[[int, List[Any]], None],
+        note_sent: Optional[Callable[[int, Any], None]],
+        note_burst: Optional[Callable[[int, List[Any]], None]],
     ) -> None:
         self._inner = inner
         self._index = index
@@ -308,19 +243,29 @@ class _RecordingPort:
         self.data_bytes_sent = 0
 
     def send(self, packet: Any, force: bool = False) -> bool:
-        ok = self._inner.send(packet, force=force)
-        if ok and not is_marker(packet):
+        ok = self._inner.send(packet, force)
+        # not is_marker(packet), without its frame (here and in the burst)
+        if ok and getattr(packet, "codepoint", None) != Codepoint.MARKER:
             self.data_bytes_sent += packet.size
             if getattr(packet, "rseq", None) is not None:
                 self._note_sent(self._index, packet)
         return ok
 
-    def can_accept(self) -> bool:
-        return self._inner.can_accept()
-
-    @property
-    def queue_length(self) -> int:
-        return self._inner.queue_length
+    def send_burst(self, packets: Sequence[Any]) -> None:
+        """For burst-capable inner ports (keeps the fast pump): the
+        burst's sequenced packets are reported in one call (one clock
+        read, one timer check), still *before* the inner ``send_burst``,
+        exactly like ``send`` reports before returning."""
+        sequenced: List[Any] = []
+        marker_code = Codepoint.MARKER
+        for packet in packets:
+            if getattr(packet, "codepoint", None) != marker_code:
+                self.data_bytes_sent += packet.size
+                if getattr(packet, "rseq", None) is not None:
+                    sequenced.append(packet)
+        if sequenced:
+            self._note_burst(self._index, sequenced)
+        self._inner.send_burst(packets)
 
     @property
     def on_unblocked(self) -> Any:
@@ -334,30 +279,6 @@ class _RecordingPort:
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._inner, name)
-
-
-class _RecordingBurstPort(_RecordingPort):
-    """Recording proxy for burst-capable ports (keeps the fast pump).
-
-    A whole burst's sequenced packets are reported to the ARQ layer in one
-    call (one clock read, one timer check) instead of one call per packet;
-    reporting still happens *before* the inner ``send_burst``, exactly
-    like the per-packet proxy reports before returning from ``send``.
-    """
-
-    def send_burst(self, packets: Sequence[Any]) -> None:
-        sequenced: List[Any] = []
-        for packet in packets:
-            if not is_marker(packet):
-                self.data_bytes_sent += packet.size
-                if getattr(packet, "rseq", None) is not None:
-                    sequenced.append(packet)
-        if sequenced:
-            self._note_burst(self._index, sequenced)
-        self._inner.send_burst(packets)
-
-    def free_capacity(self) -> int:
-        return self._inner.free_capacity()
 
 
 def _split_fec_options(options: Optional[Dict[str, Any]]):
@@ -402,24 +323,18 @@ def build_sender_recovery(
         return ports, reliable, fec_sender
     if arq and sim is None:
         raise ValueError(f"{reliability} mode needs an event scheduler")
-    # Recording proxies report actual transmissions (channel + time) back
-    # to the ARQ layer; the striper stays oblivious.  Pure fec wraps too,
-    # for the envelope byte accounting — its packets carry no rseq, so
-    # the ARQ hooks never fire.
-    notes = (
-        lambda c, p: reliable.note_sent(c, p),
-        lambda c, ps: reliable.note_burst(c, ps),
-    )
-    ports = [
-        (_RecordingBurstPort if _burst_capable(port) else _RecordingPort)(
-            port, index, *notes
-        )
-        for index, port in enumerate(ports)
-    ]
     options, fec_options = _split_fec_options(options)
     if arq:
         options.setdefault("submit_many", stripe_many)
         reliable = ReliableSender(stripe, sim, **options)
+    # Recording proxies report actual transmissions (channel + time) back
+    # to the ARQ layer; the striper stays oblivious.  Pure fec wraps too,
+    # for the envelope byte accounting — its packets carry no rseq, so
+    # the ARQ hooks (None then) never fire.
+    notes = (reliable.note_sent, reliable.note_burst) if arq else (None, None)
+    ports = [
+        _RecordingPort(port, index, *notes) for index, port in enumerate(ports)
+    ]
     if fec:
         # FEC sits above ARQ: the downstream stamps rseq (hybrid) before
         # the shard is serialized, and parity bypasses the retransmission
@@ -581,9 +496,20 @@ class StripeSenderPipeline:
             ports, reliability, sim, self._stripe, self._stripe_many,
             reliability_options,
         )
+        # The submit path enters at the top recovery layer; the stacking is
+        # fixed at construction, so it is bound once, not chosen per packet.
+        head = self.fec or self.reliable
+        self._submit = head.submit if head is not None else self._stripe
+        self._submit_many = (
+            head.submit_many if head is not None else self._stripe_many
+        )
         if clock is None and sim is not None:
             clock = lambda: sim.now  # noqa: E731
-        burst = all(_burst_capable(port) for port in self.ports)
+        # ChannelPort's optional burst surface picks the batched pump.
+        burst = all(
+            hasattr(port, "send_burst") and hasattr(port, "free_capacity")
+            for port in self.ports
+        )
         striper_cls = FastStriper if burst else Striper
         self.striper = striper_cls(
             sharer,
@@ -593,13 +519,6 @@ class StripeSenderPipeline:
             marker_decorator=marker_decorator,
             tracer=tracer,
             clock=clock,
-        )
-        # Models that must see traffic before striping opt in; no current
-        # model does, so the submit paths stay branch-free by default.
-        self._sync_observer = (
-            self.sync.on_submit_burst
-            if getattr(self.sync, "observes_submissions", False)
-            else None
         )
         self.credit = credit
         if credit is not None:
@@ -656,7 +575,7 @@ class StripeSenderPipeline:
     def _fabric_ready(self) -> int:
         """Packets the fabric may hand down now: the striper's backlog
         room, capped by the ARQ window's."""
-        room = self._fabric_backlog_limit - self.striper.backlog
+        room = self._fabric_backlog_limit - len(self.striper.input_queue)
         if self.reliable is not None:
             window = self.reliable.window_room()
             if window < room:
@@ -709,26 +628,6 @@ class StripeSenderPipeline:
         self.messages_submitted += len(packets)
         self._submit_many(packets)
 
-    def _submit(self, packet: Any) -> None:
-        if self._sync_observer is not None:
-            self._sync_observer((packet,))
-        if self.fec is not None:
-            self.fec.submit(packet)
-        elif self.reliable is not None:
-            self.reliable.submit(packet)
-        else:
-            self._stripe(packet)
-
-    def _submit_many(self, packets: Sequence[Any]) -> None:
-        if self._sync_observer is not None:
-            self._sync_observer(packets)
-        if self.fec is not None:
-            self.fec.submit_many(list(packets))
-        elif self.reliable is not None:
-            self.reliable.submit_many(list(packets))
-        else:
-            self._stripe_many(packets)
-
     def _stripe(self, packet: Any) -> None:
         if self._wrap is not None:
             for unit in self._wrap(packet):
@@ -755,7 +654,12 @@ class StripeSenderPipeline:
             if self.fabric is None:
                 return False
             return self.fabric.can_submit(flow_id)
-        return self.reliable is None or self.reliable.can_submit()
+        reliable = self.reliable
+        # reliable.can_submit(), without its frame: sources poll this
+        return reliable is None or (
+            not reliable._overflow
+            and len(reliable.unacked) < reliable.window_packets
+        )
 
     def on_ack(self, ack: Any) -> None:
         """Feed a reverse-path acknowledgment to the reliability layer.
@@ -780,7 +684,7 @@ class StripeSenderPipeline:
 
     @property
     def backlog(self) -> int:
-        return self.striper.backlog
+        return len(self.striper.input_queue)
 
     def pump(self) -> int:
         sent = self.striper.pump()
@@ -805,13 +709,13 @@ class StripeSenderPipeline:
 # receiver side
 
 
-def _arrival_check(slot: str) -> property:
-    """A :class:`StripeReceiverPipeline` attribute that, while set, sends
-    every arrival down :meth:`~StripeReceiverPipeline.push`'s checked path.
+def _rewiring(slot: str) -> property:
+    """A :class:`StripeReceiverPipeline` attribute kept in ``slot`` whose
+    assignment re-runs :meth:`~StripeReceiverPipeline._rewire`.
 
-    Assignment re-evaluates the choice the
-    :meth:`~StripeReceiverPipeline.channel_handler` closures read, so a
-    handler issued before the assignment follows it.
+    The arrival closures of :meth:`~StripeReceiverPipeline.channel_handler`
+    and the reception engine's delivery callback are chosen from these
+    attributes, so a handler issued before an assignment follows it.
     """
 
     def get(pipeline: Any) -> Any:
@@ -819,7 +723,7 @@ def _arrival_check(slot: str) -> property:
 
     def set_(pipeline: Any, value: Any) -> None:
         setattr(pipeline, slot, value)
-        pipeline._choose_arrival_path()
+        pipeline._rewire()
 
     return property(get, set_)
 
@@ -875,9 +779,14 @@ class StripeReceiverPipeline:
             sender pipeline.
     """
 
-    buffer_packets = _arrival_check("_buffer_packets")
-    credit = _arrival_check("_credit")
-    failure_detector = _arrival_check("_failure_detector")
+    buffer_packets = _rewiring("_buffer_packets")
+    credit = _rewiring("_credit")
+    failure_detector = _rewiring("_failure_detector")
+    on_message = _rewiring("_on_message")
+    #: keep every delivered packet in :attr:`delivered` (the default).
+    #: Packet-pool harnesses switch this off: a retained reference
+    #: would alias the recycled object's next life.
+    retain_delivered = _rewiring("_retain_delivered")
 
     def __init__(
         self,
@@ -897,14 +806,11 @@ class StripeReceiverPipeline:
     ) -> None:
         self.n_channels = n_channels
         self.sim = sim
-        self.on_message = on_message
+        self._on_message = on_message
         self._buffer_packets = buffer_packets
         self.buffer_drops = 0
         self.delivered: List[Any] = []
-        #: keep every delivered packet in :attr:`delivered` (the default).
-        #: Packet-pool harnesses switch this off: a retained reference
-        #: would alias the recycled object's next life.
-        self.retain_delivered = True
+        self._retain_delivered = True
         self.reliability = reliability
         self.reliable, self.fec, head = build_receiver_recovery(
             reliability, sim, self._deliver_final, send_ack,
@@ -937,7 +843,9 @@ class StripeReceiverPipeline:
             failure_detector.bind(
                 n_channels, self.fail_channel, on_revival=self.revive_channel
             )
-        self._choose_arrival_path()
+        #: one shared slot the arrival closures read per packet
+        self._checked_arrivals = [False]
+        self._rewire()
 
     # -- synchronization-model state forwarded for the transports ------ #
 
@@ -948,7 +856,7 @@ class StripeReceiverPipeline:
     @credit_sink.setter
     def credit_sink(self, fn: Optional[Callable[[int, int], None]]) -> None:
         self.sync.credit_sink = fn
-        self._choose_arrival_path()
+        self._rewire()
 
     @property
     def sack_sink(self) -> Optional[Callable[[Any], None]]:
@@ -957,19 +865,31 @@ class StripeReceiverPipeline:
     @sack_sink.setter
     def sack_sink(self, fn: Optional[Callable[[Any], None]]) -> None:
         self.sync.sack_sink = fn
-        self._choose_arrival_path()
+        self._rewire()
 
-    def _choose_arrival_path(self) -> None:
-        """Whether arrivals need :meth:`push`'s per-packet checks: the
-        drop rule, credits, the watchdog, or a piggyback sink for markers."""
+    def _rewire(self) -> None:
+        """Re-derive the two per-packet choices from the attributes.
+
+        Arrivals need :meth:`push`'s checks under the drop rule, credits,
+        the watchdog, or a piggyback sink for markers.  The reception
+        engine delivers straight to ``on_message`` when nothing else
+        happens at final delivery: no ARQ/FEC layer between (those hold
+        :meth:`_deliver_final`, which reads both attributes per packet)
+        and nothing to retain.
+        """
         sync = self.sync
-        self._checked_arrivals = (
+        self._checked_arrivals[0] = (
             self._buffer_packets is not None
             or self._credit is not None
             or self._failure_detector is not None
             or sync.credit_sink is not None
             or sync.sack_sink is not None
         )
+        if self.reliable is None and self.fec is None:
+            direct = not self._retain_delivered and self._on_message is not None
+            self.resequencer.on_deliver = (
+                self._on_message if direct else self._deliver_final
+            )
 
     @property
     def marker_decode_errors(self) -> int:
@@ -1036,25 +956,23 @@ class StripeReceiverPipeline:
         follows a ``credit``/``sack_sink``/... assigned after it was taken.
         """
         engine = self.resequencer
-        if hasattr(engine, "arrival"):
-            arrive = engine.arrival(index)
-        else:
-            arrive = partial(engine.push, index)
+        checked = self._checked_arrivals
         pushed = self._pushed_data
+        if hasattr(engine, "arrival"):
+            # One frame per arrival: the engine's own closure, with the
+            # data count and the detour to :meth:`push` folded in.
+            return engine.arrival(index, pushed, (checked, self.push))
+        arrive = partial(engine.push, index)
         marker_code = Codepoint.MARKER
 
         def handle(packet: Any) -> None:
-            if self._checked_arrivals:
+            if checked[0] or type(packet) is bytes:
+                # push() takes a corrupted-in-flight wire frame to the
+                # codec path, which counts and drops it.
                 self.push(index, packet)
                 return
             # not is_marker(packet), without its frame
-            codepoint = getattr(packet, "codepoint", None)
-            if codepoint != marker_code:
-                if codepoint is None and type(packet) is bytes:
-                    # Corrupted-in-flight wire frame: the codec path
-                    # counts and drops it.
-                    self.push_wire(index, packet)
-                    return
+            if getattr(packet, "codepoint", None) != marker_code:
                 pushed[index] += 1
             arrive(packet)
 
@@ -1109,7 +1027,7 @@ class StripeReceiverPipeline:
                 credit.on_consumed(index)
 
     def _deliver_final(self, packet: Any) -> None:
-        if self.retain_delivered:
+        if self._retain_delivered:
             self.delivered.append(packet)
-        if self.on_message is not None:
-            self.on_message(packet)
+        if self._on_message is not None:
+            self._on_message(packet)

@@ -32,11 +32,10 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.core.packet import SackInfo, is_marker
+from repro.core.packet import Codepoint, SackInfo
 from repro.net.ethernet import ETHERNET_MIN_PAYLOAD, ETHERNET_OVERHEAD
 from repro.net.ip import IP_HEADER_BYTES
 from repro.sim.channel import Channel
-from repro.transport.endpoint import _UNBOUNDED
 from repro.transport.reliability import AckPacket
 from repro.transport.udp import UDP_HEADER_BYTES
 
@@ -49,6 +48,8 @@ __all__ = [
 ]
 
 
+#: ``free_capacity`` of an unbounded queue: larger than any backlog
+_UNBOUNDED = 1 << 30
 _WIRE_HEADERS = IP_HEADER_BYTES + UDP_HEADER_BYTES
 _WIRE_MIN = ETHERNET_MIN_PAYLOAD
 _WIRE_OVERHEAD = ETHERNET_OVERHEAD
@@ -81,9 +82,10 @@ class FastChannelPort:
         self.sent_markers = 0
 
     def send(self, packet: Any, force: bool = False) -> bool:
-        if is_marker(packet):
+        # is_marker(packet), without its frame
+        if getattr(packet, "codepoint", None) == Codepoint.MARKER:
             self.sent_markers += 1
-            return self.channel.send(packet, force=True)
+            return self.channel.send(packet, True)
         self.sent_data += 1
         return self.channel.send(packet, force)
 

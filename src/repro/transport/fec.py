@@ -20,7 +20,7 @@ timeout fires on a partially filled group — parity is encoded and
 submitted through the pipeline's raw stripe path.  Parity deliberately
 *bypasses* the ARQ layer: it is expendable redundancy, never
 retransmitted, and carries no ``rseq``.  It does **not** bypass the
-striper — parity must flow through ``assign_many`` like any burst so the
+striper — parity must flow through the kernel like any burst so the
 receiver's simulated SRR stays causally consistent and so placement
 rotates across weighted channels exactly as the kernel's deficit counters
 dictate (the memec ``StripeList`` discipline: no channel absorbs all

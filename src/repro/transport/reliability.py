@@ -63,7 +63,7 @@ FAST_RETRANSMIT_HINTS = 3
 _ack_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(init=False)
 class AckPacket:
     """A standalone reliability acknowledgment (control packet).
 
@@ -77,16 +77,23 @@ class AckPacket:
 
     sack: SackInfo
     size: int = 0
-    uid: int = field(default_factory=lambda: next(_ack_ids))
+    uid: int = field(default_factory=_ack_ids.__next__)
     codepoint: str = Codepoint.ACK
     #: receiver incarnation epoch (crash recovery, :mod:`repro.transport.
     #: recovery`); rides reserved header space, so the size formula is
     #: unchanged.  0 = unstamped (no recovery manager attached).
     epoch: int = 0
 
-    def __post_init__(self) -> None:
-        if self.size == 0:
-            self.size = 16 + 8 * len(self.sack.blocks)
+    def __init__(
+        self, sack: SackInfo, size: int = 0, uid: Optional[int] = None,
+        codepoint: str = Codepoint.ACK, epoch: int = 0,
+    ) -> None:
+        # One constructor frame, as for the wire types of core.packet.
+        self.sack = sack
+        self.size = size if size != 0 else 16 + 8 * len(sack.blocks)
+        self.uid = next(_ack_ids) if uid is None else uid
+        self.codepoint = codepoint
+        self.epoch = epoch
 
     def __repr__(self) -> str:
         return (
@@ -252,9 +259,9 @@ class ReliableSender:
         submit_many: optional batched striper submit.  When provided,
             :meth:`submit_many` bursts and batched retransmissions are
             handed to the striper in one call, so the whole batch is
-            assigned channels through ``SchedulerKernel.assign_many``
+            assigned channels in one pass of the scheduler kernel
             (recovery traffic stays inside the Theorem 3.2 envelope)
-            instead of one kernel step per packet.
+            instead of one pump per packet.
     """
 
     def __init__(
@@ -354,7 +361,7 @@ class ReliableSender:
         Equivalent to ``submit(p)`` per packet — same rseq assignment,
         same window/overflow behavior — but window-admissible packets are
         registered first and handed to the striper as one burst, so
-        channel assignment happens through ``assign_many``.
+        channel assignment happens in one kernel pass.
         """
         rseq = self.next_rseq
         for packet in packets:
@@ -535,7 +542,7 @@ class ReliableSender:
         ``holes`` are the un-sacked records below the newest acked data,
         collected by the :meth:`on_ack` index walk.  Ripe holes are
         resubmitted as one batch, so a multi-packet repair is striped
-        through ``assign_many`` like any other burst.
+        through the scheduler kernel like any other burst.
         """
         srtt = self.rto.srtt or 0.0
         now = self.sim.now
@@ -680,7 +687,9 @@ class ReliableSender:
         return None
 
     def _ensure_timer(self) -> None:
-        if self._timer is not None and not self._timer.cancelled:
+        # The handle is the armed flag: the timer clears it when it fires
+        # and whoever cancels it clears it too.
+        if self._timer is not None:
             return
         record = self._oldest_outstanding()
         if record is None:
@@ -712,7 +721,7 @@ class ReliableSender:
             self._retransmit(record)
         # A synchronous resend already re-armed via note_sent; otherwise
         # arm against the backed-off timeout ourselves.
-        if self._timer is None or self._timer.cancelled:
+        if self._timer is None:
             self._timer = self.sim.schedule_at(
                 now + self.rto.rto, self._on_timeout
             )
@@ -804,9 +813,7 @@ class ReliableReceiver:
                 return
             if undelivered >= self.ack_every:
                 self._ack_now()
-            elif self.sim is not None and (
-                self._ack_timer is None or self._ack_timer.cancelled
-            ):
+            elif self.sim is not None and self._ack_timer is None:
                 self._ack_timer = self.sim.schedule(
                     self.ack_delay_s, self._delayed_ack
                 )
@@ -924,9 +931,7 @@ class ReliableReceiver:
         if self._unacked_deliveries >= self.ack_every:
             self._ack_now()
             return
-        if self.sim is not None and (
-            self._ack_timer is None or self._ack_timer.cancelled
-        ):
+        if self.sim is not None and self._ack_timer is None:
             self._ack_timer = self.sim.schedule(
                 self.ack_delay_s, self._delayed_ack
             )

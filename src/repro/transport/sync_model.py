@@ -13,9 +13,8 @@ A synchronization model owns everything order-related that used to be
 interleaved through :class:`~repro.transport.endpoint.StripeSenderPipeline`
 and :class:`~repro.transport.endpoint.StripeReceiverPipeline`:
 
-* sender half — marker-policy custody, keepalive marker refresh
-  (:meth:`~MarkerSyncModel.start_keepalive`), and the
-  :meth:`~SynchronizationModel.on_submit_burst` observation hook;
+* sender half — marker-policy custody and keepalive marker refresh
+  (:meth:`~MarkerSyncModel.start_keepalive`);
 * receiver half — the reception engine
   (:func:`~repro.core.resequencer.make_resequencer` binding, which for
   marker mode carries the lag-flush rule inside
@@ -43,7 +42,7 @@ resequencer buffers** (``tests/transport/test_sync_model.py``).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence
+from typing import Any, Callable, Dict, List, Optional, Protocol
 
 from repro.core.markers import (
     MarkerDecodeError,
@@ -78,16 +77,6 @@ class SynchronizationModel(Protocol):
     marker_codec: bool
     #: the reception engine (``push``/``drain``), or a direct-delivery sink
     receiver: Any
-
-    def on_submit_burst(self, packets: Sequence[Any]) -> None:
-        """Observe a submitted burst (sender side).
-
-        No current model needs it — marker placement is driven by the
-        striper's round crossings, hash models by per-packet flow keys —
-        but it is the designated hook for models that must see traffic
-        before striping (e.g. an FEC model batching parity groups).
-        """
-        ...
 
     def on_channel_deliver(self, channel: int, packet: Any) -> List[Any]:
         """A physical arrival, data or control; returns delivered packets."""
@@ -163,9 +152,6 @@ class MarkerSyncModel:
 
     # ------------------------------------------------------------------ #
     # sender half
-
-    def on_submit_burst(self, packets: Sequence[Any]) -> None:
-        """Marker placement keys off striper round crossings, not bursts."""
 
     def start_keepalive(
         self, striper: Any, sim: Any, interval_s: float
@@ -316,9 +302,6 @@ class HashSyncModel:
         self.marker_decode_errors = 0
         #: wire frames that reached the (nonexistent) marker path
         self.stray_wire_frames = 0
-
-    def on_submit_burst(self, packets: Sequence[Any]) -> None:
-        """Stripe assignment is per-flow state in the discipline itself."""
 
     def start_keepalive(self, striper: Any, sim: Any, interval_s: float):
         raise ValueError(

@@ -27,10 +27,12 @@ class RandomMixSizes:
     """Draws packet sizes from a discrete mix (defaults: small and large).
 
     A weighted mix draws exactly what ``rng.choices(sizes, weights)`` would
-    (one ``rng.random()`` per draw, bisected into the running totals), so
-    a seed yields the same size sequence; the running totals are built once
-    here rather than once per draw.  ``sizes`` and ``weights`` are
-    read-only tuples so the table cannot go stale; ``rng`` may be
+    (one ``rng.random()`` per draw, bisected into the running totals) and
+    an unweighted one exactly what ``rng.choice(sizes)`` would
+    (``getrandbits`` until below the count), so a seed yields the same size
+    sequence; both draw in this object's own frame, with the tables built
+    once here rather than once per draw.  ``sizes`` and ``weights`` are
+    read-only tuples so the tables cannot go stale; ``rng`` may be
     reassigned.
 
     Raises:
@@ -50,6 +52,7 @@ class RandomMixSizes:
         self._sizes = tuple(sizes)
         self._weights = tuple(weights) if weights is not None else None
         self.rng = rng if rng is not None else random.Random(0)
+        self._bits = len(self._sizes).bit_length()
         if self._weights is not None:
             if len(self._weights) != len(self._sizes):
                 raise ValueError(
@@ -77,11 +80,20 @@ class RandomMixSizes:
         return self._weights
 
     def __call__(self) -> int:
-        if self._weights is None:
-            return self.rng.choice(self._sizes)
-        return self._sizes[
-            bisect(self._cum, self.rng.random() * self._total, 0, self._hi)
-        ]
+        rng = self.rng
+        sizes = self._sizes
+        if self._weights is not None:
+            return sizes[bisect(self._cum, rng.random() * self._total, 0, self._hi)]
+        if type(rng) is not random.Random:
+            # A subclass may have replaced the bit source; only its own
+            # ``choice`` knows which stream it draws from.
+            return rng.choice(sizes)
+        n = len(sizes)
+        bits = self._bits
+        draw = rng.getrandbits(bits)
+        while draw >= n:
+            draw = rng.getrandbits(bits)
+        return sizes[draw]
 
 
 class AlternatingSizes:
@@ -284,7 +296,7 @@ class ClosedLoopSource:
                 seqs = range(first, first + deficit)
                 if self.pool is not None:
                     acquire = self.pool.acquire
-                    batch = [acquire(size_fn(), seq=seq) for seq in seqs]
+                    batch = [acquire(size_fn(), seq) for seq in seqs]
                 else:
                     batch = [Packet(size=size_fn(), seq=seq) for seq in seqs]
                 self.generated = first + deficit

@@ -1,108 +1,68 @@
 """Count guards for the fixed per-packet path of the burst/train data path.
 
-Deterministic counts under ``sys.setprofile``, no wall clock.  The rig is
-the ``skewed_small`` benchmark workload (4 dissimilar channels, 64/576 B
-drawn 3:1, a marker every 8 rounds, pooled packets) at 0.02 of its size,
-built from public names.
+Deterministic counts under ``sys.setprofile``, no wall clock.  The rigs are
+the benchmark workloads at 0.02 of their size, built from public names in
+``tests/frames.py`` (``make frames`` prints the whole table).
 
 Measured on CPython 3.11.7, Python-level frames per delivered packet over
-the whole run (2,894 packets):
+the whole run, parent commit -> this tree:
 
-* parent (``random.choices`` per draw, ``_make`` per packet, ``size_of`` at
-  send and again at burst start, ``handle -> is_marker -> push`` per
-  arrival, a clock read per train run): 22.51
-* this tree: 15.47
+* ``clean_bulk`` shape (1,664 packets): 35.57 -> 18.98, bound 24
+* ``skewed_small`` shape (2,894 packets): 15.59 -> 9.61, bound 12
 
-The bound sits halfway.  3.12 inlines comprehensions, which only lowers
-the count.
+and kernel steps per data packet the striper sent, 6.72 / 1.26 / 5.88
+(``clean_bulk`` / ``skewed_small`` / ``lossy_reliable``) -> exactly 1.  The
+parent spent the difference on a speculative pump (snapshot, assign the
+backlog, walk it twice, restore, re-assign the admitted prefix), a
+``schedule_call`` per train hop, two frames per arrival and helper frames
+per marker.  3.12 inlines comprehensions, which only lowers the counts.
 """
 
-import random
-import sys
+from functools import lru_cache
 
-from repro.core.packet import PacketPool
+import pytest
+
 from repro.sim import Simulator
 from repro.transport import wire_size
-from repro.workloads import ClosedLoopSource, RandomMixSizes
 
-from tests.integration.test_wakeup_counts import SCALE, build
+from tests.frames import FrameCounter, measure
 
-FRAMES_PER_PACKET_BOUND = 19.0
+FRAMES_PER_PACKET_BOUND = {"clean_bulk": 24.0, "skewed_small": 12.0}
+SCHEDULE_CALLS_PER_PACKET_BOUND = 0.2
 
-_RUN_CODE = Simulator.run.__code__
+run_of = lru_cache(maxsize=None)(measure)
 
 
-class CallCounter:
-    """Counts Python frames, ``wire_size`` frames and engine group batches
-    (``group.clear()`` inside :meth:`Simulator.run`) while installed."""
-
-    def __init__(self):
-        self.frames = 0
-        self.wire_size_frames = 0
-        self.engine_groups = 0
-
-    def __call__(self, frame, event, arg):
-        if event == "call":
-            self.frames += 1
-            if frame.f_code is wire_size.__code__:
-                self.wire_size_frames += 1
-        elif (
-            event == "c_call"
-            and frame.f_code is _RUN_CODE
-            and arg.__name__ == "clear"
-        ):
-            self.engine_groups += 1
-
-    def __enter__(self):
-        sys.setprofile(self)
-        return self
-
-    def __exit__(self, *exc):
-        sys.setprofile(None)
+def _frames_within_bound(name):
+    run = run_of(name)
+    assert run.delivered == list(range(run.generated))
+    assert len(run.delivered) > 1500
+    assert run.frames_per_packet <= FRAMES_PER_PACKET_BOUND[name]
+    wire_packets = sum(ch.stats.offered_packets for ch in run.channels)
+    assert wire_packets > len(run.delivered)  # the markers are wire packets too
+    assert run.counter.frames_of(wire_size) == wire_packets
+    return run
 
 
 def test_frames_per_small_packet_and_one_size_per_wire_packet():
-    sim = Simulator()
-    n = 4
-    channels, sender, receiver, delivered = build(
-        sim, (5.0, 10.0, 20.0, 40.0), (0.2, 1.0, 3.0, 8.0),
-        (600.0, 1200.0, 2400.0, 4800.0), 8, 40,
-    )
-    pool = PacketPool()
+    _frames_within_bound("skewed_small")
 
-    def on_message(packet):
-        delivered.append(packet.seq)
-        pool.release(packet)
 
-    receiver.on_message = on_message
-    source = ClosedLoopSource(
-        sim,
-        submit=sender.submit_packet,
-        backlog_fn=lambda: sender.backlog,
-        size_fn=RandomMixSizes((64, 576), (3.0, 1.0), rng=random.Random(15)),
-        target=4 * n,
-        submit_many=sender.submit_packets,
-        pool=pool,
-    )
+def test_frames_per_bulk_packet_and_trains_that_rearm_themselves():
+    run = _frames_within_bound("clean_bulk")
+    # One train hop per wire packet here, each once a ``schedule_call``.
+    assert run.schedule_calls_per_packet <= SCHEDULE_CALLS_PER_PACKET_BOUND
 
-    def wake():
-        sender.pump()
-        source.poke()
 
-    for index, channel in enumerate(channels):
-        channel.on_deliver = receiver.channel_handler(index)
-        channel.on_space = wake
-    with CallCounter() as counter:
-        source.start()
-        sim.run(until=12.0 * 0.3 * SCALE, batch=True)
-        source.stop()
-        sim.run(until=sim.now + 0.5, batch=True)
-    assert delivered == list(range(source.generated)) and len(delivered) > 2000
-    per_packet = counter.frames / len(delivered)
-    assert per_packet <= FRAMES_PER_PACKET_BOUND, per_packet
-    wire_packets = sum(channel.stats.offered_packets for channel in channels)
-    assert wire_packets > len(delivered)  # the markers are wire packets too
-    assert counter.wire_size_frames == wire_packets
+@pytest.mark.parametrize("name", ["clean_bulk", "lossy_reliable"])
+def test_pump_steps_the_kernel_once_per_packet_sent(name):
+    run = run_of(name)
+    assert run.delivered == list(range(run.generated)) and run.delivered
+    striper = run.sender.striper
+    assert striper.packets_sent >= len(run.delivered)  # retransmissions too
+    assert run.counter.kernel_steps == striper.packets_sent
+    assert run.counter.pump_saves == 0  # no snapshot / restore in the pump
+    assert striper.stats()["fallback_pumps"] == 0
 
 
 def test_single_event_timestamps_never_enter_the_group_path():
@@ -117,7 +77,7 @@ def test_single_event_timestamps_never_enter_the_group_path():
 
         for delay in delays:
             sim.schedule(delay, fire, 3)
-        with CallCounter() as counter:
+        with FrameCounter() as counter:
             processed = sim.run(batch=True)
         assert processed == len(fired) == 4 * len(delays)
         return counter.engine_groups, fired

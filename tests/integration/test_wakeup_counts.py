@@ -2,7 +2,8 @@
 
 Deterministic counts only, no wall clock: the two rigs below are the
 ``fabric_fanin`` and ``clean_bulk`` benchmark workloads at 0.02 of their
-size, built from public names.  They pin what makes those workloads cheap:
+size, built from public names in ``tests/frames.py``.  They pin what makes
+those workloads cheap:
 
 * once the fan-in burst is queued, the fabric drains it into the striper
   in batches, so the striper's batched pump engages (before batching, 91%
@@ -12,46 +13,12 @@ size, built from public names.  They pin what makes those workloads cheap:
   arrival elsewhere (before, every arrival ran one ``drain()``).
 """
 
-from repro.core import SRR, MarkerPolicy, Packet
-from repro.sim import Channel, Simulator
-from repro.transport import (
-    FabricScheduler,
-    FastChannelPort,
-    FlowTable,
-    StripeReceiverPipeline,
-    StripeSenderPipeline,
-    wire_size,
-)
+from repro.core import Packet
+from repro.sim import Simulator
+from repro.transport import FabricScheduler, FlowTable
 from repro.workloads import ClosedLoopSource, ConstantSizes
 
-SCALE = 0.02
-TENANT_WEIGHTS = {"gold": 4, "silver": 2, "bronze": 1}
-
-
-def build(
-    sim, rates_mbps, delays_ms, quanta, marker_rounds, queue, fabric=None
-):
-    channels = [
-        Channel(
-            sim, rate * 1e6, delay * 1e-3, name=f"ch{i}",
-            queue_limit=queue, size_of=wire_size, fast=True,
-        )
-        for i, (rate, delay) in enumerate(zip(rates_mbps, delays_ms))
-    ]
-    sender = StripeSenderPipeline(
-        [FastChannelPort(channel) for channel in channels],
-        SRR(list(quanta)),
-        marker_policy=MarkerPolicy(interval_rounds=marker_rounds),
-        sim=sim,
-        fabric=fabric,
-    )
-    delivered = []
-    receiver = StripeReceiverPipeline(
-        len(channels), SRR(list(quanta)), mode="marker",
-        on_message=lambda packet: delivered.append(packet.seq), sim=sim,
-    )
-    receiver.retain_delivered = False
-    return channels, sender, receiver, delivered
+from tests.frames import SCALE, SHAPES, TENANT_WEIGHTS, build
 
 
 def test_fabric_drain_reaches_the_striper_in_batches():
@@ -59,7 +26,7 @@ def test_fabric_drain_reaches_the_striper_in_batches():
     table = FlowTable(tenant_weights=TENANT_WEIGHTS, quantum_bytes=400.0)
     fabric = FabricScheduler(table, flow_buffer_packets=None)
     channels, sender, receiver, delivered = build(
-        sim, (250.0,) * 4, (0.2,) * 4, (1200.0,) * 4, 8, 64, fabric
+        sim, SHAPES["fabric_fanin"], fabric
     )
     for index, channel in enumerate(channels):
         channel.on_deliver = receiver.channel_handler(index)
@@ -90,10 +57,7 @@ def test_fabric_drain_reaches_the_striper_in_batches():
 def test_parked_receiver_scans_at_most_every_other_arrival():
     sim = Simulator()
     n = 16
-    channels, sender, receiver, delivered = build(
-        sim, (10.0,) * n, [0.5 + 0.1 * i for i in range(n)],
-        (1000.0,) * n, 1, 40,
-    )
+    channels, sender, receiver, delivered = build(sim, SHAPES["clean_bulk"])
     drains = [0]
     resequencer = receiver.resequencer
     drain = resequencer.drain

@@ -97,8 +97,9 @@ class TestKernelEquivalence:
     @given(sizes=sizes_strategy, quanta=quanta_strategy)
     @settings(max_examples=100, deadline=None)
     def test_marker_numbers_identical(self, sizes, quanta):
-        """(R, D) marker state: next_number_for_channel agrees with the
-        immutable path on every channel after every packet."""
+        """(R, D) marker state: next_numbers agrees with the immutable
+        path's next_number_for_channel on every channel after every
+        packet."""
         algorithm = SRR(quanta)
         kernel = SRRKernel(algorithm)
         state = algorithm.initial_state()
@@ -106,10 +107,10 @@ class TestKernelEquivalence:
             state = algorithm.update(state, size)
             kernel.step(size)
             assert kernel.implicit_number() == state.implicit_number()
-            for channel in range(algorithm.n_channels):
-                assert kernel.next_number_for_channel(
-                    channel
-                ) == algorithm.next_number_for_channel(state, channel)
+            assert kernel.next_numbers() == [
+                algorithm.next_number_for_channel(state, channel)
+                for channel in range(algorithm.n_channels)
+            ]
 
     @given(sizes=sizes_strategy, quanta=quanta_strategy)
     @settings(max_examples=100, deadline=None)

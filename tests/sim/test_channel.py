@@ -260,10 +260,10 @@ class TestFastBurstMode:
             sim, bandwidth_bps=1e6, prop_delay=0.0, fast=True,
             loss_model=BernoulliLoss(0.5, rng=random.Random(1)),
         )
-        assert not channel._burst_capable()
         out = collect(channel)
         for i in range(100):
             channel.send(Packet(100, seq=i))
+        assert channel.in_flight == 0  # no train: the per-packet pipeline
         sim.run()
         assert 0 < len(out) < 100  # losses actually happened
 
@@ -272,7 +272,8 @@ class TestFastBurstMode:
             sim, bandwidth_bps=1e6, prop_delay=0.0, fast=True,
             loss_model=BernoulliLoss(0.0, rng=random.Random(1)),
         )
-        assert channel._burst_capable()
+        channel.send(Packet(100, seq=0))
+        assert channel.in_flight == 1  # serialized onto the train at once
 
     def test_upgrades_to_burst_after_losses_stop(self, sim):
         """stop_losses_at zeroes p; later sends must take the burst path."""
@@ -289,8 +290,8 @@ class TestFastBurstMode:
         assert lossy_deliveries < 5
         for i in range(5, 15):
             channel.send(Packet(1000, seq=i))
-        assert channel._burst_capable()  # p was zeroed at t=5
-        assert channel.in_flight >= 1  # first burst train already armed
+        # p was zeroed at t=5: the first burst train is already armed
+        assert channel.in_flight >= 1
         sim.run()
         assert [p.seq for p in out[lossy_deliveries:]] == list(range(5, 15))
 

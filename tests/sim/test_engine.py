@@ -263,17 +263,25 @@ _event_specs = st.recursive(
 )
 
 
-def _play(program, batch, until, max_events):
+def _play(program, batch, until, max_events, trains=None, step=False):
     """Run ``program`` to the horizon in calls of ``max_events``; returns
-    the ``(time, id)`` trace, the per-call counts and the final clock."""
+    the ``(time, id)`` trace, the per-call counts and the final clock.
+
+    With ``trains`` each item of ``program`` is ``(spec, repeats)`` and a
+    top-level slot-free event comes back ``repeats`` more times, one delay
+    apart: ``"call"`` re-arms it with a ``schedule_call`` as the callback's
+    last act, ``"return"`` by returning the time.  ``step`` drives the
+    engine one ``step()`` at a time instead of through ``run()``.
+    """
     sim = Simulator()
     trace = []
     handles = []
     ids = itertools.count()
 
-    def plant(spec):
+    def plant(spec, repeats=0):
         delay, slot_free, cancel, children = spec
         ident = next(ids)  # planted in execution order, like the seq
+        left = [repeats]
 
         def fire():
             trace.append((sim.now, ident))
@@ -281,20 +289,32 @@ def _play(program, batch, until, max_events):
                 plant(child)
             if cancel is not None and handles:
                 handles[cancel % len(handles)].cancel()
+            if left[0]:
+                left[0] -= 1
+                if trains == "return":
+                    return sim.now + _DELAYS[delay]
+                sim.schedule_call(sim.now + _DELAYS[delay], fire)
+            return None
 
         if slot_free:
             sim.schedule_call(sim.now + _DELAYS[delay], fire)
         else:
             handles.append(sim.schedule(_DELAYS[delay], fire))
 
-    for spec in program:
-        plant(spec)
+    for item in program:
+        if trains is None:
+            plant(item)
+        else:
+            plant(item[0], item[1] if item[0][1] else 0)
     counts = []
     while True:
-        counts.append(
-            sim.run(until=until, max_events=max_events, batch=batch)
-        )
-        if max_events is None or counts[-1] == 0:
+        if step:
+            counts.append(int(sim.step(until=until)))
+        else:
+            counts.append(
+                sim.run(until=until, max_events=max_events, batch=batch)
+            )
+        if counts[-1] == 0 or (max_events is None and not step):
             return trace, counts, sim.now, sim.events_processed
 
 
@@ -366,6 +386,66 @@ class TestBatchPop:
         assert sim.now == 1.5
 
 
+class TestRearm:
+    """A slot-free callback that returns a time is run again at that time,
+    exactly as if it had called ``schedule_call`` as its last act."""
+
+    @given(
+        program=st.lists(
+            st.tuples(_event_specs, st.integers(0, 3)), min_size=1, max_size=6
+        ),
+        until=st.none() | st.sampled_from([0.0, 0.5, 1.6, 3.0]),
+        max_events=st.none() | st.integers(1, 6),
+        batch=st.booleans(),
+        step=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_returning_a_time_is_schedule_call_as_the_last_act(
+        self, program, until, max_events, batch, step
+    ):
+        # Same trace means same (time, seq) order: ids are drawn in
+        # planting order and every same-timestamp mix runs by seq.
+        by_call = _play(program, batch, until, max_events, "call", step)
+        by_return = _play(program, batch, until, max_events, "return", step)
+        assert by_return == by_call
+
+    def test_rearmed_entry_orders_by_seq_within_its_instant(self, sim):
+        seen = []
+        left = [2]
+
+        def train():
+            seen.append(("train", sim.now))
+            sim.schedule_call(sim.now + 1.0, lambda: seen.append("planted"))
+            if left[0]:
+                left[0] -= 1
+                return sim.now + 1.0  # after "planted": the later seq
+            return None
+
+        sim.schedule_call(1.0, train)
+        sim.run(batch=True)
+        assert seen == [
+            ("train", 1.0), "planted", ("train", 2.0), "planted",
+            ("train", 3.0), "planted",
+        ]
+        assert sim.pending == 0
+
+    def test_rearm_into_the_past_is_rejected(self, sim):
+        sim.schedule_call(2.0, lambda: 1.0)
+        with pytest.raises(SimulationError):
+            sim.run()
+
+    def test_handle_events_ignore_their_return_value(self, sim):
+        fired = []
+
+        def tick():
+            fired.append(sim.now)
+            return sim.now + 1.0
+
+        sim.schedule(1.0, tick)
+        sim.run(until=10.0)
+        assert fired == [1.0]
+
+
 class TestStepSemantics:
     def test_step_rejects_reentrancy(self, sim):
         errors = []
@@ -403,27 +483,3 @@ class TestStepSemantics:
         doomed.cancel()
         assert sim.step() is True
         assert seen == ["live"]
-
-
-class TestEntryFreeList:
-    """Slot-free heap entries are recycled through the engine free-list."""
-
-    def test_schedule_call_reuses_retired_entries(self, sim):
-        seen = []
-        for i in range(5):
-            sim.schedule_call(float(i + 1), lambda i=i: seen.append(i))
-        sim.run()
-        assert seen == [0, 1, 2, 3, 4]
-        assert sim.entries_reused == 0  # nothing retired before first batch
-        for i in range(5):
-            sim.schedule_call(sim.now + i + 1, lambda i=i: seen.append(i))
-        sim.run()
-        assert seen == [0, 1, 2, 3, 4] * 2
-        assert sim.entries_reused == 5
-
-    def test_handle_scheduled_events_are_not_pooled(self, sim):
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        sim.schedule_call(2.0, lambda: None)
-        sim.run()
-        assert sim.entries_reused == 0

@@ -285,6 +285,54 @@ class TestReceiverPipeline:
         handlers[1](Packet(size=100, seq=6))
         assert pipeline.buffer_drops == 2
 
+    def test_issued_handler_follows_delivery_attributes_assigned_later(self):
+        """The engine's delivery callback is bound straight to
+        ``on_message`` when nothing is retained; a handler taken before
+        ``on_message`` / ``retain_delivered`` / ``credit`` is assigned
+        must follow each assignment, in either order."""
+        class StubCredit:
+            consumed = 0
+
+            def on_consumed(self, channel):
+                self.consumed += 1
+
+        pipeline = StripeReceiverPipeline(1, SRR([100.0]))
+        handle = pipeline.channel_handler(0)
+        first, second = [], []
+        handle(Packet(size=100, seq=0))  # retained, no callback yet
+        pipeline.on_message = first.append
+        handle(Packet(size=100, seq=1))  # retained and called back
+        pipeline.retain_delivered = False
+        handle(Packet(size=100, seq=2))  # called back only
+        pipeline.on_message = second.append
+        handle(Packet(size=100, seq=3))
+        pipeline.credit = credit = StubCredit()  # onto the checked path
+        handle(Packet(size=100, seq=4))
+        pipeline.retain_delivered = True
+        handle(Packet(size=100, seq=5))
+        pipeline.on_message = None
+        handle(Packet(size=100, seq=6))
+        assert [p.seq for p in pipeline.delivered] == [0, 1, 5, 6]
+        assert [p.seq for p in first] == [1, 2]
+        assert [p.seq for p in second] == [3, 4, 5]
+        assert credit.consumed == 7  # caught up on the first checked arrival
+        assert pipeline.on_message is None and pipeline.retain_delivered
+
+    def test_delivery_attributes_with_an_arq_layer_between(self, sim):
+        got = []
+        pipeline = StripeReceiverPipeline(
+            1, SRR([100.0]), sim=sim, reliability="reliable",
+            send_ack=lambda sack: None,
+        )
+        handle = pipeline.channel_handler(0)
+        pipeline.retain_delivered = False
+        pipeline.on_message = got.append
+        for rseq in (1, 0):  # out of order: the ARQ layer holds 1 back
+            packet = Packet(size=100, seq=rseq)
+            packet.rseq = rseq
+            handle(packet)
+        assert [p.seq for p in got] == [0, 1] and pipeline.delivered == []
+
     def test_handler_paths_deliver_alike(self):
         def run(checked):
             pipeline = StripeReceiverPipeline(2, SRR([100.0, 100.0]))

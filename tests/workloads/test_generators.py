@@ -123,6 +123,26 @@ class TestSizeGenerators:
         assert [gen() for _ in range(200)] == [
             twin.choice(sizes) for _ in range(200)
         ]
+        # Both generators are left in the same state.
+        assert gen.rng.random() == twin.random()
+        # A reassigned rng is followed, and one whose bit source a subclass
+        # replaced draws through its own ``choice``.
+        gen.rng = FixedBits(seed)
+        twin = FixedBits(seed)
+        assert [gen() for _ in range(50)] == [
+            twin.choice(sizes) for _ in range(50)
+        ]
+        assert gen.rng.calls == twin.calls > 0
+
+
+class FixedBits(random.Random):
+    """A ``Random`` whose ``random()`` (and so ``choice``) is its own."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return (self.calls * 0.37) % 1.0
 
 
 class TestPacketFactories:
