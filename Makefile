@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction repo.
 
 .PHONY: install test bench experiments quick-experiments examples clean \
-	smoke lint-endpoints perf perf-ab frames
+	smoke lint-endpoints perf perf-ab frames quick-diff
 
 install:
 	pip install -e . || python setup.py develop
@@ -78,6 +78,50 @@ perf-ab:
 		echo "usage: make perf-ab W=<workload> A=<checkout> B=<checkout> SEED=<n>"; \
 		exit 2; }
 	@python3 -c "$$PERF_AB" "$(W)" "$(A)" "$(B)" "$(SEED)" "$(PAIRS)"
+
+# Behavioural A/B of two checkouts: every experiment at --quick in both
+# trees, then the result JSON compared per experiment and the rendered text
+# compared minus the wall-clock `done in` lines.  Names every experiment
+# that differs and exits non-zero — the check a refactoring PR owes.
+#   make quick-diff A=/tmp/parent B=.
+define QUICK_DIFF
+import json, os, re, subprocess, sys, tempfile
+a, b = sys.argv[1:]
+def run(tree):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "quick.json")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "--all", "--quick",
+             "--json", out],
+            cwd=tree, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.join(tree, "src")})
+        if done.returncode:
+            sys.exit(f"{tree}: experiments failed\n{done.stderr}")
+        with open(out) as handle:
+            results = json.load(handle)
+    sections, lines = {}, []
+    for line in done.stdout.splitlines():
+        ended = re.match(r"--- (\S+) done in ", line)
+        if ended:
+            sections[ended.group(1)], lines = lines, []
+        else:
+            lines.append(line)
+    return results, sections
+(json_a, text_a), (json_b, text_b) = run(os.path.abspath(a)), run(os.path.abspath(b))
+differ = sorted(
+    name for name in set(json_a) | set(json_b) | set(text_a) | set(text_b)
+    if json_a.get(name) != json_b.get(name)
+    or text_a.get(name) != text_b.get(name))
+for name in differ:
+    print(f"DIFFERS: {name}")
+print(f"{len(set(json_a) | set(json_b))} experiments, {len(differ)} differ")
+sys.exit(1 if differ else 0)
+endef
+export QUICK_DIFF
+quick-diff:
+	@test -d "$(A)" -a -d "$(B)" || { \
+		echo "usage: make quick-diff A=<checkout> B=<checkout>"; exit 2; }
+	@python3 -c "$$QUICK_DIFF" "$(A)" "$(B)"
 
 # Complexity/length guard for src/repro/transport/ (C901, PLR0915);
 # ruff is not vendored — install it locally to run this target.

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.kernel import SRRKernel
-from repro.core.srr import SRR, SRRState
+from repro.core.srr import SRR
 
 _control_ids = itertools.count(1)
 
@@ -45,14 +44,6 @@ class StripeConfig:
 
     def algorithm(self) -> SRR:
         return SRR(list(self.quanta), count_packets=self.count_packets)
-
-    def kernel(self) -> SRRKernel:
-        """A fresh scheduler kernel at this configuration's initial state."""
-        return SRRKernel(self.algorithm())
-
-    def initial_snapshot(self) -> SRRState:
-        """The epoch-initial kernel state both ends install at a reset."""
-        return self.algorithm().initial_state()
 
     @property
     def n_channels(self) -> int:

@@ -1,4 +1,4 @@
-"""Session control: reset, reconfiguration, and multi-flow striping.
+"""Session control: reset and reconfiguration.
 
 Section 5 of the paper sketches what this package-of-three implements:
 
@@ -11,13 +11,18 @@ The session layer is split across three modules:
 
 * :mod:`repro.core.control` — the control-plane vocabulary:
   :class:`StripeConfig` (with O(1) channel-position lookups) and the
-  RESET / PROBE packet family.  Re-exported here for compatibility.
+  RESET / PROBE packet family.
 * :mod:`repro.core.stabilize` — the self-stabilization companions:
   :class:`ChannelProber` (channel revival) and :class:`LocalChecker`
-  ([Var93] local checking).  Re-exported here for compatibility.
-* this module — the two session state machines.
+  ([Var93] local checking).
+* this module — the two session state machines.  They are *controllers*:
+  a reset is a control-plane act over the same striper and the same
+  logical receiver, so the data path is the one
+  :class:`~repro.transport.endpoint.StripeSenderPipeline` /
+  :class:`~repro.transport.endpoint.StripeReceiverPipeline` pair each
+  controller is handed, and nothing here duplicates it.
 
-Three protocol pieces live in the state machines:
+Two protocol pieces live in the state machines:
 
 * **Reset protocol** — an epoch-numbered, per-channel in-band RESET
   exchange that reinitializes both ends of a striped channel group.  A
@@ -26,34 +31,28 @@ Three protocol pieces live in the state machines:
   receiver flushes (discards) pre-reset data still in flight, installs the
   configuration carried by the RESET (quanta — so reconfiguration is just
   reset-with-new-parameters), and acknowledges on the reverse control
-  path.  Lost RESETs/ACKs are retried on a timer.
+  path.  Lost RESETs/ACKs are retried on a timer.  The sender holds its
+  striper from the first RESET to the acknowledgment; submissions, ARQ
+  retransmissions, FEC parity and fabric drain issued meanwhile wait in
+  the striper's input queue and open the new epoch.
 
 * **Reconfiguration** — because the RESET carries the striping
   configuration, changing quanta (capacity re-estimation) or dropping a
   dead channel is a single reset round trip: both ends atomically agree on
-  the new `(channels, quanta)` at the epoch boundary.
-
-* **Multi-flow fabric consumption** — the sender session no longer owns a
-  single implicit flow: :meth:`StripeSenderSession.attach_fabric` mounts a
-  :class:`~repro.transport.fabric.FabricScheduler` (weighted DRR across
-  flows) above the striper, and :meth:`StripeSenderSession.submit` accepts
-  ``flow_id`` so upper layers address flows, not the bundle.  The fabric
-  drains into the striper only while the session is RUNNING and the
-  striper's input queue is short, so per-flow queues — not the shared
-  epoch replay buffer — absorb multi-tenant backlog across resets.
+  the new `(channels, quanta)` at the epoch boundary, and each pipeline
+  installs the new epoch's striper / reception engine by the same
+  construction that built its first.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Callable, List, Optional, Sequence
+from dataclasses import replace
+from typing import Any, Callable, Optional
 
 from repro.core.control import (
     CODEPOINT_PROBE,
-    CODEPOINT_PROBE_ACK,
     CODEPOINT_RESET,
-    CODEPOINT_RESET_ACK,
-    CODEPOINT_RESET_REQUEST,
     ProbeAckPacket,
     ProbePacket,
     ResetAckPacket,
@@ -61,19 +60,11 @@ from repro.core.control import (
     ResetRequestPacket,
     StripeConfig,
 )
-from repro.core.markers import SRRReceiver
 from repro.core.packet import Codepoint, MarkerPacket
 from repro.core.stabilize import ChannelProber, LocalChecker
-from repro.core.striper import ChannelPort, MarkerPolicy, Striper
-from repro.core.transform import TransformedLoadSharer
 from repro.sim.engine import Event, Simulator
 
 __all__ = [
-    "CODEPOINT_PROBE",
-    "CODEPOINT_PROBE_ACK",
-    "CODEPOINT_RESET",
-    "CODEPOINT_RESET_ACK",
-    "CODEPOINT_RESET_REQUEST",
     "ChannelProber",
     "LocalChecker",
     "ProbeAckPacket",
@@ -87,28 +78,45 @@ __all__ = [
 ]
 
 
+def _all_active(config: StripeConfig) -> StripeConfig:
+    """``config`` with ``active_channels`` spelled out (default: the first
+    ``n_channels`` ports, in order)."""
+    if config.active_channels is not None:
+        return config
+    return replace(config, active_channels=tuple(range(config.n_channels)))
+
+
+def _policy(discipline: Optional[str], config: StripeConfig) -> Any:
+    """What an epoch stripes by: the named registry discipline, else the
+    paper's SRR at the configuration's quanta (one instance per end)."""
+    return config.algorithm() if discipline is None else discipline
+
+
 class StripeSenderSession:
-    """Owns the sender striper across resets and reconfigurations.
+    """The sender's reset / reconfiguration controller.
+
+    It owns no data path: packets are submitted to, queued in and pumped
+    by the :class:`~repro.transport.endpoint.StripeSenderPipeline` it
+    drives.  The controller owns the epoch, the agreed configuration and
+    the RESET retry timer; it holds the pipeline's striper for the span of
+    a reset (whatever is submitted, retransmitted or drained from a
+    fabric meanwhile waits in the striper's one input queue) and, on the
+    acknowledgment, has the pipeline install the new epoch's striper over
+    the configuration's active ports with that queue carried across.
 
     Args:
         sim: event engine (for retry timers).
-        ports: the full set of channel ports (a reset may activate a
-            subset).
+        pipeline: the sender pipeline, built over the *full* port set (a
+            configuration activates a subset).  Its striper is replaced
+            by ``config``'s at construction, so whatever discipline it
+            was built with only had to match the port count.
         config: initial striping configuration.
-        marker_policy: marker policy applied to every epoch's striper.
-        checkpoint_every_rounds: stamp a sender-round checkpoint onto the
-            markers this often (0 disables; see LocalChecker).
         retry_timeout: seconds before an unacked RESET is retransmitted.
-        striper_factory: optional ``(config, active_ports) -> Striper``
-            override for each epoch's striper — how non-SRR disciplines
-            (any registry entry, e.g. marker-free Sprinklers) ride the
-            session layer's reset/reconfiguration machinery.  Default
-            builds the paper's SRR striper from the config's quanta.
-
-    Upper layers call :meth:`submit`; during a reset, packets queue and are
-    replayed into the new epoch's striper.  With a fabric attached
-    (:meth:`attach_fabric`), ``submit(packet, flow_id=...)`` routes through
-    per-flow weighted-DRR queues instead.
+        max_retries: RESET rounds before the session gives up (raises).
+        discipline: optional registry name striped in every epoch in
+            place of the paper's SRR at the configuration's quanta (the
+            receiver session must name the same one).
+        discipline_options: forwarded to the registry with the name.
     """
 
     RUNNING = "running"
@@ -117,34 +125,26 @@ class StripeSenderSession:
     def __init__(
         self,
         sim: Simulator,
-        ports: Sequence[ChannelPort],
+        pipeline: Any,
         config: StripeConfig,
-        marker_policy: Optional[MarkerPolicy] = None,
         retry_timeout: float = 0.25,
         max_retries: int = 20,
-        striper_factory: Optional[
-            Callable[[StripeConfig, List[ChannelPort]], Striper]
-        ] = None,
+        discipline: Optional[str] = None,
+        discipline_options: Optional[dict] = None,
     ) -> None:
-        if config.active_channels is None:
-            config = StripeConfig(
-                quanta=config.quanta,
-                count_packets=config.count_packets,
-                active_channels=tuple(range(len(ports)))[: config.n_channels],
-            )
-        if len(config.active_channels) != config.n_channels:
-            raise ValueError("active_channels must match quanta length")
         self.sim = sim
-        self.all_ports = list(ports)
-        self.marker_policy = marker_policy
+        self.pipeline = pipeline
+        #: the full port set (RESETs and probes address ports, not
+        #: positions in the current epoch's striper)
+        self.all_ports = pipeline.ports
         self.retry_timeout = retry_timeout
         self.max_retries = max_retries
+        self.discipline = discipline
+        self.discipline_options = dict(discipline_options or {})
         self.epoch = 0
-        self.config = config
+        self.config = self._checked(config)
         self.state = self.RUNNING
-        self.striper_factory = striper_factory
-        self.striper = self._make_striper(config)
-        self._pending_during_reset: List[Any] = []
+        self._install()
         self._retry_event: Optional[Event] = None
         self._retries = 0
         self.resets_completed = 0
@@ -152,109 +152,25 @@ class StripeSenderSession:
         self.on_reset_complete: Optional[Callable[[int], None]] = None
         #: routed ProbeAck packets (claimed by a ChannelProber)
         self.on_probe_ack: Optional[Callable[["ProbeAckPacket"], None]] = None
-        #: routed reliability acknowledgments (claimed by a reliable
-        #: sender stack); matched by codepoint so the session layer does
-        #: not depend on the transport-level AckPacket type
-        self.on_ack: Optional[Callable[[Any], None]] = None
-        #: optional FabricScheduler mounted by :meth:`attach_fabric`
-        self.fabric: Optional[Any] = None
-        self._fabric_backlog_limit = 0
-        self._fabric_extra_ready: Optional[Callable[[], bool]] = None
 
     # ------------------------------------------------------------------ #
 
-    def _make_striper(self, config: StripeConfig) -> Striper:
-        active = [self.all_ports[i] for i in config.active_channels]
-        if self.striper_factory is not None:
-            return self.striper_factory(config, active)
-        return Striper(
-            TransformedLoadSharer(config.algorithm()),
-            active,
-            self.marker_policy,
+    def _checked(self, config: StripeConfig) -> StripeConfig:
+        config = _all_active(config)
+        if len(config.active_channels) != config.n_channels:
+            raise ValueError("active_channels must match quanta length")
+        if any(i >= len(self.all_ports) for i in config.active_channels):
+            raise ValueError("active channel index out of range")
+        return config
+
+    def _install(self) -> None:
+        """Have the pipeline stripe the current configuration."""
+        config = self.config
+        self.pipeline.restripe(
+            _policy(self.discipline, config),
+            config.active_channels,
+            **self.discipline_options,
         )
-
-    @property
-    def active_ports(self) -> List[ChannelPort]:
-        return [self.all_ports[i] for i in self.config.active_channels]
-
-    def attach_fabric(
-        self,
-        fabric: Any,
-        *,
-        downstream: Optional[Callable[[Any], None]] = None,
-        backlog_limit: Optional[int] = None,
-        extra_ready: Optional[Callable[[], bool]] = None,
-    ) -> Any:
-        """Mount a flow-layer scheduler (FQ across flows) above the striper.
-
-        ``fabric`` is duck-typed (anything with ``bind``/``submit``/
-        ``can_submit``/``pump``), normally a
-        :class:`~repro.transport.fabric.FabricScheduler`.  The fabric
-        drains into ``downstream`` (default: :meth:`submit`, i.e. the
-        striper) but only while :meth:`_fabric_ready` holds: session
-        RUNNING, striper input queue below ``backlog_limit`` (default
-        ``4 × n_ports``), and any caller-supplied ``extra_ready`` gate
-        (e.g. a reliable sender's window check).  Backlog therefore sits
-        in per-flow queues where the DRR can arbitrate it, not in the
-        shared FIFO below.
-        """
-        if backlog_limit is None:
-            backlog_limit = 4 * len(self.all_ports)
-        self.fabric = fabric
-        self._fabric_backlog_limit = backlog_limit
-        self._fabric_extra_ready = extra_ready
-        fabric.bind(downstream or self._stripe_one, ready=self._fabric_ready)
-        return fabric
-
-    def _stripe_one(self, packet: Any) -> None:
-        """Fabric downstream: one scheduled packet into the striper."""
-        if self.state == self.RESETTING:
-            self._pending_during_reset.append(packet)
-            return
-        self.striper.submit(packet)
-
-    def _fabric_ready(self) -> bool:
-        if self.state != self.RUNNING:
-            return False
-        if self.striper.backlog >= self._fabric_backlog_limit:
-            return False
-        if self._fabric_extra_ready is not None:
-            return bool(self._fabric_extra_ready())
-        return True
-
-    def submit(self, packet: Any, flow_id: Optional[Any] = None) -> None:
-        """Send a data packet (queued while a reset is in flight).
-
-        With ``flow_id`` the packet enters that flow's fabric queue and is
-        scheduled by weighted DRR; requires a prior :meth:`attach_fabric`.
-        """
-        if flow_id is not None:
-            if self.fabric is None:
-                raise RuntimeError(
-                    "flow-addressed submit requires attach_fabric()"
-                )
-            self.fabric.submit(flow_id, packet)
-            return
-        self._stripe_one(packet)
-
-    def can_submit(self, flow_id: Optional[Any] = None) -> bool:
-        """Per-flow backpressure: False only when that flow's queue is full.
-
-        Without ``flow_id`` the session-level queue is unbounded (epoch
-        replay semantics), so this is always True.
-        """
-        if flow_id is None:
-            return True
-        if self.fabric is None:
-            return False
-        return self.fabric.can_submit(flow_id)
-
-    def pump(self) -> int:
-        if self.state == self.RESETTING:
-            return 0
-        if self.fabric is not None:
-            self.fabric.pump()
-        return self.striper.pump()
 
     # ------------------------------------------------------------------ #
     # reset / reconfiguration
@@ -262,25 +178,17 @@ class StripeSenderSession:
     def initiate_reset(self, new_config: Optional[StripeConfig] = None) -> int:
         """Start a reset (optionally with a new configuration).
 
-        Returns the new epoch number.  Data already in the old striper's
-        input queue carries over to the new epoch; packets submitted while
-        the reset is outstanding queue behind them.
+        Returns the new epoch number.  The striper is held from here to
+        the acknowledgment: what its input queue holds, and whatever is
+        submitted meanwhile, goes out in the new epoch, in order.  A
+        reset started while one is in flight supersedes it (only the
+        latest epoch's acknowledgment completes).
         """
-        if new_config is None:
-            new_config = self.config
-        if new_config.active_channels is None:
-            new_config = StripeConfig(
-                quanta=new_config.quanta,
-                count_packets=new_config.count_packets,
-                active_channels=tuple(range(new_config.n_channels)),
-            )
-        if any(i >= len(self.all_ports) for i in new_config.active_channels):
-            raise ValueError("active channel index out of range")
-        self.epoch += 1
-        # Preserve undelivered input.
-        self._pending_during_reset = list(self.striper.input_queue) + (
-            self._pending_during_reset
+        new_config = self._checked(
+            self.config if new_config is None else new_config
         )
+        self.epoch += 1
+        self.pipeline.striper.held = True
         self.config = new_config
         self.state = self.RESETTING
         self._retries = 0
@@ -288,10 +196,9 @@ class StripeSenderSession:
         return self.epoch
 
     def _send_resets(self) -> None:
-        packet_config = self.config
         for index in self.config.active_channels:
             self.all_ports[index].send(
-                ResetPacket(epoch=self.epoch, config=packet_config), force=True
+                ResetPacket(epoch=self.epoch, config=self.config), force=True
             )
             self.reset_packets_sent += 1
         self._arm_retry()
@@ -322,8 +229,9 @@ class StripeSenderSession:
     def on_control(self, packet: Any) -> None:
         """Reverse-path control input (ACKs, reset requests, probe ACKs)."""
         if getattr(packet, "codepoint", None) == Codepoint.ACK:
-            if self.on_ack is not None:
-                self.on_ack(packet)
+            # Matched by codepoint, so the session layer does not depend
+            # on the transport-level AckPacket type.
+            self.pipeline.on_ack(packet)
         elif isinstance(packet, ResetAckPacket):
             if packet.epoch == self.epoch and self.state == self.RESETTING:
                 self._complete_reset()
@@ -331,30 +239,29 @@ class StripeSenderSession:
             if self.on_probe_ack is not None:
                 self.on_probe_ack(packet)
         elif isinstance(packet, ResetRequestPacket):
-            if self.state != self.RUNNING:
-                return
-            if (
-                packet.exclude_channel is not None
-                and self.config.is_active(packet.exclude_channel)
-                and len(self.config.active_channels) > 1
+            if self.state == self.RUNNING and (
+                packet.exclude_channel is None
+                or not self.exclude_channel(packet.exclude_channel)
             ):
-                self.initiate_reset(self.config_without(packet.exclude_channel))
-            else:
+                # Nothing (actionable) to exclude: a plain reset.
                 self.initiate_reset()
 
     def _complete_reset(self) -> None:
         self._cancel_retry()
         self.state = self.RUNNING
         self.resets_completed += 1
-        self.striper = self._make_striper(self.config)
-        pending = self._pending_during_reset
-        self._pending_during_reset = []
-        for packet in pending:
-            self.striper.submit(packet)
-        if self.fabric is not None:
-            # The new epoch's striper is empty: let the DRR refill it from
-            # the per-flow queues that absorbed the reset window.
-            self.fabric.pump()
+        pipeline = self.pipeline
+        self._install()
+        if pipeline.fabric is not None:
+            # The new epoch's striper has room again: let the DRR refill
+            # it from the per-flow queues that absorbed the reset window.
+            pipeline.fabric.pump()
+        if pipeline.reliable is not None:
+            # The handshake completed over the reverse ack path, so the
+            # bundle is demonstrably exchanging control traffic again:
+            # collapse any outage-accumulated RTO backoff rather than
+            # letting the first post-reset retransmission wait it out.
+            pipeline.reliable.on_channel_rejoin()
         if self.on_reset_complete is not None:
             self.on_reset_complete(self.epoch)
 
@@ -368,9 +275,9 @@ class StripeSenderSession:
             raise ValueError("cannot drop the last active channel")
         channels = self.config.active_channels
         quanta = self.config.quanta
-        return StripeConfig(
+        return replace(
+            self.config,
             quanta=quanta[:position] + quanta[position + 1 :],
-            count_packets=self.config.count_packets,
             active_channels=channels[:position] + channels[position + 1 :],
         )
 
@@ -393,9 +300,9 @@ class StripeSenderSession:
         # active_channels is sorted by construction, so the insertion
         # point comes from a binary search rather than a re-sort.
         position = bisect_left(channels, port_index)
-        return StripeConfig(
+        return replace(
+            self.config,
             quanta=quanta[:position] + (float(quantum),) + quanta[position:],
-            count_packets=self.config.count_packets,
             active_channels=(
                 channels[:position] + (port_index,) + channels[position:]
             ),
@@ -417,96 +324,89 @@ class StripeSenderSession:
         self.initiate_reset(self.config_without(port_index))
         return True
 
-    # ------------------------------------------------------------------ #
-    # checkpoints (self-stabilization support)
-
-    def checkpoint_round(self) -> int:
-        """The sender's current global round (stamped onto markers by the
-        session wiring; see LocalChecker)."""
-        kernel = self.striper._kernel
-        return kernel.round_number if kernel is not None else 0
-
 
 class StripeReceiverSession:
-    """Owns the receiver across resets; demuxes in-band control packets.
+    """The receiver's reset controller: demuxes in-band control packets.
+
+    It sits in front of the
+    :class:`~repro.transport.endpoint.StripeReceiverPipeline` it drives:
+    RESETs and PROBEs are consumed here, everything else passes the
+    per-channel epoch gate and the port→position map and enters through
+    ``pipeline.push`` (so a damaged wire frame is counted and dropped by
+    the pipeline's codec path, like on any other transport).  The first
+    RESET of a new epoch has the pipeline install a fresh reception
+    engine for the configuration the RESET carries; delivery, the
+    ARQ/FEC chain and the piggyback sinks are the pipeline's and survive.
 
     Args:
-        sim: event engine.
+        pipeline: the receiver pipeline.  Its reception engine is
+            replaced by ``config``'s at construction.
         n_ports: size of the full channel set.
         config: initial configuration (must match the sender's).
         send_control: reverse-path transmit function for ACKs/requests.
-        on_deliver: in-order data callback.
         checker: optional :class:`LocalChecker` for self-stabilization.
-        receiver_factory: optional ``(config, on_deliver) -> receiver``
-            override for each epoch's reception engine (anything with
-            ``push(channel, packet)``) — the receiver half of non-SRR
-            disciplines, e.g.
-            :class:`~repro.core.resequencer.DirectReception` for
-            marker-free schemes.  Default builds the paper's
-            simulated-sender :class:`~repro.core.markers.SRRReceiver`.
+        failure_detector: optional
+            :class:`~repro.transport.health.ChannelFailureDetector` over
+            the full port set; a silent channel becomes a reset request
+            excluding it.  A ``ChannelLifecycleManager`` also gates probe
+            acknowledgments behind its hold-down and revival thresholds.
+        discipline / discipline_options: the sender session's.
     """
 
     def __init__(
         self,
-        sim: Simulator,
+        pipeline: Any,
         n_ports: int,
         config: StripeConfig,
         send_control: Callable[[Any], None],
-        on_deliver: Optional[Callable[[Any], None]] = None,
         checker: Optional["LocalChecker"] = None,
-        receiver_factory: Optional[
-            Callable[[StripeConfig, Callable[[Any], None]], Any]
-        ] = None,
+        failure_detector: Optional[Any] = None,
+        discipline: Optional[str] = None,
+        discipline_options: Optional[dict] = None,
     ) -> None:
-        if config.active_channels is None:
-            config = StripeConfig(
-                quanta=config.quanta,
-                count_packets=config.count_packets,
-                active_channels=tuple(range(config.n_channels)),
-            )
-        self.sim = sim
+        self.pipeline = pipeline
         self.n_ports = n_ports
         self.send_control = send_control
-        self.on_deliver = on_deliver
         self.checker = checker
-        if checker is not None:
-            checker.attach(self)
+        self.failure_detector = failure_detector
+        if failure_detector is not None:
+            failure_detector.bind(
+                n_ports,
+                lambda index: self.request_reset(
+                    f"channel {index} silent", exclude_channel=index
+                ),
+                lambda: self.config.active_channels,
+            )
+        self.discipline = discipline
+        self.discipline_options = dict(discipline_options or {})
         self.epoch = 0
-        self.config = config
-        self.receiver_factory = receiver_factory
-        self.receiver = self._make_receiver(config)
+        self.config = _all_active(config)
+        self._install()
         #: epoch each physical channel's stream is currently in
         self._channel_epoch = [0] * n_ports
         self.reset_discards = 0
         self.resets_seen = 0
         self.acks_sent = 0
-        #: optional ChannelLifecycleManager (set by its ``attach``): gates
-        #: probe acknowledgements behind hold-down and revival thresholds
-        self.lifecycle: Optional[Any] = None
         self.probes_seen = 0
         self.probe_acks_sent = 0
 
-    def _make_receiver(self, config: StripeConfig) -> Any:
-        if self.receiver_factory is not None:
-            return self.receiver_factory(config, self._deliver)
-        receiver = SRRReceiver(
-            config.algorithm(),
-            on_deliver=self._deliver,
-            clock=lambda: self.sim.now,
+    def _install(self) -> None:
+        """Have the pipeline receive the current configuration: both ends
+        start an epoch from the same initial kernel state."""
+        config = self.config
+        self.pipeline.restart_reception(
+            _policy(self.discipline, config),
+            config.n_channels,
+            markers=self.discipline is None,
+            **self.discipline_options,
         )
-        # Epoch boundary: both ends agree on the fresh kernel state, so the
-        # receiver adopts the sender's epoch-initial snapshot wholesale.
-        receiver.adopt_snapshot(config.initial_snapshot())
-        return receiver
-
-    def _deliver(self, packet: Any) -> None:
-        if self.on_deliver is not None:
-            self.on_deliver(packet)
 
     # ------------------------------------------------------------------ #
 
     def push(self, port_index: int, packet: Any) -> None:
         """Physical arrival on a channel (by *original* port index)."""
+        if self.failure_detector is not None:
+            self.failure_detector.note_arrival(port_index)
         codepoint = getattr(packet, "codepoint", Codepoint.DATA)
         if codepoint == CODEPOINT_RESET:
             self._on_reset(port_index, packet)
@@ -527,8 +427,8 @@ class StripeReceiverSession:
             self.reset_discards += 1
             return
         if self.checker is not None and isinstance(packet, MarkerPacket):
-            self.checker.observe_marker(packet)
-        self.receiver.push(channel, packet)
+            self.checker.observe_marker(packet, self)
+        self.pipeline.push(channel, packet)
 
     def _on_reset(self, port_index: int, packet: ResetPacket) -> None:
         if packet.epoch < self.epoch:
@@ -536,27 +436,22 @@ class StripeReceiverSession:
         if packet.epoch > self.epoch:
             # First RESET of a new epoch: reinitialize wholesale.
             self.epoch = packet.epoch
-            self.config = packet.config
-            if self.config.active_channels is None:
-                self.config = StripeConfig(
-                    quanta=packet.config.quanta,
-                    count_packets=packet.config.count_packets,
-                    active_channels=tuple(range(packet.config.n_channels)),
-                )
+            self.config = _all_active(packet.config)
             # Marker-free reception engines hold no per-channel buffers
             # (delivery at arrival), so there is nothing to discard.
-            discarded = sum(
-                len(b) for b in getattr(self.receiver, "buffers", ())
+            self.reset_discards += sum(
+                len(b)
+                for b in getattr(self.pipeline.resequencer, "buffers", ())
             )
-            self.reset_discards += discarded
-            self.receiver = self._make_receiver(self.config)
+            self._install()
             self.resets_seen += 1
             if self.checker is not None:
                 self.checker.on_reset(self.epoch)
-            if self.lifecycle is not None:
+            note_rejoin = getattr(self.failure_detector, "note_rejoin", None)
+            if note_rejoin is not None:
                 # A rejoin RESET re-admits previously failed channels; the
                 # lifecycle manager must rearm its silence watch for them.
-                self.lifecycle.note_rejoin(self.config.active_channels)
+                note_rejoin(self.config.active_channels)
         # Mark this channel as switched (idempotent for retries).
         self._channel_epoch[port_index] = packet.epoch
         if all(
@@ -568,15 +463,20 @@ class StripeReceiverSession:
 
     def _on_probe(self, port_index: int, packet: "ProbePacket") -> None:
         self.probes_seen += 1
-        ack = True
-        if self.lifecycle is not None:
-            ack = self.lifecycle.note_probe(port_index)
-        if ack:
+        # A lifecycle manager gates the acknowledgment behind its
+        # hold-down and revival thresholds; otherwise every probe is acked.
+        note_probe = getattr(self.failure_detector, "note_probe", None)
+        if note_probe is None or note_probe(port_index):
             self.probe_acks_sent += 1
             self.send_control(
                 ProbeAckPacket(channel=port_index, seq=packet.seq)
             )
 
-    def request_reset(self, reason: str) -> None:
-        """Ask the sender for a reset (reboot, detected corruption)."""
-        self.send_control(ResetRequestPacket(reason=reason))
+    def request_reset(
+        self, reason: str, exclude_channel: Optional[int] = None
+    ) -> None:
+        """Ask the sender for a reset (reboot, detected corruption), or —
+        with ``exclude_channel`` — to reconfigure without a dead channel."""
+        self.send_control(
+            ResetRequestPacket(reason=reason, exclude_channel=exclude_channel)
+        )

@@ -2,14 +2,14 @@
 
 Split out of :mod:`repro.core.session`: the sender-side channel prober
 (revival detection for excluded channels) and the [Var93]-style local
-checker (round-divergence detection on markers).  Both attach to the
-session state machines in :mod:`repro.core.session` but carry no session
+checker (round-divergence detection on markers).  Both work on the
+session controllers of :mod:`repro.core.session` but carry no session
 state of their own.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from repro.core.control import ProbeAckPacket, ProbePacket
 from repro.core.packet import MarkerPacket
@@ -207,26 +207,24 @@ class LocalChecker:
         if window_rounds < 1:
             raise ValueError("window must be >= 1 round")
         self.window_rounds = window_rounds
-        self.session: Optional["StripeReceiverSession"] = None
         self.violations = 0
         self.resets_requested = 0
         self._requested_this_epoch = False
 
-    def attach(self, session: "StripeReceiverSession") -> None:
-        self.session = session
-
     def on_reset(self, epoch: int) -> None:
         self._requested_this_epoch = False
 
-    def observe_marker(self, marker: MarkerPacket) -> None:
-        assert self.session is not None
-        receiver_round = self.session.receiver.round_number
+    def observe_marker(
+        self, marker: MarkerPacket, session: "StripeReceiverSession"
+    ) -> None:
+        """A marker arrived at ``session``, before its engine sees it."""
+        receiver_round = session.pipeline.resequencer.round_number
         if abs(marker.round_number - receiver_round) > self.window_rounds:
             self.violations += 1
             if not self._requested_this_epoch:
                 self._requested_this_epoch = True
                 self.resets_requested += 1
-                self.session.request_reset(
+                session.request_reset(
                     f"round divergence {marker.round_number} vs "
                     f"{receiver_round}"
                 )

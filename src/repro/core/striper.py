@@ -118,6 +118,11 @@ class Striper:
     ``channel.on_space`` to ``pump``).
     """
 
+    #: while True :meth:`pump` sends nothing and submissions only queue —
+    #: set by a session controller for the span of a reset, so nothing of
+    #: the next epoch's stream is striped under the old epoch's state
+    held = False
+
     def __init__(
         self,
         sharer: LoadSharer,
@@ -207,6 +212,8 @@ class Striper:
         Returns the number of data packets sent.  Called by the owner when
         a channel frees queue space.
         """
+        if self.held:
+            return 0
         if self._initial_markers_pending:
             self._initial_markers_pending = False
             self._emit_markers()

@@ -117,7 +117,7 @@ def run_chaos_run(seed: int, total_s: float) -> ChaosRun:
     testbed = build_session_testbed(
         sim, n_channels=N_CHANNELS, link_mbps=(10.0,), loss_rates=(0.0,),
         message_bytes=MESSAGE_BYTES, failure_detector=detector,
-        health_monitor=monitor, enable_prober=True,
+        health_monitor=monitor,
         prober_options=dict(initial_interval=0.05, max_interval=0.2),
     )
     plan = FaultPlan(
@@ -147,11 +147,9 @@ def run_chaos_run(seed: int, total_s: float) -> ChaosRun:
         duplicates=len(seqs) - len(set(seqs)),
         failures=len(detector.failures_reported),
         revivals=len(detector.revivals_reported),
-        probes_sent=(
-            testbed.sender.prober.probes_sent if testbed.sender.prober else 0
-        ),
-        rejoins=testbed.sender.prober.rejoins if testbed.sender.prober else 0,
-        resets=testbed.receiver.session.resets_seen,
+        probes_sent=testbed.prober.probes_sent,
+        rejoins=testbed.prober.rejoins,
+        resets=testbed.receiver_session.resets_seen,
         faults_injected=installed.total_faulted,
     )
 

@@ -26,7 +26,13 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.analysis.reorder import analyze_order
-from repro.core.session import LocalChecker, StripeConfig
+from repro.core.session import (
+    ChannelProber,
+    LocalChecker,
+    StripeConfig,
+    StripeReceiverSession,
+    StripeSenderSession,
+)
 from repro.core.striper import MarkerPolicy
 from repro.experiments.socket_harness import (
     build_two_hosts,
@@ -36,10 +42,14 @@ from repro.experiments.socket_harness import (
 from repro.net.stack import Link
 from repro.sim.engine import Simulator
 from repro.sim.loss import BernoulliLoss
-from repro.transport.session_striping import (
+from repro.transport.endpoint import (
     ChannelFailureDetector,
-    SessionSocketReceiver,
-    SessionSocketSender,
+    StripeReceiverPipeline,
+    StripeSenderPipeline,
+)
+from repro.transport.session_striping import (
+    bind_udp_session_receiver,
+    udp_session_sender,
 )
 from repro.workloads.generators import ClosedLoopSource, ConstantSizes
 
@@ -49,9 +59,15 @@ CONTROL_PORT = 6900
 
 @dataclass
 class SessionTestbed:
+    """``sender`` / ``receiver`` are the two pipelines (the data path);
+    the ``*_session`` fields are the reset controllers driving them."""
+
     sim: Simulator
-    sender: SessionSocketSender
-    receiver: SessionSocketReceiver
+    sender: StripeSenderPipeline
+    receiver: StripeReceiverPipeline
+    sender_session: StripeSenderSession
+    receiver_session: StripeReceiverSession
+    prober: Optional[ChannelProber]
     source: Optional[ClosedLoopSource]
     links: List[Link]
     loss_models: List[BernoulliLoss]
@@ -77,7 +93,6 @@ def build_session_testbed(
     queue_frames: int = 40,
     seed: int = 0,
     health_monitor: Optional[Any] = None,
-    enable_prober: bool = False,
     prober_options: Optional[dict] = None,
     reliability: str = "quasi_fifo",
     reliability_options: Optional[dict] = None,
@@ -106,20 +121,24 @@ def build_session_testbed(
         quanta=tuple(quanta) if quanta else tuple([float(message_bytes)] * n_channels)
     )
     arq_options = reliability_options or {}
-    sender = SessionSocketSender(
+    sender_session = udp_session_sender(
         sim, host_a, destinations, config,
         marker_policy=MarkerPolicy(interval_rounds=1),
         control_port=CONTROL_PORT,
         health_monitor=health_monitor,
-        enable_prober=enable_prober,
-        prober_options=prober_options,
         reliability=reliability,
         reliability_options=arq_options.get("sender"),
         discipline=discipline,
         discipline_options=discipline_options,
     )
+    # Excluded channels are probed with exponential backoff and rejoined
+    # (fresh quanta via RESET) once they answer.
+    prober = (
+        ChannelProber(sim, sender_session, **prober_options)
+        if prober_options is not None else None
+    )
     deliveries: List[Tuple[float, int]] = []
-    receiver = SessionSocketReceiver(
+    receiver_session = bind_udp_session_receiver(
         sim, host_b, n_channels, config,
         base_port=BASE_PORT,
         control_to=host_a.local_addresses()[0],
@@ -132,6 +151,7 @@ def build_session_testbed(
         discipline=discipline,
         discipline_options=discipline_options,
     )
+    sender = sender_session.pipeline
 
     forward = [link.ab for link in links]
     source: Optional[ClosedLoopSource] = None
@@ -144,7 +164,9 @@ def build_session_testbed(
             channel.on_space = sender.pump
 
     return SessionTestbed(
-        sim=sim, sender=sender, receiver=receiver, source=source,
+        sim=sim, sender=sender, receiver=receiver_session.pipeline,
+        sender_session=sender_session, receiver_session=receiver_session,
+        prober=prober, source=source,
         links=links, loss_models=loss_models, deliveries=deliveries,
     )
 
@@ -211,9 +233,9 @@ def run_link_failure(
                 goodput_after=testbed.goodput_mbps(
                     fail_at + 0.5, total_s, message_bytes
                 ),
-                resets=testbed.receiver.session.resets_seen,
+                resets=testbed.receiver_session.resets_seen,
                 surviving_channels=len(
-                    testbed.receiver.session.config.active_channels
+                    testbed.receiver_session.config.active_channels
                 ),
             )
         )
@@ -271,7 +293,7 @@ def run_state_corruption(
         )
 
         def corrupt(tb=testbed):
-            tb.receiver.session.receiver.round_number += 10_000
+            tb.receiver.resequencer.round_number += 10_000
 
         sim.schedule_at(corrupt_at, corrupt)
         sim.run(until=total_s)
@@ -286,7 +308,7 @@ def run_state_corruption(
                 ooo_before=before.out_of_order,
                 ooo_after_window=final.out_of_order,
                 violations=checker.violations if checker else 0,
-                resets=testbed.receiver.session.resets_seen,
+                resets=testbed.receiver_session.resets_seen,
             )
         )
     return CorruptionExperiment(rows)
@@ -308,14 +330,14 @@ class QuantaAdapter:
     def __init__(
         self,
         sim: Simulator,
-        sender: SessionSocketSender,
+        session: StripeSenderSession,
         links: Sequence[Link],
         interval: float = 0.2,
         min_quantum: float = 1000.0,
         cooldown: float = 0.4,
     ) -> None:
         self.sim = sim
-        self.sender = sender
+        self.session = session
         self.links = list(links)
         self.interval = interval
         self.min_quantum = min_quantum
@@ -343,11 +365,11 @@ class QuantaAdapter:
         return rates
 
     def _tick(self) -> None:
-        session = self.sender.session
+        session = self.session
         if session.state == session.RUNNING:
             active = session.config.active_channels
             rates = self._estimate_rates(active)
-            queues = [self.sender.ports[i].queue_length for i in active]
+            queues = [session.all_ports[i].queue_length for i in active]
             imbalanced = max(queues) >= 30 and min(queues) <= 2
             if (
                 rates is not None
@@ -414,7 +436,7 @@ def run_capacity_adaptation(
             message_bytes=message_bytes,
         )
         adapter = (
-            QuantaAdapter(sim, testbed.sender, testbed.links)
+            QuantaAdapter(sim, testbed.sender_session, testbed.links)
             if adaptive else None
         )
         sim.schedule_at(
@@ -432,7 +454,7 @@ def run_capacity_adaptation(
                     total_s - 1.5, total_s, message_bytes
                 ),
                 adaptations=adapter.adaptations if adapter else 0,
-                final_quanta=testbed.sender.session.config.quanta,
+                final_quanta=testbed.sender_session.config.quanta,
             )
         )
     return AdaptationExperiment(rows)

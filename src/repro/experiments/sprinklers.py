@@ -170,15 +170,9 @@ class SprinklersResult:
         return "\n".join(lines)
 
 
-def _receiver_hwm(candidate) -> int:
-    """Best-effort high-water mark across the transports' receiver shapes."""
-    state = getattr(candidate, "receiver_state", None)
-    if state is not None:
-        return int(state().get("max_buffered", 0))
-    stats = getattr(candidate, "stats", None)
-    if stats is not None and hasattr(stats, "max_buffered"):
-        return int(stats.max_buffered)
-    return int(getattr(candidate, "max_buffered", 0))
+def _receiver_hwm(receiver) -> int:
+    """A receiver pipeline's resequencing-buffer high-water mark."""
+    return int(receiver.receiver_state().get("max_buffered", 0))
 
 
 # --------------------------------------------------------------------- #
@@ -233,8 +227,8 @@ def _run_session(discipline: str, duration_s: float):
     goodput = len(seqs) * MESSAGE_BYTES * 8 / duration_s / 1e6
     return (
         seqs, goodput,
-        _receiver_hwm(testbed.receiver.session.receiver),
-        testbed.sender.session.striper.markers_sent,
+        _receiver_hwm(testbed.receiver),
+        testbed.sender.striper.markers_sent,
     )
 
 

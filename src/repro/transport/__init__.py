@@ -12,8 +12,7 @@ Substrate protocols:
 The endpoint layer (one sender pipeline, one receiver pipeline):
 
 * :mod:`repro.transport.endpoint` — the channel-port protocol, the two
-  pipelines, and the ARQ/FEC recovery-stack builders they share with the
-  session transport.
+  pipelines, and the ARQ/FEC recovery-stack builders.
 * :mod:`repro.transport.discipline` — the striping-discipline registry
   with its receiver-mode and synchronization-model axes.
 * :mod:`repro.transport.sync_model` — synchronization models: how the
@@ -44,8 +43,8 @@ Transports — a port type plus the functions that build and bind it:
   no UDP/IP stack in between.
 * :mod:`repro.transport.duplex` — two UDP endpoints with credits and
   SACKs piggybacked on each other's markers.
-* :mod:`repro.transport.session_striping` — UDP ports under the
-  reset/reconfiguration sessions of :mod:`repro.core.session`.
+* :mod:`repro.transport.session_striping` — UDP ports, each pipeline
+  driven by a reset/reconfiguration controller of :mod:`repro.core.session`.
 """
 
 from repro.transport.endpoint import (
@@ -83,8 +82,8 @@ from repro.transport.socket_striping import (
     udp_ports,
 )
 from repro.transport.session_striping import (
-    SessionSocketReceiver,
-    SessionSocketSender,
+    bind_udp_session_receiver,
+    udp_session_sender,
 )
 from repro.transport.fast_path import (
     FastChannelPort,
@@ -139,8 +138,8 @@ __all__ = [
     "CreditSender",
     "udp_ports",
     "bind_udp_receiver",
-    "SessionSocketSender",
-    "SessionSocketReceiver",
+    "udp_session_sender",
+    "bind_udp_session_receiver",
     "ChannelFailureDetector",
     "DuplexStripedEndpoint",
     "connect_duplex",

@@ -1,7 +1,7 @@
 """The transport-agnostic striping endpoint layer.
 
 Every transport in this package — UDP sockets, session-managed UDP, TCP
-connections, the direct-to-channel fast path, duplex sessions — needs the
+connections, the direct-to-channel fast path, duplex endpoints — needs the
 same machinery: a stripe pump feeding channel ports, marker placement,
 credit hooks, a per-channel receive buffer with a drop rule, logical
 reception through a resequencer, and (sometimes) a dead-channel watchdog.
@@ -21,8 +21,11 @@ nothing else.
   to the discipline's synchronization model.
 * :func:`build_sender_recovery` / :func:`build_receiver_recovery` — the
   ARQ/FEC stacking (recording ports -> ARQ -> FEC; reception engine -> FEC
-  -> ARQ -> application), assembled once at construction time for both
-  pipelines and for the session transport.
+  -> ARQ -> application), assembled once at construction time.
+
+A session (:mod:`repro.core.session`) is a reset controller over this
+pair, not another one: ``restripe`` / ``restart_reception`` install a new
+epoch's striper / reception engine by the constructors' own construction.
 
 How sender and receiver agree on order is **not** this module's business
 any more: each pipeline owns a
@@ -32,8 +35,7 @@ schemes, direct delivery for marker-free hash schemes, header reception
 for MPPP/BONDING), built from the discipline registry's ``sync_model``
 axis (:mod:`repro.transport.discipline`).  Channel-health machinery
 (failure detection, lifecycle, stall watch) lives in
-:mod:`repro.transport.health`.  Both are re-exported here for
-compatibility.
+:mod:`repro.transport.health`.  Both are re-exported here.
 
 The module deliberately imports nothing from :mod:`repro.net`,
 :mod:`repro.sim`, or the concrete transports: a pipeline only sees ports
@@ -63,6 +65,7 @@ from repro.transport.discipline import (
     DISCIPLINES,
     SYNC_MODELS,
     make_discipline,
+    receiver_args_for,
     receiver_mode_for,
     resolve_discipline,
     sync_model_for,
@@ -155,6 +158,8 @@ class FastStriper(Striper):
         }
 
     def pump(self) -> int:
+        if self.held:
+            return 0
         kernel = self._kernel
         if kernel is None or self.tracer.enabled:
             self.fallback_pumps += 1
@@ -388,19 +393,6 @@ def build_receiver_recovery(
     return reliable, fec, head
 
 
-def chain_window_open(reliable: ReliableSender, fn: Callable[[], Any]) -> None:
-    """Call ``fn`` whenever the ARQ window drains, after any callback the
-    owner already installed on ``on_window_open``."""
-    chained = reliable.on_window_open
-
-    def _window_open() -> None:
-        if chained is not None:
-            chained()
-        fn()
-
-    reliable.on_window_open = _window_open
-
-
 class StripeSenderPipeline:
     """The one striping send pump, over any transport's channel ports.
 
@@ -510,16 +502,15 @@ class StripeSenderPipeline:
             hasattr(port, "send_burst") and hasattr(port, "free_capacity")
             for port in self.ports
         )
-        striper_cls = FastStriper if burst else Striper
-        self.striper = striper_cls(
-            sharer,
-            self.ports,
-            self.sync.marker_policy,
+        self._make_striper = partial(
+            FastStriper if burst else Striper,
+            marker_policy=self.sync.marker_policy,
             on_marker=on_marker,
             marker_decorator=marker_decorator,
             tracer=tracer,
             clock=clock,
         )
+        self.striper = self._make_striper(sharer, self.ports)
         self.credit = credit
         if credit is not None:
             credit.on_unblocked = self.pump
@@ -536,6 +527,40 @@ class StripeSenderPipeline:
             self.attach_fabric(fabric)
         if marker_keepalive_s is not None:
             self.sync.start_keepalive(self.striper, sim, marker_keepalive_s)
+
+    def restripe(
+        self,
+        discipline: Any,
+        active: Sequence[int],
+        **discipline_options: Any,
+    ) -> None:
+        """Install a new epoch's striper over the ``active`` subset of this
+        pipeline's ports (full-set indices, in channel order).
+
+        The reconfiguration half of a session reset: ``discipline`` is
+        resolved for ``len(active)`` channels into a striper at its
+        initial state (fresh kernel, initial markers due again), built as
+        the constructor's was.  The input queue carries across — whatever
+        was submitted, retransmitted or drained from the fabric while the
+        old striper was held opens the new epoch, in order; the ARQ/FEC
+        layers, the fabric mount and the recording ports (which keep
+        their full-set index) are untouched.  Fragmenting disciplines are
+        refused: the carried queue would hold the old epoch's fragments.
+        """
+        ports = [self.ports[index] for index in active]
+        sharer = resolve_discipline(
+            discipline, len(ports), **discipline_options
+        )
+        if hasattr(sharer, "wrap_packet"):
+            raise ValueError(
+                f"cannot restripe with {type(sharer).__name__}: a queue "
+                "carried across epochs moves whole packets, not fragments"
+            )
+        carried = self.striper.input_queue
+        self.sharer = sharer
+        self.striper = self._make_striper(sharer, ports)
+        if carried:
+            self.striper.submit_many(carried)
 
     # ------------------------------------------------------------------ #
     # multi-flow fabric mount
@@ -568,8 +593,16 @@ class StripeSenderPipeline:
             downstream_many=self._submit_many,
         )
         if self.reliable is not None:
-            # A draining ARQ window reopens the fabric gate.
-            chain_window_open(self.reliable, fabric.pump)
+            # A draining ARQ window reopens the fabric gate, after any
+            # callback the owner already installed on ``on_window_open``.
+            chained = self.reliable.on_window_open
+
+            def window_open() -> None:
+                if chained is not None:
+                    chained()
+                fabric.pump()
+
+            self.reliable.on_window_open = window_open
         return fabric
 
     def _fabric_ready(self) -> int:
@@ -593,18 +626,27 @@ class StripeSenderPipeline:
                 "flow-addressed submit requires a fabric "
                 "(pass fabric= or call attach_fabric())"
             )
+        # Counted before the hand-off (the fabric may pump, and a delivery
+        # may submit again, before it returns); a refusal pumps nothing,
+        # so taking the count back is exact.
         self.messages_submitted += 1
-        return self.fabric.submit(flow_id, packet)
+        if self.fabric.submit(flow_id, packet):
+            return True
+        self.messages_submitted -= 1
+        return False
 
     def send_message(
         self, size: int, payload: Any = None, flow_id: Any = None
-    ) -> Packet:
-        """Submit one application message of ``size`` bytes for striping."""
+    ) -> Optional[Packet]:
+        """Submit one application message of ``size`` bytes for striping.
+
+        Returns the queued packet, or None when ``flow_id``'s bounded
+        queue refused it (its ``seq`` goes to the next message).
+        """
         packet = Packet(size=size, seq=self.messages_submitted, payload=payload)
         if flow_id is not None:
             packet.flow = flow_id
-            self.submit(flow_id, packet)
-            return packet
+            return packet if self.submit(flow_id, packet) else None
         self.messages_submitted += 1
         self._submit(packet)
         return packet
@@ -804,7 +846,6 @@ class StripeReceiverPipeline:
         send_ack: Optional[Callable[[Any], None]] = None,
         reliability_options: Optional[Dict[str, Any]] = None,
     ) -> None:
-        self.n_channels = n_channels
         self.sim = sim
         self._on_message = on_message
         self._buffer_packets = buffer_packets
@@ -823,21 +864,9 @@ class StripeReceiverPipeline:
         # callback directly to its destination (FEC layer, ARQ receiver,
         # or final delivery) — one less call per delivered packet; the
         # chain is fixed at construction.
-        self.sync = make_sync_model(
-            mode,
-            algorithm,
-            n_channels=n_channels,
-            on_deliver=head,
-            clock=clock,
-            sim=sim,
+        self._make_sync = partial(
+            make_sync_model, on_deliver=head, clock=clock, sim=sim
         )
-        #: the reception engine (compatibility name: every harness and
-        #: test reads ``receiver.resequencer``); for marker-free models a
-        #: zero-buffer :class:`~repro.core.resequencer.DirectReception`.
-        self.resequencer = self.sync.receiver
-        self._pushed_data: List[int] = [0] * n_channels
-        self._credited: List[int] = [0] * n_channels
-        self.failed_channels: set = set()
         self._failure_detector = failure_detector
         if failure_detector is not None:
             failure_detector.bind(
@@ -845,7 +874,50 @@ class StripeReceiverPipeline:
             )
         #: one shared slot the arrival closures read per packet
         self._checked_arrivals = [False]
+        self._install(mode, algorithm, n_channels)
+
+    def _install(
+        self, mode: str, algorithm: Optional[CausalFQ], n_channels: int
+    ) -> None:
+        """Build the synchronization model and its reception engine."""
+        self.n_channels = n_channels
+        self.sync = self._make_sync(mode, algorithm, n_channels=n_channels)
+        #: the reception engine (compatibility name: every harness and
+        #: test reads ``receiver.resequencer``); for marker-free models a
+        #: zero-buffer :class:`~repro.core.resequencer.DirectReception`.
+        self.resequencer = self.sync.receiver
+        self._pushed_data: List[int] = [0] * n_channels
+        self._credited: List[int] = [0] * n_channels
+        self.failed_channels: set = set()
         self._rewire()
+
+    def restart_reception(
+        self,
+        discipline: Any,
+        n_channels: int,
+        *,
+        markers: bool = False,
+        **discipline_options: Any,
+    ) -> None:
+        """Install a new epoch's reception engine for ``n_channels``.
+
+        The receive half of a session reset: ``discipline`` picks mode
+        and algorithm (:func:`~repro.transport.discipline.receiver_args_for`)
+        and the synchronization model is rebuilt at its initial state as
+        the constructor built it.  What the old engine still buffered is
+        dropped with it; the credit / SACK sinks, the ARQ/FEC chain,
+        :attr:`delivered` and ``on_message`` survive.  Closures taken from
+        :meth:`channel_handler` stay bound to the engine they were issued
+        for — a session enters through :meth:`push`.
+        """
+        mode, algorithm = receiver_args_for(
+            discipline, n_channels, markers, **discipline_options
+        )
+        previous = self.sync
+        self._install(mode, algorithm, n_channels)
+        self.sync.marker_decode_errors = previous.marker_decode_errors
+        self.sync.credit_sink = previous.credit_sink
+        self.sack_sink = previous.sack_sink  # the setter rewires
 
     # -- synchronization-model state forwarded for the transports ------ #
 

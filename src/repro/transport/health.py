@@ -37,7 +37,6 @@ class ChannelFailureDetector:
         self.sim = sim
         self.silence_threshold = silence_threshold
         self.check_interval = check_interval
-        self.receiver: Any = None
         self.last_arrival: List[float] = []
         self.failed: set = set()
         self.failures_reported: List[int] = []
@@ -68,19 +67,6 @@ class ChannelFailureDetector:
                 i for i in range(n_channels) if i not in self.failed
             ]
         self._active = active_channels
-
-    def attach(self, receiver: Any) -> None:
-        """Session-receiver wiring (compatibility surface).
-
-        The receiver must expose ``n_ports``, ``request_drop_channel`` and
-        ``session.config.active_channels``.
-        """
-        self.receiver = receiver
-        self.bind(
-            receiver.n_ports,
-            receiver.request_drop_channel,
-            lambda: receiver.session.config.active_channels,
-        )
 
     def note_arrival(self, port_index: int) -> None:
         if not 0 <= port_index < len(self.last_arrival):
@@ -207,15 +193,6 @@ class ChannelLifecycleManager(ChannelFailureDetector):
         self._life_seen = [0] * n_channels
         self._hold_down = [self.min_down_time] * n_channels
         self._revived_at = [float("-inf")] * n_channels
-
-    def attach(self, receiver: Any) -> None:
-        super().attach(receiver)
-        # Let the session receiver consult us when sender probes arrive
-        # (gating the ProbeAck behind hold-down + revival threshold) and
-        # tell us when a rejoin RESET re-activates a channel.
-        session = getattr(receiver, "session", None)
-        if session is not None and hasattr(session, "lifecycle"):
-            session.lifecycle = self
 
     def channel_state(self, channel: int) -> str:
         return self.state[channel]

@@ -13,11 +13,12 @@ from repro.core.kernel import (
 from repro.core.markers import SRRReceiver
 from repro.core.packet import Packet
 from repro.core.schemes import SeededRandomFQ
-from repro.core.session import StripeConfig, StripeReceiverSession, StripeSenderSession
+from repro.core.session import StripeConfig
 from repro.core.srr import SRR, SRRState, make_grr, make_rr
 from repro.core.striper import ListPort, MarkerPolicy, Striper
 from repro.core.transform import TransformedLoadSharer, stripe_sequence
 from repro.sim.engine import Simulator
+from tests.session_rig import Loopback
 
 
 def make_packets(n, seed=7, lo=40, hi=1500):
@@ -224,77 +225,50 @@ class TestReceiverSnapshotAdoption:
 
 
 class TestSessionResetInstallsFreshKernel:
-    def _loopback(self, sim, n_ports=2, quanta=(100.0, 100.0)):
-        ports = [ListPort() for _ in range(n_ports)]
-        config = StripeConfig(quanta=tuple(quanta))
-        sender = StripeSenderSession(sim, ports, config)
-        delivered = []
-
-        def send_control(packet):
-            sender.on_control(packet)
-
-        receiver = StripeReceiverSession(
-            sim, n_ports, config, send_control,
-            on_deliver=lambda p: delivered.append(p.seq),
-        )
-        return ports, sender, receiver, delivered
-
-    def _flush(self, ports, receiver, cursors):
-        progressing = True
-        while progressing:
-            progressing = False
-            for index, port in enumerate(ports):
-                if cursors[index] < len(port.sent):
-                    receiver.push(index, port.sent[cursors[index]])
-                    cursors[index] += 1
-                    progressing = True
-
     def test_reset_installs_epoch_initial_snapshot_both_ends(self):
         sim = Simulator()
-        ports, sender, receiver, delivered = self._loopback(sim)
-        cursors = [0, 0]
+        loop = Loopback(sim)
+        session = loop.sender_session
         for packet in make_packets(40, seed=4, lo=10, hi=90):
-            sender.submit(packet)
-        self._flush(ports, receiver, cursors)
-        assert delivered == list(range(40))
+            loop.sender.submit_packet(packet)
+        loop.flush()
+        assert loop.delivered == list(range(40))
 
         new_config = StripeConfig(quanta=(250.0, 125.0))
-        sender.initiate_reset(new_config)
-        self._flush(ports, receiver, cursors)  # RESETs reach the receiver
+        session.initiate_reset(new_config)
+        loop.flush()  # RESETs reach the receiver
         sim.run()
-        assert sender.state == sender.RUNNING
+        assert session.state == session.RUNNING
 
         # Both ends now sit at the new config's epoch-initial kernel state.
-        assert sender.striper._kernel.snapshot() == new_config.initial_snapshot()
-        mirror = receiver.receiver.mirror_state()
+        kernel = loop.sender.striper._kernel
+        assert kernel.snapshot() == new_config.algorithm().initial_state()
+        mirror = loop.receiver.resequencer.mirror_state()
         assert mirror["ptr"] == 0
         assert mirror["G"] == 1
         assert mirror["dc"] == (250.0, 0.0)
         assert mirror["sync_round"] == (None, None)
 
         # And the new epoch delivers FIFO with the new quanta.
-        delivered.clear()
+        loop.delivered.clear()
         for packet in make_packets(60, seed=5, lo=10, hi=240):
-            sender.submit(packet)
-        self._flush(ports, receiver, cursors)
-        assert delivered == list(range(60))
+            loop.sender.submit_packet(packet)
+        loop.flush()
+        assert loop.delivered == list(range(60))
 
     def test_reconfig_changes_kernel_width(self):
         sim = Simulator()
-        ports, sender, receiver, delivered = self._loopback(
-            sim, n_ports=3, quanta=(100.0, 100.0, 100.0)
-        )
-        cursors = [0, 0, 0]
-        drop_config = sender.config_without(1)
-        sender.initiate_reset(drop_config)
-        self._flush(ports, receiver, cursors)
+        loop = Loopback(sim, n_ports=3, quanta=(100.0, 100.0, 100.0))
+        session = loop.sender_session
+        session.initiate_reset(session.config_without(1))
+        loop.flush()
         sim.run()
-        assert sender.striper._kernel.n_channels == 2
-        assert receiver.receiver.n_channels == 2
+        assert loop.sender.striper._kernel.n_channels == 2
+        assert loop.receiver.resequencer.n_channels == 2
         for packet in make_packets(30, seed=6, lo=10, hi=90):
-            sender.submit(packet)
-        self._flush(ports, receiver, cursors)
-        assert delivered == list(range(30))
+            loop.sender.submit_packet(packet)
+        loop.flush()
+        assert loop.delivered == list(range(30))
 
 
 class TestStripeSequenceBatched:

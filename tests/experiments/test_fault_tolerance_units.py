@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.core.session import StripeConfig, StripeSenderSession
-from repro.core.striper import ListPort
 from repro.experiments.fault_tolerance import (
     QuantaAdapter,
     build_session_testbed,
 )
 from repro.sim.engine import Simulator
-from repro.transport.session_striping import ChannelFailureDetector
+from repro.transport.health import ChannelFailureDetector
+from tests.session_rig import Loopback
 
 
 class TestChannelFailureDetector:
@@ -21,7 +20,7 @@ class TestChannelFailureDetector:
                 sim, silence_threshold=0.15
             ),
         )
-        detector = testbed.receiver.failure_detector
+        detector = testbed.receiver_session.failure_detector
         sim.schedule_at(0.4, lambda: setattr(testbed.loss_models[2], "p", 1.0))
         sim.run(until=1.2)
         assert detector.failures_reported == [2]
@@ -35,7 +34,7 @@ class TestChannelFailureDetector:
             ),
         )
         sim.run(until=1.5)
-        assert testbed.receiver.failure_detector.failures_reported == []
+        assert testbed.receiver_session.failure_detector.failures_reported == []
 
     def test_total_outage_not_misreported(self):
         """If every channel goes silent (sender stopped), nothing is alive
@@ -49,7 +48,7 @@ class TestChannelFailureDetector:
         )
         sim.schedule_at(0.4, testbed.source.stop)
         sim.run(until=1.5)
-        assert testbed.receiver.failure_detector.failures_reported == []
+        assert testbed.receiver_session.failure_detector.failures_reported == []
 
 
 class TestQuantaAdapter:
@@ -58,7 +57,7 @@ class TestQuantaAdapter:
         testbed = build_session_testbed(
             sim, n_channels=2, link_mbps=(10.0, 10.0), loss_rates=(0.0,),
         )
-        adapter = QuantaAdapter(sim, testbed.sender, testbed.links)
+        adapter = QuantaAdapter(sim, testbed.sender_session, testbed.links)
         sim.run(until=2.0)
         assert adapter.adaptations == 0
 
@@ -67,11 +66,11 @@ class TestQuantaAdapter:
         testbed = build_session_testbed(
             sim, n_channels=2, link_mbps=(10.0, 10.0), loss_rates=(0.0,),
         )
-        adapter = QuantaAdapter(sim, testbed.sender, testbed.links)
+        adapter = QuantaAdapter(sim, testbed.sender_session, testbed.links)
         sim.schedule_at(0.5, lambda: testbed.links[1].set_rate(5e6))
         sim.run(until=3.0)
         assert adapter.adaptations >= 1
-        quanta = testbed.sender.session.config.quanta
+        quanta = testbed.sender_session.config.quanta
         assert 1.5 < quanta[0] / quanta[1] < 3.0
 
     def test_cooldown_limits_reset_rate(self):
@@ -80,7 +79,7 @@ class TestQuantaAdapter:
             sim, n_channels=2, link_mbps=(10.0, 10.0), loss_rates=(0.0,),
         )
         adapter = QuantaAdapter(
-            sim, testbed.sender, testbed.links, cooldown=10.0
+            sim, testbed.sender_session, testbed.links, cooldown=10.0
         )
         sim.schedule_at(0.5, lambda: testbed.links[1].set_rate(2.5e6))
         sim.run(until=3.0)
@@ -88,42 +87,20 @@ class TestQuantaAdapter:
 
 
 class TestSenderSessionUnits:
-    def test_checkpoint_round_tracks_striper(self, sim):
-        from repro.core.striper import MarkerPolicy
-        from repro.core.packet import Packet
-
-        ports = [ListPort(), ListPort()]
-        sender = StripeSenderSession(
-            sim, ports, StripeConfig(quanta=(100.0, 100.0)),
-            marker_policy=MarkerPolicy(interval_rounds=1),
-        )
-        assert sender.checkpoint_round() == 1
-        for i in range(6):
-            sender.submit(Packet(100, seq=i))
-        assert sender.checkpoint_round() == 4
-
     def test_config_without_validation(self, sim):
-        ports = [ListPort(), ListPort()]
-        sender = StripeSenderSession(
-            sim, ports, StripeConfig(quanta=(100.0, 100.0)),
-        )
+        sender = Loopback(sim).sender_session
         reduced = sender.config_without(0)
         assert reduced.active_channels == (1,)
         with pytest.raises(ValueError):
             sender.config_without(5)
-        single = StripeSenderSession(
-            sim, [ListPort()], StripeConfig(quanta=(100.0,)),
-        )
+        single = Loopback(sim, n_ports=1, quanta=(100.0,)).sender_session
         with pytest.raises(ValueError):
             single.config_without(0)
 
     def test_exclude_request_ignored_for_last_channel(self, sim):
         from repro.core.session import ResetRequestPacket
 
-        ports = [ListPort()]
-        sender = StripeSenderSession(
-            sim, ports, StripeConfig(quanta=(100.0,)),
-        )
+        sender = Loopback(sim, n_ports=1, quanta=(100.0,)).sender_session
         sender.on_control(
             ResetRequestPacket(reason="x", exclude_channel=0)
         )

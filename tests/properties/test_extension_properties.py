@@ -100,29 +100,19 @@ class TestResetStreamProperty:
     )
     @settings(max_examples=60, deadline=None)
     def test_delivery_is_prefix_then_new_epoch(self, before, after, quanta, seed):
-        from repro.core.session import (
-            StripeConfig,
-            StripeReceiverSession,
-            StripeSenderSession,
-        )
         from repro.sim.engine import Simulator
+        from tests.session_rig import Loopback
 
-        sim = Simulator()
         n = len(quanta)
-        ports = [ListPort() for _ in range(n)]
-        config = StripeConfig(quanta=tuple(float(q) for q in quanta))
-        sender = StripeSenderSession(sim, ports, config)
-        delivered = []
-        receiver = StripeReceiverSession(
-            sim, n, config,
-            send_control=lambda p: sender.on_control(p),
-            on_deliver=lambda p: delivered.append(p.seq),
+        loop = Loopback(Simulator(), n_ports=n, quanta=[float(q) for q in quanta])
+        ports, receiver, delivered = (
+            loop.ports, loop.receiver_session, loop.delivered
         )
         for i in range(before):
-            sender.submit(Packet(100, seq=i))
-        sender.initiate_reset()
+            loop.sender.submit_packet(Packet(100, seq=i))
+        loop.sender_session.initiate_reset()
         for i in range(before, before + after):
-            sender.submit(Packet(100, seq=i))
+            loop.sender.submit_packet(Packet(100, seq=i))
 
         # random channel-preserving interleaving of everything
         rng = random.Random(seed)

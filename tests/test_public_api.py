@@ -51,7 +51,7 @@ SURFACE = {
         "UdpChannelPort", "udp_ports", "bind_udp_receiver",
         "TcpChannelPort", "tcp_ports", "bind_tcp_receiver",
         "FastChannelPort", "bind_fast_receiver", "wire_size",
-        "SessionSocketSender", "SessionSocketReceiver",
+        "udp_session_sender", "bind_udp_session_receiver",
         "ChannelFailureDetector", "connect_duplex",
     ],
     "repro.baselines": [

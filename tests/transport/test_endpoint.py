@@ -131,6 +131,23 @@ class TestSenderPipeline:
         assert pipeline.backlog == 0
         assert [len(p.sent) for p in ports] == [1, 1]
 
+    def test_refused_flow_submission_is_not_counted(self):
+        """A packet the flow's bounded queue refuses was not submitted:
+        no count, no burnt ``seq``, and ``send_message`` says so."""
+        from repro.transport.fabric import FabricScheduler, FlowTable
+
+        pipeline = StripeSenderPipeline(make_ports(2), "rr")
+        fabric = FabricScheduler(FlowTable(), flow_buffer_packets=1)
+        # No room below: the flow's one slot fills and stays full.
+        pipeline.attach_fabric(fabric, backlog_limit=0)
+        assert pipeline.send_message(100, flow_id="f").seq == 0
+        assert pipeline.send_message(100, flow_id="f") is None
+        assert not pipeline.submit("f", Packet(100, seq=99))
+        assert pipeline.messages_submitted == 1
+        pipeline.attach_fabric(fabric)
+        pipeline.pump()
+        assert pipeline.send_message(100, flow_id="f").seq == 1
+
     def test_mppp_discipline_wraps_with_headers(self):
         ports = make_ports(2)
         pipeline = StripeSenderPipeline(ports, "mppp")
@@ -561,6 +578,40 @@ class TestPortFactories:
                 assert not issubclass(
                     value, (StripeSenderPipeline, StripeReceiverPipeline)
                 ), f"{module.__name__}.{value.__name__}"
+
+
+    def test_one_endpoint_pair(self):
+        """The submission surface, the fabric mount and the construction
+        of striper and reception engine each exist once under ``src/``:
+        a session is a controller over the pipelines, not another pair."""
+        import ast
+        from collections import Counter
+        from pathlib import Path
+
+        import repro
+
+        once = ("attach_fabric", "_fabric_ready", "send_message",
+                "submit_packet")
+        builders = {"Striper", "FastStriper", "make_resequencer",
+                    "SRRReceiver"}
+        may_build = {"transport/endpoint.py", "transport/sync_model.py"}
+        root = Path(repro.__file__).parent
+        defined, offenders = Counter(), []
+        for path in sorted(root.rglob("*.py")):
+            name = path.relative_to(root).as_posix()
+            guarded = name not in may_build and (
+                name == "core/session.py" or name.startswith("transport/")
+            )
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and node.name in once:
+                    defined[node.name] += 1
+                if guarded and isinstance(node, ast.Call):
+                    callee = node.func
+                    called = getattr(callee, "id", getattr(callee, "attr", ""))
+                    if called in builders:
+                        offenders.append(f"{name}:{node.lineno} {called}()")
+        assert dict(defined) == dict.fromkeys(once, 1)
+        assert offenders == []
 
 
 class TestSenderPipelineClose:

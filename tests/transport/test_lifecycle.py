@@ -381,7 +381,6 @@ class TestEndToEndLifecycle:
         testbed = build_session_testbed(
             sim, n_channels=3, link_mbps=(10.0,), loss_rates=(0.0,),
             message_bytes=1000, failure_detector=detector,
-            enable_prober=True,
             prober_options=dict(initial_interval=0.05, max_interval=0.2),
         )
         dark_at, heal_at = 0.6, 1.4
@@ -393,19 +392,19 @@ class TestEndToEndLifecycle:
         )
         timeline = []
         reset_done_at = []
-        chained = testbed.sender.session.on_reset_complete
+        chained = testbed.sender_session.on_reset_complete
 
         def record_reset(epoch):
             reset_done_at.append(sim.now)
             chained(epoch)
 
-        testbed.sender.session.on_reset_complete = record_reset
+        testbed.sender_session.on_reset_complete = record_reset
 
         def sample():
             timeline.append(
                 (
                     sim.now,
-                    tuple(testbed.sender.session.config.active_channels),
+                    tuple(testbed.sender_session.config.active_channels),
                     tuple(
                         link.ab.stats.delivered_packets
                         for link in testbed.links
@@ -421,10 +420,10 @@ class TestEndToEndLifecycle:
         assert detector.failures_reported == [1]
         assert any(active == (0, 2) for _, active, _ in timeline)
         # ...probes flowed, the lifecycle gated the ack, and it rejoined.
-        assert testbed.sender.prober.probes_sent >= 2
-        assert testbed.sender.prober.rejoins == 1
+        assert testbed.prober.probes_sent >= 2
+        assert testbed.prober.rejoins == 1
         assert detector.revivals_reported == [1]
-        assert tuple(testbed.sender.session.config.active_channels) == (
+        assert tuple(testbed.sender_session.config.active_channels) == (
             0, 1, 2,
         )
         # The rejoin is complete when its RESET handshake finishes.
@@ -465,7 +464,7 @@ class TestEndToEndLifecycle:
         sim.schedule_at(0.5, lambda: testbed.links[1].set_rate(1e3))
         sim.run(until=2.0)
         assert monitor.stalls_reported == [1]
-        assert tuple(testbed.sender.session.config.active_channels) == (
+        assert tuple(testbed.sender_session.config.active_channels) == (
             0, 2,
         )
         # Delivery continued on the survivors after the exclusion.

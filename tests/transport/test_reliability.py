@@ -678,8 +678,8 @@ def test_session_stack_escalation_excludes_dead_channel():
 
     arq = testbed.sender.reliable
     assert arq.stats.escalations >= 1
-    assert testbed.sender.session.resets_completed >= 1
-    assert 1 not in testbed.sender.session.config.active_channels
+    assert testbed.sender_session.resets_completed >= 1
+    assert 1 not in testbed.sender_session.config.active_channels
     seqs = [seq for _, seq in testbed.deliveries]
     assert seqs == sorted(set(seqs))
     assert set(seqs) == set(range(testbed.source.generated))

@@ -1,14 +1,22 @@
 """Integration tests for session-managed striping over simulated UDP."""
 
 
+from functools import partial
+
+from repro.core.packet import Packet, is_marker
+from repro.core.striper import MarkerPolicy
 from repro.experiments.fault_tolerance import (
     build_session_testbed,
     run_capacity_adaptation,
     run_link_failure,
     run_state_corruption,
 )
+from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
-from repro.transport.session_striping import ChannelFailureDetector
+from repro.transport.endpoint import FastStriper
+from repro.transport.fast_path import FastChannelPort
+from repro.transport.health import ChannelFailureDetector
+from tests.session_rig import Loopback
 
 
 class TestSessionDataPath:
@@ -23,11 +31,11 @@ class TestSessionDataPath:
     def test_mid_run_reset_preserves_order(self):
         sim = Simulator()
         testbed = build_session_testbed(sim, n_channels=2)
-        sim.schedule_at(0.25, testbed.sender.session.initiate_reset)
+        sim.schedule_at(0.25, testbed.sender_session.initiate_reset)
         sim.run(until=0.6)
         # Data keeps flowing across the reset; what is delivered in the new
         # epoch stays in order (a bounded set may be lost in flight).
-        assert testbed.sender.session.resets_completed == 1
+        assert testbed.sender_session.resets_completed == 1
         after = [seq for t, seq in testbed.deliveries if t > 0.3]
         assert after == sorted(after)
         assert after[-1] > 200
@@ -37,10 +45,10 @@ class TestSessionDataPath:
         testbed = build_session_testbed(
             sim, n_channels=2, loss_rates=(0.3,)
         )
-        sim.schedule_at(0.2, testbed.sender.session.initiate_reset)
+        sim.schedule_at(0.2, testbed.sender_session.initiate_reset)
         sim.run(until=2.0)
-        assert testbed.sender.session.resets_completed == 1
-        assert testbed.sender.session.state == "running"
+        assert testbed.sender_session.resets_completed == 1
+        assert testbed.sender_session.state == "running"
 
 
     def test_pure_fec_accounts_bytes_per_port_like_the_pipeline(self):
@@ -119,3 +127,68 @@ class TestAdaptationScenario:
         # learned weights approximate the true 4:1 capacity ratio
         ratio = adaptive.final_quanta[0] / adaptive.final_quanta[1]
         assert 2.5 < ratio < 6.0
+
+
+class _PlainChannelPort:
+    """A simulated channel behind the required port surface only (no
+    ``send_burst`` / ``free_capacity``): the per-packet pump."""
+
+    def __init__(self, channel):
+        self.channel = channel
+
+    def send(self, packet, force=False):
+        return self.channel.send(packet, force or is_marker(packet))
+
+    def can_accept(self):
+        return self.channel.can_accept()
+
+    @property
+    def queue_length(self):
+        return self.channel.queue_length
+
+
+class TestSessionOverBurstPorts:
+    """The controller drives whatever striper the pipeline picks: over
+    burst-capable ports every epoch's pump is the batched one."""
+
+    N_PACKETS = 600
+
+    def _run(self, port_type):
+        sim = Simulator()
+        channels = [
+            Channel(sim, 10e6, 1e-3, queue_limit=8) for _ in range(3)
+        ]
+        loop = Loopback(
+            sim, ports=[port_type(channel) for channel in channels],
+            quanta=(1000.0,) * 3,
+            marker_policy=MarkerPolicy(interval_rounds=2),
+        )
+        for index, channel in enumerate(channels):
+            channel.on_deliver = partial(loop.receiver_session.push, index)
+            channel.on_space = loop.sender.pump
+        for seq in range(self.N_PACKETS):
+            loop.sender.submit_packet(Packet(1000, seq=seq))
+        session = loop.sender_session
+        sim.schedule_at(0.02, session.initiate_reset)
+        sim.schedule_at(
+            0.06, lambda: session.initiate_reset(session.config_without(1))
+        )
+        sim.schedule_at(
+            0.10,
+            lambda: session.initiate_reset(session.config_with(1, 1000.0)),
+        )
+        sim.run()
+        assert session.resets_completed == 3
+        assert session.config.active_channels == (0, 1, 2)
+        return loop
+
+    def test_reset_reconfigure_rejoin_keep_the_batched_pump(self):
+        burst = self._run(FastChannelPort)
+        striper = burst.sender.striper
+        assert isinstance(striper, FastStriper)
+        assert striper.stats()["fallback_pumps"] == 0
+        assert striper.stats()["batched_packets"] > 0
+        # Held through three resets, the queue lost and repeated nothing.
+        assert burst.delivered == sorted(set(burst.delivered))
+        assert burst.delivered[-1] == self.N_PACKETS - 1
+        assert burst.delivered == self._run(_PlainChannelPort).delivered
