@@ -1,4 +1,4 @@
-"""Systematic erasure codes for proactive stripe-group recovery.
+"""Systematic erasure code for proactive stripe-group recovery.
 
 ARQ (:mod:`repro.transport.reliability`) pays a round trip per loss; the
 third recovery strategy is *proactive* redundancy: every group of ``k``
@@ -7,20 +7,26 @@ data shards is extended with ``m`` parity shards, and any ``k`` of the
 is the pure coding layer — byte shards in, byte shards out; packets,
 groups, and scheduling live in :mod:`repro.transport.fec`.
 
-* ``m = 1`` uses plain XOR parity (:class:`XorCodec`): one erasure per
-  group recoverable, one table-free pass to encode.
-* ``m > 1`` uses a systematic Reed-Solomon-style code over GF(256)
-  (:class:`GF256Codec`).  The generator matrix is a Cauchy matrix rather
-  than the classic Vandermonde one: *every* square submatrix of a Cauchy
-  matrix is invertible over a field, so any combination of up to ``m``
-  erasures is decodable with any ``m`` surviving parities — the
-  Vandermonde construction famously lacks that guarantee over GF(2^8).
-* The arithmetic is pure python: per-coefficient 256-byte translation
-  tables make a multiply-accumulate one ``bytes.translate`` plus one
-  big-int XOR per (row, shard).
+One codec, :class:`GF256Codec` (behind the :class:`FecCodec` interface): a
+systematic Reed-Solomon-style code over GF(256) for every ``m >= 1``.
 
-Shards within one call must share a length; the framing layer pads a
-group's shards to its longest member before encoding.
+* The generator is a Cauchy matrix rather than the classic Vandermonde
+  one: *every* square submatrix of a Cauchy matrix is invertible over a
+  field, so any combination of up to ``m`` erasures is decodable with any
+  ``m`` surviving parities — the Vandermonde construction famously lacks
+  that guarantee over GF(2^8).
+* Its rows and columns are scaled so that row 0 and column 0 are all
+  ones.  Scaling a row or a column by a nonzero constant scales every
+  square submatrix's determinant by it, so the code stays MDS; what it
+  buys is that parity 0 is the plain XOR of the group (``m = 1`` *is* the
+  XOR code) and the first shard of every row costs no multiply.
+* The arithmetic is pure python on little-endian big-ints: a
+  multiply-accumulate is one ``bytes.translate`` through a shared
+  256-byte table plus one big-int XOR per (row, shard), a coefficient of
+  1 skips the translate.  Little-endian makes zero padding free — a short
+  shard is the same integer as the shard zero-padded — so shards of one
+  group may have different lengths and parity comes out as long as the
+  longest, byte-equal to the encode of the zero-padded group.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ __all__ = [
     "FecCodec",
     "FecDecodeError",
     "GF256Codec",
-    "XorCodec",
     "gf_div",
     "gf_inv",
     "gf_mul",
@@ -86,6 +91,22 @@ def gf_div(a: int, b: int) -> int:
     return _GF_EXP[_GF_LOG[a] + 255 - _GF_LOG[b]]
 
 
+#: multiply-by-``c`` translation tables, shared by every codec and filled
+#: per coefficient on first use (all 255 at import would cost every
+#: process a few milliseconds for tables most runs never touch)
+_MUL_TABLES: Dict[int, bytes] = {}
+
+
+def _mul_table(coefficient: int) -> bytes:
+    """The 256-entry multiply-by-``coefficient`` translation table."""
+    table = _MUL_TABLES.get(coefficient)
+    if table is None:
+        exp, log_c = _GF_EXP, _GF_LOG[coefficient]
+        table = bytes([0] + [exp[log_c + log_b] for log_b in _GF_LOG[1:]])
+        _MUL_TABLES[coefficient] = table
+    return table
+
+
 def _gf_matrix_invert(matrix: List[List[int]]) -> List[List[int]]:
     """Invert a square GF(256) matrix by Gauss-Jordan elimination."""
     n = len(matrix)
@@ -117,12 +138,14 @@ def _gf_matrix_invert(matrix: List[List[int]]) -> List[List[int]]:
 
 
 class FecCodec:
-    """Base class: ``k`` data shards, ``m`` parity shards, equal lengths.
+    """Base class: ``k`` data shards, ``m`` parity shards.
 
     Subclasses implement :meth:`encode` / :meth:`decode`; groups may be
     *short* (``k' <= k`` data shards) — the first ``k'`` generator
     columns are used, so a count- or timeout-sealed partial group
-    encodes and decodes consistently with the same codec.
+    encodes and decodes consistently with the same codec — and the
+    shards of a group may differ in length (they code as if zero-padded
+    to the longest).
     """
 
     kind = "abstract"
@@ -144,17 +167,14 @@ class FecCodec:
     # -- shared validation -------------------------------------------- #
 
     def _check_group(self, shards: Sequence[bytes]) -> int:
+        """The group's longest shard length: the length of its parity."""
         if not shards:
             raise ValueError("cannot encode an empty shard group")
         if len(shards) > self.k:
             raise ValueError(
                 f"group has {len(shards)} shards, codec holds k={self.k}"
             )
-        length = len(shards[0])
-        for shard in shards:
-            if len(shard) != length:
-                raise ValueError("shards in a group must share one length")
-        return length
+        return max(map(len, shards))
 
     def _erasures(
         self,
@@ -179,7 +199,8 @@ class FecCodec:
         return missing
 
     def encode(self, shards: Sequence[bytes]) -> List[bytes]:
-        """The ``m`` parity shards for a (possibly short) group."""
+        """The ``m`` parity shards for a (possibly short) group, each as
+        long as its longest shard."""
         raise NotImplementedError
 
     def decode(
@@ -190,8 +211,10 @@ class FecCodec:
         """Reconstruct the full data shard list.
 
         ``data`` holds ``None`` at erased positions; ``parity`` holds
-        ``None`` for lost parity shards (length exactly ``m``).  Raises
-        :class:`FecDecodeError` when erasures exceed surviving parity.
+        ``None`` for lost parity shards (length exactly ``m``).  A rebuilt
+        shard comes back zero-padded to the parity length; surviving
+        shards come back as given.  Raises :class:`FecDecodeError` when
+        erasures exceed surviving parity.
         """
         raise NotImplementedError
 
@@ -199,87 +222,48 @@ class FecCodec:
         return {"encodes": self.encodes, "decodes": self.decodes}
 
 
-def _xor_reduce(shards: Sequence[bytes], length: int) -> bytes:
-    acc = 0
-    for shard in shards:
-        acc ^= int.from_bytes(shard, "big")
-    return acc.to_bytes(length, "big")
-
-
-class XorCodec(FecCodec):
-    """Single-parity XOR code (``m = 1``): repairs one erasure per group."""
-
-    kind = "xor"
-
-    def __init__(self, k: int) -> None:
-        super().__init__(k, 1)
-
-    def encode(self, shards: Sequence[bytes]) -> List[bytes]:
-        length = self._check_group(shards)
-        self.encodes += 1
-        return [_xor_reduce(shards, length)]
-
-    def decode(
-        self,
-        data: Sequence[Optional[bytes]],
-        parity: Sequence[Optional[bytes]],
-    ) -> List[bytes]:
-        missing = self._erasures(data, parity)
-        if not missing:
-            return list(data)  # type: ignore[arg-type]
-        self.decodes += 1
-        present = [shard for shard in data if shard is not None]
-        present.append(parity[0])  # type: ignore[arg-type]
-        length = len(present[0])
-        repaired = _xor_reduce(present, length)
-        out = list(data)
-        out[missing[0]] = repaired
-        return out  # type: ignore[return-value]
-
-
 class GF256Codec(FecCodec):
-    """Reed-Solomon-style systematic code over GF(256), Cauchy generator.
+    """Systematic ``k`` + ``m`` code over GF(256), scaled Cauchy generator.
 
-    Parity row ``j`` is ``sum_i C[j][i] * data_i`` with
-    ``C[j][i] = 1 / (x_j ^ y_i)``, ``x_j = j`` and ``y_i = m + i``.  The
-    two index sets are disjoint, so every entry is defined, and every
-    square submatrix of a Cauchy matrix is invertible — any erasure
-    pattern with ``erasures <= surviving parities`` is decodable.
+    Parity row ``j`` is ``sum_i G[j][i] * data_i`` with
+    ``G[j][i] = a_j * b_i / (x_j ^ y_i)``, ``x_j = j`` and ``y_i = m + i``
+    (the two index sets are disjoint, so every entry is defined), and
+    ``a_j`` / ``b_i`` chosen so row 0 and column 0 are all ones.  Any
+    erasure pattern with ``erasures <= surviving parities`` is decodable.
     """
 
     kind = "gf256"
 
     def __init__(self, k: int, m: int) -> None:
         super().__init__(k, m)
-        self.matrix: List[List[int]] = [
-            [gf_inv(j ^ (m + i)) for i in range(k)] for j in range(m)
+        cauchy = [[gf_inv(j ^ (m + i)) for i in range(k)] for j in range(m)]
+        columns = [gf_inv(c) for c in cauchy[0]]
+        scaled = [
+            [gf_mul(c, b) for c, b in zip(row, columns)] for row in cauchy
         ]
-        self._tables: Dict[int, bytes] = {}
-
-    def _table(self, coefficient: int) -> bytes:
-        """The 256-entry multiply-by-``coefficient`` translation table."""
-        table = self._tables.get(coefficient)
-        if table is None:
-            table = bytes(gf_mul(coefficient, b) for b in range(256))
-            self._tables[coefficient] = table
-        return table
-
-    def _scaled(self, shard: bytes, coefficient: int) -> int:
-        if coefficient == 0:
-            return 0
-        if coefficient == 1:
-            return int.from_bytes(shard, "big")
-        return int.from_bytes(shard.translate(self._table(coefficient)), "big")
+        self.matrix: List[List[int]] = [
+            [gf_div(c, row[0]) for c in row] for row in scaled
+        ]
+        # Per row, the table of each column's coefficient; None for a 1.
+        self._tables: List[List[Optional[bytes]]] = [
+            [None if c == 1 else _mul_table(c) for c in row]
+            for row in self.matrix
+        ]
 
     def encode(self, shards: Sequence[bytes]) -> List[bytes]:
         length = self._check_group(shards)
         self.encodes += 1
+        from_bytes = int.from_bytes
+        values = [from_bytes(shard, "little") for shard in shards]
         out: List[bytes] = []
-        for row in self.matrix:
+        for tables in self._tables:
             acc = 0
-            for i, shard in enumerate(shards):
-                acc ^= self._scaled(shard, row[i])
-            out.append(acc.to_bytes(length, "big"))
+            for value, shard, table in zip(values, shards, tables):
+                if table is None:
+                    acc ^= value
+                else:
+                    acc ^= from_bytes(shard.translate(table), "little")
+            out.append(acc.to_bytes(length, "little"))
         return out
 
     def decode(
@@ -293,31 +277,38 @@ class GF256Codec(FecCodec):
         self.decodes += 1
         rows = [j for j, shard in enumerate(parity) if shard is not None]
         rows = rows[: len(missing)]
-        length = len(next(s for s in parity if s is not None))
+        length = len(parity[rows[0]])  # type: ignore[arg-type]
+        from_bytes = int.from_bytes
         # Syndromes: the parity contribution the known shards leave
         # unexplained is exactly the missing shards' contribution.
         syndromes: List[int] = []
         for j in rows:
-            acc = int.from_bytes(parity[j], "big")  # type: ignore[arg-type]
-            row = self.matrix[j]
-            for i, shard in enumerate(data):
-                if shard is not None:
-                    acc ^= self._scaled(shard, row[i])
+            acc = from_bytes(parity[j], "little")  # type: ignore[arg-type]
+            for shard, table in zip(data, self._tables[j]):
+                if shard is None:
+                    continue
+                if table is not None:
+                    shard = shard.translate(table)
+                acc ^= from_bytes(shard, "little")
             syndromes.append(acc)
-        sub = [[self.matrix[j][i] for i in missing] for j in rows]
-        inverse = _gf_matrix_invert(sub)
-        syndrome_bytes = [s.to_bytes(length, "big") for s in syndromes]
+        inverse = _gf_matrix_invert(
+            [[self.matrix[j][i] for i in missing] for j in rows]
+        )
         out = list(data)
-        for c, position in enumerate(missing):
+        for position, coefficients in zip(missing, inverse):
             acc = 0
-            for r, syndrome in enumerate(syndrome_bytes):
-                acc ^= self._scaled(syndrome, inverse[c][r])
-            out[position] = acc.to_bytes(length, "big")
+            for syndrome, c in zip(syndromes, coefficients):
+                if c == 1:
+                    acc ^= syndrome
+                elif c:
+                    scaled = syndrome.to_bytes(length, "little").translate(
+                        _mul_table(c)
+                    )
+                    acc ^= from_bytes(scaled, "little")
+            out[position] = acc.to_bytes(length, "little")
         return out  # type: ignore[return-value]
 
 
 def make_codec(k: int, m: int) -> FecCodec:
-    """Build the right codec for a ``(k, m)`` group geometry."""
-    if m == 1:
-        return XorCodec(k)
+    """The codec for a ``(k, m)`` group geometry."""
     return GF256Codec(k, m)

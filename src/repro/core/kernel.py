@@ -30,7 +30,9 @@ algorithm is underneath.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.cfq import CausalFQ
 from repro.core.srr import SRR, SRRState
@@ -179,6 +181,7 @@ class SRRKernel(SchedulerKernel):
         capacity: Sequence[Callable[[], int]],
         position: int = -1,
         due: int = 0,
+        room: Optional[int] = None,
     ) -> Tuple[List[int], int]:
         """Assign the head of ``queue`` for as long as its ports have room.
 
@@ -191,7 +194,9 @@ class SRRKernel(SchedulerKernel):
         after the step that takes the pointer into channel ``position``
         for the ``due``-th time — a marker batch is owed there — counting
         every entry, including each one of a hop over several channels or
-        rounds that a deep overdraw makes in one step.
+        rounds that a deep overdraw makes in one step.  ``room``, when
+        given, is what the caller already got from ``capacity[ptr]()``
+        for the pointer channel; it is not asked again.
 
         Returns ``(channels, crossings)``: the channel of each packet
         stepped and how often the pointer entered ``position``.
@@ -205,7 +210,8 @@ class SRRKernel(SchedulerKernel):
         n = len(quanta)
         count_packets = self.count_packets
         rooms: Dict[int, int] = {}
-        room = capacity[ptr]()
+        if room is None:
+            room = capacity[ptr]()
         crossings = 0
         for packet in queue:
             if room <= 0:

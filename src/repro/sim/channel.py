@@ -32,6 +32,10 @@ arrival time.  A channel whose loss model is live (or that has corruption
 or skew) keeps the classic per-packet pipeline, because loss and
 corruption draws must happen at exact per-packet transmission boundaries
 (``stop_losses_at`` mutates the loss probability at a simulated time).
+That pipeline schedules one transmit-complete and one delivery event per
+packet, both slot-free engine entries carrying the packet and its size
+(no :class:`~repro.sim.engine.Event` handle), and a transmit-complete
+starts the next packet itself while the channel stays per-packet.
 """
 
 from __future__ import annotations
@@ -339,11 +343,14 @@ class Channel:
         packet, size = self._queue.popleft()
         tx_time = (8.0 * size) / self.bandwidth_bps
         self.stats.busy_time += tx_time
-        self.sim.schedule(tx_time, self._tx_done, packet, size)
+        sim = self.sim
+        sim.schedule_call(sim.now + tx_time, self._tx_done, packet, size)
 
     def _tx_done(self, packet: Any, size: int) -> None:
         index = self._offered_index
         self._offered_index += 1
+        sim = self.sim
+        stats = self.stats
 
         lost = self.loss_model.should_drop(index, size)
         corrupted = (
@@ -352,15 +359,15 @@ class Channel:
             and self.corruption.is_corrupted(size)
         )
         if lost:
-            self.stats.lost_packets += 1
+            stats.lost_packets += 1
             if self.on_drop is not None:
                 self.on_drop(packet, "loss")
         elif corrupted:
-            self.stats.corrupted_packets += 1
+            stats.corrupted_packets += 1
             if self.on_drop is not None:
                 self.on_drop(packet, "corruption")
         else:
-            arrival = self.sim.now + self.prop_delay
+            arrival = sim.now + self.prop_delay
             if self.skew is not None:
                 extra = self.skew()
                 if extra < 0:
@@ -371,18 +378,35 @@ class Channel:
             if arrival < self._last_arrival:
                 arrival = self._last_arrival
             self._last_arrival = arrival
-            self.sim.schedule_at(arrival, self._deliver, packet, size)
+            sim.schedule_call(arrival, self._deliver, packet, size)
 
-        self._kick()
+        # Restart the transmitter.  While ``_kick`` would pick the
+        # per-packet pipeline again (its predicate, negated: live loss,
+        # corruption or skew, or not fast), the next packet starts here.
+        queue = self._queue
+        loss = self.loss_model
+        if queue and not self._paused and not (
+            self.fast
+            and self.corruption is None
+            and self.skew is None
+            and (type(loss) is NoLoss or getattr(loss, "p", 1.0) == 0.0)
+        ):
+            packet, size = queue.popleft()
+            tx_time = (8.0 * size) / self.bandwidth_bps
+            stats.busy_time += tx_time
+            sim.schedule_call(sim.now + tx_time, self._tx_done, packet, size)
+        else:
+            self._kick()
         # The queue just shrank by one; tell the sender space is available.
         if self.on_space is not None and (
-            self.queue_limit is None or len(self._queue) < self.queue_limit
+            self.queue_limit is None or len(queue) < self.queue_limit
         ):
             self.on_space()
 
     def _deliver(self, packet: Any, size: int) -> None:
-        self.stats.delivered_packets += 1
-        self.stats.delivered_bytes += size
+        stats = self.stats
+        stats.delivered_packets += 1
+        stats.delivered_bytes += size
         if self.on_deliver is not None:
             self.on_deliver(packet)
 

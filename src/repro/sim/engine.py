@@ -15,11 +15,13 @@ Two scheduling surfaces coexist:
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
   :class:`Event` handle that supports cancellation — the general-purpose
   API used by timers (retransmit, ARP retry, keepalive).
-* :meth:`Simulator.schedule_call` is the *slot-free fast path*: it takes
-  a pre-bound zero-argument callback, allocates no handle, and cannot be
+* :meth:`Simulator.schedule_call` is the *slot-free fast path*: the entry
+  carries its callback and arguments, allocates no handle, and cannot be
   cancelled.  A slot-free callback that returns a time is run again at
   that time (it *re-arms*), which is how a channel's delivery train
-  (:mod:`repro.sim.channel`) walks from one arrival instant to the next.
+  (:mod:`repro.sim.channel`) walks from one arrival instant to the next;
+  a lossy channel's per-packet transmit and delivery events are
+  slot-free entries too.
 
 Cancelled events are skipped when popped; on top of that the heap is
 *lazily compacted*: once more than half of a non-trivial heap is dead, the
@@ -162,19 +164,23 @@ class Simulator:
         heapq.heappush(self._heap, entry)
         return Event(entry, self)
 
-    def schedule_call(self, time: float, callback: Callable[[], Any]) -> None:
-        """Slot-free fast path: a pre-bound zero-arg callback at ``time``.
+    def schedule_call(
+        self, time: float, callback: Callable[..., Any], *args: Any
+    ) -> None:
+        """Slot-free fast path: ``callback(*args)`` at absolute ``time``.
 
         No :class:`Event` handle is allocated, so the event cannot be
         cancelled.  If ``callback`` returns a time (not None) it is run
-        again at that time — see :meth:`run`.  This is the per-burst
-        scheduling primitive of the batched channel transmit path.
+        again at that time, with the same arguments — see :meth:`run`.
+        The channel schedules its transmit and delivery events this way.
         """
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
-        heapq.heappush(self._heap, [time, self._seq, callback, (), _SLOT_FREE])
+        heapq.heappush(
+            self._heap, [time, self._seq, callback, args, _SLOT_FREE]
+        )
         self._seq += 1
 
     # ------------------------------------------------------------------ #

@@ -170,13 +170,19 @@ class FastStriper(Striper):
         queue = self.input_queue
         if not queue:
             return 0
+        capacity = self._capacity
+        room = capacity[kernel.ptr]()
+        if room <= 0:
+            # Head-of-line: causality forbids sending anywhere but the
+            # pointer channel, so no other port's room can matter.
+            self.blocked_pumps += 1
+            return 0
         position, interval = -1, 0
         if self._markers_enabled:
             policy = self.marker_policy
             position = policy.position % len(self.ports)
             interval = policy.interval_rounds
         ports = self.ports
-        capacity = self._capacity
         popleft = queue.popleft
         sent = 0
         while queue:
@@ -185,12 +191,11 @@ class FastStriper(Striper):
             seen = self._crossings_seen
             due = interval - seen % interval if interval else 0
             channels, crossings = kernel.assign_admitted(
-                queue, capacity, position, due
+                queue, capacity, position, due, room
             )
             if not channels:
-                # Head-of-line: causality forbids sending anywhere but the
-                # pointer channel, so no other port's room can matter.
-                break
+                break  # head-of-line again, after a marker batch
+            room = None  # the next pass asks the pointer port itself
             bursts: Dict[int, List[Any]] = {}
             size = 0
             for channel in channels:
@@ -212,11 +217,8 @@ class FastStriper(Striper):
                     (seen + crossings) // interval - seen // interval
                 ):
                     self._emit_markers()
-        if sent:
-            self.batched_packets += sent
-            self.batched_pumps += 1
-        else:
-            self.blocked_pumps += 1
+        self.batched_packets += sent
+        self.batched_pumps += 1
         return sent
 
 

@@ -87,66 +87,78 @@ __all__ = [
 #
 # A shard is the byte image of one data packet: a fixed header (size,
 # seq, rseq, payload length) plus the payload bytes.  Sender and receiver
-# compute shards with the same function from the same fields, so the
-# receiver's cached shards are bit-identical to what the sender encoded —
-# the property the whole scheme rests on.  ``label``/``flow`` are
-# simulation-side annotations and are not carried through reconstruction.
+# pack shards the same way from the same fields (``_pack_shard``; the
+# sender's burst loop inlines it), so the receiver's cached shards are
+# bit-identical to what the sender encoded — the property the whole scheme
+# rests on.  Shards are never padded: the codec treats a short shard as
+# zero-padded.  ``label``/``flow`` are simulation-side annotations and are
+# not carried through reconstruction.
 
 _SHARD_HEADER = struct.Struct("!IqqI")
+_pack_header = _SHARD_HEADER.pack
+
+#: body length of a packet with no payload (``None``), as opposed to an
+#: empty one (``b""``): both have an empty body, so the shard, the parity
+#: and the wire bytes are the same size either way
+_NO_PAYLOAD = 0xFFFFFFFF
 
 #: accounting size of the per-parity-packet metadata (group, members,
 #: index, nparity, shard_len — five u32/u16 fields plus codepoint tag)
 PARITY_HEADER_BYTES = 24
 
 
-def _shard_fields(packet: Any) -> Tuple[int, int, int, bytes]:
-    """The ``(size, seq, rseq, body)`` a shard is packed from."""
-    payload = packet.payload
-    if payload is None:
-        body = b""
-    elif isinstance(payload, (bytes, bytearray, memoryview)):
-        body = bytes(payload)
-    else:
-        raise TypeError(
-            "FEC modes require bytes payloads (or None); got "
-            f"{type(payload).__name__} — serialize upper-layer objects "
-            "before submit"
-        )
-    seq = -1 if packet.seq is None else packet.seq
-    rseq = -1 if packet.rseq is None else packet.rseq
-    return packet.size, seq, rseq, body
+def _as_bytes(payload: Any) -> bytes:
+    """A shard body from a payload that is not ``bytes`` or ``None``."""
+    if isinstance(payload, (bytearray, memoryview)):
+        return bytes(payload)
+    raise TypeError(
+        "FEC modes require bytes payloads (or None); got "
+        f"{type(payload).__name__} — serialize upper-layer objects "
+        "before submit"
+    )
 
 
-def _pack_shard(size: int, seq: int, rseq: int, body: bytes) -> bytes:
-    return _SHARD_HEADER.pack(size, seq, rseq, len(body)) + body
+def _pack_shard(
+    size: int, seq: Optional[int], rseq: Optional[int], body: Optional[bytes]
+) -> bytes:
+    return _pack_header(
+        size,
+        -1 if seq is None else seq,
+        -1 if rseq is None else rseq,
+        _NO_PAYLOAD if body is None else len(body),
+    ) + (body or b"")
 
 
 def shard_for(packet: Any) -> bytes:
     """The byte shard encoding ``packet`` for parity arithmetic."""
-    return _pack_shard(*_shard_fields(packet))
+    payload = packet.payload
+    if payload is not None and type(payload) is not bytes:
+        payload = _as_bytes(payload)
+    return _pack_shard(packet.size, packet.seq, packet.rseq, payload)
 
 
 def packet_from_shard(shard: bytes, fseq: int) -> Packet:
-    """Rebuild the data packet a (possibly padded) shard encodes.
+    """Rebuild the data packet a (possibly zero-padded) shard encodes.
 
     The result is marked ``synthesized`` and carries a fresh ``uid`` —
     it is a new logical packet standing in for one that was lost.
     """
     size, seq, rseq, body_len = _SHARD_HEADER.unpack_from(shard)
-    offset = _SHARD_HEADER.size
-    body = bytes(shard[offset:offset + body_len])
-    packet = Packet(
-        size=size,
-        seq=None if seq < 0 else seq,
-        payload=body if body_len else None,
+    payload = None
+    if body_len != _NO_PAYLOAD:
+        offset = _SHARD_HEADER.size
+        payload = bytes(shard[offset:offset + body_len])
+    return Packet(
+        size,
+        None if seq < 0 else seq,
+        payload=payload,
+        rseq=None if rseq < 0 else rseq,
+        fseq=fseq,
+        synthesized=True,
     )
-    packet.rseq = None if rseq < 0 else rseq
-    packet.fseq = fseq
-    packet.synthesized = True
-    return packet
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class ParityPacket:
     """One parity shard for a stripe group.
 
@@ -154,8 +166,8 @@ class ParityPacket:
     stay unmodified.  ``group`` is the ``fseq`` of the group's first data
     packet; ``members`` the number of data shards actually sealed (short
     groups seal by timeout); ``index`` this shard's parity row; ``nparity``
-    the group's total parity count; ``shard_len`` the padded shard length
-    the group was encoded at.
+    the group's total parity count; ``shard_len`` the group's longest
+    shard, which every parity shard of the group is as long as.
     """
 
     group: int
@@ -165,15 +177,31 @@ class ParityPacket:
     shard_len: int
     payload: bytes
     size: int = 0
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    uid: int = field(default_factory=_packet_ids.__next__)
     codepoint: str = Codepoint.PARITY
     seq: Optional[int] = None
     rseq: Optional[int] = None
     fseq: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            self.size = self.shard_len + PARITY_HEADER_BYTES
+    def __init__(
+        self, group: int, members: int, index: int, nparity: int,
+        shard_len: int, payload: bytes, size: int = 0,
+        uid: Optional[int] = None, codepoint: str = Codepoint.PARITY,
+        seq: Optional[int] = None, rseq: Optional[int] = None,
+        fseq: Optional[int] = None,
+    ) -> None:
+        self.group = group
+        self.members = members
+        self.index = index
+        self.nparity = nparity
+        self.shard_len = shard_len
+        self.payload = payload
+        self.size = size if size > 0 else shard_len + PARITY_HEADER_BYTES
+        self.uid = next(_packet_ids) if uid is None else uid
+        self.codepoint = codepoint
+        self.seq = seq
+        self.rseq = rseq
+        self.fseq = fseq
 
     def __repr__(self) -> str:
         return (
@@ -254,33 +282,54 @@ class FecSender:
         packet.fseq = self._next_fseq
         self._next_fseq += 1
         result = self._downstream(packet)
-        self._absorb(packet)
+        self._absorb((packet,))
         return result
 
     def submit_many(self, packets: Sequence[Any]) -> Any:
         """Burst variant: one downstream batch, then absorb in order."""
+        fseq = self._next_fseq
         for packet in packets:
-            packet.fseq = self._next_fseq
-            self._next_fseq += 1
+            packet.fseq = fseq
+            fseq += 1
+        self._next_fseq = fseq
         if self._downstream_many is not None:
             result = self._downstream_many(packets)
         else:
             result = [self._downstream(packet) for packet in packets]
-        for packet in packets:
-            self._absorb(packet)
+        self._absorb(packets)
         return result
 
-    def _absorb(self, packet: Any) -> None:
-        if not self._shards:
-            self._group_base = packet.fseq
-        self._shards.append(shard_for(packet))
-        self.stats.data_packets += 1
-        if len(self._shards) >= self.k:
-            self._seal(by_timeout=False)
-        elif self._seal_timer is None and self.sim is not None:
-            self._seal_timer = self.sim.schedule(
-                self.seal_timeout_s, self._on_seal_timeout
-            )
+    def _absorb(self, packets: Sequence[Any]) -> None:
+        """Pack each packet's shard into the open group, in order, sealing
+        every group that fills; arm the seal timer on a group's first."""
+        shards = self._shards
+        k = self.k
+        for packet in packets:
+            # shard_for(packet), without its frames
+            payload = packet.payload
+            if payload is None:
+                body_len, payload = _NO_PAYLOAD, b""
+            else:
+                if type(payload) is not bytes:
+                    payload = _as_bytes(payload)
+                body_len = len(payload)
+            seq, rseq = packet.seq, packet.rseq
+            if not shards:
+                self._group_base = packet.fseq
+            shards.append(_pack_header(
+                packet.size,
+                -1 if seq is None else seq,
+                -1 if rseq is None else rseq,
+                body_len,
+            ) + payload)
+            self.stats.data_packets += 1
+            if len(shards) >= k:
+                self._seal(by_timeout=False)
+                shards = self._shards
+            elif self._seal_timer is None and self.sim is not None:
+                self._seal_timer = self.sim.schedule(
+                    self.seal_timeout_s, self._on_seal_timeout
+                )
 
     def _on_seal_timeout(self) -> None:
         self._seal_timer = None
@@ -298,31 +347,21 @@ class FecSender:
             self._seal_timer = None
         shards = self._shards
         self._shards = []
-        base = self._group_base
-        length = max(len(shard) for shard in shards)
-        padded = [
-            shard if len(shard) == length else shard.ljust(length, b"\x00")
-            for shard in shards
-        ]
-        parity_shards = self.codec.encode(padded)
+        parity_shards = self.codec.encode(shards)
+        base, members, m = self._group_base, len(shards), self.m
+        length = len(parity_shards[0])
         parity = [
-            ParityPacket(
-                group=base,
-                members=len(shards),
-                index=j,
-                nparity=self.m,
-                shard_len=length,
-                payload=parity_shards[j],
-            )
-            for j in range(self.m)
+            ParityPacket(base, members, j, m, length, payload)
+            for j, payload in enumerate(parity_shards)
         ]
-        self.stats.groups_sealed += 1
+        stats = self.stats
+        stats.groups_sealed += 1
         if by_timeout:
-            self.stats.timeout_sealed += 1
+            stats.timeout_sealed += 1
         else:
-            self.stats.count_sealed += 1
-        self.stats.parity_packets += self.m
-        self.stats.parity_bytes += sum(p.size for p in parity)
+            stats.count_sealed += 1
+        stats.parity_packets += m
+        stats.parity_bytes += m * (length + PARITY_HEADER_BYTES)
         self._stripe_parity(parity)
 
 
@@ -347,18 +386,12 @@ class FecReceiverStats:
 
 
 class _Group:
-    __slots__ = (
-        "base", "members", "nparity", "shard_len", "parity", "timer",
-        "resolved",
-    )
+    __slots__ = ("base", "members", "nparity", "parity", "timer", "resolved")
 
-    def __init__(
-        self, base: int, members: int, nparity: int, shard_len: int
-    ) -> None:
+    def __init__(self, base: int, members: int, nparity: int) -> None:
         self.base = base
         self.members = members
         self.nparity = nparity
-        self.shard_len = shard_len
         self.parity: Dict[int, bytes] = {}
         self.timer: Any = None
         self.resolved = False
@@ -404,7 +437,7 @@ class FecReceiver:
         #: ``(size, seq, rseq, body)`` of every data packet seen, by fseq
         #: — the fields, not the packet (pools recycle it) and not the
         #: shard: only a group that decodes ever needs its bytes packed.
-        self._shards: Dict[int, Tuple[int, int, int, bytes]] = {}
+        self._shards: Dict[int, Tuple[int, Any, Any, Optional[bytes]]] = {}
         self._groups: Dict[int, _Group] = {}
         self._base_of: Dict[int, int] = {}
         self._resolved_fifo: Deque[int] = deque()
@@ -427,30 +460,43 @@ class FecReceiver:
         """Entry point: bound as the sync model's delivery callback."""
         if getattr(packet, "codepoint", None) == Codepoint.PARITY:
             self._on_parity(packet)
-        else:
-            self._on_data(packet)
-
-    def _on_data(self, packet: Any) -> None:
+            return
         fseq = getattr(packet, "fseq", None)
         if fseq is None:
             # Not FEC-framed (mode mismatch or control leak): pass through.
             self.on_deliver(packet)
             return
         self.stats.data_packets += 1
+        shards = self._shards
         if self.ordered:
             if fseq < self._next_expected or fseq in self._pending:
                 self.stats.duplicate_packets += 1
                 return
-        elif fseq in self._shards:
+        elif fseq in shards:
             # Hybrid duplicates (ARQ retransmit racing the original) still
             # flow downstream — the ARQ receiver owns rseq-level dedup —
             # but are not re-counted as new shards.
             self.stats.duplicate_packets += 1
             self.on_deliver(packet)
             return
-        self._shards[fseq] = _shard_fields(packet)
-        self._shard_log.append(fseq)
-        self._prune_orphans()
+        payload = packet.payload
+        if payload is not None and type(payload) is not bytes:
+            payload = _as_bytes(payload)
+        shards[fseq] = (packet.size, packet.seq, packet.rseq, payload)
+        log = self._shard_log
+        log.append(fseq)
+        # Shards are retained past delivery — parity always trails its
+        # data, so a group can only decode if its delivered members'
+        # shards are still cached.  The window bounds retention for
+        # groups whose parity never arrives at all.
+        cursor = self._next_expected if self.ordered else self._delivered_hw
+        floor = cursor - self._shard_window
+        if log[0] < floor:
+            base_of = self._base_of
+            while log and log[0] < floor:
+                old = log.popleft()
+                if old not in base_of:
+                    shards.pop(old, None)
         if self.ordered:
             self._pending[fseq] = packet
             self._drain()
@@ -462,26 +508,11 @@ class FecReceiver:
         if base is not None:
             self._try(self._groups[base])
 
-    def _prune_orphans(self) -> None:
-        # Shards are retained past delivery — parity always trails its
-        # data, so a group can only decode if its delivered members'
-        # shards are still cached.  The window bounds retention for
-        # groups whose parity never arrives at all.
-        log = self._shard_log
-        cursor = self._next_expected if self.ordered else self._delivered_hw
-        floor = cursor - self._shard_window
-        while log and log[0] < floor:
-            fseq = log.popleft()
-            if fseq not in self._base_of:
-                self._shards.pop(fseq, None)
-
     def _on_parity(self, parity: Any) -> None:
         self.stats.parity_packets += 1
         group = self._groups.get(parity.group)
         if group is None:
-            group = _Group(
-                parity.group, parity.members, parity.nparity, parity.shard_len
-            )
+            group = _Group(parity.group, parity.members, parity.nparity)
             self._groups[parity.group] = group
             for fseq in range(group.base, group.base + group.members):
                 self._base_of[fseq] = group.base
@@ -517,11 +548,7 @@ class FecReceiver:
         data: List[Optional[bytes]] = []
         for fseq in span:
             fields = self._shards.get(fseq)
-            data.append(
-                None
-                if fields is None
-                else _pack_shard(*fields).ljust(group.shard_len, b"\x00")
-            )
+            data.append(None if fields is None else _pack_shard(*fields))
         parity: List[Optional[bytes]] = [
             group.parity.get(j) for j in range(group.nparity)
         ]

@@ -161,7 +161,10 @@ class RtoEstimator:
                 + self.BETA * abs(self.srtt - rtt)
             )
             self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt
-        self.rto = self._clamp(self.srtt + self.K * self.rttvar)
+        # _clamp(), without its frame: one sample per acked packet
+        self.rto = min(
+            self.max_rto, max(self.min_rto, self.srtt + self.K * self.rttvar)
+        )
         self._backoff_streak = 0
 
     def backoff(self) -> None:
@@ -423,7 +426,8 @@ class ReliableSender:
             self.retransmitted_bytes[channel] = (
                 self.retransmitted_bytes.get(channel, 0) + rtx_bytes
             )
-        self._ensure_timer()
+        if self._timer is None:
+            self._ensure_timer()
 
     def note_sent(self, channel: int, packet: Any) -> None:
         """A recording port transmitted ``packet`` on ``channel``.
@@ -447,7 +451,8 @@ class ReliableSender:
             self.retransmitted_bytes[channel] = (
                 self.retransmitted_bytes.get(channel, 0) + record.size
             )
-        self._ensure_timer()
+        if self._timer is None:
+            self._ensure_timer()
 
     # ------------------------------------------------------------------ #
     # ack path
@@ -481,6 +486,7 @@ class ReliableSender:
         n_blocks = len(blocks)
         visits = 0
         unsacked = self._unsacked
+        now = self.sim.now
         for rseq, record in unsacked.items():
             if rseq > newest:
                 break  # insertion order == rseq order
@@ -490,7 +496,10 @@ class ReliableSender:
             if bi < n_blocks and blocks[bi][0] <= rseq:
                 record.sacked = True
                 covered.append(rseq)
-                self._maybe_sample(record)
+                # Karn's rule: RTT only from packets transmitted once.
+                if record.transmissions == 1 and record.last_sent >= 0:
+                    self.stats.rtt_samples += 1
+                    self.rto.sample(now - record.last_sent)
             elif rseq < newest and record.transmissions > 0:
                 holes.append(record)
         for rseq in covered:
@@ -499,7 +508,8 @@ class ReliableSender:
         self.stats.sack_visits += visits
         self._fast_retransmit(holes)
         opened = self._refill() or opened
-        self._ensure_timer()
+        if self._timer is None:
+            self._ensure_timer()
         if opened and self.on_window_open is not None:
             self.on_window_open()
 
@@ -522,19 +532,21 @@ class ReliableSender:
             del unacked[rseq]
             if not record.sacked:
                 del unsacked[rseq]
+        now = self.sim.now
         for _, record in ripe:
-            if not record.sacked:
-                self._maybe_sample(record)
+            # Karn's rule: RTT only from packets transmitted exactly once
+            # (a sacked record was sampled when its block arrived).
+            if (
+                not record.sacked
+                and record.transmissions == 1
+                and record.last_sent >= 0
+            ):
+                self.stats.rtt_samples += 1
+                self.rto.sample(now - record.last_sent)
             if on_retire is not None:
                 on_retire(record.packet)
         self.stats.acked += retired
         return was_full and retired > 0
-
-    def _maybe_sample(self, record: _TxRecord) -> None:
-        """Karn's rule: RTT only from packets transmitted exactly once."""
-        if record.transmissions == 1 and record.last_sent >= 0:
-            self.stats.rtt_samples += 1
-            self.rto.sample(self.sim.now - record.last_sent)
 
     def _fast_retransmit(self, holes: List[_TxRecord]) -> None:
         """Retransmit holes the SACK scoreboard has repeatedly exposed.
@@ -688,7 +700,8 @@ class ReliableSender:
 
     def _ensure_timer(self) -> None:
         # The handle is the armed flag: the timer clears it when it fires
-        # and whoever cancels it clears it too.
+        # and whoever cancels it clears it too.  The per-packet callers
+        # test it before calling.
         if self._timer is not None:
             return
         record = self._oldest_outstanding()

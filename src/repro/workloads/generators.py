@@ -270,9 +270,6 @@ class ClosedLoopSource:
     def stop(self) -> None:
         self._stopped = True
 
-    def poke(self) -> None:
-        self._fill()
-
     def _make(self) -> Packet:
         size = self.size_fn()
         seq = self.generated
@@ -308,6 +305,10 @@ class ClosedLoopSource:
             ):
                 return
             self.submit(self._make())
+
+    #: refill now (the wake-up a sender calls as its channels drain): the
+    #: refill itself, not a frame that calls it
+    poke = _fill
 
     def _tick(self) -> None:
         if self._stopped:

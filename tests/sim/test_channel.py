@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.packet import Packet
 from repro.sim.channel import Channel
+from repro.sim.engine import Simulator
 from repro.sim.loss import BernoulliLoss, DeterministicLoss, CorruptionModel
 
 
@@ -405,3 +406,163 @@ class TestSizeCarriedFromSend:
         assert (arrivals, seen) == play(twin=True)[:2]
         # One size per wire packet; queued_bytes reads it back, never asks.
         assert sorted(calls) == list(range(offered))
+
+
+class EventChannel(Channel):
+    """The per-packet pipeline as it was: ``Event``-handle scheduling of
+    every transmit-complete and delivery, and every restart via ``_kick``.
+    The oracle for the slot-free pipeline, which must push the same heap
+    entries at the same points."""
+
+    def _start_next(self):
+        if not self._queue:
+            self._transmitting = False
+            return
+        self._transmitting = True
+        packet, size = self._queue.popleft()
+        tx_time = (8.0 * size) / self.bandwidth_bps
+        self.stats.busy_time += tx_time
+        self.sim.schedule(tx_time, self._tx_done, packet, size)
+
+    def _tx_done(self, packet, size):
+        index = self._offered_index
+        self._offered_index += 1
+        lost = self.loss_model.should_drop(index, size)
+        corrupted = (
+            not lost
+            and self.corruption is not None
+            and self.corruption.is_corrupted(size)
+        )
+        if lost:
+            self.stats.lost_packets += 1
+            if self.on_drop is not None:
+                self.on_drop(packet, "loss")
+        elif corrupted:
+            self.stats.corrupted_packets += 1
+            if self.on_drop is not None:
+                self.on_drop(packet, "corruption")
+        else:
+            arrival = self.sim.now + self.prop_delay
+            if self.skew is not None:
+                arrival += max(0.0, self.skew())
+            if arrival < self._last_arrival:
+                arrival = self._last_arrival
+            self._last_arrival = arrival
+            self.sim.schedule_at(arrival, self._deliver, packet, size)
+        self._kick()
+        if self.on_space is not None and (
+            self.queue_limit is None or len(self._queue) < self.queue_limit
+        ):
+            self.on_space()
+
+
+_MODELS = ("bernoulli", "deterministic", "skew", "corruption")
+
+_lossy_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("send"), st.integers(40, 1500), st.booleans()),
+        st.tuples(
+            st.just("burst"),
+            st.lists(st.integers(40, 1500), min_size=1, max_size=5),
+        ),
+        st.tuples(st.just("pause")),
+        st.tuples(st.just("resume")),
+        st.tuples(st.just("lossless")),
+        st.tuples(st.just("advance"), st.sampled_from([1e-4, 1e-3, 0.02])),
+    ),
+    max_size=60,
+)
+
+
+class TestSlotFreePerPacketPipeline:
+    @given(
+        ops=_lossy_ops,
+        model=st.sampled_from(_MODELS),
+        fast=st.booleans(),
+        queue_limit=st.none() | st.integers(1, 4),
+        refill=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_time_seq_log_as_the_event_handle_twin(
+        self, ops, model, fast, queue_limit, refill, seed
+    ):
+        """Deliveries, drops, ``on_space`` calls and every executed
+        event's ``(time, seq)`` match the ``schedule_at`` twin, through
+        pauses, forced sends, bursts and a mid-run drop of the loss rate
+        to zero (after which a fast channel may switch to trains)."""
+
+        def play(cls):
+            sim = Simulator()
+            rng = random.Random(seed)
+            loss = corruption = skew = None
+            if model == "bernoulli":
+                loss = BernoulliLoss(0.3, rng=rng)
+            elif model == "deterministic":
+                loss = DeterministicLoss(range(0, 200, 3))
+            elif model == "skew":
+                loss = BernoulliLoss(0.2, rng=random.Random(seed + 1))
+                skew = lambda: rng.uniform(-1e-3, 4e-3)  # noqa: E731
+            else:
+                corruption = CorruptionModel(2e-4, rng=rng)
+            channel = cls(
+                sim, bandwidth_bps=1e6, prop_delay=0.003, fast=fast,
+                queue_limit=queue_limit, loss_model=loss,
+                corruption=corruption, skew=skew,
+            )
+            log = []
+            sent = [0]
+
+            def send(size, force=False):
+                channel.send(Packet(size, seq=sent[0]), force=force)
+                sent[0] += 1
+
+            def on_space():
+                log.append((sim.now, "space", channel.queue_length))
+                if refill and sent[0] < 80:
+                    send(100 + sent[0])
+
+            channel.on_deliver = lambda p: log.append(
+                (sim.now, "deliver", p.seq)
+            )
+            channel.on_drop = lambda p, why: log.append(
+                (sim.now, why, p.seq)
+            )
+            channel.on_space = on_space
+            events = []
+
+            def advance(until):
+                while True:
+                    at = sim.peek_time()  # drops cancelled heads
+                    if at is None or at > until:
+                        break
+                    events.append(tuple(sim._heap[0][:2]))
+                    sim.step()
+                sim.run(until=until)
+
+            for op in ops + [("resume",), ("advance", 1.0)]:
+                if op[0] == "send":
+                    send(op[1], op[2])
+                elif op[0] == "burst":
+                    channel.send_burst([
+                        Packet(size, seq=sent[0] + i)
+                        for i, size in enumerate(op[1])
+                    ])
+                    sent[0] += len(op[1])
+                elif op[0] == "advance":
+                    advance(sim.now + op[1])
+                elif op[0] == "lossless":
+                    if model == "deterministic":
+                        channel.loss_model.indices.clear()
+                    elif model == "corruption":
+                        channel.corruption.ber = 0.0
+                    else:
+                        channel.loss_model.p = 0.0
+                else:
+                    getattr(channel, op[0])()
+                log.append((sim.now, "state", channel.queue_length,
+                            channel.in_flight, sim._seq))
+            return log, events, vars(channel.stats), sim.events_processed
+
+        slot_free = play(Channel)
+        assert slot_free == play(EventChannel)

@@ -185,6 +185,25 @@ class TestSlotFreeScheduling:
         sim.run()
         assert order == ["handle", "call"]  # insertion order breaks the tie
 
+    def test_schedule_call_carries_arguments(self, sim):
+        seen = []
+        sim.schedule_call(1.0, lambda *args: seen.append(args), "a", 2)
+        sim.schedule_call(1.0, seen.append, "b")
+        sim.run()
+        assert seen == [("a", 2), "b"]
+        assert sim.events_processed == 2
+
+    def test_rearmed_call_keeps_its_arguments(self, sim):
+        seen = []
+
+        def tick(label, left):
+            seen.append((label, sim.now))
+            return sim.now + 1.0 if len(seen) < left else None
+
+        sim.schedule_call(1.0, tick, "t", 3)
+        sim.run()
+        assert seen == [("t", 1.0), ("t", 2.0), ("t", 3.0)]
+
     def test_schedule_call_rejects_past(self, sim):
         sim.schedule(5.0, lambda: None)
         sim.run()

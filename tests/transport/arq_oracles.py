@@ -72,7 +72,10 @@ class FullScanSender(ReliableSender):
             if any(start <= rseq < end for start, end in sack.blocks):
                 if not record.sacked:
                     record.sacked = True
-                    self._maybe_sample(record)
+                    # Karn's rule: RTT only from packets transmitted once.
+                    if record.transmissions == 1 and record.last_sent >= 0:
+                        self.stats.rtt_samples += 1
+                        self.rto.sample(self.sim.now - record.last_sent)
             elif rseq < newest and not record.sacked and (
                 record.transmissions > 0
             ):

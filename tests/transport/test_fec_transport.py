@@ -68,6 +68,24 @@ def test_shard_round_trip_none_fields_and_padding():
     assert rebuilt.payload is None
 
 
+def test_empty_payload_is_not_no_payload():
+    """``b""`` and ``None`` share a shard size but come back as themselves."""
+    empty = Packet(size=10, seq=1, payload=b"")
+    absent = Packet(size=10, seq=2, payload=None)
+    assert len(shard_for(empty)) == len(shard_for(absent))
+    assert packet_from_shard(shard_for(empty), fseq=0).payload == b""
+    assert packet_from_shard(shard_for(absent), fseq=0).payload is None
+
+
+def test_reconstruction_keeps_empty_and_absent_payloads():
+    sender, receiver, delivered = _wire(drop={0, 2}, k=3, m=2)
+    for seq, payload in enumerate([b"", b"x", None]):
+        sender.submit(_packet(seq, payload=payload))
+    assert [p.seq for p in delivered] == [0, 1, 2]
+    assert delivered[0].synthesized and delivered[0].payload == b""
+    assert delivered[2].synthesized and delivered[2].payload is None
+
+
 def test_non_bytes_payload_rejected():
     with pytest.raises(TypeError):
         shard_for(Packet(size=10, seq=0, payload={"not": "bytes"}))
