@@ -311,3 +311,8 @@ class BondingResequencer:
         demux._assembly = dict(state["assembly"])
         demux.packets_reassembled = list(state["packets_reassembled"])
         self.delivered = state["delivered"]
+
+    def sender_restarted(self, state: Any) -> int:
+        """Frame alignment needs no mirror of the sender: nothing to drop
+        or adopt when it restarts."""
+        return 0

@@ -173,29 +173,16 @@ class MpppDiscipline(LoadSharer):
     # -- checkpoint support (repro.transport.recovery) ------------------ #
 
     def snapshot(self) -> Any:
-        inner_snap = getattr(self.inner, "snapshot", None)
-        if inner_snap is not None:
-            inner_state = inner_snap()
-        else:
-            kernel = getattr(self.inner, "kernel", None)
-            inner_state = kernel.snapshot() if kernel is not None else None
         return {
             "next_sequence": self.next_sequence,
             "header_overhead_bytes": self.header_overhead_bytes,
-            "inner": inner_state,
+            "inner": self.inner.snapshot(),
         }
 
     def restore(self, state: Any) -> None:
         self.next_sequence = state["next_sequence"]
         self.header_overhead_bytes = state["header_overhead_bytes"]
-        inner_state = state["inner"]
-        if inner_state is None:
-            return
-        inner_restore = getattr(self.inner, "restore", None)
-        if inner_restore is not None:
-            inner_restore(inner_state)
-        else:
-            self.inner.kernel.restore(inner_state)
+        self.inner.restore(state["inner"])
 
 
 class MpppReceiver:
@@ -334,3 +321,8 @@ class MpppReceiver:
         self.duplicates = state["duplicates"]
         self.max_buffered = state["max_buffered"]
         self._manage_gap_timer()
+
+    def sender_restarted(self, state: Any) -> int:
+        """Sequence headers need no mirror of the sender: nothing to drop
+        or adopt when it restarts."""
+        return 0

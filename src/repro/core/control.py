@@ -68,11 +68,6 @@ class StripeConfig:
     def is_active(self, port_index: int) -> bool:
         return port_index in self._positions
 
-    def quantum_of(self, port_index: int) -> Optional[float]:
-        """The active channel's quantum by original port index.  O(1)."""
-        position = self._positions.get(port_index)
-        return None if position is None else self.quanta[position]
-
 
 @dataclass
 class ResetPacket:

@@ -253,7 +253,8 @@ class ReceiverSnapshot:
     (an :class:`~repro.core.srr.SRRState` worth of information); ``pending``
     and ``sync_round`` are the receiver-only annotations: which channels
     still owe themselves a quantum on their next visit, and which channels
-    hold an un-reached marker round (condition C1).
+    hold an un-reached marker round (condition C1).  ``buffers`` is what
+    each channel held (empty in a snapshot built without them).
     """
 
     ptr: int
@@ -261,6 +262,7 @@ class ReceiverSnapshot:
     dc: Tuple[float, ...]
     pending: Tuple[bool, ...]
     sync_round: Tuple[Optional[int], ...]
+    buffers: Tuple[Tuple[Any, ...], ...] = ()
 
 
 @dataclass
@@ -720,23 +722,25 @@ class SRRReceiver:
             self.round_number = target
 
     # ------------------------------------------------------------------ #
-    # kernel snapshot surface (sections 4-5; used by session reset)
+    # snapshot surface (sections 4-5; checkpoints, warm restarts)
 
     def snapshot(self) -> ReceiverSnapshot:
-        """Immutable capture of the full receiver mirror state."""
+        """Immutable capture of the mirror state and the channel buffers."""
         return ReceiverSnapshot(
             ptr=self.ptr,
             round_number=self.round_number,
             dc=tuple(self.dc),
             pending=tuple(self.pending),
             sync_round=tuple(self.sync_round),
+            buffers=tuple(tuple(buffer) for buffer in self.buffers),
         )
 
     def restore(self, snapshot: ReceiverSnapshot) -> None:
         """Install a state previously captured with :meth:`snapshot`.
 
-        Buffered packets and stats are left alone: restore only rewinds the
-        simulated sender state, which is what self-stabilization needs.
+        The buffers come back as the snapshot held them; a snapshot built
+        without buffers rewinds only the simulated sender state.  Stats
+        are left alone.
         """
         if len(snapshot.dc) != self.n_channels:
             raise ValueError(
@@ -750,6 +754,22 @@ class SRRReceiver:
         self.sync_round = list(snapshot.sync_round)
         self._last_marker = [None] * self.n_channels
         self._blocked_on = None
+        for buffer, held in zip(self.buffers, snapshot.buffers):
+            buffer.clear()
+            buffer.extend(held)
+        self._buffered = sum(len(buffer) for buffer in self.buffers)
+
+    def sender_restarted(self, state: Optional[SRRState]) -> int:
+        """A restarted sender announced its kernel ``state``: drop what
+        the buffers hold from its dead incarnation and adopt ``state``
+        (:meth:`adopt_snapshot`).  Returns the packets dropped."""
+        dropped = self._buffered
+        for buffer in self.buffers:
+            buffer.clear()
+        self._buffered = 0
+        if state is not None:
+            self.adopt_snapshot(state)
+        return dropped
 
     def adopt_snapshot(self, state: SRRState) -> List[Any]:
         """Adopt a *sender* kernel snapshot wholesale (all channels at once).

@@ -42,8 +42,8 @@ class Resequencer:
 
     The sender simulation steps a mutable
     :class:`~repro.core.kernel.SchedulerKernel`; the legacy ``state``
-    attribute remains as a snapshot view, and :meth:`snapshot` /
-    :meth:`restore` expose the kernel surface directly.
+    attribute remains as a snapshot view of it, and :meth:`snapshot` /
+    :meth:`restore` capture it together with the channel buffers.
     """
 
     def __init__(
@@ -76,12 +76,32 @@ class Resequencer:
         self.kernel.restore(value)
 
     def snapshot(self) -> Any:
-        """Immutable capture of the simulated sender state."""
-        return self.kernel.snapshot()
+        """Plain-value capture: the simulated sender state and what each
+        channel buffers."""
+        return {
+            "kernel": self.kernel.snapshot(),
+            "buffers": [list(buffer) for buffer in self.buffers],
+        }
 
     def restore(self, snapshot: Any) -> None:
-        """Install a previously captured sender state."""
-        self.kernel.restore(snapshot)
+        """Install a :meth:`snapshot` capture."""
+        self.kernel.restore(snapshot["kernel"])
+        for buffer, held in zip(self.buffers, snapshot["buffers"]):
+            buffer.clear()
+            buffer.extend(held)
+        self._buffered = sum(len(buffer) for buffer in self.buffers)
+
+    def sender_restarted(self, state: Any) -> int:
+        """A restarted sender announced its kernel ``state``: drop what
+        the buffers hold from its dead incarnation and mirror ``state``.
+        Returns the packets dropped."""
+        dropped = self._buffered
+        for buffer in self.buffers:
+            buffer.clear()
+        self._buffered = 0
+        if state is not None:
+            self.kernel.restore(state)
+        return dropped
 
     @property
     def n_channels(self) -> int:
@@ -223,6 +243,21 @@ class NullResequencer:
 
     def revive_channel(self, channel: int) -> None:
         """Physical-order delivery never blocked; nothing to restore."""
+
+    def snapshot(self) -> None:
+        """Arrival-order delivery keeps no state to resume."""
+        return None
+
+    def restore(self, state: Any) -> None:
+        if state is not None:
+            raise ValueError(
+                f"{type(self).__name__} is stateless; nothing to restore "
+                f"(got {state!r})"
+            )
+
+    def sender_restarted(self, state: Any) -> int:
+        """Arrival order mirrors no sender: nothing to drop or adopt."""
+        return 0
 
 
 class DirectReception(NullResequencer):

@@ -29,6 +29,7 @@ from typing import (
     Any,
     Callable,
     Deque,
+    Dict,
     List,
     Optional,
     Protocol,
@@ -315,6 +316,36 @@ class Striper:
         if not self._markers_enabled:
             raise RuntimeError("markers are not enabled on this striper")
         self._emit_markers()
+
+    # ------------------------------------------------------------------ #
+    # checkpoint support (repro.transport.recovery)
+
+    def snapshot(self) -> Dict[str, Any]:
+        """Plain-value capture: the policy state, the send counters, the
+        marker crossings and initial-marker flag, and the input queue."""
+        return {
+            "sharer": self.sharer.snapshot(),
+            "packets_sent": self.packets_sent,
+            "bytes_sent": self.bytes_sent,
+            "markers_sent": self.markers_sent,
+            "crossings": self._crossings_seen,
+            "initial_markers": self._initial_markers_pending,
+            "queue": list(self.input_queue),
+        }
+
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Install a :meth:`snapshot` capture.  The input queue comes back
+        as it was — the packets the layers above already stamped, parity
+        and discipline frames included — and nothing is sent until the
+        next :meth:`pump`."""
+        self.sharer.restore(state["sharer"])
+        self.packets_sent = state["packets_sent"]
+        self.bytes_sent = state["bytes_sent"]
+        self.markers_sent = state["markers_sent"]
+        self._crossings_seen = state["crossings"]
+        self._initial_markers_pending = state["initial_markers"]
+        self.input_queue.clear()
+        self.input_queue.extend(state["queue"])
 
 
 class ListPort:

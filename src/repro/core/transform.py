@@ -101,6 +101,17 @@ class LoadSharer(abc.ABC):
         """Restore initial state (default implemented by subclasses)."""
         raise NotImplementedError
 
+    def snapshot(self) -> Any:
+        """Plain-value capture of the policy state (checkpoints).
+
+        The default is a stateless policy's: nothing.  Stateful policies
+        override this and :meth:`restore` together.
+        """
+        return None
+
+    def restore(self, state: Any) -> None:
+        """Install a state captured by :meth:`snapshot`."""
+
 
 class TransformedLoadSharer(LoadSharer):
     """Load sharer obtained from a CFQ algorithm via Theorem 3.1.
@@ -127,14 +138,16 @@ class TransformedLoadSharer(LoadSharer):
     def n_channels(self) -> int:
         return self.algorithm.n_channels
 
-    @property
-    def state(self) -> Any:
-        """Snapshot of the kernel state (immutable-path compatibility)."""
+    def snapshot(self) -> Any:
+        """The kernel's snapshot (an :class:`~repro.core.srr.SRRState` for
+        the SRR family)."""
         return self.kernel.snapshot()
 
-    @state.setter
-    def state(self, value: Any) -> None:
-        self.kernel.restore(value)
+    def restore(self, state: Any) -> None:
+        self.kernel.restore(state)
+
+    #: the kernel snapshot as an attribute (immutable-path compatibility)
+    state = property(snapshot, restore)
 
     def choose(
         self,

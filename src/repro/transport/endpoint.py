@@ -973,6 +973,21 @@ class StripeReceiverPipeline:
         """The synchronization model's introspectable receiver state."""
         return self.sync.receiver_state()
 
+    def snapshot(self) -> Dict[str, Any]:
+        """Plain-value capture of reception: the reception engine's own
+        snapshot and the data packets pushed per channel (credit
+        accounting).  The ARQ/FEC layers checkpoint themselves."""
+        return {
+            "engine": self.resequencer.snapshot(),
+            "pushed": list(self._pushed_data),
+        }
+
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Install a :meth:`snapshot` capture; the arrival closures keep
+        their count list."""
+        self.resequencer.restore(state["engine"])
+        self._pushed_data[:] = state["pushed"]
+
     # ------------------------------------------------------------------ #
 
     def push(self, channel: int, packet: Any) -> List[Any]:

@@ -185,6 +185,25 @@ class FlowTable:
         flow.active = False
         return flow
 
+    def snapshot(self) -> List[List[Any]]:
+        """Plain-value capture of the registry: each flow's id, tenant,
+        weight and queued packets.  Scheduling state is the scheduler's
+        (:meth:`FabricScheduler.snapshot`)."""
+        return [
+            [flow.flow_id, flow.tenant, flow.weight, list(flow.queue)]
+            for flow in self._flows.values()
+        ]
+
+    def restore(self, rows: List[List[Any]]) -> None:
+        """Reinstall a :meth:`snapshot` capture: captured flows missing
+        here are registered, and each captured queue replaces its flow's."""
+        for flow_id, tenant, weight, queue in rows:
+            flow = self._flows.get(flow_id)
+            if flow is None:
+                flow = self.register(flow_id, weight=weight, tenant=tenant)
+            flow.queue.clear()
+            flow.queue.extend(queue)
+
     def tenant_totals(self) -> Dict[Any, int]:
         """Serviced bytes aggregated per tenant (weighted-share audits)."""
         totals: Dict[Any, int] = {}

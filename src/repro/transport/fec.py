@@ -364,6 +364,18 @@ class FecSender:
         stats.parity_bytes += m * (length + PARITY_HEADER_BYTES)
         self._stripe_parity(parity)
 
+    # -- checkpoint support (repro.transport.recovery) ------------------ #
+
+    def snapshot(self) -> Dict[str, int]:
+        """The group counters.  The open group's shards are left out:
+        after a restart it would seal with holes anyway, and hybrid's ARQ
+        backstop (or pure fec's gap skip) owns those positions."""
+        return {"next_fseq": self._next_fseq, "group_base": self._group_base}
+
+    def restore(self, state: Dict[str, int]) -> None:
+        self._next_fseq = state["next_fseq"]
+        self._group_base = state["group_base"]
+
 
 # --------------------------------------------------------------------- #
 # receiver
@@ -654,3 +666,18 @@ class FecReceiver:
             packet = pending.pop(self._next_expected)
             self._next_expected += 1
             self.on_deliver(packet)
+
+    # -- checkpoint support (repro.transport.recovery) ------------------ #
+
+    def snapshot(self) -> Dict[str, int]:
+        """The delivery cursors.  Partial groups and cached shards are
+        left out: parity for them may be gone with the process, and the
+        ARQ backstop (or the gap-skip timer) owns those positions."""
+        return {
+            "next_expected": self._next_expected,
+            "delivered_hw": self._delivered_hw,
+        }
+
+    def restore(self, state: Dict[str, int]) -> None:
+        self._next_expected = state["next_expected"]
+        self._delivered_hw = state["delivered_hw"]

@@ -5,12 +5,14 @@ sender or receiver node crashes by doing a reset."  This module makes
 that prescription — and its much cheaper modern refinement — executable:
 
 * **Durable state.**  :func:`sender_to_bytes` / :func:`receiver_to_bytes`
-  serialize the *composed* endpoint state (SRR kernel, sync-model mirror,
-  resequencer buffers, ARQ scoreboard + retransmit buffer, fabric flow
-  table + DRR state, FEC group counters) into one versioned, CRC-guarded
-  frame; :class:`CheckpointStore` is the durable-medium stand-in holding
-  the last two checkpoints (last-good fallback) plus a write-ahead log of
-  per-packet records so nothing submitted between checkpoints is lost.
+  serialize the *composed* endpoint state into one versioned, CRC-guarded
+  frame.  Each stateful component (striper and its policy, reception
+  engine, ARQ window, FEC counters, fabric flows and scheduler) captures
+  itself with a ``snapshot()`` / ``restore(state)`` pair of plain values;
+  this module only assembles them.  :class:`CheckpointStore` is the
+  durable-medium stand-in holding the last two checkpoints (last-good
+  fallback) plus a write-ahead log of per-packet records so nothing
+  submitted between checkpoints is lost.
 
 * **Epoch-stamped resume.**  Every incarnation of an endpoint draws a
   fresh epoch from its store.  A restarted endpoint announces itself with
@@ -26,15 +28,16 @@ that prescription — and its much cheaper modern refinement — executable:
 * **Warm adoption, not reset.**  A restarted *sender* resumes from its
   checkpointed kernel, which is *behind* the receiver's mirror by the
   in-flight delta; since markers only ever move a mirror forward, the
-  ResumePacket carries the sender's kernel snapshot and the receiver
-  adopts it (:meth:`~repro.core.markers.SRRReceiver.adopt_snapshot`),
-  flushing stale buffered data from the dead incarnation.  A restarted
-  *receiver* restores a mirror that is stale-*behind* the live sender —
-  exactly the state incoming markers are designed to fast-forward — so no
-  reset is needed at all; the report simply tells the sender what to
-  replay.  A receiver restarted **without** a checkpoint converges by
-  waiting for the next marker round: cold resync, the Theorem 5.1
-  mechanism itself.
+  ResumePacket carries the sender's kernel snapshot and a receiver whose
+  engine mirrors that kernel adopts it (``sender_restarted`` on the
+  engine, :meth:`~repro.core.markers.SRRReceiver.adopt_snapshot` for the
+  paper's), flushing stale buffered data from the dead incarnation.  A
+  restarted *receiver* restores a mirror that is stale-*behind* the live
+  sender — exactly the state incoming markers are designed to
+  fast-forward — so no reset is needed at all; the report simply tells
+  the sender what to replay.  A receiver restarted **without** a
+  checkpoint converges by waiting for the next marker round: cold resync,
+  the Theorem 5.1 mechanism itself.
 
 Reconciliation (reliable modes): the receiver reports its rseq
 high-water and SACK blocks; the sender treats the report as
@@ -49,15 +52,19 @@ path).
 
 from __future__ import annotations
 
-import pickle
 import struct
 import zlib
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.baselines.bonding import BondingFrame
+from repro.baselines.mppp import MpppFragment
 from repro.core.control import ResumePacket, ResumeReportPacket
-from repro.core.markers import ReceiverSnapshot, decode_marker, encode_marker
-from repro.core.packet import Packet, SackInfo, is_marker, is_parity
+from repro.core.markers import ReceiverSnapshot
+from repro.core.packet import MarkerPacket, Packet, SackInfo
 from repro.core.srr import SRRState
+from repro.transport.fabric import FabricSnapshot
+from repro.transport.fec import ParityPacket
 from repro.transport.reliability import AckPacket
 
 __all__ = [
@@ -93,7 +100,8 @@ class CheckpointError(ValueError):
 
 
 class CheckpointCorruptError(CheckpointError):
-    """Frame failed its magic or CRC check (bit rot, torn write)."""
+    """Frame failed its magic or CRC check (bit rot, torn write), or its
+    body is not a well-formed tree."""
 
 
 class CheckpointVersionError(CheckpointError):
@@ -103,62 +111,85 @@ class CheckpointVersionError(CheckpointError):
 # --------------------------------------------------------------------- #
 # tagged tree codec
 #
-# Checkpoints are trees of plain values (dict/list/tuple/str/bytes/
-# int/float/bool/None) with two protocol-native leaves: SRRState (the
-# kernel triple) and ReceiverSnapshot (the mirror quintuple).  Anything
-# else — opaque scheme state from an exotic CFQ kernel, a foreign payload
-# object — rides as a tagged pickle blob.  The envelope is versioned and
-# CRC-guarded, and checkpoints are local trusted files, so the fallback
-# does not widen the attack surface beyond the process's own state.
+# A checkpoint is a tree of plain values (None/bool/int/float/str/bytes/
+# list/tuple/dict) whose only other leaves are the record types below.
+# The leaf set is closed: encoding anything else raises CheckpointError,
+# and decoding any body yields a tree or raises CheckpointCorruptError.
 
 _U32 = struct.Struct("!I")
 _F64 = struct.Struct("!d")
 
+#: the record leaves, by code: the kernel, mirror and fabric snapshots and
+#: every packet type a queue or buffer holds, each with the constructor
+#: arguments that rebuild it.  ``uid`` is left out on purpose: a restored
+#: packet is a new object, which keeps the pool contract across restarts.
+_RECORDS: Tuple[Tuple[type, Tuple[str, ...]], ...] = (
+    (SRRState, ("ptr", "round_number", "dc")),
+    (
+        ReceiverSnapshot,
+        ("ptr", "round_number", "dc", "pending", "sync_round", "buffers"),
+    ),
+    (FabricSnapshot, ("flows", "active_order", "head_credited")),
+    (SackInfo, ("cum_ack", "blocks")),
+    (
+        Packet,
+        ("size", "seq", "label", "flow", "payload", "codepoint", "rseq",
+         "fseq", "synthesized"),
+    ),
+    (MarkerPacket, ("channel", "round_number", "deficit", "size", "credit",
+                    "sack")),
+    (
+        ParityPacket,
+        ("group", "members", "index", "nparity", "shard_len", "payload",
+         "size", "seq", "rseq", "fseq"),
+    ),
+    (MpppFragment, ("sequence", "inner", "header_bytes")),
+    (BondingFrame, ("sequence", "channel", "payload_bytes", "content")),
+)
+_RECORD_CODES = {cls: code for code, (cls, _) in enumerate(_RECORDS)}
+
+#: what a malformed body can raise mid-decode: truncation, a bad scalar,
+#: an unhashable key, a record its constructor refuses, runaway nesting
+_MALFORMED = (struct.error, IndexError, TypeError, ValueError, RecursionError)
+
 
 def _encode_tree(value: Any, out: List[bytes]) -> None:
+    kind = type(value)
     if value is None:
         out.append(b"N")
     elif value is True:
         out.append(b"T")
     elif value is False:
         out.append(b"F")
-    elif type(value) is int:
+    elif kind is int:
         body = str(value).encode("ascii")
         out.append(b"i" + _U32.pack(len(body)) + body)
-    elif type(value) is float:
+    elif kind is float:
         out.append(b"f" + _F64.pack(value))
-    elif type(value) is str:
+    elif kind is str:
         body = value.encode("utf-8")
         out.append(b"s" + _U32.pack(len(body)) + body)
-    elif type(value) is bytes:
+    elif kind is bytes:
         out.append(b"y" + _U32.pack(len(value)) + value)
-    elif type(value) is list or type(value) is tuple:
-        out.append((b"l" if type(value) is list else b"t") + _U32.pack(len(value)))
+    elif kind is list or kind is tuple:
+        out.append((b"l" if kind is list else b"t") + _U32.pack(len(value)))
         for item in value:
             _encode_tree(item, out)
-    elif type(value) is dict:
+    elif kind is dict:
         out.append(b"d" + _U32.pack(len(value)))
         for key, item in value.items():
             _encode_tree(key, out)
             _encode_tree(item, out)
-    elif type(value) is SRRState:
-        out.append(b"K")
-        _encode_tree((value.ptr, value.round_number, list(value.dc)), out)
-    elif type(value) is ReceiverSnapshot:
-        out.append(b"R")
-        _encode_tree(
-            (
-                value.ptr,
-                value.round_number,
-                list(value.dc),
-                list(value.pending),
-                list(value.sync_round),
-            ),
-            out,
-        )
     else:
-        body = pickle.dumps(value, protocol=4)
-        out.append(b"P" + _U32.pack(len(body)) + body)
+        code = _RECORD_CODES.get(kind)
+        if code is None:
+            raise CheckpointError(
+                f"cannot checkpoint a {kind.__name__}: neither a plain "
+                "value nor a record type"
+            )
+        out.append(b"r" + bytes((code,)))
+        names = _RECORDS[code][1]
+        _encode_tree(tuple(getattr(value, name) for name in names), out)
 
 
 def _decode_tree(data: bytes, pos: int) -> Tuple[Any, int]:
@@ -172,7 +203,7 @@ def _decode_tree(data: bytes, pos: int) -> Tuple[Any, int]:
         return False, pos
     if tag == b"f":
         return _F64.unpack_from(data, pos)[0], pos + 8
-    if tag in (b"i", b"s", b"y", b"P"):
+    if tag in (b"i", b"s", b"y"):
         (length,) = _U32.unpack_from(data, pos)
         pos += 4
         body = data[pos : pos + length]
@@ -183,9 +214,7 @@ def _decode_tree(data: bytes, pos: int) -> Tuple[Any, int]:
             return int(body), pos
         if tag == b"s":
             return body.decode("utf-8"), pos
-        if tag == b"y":
-            return body, pos
-        return pickle.loads(body), pos
+        return body, pos
     if tag in (b"l", b"t"):
         (count,) = _U32.unpack_from(data, pos)
         pos += 4
@@ -203,32 +232,43 @@ def _decode_tree(data: bytes, pos: int) -> Tuple[Any, int]:
             value, pos = _decode_tree(data, pos)
             tree[key] = value
         return tree, pos
-    if tag == b"K":
-        triple, pos = _decode_tree(data, pos)
-        ptr, round_number, dc = triple
-        return SRRState(ptr, round_number, tuple(dc)), pos
-    if tag == b"R":
-        fields, pos = _decode_tree(data, pos)
-        ptr, round_number, dc, pending, sync_round = fields
-        return (
-            ReceiverSnapshot(
-                ptr, round_number, tuple(dc), tuple(pending), tuple(sync_round)
-            ),
-            pos,
-        )
+    if tag == b"r":
+        cls, names = _RECORDS[data[pos]]
+        fields, pos = _decode_tree(data, pos + 1)
+        if type(fields) is not tuple or len(fields) != len(names):
+            raise CheckpointCorruptError(f"malformed {cls.__name__} record")
+        return cls(**dict(zip(names, fields))), pos
     raise CheckpointCorruptError(f"unknown tree tag {tag!r}")
 
 
+def _encode_body(tree: Any) -> bytes:
+    parts: List[bytes] = []
+    _encode_tree(tree, parts)
+    return b"".join(parts)
+
+
+def _decode_body(data: bytes) -> Any:
+    """The one tree ``data`` holds, end to end; never raises anything but
+    :class:`CheckpointCorruptError`."""
+    try:
+        tree, pos = _decode_tree(data, 0)
+    except CheckpointCorruptError:
+        raise
+    except _MALFORMED as exc:
+        raise CheckpointCorruptError(f"malformed tree: {exc}") from None
+    if pos != len(data):
+        raise CheckpointCorruptError("trailing bytes after the tree")
+    return tree
+
+
 CHECKPOINT_MAGIC = b"SRCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _HEADER = struct.Struct("!4sHI")  # magic, version, body length
 
 
 def encode_checkpoint(tree: Any, *, version: int = CHECKPOINT_VERSION) -> bytes:
     """Frame ``tree`` as ``magic | version | length | body | crc32``."""
-    parts: List[bytes] = []
-    _encode_tree(tree, parts)
-    body = b"".join(parts)
+    body = _encode_body(tree)
     frame = _HEADER.pack(CHECKPOINT_MAGIC, version, len(body)) + body
     return frame + _U32.pack(checksum(frame))
 
@@ -240,7 +280,7 @@ def decode_checkpoint(blob: bytes) -> Any:
     :class:`CheckpointCorruptError` even if the rot landed in the version
     field, while an *intact* frame from a future codec raises the typed
     :class:`CheckpointVersionError` so callers can distinguish skew from
-    damage.
+    damage.  A body that is not one well-formed tree is corrupt too.
     """
     if len(blob) < _HEADER.size + 4:
         raise CheckpointCorruptError("checkpoint too short")
@@ -252,11 +292,9 @@ def decode_checkpoint(blob: bytes) -> Any:
     magic, version, length = _HEADER.unpack_from(blob, 0)
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(f"unknown checkpoint version {version}")
-    body = blob[_HEADER.size : _HEADER.size + length]
-    if len(body) != length:
-        raise CheckpointCorruptError("checkpoint body truncated")
-    tree, _ = _decode_tree(body, 0)
-    return tree
+    if len(frame) != _HEADER.size + length:
+        raise CheckpointCorruptError("checkpoint body length mismatch")
+    return _decode_body(frame[_HEADER.size :])
 
 
 def _seal_record(payload: bytes) -> bytes:
@@ -374,333 +412,71 @@ class CheckpointStore:
 
 
 # --------------------------------------------------------------------- #
-# packet packing
-
-_PACKET_FIELDS = (
-    "size", "seq", "label", "flow", "payload", "codepoint", "rseq", "fseq",
-    "synthesized",
-)
+# composed endpoint state: each component's own snapshot, by name
 
 
-_PARITY_FIELDS = (
-    "group", "members", "index", "nparity", "shard_len", "payload", "size",
-    "seq", "rseq", "fseq",
-)
-
-
-def pack_packet(packet: Any) -> Any:
-    """Checkpoint form of a data, marker, or parity packet.
-
-    Markers reuse the canonical 32-byte wire codec; data and parity
-    packets are field tuples (``uid`` is deliberately dropped — a restored
-    packet is a new object).  Parity needs its own shape: a stripe-group
-    shard buffered in a resequencer at checkpoint time must come back with
-    its group geometry or the FEC receiver cannot consume it.
-    """
-    if is_marker(packet):
-        return {"m": encode_marker(packet)}
-    if is_parity(packet):
-        return {"q": [getattr(packet, name) for name in _PARITY_FIELDS]}
-    return {"p": [getattr(packet, name, None) for name in _PACKET_FIELDS]}
-
-
-def unpack_packet(tree: Any) -> Any:
-    wire = tree.get("m")
-    if wire is not None:
-        return decode_marker(wire)
-    parity = tree.get("q")
-    if parity is not None:
-        from repro.transport.fec import ParityPacket
-
-        group, members, index, nparity, shard_len, payload, size, seq, rseq, fseq = parity
-        return ParityPacket(
-            group, members, index, nparity, shard_len, payload,
-            size=size, seq=seq, rseq=rseq, fseq=fseq,
-        )
-    size, seq, label, flow, payload, codepoint, rseq, fseq, synthesized = tree["p"]
-    packet = Packet(
-        size, seq=seq, label=label, flow=flow, payload=payload,
-        codepoint=codepoint, rseq=rseq, fseq=fseq,
-    )
-    packet.synthesized = bool(synthesized)
-    return packet
-
-
-def _sharer_snapshot(sharer: Any) -> Any:
-    snap = getattr(sharer, "snapshot", None)
-    if snap is not None:
-        return snap()
-    kernel = getattr(sharer, "kernel", None)
-    if kernel is not None:
-        return kernel.snapshot()
-    return None
-
-
-def _sharer_restore(sharer: Any, state: Any) -> None:
-    if state is None:
-        return
-    restore = getattr(sharer, "restore", None)
-    if restore is not None:
-        restore(state)
-        return
-    kernel = getattr(sharer, "kernel", None)
-    if kernel is not None:
-        kernel.restore(state)
-        return
-    raise CheckpointError(f"{type(sharer).__name__} cannot restore state")
-
-
-# --------------------------------------------------------------------- #
-# composed endpoint state <-> tree
-
-
-def sender_state_tree(pipeline: Any, *, peer_epoch: int = 0) -> Dict[str, Any]:
-    striper = pipeline.striper
-    reliable = pipeline.reliable
-    tree: Dict[str, Any] = {
-        "role": "sender",
-        "peer_epoch": peer_epoch,
-        "striper": {
-            "sharer": _sharer_snapshot(striper.sharer),
-            "packets_sent": striper.packets_sent,
-            "bytes_sent": striper.bytes_sent,
-            "markers_sent": striper.markers_sent,
-            "crossings": striper._crossings_seen,
-            "initial_markers": striper._initial_markers_pending,
-            # Queue entries already stamped with an rseq alias the ARQ
-            # retransmit buffer and come back through the replay path;
-            # only unstamped entries are serialized here.
-            "queue": [
-                pack_packet(p)
-                for p in striper.input_queue
-                if getattr(p, "rseq", None) is None
-            ],
-        },
-    }
-    if reliable is not None:
-        tree["reliable"] = {
-            "next_rseq": reliable.next_rseq,
-            "window": [pack_packet(r.packet) for r in reliable.unacked.values()],
-            "sacked": [
-                rseq for rseq, r in reliable.unacked.items() if r.sacked
-            ],
-            "overflow": [pack_packet(p) for p in reliable._overflow],
-            "rto": [reliable.rto.srtt, reliable.rto.rttvar, reliable.rto.rto],
-        }
-    else:
-        tree["reliable"] = None
-    fec = pipeline.fec
-    if fec is not None:
-        # The in-progress group's shards are dropped: after restart the
-        # group would seal with holes anyway, and hybrid's ARQ backstop
-        # (or pure-fec's gap skip) already owns unrecoverable positions.
-        tree["fec"] = {
-            "next_fseq": fec._next_fseq,
-            "group_base": fec._group_base,
-        }
-    else:
-        tree["fec"] = None
+def _sender_parts(pipeline: Any) -> Dict[str, Any]:
+    """The sender's stateful components in restore order (None: absent)."""
     fabric = pipeline.fabric
-    if fabric is not None:
-        snap = fabric.snapshot()
-        tree["fabric"] = {
-            "flows": [
-                {
-                    "id": f.flow_id,
-                    "tenant": f.tenant,
-                    "weight": f.weight,
-                    "queue": [pack_packet(p) for p in f.queue],
-                }
-                for f in fabric.table
-            ],
-            "sched": [
-                [[fid, deficit, visits] for fid, deficit, visits in snap.flows],
-                list(snap.active_order),
-                snap.head_credited,
-            ],
-        }
-    else:
-        tree["fabric"] = None
-    return tree
-
-
-def restore_sender_state(pipeline: Any, tree: Dict[str, Any]) -> None:
-    if tree.get("role") != "sender":
-        raise CheckpointError("not a sender checkpoint")
-    striper = pipeline.striper
-    st = tree["striper"]
-    _sharer_restore(striper.sharer, st["sharer"])
-    striper.packets_sent = st["packets_sent"]
-    striper.bytes_sent = st["bytes_sent"]
-    striper.markers_sent = st["markers_sent"]
-    striper._crossings_seen = st["crossings"]
-    striper._initial_markers_pending = st["initial_markers"]
-    rel = tree.get("reliable")
-    if rel is not None and pipeline.reliable is not None:
-        reliable = pipeline.reliable
-        window = [unpack_packet(p) for p in rel["window"]]
-        overflow = [unpack_packet(p) for p in rel["overflow"]]
-        reliable.register_restored(
-            window + overflow,
-            next_rseq=rel["next_rseq"],
-            sacked_rseqs=rel["sacked"],
-        )
-        srtt, rttvar, rto = rel["rto"]
-        reliable.rto.srtt = srtt
-        reliable.rto.rttvar = rttvar
-        reliable.rto.rto = rto
-    fec_tree = tree.get("fec")
-    if fec_tree is not None and pipeline.fec is not None:
-        pipeline.fec._next_fseq = fec_tree["next_fseq"]
-        pipeline.fec._group_base = fec_tree["group_base"]
-    fab_tree = tree.get("fabric")
-    if fab_tree is not None and pipeline.fabric is not None:
-        fabric = pipeline.fabric
-        for row in fab_tree["flows"]:
-            flow = fabric.table.get(row["id"])
-            if flow is None:
-                flow = fabric.table.register(
-                    row["id"], weight=row["weight"], tenant=row["tenant"]
-                )
-            flow.queue.clear()
-            flow.queue.extend(unpack_packet(p) for p in row["queue"])
-        flows, active_order, head_credited = fab_tree["sched"]
-        from repro.transport.fabric import FabricSnapshot
-
-        fabric.restore(
-            FabricSnapshot(
-                flows=tuple((fid, deficit, visits) for fid, deficit, visits in flows),
-                active_order=tuple(active_order),
-                head_credited=head_credited,
-            )
-        )
-    # Queued-but-unstamped input is re-submitted through the normal path
-    # last, so it lands behind everything the ARQ buffer will replay.
-    for packed in st["queue"]:
-        pipeline._submit(unpack_packet(packed))
-
-
-def receiver_state_tree(pipeline: Any, *, sender_epoch: int = 0) -> Dict[str, Any]:
-    reseq = pipeline.resequencer
-    buffers = getattr(reseq, "buffers", None)
-    tree: Dict[str, Any] = {
-        "role": "receiver",
-        "sender_epoch": sender_epoch,
-        "sync": pipeline.sync.snapshot(),
-        "buffers": (
-            None
-            if buffers is None
-            else [[pack_packet(p) for p in buf] for buf in buffers]
-        ),
-        "pushed": list(pipeline._pushed_data),
+    return {
+        "striper": pipeline.striper,
+        "reliable": pipeline.reliable,
+        "fec": pipeline.fec,
+        "flows": None if fabric is None else fabric.table,
+        "fabric": fabric,
     }
-    reliable = pipeline.reliable
-    if reliable is not None:
-        tree["arq"] = {
-            "next_expected": reliable.next_expected,
-            "ooo": [
-                [rseq, pack_packet(p)] for rseq, p in reliable._ooo.items()
-            ],
-            "last_ooo": reliable._last_ooo,
-        }
-    else:
-        tree["arq"] = None
-    fec = pipeline.fec
-    if fec is not None:
-        # Partial groups and cached shards are dropped: parity for them
-        # may already be lost with the process, and the ARQ backstop /
-        # gap-skip timer owns those positions after restart.
-        tree["fec"] = {
-            "next_expected": fec._next_expected,
-            "delivered_hw": fec._delivered_hw,
-        }
-    else:
-        tree["fec"] = None
+
+
+def _receiver_parts(pipeline: Any) -> Dict[str, Any]:
+    """The receiver's stateful components in restore order (None: absent)."""
+    return {
+        "reception": pipeline,
+        "reliable": pipeline.reliable,
+        "fec": pipeline.fec,
+    }
+
+
+def _capture(role: str, parts: Dict[str, Any], peer_epoch: int) -> Dict[str, Any]:
+    tree: Dict[str, Any] = {"role": role, "peer_epoch": peer_epoch}
+    for name, part in parts.items():
+        tree[name] = None if part is None else part.snapshot()
     return tree
 
 
-def restore_receiver_state(pipeline: Any, tree: Dict[str, Any]) -> None:
-    if tree.get("role") != "receiver":
-        raise CheckpointError("not a receiver checkpoint")
-    snap = tree.get("sync")
-    reseq = pipeline.resequencer
-    if snap is not None:
-        if isinstance(snap, ReceiverSnapshot):
-            # Faithful restore, not adopt_snapshot: adoption is the warm
-            # handshake path and deliberately resets pending/sync_round.
-            reseq.restore(snap)
-        else:
-            restore = getattr(reseq, "restore", None)
-            if restore is None:
-                raise CheckpointError(
-                    f"{type(reseq).__name__} cannot restore state"
-                )
-            restore(snap)
-    packed_buffers = tree.get("buffers")
-    if packed_buffers is not None and hasattr(reseq, "buffers"):
-        count = 0
-        for buf, packed in zip(reseq.buffers, packed_buffers):
-            buf.clear()
-            buf.extend(unpack_packet(p) for p in packed)
-            count += len(buf)
-        if hasattr(reseq, "_buffered"):
-            reseq._buffered = count
-    pushed = tree.get("pushed")
-    if pushed is not None:
-        for channel, value in enumerate(pushed):
-            if channel < len(pipeline._pushed_data):
-                pipeline._pushed_data[channel] = value
-    arq = tree.get("arq")
-    if arq is not None and pipeline.reliable is not None:
-        pipeline.reliable.restore_window(
-            arq["next_expected"],
-            {rseq: unpack_packet(p) for rseq, p in arq["ooo"]},
-            last_ooo=arq["last_ooo"],
-        )
-    fec_tree = tree.get("fec")
-    if fec_tree is not None and pipeline.fec is not None:
-        pipeline.fec._next_expected = fec_tree["next_expected"]
-        pipeline.fec._delivered_hw = fec_tree["delivered_hw"]
+def _install(role: str, parts: Dict[str, Any], tree: Any) -> None:
+    if type(tree) is not dict or tree.get("role") != role:
+        raise CheckpointError(f"not a {role} checkpoint")
+    for name, part in parts.items():
+        state = tree.get(name)
+        if part is not None and state is not None:
+            part.restore(state)
 
 
 def sender_to_bytes(pipeline: Any, *, peer_epoch: int = 0) -> bytes:
     """Serialize a :class:`StripeSenderPipeline`'s composed state."""
-    return encode_checkpoint(sender_state_tree(pipeline, peer_epoch=peer_epoch))
+    return encode_checkpoint(
+        _capture("sender", _sender_parts(pipeline), peer_epoch)
+    )
 
 
 def sender_from_bytes(pipeline: Any, blob: bytes) -> Dict[str, Any]:
     """Restore a freshly constructed sender pipeline from a checkpoint."""
     tree = decode_checkpoint(blob)
-    restore_sender_state(pipeline, tree)
+    _install("sender", _sender_parts(pipeline), tree)
     return tree
 
 
 def receiver_to_bytes(pipeline: Any, *, sender_epoch: int = 0) -> bytes:
     """Serialize a :class:`StripeReceiverPipeline`'s composed state."""
     return encode_checkpoint(
-        receiver_state_tree(pipeline, sender_epoch=sender_epoch)
+        _capture("receiver", _receiver_parts(pipeline), sender_epoch)
     )
 
 
 def receiver_from_bytes(pipeline: Any, blob: bytes) -> Dict[str, Any]:
     """Restore a freshly constructed receiver pipeline from a checkpoint."""
     tree = decode_checkpoint(blob)
-    restore_receiver_state(pipeline, tree)
-    return tree
-
-
-# --------------------------------------------------------------------- #
-# WAL record payloads (tree-coded, individually CRC-sealed by the store)
-
-
-def _wal_encode(tree: Any) -> bytes:
-    parts: List[bytes] = []
-    _encode_tree(tree, parts)
-    return b"".join(parts)
-
-
-def _wal_decode(payload: bytes) -> Any:
-    tree, _ = _decode_tree(payload, 0)
+    _install("receiver", _receiver_parts(pipeline), tree)
     return tree
 
 
@@ -708,26 +484,12 @@ def _wal_decode(payload: bytes) -> Any:
 # recovery managers
 
 
-class SenderRecovery:
-    """Checkpoint + WAL + resume handshake for a sender pipeline.
+class _EndpointRecovery:
+    """What both managers share: the periodic checkpoint, the announce
+    retried until the peer echoes this incarnation, and :meth:`stop`.
 
-    WAL records between checkpoints:
-
-    * ``pkt`` — a packet the ARQ layer stamped (carries its rseq); written
-      synchronously with submission, so nothing accepted from the
-      application can be lost by a crash.
-    * ``sub`` — a fabric submission (uid-keyed), written before the packet
-      enters its flow queue.
-    * ``bind`` — ``uid -> rseq``, written when a fabric packet drains into
-      the ARQ layer.  Replaying a restored fabric in DRR order could
-      assign *different* rseqs than the original incremental drain did, so
-      bound packets are reinstalled with their original rseqs and only
-      unbound ones re-drain through the fabric.
-
-    On restart, :meth:`install` restores the last checkpoint, applies the
-    WAL, announces the new epoch with a :class:`ResumePacket` (retried
-    until the receiver's report echoes it), and on the report reconciles +
-    replays through SRR.
+    A role supplies ``_to_bytes()`` (its checkpoint) and
+    ``_announcement()`` (its control packet).
     """
 
     def __init__(
@@ -747,59 +509,23 @@ class SenderRecovery:
         self.send_control = send_control
         self.resume_retry_s = resume_retry_s
         self.epoch = 0
-        self.peer_epoch = 0
         self.resumed_from_checkpoint = False
-        self.recovered_at: Optional[float] = None
-        self.stale_acks = 0
-        self.stale_reports = 0
-        self.replayed_packets = 0
-        self.wal_packets_restored = 0
         self._ckpt_timer: Any = None
-        self._resume_timer: Any = None
-        self._awaiting_report = False
-        self._pending_replay = False
-        self._reconciled_pair = (0, 0)
+        self._retry_timer: Any = None
+        self._awaiting_echo = False
         self._stopped = False
-        self._orig_fabric_submit: Optional[Callable[..., Any]] = None
-
-    # -- lifecycle ----------------------------------------------------- #
-
-    def install(self) -> bool:
-        """Hook the pipeline, restore durable state, start the handshake.
-
-        Returns True when state was restored from the store (a restart),
-        False on a first incarnation.
-        """
-        restored = self._restore()
-        self.epoch = self.store.next_epoch()
-        reliable = self.pipeline.reliable
-        if reliable is not None:
-            reliable.on_register = self._on_register
-        if self.pipeline.fabric is not None:
-            self._orig_fabric_submit = self.pipeline.submit
-            self.pipeline.submit = self._logged_submit
-        if restored:
-            self.resumed_from_checkpoint = True
-            self._pending_replay = reliable is not None
-            self._awaiting_report = True
-            self._send_resume()
-            # Collapse checkpoint + WAL into one fresh checkpoint so the
-            # WAL never needs to be idempotent across repeated crashes.
-            self.checkpoint()
-        self._arm_checkpoint_timer()
-        return restored
 
     def stop(self) -> None:
         """Cancel timers; called when this incarnation is killed."""
         self._stopped = True
-        for timer in (self._ckpt_timer, self._resume_timer):
+        for timer in (self._ckpt_timer, self._retry_timer):
             if timer is not None:
                 timer.cancel()
         self._ckpt_timer = None
-        self._resume_timer = None
+        self._retry_timer = None
 
     def checkpoint(self) -> bytes:
-        blob = sender_to_bytes(self.pipeline, peer_epoch=self.peer_epoch)
+        blob = self._to_bytes()
         self.store.save_checkpoint(blob)
         return blob
 
@@ -821,22 +547,122 @@ class SenderRecovery:
         self.checkpoint()
         self._arm_checkpoint_timer()
 
+    def _announce(self) -> None:
+        """Send this incarnation's announce; while the peer has not echoed
+        it, retry every ``resume_retry_s``."""
+        if self.send_control is None:
+            return
+        self.send_control(self._announcement())
+        if self._awaiting_echo and self.sim is not None:
+            if self._retry_timer is not None:
+                self._retry_timer.cancel()
+            self._retry_timer = self.sim.schedule(
+                self.resume_retry_s, self._retry
+            )
+
+    def _retry(self) -> None:
+        self._retry_timer = None
+        if self._stopped or not self._awaiting_echo:
+            return
+        self._announce()
+
+    def _echoed(self) -> None:
+        """The peer's answer named this incarnation: stop retrying."""
+        if self._awaiting_echo:
+            self._awaiting_echo = False
+            if self._retry_timer is not None:
+                self._retry_timer.cancel()
+                self._retry_timer = None
+
+
+class SenderRecovery(_EndpointRecovery):
+    """Checkpoint + WAL + resume handshake for a sender pipeline.
+
+    WAL records between checkpoints:
+
+    * ``pkt`` — a packet the ARQ layer stamped (carries its rseq); written
+      synchronously with submission, so nothing accepted from the
+      application can be lost by a crash.
+    * ``sub`` — a fabric submission and its flow, written before the
+      packet enters its flow queue (a submission the flow's full queue
+      will refuse is not logged).
+    * ``bind`` — ``flow -> rseq``, written when a packet drains from that
+      flow into the ARQ layer.  The fabric drains each flow first in,
+      first out, so the packet is the head of its flow: the checkpoint's
+      flow queue, then the flow's ``sub`` records.  Replaying a restored
+      fabric in DRR order could assign *different* rseqs than the
+      original incremental drain did, so bound packets are reinstalled
+      with their original rseqs and only unbound ones re-drain through
+      the fabric.
+
+    On restart, :meth:`install` restores the last checkpoint, applies the
+    WAL, announces the new epoch with a :class:`ResumePacket` (retried
+    until the receiver's report echoes it), and on the report reconciles +
+    replays through SRR.  Takes the keywords of every recovery manager:
+    ``sim``, ``checkpoint_interval_s``, ``send_control``,
+    ``resume_retry_s``.
+    """
+
+    def __init__(
+        self, pipeline: Any, store: CheckpointStore, **options: Any
+    ) -> None:
+        super().__init__(pipeline, store, **options)
+        self.peer_epoch = 0
+        self.recovered_at: Optional[float] = None
+        self.stale_acks = 0
+        self.stale_reports = 0
+        self.replayed_packets = 0
+        self.wal_packets_restored = 0
+        self._pending_replay = False
+        self._reconciled_pair = (0, 0)
+        self._orig_fabric_submit: Optional[Callable[..., Any]] = None
+
+    # -- lifecycle ----------------------------------------------------- #
+
+    def install(self) -> bool:
+        """Hook the pipeline, restore durable state, start the handshake.
+
+        Returns True when state was restored from the store (a restart),
+        False on a first incarnation.
+        """
+        restored = self._restore()
+        self.epoch = self.store.next_epoch()
+        reliable = self.pipeline.reliable
+        if reliable is not None:
+            reliable.on_register = self._on_register
+        if self.pipeline.fabric is not None:
+            self._orig_fabric_submit = self.pipeline.submit
+            self.pipeline.submit = self._logged_submit
+        if restored:
+            self.resumed_from_checkpoint = True
+            self._pending_replay = reliable is not None
+            self._awaiting_echo = True
+            self._announce()
+            # Collapse checkpoint + WAL into one fresh checkpoint so the
+            # WAL never needs to be idempotent across repeated crashes.
+            self.checkpoint()
+        self._arm_checkpoint_timer()
+        return restored
+
+    def _to_bytes(self) -> bytes:
+        return sender_to_bytes(self.pipeline, peer_epoch=self.peer_epoch)
+
     # -- WAL hooks ------------------------------------------------------ #
 
     def _on_register(self, packet: Any) -> None:
-        if self._orig_fabric_submit is not None:
-            self.store.append_wal(
-                _wal_encode({"t": "bind", "uid": packet.uid, "rseq": packet.rseq})
-            )
+        if self._orig_fabric_submit is not None and packet.flow is not None:
+            record = {"t": "bind", "flow": packet.flow, "rseq": packet.rseq}
         else:
-            self.store.append_wal(_wal_encode({"t": "pkt", "pkt": pack_packet(packet)}))
+            record = {"t": "pkt", "pkt": packet}
+        self.store.append_wal(_encode_body(record))
 
     def _logged_submit(self, flow_id: Any, packet: Any) -> bool:
-        self.store.append_wal(
-            _wal_encode(
-                {"t": "sub", "uid": packet.uid, "flow": flow_id, "pkt": pack_packet(packet)}
+        # Logged before the hand-off: the fabric may drain (and bind) the
+        # packet before it returns.
+        if self.pipeline.fabric.can_submit(flow_id):
+            self.store.append_wal(
+                _encode_body({"t": "sub", "flow": flow_id, "pkt": packet})
             )
-        )
         assert self._orig_fabric_submit is not None
         return self._orig_fabric_submit(flow_id, packet)
 
@@ -846,57 +672,49 @@ class SenderRecovery:
         tree = self.store.load_checkpoint()
         if tree is None:
             return False
-        restore_sender_state(self.pipeline, tree)
+        _install("sender", _sender_parts(self.pipeline), tree)
         self.peer_epoch = tree.get("peer_epoch", 0)
         self._apply_wal()
         return True
 
     def _apply_wal(self) -> None:
-        reliable = self.pipeline.reliable
         fabric = self.pipeline.fabric
-        pending: Dict[int, Tuple[Any, Any]] = {}  # uid -> (flow_id, packet)
+        submitted: List[Tuple[Any, Any]] = []
+        logged: Dict[Any, Deque[Any]] = {}  # flow -> its sub records' packets
         bound: List[Any] = []
         for payload in self.store.wal_payloads():
-            record = _wal_decode(payload)
+            record = _decode_body(payload)
             kind = record["t"]
+            if kind == "sub":
+                flow_id, packet = record["flow"], record["pkt"]
+                if packet.flow is None:
+                    packet.flow = flow_id  # as the fabric stamped it
+                submitted.append((flow_id, packet))
+                logged.setdefault(flow_id, deque()).append(packet)
+                continue
+            self.wal_packets_restored += 1
             if kind == "pkt":
-                packet = unpack_packet(record["pkt"])
-                if reliable is not None and packet.rseq is not None:
-                    bound.append(packet)
-                else:
-                    self.pipeline._submit(packet)
-                self.wal_packets_restored += 1
-            elif kind == "sub":
-                pending[record["uid"]] = (record["flow"], unpack_packet(record["pkt"]))
-            elif kind == "bind":
-                uid = record["uid"]
-                entry = pending.pop(uid, None)
-                if entry is not None:
-                    packet = entry[1]
-                    packet.rseq = record["rseq"]
-                    bound.append(packet)
-                elif fabric is not None:
-                    # Submitted before the checkpoint, drained after it:
-                    # the packet sits in a restored flow queue.  Move it
-                    # to the ARQ buffer under its logged rseq.
-                    packet = _pop_fabric_uid(fabric, uid)
-                    if packet is not None:
-                        packet.rseq = record["rseq"]
-                        bound.append(packet)
-                self.wal_packets_restored += 1
-        if bound and reliable is not None:
-            reliable.register_restored(bound)
-        for flow_id, packet in pending.values():
-            # Logged at fabric entry but never drained: re-submit through
-            # the normal fabric path (rseq assignment happens at drain).
-            packet.rseq = None
-            assert self._orig_fabric_submit is None  # not hooked yet
-            self.pipeline.submit(flow_id, packet)
+                bound.append(record["pkt"])
+                continue
+            flow = fabric.table.get(record["flow"])
+            queue = (
+                flow.queue
+                if flow is not None and flow.queue
+                else logged.get(record["flow"])
+            )
+            if queue:
+                packet = queue.popleft()
+                packet.rseq = record["rseq"]
+                bound.append(packet)
+        if bound:
+            self.pipeline.reliable.register_restored(bound)
+        for flow_id, packet in submitted:
+            if packet.rseq is None:
+                # Logged at fabric entry but never drained: re-submit
+                # through the normal fabric path (rseq comes at drain).
+                self.pipeline.submit(flow_id, packet)
 
     # -- handshake ------------------------------------------------------- #
-
-    def _kernel_state(self) -> Any:
-        return _sharer_snapshot(self.pipeline.striper.sharer)
 
     def _base_rseq(self) -> int:
         reliable = self.pipeline.reliable
@@ -906,29 +724,13 @@ class SenderRecovery:
             return min(reliable.unacked)
         return reliable.next_rseq
 
-    def _send_resume(self) -> None:
-        if self.send_control is None:
-            return
-        self.send_control(
-            ResumePacket(
-                epoch=self.epoch,
-                peer_epoch=self.peer_epoch,
-                base_rseq=self._base_rseq(),
-                state=self._kernel_state(),
-            )
+    def _announcement(self) -> ResumePacket:
+        return ResumePacket(
+            epoch=self.epoch,
+            peer_epoch=self.peer_epoch,
+            base_rseq=self._base_rseq(),
+            state=self.pipeline.striper.sharer.snapshot(),
         )
-        if self._awaiting_report and self.sim is not None:
-            if self._resume_timer is not None:
-                self._resume_timer.cancel()
-            self._resume_timer = self.sim.schedule(
-                self.resume_retry_s, self._resume_retry
-            )
-
-    def _resume_retry(self) -> None:
-        self._resume_timer = None
-        if self._stopped or not self._awaiting_report:
-            return
-        self._send_resume()
 
     def on_control(self, packet: Any) -> None:
         """Handle a control packet from the reverse path."""
@@ -942,17 +744,14 @@ class SenderRecovery:
         fresh_peer = report.epoch > self.peer_epoch
         self.peer_epoch = report.epoch
         addressed_to_us = report.peer_epoch >= self.epoch
-        if addressed_to_us and self._awaiting_report:
-            self._awaiting_report = False
-            if self._resume_timer is not None:
-                self._resume_timer.cancel()
-                self._resume_timer = None
+        if addressed_to_us:
+            self._echoed()
         if fresh_peer or not addressed_to_us:
             # Echo the announce *before* any replay traffic so the
             # restarted receiver's stale-buffer flush runs ahead of the
             # replayed packets on every channel (also re-arms a receiver
             # whose first echo was lost).
-            self._send_resume()
+            self._announce()
         reliable = self.pipeline.reliable
         if reliable is None:
             return
@@ -988,16 +787,7 @@ class SenderRecovery:
         self.pipeline.on_ack(ack)
 
 
-def _pop_fabric_uid(fabric: Any, uid: int) -> Optional[Any]:
-    for flow in fabric.table:
-        for packet in flow.queue:
-            if packet.uid == uid:
-                flow.queue.remove(packet)
-                return packet
-    return None
-
-
-class ReceiverRecovery:
+class ReceiverRecovery(_EndpointRecovery):
     """Checkpoint + delivery-cursor WAL + resume handshake for a receiver.
 
     The WAL holds one record per in-order delivery (``rseq`` cursor),
@@ -1006,37 +796,19 @@ class ReceiverRecovery:
     twice (exactly-once across the crash).  Acks are deliberately not
     logged: losing them only costs duplicate retransmissions, which rseq
     dedup absorbs, and that loss is exactly what makes the checkpoint
-    interval a real recovery-latency knob.
+    interval a real recovery-latency knob.  Takes the keywords of every
+    recovery manager (see :class:`SenderRecovery`).
     """
 
     def __init__(
-        self,
-        pipeline: Any,
-        store: CheckpointStore,
-        *,
-        sim: Any = None,
-        checkpoint_interval_s: Optional[float] = None,
-        send_control: Optional[Callable[[Any], None]] = None,
-        resume_retry_s: float = 0.04,
+        self, pipeline: Any, store: CheckpointStore, **options: Any
     ) -> None:
-        self.pipeline = pipeline
-        self.store = store
-        self.sim = sim
-        self.checkpoint_interval_s = checkpoint_interval_s
-        self.send_control = send_control
-        self.resume_retry_s = resume_retry_s
-        self.epoch = 0
+        super().__init__(pipeline, store, **options)
         self.sender_epoch = 0
         self.cold = True
-        self.resumed_from_checkpoint = False
         self.stale_resumes = 0
         self.stale_flushed = 0
-        self.adoptions = 0
         self.wal_cursor_restored = 0
-        self._ckpt_timer: Any = None
-        self._report_timer: Any = None
-        self._awaiting_echo = False
-        self._stopped = False
         self._orig_deliver: Optional[Callable[[Any], Any]] = None
 
     # -- lifecycle ----------------------------------------------------- #
@@ -1059,42 +831,14 @@ class ReceiverRecovery:
             # A restart (warm or cold): report to the sender so it can
             # reconcile; retried until the sender's announce echoes us.
             self._awaiting_echo = True
-            self._send_report()
+            self._announce()
         if restored:
             self.checkpoint()
         self._arm_checkpoint_timer()
         return restored
 
-    def stop(self) -> None:
-        self._stopped = True
-        for timer in (self._ckpt_timer, self._report_timer):
-            if timer is not None:
-                timer.cancel()
-        self._ckpt_timer = None
-        self._report_timer = None
-
-    def checkpoint(self) -> bytes:
-        blob = receiver_to_bytes(self.pipeline, sender_epoch=self.sender_epoch)
-        self.store.save_checkpoint(blob)
-        return blob
-
-    def _arm_checkpoint_timer(self) -> None:
-        if (
-            self.checkpoint_interval_s is None
-            or self.sim is None
-            or self._stopped
-        ):
-            return
-        self._ckpt_timer = self.sim.schedule(
-            self.checkpoint_interval_s, self._on_checkpoint_timer
-        )
-
-    def _on_checkpoint_timer(self) -> None:
-        self._ckpt_timer = None
-        if self._stopped:
-            return
-        self.checkpoint()
-        self._arm_checkpoint_timer()
+    def _to_bytes(self) -> bytes:
+        return receiver_to_bytes(self.pipeline, sender_epoch=self.sender_epoch)
 
     # -- delivery cursor WAL -------------------------------------------- #
 
@@ -1105,7 +849,7 @@ class ReceiverRecovery:
             # sees the packet, so a crash between the two redelivers
             # nothing (crashes land between simulator events, never
             # mid-callback).
-            self.store.append_wal(_wal_encode(rseq))
+            self.store.append_wal(_encode_body(rseq))
         assert self._orig_deliver is not None
         return self._orig_deliver(packet)
 
@@ -1113,14 +857,14 @@ class ReceiverRecovery:
         tree = self.store.load_checkpoint()
         if tree is None:
             return False
-        restore_receiver_state(self.pipeline, tree)
-        self.sender_epoch = tree.get("sender_epoch", 0)
+        _install("receiver", _receiver_parts(self.pipeline), tree)
+        self.sender_epoch = tree.get("peer_epoch", 0)
         reliable = self.pipeline.reliable
         if reliable is not None:
             cursor = reliable.next_expected
             for payload in self.store.wal_payloads():
-                rseq = _wal_decode(payload)
-                if isinstance(rseq, int) and rseq >= cursor:
+                rseq = _decode_body(payload)
+                if rseq >= cursor:
                     cursor = rseq + 1
                     self.wal_cursor_restored += 1
             # Post-checkpoint deliveries: advance the cursor past them and
@@ -1131,36 +875,20 @@ class ReceiverRecovery:
 
     # -- handshake ------------------------------------------------------- #
 
-    def _send_report(self) -> None:
-        if self.send_control is None:
-            return
+    def _announcement(self) -> ResumeReportPacket:
         reliable = self.pipeline.reliable
         if reliable is not None:
             sack = reliable.sack_info()
             cum_ack, blocks = sack.cum_ack, sack.blocks
         else:
             cum_ack, blocks = 0, ()
-        self.send_control(
-            ResumeReportPacket(
-                epoch=self.epoch,
-                peer_epoch=self.sender_epoch,
-                cum_ack=cum_ack,
-                blocks=blocks,
-                cold=self.cold,
-            )
+        return ResumeReportPacket(
+            epoch=self.epoch,
+            peer_epoch=self.sender_epoch,
+            cum_ack=cum_ack,
+            blocks=blocks,
+            cold=self.cold,
         )
-        if self._awaiting_echo and self.sim is not None:
-            if self._report_timer is not None:
-                self._report_timer.cancel()
-            self._report_timer = self.sim.schedule(
-                self.resume_retry_s, self._report_retry
-            )
-
-    def _report_retry(self) -> None:
-        self._report_timer = None
-        if self._stopped or not self._awaiting_echo:
-            return
-        self._send_report()
 
     def on_control(self, packet: Any) -> None:
         """Handle a ResumePacket arriving on a forward channel."""
@@ -1171,15 +899,14 @@ class ReceiverRecovery:
             return
         fresh_sender = packet.epoch > self.sender_epoch
         self.sender_epoch = packet.epoch
-        if packet.peer_epoch >= self.epoch and self._awaiting_echo:
-            self._awaiting_echo = False
-            if self._report_timer is not None:
-                self._report_timer.cancel()
-                self._report_timer = None
+        if packet.peer_epoch >= self.epoch:
+            self._echoed()
         if fresh_sender:
-            self._flush_stale()
-            if packet.state is not None:
-                self._adopt(packet.state)
+            # Drop what the dead incarnation left buffered; an engine that
+            # mirrors the sender's kernel adopts the announced state.
+            self.stale_flushed += self.pipeline.resequencer.sender_restarted(
+                packet.state
+            )
         if self.cold and packet.base_rseq >= 0:
             reliable = self.pipeline.reliable
             if reliable is not None:
@@ -1191,34 +918,4 @@ class ReceiverRecovery:
                 self.cold = False
         # Always answer: the sender retries its announce until this report
         # echoes its epoch.
-        self._send_report()
-
-    def _flush_stale(self) -> None:
-        """Drop buffered data from the dead sender incarnation."""
-        reseq = self.pipeline.resequencer
-        buffers = getattr(reseq, "buffers", None)
-        if buffers is None:
-            return
-        count = 0
-        for buf in buffers:
-            count += len(buf)
-            buf.clear()
-        if hasattr(reseq, "_buffered"):
-            reseq._buffered = 0
-        self.stale_flushed += count
-
-    def _adopt(self, state: Any) -> None:
-        """Warm-adopt the restarted sender's kernel state as our mirror."""
-        reseq = self.pipeline.resequencer
-        adopt = getattr(reseq, "adopt_snapshot", None)
-        if adopt is not None:
-            adopt(state)
-            self.adoptions += 1
-            return
-        restore = getattr(reseq, "restore", None)
-        if restore is not None:
-            try:
-                restore(state)
-                self.adoptions += 1
-            except (TypeError, ValueError, AttributeError):
-                pass  # marker-free / stateless receivers need no mirror
+        self._announce()

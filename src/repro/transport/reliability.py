@@ -615,6 +615,30 @@ class ReliableSender:
     # ------------------------------------------------------------------ #
     # crash recovery (see repro.transport.recovery)
 
+    def snapshot(self) -> Dict[str, Any]:
+        """Plain-value capture of the window: the next rseq, the unacked
+        packets with their sacked flags, the parked overflow and the RTO
+        estimate.  The un-sacked index is derived and left out."""
+        return {
+            "next_rseq": self.next_rseq,
+            "window": [record.packet for record in self.unacked.values()],
+            "sacked": [
+                rseq for rseq, record in self.unacked.items() if record.sacked
+            ],
+            "overflow": list(self._overflow),
+            "rto": [self.rto.srtt, self.rto.rttvar, self.rto.rto],
+        }
+
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Rebuild the window from a :meth:`snapshot` capture through
+        :meth:`register_restored`: nothing is transmitted."""
+        self.register_restored(
+            state["window"] + state["overflow"],
+            next_rseq=state["next_rseq"],
+            sacked_rseqs=state["sacked"],
+        )
+        self.rto.srtt, self.rto.rttvar, self.rto.rto = state["rto"]
+
     def register_restored(
         self,
         packets: List[Any],
@@ -966,6 +990,21 @@ class ReliableReceiver:
 
     # ------------------------------------------------------------------ #
     # crash recovery (see repro.transport.recovery)
+
+    def snapshot(self) -> Dict[str, Any]:
+        """Plain-value capture: the delivery cursor and the out-of-order
+        buffer.  The interval set is derived and left out."""
+        return {
+            "next_expected": self.next_expected,
+            "ooo": dict(self._ooo),
+            "last_ooo": self._last_ooo,
+        }
+
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Install a :meth:`snapshot` capture through :meth:`restore_window`."""
+        self.restore_window(
+            state["next_expected"], state["ooo"], last_ooo=state["last_ooo"]
+        )
 
     def restore_window(
         self,

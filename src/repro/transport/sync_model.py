@@ -21,7 +21,7 @@ and :class:`~repro.transport.endpoint.StripeReceiverPipeline`:
   :class:`~repro.core.markers.SRRReceiver`), marker arrival handling with
   credit/SACK piggyback extraction (:meth:`~MarkerSyncModel.on_marker`),
   the wire-frame decode path (:meth:`~MarkerSyncModel.decode_wire`), and
-  ``receiver_state`` / ``snapshot`` / ``restore``.
+  ``receiver_state``.  The reception engine checkpoints itself.
 
 Three families exist (see
 :func:`~repro.transport.discipline.sync_model_for`):
@@ -78,24 +78,12 @@ class SynchronizationModel(Protocol):
     #: the reception engine (``push``/``drain``), or a direct-delivery sink
     receiver: Any
 
-    def on_channel_deliver(self, channel: int, packet: Any) -> List[Any]:
-        """A physical arrival, data or control; returns delivered packets."""
-        ...
-
     def decode_wire(self, data: bytes) -> Optional[Any]:
         """Decode a control wire frame, or None when it must be dropped."""
         ...
 
     def receiver_state(self) -> Dict[str, Any]:
         """Introspectable receiver-side state (memory, sync counters)."""
-        ...
-
-    def snapshot(self) -> Any:
-        """Capture resumable synchronization state (None when stateless)."""
-        ...
-
-    def restore(self, state: Any) -> None:
-        """Install a previously captured synchronization state."""
         ...
 
 
@@ -197,13 +185,6 @@ class MarkerSyncModel:
             self.sack_sink(sack)
         return self.receiver.push(channel, packet)
 
-    def on_channel_deliver(self, channel: int, packet: Any) -> List[Any]:
-        from repro.core.packet import is_marker
-
-        if is_marker(packet):
-            return self.on_marker(channel, packet)
-        return self.receiver.push(channel, packet)
-
     def decode_wire(self, data: bytes) -> Optional[Any]:
         """Decode an encoded marker frame; malformed frames (truncated,
         oversized, corrupt) are counted in :attr:`marker_decode_errors`
@@ -233,21 +214,6 @@ class MarkerSyncModel:
                 state["max_buffered"], getattr(stats, "max_buffered", 0)
             )
         return state
-
-    def snapshot(self) -> Any:
-        snap = getattr(self.receiver, "snapshot", None)
-        return snap() if snap is not None else None
-
-    def restore(self, state: Any) -> None:
-        if state is None:
-            return
-        adopt = getattr(self.receiver, "adopt_snapshot", None)
-        if adopt is not None:
-            adopt(state)
-            return
-        restore = getattr(self.receiver, "restore", None)
-        if restore is not None:
-            restore(state)
 
 
 class HeaderSyncModel(MarkerSyncModel):
@@ -312,9 +278,6 @@ class HashSyncModel:
     def stop(self) -> None:
         """Nothing scheduled, nothing to stop."""
 
-    def on_channel_deliver(self, channel: int, packet: Any) -> List[Any]:
-        return self.receiver.push(channel, packet)
-
     def on_marker(self, channel: int, packet: Any) -> List[Any]:
         """A stray already-decoded marker object (in-memory transports)."""
         return self.receiver.push(channel, packet)  # counted as stray
@@ -334,16 +297,6 @@ class HashSyncModel:
             "stray_markers": self.receiver.stray_markers,
             "stray_wire_frames": self.stray_wire_frames,
         }
-
-    def snapshot(self) -> Any:
-        return None
-
-    def restore(self, state: Any) -> None:
-        if state is not None:
-            raise ValueError(
-                "hash-synchronized receivers are stateless; nothing to "
-                f"restore (got {state!r})"
-            )
 
 
 _MODEL_BY_MODE = {

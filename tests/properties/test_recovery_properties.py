@@ -11,7 +11,9 @@ on 10% persistent loss (so ARQ is live while endpoints die):
 * **hybrid** (FEC above ARQ): same exactly-once contract — parity and
   group state must not confuse the replay;
 * **fabric-attached**: conservation holds globally and FIFO holds per
-  flow (the fabric interleaves flows by design);
+  flow (the fabric interleaves flows by design), under a steady source
+  and under a bursty one that leaves flow queues non-empty when the
+  checkpoints are taken;
 * **cold resync** (quasi-FIFO): a receiver restarted with *no* checkpoint
   converges to strictly-increasing delivery within one marker round plus
   a one-way delay after its restart (Theorem 5.1's fault-cessation bound
@@ -30,6 +32,7 @@ from repro.experiments.recovery import (
     QUEUE_LIMIT,
     RecoveryRig,
 )
+from repro.core.packet import Packet
 from repro.sim.engine import Simulator
 from repro.sim.faults import (
     FaultSchedule,
@@ -55,7 +58,36 @@ def _random_crashes(seed):
     return crashes, rng.uniform(0.03, 0.06)
 
 
-def _run(seed, **rig_kwargs):
+def _bursty_source(rig, interval, burst, checkpoint_at, stop_at):
+    """Every ``interval``, ``burst`` messages round-robin over the rig's
+    flows — more than the ARQ window takes, so the rest waits in the
+    fabric's flow queues — with a sender checkpoint taken after the
+    first ``checkpoint_at`` of them: the drain that follows binds
+    packets the checkpoint holds and packets only the WAL holds."""
+    sim = rig.sim
+
+    def tick():
+        if sim.now >= stop_at:
+            return
+        for index in range(burst):
+            sender = rig.sender
+            if sender is None:
+                break
+            if index == checkpoint_at:
+                rig.sender_recovery.checkpoint()
+            flow = rig.flows[rig.next_seq % len(rig.flows)]
+            if not sender.can_submit(flow):
+                break
+            packet = Packet(size=MESSAGE_BYTES, seq=rig.next_seq, flow=flow)
+            if sender.submit(flow, packet):
+                rig.next_seq += 1
+                rig.submit_times.append(sim.now)
+        sim.schedule(interval, tick)
+
+    sim.schedule_at(0.0, tick)
+
+
+def _run(seed, source=None, **rig_kwargs):
     sim = Simulator()
     rig = RecoveryRig(sim, checkpoint_interval_s=0.05, **rig_kwargs)
     crashes, outage = _random_crashes(seed)
@@ -66,7 +98,10 @@ def _run(seed, **rig_kwargs):
         tuple(loss.events)
         + tuple(endpoint_crash_schedule(crashes, outage=outage).events)
     )
-    rig.start_source(interval=SOURCE_INTERVAL, stop_at=SOURCE_STOP)
+    if source is None:
+        rig.start_source(interval=SOURCE_INTERVAL, stop_at=SOURCE_STOP)
+    else:
+        source(rig)
     schedule.install(sim, rig.channels, seed=seed, endpoints=rig.controller)
     sim.run(until=RUN_UNTIL)
     assert rig.controller.total_crashes == len(crashes)
@@ -94,6 +129,34 @@ def test_hybrid_exactly_once_in_order_across_kills(seed):
 @pytest.mark.parametrize("seed", range(200, 206))
 def test_fabric_conservation_and_per_flow_fifo_across_kills(seed):
     rig = _run(seed, reliability="reliable", with_fabric=True)
+    delivered = rig.delivered_seqs()
+    assert len(delivered) == len(set(delivered)), "duplicate delivery"
+    assert set(delivered) == set(range(rig.next_seq)), "messages lost"
+    n_flows = len(rig.flows)
+    for k in range(n_flows):
+        flow_seqs = [s for s in delivered if s % n_flows == k]
+        assert flow_seqs == sorted(flow_seqs), f"flow {k} out of order"
+
+
+@pytest.mark.parametrize("seed", range(200, 206))
+def test_fabric_bursty_source_conservation_and_per_flow_fifo_across_kills(seed):
+    """The fabric case with checkpoints taken over non-empty flow queues:
+    packets drained after a checkpoint must come back under the rseqs
+    they went out with, never re-drained under new ones."""
+    backlogs = []
+
+    def bursty(rig):
+        save = rig.sender_store.save_checkpoint
+
+        def observed(blob):
+            backlogs.append(rig.sender.fabric.backlog)
+            save(blob)
+
+        rig.sender_store.save_checkpoint = observed
+        _bursty_source(rig, 99 * SOURCE_INTERVAL, 99, 80, SOURCE_STOP)
+
+    rig = _run(seed, source=bursty, reliability="reliable", with_fabric=True)
+    assert sum(1 for backlog in backlogs if backlog) >= 10
     delivered = rig.delivered_seqs()
     assert len(delivered) == len(set(delivered)), "duplicate delivery"
     assert set(delivered) == set(range(rig.next_seq)), "messages lost"

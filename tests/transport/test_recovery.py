@@ -13,12 +13,20 @@ Three layers under test, bottom up:
   reproduce the original frame exactly.
 """
 
-import pytest
+import ast
+import struct
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro
+from repro.baselines.bonding import BondingFrame
+from repro.baselines.mppp import MpppFragment
 from repro.core.markers import ReceiverSnapshot
 from repro.core.packet import MarkerPacket, Packet, SackInfo
 from repro.core.srr import SRR, SRRState, make_grr, make_rr
-from repro.core.striper import MarkerPolicy
+from repro.core.striper import ListPort, MarkerPolicy
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
 from repro.sim.faults import persistent_loss_schedule
@@ -29,10 +37,12 @@ from repro.transport.endpoint import (
     make_discipline,
     receiver_mode_for,
 )
+from repro.transport.fabric import FabricScheduler, FlowTable
 from repro.transport.fast_path import FastChannelPort
 from repro.transport.fec import ParityPacket
 from repro.transport.recovery import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     CheckpointCorruptError,
     CheckpointError,
     CheckpointStore,
@@ -42,27 +52,16 @@ from repro.transport.recovery import (
     checksum,
     decode_checkpoint,
     encode_checkpoint,
-    pack_packet,
     receiver_from_bytes,
     receiver_to_bytes,
     sender_from_bytes,
     sender_to_bytes,
-    unpack_packet,
+    _decode_body,
 )
 from tests.transport.arq_oracles import receiver_blocks, unsacked_index
 
 # ---------------------------------------------------------------------- #
 # tagged tree codec + frame
-
-
-class _Opaque:
-    """An arbitrary object the codec must fall back to pickling."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        return type(other) is _Opaque and other.value == self.value
 
 
 TREES = [
@@ -84,7 +83,6 @@ TREES = [
     {"a": 1, 2: "b", None: [True, (b"x",)]},
     SRRState(1, 4, (0.0, 250.0, 500.0)),
     ReceiverSnapshot(2, 7, (0.0, 1.0), (True, False), (3, 4)),
-    _Opaque({"nested": (1, 2)}),
 ]
 
 
@@ -93,6 +91,15 @@ class TestCheckpointCodec:
     def test_round_trip(self, tree):
         decoded = decode_checkpoint(encode_checkpoint(tree))
         assert decoded == tree or (tree != tree and decoded != decoded)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [object(), [1, {"k": object()}], {1, 2}, bytearray(b"x"), 2j],
+        ids=["object", "nested", "set", "bytearray", "complex"],
+    )
+    def test_foreign_leaf_is_refused(self, tree):
+        with pytest.raises(CheckpointError, match="cannot checkpoint"):
+            encode_checkpoint(tree)
 
     def test_round_trip_preserves_list_tuple_distinction(self):
         assert decode_checkpoint(encode_checkpoint([1, 2])) == [1, 2]
@@ -127,7 +134,7 @@ class TestCheckpointCodec:
                 decode_checkpoint(blob[:cut])
 
     def test_intact_future_version_is_version_error(self):
-        blob = encode_checkpoint({"x": 1}, version=2)
+        blob = encode_checkpoint({"x": 1}, version=CHECKPOINT_VERSION + 1)
         with pytest.raises(CheckpointVersionError):
             decode_checkpoint(blob)
 
@@ -150,7 +157,103 @@ class TestCheckpointCodec:
 
 
 # ---------------------------------------------------------------------- #
-# packet packing
+# totality: every body decodes to a value or raises CheckpointCorruptError
+
+
+def _framed(body):
+    """``body`` in an intact frame of the current version."""
+    frame = struct.pack("!4sHI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(body))
+    frame += body
+    return frame + struct.pack("!I", checksum(frame))
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=6), st.binary(max_size=6),
+)
+_PACKETS = st.one_of(
+    st.builds(
+        Packet, st.integers(1, 1500), seq=st.none() | st.integers(0, 99),
+        flow=st.none() | st.text(max_size=3),
+        payload=st.none() | st.binary(max_size=8),
+        rseq=st.none() | st.integers(0, 99),
+    ),
+    st.builds(
+        MarkerPacket, st.integers(0, 3), st.integers(0, 9),
+        st.floats(-1e3, 1e3),
+        sack=st.none() | st.just(SackInfo(3, ((5, 7),))),
+    ),
+    st.builds(MpppFragment, st.integers(0, 99), st.builds(Packet, st.just(64))),
+    st.just(SRRState(1, 4, (0.0, 250.0))),
+)
+_TREES = st.recursive(
+    _SCALARS | _PACKETS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.tuples(kids, kids),
+        st.dictionaries(st.integers() | st.text(max_size=3), kids, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+def _mutated(data, body):
+    """``body`` with a few bytes overwritten, then cut or extended."""
+    body = bytearray(body)
+    for _ in range(data.draw(st.integers(0, 3))):
+        if body:
+            at = data.draw(st.integers(0, len(body) - 1))
+            body[at] = data.draw(st.integers(0, 255))
+    cut = data.draw(st.integers(0, len(body)))
+    return bytes(body[:cut]) + data.draw(st.binary(max_size=4))
+
+
+class TestCodecTotality:
+    """Hypothesis fuzz: no body, however damaged, raises anything but the
+    typed corruption error (ROADMAP: every checkpoint decoder total)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_random_framed_body_decodes_or_is_corrupt(self, body):
+        try:
+            decode_checkpoint(_framed(body))
+        except CheckpointCorruptError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), _TREES)
+    def test_damaged_tree_decodes_or_is_corrupt(self, data, tree):
+        body = encode_checkpoint(tree)[10:-4]
+        decode_checkpoint(_framed(body))  # intact: decodes
+        for decode in (lambda b: decode_checkpoint(_framed(b)), _decode_body):
+            try:
+                decode(_mutated(data, body))
+            except CheckpointCorruptError:
+                pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_random_wal_payload_decodes_or_is_corrupt(self, payload):
+        try:
+            _decode_body(payload)
+        except CheckpointCorruptError:
+            pass
+
+    def test_runaway_nesting_is_corrupt(self):
+        with pytest.raises(CheckpointCorruptError):
+            _decode_body(b"l\x00\x00\x00\x01" * 100_000 + b"N")
+
+    def test_trailing_bytes_are_corrupt(self):
+        with pytest.raises(CheckpointCorruptError, match="trailing"):
+            decode_checkpoint(_framed(b"NN"))
+
+
+# ---------------------------------------------------------------------- #
+# packet leaves
+
+
+def _round_trip(value):
+    return decode_checkpoint(encode_checkpoint(value))
 
 
 class TestPacketPacking:
@@ -158,7 +261,7 @@ class TestPacketPacking:
         packet = Packet(
             1500, seq=7, label="a", flow="f1", payload=b"body", rseq=3, fseq=2
         )
-        out = unpack_packet(pack_packet(packet))
+        out = _round_trip(packet)
         for name in ("size", "seq", "label", "flow", "payload", "rseq", "fseq"):
             assert getattr(out, name) == getattr(packet, name)
         assert out.uid != packet.uid  # a restored packet is a new object
@@ -171,17 +274,18 @@ class TestPacketPacking:
             credit=4,
             sack=SackInfo(cum_ack=5, blocks=((7, 9),)),
         )
-        out = unpack_packet(pack_packet(marker))
+        out = _round_trip(marker)
         assert (out.channel, out.round_number, out.deficit) == (2, 9, 123.5)
         assert out.credit == 4
         assert out.sack == marker.sack
+        assert out.size == marker.size
 
     def test_parity_round_trip_keeps_group_geometry(self):
         parity = ParityPacket(
             group=8, members=3, index=1, nparity=2, shard_len=512,
             payload=b"\x01" * 512, rseq=11, fseq=9,
         )
-        out = unpack_packet(pack_packet(parity))
+        out = _round_trip(parity)
         assert type(out) is ParityPacket
         for name in (
             "group", "members", "index", "nparity", "shard_len", "payload",
@@ -197,14 +301,18 @@ class TestPacketPacking:
                 group=0, members=2, index=0, nparity=1, shard_len=4,
                 payload=b"abcd",
             ),
+            MpppFragment(9, Packet(500, seq=9, payload=b"p"), 4),
+            BondingFrame(3, 1, 512, [(17, 500), (18, 12)]),
         ]
-        tree = decode_checkpoint(
-            encode_checkpoint([pack_packet(p) for p in packets])
-        )
-        restored = [unpack_packet(t) for t in tree]
+        restored = _round_trip(packets)
+        assert [type(p) for p in restored] == [type(p) for p in packets]
         assert restored[0].seq == 1
         assert restored[1].round_number == 1
         assert restored[2].group == 0
+        fragment = restored[3]
+        assert (fragment.sequence, fragment.size) == (9, 504)
+        assert (fragment.inner.seq, fragment.inner.payload) == (9, b"p")
+        assert restored[4].content == [(17, 500), (18, 12)]
 
 
 # ---------------------------------------------------------------------- #
@@ -400,6 +508,49 @@ def test_registry_cell_serialization_is_a_fixpoint(disc, rel):
     assert receiver_to_bytes(fresh_receiver, sender_epoch=5) == blob_r
 
 
+@pytest.mark.parametrize("disc,rel", CELLS, ids=[f"{d}-{r}" for d, r in CELLS])
+def test_registry_cell_backlog_serialization_is_a_fixpoint(disc, rel):
+    """The fixpoint again with the striper's input queue backed up.
+
+    Two-packet channel queues under a 40-packet burst leave most of the
+    burst queued in the striper when the checkpoint is taken: stamped
+    data, parity, MPPP fragments and BONDING frames must come back as
+    they were, not be submitted again through the layers above (which
+    would restamp, regroup or rewrap them).
+    """
+    sim = Simulator()
+    channels = [
+        Channel(
+            sim, bandwidth_bps=8e6, prop_delay=5e-4, queue_limit=2,
+            name=f"ch{i}",
+        )
+        for i in range(N_CHANNELS)
+    ]
+    sender, receiver, _ = _build_pair(sim, channels, disc, rel, [])
+    for i, ch in enumerate(channels):
+        ch.on_deliver = receiver.channel_handler(i)
+        ch.on_space = sender.pump
+    sender.submit_packets([
+        Packet(size=500, seq=i, flow=f"f{i % 3}", payload=b"%03d" % i)
+        for i in range(40)
+    ])
+    sim.run(until=2e-3)
+    assert sender.backlog > 0  # the checkpoint holds a backed-up queue
+
+    blob_s = sender_to_bytes(sender, peer_epoch=5)
+    blob_r = receiver_to_bytes(receiver, sender_epoch=5)
+    fresh_sender, fresh_receiver, _ = _build_pair(
+        sim, channels, disc, rel, []
+    )
+    sender_from_bytes(fresh_sender, blob_s)
+    receiver_from_bytes(fresh_receiver, blob_r)
+    assert fresh_sender.backlog == sender.backlog
+    engines = receiver.resequencer, fresh_receiver.resequencer
+    assert engines[1].buffered == engines[0].buffered
+    assert sender_to_bytes(fresh_sender, peer_epoch=5) == blob_s
+    assert receiver_to_bytes(fresh_receiver, sender_epoch=5) == blob_r
+
+
 def test_sender_checkpoint_rejected_by_receiver_restore():
     sim = Simulator()
     channels = [
@@ -431,7 +582,7 @@ def test_version_skewed_endpoint_blob_raises_typed_error():
     # but from a "future" codec.
     import struct
 
-    struct.pack_into("!H", blob, 4, 2)
+    struct.pack_into("!H", blob, 4, CHECKPOINT_VERSION + 1)
     blob[-4:] = struct.pack("!I", checksum(bytes(blob[:-4])))
     with pytest.raises(CheckpointVersionError):
         sender_from_bytes(sender, bytes(blob))
@@ -635,3 +786,169 @@ class TestArqIndicesAcrossRestart:
         rx.on_control(to_receiver[-1])  # adopt the sender's replay base
         assert receiver.reliable.next_expected == min(sender.reliable.unacked)
         _assert_arq_indices_rebuilt(sender, receiver)
+
+
+# ---------------------------------------------------------------------- #
+# regressions
+
+
+def test_fabric_wal_keeps_drained_packets_under_their_rseqs():
+    """A packet drained from the fabric after the checkpoint comes back
+    under the rseq it went out with, on its flow, and only once.
+
+    Two flows, a four-packet window: A0-A7 are submitted (A0-A3 drain as
+    rseqs 0-3), the checkpoint is taken with A4-A7 in their flow queue,
+    B0-B3 are submitted, and an ack of 0-3 drains four more packets —
+    some from the checkpoint's queue, some logged after it — as rseqs
+    4-7.  The WAL names a drained packet by its flow, whose queue the
+    checkpoint keeps, so the restarted sender reinstalls exactly those
+    packets under 4-7 and holds each of the twelve messages once.
+    """
+    sim = Simulator()
+    store = CheckpointStore()
+
+    def build():
+        sender = StripeSenderPipeline(
+            [ListPort() for _ in range(N_CHANNELS)],
+            SRR([500.0] * N_CHANNELS),
+            sim=sim,
+            reliability="reliable",
+            reliability_options={"window_packets": 4},
+            fabric=FabricScheduler(FlowTable()),
+        )
+        recovery = SenderRecovery(sender, store, sim=sim)
+        recovery.install()
+        return sender, recovery
+
+    def held(sender):
+        reliable = sender.reliable
+        return [r.packet for r in reliable.unacked.values()] + list(
+            reliable._overflow
+        )
+
+    sender, recovery = build()
+    for i in range(8):
+        sender.submit("A", Packet(500, seq=i, label=f"A{i}"))
+    recovery.checkpoint()
+    for i in range(4):
+        sender.submit("B", Packet(500, seq=8 + i, label=f"B{i}"))
+    sender.on_ack(SackInfo(cum_ack=4))
+    drained = {p.rseq: (p.flow, p.label) for p in held(sender)}
+    assert sorted(drained) == [4, 5, 6, 7]
+    assert {flow for flow, _ in drained.values()} == {"A", "B"}
+    recovery.stop()
+
+    restarted, _ = build()
+    packets = held(restarted)
+    queued = [p for flow in restarted.fabric.table for p in flow.queue]
+    labels = sorted(p.label for p in packets + queued)
+    assert labels == sorted(
+        [f"A{i}" for i in range(8)] + [f"B{i}" for i in range(4)]
+    )
+    restored = {p.rseq: (p.flow, p.label) for p in packets}
+    assert {r: restored[r] for r in drained} == drained
+
+
+@pytest.mark.parametrize("disc", ["mppp", "bonding"])
+def test_warm_sender_restart_over_header_discipline(disc):
+    """A restarted MPPP / BONDING sender announces its discipline state;
+    the receiver's sequence-header engine mirrors no sender kernel, so it
+    answers the announce without adopting anything and keeps delivering
+    what the new incarnation sends."""
+    sim = Simulator()
+    channels = [
+        Channel(
+            sim, bandwidth_bps=8e6, prop_delay=5e-4, queue_limit=64,
+            name=f"ch{i}",
+        )
+        for i in range(N_CHANNELS)
+    ]
+    deliveries = []
+    live = {}
+
+    def to_receiver(packet):
+        sim.schedule(5e-4, lambda: live["rx"].on_control(packet))
+
+    def to_sender(packet):
+        sim.schedule(5e-4, lambda: live["tx"].on_control(packet))
+
+    def start_sender(store):
+        sender, _, _ = _build_pair(sim, channels, disc, "quasi_fifo", [])
+        for ch in channels:
+            ch.on_space = sender.pump
+        live["tx"] = SenderRecovery(
+            sender, store, sim=sim, send_control=to_receiver
+        )
+        live["tx"].install()
+        return sender
+
+    def send(sender, seqs):
+        for seq in seqs:
+            sender.submit_packet(Packet(size=500, seq=seq))
+        sender.flush()
+
+    sender_store = CheckpointStore()
+    sender = start_sender(sender_store)
+    _, receiver, _ = _build_pair(sim, channels, disc, "quasi_fifo", deliveries)
+    for i, ch in enumerate(channels):
+        ch.on_deliver = receiver.channel_handler(i)
+    live["rx"] = ReceiverRecovery(
+        receiver, CheckpointStore(), sim=sim, send_control=to_sender
+    )
+    live["rx"].install()
+    send(sender, range(20))
+    sim.run(until=0.05)
+    before = len(deliveries)
+    assert before > 0
+    live["tx"].checkpoint()
+    live["tx"].stop()
+
+    announces = []
+    sender = start_sender(sender_store)  # warm: announces epoch 2
+    live["rx"].on_control = lambda p, on=live["rx"].on_control: (
+        announces.append(p), on(p)
+    )
+    send(sender, range(20, 40))
+    sim.run(until=0.3)
+    assert live["rx"].sender_epoch == 2
+    # The announce, then the echo of the receiver's report — no retries.
+    assert [(p.epoch, p.peer_epoch) for p in announces] == [(2, 0), (2, 1)]
+    assert len(deliveries) > before
+
+
+def test_components_checkpoint_themselves():
+    """No ``pickle`` anywhere under ``src/``, and the recovery module
+    reaches no ``_``-prefixed attribute of any object but ``self``: every
+    component's state goes through its own ``snapshot`` / ``restore``."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "pickle" for m in modules) or (
+                isinstance(node, ast.Name) and node.id == "pickle"
+            ):
+                offenders.append(f"{name}:{node.lineno} pickle")
+            if name != "transport/recovery.py":
+                continue
+            if isinstance(node, ast.Attribute):
+                attr, owner = node.attr, node.value
+                reaches_self = isinstance(owner, ast.Name) and owner.id == "self"
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", "") in ("getattr", "setattr", "hasattr")
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                attr, reaches_self = str(node.args[1].value), False
+            else:
+                continue
+            if attr.startswith("_") and not attr.startswith("__") and not reaches_self:
+                offenders.append(f"{name}:{node.lineno} .{attr}")
+    assert offenders == []

@@ -63,7 +63,7 @@ class TestHashSyncModel:
         model = make_sync_model(
             "direct", n_channels=2, on_deliver=delivered.append
         )
-        out = model.on_channel_deliver(
+        out = model.receiver.push(
             0, MarkerPacket(channel=0, round_number=1, deficit=0.0)
         )
         assert out == []
@@ -72,11 +72,11 @@ class TestHashSyncModel:
         assert model.receiver_state()["stray_markers"] == 1
 
     def test_snapshot_stateless(self):
-        model = make_sync_model("direct", n_channels=2)
-        assert model.snapshot() is None
-        model.restore(None)  # no-op
+        engine = make_sync_model("direct", n_channels=2).receiver
+        assert engine.snapshot() is None
+        engine.restore(None)  # no-op
         with pytest.raises(ValueError, match="stateless"):
-            model.restore({"round": 3})
+            engine.restore({"round": 3})
 
     def test_receiver_state_shape(self):
         model = make_sync_model("direct", n_channels=3)
