@@ -15,8 +15,15 @@ Public surface:
 * Marker-free striping: :class:`SprinklersDiscipline` (per-flow
   power-of-two stripes over :func:`stripe_size_for` /
   :class:`FlowRateEstimator` — in-order without markers or resequencing).
+* Sessions: :class:`StripeSenderSession` / :class:`StripeReceiverSession`
+  (reset and reconfiguration, section 5).
+
+Packets, the schedulers and kernels, the transformation, the striper and
+both receivers import with the package; DKS, the random schemes, the
+fairness report, Sprinklers and the session layer on first use.
 """
 
+from repro import lazy_exports
 from repro.core.packet import Codepoint, MarkerPacket, Packet, is_marker
 from repro.core.cfq import (
     Capabilities,
@@ -34,14 +41,12 @@ from repro.core.srr import (
     make_grr,
     make_rr,
 )
-from repro.core.dks import DKS, DKSState
 from repro.core.kernel import (
     CFQKernelAdapter,
     SchedulerKernel,
     SRRKernel,
     kernel_for,
 )
-from repro.core.schemes import SeededRandomFQ, WeightedRandomFQ
 from repro.core.transform import (
     LoadSharer,
     TransformedLoadSharer,
@@ -65,27 +70,32 @@ from repro.core.markers import (
     encode_marker,
     piggybacked_credit,
 )
-from repro.core.fairness import (
-    FairnessReport,
-    jain_fairness_index,
-    max_pairwise_imbalance,
-    normalized_shares,
-    srr_fairness_report,
-)
-from repro.core.sprinklers import (
-    FlowRateEstimator,
-    SprinklersDiscipline,
-    stripe_size_for,
-)
-from repro.core.session import (
-    LocalChecker,
-    ResetAckPacket,
-    ResetPacket,
-    ResetRequestPacket,
-    StripeConfig,
-    StripeReceiverSession,
-    StripeSenderSession,
-)
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "dks": ("DKS", "DKSState"),
+    "schemes": ("SeededRandomFQ", "WeightedRandomFQ"),
+    "fairness": (
+        "FairnessReport",
+        "jain_fairness_index",
+        "max_pairwise_imbalance",
+        "normalized_shares",
+        "srr_fairness_report",
+    ),
+    "sprinklers": (
+        "FlowRateEstimator",
+        "SprinklersDiscipline",
+        "stripe_size_for",
+    ),
+    "session": (
+        "LocalChecker",
+        "ResetAckPacket",
+        "ResetPacket",
+        "ResetRequestPacket",
+        "StripeConfig",
+        "StripeReceiverSession",
+        "StripeSenderSession",
+    ),
+})
 
 __all__ = [
     "Codepoint",

@@ -13,13 +13,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, Optional
 
+from repro.headers import ETHERNET_MIN_PAYLOAD, ETHERNET_OVERHEAD
 from repro.net.addresses import IPAddress, MACAddress, fresh_mac
 from repro.net.arp import ARP_REPLY, ARP_REQUEST, ArpCache, ArpPacket
 from repro.net.interface import Frame, FrameType, NetworkInterface
 from repro.sim.engine import Simulator
 
-ETHERNET_OVERHEAD = 18  # 14-byte header + 4-byte FCS
-ETHERNET_MIN_PAYLOAD = 46
 ETHERNET_MTU = 1500
 
 

@@ -12,9 +12,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.headers import IP_HEADER_BYTES
 from repro.net.addresses import IPAddress
-
-IP_HEADER_BYTES = 20
 
 #: Upper-layer protocol numbers (real IANA values where they exist).
 PROTO_ICMP = 1

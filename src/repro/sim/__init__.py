@@ -9,20 +9,17 @@ interrupt costs (:mod:`repro.sim.host`), seeded randomness
 (:mod:`repro.sim.random`), and structured event tracing
 (:mod:`repro.sim.trace`).
 
+The engine, channels, loss models and tracer import with the package;
+fault injection, the host model and the random streams on first use.
+
 The paper's testbed was a pair of NetBSD workstations joined by an Ethernet
 and an ATM PVC; this package is the substitute substrate (see DESIGN.md
 section 2).
 """
 
+from repro import lazy_exports
 from repro.sim.engine import Event, Simulator
 from repro.sim.channel import Channel, ChannelStats
-from repro.sim.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    FaultSchedule,
-    InstalledFaults,
-)
 from repro.sim.loss import (
     BernoulliLoss,
     CorruptionModel,
@@ -31,9 +28,19 @@ from repro.sim.loss import (
     LossModel,
     NoLoss,
 )
-from repro.sim.host import HostCPU, NicQueue
-from repro.sim.random import RandomStreams
 from repro.sim.trace import TraceEvent, Tracer
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "faults": (
+        "FaultEvent",
+        "FaultInjector",
+        "FaultPlan",
+        "FaultSchedule",
+        "InstalledFaults",
+    ),
+    "host": ("HostCPU", "NicQueue"),
+    "random": ("RandomStreams",),
+})
 
 __all__ = [
     "Event",

@@ -45,8 +45,17 @@ Transports — a port type plus the functions that build and bind it:
   SACKs piggybacked on each other's markers.
 * :mod:`repro.transport.session_striping` — UDP ports, each pipeline
   driven by a reset/reconfiguration controller of :mod:`repro.core.session`.
+
+The endpoint layer, ARQ, FEC, the fabric and the fast path import with
+the package, and none of them loads :mod:`repro.net`.  The names from
+the substrate protocols and the four stack transports resolve on first
+use, which is when the simulated IP stack loads.
+:mod:`~repro.transport.recovery` exports nothing here; import it by its
+module name.
 """
 
+from repro import lazy_exports
+from repro.headers import UDP_HEADER_BYTES
 from repro.transport.endpoint import (
     DISCIPLINES,
     SYNC_MODELS,
@@ -67,40 +76,32 @@ from repro.transport.endpoint import (
     resolve_discipline,
     sync_model_for,
 )
-from repro.transport.udp import UDP_HEADER_BYTES, UdpDatagram, UdpLayer, UdpSocket
-from repro.transport.tcp import (
-    BulkReceiver,
-    BulkSender,
-    TCP_HEADER_BYTES,
-    TcpLayer,
-    TcpSegment,
-)
-from repro.transport.credit import CreditPacket, CreditReceiver, CreditSender
-from repro.transport.socket_striping import (
-    UdpChannelPort,
-    bind_udp_receiver,
-    udp_ports,
-)
-from repro.transport.session_striping import (
-    bind_udp_session_receiver,
-    udp_session_sender,
-)
 from repro.transport.fast_path import (
     FastChannelPort,
     bind_fast_receiver,
     wire_size,
 )
-from repro.transport.duplex import DuplexStripedEndpoint, connect_duplex
 from repro.transport.fabric import (
     FabricScheduler,
     FlowTable,
     logarithmic_tenant_weights,
 )
-from repro.transport.tcp_striping import (
-    TcpChannelPort,
-    bind_tcp_receiver,
-    tcp_ports,
-)
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "udp": ("UdpDatagram", "UdpLayer", "UdpSocket"),
+    "tcp": (
+        "BulkReceiver",
+        "BulkSender",
+        "TCP_HEADER_BYTES",
+        "TcpLayer",
+        "TcpSegment",
+    ),
+    "credit": ("CreditPacket", "CreditReceiver", "CreditSender"),
+    "socket_striping": ("UdpChannelPort", "bind_udp_receiver", "udp_ports"),
+    "session_striping": ("bind_udp_session_receiver", "udp_session_sender"),
+    "duplex": ("DuplexStripedEndpoint", "connect_duplex"),
+    "tcp_striping": ("TcpChannelPort", "bind_tcp_receiver", "tcp_ports"),
+})
 
 __all__ = [
     "ChannelPort",

@@ -64,7 +64,10 @@ class CreditSender:
         self.limits: List[int] = [initial_credit] * n_channels
         self.sent: List[int] = [0] * n_channels
         self.on_unblocked = on_unblocked
+        #: blocked episodes: a channel found without credit counts once,
+        #: however often it is polled, until an advertisement reopens it
         self.stalls = 0
+        self._stalled: List[bool] = [False] * n_channels
         #: advertisements rejected because they would have *shrunk* the
         #: window (a reordered CreditPacket overtaken by a newer
         #: piggybacked credit); limits are monotone, so stale ones are
@@ -72,10 +75,15 @@ class CreditSender:
         self.stale_credits = 0
 
     def can_send(self, channel: int) -> bool:
-        return self.sent[channel] < self.limits[channel]
+        if self.sent[channel] < self.limits[channel]:
+            return True
+        if not self._stalled[channel]:
+            self._stalled[channel] = True
+            self.stalls += 1
+        return False
 
     def on_send(self, channel: int) -> None:
-        if not self.can_send(channel):
+        if self.sent[channel] >= self.limits[channel]:
             raise RuntimeError(f"channel {channel} has no credit")
         self.sent[channel] += 1
 
@@ -87,15 +95,14 @@ class CreditSender:
         current limit is a reordered or duplicated stale one and must
         not regress the window.  Stale arrivals are counted and ignored.
         """
-        was_blocked = not self.can_send(channel)
-        if limit > self.limits[channel]:
-            self.limits[channel] = limit
-        else:
+        if limit <= self.limits[channel]:
             self.stale_credits += 1
             return
-        if was_blocked and self.can_send(channel):
-            if self.on_unblocked is not None:
-                self.on_unblocked()
+        was_blocked = self.sent[channel] >= self.limits[channel]
+        self.limits[channel] = limit
+        self._stalled[channel] = False
+        if was_blocked and self.on_unblocked is not None:
+            self.on_unblocked()
 
     def available(self, channel: int) -> int:
         return max(0, self.limits[channel] - self.sent[channel])

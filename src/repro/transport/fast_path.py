@@ -33,11 +33,14 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.core.packet import Codepoint, SackInfo
-from repro.net.ethernet import ETHERNET_MIN_PAYLOAD, ETHERNET_OVERHEAD
-from repro.net.ip import IP_HEADER_BYTES
+from repro.headers import (
+    ETHERNET_MIN_PAYLOAD,
+    ETHERNET_OVERHEAD,
+    IP_HEADER_BYTES,
+    UDP_HEADER_BYTES,
+)
 from repro.sim.channel import Channel
 from repro.transport.reliability import AckPacket
-from repro.transport.udp import UDP_HEADER_BYTES
 
 __all__ = [
     "FastAckPort",

@@ -80,7 +80,6 @@ class UdpChannelPort:
         if self.credit_sender is not None and not self.credit_sender.can_send(
             self.channel_index
         ):
-            self.credit_sender.stalls += 1
             return False
         stack = self.socket.layer.stack
         route = stack.routing.lookup(self.dst)

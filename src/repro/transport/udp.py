@@ -12,11 +12,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
+from repro.headers import UDP_HEADER_BYTES
 from repro.net.addresses import IPAddress
 from repro.net.ip import IPPacket, PROTO_UDP
 from repro.net.stack import Stack
-
-UDP_HEADER_BYTES = 8
 
 _dgram_ids = itertools.count(1)
 

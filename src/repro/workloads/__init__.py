@@ -1,5 +1,9 @@
-"""Workload generation: packet-size mixes, paced sources, NV-style video."""
+"""Workload generation: packet-size mixes, paced sources, NV-style video.
 
+The generators import with the package; the video model on first use.
+"""
+
+from repro import lazy_exports
 from repro.workloads.generators import (
     AlternatingSizes,
     ClosedLoopSource,
@@ -13,15 +17,18 @@ from repro.workloads.generators import (
     poisson_intervals,
     random_mix_packets,
 )
-from repro.workloads.video import (
-    PlaybackModel,
-    PlaybackReport,
-    VideoChunk,
-    VideoFrame,
-    VideoTrace,
-    perceptibly_different,
-    synthesize_nv_trace,
-)
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "video": (
+        "PlaybackModel",
+        "PlaybackReport",
+        "VideoChunk",
+        "VideoFrame",
+        "VideoTrace",
+        "perceptibly_different",
+        "synthesize_nv_trace",
+    ),
+})
 
 __all__ = [
     "RandomMixSizes",

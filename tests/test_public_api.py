@@ -90,6 +90,18 @@ def test_module_exports(module_name):
         name for name in SURFACE[module_name] if not hasattr(module, name)
     ]
     assert missing == [], f"{module_name} missing: {missing}"
+    # The whole export list, lazy names included: listed by dir(),
+    # resolvable, and bound by a star import.
+    unlisted = [name for name in module.__all__ if name not in dir(module)]
+    assert unlisted == [], f"{module_name} dir() lacks: {unlisted}"
+    unresolved = [
+        name for name in module.__all__ if not hasattr(module, name)
+    ]
+    assert unresolved == [], f"{module_name} cannot resolve: {unresolved}"
+    namespace: dict = {}
+    exec(f"from {module_name} import *", namespace)
+    unbound = [name for name in module.__all__ if name not in namespace]
+    assert unbound == [], f"import * from {module_name} lacks: {unbound}"
 
 
 @pytest.mark.parametrize("module_name", sorted(REMOVED))
@@ -105,9 +117,48 @@ def test_version():
     assert repro.__version__
 
 
-def test_library_imports_stay_stdlib_only():
-    """The data path is pure python: importing it must not pull in numpy
-    (~115 ms and ~13 MB per process when it did)."""
+#: the four packages ``perfbench`` times the import of (``setup_s``)
+STACK_PACKAGES = ("repro.sim", "repro.core", "repro.transport", "repro.workloads")
+
+#: every ``repro`` module those four load: the striping stack a run
+#: executes and nothing else — no IP stack, baselines, fault injection,
+#: session layer or video model
+STRIPING_STACK = {
+    "repro", "repro.headers",
+    "repro.sim", "repro.sim.engine", "repro.sim.channel", "repro.sim.loss",
+    "repro.sim.trace",
+    "repro.core", "repro.core.packet", "repro.core.cfq", "repro.core.srr",
+    "repro.core.kernel", "repro.core.transform", "repro.core.striper",
+    "repro.core.resequencer", "repro.core.markers", "repro.core.fec",
+    "repro.transport", "repro.transport.endpoint",
+    "repro.transport.discipline", "repro.transport.sync_model",
+    "repro.transport.health", "repro.transport.reliability",
+    "repro.transport.fec", "repro.transport.fabric",
+    "repro.transport.fast_path",
+    "repro.workloads", "repro.workloads.generators",
+}
+
+_LOADED = """
+import json, sys
+def repro_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "repro")
+import {packages}
+stack = repro_modules()
+numpy = "numpy" in sys.modules
+sys.path.insert(0, {tests!r})
+import frames
+for shape in frames.SHAPES:
+    frames.measure(shape)
+print(json.dumps({{"numpy": numpy, "stack": stack, "run": repro_modules()}}))
+"""
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    """What a fresh interpreter holds after importing the stack packages,
+    and after then building and running the five ``tests/frames.py``
+    workload shapes."""
+    import json
     import os
     import subprocess
     import sys
@@ -115,10 +166,34 @@ def test_library_imports_stay_stdlib_only():
     import repro
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    code = (
-        "import sys, repro.sim, repro.core, repro.transport, repro.workloads;"
-        "sys.exit('numpy' in sys.modules)"
+    code = _LOADED.format(
+        packages=", ".join(STACK_PACKAGES),
+        tests=os.path.dirname(os.path.abspath(__file__)),
     )
     env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run([sys.executable, "-c", code], env=env)
-    assert result.returncode == 0
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_library_imports_stay_stdlib_only(loaded):
+    """The data path is pure python: importing it must not pull in numpy
+    (~115 ms and ~13 MB per process when it did)."""
+    assert not loaded["numpy"]
+
+
+def test_stack_packages_import_only_the_striping_stack(loaded):
+    """Everything else the packages export resolves on first use."""
+    stack = set(loaded["stack"])
+    assert stack == STRIPING_STACK, (
+        f"extra: {sorted(stack - STRIPING_STACK)}, "
+        f"missing: {sorted(STRIPING_STACK - stack)}"
+    )
+
+
+def test_a_run_loads_nothing_past_the_import(loaded):
+    """Building and running the benchmark's shapes imports no further
+    ``repro`` module, so the timed import covers all a run executes."""
+    assert loaded["run"] == loaded["stack"]

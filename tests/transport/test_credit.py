@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.net.ethernet import EthernetInterface
+from repro.net.stack import Link, Stack
 from repro.transport.credit import CreditPacket, CreditReceiver, CreditSender
+from repro.transport.health import SenderHealthMonitor
+from repro.transport.socket_striping import udp_ports
 
 
 class TestCreditSender:
@@ -86,6 +90,53 @@ class TestCreditSender:
             CreditSender(0, 1)
         with pytest.raises(ValueError):
             CreditSender(1, -1)
+
+
+class TestStallEpisodes:
+    """``stalls`` counts blocked episodes, not the polls that see one."""
+
+    def test_repeated_polls_count_once_per_episode(self):
+        sender = CreditSender(2, initial_credit=1)
+        sender.on_send(0)
+        for _ in range(5):
+            assert not sender.can_send(0)
+        assert sender.stalls == 1
+        sender.on_credit(0, limit=1)  # stale: the episode goes on
+        assert not sender.can_send(0)
+        assert sender.stalls == 1
+        sender.on_credit(0, limit=2)
+        sender.on_send(0)
+        assert not sender.can_send(0)
+        assert sender.stalls == 2
+
+    def test_exhausted_but_unpolled_is_no_stall(self):
+        sender = CreditSender(1, initial_credit=1)
+        sender.on_send(0)
+        assert sender.available(0) == 0
+        sender.on_credit(0, limit=2)
+        assert sender.stalls == 0
+
+    def test_starved_port_polled_and_health_checked(self, sim):
+        """Pumps polling a starved UDP port and the stall watch probing
+        it all see one episode."""
+        stack = Stack(sim, "S")
+        peer = Stack(sim, "R")
+        a = EthernetInterface(sim, "eth0", "10.0.1.1")
+        b = EthernetInterface(sim, "eth0", "10.0.1.2")
+        stack.add_interface(a)
+        peer.add_interface(b)
+        Link(sim, a, b, bandwidth_bps=10e6, prop_delay=0.0005)
+        stack.routing.add("10.0.1.0", 24, a)
+        credit = CreditSender(1, initial_credit=1)
+        [port] = udp_ports(stack, [("10.0.1.2", 5000)], credit=credit)
+        credit.on_send(0)
+        for _ in range(10):
+            assert not port.can_accept()
+        monitor = SenderHealthMonitor(sim, stall_timeout=1.0,
+                                      check_interval=0.01)
+        monitor.bind([port], lambda index: None, credit=credit)
+        sim.run(until=0.1)
+        assert credit.stalls == 1
 
 
 class TestCreditReceiver:
