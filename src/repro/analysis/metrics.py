@@ -83,10 +83,6 @@ class LatencyStats:
             return 0.0
         return self._m2 / (self.count - 1)
 
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
 
 def percentile(values: Sequence[float], q: float) -> float:
     """Linear-interpolated percentile (q in [0, 100])."""

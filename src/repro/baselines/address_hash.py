@@ -37,8 +37,9 @@ class AddressHashing(LoadSharer):
     )
     simulatable = False
     #: hash synchronization: per-flow pinning means arrival order is
-    #: delivery order — receiver mode ``"direct"``, no resequencer, no
-    #: marker codec (see repro.transport.sync_model).
+    #: delivery order — receiver mode ``"direct"``: no resequencer, no
+    #: marker codec call, and the sender pipeline refuses a marker policy
+    #: (see repro.transport.discipline).
     marker_free = True
 
     def __init__(self, n: int) -> None:

@@ -43,9 +43,6 @@ class MarkerPositionResult:
     n_channels: int
     rows: List[MarkerPositionRow]
 
-    def best_position(self) -> int:
-        return min(self.rows, key=lambda r: r.ooo_fraction).position
-
     def boundary_is_near_optimal(self, slack: float = 1.15) -> bool:
         """Position 0 (round boundary) is within ``slack``× of the best."""
         best = min(row.ooo_fraction for row in self.rows)

@@ -238,17 +238,11 @@ class RecoveryRig:
         # host gets no dying gasp.
         recovery.stop()
         self._replayed_accum += recovery.replayed_packets
-        pipeline.sync.stop()
-        reliable = pipeline.reliable
-        if reliable is not None:
-            self._retransmissions_accum += reliable.stats.retransmissions
-            if reliable._timer is not None:
-                reliable._timer.cancel()
-                reliable._timer = None
-        fec = pipeline.fec
-        if fec is not None and fec._seal_timer is not None:
-            fec._seal_timer.cancel()
-            fec._seal_timer = None
+        if pipeline.reliable is not None:
+            self._retransmissions_accum += (
+                pipeline.reliable.stats.retransmissions
+            )
+        pipeline.stop()
         self.sender = None
         self.sender_recovery = None
 
@@ -287,20 +281,7 @@ class RecoveryRig:
         if pipeline is None:
             return
         recovery.stop()
-        reliable = pipeline.reliable
-        if reliable is not None and reliable._ack_timer is not None:
-            reliable._ack_timer.cancel()
-            reliable._ack_timer = None
-        fec = pipeline.fec
-        if fec is not None:
-            if fec._skip_timer is not None:
-                fec._skip_timer.cancel()
-                fec._skip_timer = None
-            for group in fec._groups.values():
-                timer = getattr(group, "timer", None)
-                if timer is not None:
-                    timer.cancel()
-                    group.timer = None
+        pipeline.stop()
         self.receiver = None
         self.receiver_recovery = None
         self._rx_handlers = None

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.striper import ChannelPort, MarkerPolicy, Striper
 from repro.core.transform import LoadSharer
@@ -64,22 +64,6 @@ class Fragment:
             f"Fragment(pkt={self.packet_id} {self.index + 1}/{self.count} "
             f"{self.size}B)"
         )
-
-
-def plan_fragments(total_bytes: int, mtu_for: Callable[[int], int],
-                   channel_for: Callable[[int], int]) -> List[int]:
-    """Pure helper used by tests: fragment sizes for a byte count given
-    per-step channel choices (documents the cut-to-fit rule)."""
-    sizes = []
-    remaining = total_bytes
-    step = 0
-    while remaining > 0:
-        channel = channel_for(step)
-        chunk = min(remaining, mtu_for(channel) - FRAGMENT_HEADER_BYTES)
-        sizes.append(chunk)
-        remaining -= chunk
-        step += 1
-    return sizes
 
 
 class FragmentingStriper(Striper):

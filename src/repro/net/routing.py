@@ -87,6 +87,3 @@ class RoutingTable:
 
     def __len__(self) -> int:
         return len(self._routes)
-
-    def entries(self) -> List[Route]:
-        return list(self._routes)

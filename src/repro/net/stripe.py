@@ -167,12 +167,6 @@ class StripeInterface(NetworkInterface):
             if resolved_hook is not None:
                 resolved_hook.append(lambda ip: self.striper.pump())
 
-    def wire_members(self) -> None:
-        """(Re)hook member channel on_space callbacks; call after attach()."""
-        for iface in self.members:
-            if iface.channel_out is not None:
-                iface.channel_out.on_space = self._on_member_space
-
     # ------------------------------------------------------------------ #
     # sender path
 

@@ -747,6 +747,3 @@ class FaultPlan:
                 )
             )
         return FaultSchedule(events)
-
-    def schedules(self, seeds: Sequence[int]) -> List[FaultSchedule]:
-        return [self.schedule(seed) for seed in seeds]

@@ -14,10 +14,8 @@ The endpoint layer (one sender pipeline, one receiver pipeline):
 * :mod:`repro.transport.endpoint` — the channel-port protocol, the two
   pipelines, and the ARQ/FEC recovery-stack builders.
 * :mod:`repro.transport.discipline` — the striping-discipline registry
-  with its receiver-mode and synchronization-model axes.
-* :mod:`repro.transport.sync_model` — synchronization models: how the
-  endpoints agree on packet order (marker-based, hash-based/marker-free,
-  header-based).
+  and the receiver mode matching each discipline (how the endpoints
+  agree on packet order: markers, direct delivery, or headers).
 * :mod:`repro.transport.health` — channel-health machinery: failure
   detection, the channel lifecycle, the sender stall watch.
 
@@ -58,23 +56,16 @@ from repro import lazy_exports
 from repro.headers import UDP_HEADER_BYTES
 from repro.transport.endpoint import (
     DISCIPLINES,
-    SYNC_MODELS,
     ChannelFailureDetector,
     ChannelLifecycleManager,
     ChannelPort,
     FastStriper,
-    HashSyncModel,
-    HeaderSyncModel,
-    MarkerSyncModel,
     SenderHealthMonitor,
     StripeReceiverPipeline,
     StripeSenderPipeline,
-    SynchronizationModel,
     make_discipline,
-    make_sync_model,
     receiver_mode_for,
     resolve_discipline,
-    sync_model_for,
 )
 from repro.transport.fast_path import (
     FastChannelPort,
@@ -109,16 +100,9 @@ __all__ = [
     "StripeReceiverPipeline",
     "FastStriper",
     "DISCIPLINES",
-    "SYNC_MODELS",
     "make_discipline",
     "resolve_discipline",
     "receiver_mode_for",
-    "sync_model_for",
-    "make_sync_model",
-    "SynchronizationModel",
-    "MarkerSyncModel",
-    "HashSyncModel",
-    "HeaderSyncModel",
     "ChannelLifecycleManager",
     "SenderHealthMonitor",
     "UdpChannelPort",

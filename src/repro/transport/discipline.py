@@ -1,23 +1,21 @@
 """The striping-discipline registry: any (s0, f, g) scheme -> any transport.
 
-Split out of :mod:`repro.transport.endpoint` by the synchronization-model
-refactor.  Three axes are resolved here:
+Two axes are resolved here:
 
 * **discipline** — who picks the channel for each packet
   (:func:`make_discipline` / :func:`resolve_discipline`);
-* **receiver mode** — which logical-reception engine matches the sender
+* **receiver mode** — how the receiver recovers sender order
   (:func:`receiver_mode_for`, feeding
-  :func:`~repro.core.resequencer.make_resequencer`);
-* **synchronization model** — *how* sender and receiver agree on order
-  (:func:`sync_model_for`): marker-based schemes ship a marker stream and
-  simulate the sender; hash-based (marker-free) schemes derive order from
-  per-flow pinning and need neither markers nor a resequencer; header-based
-  schemes carry explicit sequence state in every packet.
+  :func:`~repro.core.resequencer.make_resequencer`): marker-based schemes
+  ship a marker stream and simulate the sender; marker-free (hash-based)
+  schemes derive order from per-flow pinning and need neither markers
+  nor a resequencer; header-based schemes carry explicit sequence state
+  in every packet.
 
 Marker-free disciplines declare ``marker_free = True`` and get the
 ``"direct"`` receiver mode: the receiver pipeline allocates no resequencer
-and no marker-decode path at all (see
-:class:`repro.transport.sync_model.HashSyncModel`).
+and never calls the marker codec, and the sender pipeline refuses a
+marker policy and keepalive markers for them.
 """
 
 from __future__ import annotations
@@ -29,12 +27,10 @@ from repro.core.transform import LoadSharer, TransformedLoadSharer
 
 __all__ = [
     "DISCIPLINES",
-    "SYNC_MODELS",
     "make_discipline",
     "receiver_args_for",
     "receiver_mode_for",
     "resolve_discipline",
-    "sync_model_for",
 ]
 
 
@@ -213,33 +209,3 @@ def receiver_args_for(
         return mode, None
     return mode, getattr(spec, "algorithm", spec)
 
-
-#: Synchronization-model families, by what the receiver needs from the
-#: pipeline.  ``marker``: simulated-sender reception, marker codec, credit/
-#: SACK piggyback, lag flush.  ``hash``: nothing — delivery at arrival.
-#: ``header``: per-packet sequence state, discipline-owned receiver half.
-SYNC_MODELS = ("marker", "hash", "header")
-
-_SYNC_MODEL_BY_MODE = {
-    "marker": "marker",
-    "plain": "marker",
-    "none": "marker",
-    "direct": "hash",
-    "mppp": "header",
-    "bonding": "header",
-}
-
-
-def sync_model_for(spec: Any, markers: bool = False) -> str:
-    """The synchronization-model family of a discipline (or mode string).
-
-    ``"marker"`` covers the whole simulated-sender family (``marker`` /
-    ``plain`` / the ``none`` ablation — all built on the same pipeline
-    machinery), ``"hash"`` the marker-free direct-delivery family, and
-    ``"header"`` the disciplines that own their receiver half outright.
-    """
-    mode = spec if isinstance(spec, str) else receiver_mode_for(spec, markers)
-    family = _SYNC_MODEL_BY_MODE.get(mode)
-    if family is None:
-        raise ValueError(f"unknown receiver mode {mode!r}")
-    return family

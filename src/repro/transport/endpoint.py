@@ -17,8 +17,9 @@ nothing else.
   FCVC credit integration, and packet-wrapping disciplines (MPPP headers,
   BONDING frames).
 * :class:`StripeReceiverPipeline` — per-channel buffering with the
-  physical buffer-cap drop rule, plus everything order-related delegated
-  to the discipline's synchronization model.
+  physical buffer-cap drop rule, the reception engine
+  (:func:`~repro.core.resequencer.make_resequencer`), the marker wire
+  codec and the credit/SACK piggyback sinks.
 * :func:`build_sender_recovery` / :func:`build_receiver_recovery` — the
   ARQ/FEC stacking (recording ports -> ARQ -> FEC; reception engine -> FEC
   -> ARQ -> application), assembled once at construction time.
@@ -27,15 +28,14 @@ A session (:mod:`repro.core.session`) is a reset controller over this
 pair, not another one: ``restripe`` / ``restart_reception`` install a new
 epoch's striper / reception engine by the constructors' own construction.
 
-How sender and receiver agree on order is **not** this module's business
-any more: each pipeline owns a
-:class:`~repro.transport.sync_model.SynchronizationModel` (marker
-placement/keepalive and simulated-sender reception for the paper's
-schemes, direct delivery for marker-free hash schemes, header reception
-for MPPP/BONDING), built from the discipline registry's ``sync_model``
-axis (:mod:`repro.transport.discipline`).  Channel-health machinery
-(failure detection, lifecycle, stall watch) lives in
-:mod:`repro.transport.health`.  Both are re-exported here.
+How sender and receiver agree on order is the receiver mode the
+discipline registry (:mod:`repro.transport.discipline`) derives: the
+paper's marker resynchronization over simulated-sender reception, direct
+delivery for marker-free hash schemes, or header reception for
+MPPP/BONDING.  The sender pipeline holds the marker policy and the
+keepalive; the receiver pipeline holds the engine that mode builds.
+Channel-health machinery (failure detection, lifecycle, stall watch)
+lives in :mod:`repro.transport.health`.  Both are re-exported here.
 
 The module deliberately imports nothing from :mod:`repro.net`,
 :mod:`repro.sim`, or the concrete transports: a pipeline only sees ports
@@ -58,17 +58,22 @@ from typing import (
 )
 
 from repro.core.cfq import CausalFQ
+from repro.core.markers import (
+    MarkerDecodeError,
+    decode_marker,
+    piggybacked_credit,
+    piggybacked_sack,
+)
 from repro.core.packet import Codepoint, Packet, is_marker
+from repro.core.resequencer import make_resequencer
 from repro.core.striper import ChannelPort, MarkerPolicy, Striper
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.transport.discipline import (
     DISCIPLINES,
-    SYNC_MODELS,
     make_discipline,
     receiver_args_for,
     receiver_mode_for,
     resolve_discipline,
-    sync_model_for,
 )
 from repro.transport.health import (
     ChannelFailureDetector,
@@ -83,35 +88,21 @@ from repro.transport.reliability import (
     arq_enabled,
     fec_enabled,
 )
-from repro.transport.sync_model import (
-    HashSyncModel,
-    HeaderSyncModel,
-    MarkerSyncModel,
-    SynchronizationModel,
-    make_sync_model,
-)
 
 __all__ = [
     "DISCIPLINES",
-    "SYNC_MODELS",
     "ChannelFailureDetector",
     "ChannelLifecycleManager",
     "ChannelPort",
     "FastStriper",
-    "HashSyncModel",
-    "HeaderSyncModel",
-    "MarkerSyncModel",
     "SenderHealthMonitor",
     "StripeReceiverPipeline",
     "StripeSenderPipeline",
-    "SynchronizationModel",
     "build_receiver_recovery",
     "build_sender_recovery",
     "make_discipline",
-    "make_sync_model",
     "receiver_mode_for",
     "resolve_discipline",
-    "sync_model_for",
 ]
 
 _MISSING = object()
@@ -463,19 +454,13 @@ class StripeSenderPipeline:
             discipline, n_ports, **(discipline_options or {})
         )
         self.sharer = sharer
-        # The discipline's synchronization model, sender half: custody of
-        # the marker policy (rejected outright by marker-free models) and
-        # the keepalive refresh.  Marker *mechanics* stay in the striper —
-        # the model decides whether they are armed at all.
-        family = sync_model_for(sharer, markers=marker_policy is not None)
-        if family == "hash":
-            self.sync: Any = HashSyncModel(
-                n_ports, marker_policy=marker_policy
+        if marker_policy is not None and getattr(sharer, "marker_free", False):
+            # A configuration mismatch the caller should hear about: the
+            # markers would burn wire bytes no receiver interprets.
+            raise ValueError(
+                "marker-free (hash-synchronized) disciplines take no "
+                "marker policy"
             )
-        elif family == "header":
-            self.sync = HeaderSyncModel(marker_policy=marker_policy)
-        else:
-            self.sync = MarkerSyncModel(marker_policy=marker_policy)
         #: discipline-supplied packet transformation (MPPP headers,
         #: BONDING frames); None for the paper's no-modification schemes.
         self._wrap = getattr(sharer, "wrap_packet", None)
@@ -506,7 +491,7 @@ class StripeSenderPipeline:
         )
         self._make_striper = partial(
             FastStriper if burst else Striper,
-            marker_policy=self.sync.marker_policy,
+            marker_policy=marker_policy,
             on_marker=on_marker,
             marker_decorator=marker_decorator,
             tracer=tracer,
@@ -522,13 +507,35 @@ class StripeSenderPipeline:
             if getattr(port, "on_unblocked", _MISSING) is None:
                 port.on_unblocked = self.pump
         self.messages_submitted = 0
-        self._closed = False
+        self._stopped = False
         self.fabric: Any = None
         self._fabric_backlog_limit = 0
         if fabric is not None:
             self.attach_fabric(fabric)
         if marker_keepalive_s is not None:
-            self.sync.start_keepalive(self.striper, sim, marker_keepalive_s)
+            if marker_policy is None:
+                raise ValueError("keepalive markers need a marker policy")
+            if sim is None:
+                raise ValueError("keepalive markers need an event scheduler")
+            self._keepalive_s = marker_keepalive_s
+            self._markers_at_last_tick = 0
+            sim.schedule(marker_keepalive_s, self._keepalive_tick)
+
+    def _keepalive_tick(self) -> None:
+        """Force a marker batch when none went out for a whole interval
+        (stalled or idle senders must keep the receiver — and piggybacked
+        credits — refreshed).  The live striper is read on each tick: a
+        session reset replaces it.  A held striper is mid-reset, so its
+        markers would carry the old epoch's state into the new one: the
+        tick forces nothing then, and keeps its schedule."""
+        if self._stopped:
+            return
+        striper = self.striper
+        idle = striper.markers_sent == self._markers_at_last_tick
+        if idle and not striper.held:
+            striper.force_marker_batch()
+        self._markers_at_last_tick = striper.markers_sent
+        self.sim.schedule(self._keepalive_s, self._keepalive_tick)
 
     def restripe(
         self,
@@ -561,6 +568,7 @@ class StripeSenderPipeline:
         carried = self.striper.input_queue
         self.sharer = sharer
         self.striper = self._make_striper(sharer, ports)
+        self._markers_at_last_tick = 0  # the new striper counts from zero
         if carried:
             self.striper.submit_many(carried)
 
@@ -738,11 +746,20 @@ class StripeSenderPipeline:
             self.fabric.pump()
         return sent
 
+    def stop(self) -> None:
+        """Cease generating events: the keepalive and the ARQ/FEC timers
+        stop, and nothing is flushed (a crashed host gets no dying gasp)."""
+        self._stopped = True
+        if self.reliable is not None:
+            self.reliable.stop()
+        if self.fec is not None:
+            self.fec.stop()
+
     def close(self) -> None:
-        if self.fec is not None and not self._closed:
-            self.fec.flush()
-        self._closed = True
-        self.sync.stop()
+        """Flush buffered residue, :meth:`stop`, then close the ports."""
+        if not self._stopped:
+            self.flush()
+        self.stop()
         for port in self.ports:
             close = getattr(port, "close", None)
             if close is not None:
@@ -778,12 +795,14 @@ class StripeReceiverPipeline:
     Arrivals enter via :meth:`push` (or the per-channel closures from
     :meth:`channel_handler`); the pipeline applies the physical buffer-cap
     drop rule and reports consumption to the FCVC credit layer.  Ordering
-    is the synchronization model's job: the discipline's model
-    (:func:`~repro.transport.sync_model.make_sync_model`) builds the
-    reception engine, handles marker arrivals (piggybacked credit/SACK
-    extraction, condition-C1 resync) or — for marker-free disciplines —
-    delivers at arrival with no resequencer and no marker-decode path
-    allocated at all.
+    is the reception engine's job, built for ``mode`` by
+    :func:`~repro.core.resequencer.make_resequencer`: simulated-sender
+    reception with marker resync (condition C1) for the paper's schemes,
+    header reception for MPPP/BONDING, and — for marker-free disciplines
+    (mode ``"direct"``) — delivery at arrival, with no resequencer
+    buffers and no marker codec call at all.  A marker arriving in any
+    mode first hands its piggybacked credit and SACK to
+    :attr:`credit_sink` / :attr:`sack_sink`.
 
     Args:
         n_channels: striped channel count.
@@ -825,6 +844,12 @@ class StripeReceiverPipeline:
 
     buffer_packets = _rewiring("_buffer_packets")
     credit = _rewiring("_credit")
+    #: invoked as fn(channel, credit) when a piggybacked credit rides an
+    #: arriving marker (the reverse direction's flow-control state)
+    credit_sink = _rewiring("_credit_sink")
+    #: invoked as fn(SackInfo) when a piggybacked SACK rides an arriving
+    #: marker (acks for the reverse direction's sender)
+    sack_sink = _rewiring("_sack_sink")
     failure_detector = _rewiring("_failure_detector")
     on_message = _rewiring("_on_message")
     #: keep every delivered packet in :attr:`delivered` (the default).
@@ -860,14 +885,20 @@ class StripeReceiverPipeline:
             reliability_options,
         )
         self._credit = credit
+        self._credit_sink: Optional[Callable[[int, int], None]] = None
+        self._sack_sink: Optional[Callable[[Any], None]] = None
+        #: undecodable marker frames dropped by :meth:`push_wire`
+        self.marker_decode_errors = 0
+        #: wire frames a ``direct`` receiver dropped without decoding
+        self.stray_wire_frames = 0
         if clock is None and sim is not None:
             clock = lambda: sim.now  # noqa: E731
-        # The synchronization model binds the reception engine's delivery
-        # callback directly to its destination (FEC layer, ARQ receiver,
-        # or final delivery) — one less call per delivered packet; the
-        # chain is fixed at construction.
-        self._make_sync = partial(
-            make_sync_model, on_deliver=head, clock=clock, sim=sim
+        # The reception engine's delivery callback is bound directly to
+        # its destination (FEC layer, ARQ receiver, or final delivery) —
+        # one less call per delivered packet; the chain is fixed at
+        # construction.
+        self._make_engine = partial(
+            make_resequencer, on_deliver=head, clock=clock, sim=sim
         )
         self._failure_detector = failure_detector
         if failure_detector is not None:
@@ -881,13 +912,14 @@ class StripeReceiverPipeline:
     def _install(
         self, mode: str, algorithm: Optional[CausalFQ], n_channels: int
     ) -> None:
-        """Build the synchronization model and its reception engine."""
+        """Build the reception engine for ``mode``."""
         self.n_channels = n_channels
-        self.sync = self._make_sync(mode, algorithm, n_channels=n_channels)
-        #: the reception engine (compatibility name: every harness and
-        #: test reads ``receiver.resequencer``); for marker-free models a
-        #: zero-buffer :class:`~repro.core.resequencer.DirectReception`.
-        self.resequencer = self.sync.receiver
+        self.mode = mode
+        #: the reception engine; for ``direct`` mode a zero-buffer
+        #: :class:`~repro.core.resequencer.DirectReception`
+        self.resequencer = self._make_engine(
+            algorithm, mode, n_channels=n_channels
+        )
         self._pushed_data: List[int] = [0] * n_channels
         self._credited: List[int] = [0] * n_channels
         self.failed_channels: set = set()
@@ -905,41 +937,18 @@ class StripeReceiverPipeline:
 
         The receive half of a session reset: ``discipline`` picks mode
         and algorithm (:func:`~repro.transport.discipline.receiver_args_for`)
-        and the synchronization model is rebuilt at its initial state as
-        the constructor built it.  What the old engine still buffered is
-        dropped with it; the credit / SACK sinks, the ARQ/FEC chain,
-        :attr:`delivered` and ``on_message`` survive.  Closures taken from
-        :meth:`channel_handler` stay bound to the engine they were issued
-        for — a session enters through :meth:`push`.
+        and the reception engine is rebuilt at its initial state as the
+        constructor built it.  What the old engine still buffered is
+        dropped with it; the credit / SACK sinks, the counters, the
+        ARQ/FEC chain, :attr:`delivered` and ``on_message`` survive.
+        Closures taken from :meth:`channel_handler` stay bound to the
+        engine they were issued for — a session enters through
+        :meth:`push`.
         """
         mode, algorithm = receiver_args_for(
             discipline, n_channels, markers, **discipline_options
         )
-        previous = self.sync
         self._install(mode, algorithm, n_channels)
-        self.sync.marker_decode_errors = previous.marker_decode_errors
-        self.sync.credit_sink = previous.credit_sink
-        self.sack_sink = previous.sack_sink  # the setter rewires
-
-    # -- synchronization-model state forwarded for the transports ------ #
-
-    @property
-    def credit_sink(self) -> Optional[Callable[[int, int], None]]:
-        return self.sync.credit_sink
-
-    @credit_sink.setter
-    def credit_sink(self, fn: Optional[Callable[[int, int], None]]) -> None:
-        self.sync.credit_sink = fn
-        self._rewire()
-
-    @property
-    def sack_sink(self) -> Optional[Callable[[Any], None]]:
-        return self.sync.sack_sink
-
-    @sack_sink.setter
-    def sack_sink(self, fn: Optional[Callable[[Any], None]]) -> None:
-        self.sync.sack_sink = fn
-        self._rewire()
 
     def _rewire(self) -> None:
         """Re-derive the two per-packet choices from the attributes.
@@ -951,13 +960,12 @@ class StripeReceiverPipeline:
         :meth:`_deliver_final`, which reads both attributes per packet)
         and nothing to retain.
         """
-        sync = self.sync
         self._checked_arrivals[0] = (
             self._buffer_packets is not None
             or self._credit is not None
             or self._failure_detector is not None
-            or sync.credit_sink is not None
-            or sync.sack_sink is not None
+            or self._credit_sink is not None
+            or self._sack_sink is not None
         )
         if self.reliable is None and self.fec is None:
             direct = not self._retain_delivered and self._on_message is not None
@@ -965,13 +973,35 @@ class StripeReceiverPipeline:
                 self._on_message if direct else self._deliver_final
             )
 
-    @property
-    def marker_decode_errors(self) -> int:
-        return self.sync.marker_decode_errors
-
     def receiver_state(self) -> Dict[str, Any]:
-        """The synchronization model's introspectable receiver state."""
-        return self.sync.receiver_state()
+        """Introspectable reception state: memory and sync counters."""
+        engine = self.resequencer
+        state: Dict[str, Any] = {
+            "mode": self.mode,
+            "buffered": getattr(engine, "buffered", 0),
+            "max_buffered": getattr(engine, "max_buffered", 0),
+            "delivered": getattr(engine, "delivered", 0),
+            "marker_decode_errors": self.marker_decode_errors,
+            "stray_wire_frames": self.stray_wire_frames,
+        }
+        stray = getattr(engine, "stray_markers", None)
+        if stray is not None:
+            state["stray_markers"] = stray
+        stats = getattr(engine, "stats", None)
+        if stats is not None:
+            state["markers_received"] = getattr(stats, "markers_received", 0)
+            # SRRReceiver keeps its high-water mark on the stats block.
+            state["max_buffered"] = max(
+                state["max_buffered"], getattr(stats, "max_buffered", 0)
+            )
+        return state
+
+    def stop(self) -> None:
+        """Cease generating events: the ARQ ack and FEC timers stop."""
+        if self.reliable is not None:
+            self.reliable.stop()
+        if self.fec is not None:
+            self.fec.stop()
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-value capture of reception: the reception engine's own
@@ -1014,7 +1044,15 @@ class StripeReceiverPipeline:
             self._pushed_data[channel] += 1
             out = self.resequencer.push(channel, packet)
         else:
-            out = self.sync.on_marker(channel, packet)
+            if self._credit_sink is not None:
+                piggyback = piggybacked_credit(packet)
+                if piggyback is not None:
+                    self._credit_sink(*piggyback)
+            if self._sack_sink is not None:
+                sack = piggybacked_sack(packet)
+                if sack is not None:
+                    self._sack_sink(sack)
+            out = self.resequencer.push(channel, packet)
         if self._credit is not None:
             self._issue_credits()
         return out
@@ -1022,14 +1060,19 @@ class StripeReceiverPipeline:
     def push_wire(self, channel: int, data: bytes) -> List[Any]:
         """Physical arrival of an *encoded marker frame* on ``channel``.
 
-        The synchronization model owns the codec: marker models decode
-        (malformed frames counted in :attr:`marker_decode_errors` and
-        dropped instead of surfacing struct errors into the arrival
-        path); marker-free models count the stray frame and drop it
-        without ever touching the codec.
+        Decoded and pushed; malformed frames (truncated, oversized,
+        corrupt) are counted in :attr:`marker_decode_errors` and dropped
+        instead of surfacing struct errors into the arrival path.  A
+        ``direct`` receiver has no marker path: it counts the frame in
+        :attr:`stray_wire_frames` and drops it without touching the codec.
         """
-        marker = self.sync.decode_wire(data)
-        if marker is None:
+        if self.mode == "direct":
+            self.stray_wire_frames += 1
+            return []
+        try:
+            marker = decode_marker(data)
+        except MarkerDecodeError:
+            self.marker_decode_errors += 1
             return []
         return self.push(channel, marker)
 

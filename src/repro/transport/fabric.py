@@ -361,10 +361,6 @@ class FabricScheduler:
         """Packets waiting in per-flow queues (not yet handed downstream)."""
         return sum(len(flow.queue) for flow in self._active)
 
-    @property
-    def active_flows(self) -> int:
-        return len(self._active)
-
     # ------------------------------------------------------------------ #
     # the weighted-DRR drain
 

@@ -223,9 +223,6 @@ class FecSenderStats:
     parity_packets: int = 0
     parity_bytes: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
-
 
 class FecSender:
     """Groups submitted data into stripe groups and emits parity.
@@ -341,6 +338,12 @@ class FecSender:
         if self._shards:
             self._seal(by_timeout=True)
 
+    def stop(self) -> None:
+        """Cancel the seal timer (the owner is shutting down)."""
+        if self._seal_timer is not None:
+            self._seal_timer.cancel()
+            self._seal_timer = None
+
     def _seal(self, *, by_timeout: bool) -> None:
         if self._seal_timer is not None:
             self._seal_timer.cancel()
@@ -392,9 +395,6 @@ class FecReceiverStats:
     duplicate_packets: int = 0
     skipped: int = 0
     escalations: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
 
 
 class _Group:
@@ -469,7 +469,7 @@ class FecReceiver:
     # -- ingress -------------------------------------------------------- #
 
     def on_packet(self, packet: Any) -> None:
-        """Entry point: bound as the sync model's delivery callback."""
+        """Entry point: bound as the reception engine's delivery callback."""
         if getattr(packet, "codepoint", None) == Codepoint.PARITY:
             self._on_parity(packet)
             return
@@ -610,6 +610,17 @@ class FecReceiver:
                 self.on_escalate(group.base)
         else:
             self._consecutive_failures = 0
+
+    def stop(self) -> None:
+        """Cancel the gap-skip and group timers (the owner is shutting
+        down)."""
+        if self._skip_timer is not None:
+            self._skip_timer.cancel()
+            self._skip_timer = None
+        for group in self._groups.values():
+            if group.timer is not None:
+                group.timer.cancel()
+                group.timer = None
 
     def _on_group_timeout(self, base: int) -> None:
         group = self._groups.get(base)

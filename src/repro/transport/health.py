@@ -99,31 +99,6 @@ class ChannelFailureDetector:
                     self._on_failure(index)
         self.sim.schedule(self.check_interval, self._check)
 
-    def note_suspect(self, channel: int) -> None:
-        """An external signal suspects ``channel`` (ARQ max-retry
-        escalation: a packet that keeps dying on one channel looks
-        exactly like that channel dying).
-
-        Declares the channel failed through the same path a silence
-        detection would, once; lifecycle subclasses then run their
-        normal probing/revival machinery on it.
-        """
-        if self._on_failure is None:
-            raise ValueError(
-                f"suspect on channel {channel}, but the detector is not "
-                "bound (was bind() called?)"
-            )
-        if not 0 <= channel < len(self.last_arrival):
-            raise ValueError(
-                f"suspect on channel {channel}, but the detector watches "
-                f"{len(self.last_arrival)} channels"
-            )
-        if channel in self.failed:
-            return
-        self.failed.add(channel)
-        self.failures_reported.append(channel)
-        self._on_failure(channel)
-
 
 class ChannelLifecycleManager(ChannelFailureDetector):
     """Full channel lifecycle: ``active -> failed -> probing -> revived``.

@@ -722,6 +722,12 @@ class ReliableSender:
                 return record
         return None
 
+    def stop(self) -> None:
+        """Cancel the retransmission timer (the owner is shutting down)."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
     def _ensure_timer(self) -> None:
         # The handle is the armed flag: the timer clears it when it fires
         # and whoever cancels it clears it too.  The per-packet callers
@@ -972,6 +978,12 @@ class ReliableReceiver:
             self._ack_timer = self.sim.schedule(
                 self.ack_delay_s, self._delayed_ack
             )
+
+    def stop(self) -> None:
+        """Cancel the delayed-ack timer (the owner is shutting down)."""
+        if self._ack_timer is not None:
+            self._ack_timer.cancel()
+            self._ack_timer = None
 
     def _delayed_ack(self) -> None:
         self._ack_timer = None

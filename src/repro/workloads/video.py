@@ -138,12 +138,6 @@ class PlaybackReport:
     packets_lost: int
 
     @property
-    def clean_fraction(self) -> float:
-        if self.frames_total == 0:
-            return 1.0
-        return self.frames_clean / self.frames_total
-
-    @property
     def quality(self) -> float:
         """Scalar quality: clean frames count 1, partial frames 0.5."""
         if self.frames_total == 0:

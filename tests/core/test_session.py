@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.markers import encode_marker
-from repro.core.packet import MarkerPacket, Packet
+from repro.core.packet import MarkerPacket, Packet, is_marker
 from repro.core.session import (
     LocalChecker,
     ResetAckPacket,
@@ -162,6 +162,66 @@ class TestResetProtocol:
         receiver.push(1, b"\xde\xad\xbe\xef")
         assert receiver.reset_discards == 1
         assert loop.receiver.marker_decode_errors == 0
+
+
+class TestKeepaliveAcrossResets:
+    """The keepalive forces markers out of the striper the pipeline uses
+    now — a session replaces the constructor's at once, and another at
+    every reset — and never out of one held for a reset."""
+
+    def _sender(self, sim, n_ports=3):
+        ports = [ListPort() for _ in range(n_ports)]
+        config = StripeConfig(quanta=(100.0,) * n_ports)
+        #: (channel, the marker's numbers, the live kernel's numbers)
+        markers = []
+
+        def on_marker(channel, marker):
+            live = pipeline.sharer.kernel.next_numbers()
+            markers.append(
+                (channel, (marker.round_number, marker.deficit), live)
+            )
+
+        pipeline = StripeSenderPipeline(
+            ports, config.algorithm(), marker_policy=MarkerPolicy(1),
+            sim=sim, marker_keepalive_s=0.01, on_marker=on_marker,
+        )
+        session = StripeSenderSession(sim, pipeline, config)
+        return ports, pipeline, session, markers
+
+    @staticmethod
+    def _all_live(markers):
+        return all(
+            channel < len(live) and numbers == live[channel]
+            for channel, numbers, live in markers
+        )
+
+    def test_keepalive_markers_come_from_the_live_striper(self, sim):
+        ports, pipeline, session, markers = self._sender(sim)
+        for _ in range(6):
+            pipeline.send_message(100)
+        sim.run(until=0.1)
+        assert len(markers) > 9  # keepalives flowed while idle
+        assert self._all_live(markers)
+        assert session.exclude_channel(2)
+        session.on_control(ResetAckPacket(epoch=session.epoch))
+        excluded = len(ports[2].sent)
+        markers.clear()
+        sim.run(until=0.3)
+        assert len(markers) > 2
+        assert self._all_live(markers)
+        assert not any(is_marker(p) for p in ports[2].sent[excluded:])
+
+    def test_no_keepalive_markers_while_a_reset_is_held(self, sim):
+        ports, pipeline, session, _ = self._sender(sim)
+        pipeline.send_message(100)
+        sim.run(until=0.05)
+        session.initiate_reset()
+        held = [len(port.sent) for port in ports]  # the RESETs are last
+        sim.run(until=0.2)  # unacknowledged, short of the retry
+        assert [len(port.sent) for port in ports] == held
+        session.on_control(ResetAckPacket(epoch=session.epoch))
+        sim.run(until=0.25)
+        assert any(is_marker(p) for p in ports[0].sent[held[0]:])
 
 
 class TestReconfiguration:

@@ -45,9 +45,6 @@ SURFACE = {
         "ChannelPort", "StripeSenderPipeline", "StripeReceiverPipeline",
         "FastStriper", "DISCIPLINES", "make_discipline",
         "resolve_discipline", "receiver_mode_for",
-        "SYNC_MODELS", "sync_model_for", "make_sync_model",
-        "SynchronizationModel", "MarkerSyncModel", "HashSyncModel",
-        "HeaderSyncModel",
         "UdpChannelPort", "udp_ports", "bind_udp_receiver",
         "TcpChannelPort", "tcp_ports", "bind_tcp_receiver",
         "FastChannelPort", "bind_fast_receiver", "wire_size",
@@ -80,6 +77,13 @@ SURFACE = {
 REMOVED = {
     # one codec: the scaled Cauchy generator's first parity is plain XOR
     "repro.core.fec": ["XorCodec"],
+    # no synchronization-model layer: each pipeline holds its marker
+    # policy, keepalive and reception engine itself
+    "repro.transport": [
+        "SYNC_MODELS", "sync_model_for", "make_sync_model",
+        "SynchronizationModel", "MarkerSyncModel", "HashSyncModel",
+        "HeaderSyncModel",
+    ],
 }
 
 
@@ -131,10 +135,9 @@ STRIPING_STACK = {
     "repro.core.kernel", "repro.core.transform", "repro.core.striper",
     "repro.core.resequencer", "repro.core.markers", "repro.core.fec",
     "repro.transport", "repro.transport.endpoint",
-    "repro.transport.discipline", "repro.transport.sync_model",
-    "repro.transport.health", "repro.transport.reliability",
-    "repro.transport.fec", "repro.transport.fabric",
-    "repro.transport.fast_path",
+    "repro.transport.discipline", "repro.transport.health",
+    "repro.transport.reliability", "repro.transport.fec",
+    "repro.transport.fabric", "repro.transport.fast_path",
     "repro.workloads", "repro.workloads.generators",
 }
 

@@ -80,21 +80,6 @@ class TestDisciplineRegistry:
         assert receiver_mode_for(hash_based, markers=True) == "direct"
         assert receiver_mode_for(make_discipline("sprinklers", 2)) == "direct"
 
-    def test_sync_model_families(self):
-        from repro.transport.endpoint import SYNC_MODELS, sync_model_for
-
-        assert set(SYNC_MODELS) == {"marker", "hash", "header"}
-        assert sync_model_for(SRR([1.0, 1.0]), markers=True) == "marker"
-        assert sync_model_for(make_discipline("rr", 2)) == "marker"
-        assert sync_model_for(ShortestQueueFirst(2)) == "marker"
-        assert sync_model_for(make_discipline("sprinklers", 2)) == "hash"
-        assert sync_model_for(make_discipline("address_hash", 2)) == "hash"
-        assert sync_model_for(make_discipline("mppp", 2)) == "header"
-        assert sync_model_for(make_discipline("bonding", 2)) == "header"
-        assert sync_model_for("direct") == "hash"  # mode strings work too
-        with pytest.raises(ValueError, match="unknown receiver mode"):
-            sync_model_for("telepathy")
-
 
 class TestSenderPipeline:
     def test_matches_manual_striper_with_markers(self):
@@ -594,7 +579,7 @@ class TestPortFactories:
                 "submit_packet")
         builders = {"Striper", "FastStriper", "make_resequencer",
                     "SRRReceiver"}
-        may_build = {"transport/endpoint.py", "transport/sync_model.py"}
+        may_build = {"transport/endpoint.py"}
         root = Path(repro.__file__).parent
         defined, offenders = Counter(), []
         for path in sorted(root.rglob("*.py")):
@@ -636,6 +621,50 @@ class TestSenderPipelineClose:
             1 for port in ports for p in port.sent if is_marker(p)
         )
         assert after == idle_markers
+
+    @pytest.mark.parametrize("reliability", ["reliable", "fec", "hybrid"])
+    def test_close_stops_every_timer(self, sim, reliability):
+        """Nothing acks the five messages, so the ARQ timer would keep
+        retransmitting them; a closed pipeline sends nothing more and
+        leaves no event behind."""
+        ports = make_ports(2)
+        pipeline = StripeSenderPipeline(
+            ports, SRR([100.0, 100.0]), sim=sim, reliability=reliability
+        )
+        for _ in range(5):
+            pipeline.send_message(100)
+        pipeline.close()
+        sent = [len(port.sent) for port in ports]
+        assert sim.run(until=5.0) == 0
+        assert [len(port.sent) for port in ports] == sent
+
+    @pytest.mark.parametrize("reliability", ["reliable", "fec", "hybrid"])
+    def test_receiver_stop_cancels_every_timer(self, sim, reliability):
+        """An out-of-order arrival, the group's parity, then the head of
+        the stream leave a delayed ack, a gap skip or a group timeout
+        pending; a stopped pipeline fires none of them."""
+        ports = make_ports(2)
+        sender = StripeSenderPipeline(
+            ports, SRR([100.0, 100.0]), sim=sim, reliability=reliability
+        )
+        for _ in range(5):
+            sender.send_message(100)
+        sender.close()
+        sent = [p for port in ports for p in port.sent]
+        data = {p.seq: p for p in sent if isinstance(p, Packet)}
+        parity = [p for p in sent if not isinstance(p, Packet)]
+        acks = []
+        receiver = StripeReceiverPipeline(
+            2, None, mode="none", sim=sim, reliability=reliability,
+            send_ack=acks.append,
+        )
+        for packet in [data[2], *parity, data[0]]:
+            receiver.push(0, packet)
+        assert sim.peek_time() is not None
+        receiver.stop()
+        acked = len(acks)
+        assert sim.run(until=5.0) == 0
+        assert len(acks) == acked
 
 
 class TestDetectorBounds:
