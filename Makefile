@@ -82,7 +82,8 @@ perf-ab:
 # Behavioural A/B of two checkouts: every experiment at --quick in both
 # trees, then the result JSON compared per experiment and the rendered text
 # compared minus the wall-clock `done in` lines.  Names every experiment
-# that differs and exits non-zero — the check a refactoring PR owes.
+# that differs and in what — `DIFFERS: <name> (json)`, `(text)` or
+# `(json, text)` — and exits non-zero: the check a refactoring PR owes.
 #   make quick-diff A=/tmp/parent B=.
 define QUICK_DIFF
 import json, os, re, subprocess, sys, tempfile
@@ -108,12 +109,14 @@ def run(tree):
             lines.append(line)
     return results, sections
 (json_a, text_a), (json_b, text_b) = run(os.path.abspath(a)), run(os.path.abspath(b))
-differ = sorted(
-    name for name in set(json_a) | set(json_b) | set(text_a) | set(text_b)
-    if json_a.get(name) != json_b.get(name)
-    or text_a.get(name) != text_b.get(name))
-for name in differ:
-    print(f"DIFFERS: {name}")
+differ = {}
+for name in sorted(set(json_a) | set(json_b) | set(text_a) | set(text_b)):
+    what = [kind for kind, a_side, b_side in (
+        ("json", json_a, json_b), ("text", text_a, text_b))
+        if a_side.get(name) != b_side.get(name)]
+    if what:
+        differ[name] = what
+        print(f"DIFFERS: {name} ({', '.join(what)})")
 print(f"{len(set(json_a) | set(json_b))} experiments, {len(differ)} differ")
 sys.exit(1 if differ else 0)
 endef

@@ -20,12 +20,14 @@ The recorded full-size numbers are the ``fec`` rows of EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from repro.experiments.fec_recovery import run_fec_recovery
+from repro.analysis.tables import render_rows
+from repro.experiments import run_experiment
+from repro.experiments.fec_recovery import RUN_COLUMNS, run_fec_recovery
 
 
 def test_bench_fec_quick():
     """Two loss rates, 0.4 s of traffic per cell."""
-    _check(run_fec_recovery(quick=True))
+    _check(run_experiment("fec", quick=True))
 
 
 def test_bench_fec_full():
@@ -40,13 +42,15 @@ def _check(result) -> None:
     for row in result.rows:
         if row.mode in ("reliable", "hybrid"):
             assert row.completeness == 1.0 and row.in_order, (
-                f"{row.mode} broke its contract:\n" + row.render_row()
+                f"{row.mode} broke its contract:\n"
+                + render_rows([row], RUN_COLUMNS)
             )
         if row.mode == "fec":
             assert row.retransmissions == 0
             if row.loss_kind == "random" and row.loss_rate <= 0.05:
                 assert row.completeness >= 0.98, (
-                    "pure fec below its parity budget:\n" + row.render_row()
+                    "pure fec below its parity budget:\n"
+                    + render_rows([row], RUN_COLUMNS)
                 )
 
     saved_total = 0
@@ -56,7 +60,7 @@ def _check(result) -> None:
             hybrid = by_cell[("hybrid", kind, rate)]
             assert hybrid.goodput_mbps >= arq.goodput_mbps, (
                 f"hybrid goodput below pure ARQ at {kind} p={rate}:\n"
-                + hybrid.render_row() + "\n" + arq.render_row()
+                + render_rows([hybrid, arq], RUN_COLUMNS)
             )
             assert hybrid.retransmissions <= arq.retransmissions, (
                 f"hybrid retransmitted more than pure ARQ at "

@@ -25,6 +25,7 @@ EXPERIMENTS.md.  ``test_bench_sprinklers_quick`` is the CI smoke setting
 
 from __future__ import annotations
 
+from repro.experiments import run_experiment
 from repro.experiments.sprinklers import (
     STABLE_TRANSPORTS,
     TRANSPORTS,
@@ -37,7 +38,7 @@ MIN_JAIN = 0.95
 
 def test_bench_sprinklers_quick():
     """Acceptance bars on short runs, one chaos seed, 1,000 flows."""
-    _check(run_sprinklers(quick=True))
+    _check(run_experiment("sprinklers", quick=True))
 
 
 def test_bench_sprinklers_full():

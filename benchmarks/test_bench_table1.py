@@ -7,7 +7,7 @@ delivering a skewed striped stream.
 """
 
 from repro.analysis.reorder import analyze_order
-from repro.analysis.tables import extended_rows, paper_table1_rows, render_table
+from repro.analysis.tables import paper_table1_rows, table1_text
 from repro.core.resequencer import Resequencer
 from repro.core.srr import SRR, make_rr
 from repro.core.transform import (
@@ -69,7 +69,7 @@ def test_bench_table1(benchmark):
         verify_table1_claims, rounds=1, iterations=1
     )
     print()
-    print(render_table(extended_rows()))
+    print(table1_text())
     print()
     print("measured evidence for the qualitative cells:")
     for key, value in evidence.items():

@@ -12,7 +12,7 @@ from repro.analysis.tables import (
     TableRow,
     extended_rows,
     paper_table1_rows,
-    render_table,
+    render_rows,
     row_for,
 )
 
@@ -29,5 +29,5 @@ __all__ = [
     "row_for",
     "paper_table1_rows",
     "extended_rows",
-    "render_table",
+    "render_rows",
 ]

@@ -2,15 +2,17 @@
 
 Every striping scheme in the library declares a
 :class:`~repro.core.cfq.Capabilities` record.  This module assembles the
-feature matrix the paper presents as Table 1 and renders it as text; the
-``table1`` benchmark additionally *verifies* the load-sharing and FIFO
-claims by micro-simulation (see ``benchmarks/test_bench_table1.py``).
+feature matrix the paper presents as Table 1, and :func:`render_rows`
+draws it — and every experiment's tables — as text.  The ``table1``
+benchmark additionally *verifies* the load-sharing and FIFO claims by
+micro-simulation (see ``benchmarks/test_bench_table1.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from operator import itemgetter
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.cfq import Capabilities
 
@@ -97,16 +99,70 @@ def extended_rows() -> List[TableRow]:
     return rows
 
 
-def render_table(rows: Sequence[TableRow]) -> str:
-    """Plain-text rendering with aligned columns."""
-    headers = ("Scheme", "FIFO delivery", "Load sharing (var. len.)", "Target environment")
-    cells = [headers] + [
-        (r.scheme, r.fifo_delivery, r.load_sharing, r.environment) for r in rows
+TABLE1_COLUMNS = (
+    ("Scheme", "scheme", ""),
+    ("FIFO delivery", "fifo_delivery", ""),
+    ("Load sharing (var. len.)", "load_sharing", ""),
+    ("Target environment", "environment", ""),
+)
+
+
+def table1_text() -> str:
+    """Table 1 over every scheme in the library, as the ``table1`` experiment
+    prints it."""
+    return render_rows(extended_rows(), TABLE1_COLUMNS)
+
+
+#: Columns for a single record rendered as ``(quantity, value)`` pairs.
+QUANTITY_VALUE = (
+    ("quantity", itemgetter(0), ""),
+    ("value", itemgetter(1), ""),
+)
+
+#: ``(header, source, format spec)``: ``source`` names an attribute of the
+#: row or is a callable of it.
+Column = Tuple[str, Union[str, Callable[[Any], Any]], str]
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def render_rows(
+    rows: Sequence[Any],
+    columns: Sequence[Column],
+    title: Optional[str] = None,
+) -> str:
+    """Plain-text table: auto widths, two-space gaps, a dash rule under the
+    headers.  Number columns are right-aligned, the rest left-aligned and
+    padded to width; ``None`` shows as ``-``."""
+    values = [
+        [
+            getattr(row, source) if isinstance(source, str) else source(row)
+            for _, source, _ in columns
+        ]
+        for row in rows
     ]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
-    lines = []
-    for index, row in enumerate(cells):
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-        if index == 0:
-            lines.append("  ".join("-" * w for w in widths))
+    cells = [
+        ["-" if value is None else format(value, spec)
+         for value, (_, _, spec) in zip(line, columns)]
+        for line in values
+    ]
+    headers = [header for header, _, _ in columns]
+    widths = [max(map(len, column)) for column in zip(headers, *cells)]
+    right = [
+        any(_is_number(line[i]) for line in values)
+        and all(_is_number(line[i]) or line[i] is None for line in values)
+        for i in range(len(columns))
+    ]
+
+    def join(line: Sequence[str]) -> str:
+        return "  ".join(
+            cell.rjust(width) if flush else cell.ljust(width)
+            for cell, width, flush in zip(line, widths, right)
+        )
+
+    lines = [title] if title is not None else []
+    lines += [join(headers), "  ".join("-" * width for width in widths)]
+    lines += [join(line) for line in cells]
     return "\n".join(lines)

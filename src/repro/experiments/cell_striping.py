@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from repro.analysis.tables import render_rows
 from repro.core.packet import Packet
 from repro.core.srr import SRR
 from repro.core.transform import TransformedLoadSharer
@@ -67,13 +68,6 @@ class CellStripingRow:
             return 0.0
         return self.damaged_packets / delivered_any
 
-    def render(self) -> str:
-        return (
-            f"{self.mode:>24} {self.offered_packets:>8} "
-            f"{self.complete_packets:>9} {self.damaged_packets:>8} "
-            f"{self.cells_dropped:>8} {self.goodput_mbps:>8.2f}"
-        )
-
 
 @dataclass
 class CellStripingResult:
@@ -83,13 +77,12 @@ class CellStripingResult:
         return next(r for r in self.rows if r.mode == mode)
 
     def render(self) -> str:
-        header = (
-            f"{'mode':>24} {'offered':>8} {'complete':>9} {'damaged':>8} "
-            f"{'cellloss':>8} {'Mbps':>8}"
-        )
-        return "\n".join(
-            [header, "-" * len(header)] + [row.render() for row in self.rows]
-        )
+        return render_rows(self.rows, [
+            ("mode", "mode", ""), ("offered", "offered_packets", ""),
+            ("complete", "complete_packets", ""),
+            ("damaged", "damaged_packets", ""),
+            ("cellloss", "cells_dropped", ""), ("Mbps", "goodput_mbps", ".2f"),
+        ])
 
 
 def _run_mode(

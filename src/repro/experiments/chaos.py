@@ -19,7 +19,9 @@ and rejoin RESETs).  Reported per seed, then aggregated:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
+
+from repro.analysis.tables import render_rows
 
 from repro.experiments.fault_tolerance import build_session_testbed
 from repro.sim.engine import Simulator
@@ -50,17 +52,18 @@ class ChaosRun:
     resets: int
     faults_injected: int
 
-    def render_row(self) -> str:
-        kinds = ",".join(self.kinds) or "-"
-        return (
-            f"  seed {self.seed:2d}: {self.goodput_before:5.2f} / "
-            f"{self.goodput_during:5.2f} / {self.goodput_after:5.2f} Mbps "
-            f"(before/during/after), reorder settled "
-            f"{self.recovery_latency * 1e3:6.1f} ms after cease, "
-            f"fail/revive/rejoin={self.failures}/{self.revivals}/"
-            f"{self.rejoins}, resets={self.resets}, dups={self.duplicates} "
-            f"[{kinds}]"
-        )
+
+_COLUMNS = (
+    ("seed", "seed", ""),
+    ("before Mbps", "goodput_before", ".2f"),
+    ("during Mbps", "goodput_during", ".2f"),
+    ("after Mbps", "goodput_after", ".2f"),
+    ("settle ms", lambda r: r.recovery_latency * 1e3, ".1f"),
+    ("fail", "failures", ""), ("revive", "revivals", ""),
+    ("rejoin", "rejoins", ""), ("resets", "resets", ""),
+    ("dups", "duplicates", ""),
+    ("faults", lambda r: ",".join(r.kinds) or "-", ""),
+)
 
 
 @dataclass
@@ -69,12 +72,11 @@ class ChaosExperiment:
     total_s: float
 
     def render(self) -> str:
-        lines = [
+        table = render_rows(self.rows, _COLUMNS, title=(
             f"chaos: seeded fault schedules on {N_CHANNELS} channels, "
             f"faults in [{FAULTS_START}, {FAULTS_CEASE}] s, "
             f"run {self.total_s} s, full lifecycle armed:"
-        ]
-        lines += [row.render_row() for row in self.rows]
+        ))
         degraded = [r for r in self.rows if r.goodput_during < r.goodput_before]
         recovered = [
             r for r in self.rows
@@ -84,14 +86,13 @@ class ChaosExperiment:
         # duplicate-injection runs add copies by definition; the
         # exactly-once claim applies to every other schedule.
         clean = [r for r in self.rows if "duplicate" not in r.kinds]
-        lines.append(
-            f"  summary: {len(degraded)}/{len(self.rows)} runs degraded "
+        return table + (
+            f"\n  summary: {len(degraded)}/{len(self.rows)} runs degraded "
             f"during faults, {len(recovered)}/{len(self.rows)} recovered to "
             f">80% of baseline, worst reorder-settle "
             f"{worst * 1e3:.1f} ms, exactly-once outside duplicate "
             f"injection: {all(r.duplicates == 0 for r in clean)}"
         )
-        return "\n".join(lines)
 
 
 def _recovery_latency(
@@ -154,15 +155,7 @@ def run_chaos_run(seed: int, total_s: float) -> ChaosRun:
     )
 
 
-def run_chaos(
-    quick: bool = False,
-    seeds: Optional[int] = None,
-    total_s: Optional[float] = None,
-) -> ChaosExperiment:
+def run_chaos(seeds: int = 8, total_s: float = 2.5) -> ChaosExperiment:
     """Randomized chaos schedules against the full lifecycle stack."""
-    if seeds is None:
-        seeds = 3 if quick else 8
-    if total_s is None:
-        total_s = 1.8 if quick else 2.5
     rows = [run_chaos_run(seed, total_s) for seed in range(seeds)]
     return ChaosExperiment(rows=rows, total_s=total_s)

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.analysis.tables import QUANTITY_VALUE, render_rows
 from repro.core.fairness import jain_fairness_index, normalized_shares
 from repro.core.packet import Packet
 from repro.core.srr import SRR
@@ -75,27 +76,23 @@ class FabricResult:
         )
 
     def render(self) -> str:
-        shares = " ".join(
-            f"{t}={self.tenant_shares.get(t, 0.0):.3f}" for t in _TENANTS
-        )
-        jain = " ".join(
-            f"{t}={self.jain_per_tenant.get(t, 0.0):.3f}" for t in _TENANTS
-        )
-        return "\n".join(
-            [
-                f"{self.n_flows} flows / {len(_TENANTS)} tenants over "
-                f"{self.n_channels} channels (FQ x SRR):",
-                f"  delivered: {self.delivered_packets}/"
-                f"{self.total_packets} packets in {self.duration_s:.3f}s "
-                f"({self.aggregate_goodput_mbps:.1f} Mbps aggregate)",
-                f"  Jain per tenant (mid-run): {jain} "
-                f"(min {self.jain_min:.3f})",
-                f"  per-weight tenant shares: {shares} "
-                f"(max error {self.max_share_error * 100:.1f}%)",
-                f"  delivery latency: p50 {self.p50_latency_s * 1e3:.1f} ms, "
-                f"p99 {self.p99_latency_s * 1e3:.1f} ms",
-            ]
-        )
+        def per_tenant(values: Dict[str, float]) -> str:
+            return " ".join(f"{t}={values.get(t, 0.0):.3f}" for t in _TENANTS)
+
+        return render_rows([
+            ("delivered packets",
+             f"{self.delivered_packets}/{self.total_packets}"),
+            ("duration s", f"{self.duration_s:.3f}"),
+            ("aggregate Mbps", f"{self.aggregate_goodput_mbps:.1f}"),
+            ("Jain per tenant (mid-run)", per_tenant(self.jain_per_tenant)),
+            ("Jain min", f"{self.jain_min:.3f}"),
+            ("per-weight tenant shares", per_tenant(self.tenant_shares)),
+            ("share max error", f"{self.max_share_error:.1%}"),
+            ("latency p50 ms", f"{self.p50_latency_s * 1e3:.1f}"),
+            ("latency p99 ms", f"{self.p99_latency_s * 1e3:.1f}"),
+        ], QUANTITY_VALUE, title=f"{self.n_flows} flows / {len(_TENANTS)} "
+                                 f"tenants over {self.n_channels} channels "
+                                 f"(FQ x SRR):")
 
 
 def _percentile(sorted_values: List[float], q: float) -> float:

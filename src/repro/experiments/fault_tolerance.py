@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.analysis.reorder import analyze_order
+from repro.analysis.tables import render_rows
 from repro.core.session import (
     ChannelProber,
     LocalChecker,
@@ -174,6 +175,11 @@ def build_session_testbed(
 # ---------------------------------------------------------------------- #
 # link failure
 
+_GOODPUT_COLUMNS = (
+    ("before Mbps", "goodput_before", ".2f"),
+    ("after Mbps", "goodput_after", ".2f"),
+)
+
 
 @dataclass
 class LinkFailureResult:
@@ -183,23 +189,18 @@ class LinkFailureResult:
     resets: int
     surviving_channels: int
 
-    def render_row(self) -> str:
-        mode = "detector+reset" if self.with_detector else "no fault handling"
-        return (
-            f"  {mode:>18}: before {self.goodput_before:5.2f} Mbps, "
-            f"after {self.goodput_after:5.2f} Mbps "
-            f"(resets={self.resets}, channels={self.surviving_channels})"
-        )
-
 
 @dataclass
 class LinkFailureExperiment:
     rows: List[LinkFailureResult]
 
     def render(self) -> str:
-        lines = ["link failure at t=0.8s (channel 1 of 3 goes dark):"]
-        lines += [row.render_row() for row in self.rows]
-        return "\n".join(lines)
+        return render_rows(self.rows, [
+            ("mode", lambda r: "detector+reset" if r.with_detector
+             else "no fault handling", ""),
+            *_GOODPUT_COLUMNS, ("resets", "resets", ""),
+            ("channels", "surviving_channels", ""),
+        ], title="link failure at t=0.8s (channel 1 of 3 goes dark):")
 
 
 def run_link_failure(
@@ -254,25 +255,20 @@ class CorruptionResult:
     violations: int
     resets: int
 
-    def render_row(self) -> str:
-        mode = "local checking" if self.with_checker else "markers only"
-        return (
-            f"  {mode:>15}: OOO before corruption {self.ooo_before}, "
-            f"OOO in final window {self.ooo_after_window} "
-            f"(violations={self.violations}, resets={self.resets})"
-        )
-
 
 @dataclass
 class CorruptionExperiment:
     rows: List[CorruptionResult]
 
     def render(self) -> str:
-        lines = [
-            "receiver global-round corruption at t=0.8s, 10% ongoing loss:",
-        ]
-        lines += [row.render_row() for row in self.rows]
-        return "\n".join(lines)
+        return render_rows(self.rows, [
+            ("mode", lambda r: "local checking" if r.with_checker
+             else "markers only", ""),
+            ("OOO before corruption", "ooo_before", ""),
+            ("OOO in final window", "ooo_after_window", ""),
+            ("violations", "violations", ""), ("resets", "resets", ""),
+        ], title="receiver global-round corruption at t=0.8s, "
+                 "10% ongoing loss:")
 
 
 def run_state_corruption(
@@ -402,24 +398,19 @@ class AdaptationResult:
     adaptations: int
     final_quanta: Tuple[float, ...]
 
-    def render_row(self) -> str:
-        mode = "adaptive quanta" if self.adaptive else "static quanta"
-        quanta = "/".join(f"{q:.0f}" for q in self.final_quanta)
-        return (
-            f"  {mode:>15}: before {self.goodput_before:5.2f} Mbps, "
-            f"after {self.goodput_after:5.2f} Mbps "
-            f"(adaptations={self.adaptations}, quanta={quanta})"
-        )
-
 
 @dataclass
 class AdaptationExperiment:
     rows: List[AdaptationResult]
 
     def render(self) -> str:
-        lines = ["channel 1 rate drops 10 -> 2.5 Mbps at t=1.0s:"]
-        lines += [row.render_row() for row in self.rows]
-        return "\n".join(lines)
+        return render_rows(self.rows, [
+            ("mode", lambda r: "adaptive quanta" if r.adaptive
+             else "static quanta", ""),
+            *_GOODPUT_COLUMNS, ("adaptations", "adaptations", ""),
+            ("quanta", lambda r: "/".join(f"{q:.0f}" for q in r.final_quanta),
+             ""),
+        ], title="channel 1 rate drops 10 -> 2.5 Mbps at t=1.0s:")
 
 
 def run_capacity_adaptation(
@@ -467,25 +458,18 @@ class FaultToleranceReport:
     adaptation: AdaptationExperiment
 
     def render(self) -> str:
-        return "\n\n".join(
-            [
-                self.link_failure.render(),
-                self.corruption.render(),
-                self.adaptation.render(),
-            ]
-        )
+        return "\n\n".join(part.render() for part in (
+            self.link_failure, self.corruption, self.adaptation))
 
 
-def run_fault_tolerance(quick: bool = False) -> FaultToleranceReport:
-    """All three fault-tolerance scenarios."""
-    if quick:
-        return FaultToleranceReport(
-            link_failure=run_link_failure(total_s=1.8),
-            corruption=run_state_corruption(total_s=2.0),
-            adaptation=run_capacity_adaptation(total_s=3.0),
-        )
+def run_fault_tolerance(
+    total_s: Tuple[float, float, float] = (2.5, 3.0, 4.0),
+) -> FaultToleranceReport:
+    """All three fault-tolerance scenarios; ``total_s`` is each one's run
+    length (link failure, state corruption, capacity adaptation)."""
+    link_s, corruption_s, adaptation_s = total_s
     return FaultToleranceReport(
-        link_failure=run_link_failure(),
-        corruption=run_state_corruption(),
-        adaptation=run_capacity_adaptation(),
+        link_failure=run_link_failure(total_s=link_s),
+        corruption=run_state_corruption(total_s=corruption_s),
+        adaptation=run_capacity_adaptation(total_s=adaptation_s),
     )

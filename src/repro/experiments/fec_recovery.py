@@ -19,8 +19,9 @@ recovery strategies alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from repro.analysis.tables import render_rows
 from repro.core.srr import SRR
 from repro.core.striper import MarkerPolicy
 from repro.sim.channel import Channel
@@ -64,19 +65,17 @@ class FecRecoveryRun:
     def completeness(self) -> float:
         return self.delivered / self.submitted if self.submitted else 0.0
 
-    def render_row(self) -> str:
-        recovery = (
-            f"rtx={self.retransmissions:4d} rebuilt={self.reconstructed:4d} "
-            f"skipped={self.skipped:3d}"
-        )
-        return (
-            f"  {self.mode:8s} {self.loss_kind:6s} p={self.loss_rate:4.0%}: "
-            f"{self.delivered:5d}/{self.submitted:5d} "
-            f"({self.completeness:6.1%}) {self.goodput_mbps:5.2f} Mbps "
-            f"lat={self.mean_latency_ms:5.2f} ms "
-            f"overhead={self.redundancy_overhead:5.1%} "
-            f"[{'in-order' if self.in_order else 'REORDERED'}] {recovery}"
-        )
+
+#: the table :meth:`FecRecoveryExperiment.render` draws, one run per line
+RUN_COLUMNS = (
+    ("mode", "mode", ""), ("loss", "loss_kind", ""),
+    ("p", "loss_rate", ".0%"), ("delivered", "delivered", ""),
+    ("submitted", "submitted", ""), ("complete", "completeness", ".1%"),
+    ("Mbps", "goodput_mbps", ".2f"), ("lat ms", "mean_latency_ms", ".2f"),
+    ("overhead", "redundancy_overhead", ".1%"), ("in order", "in_order", ""),
+    ("rtx", "retransmissions", ""), ("rebuilt", "reconstructed", ""),
+    ("skipped", "skipped", ""),
+)
 
 
 @dataclass
@@ -85,24 +84,22 @@ class FecRecoveryExperiment:
     total_s: float
 
     def render(self) -> str:
-        lines = [
+        table = render_rows(self.rows, RUN_COLUMNS, title=(
             f"fec_recovery: striped pipelines, {N_CHANNELS} channels at "
             f"{BANDWIDTH_BPS / 1e6:.0f} Mbps, k={FEC_K} m={FEC_M}, "
             f"{self.total_s} s runs (recovery drains after):"
-        ]
-        lines += [row.render_row() for row in self.rows]
+        ))
         guaranteed = [r for r in self.rows if r.mode in ("reliable", "hybrid")]
         complete = all(
             r.completeness == 1.0 and r.in_order for r in guaranteed
         )
         pairs = _paired_retransmissions(self.rows)
         saved = sum(arq - hyb for arq, hyb in pairs)
-        lines.append(
-            f"  summary: reliable+hybrid complete in-order everywhere: "
+        return table + (
+            f"\n  summary: reliable+hybrid complete in-order everywhere: "
             f"{complete}; hybrid saved {saved} retransmissions vs pure ARQ "
             f"across {len(pairs)} matched cells"
         )
-        return "\n".join(lines)
 
 
 def _paired_retransmissions(
@@ -235,17 +232,12 @@ def run_fec_recovery_run(
 
 
 def run_fec_recovery(
-    quick: bool = False,
-    loss_rates: Optional[Sequence[float]] = None,
+    loss_rates: Sequence[float] = (0.01, 0.03, 0.05, 0.10),
     loss_kinds: Sequence[str] = ("random", "burst"),
-    total_s: Optional[float] = None,
+    total_s: float = 0.8,
     seed: int = 7,
 ) -> FecRecoveryExperiment:
     """Recovery-mode shootout across loss rates and loss shapes."""
-    if loss_rates is None:
-        loss_rates = (0.03, 0.10) if quick else (0.01, 0.03, 0.05, 0.10)
-    if total_s is None:
-        total_s = 0.4 if quick else 0.8
     rows = [
         run_fec_recovery_run(mode, kind, p, total_s, seed)
         for kind in loss_kinds

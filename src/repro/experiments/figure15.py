@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
+from repro.analysis.tables import render_rows
 from repro.experiments.topology import (
     R_ATM_IP,
     R_ETH_IP,
@@ -59,17 +60,15 @@ class Figure15Row:
     atm_alone: float
     variants: Dict[str, float] = field(default_factory=dict)
 
-    def as_table_row(self) -> List[float]:
-        return [
-            self.atm_mbps,
-            self.upper_bound,
-            self.variants.get("srr_lr", 0.0),
-            self.variants.get("srr_nolr", 0.0),
-            self.variants.get("grr_lr", 0.0),
-            self.variants.get("grr_nolr", 0.0),
-            self.variants.get("rr_lr", 0.0),
-            self.variants.get("rr_nolr", 0.0),
-        ]
+
+_COLUMNS = [("ATM Mbps", "atm_mbps", ".1f"), ("upper", "upper_bound", ".2f")]
+_COLUMNS += [
+    (header, lambda row, name=name: row.variants.get(name, 0.0), ".2f")
+    for header, name in (
+        ("SRR+LR", "srr_lr"), ("SRR-LR", "srr_nolr"), ("GRR+LR", "grr_lr"),
+        ("GRR-LR", "grr_nolr"), ("RR+LR", "rr_lr"), ("RR-LR", "rr_nolr"),
+    )
+]
 
 
 @dataclass
@@ -81,19 +80,9 @@ class Figure15Result:
             return [row.upper_bound for row in self.rows]
         return [row.variants[name] for row in self.rows]
 
-    def render(self, chart: bool = True) -> str:
-        header = (
-            f"{'ATM Mbps':>9} {'upper':>7} {'SRR+LR':>7} {'SRR-LR':>7} "
-            f"{'GRR+LR':>7} {'GRR-LR':>7} {'RR+LR':>7} {'RR-LR':>7}"
-        )
-        lines = [header, "-" * len(header)]
-        for row in self.rows:
-            values = row.as_table_row()
-            lines.append(
-                f"{values[0]:>9.1f} " + " ".join(f"{v:>7.2f}" for v in values[1:])
-            )
-        text = "\n".join(lines)
-        if chart and len(self.rows) >= 2:
+    def render(self) -> str:
+        text = render_rows(self.rows, _COLUMNS)
+        if len(self.rows) >= 2:
             from repro.analysis.ascii_chart import Series, render_chart
 
             x = [row.atm_mbps for row in self.rows]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.reorder import analyze_order
+from repro.analysis.tables import render_rows
 from repro.experiments.socket_harness import (
     SocketTestbedConfig,
     build_socket_testbed,
@@ -49,18 +50,12 @@ class FlowControlResult:
         return next(r for r in self.rows if r.use_credit == use_credit)
 
     def render(self) -> str:
-        header = (
-            f"{'config':>12} {'sent':>7} {'dlvr':>7} {'buf drops':>9} "
-            f"{'OOO':>6} {'Mbps':>7} {'stalls':>7}"
-        )
-        lines = [header, "-" * len(header)]
-        for row in self.rows:
-            lines.append(
-                f"{row.label:>12} {row.sent:>7} {row.delivered:>7} "
-                f"{row.buffer_drops:>9} {row.out_of_order:>6} "
-                f"{row.goodput_mbps:>7.2f} {row.credit_stalls:>7}"
-            )
-        return "\n".join(lines)
+        return render_rows(self.rows, [
+            ("config", "label", ""), ("sent", "sent", ""),
+            ("dlvr", "delivered", ""), ("buf drops", "buffer_drops", ""),
+            ("OOO", "out_of_order", ""), ("Mbps", "goodput_mbps", ".2f"),
+            ("stalls", "credit_stalls", ""),
+        ])
 
 
 def run_flow_control(

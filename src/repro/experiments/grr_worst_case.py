@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.analysis.tables import QUANTITY_VALUE, render_rows
 from repro.experiments.topology import (
     R_ETH_IP,
     SCHEME_GRR,
@@ -45,19 +46,17 @@ class GrrWorstCaseResult:
         return self.grr_alternating_mbps / self.srr_alternating_mbps
 
     def render(self) -> str:
-        return "\n".join(
-            [
-                f"{'workload':>22} {'SRR Mbps':>9} {'GRR Mbps':>9}",
-                "-" * 42,
-                f"{'alternating 1000/200':>22} "
-                f"{self.srr_alternating_mbps:>9.2f} "
-                f"{self.grr_alternating_mbps:>9.2f}",
-                f"{'random 1000/200 mix':>22} "
-                f"{self.srr_random_mbps:>9.2f} {self.grr_random_mbps:>9.2f}",
-                f"(paper: SRR 11.2 Mbps vs GRR 6.8 Mbps on the alternating "
-                f"adversary; ratio {6.8 / 11.2:.2f} — measured ratio "
-                f"{self.adversarial_drop:.2f})",
-            ]
+        return render_rows([
+            ("SRR Mbps, alternating 1000/200",
+             f"{self.srr_alternating_mbps:.2f}"),
+            ("GRR Mbps, alternating 1000/200",
+             f"{self.grr_alternating_mbps:.2f}"),
+            ("SRR Mbps, random 1000/200 mix", f"{self.srr_random_mbps:.2f}"),
+            ("GRR Mbps, random 1000/200 mix", f"{self.grr_random_mbps:.2f}"),
+        ], QUANTITY_VALUE) + (
+            f"\n(paper: SRR 11.2 Mbps vs GRR 6.8 Mbps on the alternating "
+            f"adversary; ratio {6.8 / 11.2:.2f} — measured ratio "
+            f"{self.adversarial_drop:.2f})"
         )
 
 

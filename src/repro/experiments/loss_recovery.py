@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.analysis.reorder import analyze_order
+from repro.analysis.tables import render_rows
 from repro.experiments.socket_harness import (
     SocketTestbedConfig,
     build_socket_testbed,
@@ -50,19 +51,14 @@ class LossRecoveryResult:
         return all(row.recovered for row in self.rows)
 
     def render(self) -> str:
-        header = (
-            f"{'loss':>5} {'sent':>7} {'dlvr':>7} {'lost':>6} "
-            f"{'OOO(lossy)':>10} {'OOO(after)':>10} {'markers':>8} {'skips':>6} {'FIFO?':>6}"
-        )
-        lines = [header, "-" * len(header)]
-        for row in self.rows:
-            lines.append(
-                f"{row.loss_rate:>5.2f} {row.sent:>7} {row.delivered:>7} "
-                f"{row.lost:>6} {row.ooo_total - row.ooo_after_recovery:>10} "
-                f"{row.ooo_after_recovery:>10} {row.markers_received:>8} "
-                f"{row.channel_skips:>6} {'yes' if row.recovered else 'NO':>6}"
-            )
-        return "\n".join(lines)
+        return render_rows(self.rows, [
+            ("loss", "loss_rate", ".2f"), ("sent", "sent", ""),
+            ("dlvr", "delivered", ""), ("lost", "lost", ""),
+            ("OOO(lossy)", lambda r: r.ooo_total - r.ooo_after_recovery, ""),
+            ("OOO(after)", "ooo_after_recovery", ""),
+            ("markers", "markers_received", ""),
+            ("skips", "channel_skips", ""), ("FIFO?", "recovered", ""),
+        ])
 
 
 def run_loss_recovery(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.analysis.reorder import analyze_order
+from repro.analysis.tables import render_rows
 from repro.experiments.socket_harness import (
     SocketTestbedConfig,
     build_socket_testbed,
@@ -44,18 +45,12 @@ class MarkerFrequencyResult:
     rows: List[MarkerFrequencyRow]
 
     def render(self) -> str:
-        header = (
-            f"loss={self.loss_rate:.0%}  "
-            f"{'interval':>8} {'delivered':>9} {'OOO':>7} {'OOO frac':>9} {'markers':>8}"
-        )
-        lines = [header, "-" * len(header)]
-        for row in self.rows:
-            lines.append(
-                f"{'':<11}{row.interval_rounds:>8} {row.delivered:>9} "
-                f"{row.out_of_order:>7} {row.ooo_fraction:>9.4f} "
-                f"{row.markers_received:>8}"
-            )
-        return "\n".join(lines)
+        return render_rows(self.rows, [
+            ("interval", "interval_rounds", ""),
+            ("delivered", "delivered", ""), ("OOO", "out_of_order", ""),
+            ("OOO frac", "ooo_fraction", ".4f"),
+            ("markers", "markers_received", ""),
+        ], title=f"loss={self.loss_rate:.0%}")
 
     def is_monotone_enough(self, slack: float = 1.3) -> bool:
         """The paper's trend: OOO grows with the interval.

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.analysis.reorder import analyze_order
+from repro.analysis.tables import render_rows
 from repro.experiments.socket_harness import (
     SocketTestbedConfig,
     build_socket_testbed,
@@ -52,18 +53,11 @@ class MarkerPositionResult:
         return boundary <= best * slack + 1e-9
 
     def render(self) -> str:
-        header = (
-            f"loss={self.loss_rate:.0%}, {self.n_channels} channels  "
-            f"{'position':>8} {'delivered':>9} {'OOO':>7} {'OOO frac':>9}"
-        )
-        lines = [header, "-" * len(header)]
-        for row in self.rows:
-            tag = " (round boundary)" if row.position == 0 else ""
-            lines.append(
-                f"{'':<26}{row.position:>8} {row.delivered:>9} "
-                f"{row.out_of_order:>7} {row.ooo_fraction:>9.4f}{tag}"
-            )
-        return "\n".join(lines)
+        return render_rows(self.rows, [
+            ("position", "position", ""), ("delivered", "delivered", ""),
+            ("OOO", "out_of_order", ""), ("OOO frac", "ooo_fraction", ".4f"),
+        ], title=f"loss={self.loss_rate:.0%}, {self.n_channels} channels, "
+                 f"position 0 = round boundary")
 
 
 def run_marker_position(

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List
 
+from repro.analysis.tables import render_rows
 from repro.experiments.topology import (
     R_ATM_IP,
     R_ETH_IP,
@@ -52,14 +53,10 @@ class MtuFragmentationResult:
         return next(r for r in self.rows if r.label == label)
 
     def render(self) -> str:
-        header = f"{'configuration':>28} {'MTU':>6} {'Mbps':>7} {'CPU':>6}"
-        lines = [header, "-" * len(header)]
-        for row in self.rows:
-            lines.append(
-                f"{row.label:>28} {row.mtu:>6} {row.goodput_mbps:>7.2f} "
-                f"{row.cpu_utilization:>6.2f}"
-            )
-        return "\n".join(lines)
+        return render_rows(self.rows, [
+            ("configuration", "label", ""), ("MTU", "mtu", ""),
+            ("Mbps", "goodput_mbps", ".2f"), ("CPU", "cpu_utilization", ".2f"),
+        ])
 
 
 def run_mtu_fragmentation(

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from repro.analysis.tables import QUANTITY_VALUE, render_rows
 from repro.experiments.topology import (
     R_ETH_IP,
     SCHEME_SRR,
@@ -60,16 +61,14 @@ class MultiflowResult:
 
     def render(self) -> str:
         flows = " ".join(f"{v:.2f}" for v in self.per_flow_mbps)
-        return "\n".join(
-            [
-                f"{self.n_flows} TCP flows over strIPe (SRR + markers):",
-                f"  per-flow goodput (Mbps): {flows}",
-                f"  aggregate: {self.aggregate_mbps:.2f} Mbps "
-                f"(single flow alone: {self.single_flow_mbps:.2f})",
-                f"  fairness (Jain): {self.fairness:.3f} "
-                f"(min/max: {self.fairness_ratio:.2f})",
-            ]
-        )
+        return render_rows([
+            ("per-flow goodput (Mbps)", flows),
+            ("aggregate Mbps", f"{self.aggregate_mbps:.2f}"),
+            ("single flow alone Mbps", f"{self.single_flow_mbps:.2f}"),
+            ("fairness (Jain)", f"{self.fairness:.3f}"),
+            ("fairness (min/max)", f"{self.fairness_ratio:.2f}"),
+        ], QUANTITY_VALUE,
+            title=f"{self.n_flows} TCP flows over strIPe (SRR + markers):")
 
 
 def run_multiflow(

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
+from repro.analysis.tables import render_rows
 from repro.core.packet import Packet
 from repro.core.srr import SRR
 from repro.core.striper import MarkerPolicy
@@ -400,44 +401,26 @@ class RecoveryResult:
     points: List[RecoveryPoint] = field(default_factory=list)
 
     def render(self) -> str:
-        header = (
-            f"{'leg':<14} {'ckpt(s)':>8} {'crashes':>7} "
-            f"{'mean rec(ms)':>12} {'max rec(ms)':>11} {'replayed':>8} "
-            f"{'rtx':>6} {'ckpt(B)':>8} {'wal':>6} {'delivered':>9} "
-            f"{'complete':>8} {'fifo':>5}"
-        )
-        lines = [header, "-" * len(header)]
-        for p in self.points:
-            interval = (
-                f"{p.checkpoint_interval_s:.3f}"
-                if p.checkpoint_interval_s is not None
-                else "-"
-            )
-            mean_ms = (
-                f"{p.mean_recovery_s * 1e3:.1f}"
-                if p.mean_recovery_s is not None
-                else "n/a"
-            )
-            max_ms = (
-                f"{p.max_recovery_s * 1e3:.1f}"
-                if p.max_recovery_s is not None
-                else "n/a"
-            )
-            lines.append(
-                f"{p.label:<14} {interval:>8} {p.crashes:>7} "
-                f"{mean_ms:>12} {max_ms:>11} {p.replayed_packets:>8} "
-                f"{p.retransmissions:>6} {p.checkpoint_bytes:>8} "
-                f"{p.wal_records:>6} {p.delivered:>9} "
-                f"{str(p.complete):>8} {str(p.in_order):>5}"
-            )
-        lines.append(
-            "\nRecovery latency = time from an endpoint's restart until "
+        def ms(seconds: Optional[float]) -> Optional[float]:
+            return None if seconds is None else seconds * 1e3
+
+        return render_rows(self.points, [
+            ("leg", "label", ""), ("ckpt(s)", "checkpoint_interval_s", ".3f"),
+            ("crashes", "crashes", ""),
+            ("mean rec(ms)", lambda p: ms(p.mean_recovery_s), ".1f"),
+            ("max rec(ms)", lambda p: ms(p.max_recovery_s), ".1f"),
+            ("replayed", "replayed_packets", ""),
+            ("rtx", "retransmissions", ""),
+            ("ckpt(B)", "checkpoint_bytes", ""), ("wal", "wal_records", ""),
+            ("delivered", "delivered", ""), ("complete", "complete", ""),
+            ("fifo", "in_order", ""),
+        ]) + (
+            "\n\nRecovery latency = time from an endpoint's restart until "
             "every message submitted\nbefore its crash has been delivered.  "
             "Short checkpoint intervals bound the WAL/replay\nwork; the "
             "cold leg rejoins from nothing via the resume announce + "
             "marker resync."
         )
-        return "\n".join(lines)
 
 
 def _run_leg(
@@ -504,12 +487,9 @@ def _run_leg(
 
 
 def run_recovery(
-    quick: bool = False,
-    intervals: Optional[Tuple[float, ...]] = None,
+    intervals: Tuple[float, ...] = (0.01, 0.025, 0.05, 0.1, 0.2),
 ) -> RecoveryResult:
     """Sweep the checkpoint interval; append the cold-restart leg."""
-    if intervals is None:
-        intervals = (0.02, 0.1) if quick else (0.01, 0.025, 0.05, 0.1, 0.2)
     result = RecoveryResult()
     for interval in intervals:
         result.points.append(

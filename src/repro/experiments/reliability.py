@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.analysis.tables import render_rows
 from repro.experiments.fault_tolerance import build_session_testbed
 from repro.sim.engine import Simulator
 
@@ -48,28 +49,17 @@ class ReliabilityRun:
     def completeness(self) -> float:
         return self.delivered / self.submitted if self.submitted else 0.0
 
-    def render_row(self) -> str:
-        flags = []
-        if self.mode == "reliable":
-            flags.append("drained" if self.drained else "NOT DRAINED")
-            srtt = f"{self.srtt_ms:.1f}" if self.srtt_ms is not None else "-"
-            arq = (
-                f"rtx={self.retransmissions} "
-                f"(fast {self.fast_retransmissions}, to {self.timeouts}), "
-                f"acks={self.acks_sent}, srtt={srtt} ms, "
-                f"stalls={self.backpressure_stalls}"
-            )
-        else:
-            arq = "-"
-        flags.append("in-order" if self.in_order else "REORDERED")
-        if self.duplicates:
-            flags.append(f"dups={self.duplicates}")
-        return (
-            f"  {self.mode:11s} p={self.loss_rate:4.0%}: "
-            f"{self.delivered:5d}/{self.submitted:5d} "
-            f"({self.completeness:6.1%}) {self.goodput_mbps:5.2f} Mbps "
-            f"[{', '.join(flags)}] {arq}"
-        )
+
+_COLUMNS = (
+    ("mode", "mode", ""), ("p", "loss_rate", ".0%"),
+    ("delivered", "delivered", ""), ("submitted", "submitted", ""),
+    ("complete", "completeness", ".1%"), ("Mbps", "goodput_mbps", ".2f"),
+    ("in order", "in_order", ""), ("dups", "duplicates", ""),
+    ("drained", "drained", ""), ("rtx", "retransmissions", ""),
+    ("fast", "fast_retransmissions", ""), ("timeouts", "timeouts", ""),
+    ("acks", "acks_sent", ""), ("srtt ms", "srtt_ms", ".1f"),
+    ("stalls", "backpressure_stalls", ""),
+)
 
 
 @dataclass
@@ -78,23 +68,21 @@ class ReliabilityExperiment:
     total_s: float
 
     def render(self) -> str:
-        lines = [
+        table = render_rows(self.rows, _COLUMNS, title=(
             f"reliability: session stack, {N_CHANNELS} channels at "
             f"{LINK_MBPS:.0f} Mbps, persistent per-channel loss, "
             f"{self.total_s} s runs (ARQ drains after):"
-        ]
-        lines += [row.render_row() for row in self.rows]
+        ))
         reliable = [r for r in self.rows if r.mode == "reliable"]
         complete = all(
             r.completeness == 1.0 and r.in_order and r.duplicates == 0
             for r in reliable
         )
         cost = sum(r.retransmissions for r in reliable)
-        lines.append(
-            f"  summary: reliable mode exactly-once in-order at every "
+        return table + (
+            f"\n  summary: reliable mode exactly-once in-order at every "
             f"loss rate: {complete}; total retransmissions {cost}"
         )
-        return "\n".join(lines)
 
 
 def run_reliability_run(
@@ -134,16 +122,11 @@ def run_reliability_run(
 
 
 def run_reliability(
-    quick: bool = False,
-    loss_rates: Optional[Sequence[float]] = None,
-    total_s: Optional[float] = None,
+    loss_rates: Sequence[float] = (0.0, 0.02, 0.05, 0.10, 0.20),
+    total_s: float = 1.5,
     seed: int = 7,
 ) -> ReliabilityExperiment:
     """Best-effort vs reliable mode across persistent loss rates."""
-    if loss_rates is None:
-        loss_rates = (0.05, 0.15) if quick else (0.0, 0.02, 0.05, 0.10, 0.20)
-    if total_s is None:
-        total_s = 0.6 if quick else 1.5
     rows = [
         run_reliability_run(mode, p, total_s, seed)
         for p in loss_rates

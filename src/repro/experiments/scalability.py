@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.analysis.reorder import analyze_order
+from repro.analysis.tables import render_rows
 from repro.core.fairness import jain_fairness_index
 from repro.experiments.socket_harness import (
     SocketTestbedConfig,
@@ -48,32 +49,21 @@ class ScalabilityRow:
     #: resequencer) — the paper's bounded-memory claim, per channel count.
     receiver_hwm_packets: int = 0
 
-    def render(self) -> str:
-        recovery = (
-            f"{self.recovery_time_s * 1e3:7.1f} ms"
-            if self.recovery_time_s is not None else "      n/a"
-        )
-        return (
-            f"{self.n_channels:>4} {self.goodput_mbps:>8.2f} "
-            f"{self.per_channel_mbps:>8.2f} {self.out_of_order:>6} "
-            f"{self.marker_overhead_fraction:>9.4%} {recovery} "
-            f"{self.jain_channels:>6.4f} {self.receiver_hwm_packets:>5}"
-        )
-
 
 @dataclass
 class ScalabilityResult:
     rows: List[ScalabilityRow]
 
     def render(self) -> str:
-        header = (
-            f"{'N':>4} {'Mbps':>8} {'per-ch':>8} {'OOO':>6} "
-            f"{'markers':>9} {'recovery':>10} {'jain':>6} {'hwm':>5}"
-        )
-        return "\n".join(
-            [header, "-" * len(header)]
-            + [row.render() for row in self.rows]
-        )
+        return render_rows(self.rows, [
+            ("N", "n_channels", ""), ("Mbps", "goodput_mbps", ".2f"),
+            ("per-ch", "per_channel_mbps", ".2f"), ("OOO", "out_of_order", ""),
+            ("markers", "marker_overhead_fraction", ".4%"),
+            ("recovery ms", lambda r: None if r.recovery_time_s is None
+             else r.recovery_time_s * 1e3, ".1f"),
+            ("jain", "jain_channels", ".4f"),
+            ("hwm", "receiver_hwm_packets", ""),
+        ])
 
     def scaling_efficiency(self) -> float:
         """Per-channel goodput at max N relative to min N (1.0 = linear)."""

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.analysis.reorder import analyze_order
+from repro.analysis.tables import render_rows
 from repro.core.fairness import jain_fairness_index
 from repro.core.packet import Packet
 from repro.core.srr import SRR
@@ -87,14 +88,6 @@ class HeadToHeadRow:
     receiver_hwm: int
     markers_sent: int
 
-    def render(self) -> str:
-        return (
-            f"{self.transport:>8} {self.discipline:>10} "
-            f"{self.delivered:>8} {self.goodput_mbps:>7.2f} "
-            f"{self.out_of_order:>6} {self.reorder_rate:>8.4%} "
-            f"{self.receiver_hwm:>4} {self.markers_sent:>8}"
-        )
-
 
 @dataclass
 class ChaosRow:
@@ -104,13 +97,6 @@ class ChaosRow:
     duplicates: int
     goodput_during_mbps: float
     goodput_after_mbps: float
-
-    def render(self) -> str:
-        return (
-            f"{self.discipline:>10} {self.seed:>4} {self.delivered:>8} "
-            f"{self.duplicates:>4} {self.goodput_during_mbps:>8.2f} "
-            f"{self.goodput_after_mbps:>8.2f}"
-        )
 
 
 @dataclass
@@ -123,14 +109,6 @@ class ScaleRow:
     jain_flows: float
     receiver_hwm: int
     stripe_state_flows: int
-
-    def render(self) -> str:
-        return (
-            f"{self.discipline:>10} {self.n_flows:>6} "
-            f"{self.delivered:>7}/{self.total:<7} "
-            f"{self.goodput_mbps:>8.2f} {self.jain_flows:>6.4f} "
-            f"{self.receiver_hwm:>4} {self.stripe_state_flows:>7}"
-        )
 
 
 @dataclass
@@ -146,28 +124,29 @@ class SprinklersResult:
         raise KeyError((transport, discipline))
 
     def render(self) -> str:
-        head = (
-            f"{'trans':>8} {'disc':>10} {'deliv':>8} {'Mbps':>7} "
-            f"{'OOO':>6} {'reorder':>9} {'hwm':>4} {'markers':>8}"
-        )
-        chaos_head = (
-            f"{'disc':>10} {'seed':>4} {'deliv':>8} {'dup':>4} "
-            f"{'during':>8} {'after':>8}"
-        )
-        scale_head = (
-            f"{'disc':>10} {'flows':>6} {'delivered':>15} "
-            f"{'Mbps':>8} {'jain':>6} {'hwm':>4} {'stripes':>7}"
-        )
-        lines = ["head-to-head (stable channels unless noted; tcp elastic):",
-                 head, "-" * len(head)]
-        lines += [row.render() for row in self.head_to_head]
-        lines += ["", "chaos faults (socket transport):",
-                  chaos_head, "-" * len(chaos_head)]
-        lines += [row.render() for row in self.chaos]
-        lines += ["", "flow-count scale (fabric over one bundle):",
-                  scale_head, "-" * len(scale_head)]
-        lines += [row.render() for row in self.scale]
-        return "\n".join(lines)
+        return "\n\n".join([
+            render_rows(self.head_to_head, [
+                ("trans", "transport", ""), ("disc", "discipline", ""),
+                ("deliv", "delivered", ""), ("Mbps", "goodput_mbps", ".2f"),
+                ("OOO", "out_of_order", ""),
+                ("reorder", "reorder_rate", ".4%"),
+                ("hwm", "receiver_hwm", ""), ("markers", "markers_sent", ""),
+            ], title="head-to-head (stable channels unless noted; "
+                     "tcp elastic):"),
+            render_rows(self.chaos, [
+                ("disc", "discipline", ""), ("seed", "seed", ""),
+                ("deliv", "delivered", ""), ("dup", "duplicates", ""),
+                ("during", "goodput_during_mbps", ".2f"),
+                ("after", "goodput_after_mbps", ".2f"),
+            ], title="chaos faults (socket transport):"),
+            render_rows(self.scale, [
+                ("disc", "discipline", ""), ("flows", "n_flows", ""),
+                ("delivered", "delivered", ""), ("total", "total", ""),
+                ("Mbps", "goodput_mbps", ".2f"), ("jain", "jain_flows", ".4f"),
+                ("hwm", "receiver_hwm", ""),
+                ("stripes", "stripe_state_flows", ""),
+            ], title="flow-count scale (fabric over one bundle):"),
+        ])
 
 
 def _receiver_hwm(receiver) -> int:
@@ -443,14 +422,8 @@ def run_sprinklers(
     chaos_total_s: float = 2.0,
     chaos_seeds=(3, 9),
     scale_flows: int = 10_000,
-    quick: bool = False,
 ) -> SprinklersResult:
     """The full Sprinklers vs SRR+markers comparison."""
-    if quick:
-        duration_s = 0.5
-        chaos_total_s = 1.5
-        chaos_seeds = (3,)
-        scale_flows = 1_000
     result = SprinklersResult()
     result.head_to_head = _head_to_head(duration_s)
     for seed in chaos_seeds:

@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from repro.analysis.tables import render_rows
 from repro.core.srr import SRR
 from repro.experiments.socket_harness import build_two_hosts
 from repro.sim.engine import Simulator
@@ -106,27 +107,17 @@ class TcpChannelsRow:
     fifo: bool
     channel_retransmits: int
 
-    def render(self) -> str:
-        return (
-            f"{self.n_channels:>4} {self.loss_rate:>6.2f} "
-            f"{self.goodput_mbps:>8.2f} {self.delivered:>9} "
-            f"{'yes' if self.fifo else 'NO':>5} "
-            f"{self.channel_retransmits:>8}"
-        )
-
 
 @dataclass
 class TcpChannelsResult:
     rows: List[TcpChannelsRow]
 
     def render(self) -> str:
-        header = (
-            f"{'N':>4} {'loss':>6} {'Mbps':>8} {'delivered':>9} "
-            f"{'FIFO':>5} {'rexmits':>8}"
-        )
-        return "\n".join(
-            [header, "-" * len(header)] + [row.render() for row in self.rows]
-        )
+        return render_rows(self.rows, [
+            ("N", "n_channels", ""), ("loss", "loss_rate", ".2f"),
+            ("Mbps", "goodput_mbps", ".2f"), ("delivered", "delivered", ""),
+            ("FIFO", "fifo", ""), ("rexmits", "channel_retransmits", ""),
+        ])
 
 
 def run_tcp_channels(

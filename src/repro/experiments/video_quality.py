@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro.analysis.tables import render_rows
 from repro.experiments.socket_harness import (
     SocketTestbedConfig,
     build_socket_testbed,
@@ -87,22 +88,16 @@ class VideoQualityResult:
         return all(row.reorder_penalty <= tolerance for row in self.rows)
 
     def render(self) -> str:
-        header = (
-            f"{'loss':>5} {'striped quality':>15} {'pure-loss quality':>17} "
-            f"{'reorder penalty':>15}"
-        )
-        lines = [header, "-" * len(header)]
-        for row in self.rows:
-            lines.append(
-                f"{row.loss_rate:>5.2f} {row.striped_quality:>15.3f} "
-                f"{row.pure_loss_quality:>17.3f} {row.reorder_penalty:>15.3f}"
-            )
-        lines.append(
-            f"first perceptible degradation: striped at "
+        return render_rows(self.rows, [
+            ("loss", "loss_rate", ".2f"),
+            ("striped quality", "striped_quality", ".3f"),
+            ("pure-loss quality", "pure_loss_quality", ".3f"),
+            ("reorder penalty", "reorder_penalty", ".3f"),
+        ]) + (
+            f"\nfirst perceptible degradation: striped at "
             f"{self.first_perceptible_loss('striped'):.0%}, pure loss at "
             f"{self.first_perceptible_loss('pure_loss'):.0%}"
         )
-        return "\n".join(lines)
 
 
 def _play_striped(

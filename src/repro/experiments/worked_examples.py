@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.analysis.tables import QUANTITY_VALUE, render_rows
 from repro.core.cfq import fq_service_order
 from repro.core.kernel import SRRKernel
 from repro.core.markers import SRRReceiver
@@ -53,14 +54,12 @@ class Fig2_3Result:
     duality_holds: bool
 
     def render(self) -> str:
-        return "\n".join(
-            [
-                f"FQ service order (Figure 2):   {' '.join(self.fq_order)}",
-                f"LS channel 1 (Figure 3):       {' '.join(self.ls_channel_contents[0])}",
-                f"LS channel 2 (Figure 3):       {' '.join(self.ls_channel_contents[1])}",
-                f"time-reversal duality holds:   {self.duality_holds}",
-            ]
-        )
+        return render_rows([
+            ("FQ service order (Figure 2)", " ".join(self.fq_order)),
+            ("LS channel 1 (Figure 3)", " ".join(self.ls_channel_contents[0])),
+            ("LS channel 2 (Figure 3)", " ".join(self.ls_channel_contents[1])),
+            ("time-reversal duality holds", str(self.duality_holds)),
+        ], QUANTITY_VALUE)
 
 
 def run_fig2_3() -> Fig2_3Result:
@@ -90,12 +89,12 @@ class Fig5_6Result:
     matches_paper: bool
 
     def render(self) -> str:
-        lines = [f"service order: {' '.join(self.order)} "
-                 f"(paper: {' '.join(PAPER_FQ_ORDER)})"]
-        for label, channel, dc in self.dc_trace:
-            lines.append(f"  send {label}: channel {channel + 1}, DC -> {dc:g}")
-        lines.append(f"matches paper: {self.matches_paper}")
-        return "\n".join(lines)
+        pairs = [("service order", " ".join(self.order)),
+                 ("paper", " ".join(PAPER_FQ_ORDER))]
+        pairs += [(f"send {label}", f"channel {channel + 1}, DC -> {dc:g}")
+                  for label, channel, dc in self.dc_trace]
+        return (render_rows(pairs, QUANTITY_VALUE)
+                + f"\nmatches paper: {self.matches_paper}")
 
 
 def run_fig5_6() -> Fig5_6Result:
@@ -145,15 +144,13 @@ class Fig8_13Result:
     skips: int
 
     def render(self) -> str:
-        lines = [
-            f"channel 1 stream: {' '.join(self.channel_streams[0])}",
-            f"channel 2 stream: {' '.join(self.channel_streams[1])}",
-            f"delivered: {' '.join(str(s) for s in self.delivered)}",
-            f"paper:     {' '.join(str(s) for s in PAPER_FIG8_13_DELIVERY)}",
-            f"channel skips: {self.skips}",
-            f"matches paper: {self.matches_paper}",
-        ]
-        return "\n".join(lines)
+        return render_rows([
+            ("channel 1 stream", " ".join(self.channel_streams[0])),
+            ("channel 2 stream", " ".join(self.channel_streams[1])),
+            ("delivered", " ".join(map(str, self.delivered))),
+            ("paper", " ".join(map(str, PAPER_FIG8_13_DELIVERY))),
+            ("channel skips", str(self.skips)),
+        ], QUANTITY_VALUE) + f"\nmatches paper: {self.matches_paper}"
 
 
 def run_fig8_13() -> Fig8_13Result:

@@ -11,9 +11,11 @@ from repro.analysis.metrics import (
 )
 from repro.analysis.reorder import analyze_order, fifo_after_index
 from repro.analysis.tables import (
+    QUANTITY_VALUE,
+    TABLE1_COLUMNS,
     extended_rows,
     paper_table1_rows,
-    render_table,
+    render_rows,
 )
 
 
@@ -158,7 +160,37 @@ class TestTable1:
         assert "MPPP (RFC 1717)" in names
 
     def test_render_aligned(self):
-        text = render_table(paper_table1_rows())
+        text = render_rows(paper_table1_rows(), TABLE1_COLUMNS)
         lines = text.splitlines()
         assert len(lines) == 7  # header + rule + 5 rows
         assert len({len(line) for line in lines}) <= 2  # aligned widths
+
+
+class TestRenderRows:
+    def test_layout(self):
+        rows = [("a", 1.5, None), ("bbb", 10.26, 3)]
+        columns = [("name", lambda r: r[0], ""), ("x", lambda r: r[1], ".1f"),
+                   ("n", lambda r: r[2], "")]
+        assert render_rows(rows, columns, title="t").splitlines() == [
+            "t",
+            "name     x  n",
+            "----  ----  -",
+            "a      1.5  -",
+            "bbb   10.3  3",
+        ]
+
+    def test_attribute_source_and_bools_left_aligned(self):
+        rows = [paper_table1_rows()[0]]
+        text = render_rows(rows, [("ok", lambda r: True, ""),
+                                  ("scheme", "scheme", "")])
+        assert text.splitlines()[2].startswith("True  Round-Robin")
+
+    def test_quantity_value_pairs(self):
+        text = render_rows([("k", "v"), ("key", "value")], QUANTITY_VALUE)
+        assert text.splitlines()[0] == "quantity  value"
+        assert text.splitlines()[3] == "key       value"
+
+    def test_no_rows_draws_headers(self):
+        assert render_rows([], QUANTITY_VALUE) == (
+            "quantity  value\n--------  -----"
+        )

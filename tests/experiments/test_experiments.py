@@ -45,6 +45,14 @@ class TestRegistry:
 
         assert main(["bogus"]) == 2
 
+    def test_unknown_name_rejected_before_anything_runs(self, capsys):
+        from repro.experiments.runner import main
+
+        assert main(["fig5_6", "bogus"]) == 2
+        out, err = capsys.readouterr()
+        assert "===" not in out
+        assert "unknown experiment: bogus" in err
+
 
 class TestLossRecoveryShape:
     def test_fifo_restored_up_to_80_percent(self):
@@ -70,9 +78,7 @@ class TestLossRecoveryShape:
 
 class TestReliabilityShape:
     def test_reliable_complete_where_best_effort_loses(self):
-        from repro.experiments.reliability import run_reliability
-
-        result = run_reliability(quick=True)
+        result = run_experiment("reliability", quick=True)
         reliable = [r for r in result.rows if r.mode == "reliable"]
         lossy_best_effort = [
             r for r in result.rows

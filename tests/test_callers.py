@@ -5,7 +5,9 @@ A function, method or class whose name appears nowhere but in its own
 working for no user.  The scan is by name, so it errs towards keeping:
 any name, attribute, import alias or identifier-shaped string constant
 anywhere in the source, test, example, benchmark or perfbench trees
-counts as a reference.
+counts as a reference, and so does the function of a
+``"module:function"`` string (how the experiment registry names what it
+runs).
 """
 
 import ast
@@ -16,6 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "examples", "benchmarks", "perfbench")
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+RUN_PATH = re.compile(r"[A-Za-z_][\w.]*:([A-Za-z_]\w*)\Z")
 
 #: definitions kept without a caller, by ``path:name``, each with a reason
 KEPT = {}
@@ -40,6 +43,10 @@ def _references_and_definitions():
                     node.value, str
                 ) and IDENTIFIER.match(node.value):
                     references[node.value] += 1
+                elif isinstance(node, ast.Constant) and isinstance(
+                    node.value, str
+                ) and RUN_PATH.match(node.value):
+                    references[RUN_PATH.match(node.value).group(1)] += 1
                 if tree == "src" and isinstance(
                     node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
                 ):
