@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction repo.
 
 .PHONY: install test bench experiments quick-experiments examples clean \
-	smoke lint-endpoints perf perf-ab frames quick-diff
+	smoke lint-endpoints perf perf-ab frames quick-diff unexecuted
 
 install:
 	pip install -e . || python setup.py develop
@@ -38,6 +38,15 @@ perf:
 #   make frames TOP=25     plus the 25 busiest functions under each shape
 frames:
 	PYTHONPATH=src python -m tests.frames $(if $(TOP),--top $(TOP))
+
+# What nothing the system runs ever enters: every experiment at --quick,
+# the six examples, the five frame shapes and perfbench at 0.02 scale run
+# under sys.setprofile, then every src/ function none of them entered is
+# listed.  Prints "N never entered, M allowlisted" and exits 1 on any
+# definition that is neither deleted nor on tests/unexecuted.py's ALLOWED
+# table (about two minutes).
+unexecuted:
+	PYTHONPATH=src python -m tests.unexecuted
 
 # A/B of one workload between two checkouts, the way the benchmark driver
 # measures a claim: PAIRS (10) pairs of driver-form runs on one seed,

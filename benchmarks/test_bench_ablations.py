@@ -16,7 +16,7 @@ from repro.core.resequencer import Resequencer
 from repro.core.srr import SRR, make_rr
 from repro.core.striper import ListPort, MarkerPolicy, Striper
 from repro.core.transform import TransformedLoadSharer, stripe_sequence
-from repro.workloads.generators import random_mix_packets
+from tests.conftest import random_mix_packets
 
 
 def quantum_sizing_ablation():

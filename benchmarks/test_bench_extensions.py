@@ -7,6 +7,7 @@
 """
 
 from repro.experiments.mtu_fragmentation import run_mtu_fragmentation
+from tests.conftest import row_where
 
 
 def test_bench_mtu_fragmentation(benchmark):
@@ -20,9 +21,9 @@ def test_bench_mtu_fragmentation(benchmark):
           "(Ethernet 1500 + ATM 9180, CPU-bound receiver)")
     print(result.render())
 
-    plain = result.row("plain strIPe (min MTU)")
-    frag = result.row("fragmenting strIPe (max MTU)")
-    atm = result.row("ATM alone, 9180 MTU")
+    plain = row_where(result.rows, label="plain strIPe (min MTU)")
+    frag = row_where(result.rows, label="fragmenting strIPe (max MTU)")
+    atm = row_where(result.rows, label="ATM alone, 9180 MTU")
 
     # The paper's point: clamped to the small MTU, the whole bundle can be
     # worth less than the big-MTU link alone -> "stripe similar MTUs".
@@ -111,8 +112,8 @@ def test_bench_cell_striping(benchmark):
     print("conclusion extension: cell vs packet striping over congested "
           "ATM VCs (the early-discard argument)")
     print(result.render())
-    epd = result.row("packet striping + EPD")
-    cells = result.row("cell striping")
+    epd = row_where(result.rows, mode="packet striping + EPD")
+    cells = row_where(result.rows, mode="cell striping")
     assert epd.goodput_mbps > 10.0
     assert cells.goodput_mbps < 2.0
     assert cells.damaged_fraction > 0.9

@@ -10,6 +10,7 @@ from repro.experiments.flow_control import run_flow_control
 from repro.experiments.loss_recovery import run_loss_recovery
 from repro.experiments.marker_frequency import run_marker_frequency
 from repro.experiments.marker_position import run_marker_position
+from tests.conftest import row_where
 
 
 def test_bench_sync_loss(benchmark):
@@ -67,8 +68,8 @@ def test_bench_credit_fc(benchmark):
     print()
     print("§6.3 finding 4: FCVC credit flow control")
     print(result.render())
-    without = result.row(False)
-    with_credits = result.row(True)
+    without = row_where(result.rows, use_credit=False)
+    with_credits = row_where(result.rows, use_credit=True)
     assert without.buffer_drops > 0
     assert with_credits.buffer_drops == 0
     # flow control also improves goodput (no wasted transmissions)

@@ -18,10 +18,9 @@ from repro.core.schemes import SeededRandomFQ
 from repro.core.srr import SRR, make_grr, make_rr
 from repro.core.transform import (
     TransformedLoadSharer,
-    bytes_per_channel,
     stripe_sequence,
 )
-from repro.workloads.generators import alternating_packets, random_mix_packets
+from tests.conftest import alternating_packets, bytes_per_channel, random_mix_packets
 
 
 def flows(packets, n_flows=8, seed=3):

@@ -31,6 +31,7 @@ from repro.experiments.sprinklers import (
     TRANSPORTS,
     run_sprinklers,
 )
+from tests.conftest import row_where
 
 GOODPUT_PARITY = 0.90
 MIN_JAIN = 0.95
@@ -49,8 +50,12 @@ def test_bench_sprinklers_full():
 def _check(result) -> None:
     assert {row.transport for row in result.head_to_head} == set(TRANSPORTS)
     for transport in STABLE_TRANSPORTS:
-        sprinklers = result.row(transport, "sprinklers")
-        srr = result.row(transport, "srr")
+        sprinklers = row_where(
+            result.head_to_head, transport=transport, discipline="sprinklers"
+        )
+        srr = row_where(
+            result.head_to_head, transport=transport, discipline="srr"
+        )
         assert sprinklers.out_of_order == 0, (
             f"{transport}: Sprinklers reordered on stable channels:\n"
             + result.render()
@@ -66,7 +71,9 @@ def _check(result) -> None:
         )
     # TCP: elastic channels — reorder is measured, not gated; but direct
     # reception must still hold zero receiver memory.
-    tcp = result.row("tcp", "sprinklers")
+    tcp = row_where(
+        result.head_to_head, transport="tcp", discipline="sprinklers"
+    )
     assert tcp.receiver_hwm == 0
 
     for row in result.chaos:

@@ -12,10 +12,9 @@ from repro.core.resequencer import Resequencer
 from repro.core.srr import SRR, make_rr
 from repro.core.transform import (
     TransformedLoadSharer,
-    bytes_per_channel,
     stripe_sequence,
 )
-from repro.workloads.generators import alternating_packets
+from tests.conftest import alternating_packets, bytes_per_channel
 
 
 def verify_table1_claims():

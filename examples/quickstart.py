@@ -24,6 +24,7 @@ from repro.core import (
     is_marker,
 )
 from repro.core.striper import ListPort
+from repro.sim import Tracer
 
 
 def main() -> None:
@@ -95,7 +96,8 @@ def main() -> None:
     print("  channel 2 carries:",
           " ".join("M" if is_marker(p) else str(p.seq) for p in channel2))
 
-    receiver = SRRReceiver(SRR(quanta=[100.0, 100.0]))
+    tracer = Tracer()
+    receiver = SRRReceiver(SRR(quanta=[100.0, 100.0]), tracer=tracer)
     order = []
     receiver.on_deliver = lambda p: order.append(p.seq)
     for i in range(max(len(channel1), len(channel2))):
@@ -106,6 +108,8 @@ def main() -> None:
 
     print(f"  delivered: {' '.join(str(s) for s in order)}")
     print(f"  channel skips during recovery: {receiver.stats.channel_skips}")
+    print(f"  traced: {tracer.count(kind='marker')} markers received, "
+          f"{tracer.count(kind='skip')} skips")
     print("  -> quasi-FIFO: misordered only between the loss and the marker,")
     print("     perfectly FIFO again from packet 13 on (Theorem 5.1)")
 

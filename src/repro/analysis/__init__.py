@@ -1,13 +1,6 @@
-"""Measurement and reporting: throughput, reordering, Table 1 generation."""
+"""Measurement and reporting: reordering, Table 1 generation."""
 
-from repro.analysis.metrics import (
-    DeliveryLog,
-    LatencyStats,
-    ThroughputWindow,
-    mbps,
-    percentile,
-)
-from repro.analysis.reorder import ReorderReport, analyze_order, fifo_after_index
+from repro.analysis.reorder import ReorderReport, analyze_order
 from repro.analysis.tables import (
     TableRow,
     extended_rows,
@@ -17,14 +10,8 @@ from repro.analysis.tables import (
 )
 
 __all__ = [
-    "mbps",
-    "ThroughputWindow",
-    "LatencyStats",
-    "percentile",
-    "DeliveryLog",
     "ReorderReport",
     "analyze_order",
-    "fifo_after_index",
     "TableRow",
     "row_for",
     "paper_table1_rows",

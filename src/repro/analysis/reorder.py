@@ -97,18 +97,3 @@ def analyze_order(
         duplicates=duplicates,
     )
 
-
-def fifo_after_index(delivered_seqs: Sequence[int]) -> int:
-    """The delivery index after which the stream is strictly increasing.
-
-    Used to verify Theorem 5.1 empirically: after recovery, everything is
-    FIFO — so this returns an index well before the tail of the run.
-    Returns 0 if the whole stream is already FIFO.
-    """
-    last_violation = 0
-    max_seen = -1
-    for index, seq in enumerate(delivered_seqs):
-        if seq < max_seen:
-            last_violation = index
-        max_seen = max(max_seen, seq)
-    return last_violation

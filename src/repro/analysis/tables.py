@@ -82,7 +82,7 @@ def paper_table1_rows() -> List[TableRow]:
 def extended_rows() -> List[TableRow]:
     """All schemes implemented in this library (paper rows + section 2.1)."""
     from repro.baselines.address_hash import AddressHashing
-    from repro.baselines.mppp import MpppSender
+    from repro.baselines.mppp import MpppDiscipline
     from repro.baselines.random_selection import RandomSelection
     from repro.baselines.sqf import ShortestQueueFirst
 
@@ -93,7 +93,7 @@ def extended_rows() -> List[TableRow]:
                     ShortestQueueFirst(2).capabilities),
             row_for("Random Selection", RandomSelection(2).capabilities),
             row_for("Address-based Hashing", AddressHashing(2).capabilities),
-            row_for("MPPP (RFC 1717)", MpppSender.capabilities),
+            row_for("MPPP (RFC 1717)", MpppDiscipline.capabilities),
         ]
     )
     return rows

@@ -3,7 +3,7 @@
 * :class:`ShortestQueueFirst` — Linux EQL driver policy.
 * :class:`RandomSelection` — Bay Networks random assignment.
 * :class:`AddressHashing` — per-destination pinning.
-* :class:`MpppSender` / :class:`MpppReceiver` — RFC 1717 Multilink PPP
+* :class:`MpppDiscipline` / :class:`MpppReceiver` — RFC 1717 Multilink PPP
   style sequence-numbered striping.
 * :class:`BondingMux` / :class:`BondingDemux` — BONDING-consortium style
   fixed-frame inverse multiplexing with bounded skew compensation.
@@ -20,7 +20,6 @@ from repro.baselines.mppp import (
     MpppDiscipline,
     MpppFragment,
     MpppReceiver,
-    MpppSender,
 )
 from repro.baselines.bonding import (
     BondingDemux,
@@ -35,7 +34,6 @@ __all__ = [
     "RandomSelection",
     "AddressHashing",
     "stable_hash",
-    "MpppSender",
     "MpppReceiver",
     "MpppFragment",
     "MpppDiscipline",

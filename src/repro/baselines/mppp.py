@@ -11,7 +11,7 @@ The costs this baseline quantifies against strIPe:
 
 * **Header overhead** — every data packet grows by ``header_bytes``; a
   packet already at the channel MTU cannot be carried at all (the paper's
-  key objection), surfaced here as :attr:`MpppSender.oversize_rejects`.
+  key objection).
 * **Guaranteed FIFO** — unlike quasi-FIFO, reordering never escapes the
   resequencer (gaps stall delivery until the timeout fires).
 """
@@ -51,67 +51,6 @@ class MpppFragment:
         return f"MpppFragment(#{self.sequence}, {self.size}B)"
 
 
-class MpppSender:
-    """Wraps packets with sequence numbers and stripes them.
-
-    Args:
-        sharer: any load-sharing policy (MPPP does not specify one; plain
-            RR is the conventional choice).
-        ports: channel ports.
-        channel_mtu: maximum packet size the channels accept; a packet that
-            no longer fits once the header is added is rejected (counted in
-            ``oversize_rejects``) — the situation the paper's
-            no-modification constraint exists to avoid.
-    """
-
-    capabilities = Capabilities(
-        fifo_delivery="guaranteed",
-        load_sharing="poor",
-        environment="Only if we can add headers (PPP links)",
-        modifies_packets=True,
-    )
-
-    def __init__(
-        self,
-        sharer: LoadSharer,
-        ports: List[Any],
-        channel_mtu: Optional[int] = None,
-        header_bytes: int = MPPP_HEADER_BYTES,
-    ) -> None:
-        if len(ports) != sharer.n_channels:
-            raise ValueError("port count must match the policy's channel count")
-        self.sharer = sharer
-        self.ports = ports
-        self.channel_mtu = channel_mtu
-        self.header_bytes = header_bytes
-        # Causal policies expose their scheduler kernel; stepping it
-        # directly skips the per-packet queue-depth materialization that
-        # only depth-sensitive baselines need.
-        self._kernel = getattr(sharer, "kernel", None)
-        self.next_sequence = 0
-        self.sent = 0
-        self.header_overhead_bytes = 0
-        self.oversize_rejects = 0
-
-    def submit(self, packet: Packet) -> bool:
-        """Send one packet; returns False if it no longer fits the MTU."""
-        wrapped = MpppFragment(self.next_sequence, packet, self.header_bytes)
-        if self.channel_mtu is not None and wrapped.size > self.channel_mtu:
-            self.oversize_rejects += 1
-            return False
-        if self._kernel is not None:
-            channel = self._kernel.peek()
-        else:
-            depths = [getattr(p, "queue_length", 0) for p in self.ports]
-            channel = self.sharer.choose(wrapped, depths)
-        self.ports[channel].send(wrapped)
-        self.sharer.notify_sent(channel, wrapped)
-        self.next_sequence += 1
-        self.sent += 1
-        self.header_overhead_bytes += self.header_bytes
-        return True
-
-
 class MpppDiscipline(LoadSharer):
     """MPPP as a pluggable endpoint discipline.
 
@@ -124,7 +63,12 @@ class MpppDiscipline(LoadSharer):
     pipeline this runs MPPP over any transport's channel ports.
     """
 
-    capabilities = MpppSender.capabilities
+    capabilities = Capabilities(
+        fifo_delivery="guaranteed",
+        load_sharing="poor",
+        environment="Only if we can add headers (PPP links)",
+        modifies_packets=True,
+    )
     simulatable = False
     #: receiver half the endpoint pipeline should build
     receiver_mode = "mppp"

@@ -19,7 +19,7 @@ Public surface:
   (reset and reconfiguration, section 5).
 
 Packets, the schedulers and kernels, the transformation, the striper and
-both receivers import with the package; DKS, the random schemes, the
+both receivers import with the package; the random scheme, the
 fairness report, Sprinklers and the session layer on first use.
 """
 
@@ -29,7 +29,6 @@ from repro.core.cfq import (
     Capabilities,
     CausalFQ,
     NonCausalFQ,
-    bits_per_queue,
     fq_service_order,
     fq_service_order_noncausal,
 )
@@ -50,7 +49,6 @@ from repro.core.kernel import (
 from repro.core.transform import (
     LoadSharer,
     TransformedLoadSharer,
-    bytes_per_channel,
     stripe_sequence,
     verify_reverse_correspondence,
 )
@@ -72,12 +70,10 @@ from repro.core.markers import (
 )
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    "dks": ("DKS", "DKSState"),
-    "schemes": ("SeededRandomFQ", "WeightedRandomFQ"),
+    "schemes": ("SeededRandomFQ",),
     "fairness": (
         "FairnessReport",
         "jain_fairness_index",
-        "max_pairwise_imbalance",
         "normalized_shares",
         "srr_fairness_report",
     ),
@@ -107,7 +103,6 @@ __all__ = [
     "NonCausalFQ",
     "fq_service_order",
     "fq_service_order_noncausal",
-    "bits_per_queue",
     "SRR",
     "SRRState",
     "SchedulerKernel",
@@ -115,17 +110,13 @@ __all__ = [
     "CFQKernelAdapter",
     "kernel_for",
     "DRR",
-    "DKS",
-    "DKSState",
     "make_rr",
     "make_grr",
     "grr_weights_for_bandwidths",
     "SeededRandomFQ",
-    "WeightedRandomFQ",
     "LoadSharer",
     "TransformedLoadSharer",
     "stripe_sequence",
-    "bytes_per_channel",
     "verify_reverse_correspondence",
     "Striper",
     "MarkerPolicy",
@@ -144,7 +135,6 @@ __all__ = [
     "ReceiverSnapshot",
     "FairnessReport",
     "srr_fairness_report",
-    "max_pairwise_imbalance",
     "jain_fairness_index",
     "normalized_shares",
     "SprinklersDiscipline",

@@ -195,17 +195,3 @@ def fq_service_order_noncausal(
         state = algorithm.update(state, queue_index, packet.size)
     return output
 
-
-def bits_per_queue(
-    algorithm: CausalFQ, queues: Sequence[Sequence[Packet]]
-) -> Tuple[List[int], List[Packet]]:
-    """Service the queues and return (bytes serviced per queue, order)."""
-    order = fq_service_order(algorithm, queues)
-    totals = [0] * algorithm.n_channels
-    id_to_queue = {}
-    for i, queue in enumerate(queues):
-        for packet in queue:
-            id_to_queue[packet.uid] = i
-    for packet in order:
-        totals[id_to_queue[packet.uid]] += packet.size
-    return totals, order

@@ -74,13 +74,6 @@ def srr_fairness_report(
     )
 
 
-def max_pairwise_imbalance(byte_counts: Sequence[int]) -> int:
-    """Largest difference in bytes between any two channels."""
-    if not byte_counts:
-        return 0
-    return max(byte_counts) - min(byte_counts)
-
-
 def jain_fairness_index(byte_counts: Sequence[float]) -> float:
     """Jain's fairness index: 1.0 = perfectly equal shares.
 

@@ -218,9 +218,6 @@ class FecCodec:
         """
         raise NotImplementedError
 
-    def stats(self) -> Dict[str, int]:
-        return {"encodes": self.encodes, "decodes": self.decodes}
-
 
 class GF256Codec(FecCodec):
     """Systematic ``k`` + ``m`` code over GF(256), scaled Cauchy generator.

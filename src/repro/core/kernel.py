@@ -48,11 +48,6 @@ class SchedulerKernel(abc.ABC):
     and session reset use.
     """
 
-    @property
-    @abc.abstractmethod
-    def n_channels(self) -> int:
-        """Number of channels the kernel schedules over."""
-
     @abc.abstractmethod
     def peek(self) -> int:
         """Channel the next packet will be assigned to (no state change)."""
@@ -258,10 +253,6 @@ class SRRKernel(SchedulerKernel):
     # ------------------------------------------------------------------ #
     # marker support (section 5): same semantics as SRR, off the live state
 
-    def implicit_number(self) -> Tuple[int, float]:
-        """The ``(R, D)`` implicit number of the next packet to be sent."""
-        return (self.round_number, self.dc[self.ptr])
-
     def next_numbers(self) -> List[Tuple[int, float]]:
         """Every channel's next implicit number ``(r, d)``, in one pass.
 
@@ -299,10 +290,6 @@ class CFQKernelAdapter(SchedulerKernel):
     def __init__(self, algorithm: CausalFQ, state: Any = None) -> None:
         self.algorithm = algorithm
         self.state = state if state is not None else algorithm.initial_state()
-
-    @property
-    def n_channels(self) -> int:
-        return self.algorithm.n_channels
 
     def peek(self) -> int:
         return self.algorithm.select(self.state)

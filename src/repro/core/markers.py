@@ -361,10 +361,6 @@ class SRRReceiver:
         """Packets buffered across channels (tracked incrementally, O(1))."""
         return self._buffered
 
-    def expected_channel(self) -> int:
-        """The channel the receiver is currently blocked on."""
-        return self.ptr
-
     def push(self, channel: int, packet: Any) -> List[Any]:
         """Physical arrival on ``channel``; returns packets delivered."""
         if not 0 <= channel < self._n:
@@ -800,16 +796,3 @@ class SRRReceiver:
         self.sync_round = [None] * self.n_channels
         self._last_marker = [None] * self.n_channels
         return self.drain()
-
-    # ------------------------------------------------------------------ #
-    # introspection for tests
-
-    def mirror_state(self) -> dict:
-        """Snapshot of the receiver's simulated sender state."""
-        return {
-            "ptr": self.ptr,
-            "G": self.round_number,
-            "dc": tuple(self.dc),
-            "pending": tuple(self.pending),
-            "sync_round": tuple(self.sync_round),
-        }

@@ -181,11 +181,6 @@ def is_marker(packet: Any) -> bool:
     return getattr(packet, "codepoint", Codepoint.DATA) == Codepoint.MARKER
 
 
-def is_parity(packet: Any) -> bool:
-    """True if ``packet`` is an FEC parity packet."""
-    return getattr(packet, "codepoint", Codepoint.DATA) == Codepoint.PARITY
-
-
 class PacketPool:
     """A free-list allocator for :class:`Packet` objects.
 
@@ -294,12 +289,3 @@ class PacketPool:
             self.released += 1
             self._free.append(packet)
             self._free_uids.add(packet.uid)
-
-    def stats(self) -> dict:
-        return {
-            "allocated": self.allocated,
-            "reused": self.reused,
-            "released": self.released,
-            "double_releases": self.double_releases,
-            "free": len(self._free),
-        }

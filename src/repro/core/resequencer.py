@@ -66,15 +66,6 @@ class Resequencer:
         #: were skipped over (assumed lost) to keep delivery progressing
         self.assumed_lost = 0
 
-    @property
-    def state(self) -> Any:
-        """Snapshot of the simulated sender state (compatibility view)."""
-        return self.kernel.snapshot()
-
-    @state.setter
-    def state(self, value: Any) -> None:
-        self.kernel.restore(value)
-
     def snapshot(self) -> Any:
         """Plain-value capture: the simulated sender state and what each
         channel buffers."""
@@ -115,10 +106,6 @@ class Resequencer:
         so the per-push high-water check stays cheap at large N.
         """
         return self._buffered
-
-    def expected_channel(self) -> int:
-        """The channel the next in-order packet will arrive on."""
-        return self.kernel.peek()
 
     def push(self, channel: int, packet: Any) -> List[Any]:
         """Physical arrival of ``packet`` on ``channel``.
@@ -217,10 +204,6 @@ class NullResequencer:
         self.max_buffered = 0
 
     @property
-    def n_channels(self) -> int:
-        return self._n
-
-    @property
     def buffered(self) -> int:
         return 0
 
@@ -233,9 +216,6 @@ class NullResequencer:
         if self.on_deliver is not None:
             self.on_deliver(packet)
         return [packet]
-
-    def drain(self) -> List[Any]:
-        return []
 
     def fail_channel(self, channel: int) -> List[Any]:
         """Physical-order delivery never blocks; nothing to do."""

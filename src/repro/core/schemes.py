@@ -1,26 +1,20 @@
-"""Additional CFQ algorithms beyond the SRR family.
+"""A randomized CFQ algorithm beyond the SRR family.
 
 The transformation theorem (3.1) applies to *any* causal FQ algorithm,
-deterministic or randomized.  This module provides:
-
-* :class:`SeededRandomFQ` — the paper's RFQ example: a randomized scheme
-  that picks a uniformly random queue per packet.  Seeding the PRNG and
-  putting its state *into* the CFQ state makes the scheme causal — a
-  receiver sharing the seed can simulate the sender exactly, so even a
-  randomized striper gets logical reception.
-* :class:`WeightedRandomFQ` — RFQ biased by channel weights (expected
-  byte share proportional to weight only if packet sizes are i.i.d.;
-  included as a contrast case for fairness tests).
-
-Both keep the ``(s0, f, g)`` discipline: ``select`` derives the choice from
-the PRNG state without advancing it, ``update`` advances it.
+deterministic or randomized.  :class:`SeededRandomFQ` is the paper's RFQ
+example: a randomized scheme that picks a uniformly random queue per
+packet.  Seeding the PRNG and putting its state *into* the CFQ state makes
+the scheme causal — a receiver sharing the seed can simulate the sender
+exactly, so even a randomized striper gets logical reception.  It keeps
+the ``(s0, f, g)`` discipline: ``select`` derives the choice from the PRNG
+state without advancing it, ``update`` advances it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Sequence, Tuple
+from typing import Any, Tuple
 
 from repro.core.cfq import Capabilities, CausalFQ
 
@@ -72,50 +66,4 @@ class SeededRandomFQ(CausalFQ):
 
     def update(self, state: RandomFQState, size: int) -> RandomFQState:
         _, new_state = _draw(state.rng_state, self._n)
-        return RandomFQState(new_state)
-
-
-class WeightedRandomFQ(CausalFQ):
-    """Random selection with per-channel weights (probability ∝ weight)."""
-
-    capabilities = Capabilities(
-        fifo_delivery="quasi",
-        load_sharing="good",
-        environment="At all levels (requires shared seed)",
-    )
-
-    def __init__(self, weights: Sequence[float], seed: int = 0) -> None:
-        if not weights or any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
-        self.weights = tuple(float(w) for w in weights)
-        self.seed = seed
-        total = sum(self.weights)
-        self._cumulative = []
-        acc = 0.0
-        for w in self.weights:
-            acc += w / total
-            self._cumulative.append(acc)
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.weights)
-
-    def initial_state(self) -> RandomFQState:
-        return RandomFQState(random.Random(self.seed).getstate())
-
-    def _pick(self, rng_state: Tuple[Any, ...]) -> Tuple[int, Tuple[Any, ...]]:
-        rng = random.Random()
-        rng.setstate(rng_state)
-        u = rng.random()
-        for i, edge in enumerate(self._cumulative):
-            if u < edge:
-                return i, rng.getstate()
-        return len(self.weights) - 1, rng.getstate()
-
-    def select(self, state: RandomFQState) -> int:
-        value, _ = self._pick(state.rng_state)
-        return value
-
-    def update(self, state: RandomFQState, size: int) -> RandomFQState:
-        _, new_state = self._pick(state.rng_state)
         return RandomFQState(new_state)

@@ -250,10 +250,6 @@ class SprinklersDiscipline(LoadSharer):
 
     # ------------------------------------------------------------------ #
 
-    def stripe_of(self, flow: Any) -> List[int]:
-        """The channel set currently striping ``flow`` (introspection)."""
-        return list(self._stripe(flow).channels)
-
     def _stripe_channels(self, flow: Any, k: int) -> List[int]:
         """Hash-placed member channels for a width-``k`` stripe.
 

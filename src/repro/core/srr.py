@@ -49,10 +49,6 @@ class SRRState:
     round_number: int
     dc: Tuple[float, ...]
 
-    def implicit_number(self) -> Tuple[int, float]:
-        """The ``(R, D)`` implicit number of the next packet to be sent."""
-        return (self.round_number, self.dc[self.ptr])
-
 
 class SRR(CausalFQ):
     """Surplus Round Robin over ``n`` channels.

@@ -89,15 +89,6 @@ class ChannelProber:
         session.on_reset_complete = self._on_reset_complete
         self._sync()
 
-    @property
-    def probing_channels(self) -> List[int]:
-        """Original port indices currently under probe, sorted."""
-        return sorted(self._probing)
-
-    def hold_down(self, channel: int) -> float:
-        """Current flap-damped rejoin hold-down of ``channel``."""
-        return self._hold_down.get(channel, self.min_hold_down)
-
     # ------------------------------------------------------------------ #
 
     def _on_reset_complete(self, epoch: int) -> None:

@@ -38,7 +38,7 @@ from typing import (
 )
 
 from repro.core.kernel import SRRKernel
-from repro.core.packet import MarkerPacket, Packet
+from repro.core.packet import MarkerPacket
 from repro.core.transform import LoadSharer, TransformedLoadSharer
 from repro.sim.trace import NULL_TRACER, Tracer
 
@@ -194,18 +194,6 @@ class Striper:
     def backlog(self) -> int:
         """Packets waiting in the striper's input queue."""
         return len(self.input_queue)
-
-    def can_send_now(self) -> bool:
-        """True if the next packet's designated channel has queue space."""
-        if not self.input_queue:
-            return False
-        if self._kernel is not None:
-            channel = self._kernel.ptr
-        else:
-            channel = self.sharer.choose(
-                self.input_queue[0], [p.queue_length for p in self.ports]
-            )
-        return self.ports[channel].can_accept()
 
     def pump(self) -> int:
         """Send as many queued packets as backpressure allows.
@@ -371,6 +359,3 @@ class ListPort:
     @property
     def queue_length(self) -> int:
         return len(self.sent)
-
-    def data_packets(self) -> List[Packet]:
-        return [p for p in self.sent if isinstance(p, Packet)]

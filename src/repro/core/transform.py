@@ -193,11 +193,6 @@ def stripe_sequence(
     return channels
 
 
-def bytes_per_channel(channels: Sequence[Sequence[Packet]]) -> List[int]:
-    """Total bytes assigned to each channel."""
-    return [sum(p.size for p in channel) for channel in channels]
-
-
 def verify_reverse_correspondence(
     algorithm: CausalFQ, packets: Sequence[Packet]
 ) -> bool:

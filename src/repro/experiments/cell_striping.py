@@ -73,9 +73,6 @@ class CellStripingRow:
 class CellStripingResult:
     rows: List[CellStripingRow]
 
-    def row(self, mode: str) -> CellStripingRow:
-        return next(r for r in self.rows if r.mode == mode)
-
     def render(self) -> str:
         return render_rows(self.rows, [
             ("mode", "mode", ""), ("offered", "offered_packets", ""),

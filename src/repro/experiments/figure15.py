@@ -100,7 +100,10 @@ class Figure15Result:
                 y_label="Mbps",
                 x_label="ATM PVC capacity (Mbps)",
             )
-        return text
+        problems = check_figure15_shape(self)
+        return text + "\n\nmatches paper: " + (
+            "; ".join(problems) if problems else "True"
+        )
 
 
 def run_figure15(

@@ -46,9 +46,6 @@ class FlowControlRow:
 class FlowControlResult:
     rows: List[FlowControlRow]
 
-    def row(self, use_credit: bool) -> FlowControlRow:
-        return next(r for r in self.rows if r.use_credit == use_credit)
-
     def render(self) -> str:
         return render_rows(self.rows, [
             ("config", "label", ""), ("sent", "sent", ""),

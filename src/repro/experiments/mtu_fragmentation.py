@@ -49,9 +49,6 @@ class MtuRow:
 class MtuFragmentationResult:
     rows: List[MtuRow]
 
-    def row(self, label: str) -> MtuRow:
-        return next(r for r in self.rows if r.label == label)
-
     def render(self) -> str:
         return render_rows(self.rows, [
             ("configuration", "label", ""), ("MTU", "mtu", ""),

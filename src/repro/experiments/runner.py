@@ -98,7 +98,7 @@ EXPERIMENTS: Dict[str, Experiment] = {e.name: e for e in [
                "Randomized fault schedules vs the channel lifecycle stack: "
                "degraded-mode throughput and recovery latency",
                "repro.experiments.chaos:run_chaos",
-               dict(seeds=3, total_s=1.8)),
+               dict(seeds=7, total_s=1.8)),
     Experiment("reliability", "Section 7 (extension)",
                "Best-effort vs selective-repeat ARQ under persistent loss: "
                "completeness, ordering, and retransmission cost",

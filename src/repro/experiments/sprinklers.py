@@ -117,12 +117,6 @@ class SprinklersResult:
     chaos: List[ChaosRow] = field(default_factory=list)
     scale: List[ScaleRow] = field(default_factory=list)
 
-    def row(self, transport: str, discipline: str) -> HeadToHeadRow:
-        for row in self.head_to_head:
-            if row.transport == transport and row.discipline == discipline:
-                return row
-        raise KeyError((transport, discipline))
-
     def render(self) -> str:
         return "\n\n".join([
             render_rows(self.head_to_head, [

@@ -78,21 +78,6 @@ class MACAddress:
             raise ValueError(f"MAC address out of range: {self.value}")
 
     @classmethod
-    def parse(cls, text: Union[str, "MACAddress"]) -> "MACAddress":
-        if isinstance(text, MACAddress):
-            return text
-        parts = text.split(":")
-        if len(parts) != 6:
-            raise ValueError(f"invalid MAC address {text!r}")
-        value = 0
-        for part in parts:
-            octet = int(part, 16)
-            if not 0 <= octet <= 255:
-                raise ValueError(f"invalid MAC octet {part!r}")
-            value = (value << 8) | octet
-        return cls(value)
-
-    @classmethod
     def broadcast(cls) -> "MACAddress":
         return cls(cls.BROADCAST_VALUE)
 

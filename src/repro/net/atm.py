@@ -68,14 +68,6 @@ class AtmInterface(NetworkInterface):
         super().__init__(sim, name, ip_address, mtu)
         self.cells_sent = 0
 
-    def set_rate(self, bandwidth_bps: float) -> None:
-        """Change the PVC line rate — the hardware knob of Figure 15."""
-        if self.channel_out is None:
-            raise RuntimeError("interface not attached to a channel")
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        self.channel_out.bandwidth_bps = bandwidth_bps
-
     def encapsulate(
         self, payload: Any, codepoint: str, next_hop: Optional[IPAddress]
     ) -> Optional[Frame]:

@@ -67,9 +67,6 @@ class RoutingTable:
         """Host-specific (/32) route — the strIPe override mechanism."""
         return self.add(host, 32, interface)
 
-    def remove(self, route: Route) -> None:
-        self._routes.remove(route)
-
     def lookup(self, dst: str | IPAddress) -> Optional[Route]:
         """Longest-prefix match; among equal prefixes the lowest metric wins."""
         address = IPAddress.parse(dst)

@@ -190,13 +190,6 @@ class StripeInterface(NetworkInterface):
         self.striper.submit(packet)
         return True
 
-    def can_accept(self) -> bool:
-        return self.striper.backlog < self.input_queue_limit
-
-    @property
-    def queue_length(self) -> int:
-        return self.striper.backlog
-
     def _on_member_space(self) -> None:
         self.striper.pump()
 

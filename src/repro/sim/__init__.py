@@ -5,12 +5,11 @@ runs over: an event-driven clock (:mod:`repro.sim.engine`), FIFO channels
 with bandwidth / propagation delay / skew / loss (:mod:`repro.sim.channel`),
 loss and corruption models (:mod:`repro.sim.loss`), timed adversarial
 fault injection (:mod:`repro.sim.faults`), a host CPU model with
-interrupt costs (:mod:`repro.sim.host`), seeded randomness
-(:mod:`repro.sim.random`), and structured event tracing
+interrupt costs (:mod:`repro.sim.host`), and structured event tracing
 (:mod:`repro.sim.trace`).
 
 The engine, channels, loss models and tracer import with the package;
-fault injection, the host model and the random streams on first use.
+fault injection and the host model on first use.
 
 The paper's testbed was a pair of NetBSD workstations joined by an Ethernet
 and an ATM PVC; this package is the substitute substrate (see DESIGN.md
@@ -39,7 +38,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "InstalledFaults",
     ),
     "host": ("HostCPU", "NicQueue"),
-    "random": ("RandomStreams",),
 })
 
 __all__ = [
@@ -60,7 +58,6 @@ __all__ = [
     "CorruptionModel",
     "HostCPU",
     "NicQueue",
-    "RandomStreams",
     "Tracer",
     "TraceEvent",
 ]

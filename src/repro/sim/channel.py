@@ -61,12 +61,6 @@ class ChannelStats:
     queue_drops: int = 0
     busy_time: float = 0.0
 
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` the transmitter spent sending."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)
-
 
 class Channel:
     """A FIFO channel between one sender and one receiver.
@@ -150,15 +144,6 @@ class Channel:
         """Packets waiting in the transmit queue (not counting in-flight)."""
         return len(self._queue)
 
-    @property
-    def queued_bytes(self) -> int:
-        return sum(size for _, size in self._queue)
-
-    @property
-    def in_flight(self) -> int:
-        """Packets serialized but not yet delivered (burst-mode train)."""
-        return len(self._train)
-
     def can_accept(self) -> bool:
         """True if :meth:`send` would enqueue rather than drop."""
         if self.queue_limit is None:
@@ -190,11 +175,6 @@ class Channel:
         if not self._transmitting:
             self._kick()
         return True
-
-    @property
-    def paused(self) -> bool:
-        """True while the transmitter is administratively paused."""
-        return self._paused
 
     def pause(self) -> None:
         """Freeze the transmitter (a link outage that loses nothing).

@@ -68,20 +68,6 @@ class Event:
         self._entry = entry
         self._sim = sim
 
-    @property
-    def time(self) -> float:
-        """Absolute simulated time the callback fires at."""
-        return self._entry[_TIME]
-
-    @property
-    def seq(self) -> int:
-        """Insertion-order tiebreaker."""
-        return self._entry[_SEQ]
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[_CALLBACK] is None
-
     def cancel(self) -> None:
         """Prevent this event's callback from running."""
         entry = self._entry
@@ -89,9 +75,6 @@ class Event:
             entry[_CALLBACK] = None
             entry[_ARGS] = ()
             self._sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         entry = self._entry
@@ -129,16 +112,6 @@ class Simulator:
     def events_processed(self) -> int:
         """Total number of events executed so far."""
         return self._events_processed
-
-    @property
-    def pending(self) -> int:
-        """Number of events still in the heap (including cancelled ones)."""
-        return len(self._heap)
-
-    @property
-    def cancelled_pending(self) -> int:
-        """Cancelled events still occupying heap slots (pre-compaction)."""
-        return self._cancelled
 
     # ------------------------------------------------------------------ #
     # scheduling
@@ -195,7 +168,7 @@ class Simulator:
     def _compact(self) -> None:
         """Drop cancelled entries and rebuild the heap in one pass.
 
-        Compacts *in place* (same list object): ``run``/``step`` hold a
+        Compacts *in place* (same list object): ``run`` holds a
         local alias to the heap while executing callbacks, and a callback
         may trigger compaction via :meth:`Event.cancel`.
         """
@@ -243,25 +216,10 @@ class Simulator:
             self.now = until
         return processed
 
-    def step(self, until: Optional[float] = None) -> bool:
-        """Process exactly one event.  Returns False if none are eligible.
-
-        Honors the same contracts as :meth:`run`: re-entrant calls raise
-        :class:`SimulationError`, and with ``until`` set the event is only
-        processed if it fires at or before the horizon — otherwise the
-        clock advances to ``until`` and False is returned (mirroring
-        ``run(until=...)``'s clock semantics).
-        """
-        if self._execute(until, 1, False):
-            return True
-        if until is not None and self.now < until:
-            self.now = until
-        return False
-
     def _execute(
         self, until: Optional[float], max_events: Optional[int], batch: bool
     ) -> int:
-        """The loop behind :meth:`run` and :meth:`step`; leaves the clock
+        """The loop behind :meth:`run`; leaves the clock
         at the last event run."""
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -321,11 +279,3 @@ class Simulator:
             self._running = False
             self._events_processed += processed
         return processed
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next non-cancelled event, or None if heap is empty."""
-        heap = self._heap
-        while heap and heap[0][_CALLBACK] is None:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        return heap[0][_TIME] if heap else None

@@ -161,9 +161,6 @@ class _FaultLoss(LossModel):
             return True
         return self.inner.should_drop(packet_index, size)
 
-    def reset(self) -> None:
-        self.inner.reset()
-
 
 def _burst_model_for(
     magnitude: float, rng: random.Random
@@ -499,9 +496,6 @@ class FaultSchedule:
 
     def kinds_used(self) -> Tuple[str, ...]:
         return tuple(sorted({e.kind for e in self.events}))
-
-    def for_channel(self, channel: int) -> List[FaultEvent]:
-        return [e for e in self.events if e.channel == channel]
 
     def install(
         self,

@@ -61,30 +61,6 @@ class NicQueue:
             self.cpu._post_interrupt(self)
         return True
 
-    def enqueue_many(self, packets: List[Any]) -> int:
-        """Burst arrival from the wire: one interrupt for the whole batch.
-
-        This is the receive-side counterpart of the channel's burst
-        transmit path — a back-to-back train landing on an idle NIC is
-        exactly the "multiple packets received in a single interrupt
-        routine" coalescing of section 6.2.  Returns the number accepted;
-        overflow beyond the ring limit is dropped per packet.
-        """
-        accepted = 0
-        queue = self.queue
-        limit = self.queue_limit
-        for packet in packets:
-            if limit is not None and len(queue) >= limit:
-                self.drops += 1
-                continue
-            queue.append(packet)
-            accepted += 1
-        if accepted and not self.interrupt_pending:
-            self.interrupt_pending = True
-            self.interrupts += 1
-            self.cpu._post_interrupt(self)
-        return accepted
-
 
 class HostCPU:
     """A single CPU servicing NIC interrupts.

@@ -30,9 +30,6 @@ class LossModel(abc.ABC):
     def should_drop(self, packet_index: int, size: int) -> bool:
         """Return True if the ``packet_index``-th packet on this channel is lost."""
 
-    def reset(self) -> None:
-        """Restore the model to its initial state (default: no-op)."""
-
 
 class NoLoss(LossModel):
     """A perfectly reliable channel."""
@@ -49,18 +46,9 @@ class BernoulliLoss(LossModel):
             raise ValueError(f"loss probability must be in [0, 1], got {p}")
         self.p = p
         self.rng = rng if rng is not None else random.Random(0)
-        self._initial_rng_state = self.rng.getstate()
 
     def should_drop(self, packet_index: int, size: int) -> bool:
         return self.rng.random() < self.p
-
-    def reset(self) -> None:
-        """Rewind the RNG to its construction-time state.
-
-        Makes reruns reproducible: the same packet stream offered after a
-        reset sees the identical drop pattern.
-        """
-        self.rng.setstate(self._initial_rng_state)
 
 
 class GilbertElliottLoss(LossModel):
@@ -92,12 +80,7 @@ class GilbertElliottLoss(LossModel):
         self.p_bad = p_bad
         self.p_good = p_good
         self.rng = rng if rng is not None else random.Random(0)
-        self._initial_rng_state = self.rng.getstate()
         self._bad = False
-
-    @property
-    def in_bad_state(self) -> bool:
-        return self._bad
 
     def should_drop(self, packet_index: int, size: int) -> bool:
         if self._bad:
@@ -108,19 +91,6 @@ class GilbertElliottLoss(LossModel):
                 self._bad = True
         p = self.p_bad if self._bad else self.p_good
         return self.rng.random() < p
-
-    def reset(self) -> None:
-        """Return to the good state and rewind the RNG (reproducible reruns)."""
-        self._bad = False
-        self.rng.setstate(self._initial_rng_state)
-
-    def steady_state_loss_rate(self) -> float:
-        """Long-run average loss probability of the model."""
-        denom = self.p_g2b + self.p_b2g
-        if denom == 0:
-            return self.p_good
-        pi_bad = self.p_g2b / denom
-        return pi_bad * self.p_bad + (1 - pi_bad) * self.p_good
 
 
 class DeterministicLoss(LossModel):
@@ -158,10 +128,6 @@ class SizeGatedLoss(LossModel):
         index = self._gated_index
         self._gated_index += 1
         return self.inner.should_drop(index, size)
-
-    def reset(self) -> None:
-        self._gated_index = 0
-        self.inner.reset()
 
 
 class CorruptionModel:

@@ -58,10 +58,6 @@ class Tracer:
     def count(self, kind: Optional[str] = None, source: Optional[str] = None) -> int:
         return sum(1 for _ in self.filter(kind, source))
 
-    def clear(self) -> None:
-        self.events.clear()
-        self.dropped = 0
-
 
 class NullTracer(Tracer):
     """A tracer that can never record anything.

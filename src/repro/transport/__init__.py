@@ -75,7 +75,6 @@ from repro.transport.fast_path import (
 from repro.transport.fabric import (
     FabricScheduler,
     FlowTable,
-    logarithmic_tenant_weights,
 )
 
 __getattr__, __dir__ = lazy_exports(globals(), {
@@ -130,7 +129,6 @@ __all__ = [
     "connect_duplex",
     "FlowTable",
     "FabricScheduler",
-    "logarithmic_tenant_weights",
     "TcpChannelPort",
     "tcp_ports",
     "bind_tcp_receiver",

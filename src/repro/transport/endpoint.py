@@ -139,15 +139,6 @@ class FastStriper(Striper):
         #: pump calls that found the pointer port full and sent nothing
         self.blocked_pumps = 0
 
-    def stats(self) -> Dict[str, int]:
-        """Cheap perf counters for the batched pump."""
-        return {
-            "batched_pumps": self.batched_pumps,
-            "batched_packets": self.batched_packets,
-            "fallback_pumps": self.fallback_pumps,
-            "blocked_pumps": self.blocked_pumps,
-        }
-
     def pump(self) -> int:
         if self.held:
             return 0
@@ -707,7 +698,7 @@ class StripeSenderPipeline:
                 return False
             return self.fabric.can_submit(flow_id)
         reliable = self.reliable
-        # reliable.can_submit(), without its frame: sources poll this
+        # the ARQ window has room (inlined: sources poll this per packet)
         return reliable is None or (
             not reliable._overflow
             and len(reliable.unacked) < reliable.window_packets

@@ -23,8 +23,7 @@ map: weighted fair packet scheduling gives each class a bandwidth share
 proportional to its weight with a bounded per-visit deviation (the NoC
 fair-packet-scheduling line of work), and logarithmic weight scaling keeps
 a heavy tenant from starving light ones as its population grows (the
-stochastic analysis of resource sharing with logarithmic weights) —
-:func:`logarithmic_tenant_weights` implements that policy.
+stochastic analysis of resource sharing with logarithmic weights).
 
 Backpressure is strictly per flow: each flow owns a bounded queue, and
 :meth:`FabricScheduler.can_submit` goes False only for the flow whose
@@ -58,24 +57,6 @@ from typing import (
 )
 
 
-def logarithmic_tenant_weights(
-    populations: Mapping[Any, int], base: float = 2.0
-) -> Dict[Any, float]:
-    """Tenant weights growing logarithmically with tenant population.
-
-    ``weight(t) = 1 + log_base(1 + n_t)``: a tenant with more flows gets a
-    larger aggregate share, but sublinearly, so small tenants keep a
-    usable floor — the regime the logarithmic-weights resource-sharing
-    analysis shows is stable (see PAPERS.md).
-    """
-    if base <= 1.0:
-        raise ValueError("base must be > 1")
-    return {
-        tenant: 1.0 + math.log(1 + max(0, int(count))) / math.log(base)
-        for tenant, count in populations.items()
-    }
-
-
 class FlowState:
     """Per-flow scheduling state and statistics (one row of the table)."""
 
@@ -104,10 +85,6 @@ class FlowState:
         self.serviced_bytes = 0
         #: submissions refused because the flow's bounded queue was full
         self.refusals = 0
-
-    @property
-    def backlog(self) -> int:
-        return len(self.queue)
 
     def __repr__(self) -> str:
         return (
@@ -179,12 +156,6 @@ class FlowTable:
     def __iter__(self) -> Iterator[FlowState]:
         return iter(self._flows.values())
 
-    def remove(self, flow_id: Any) -> FlowState:
-        """Drop a flow (its queued packets are discarded with it)."""
-        flow = self._flows.pop(flow_id)
-        flow.active = False
-        return flow
-
     def snapshot(self) -> List[List[Any]]:
         """Plain-value capture of the registry: each flow's id, tenant,
         weight and queued packets.  Scheduling state is the scheduler's
@@ -203,15 +174,6 @@ class FlowTable:
                 flow = self.register(flow_id, weight=weight, tenant=tenant)
             flow.queue.clear()
             flow.queue.extend(queue)
-
-    def tenant_totals(self) -> Dict[Any, int]:
-        """Serviced bytes aggregated per tenant (weighted-share audits)."""
-        totals: Dict[Any, int] = {}
-        for flow in self._flows.values():
-            totals[flow.tenant] = (
-                totals.get(flow.tenant, 0) + flow.serviced_bytes
-            )
-        return totals
 
 
 @dataclass
@@ -306,9 +268,6 @@ class FabricScheduler:
         self._downstream_many = downstream_many
         self._ready = ready
 
-    def register(self, flow_id: Any, **kwargs: Any) -> FlowState:
-        return self.table.register(flow_id, **kwargs)
-
     # ------------------------------------------------------------------ #
     # submission side
 
@@ -355,11 +314,6 @@ class FabricScheduler:
             self._active.append(flow)
         self.pump()
         return True
-
-    @property
-    def backlog(self) -> int:
-        """Packets waiting in per-flow queues (not yet handed downstream)."""
-        return sum(len(flow.queue) for flow in self._active)
 
     # ------------------------------------------------------------------ #
     # the weighted-DRR drain
@@ -482,5 +436,4 @@ __all__ = [
     "FabricStats",
     "FlowState",
     "FlowTable",
-    "logarithmic_tenant_weights",
 ]

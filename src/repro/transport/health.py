@@ -169,13 +169,6 @@ class ChannelLifecycleManager(ChannelFailureDetector):
         self._hold_down = [self.min_down_time] * n_channels
         self._revived_at = [float("-inf")] * n_channels
 
-    def channel_state(self, channel: int) -> str:
-        return self.state[channel]
-
-    def hold_down(self, channel: int) -> float:
-        """Current flap-damped hold-down of ``channel``, in seconds."""
-        return self._hold_down[channel]
-
     # -- failure path -------------------------------------------------- #
 
     def _note_failure(self, channel: int) -> None:

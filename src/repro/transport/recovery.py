@@ -78,9 +78,7 @@ __all__ = [
     "checksum",
     "decode_checkpoint",
     "encode_checkpoint",
-    "receiver_from_bytes",
     "receiver_to_bytes",
-    "sender_from_bytes",
     "sender_to_bytes",
 ]
 
@@ -459,25 +457,11 @@ def sender_to_bytes(pipeline: Any, *, peer_epoch: int = 0) -> bytes:
     )
 
 
-def sender_from_bytes(pipeline: Any, blob: bytes) -> Dict[str, Any]:
-    """Restore a freshly constructed sender pipeline from a checkpoint."""
-    tree = decode_checkpoint(blob)
-    _install("sender", _sender_parts(pipeline), tree)
-    return tree
-
-
 def receiver_to_bytes(pipeline: Any, *, sender_epoch: int = 0) -> bytes:
     """Serialize a :class:`StripeReceiverPipeline`'s composed state."""
     return encode_checkpoint(
         _capture("receiver", _receiver_parts(pipeline), sender_epoch)
     )
-
-
-def receiver_from_bytes(pipeline: Any, blob: bytes) -> Dict[str, Any]:
-    """Restore a freshly constructed receiver pipeline from a checkpoint."""
-    tree = decode_checkpoint(blob)
-    _install("receiver", _receiver_parts(pipeline), tree)
-    return tree
 
 
 # --------------------------------------------------------------------- #

@@ -316,19 +316,11 @@ class ReliableSender:
     # ------------------------------------------------------------------ #
     # submit path (backpressure)
 
-    def can_submit(self) -> bool:
-        """True while the retransmission window has room for a submit."""
-        return not self._overflow and len(self.unacked) < self.window_packets
-
     def window_room(self) -> int:
         """Submits the window can take before one would be parked."""
         if self._overflow:
             return 0
         return self.window_packets - len(self.unacked)
-
-    @property
-    def in_flight(self) -> int:
-        return len(self.unacked)
 
     @property
     def backlog(self) -> int:

@@ -10,12 +10,7 @@ from repro.workloads.generators import (
     ConstantSizes,
     PacedSource,
     RandomMixSizes,
-    UniformSizes,
-    alternating_packets,
-    backlogged_packets,
     cbr_intervals,
-    poisson_intervals,
-    random_mix_packets,
 )
 
 __getattr__, __dir__ = lazy_exports(globals(), {
@@ -25,7 +20,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "VideoChunk",
         "VideoFrame",
         "VideoTrace",
-        "perceptibly_different",
         "synthesize_nv_trace",
     ),
 })
@@ -33,14 +27,9 @@ __getattr__, __dir__ = lazy_exports(globals(), {
 __all__ = [
     "RandomMixSizes",
     "AlternatingSizes",
-    "UniformSizes",
     "ConstantSizes",
-    "backlogged_packets",
-    "random_mix_packets",
-    "alternating_packets",
     "PacedSource",
     "ClosedLoopSource",
-    "poisson_intervals",
     "cbr_intervals",
     "VideoTrace",
     "VideoFrame",
@@ -48,5 +37,4 @@ __all__ = [
     "synthesize_nv_trace",
     "PlaybackModel",
     "PlaybackReport",
-    "perceptibly_different",
 ]

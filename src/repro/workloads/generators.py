@@ -3,12 +3,11 @@
 The paper's workloads:
 
 * "a random mixture of small and large packets" (Figure 15's TCP driver) —
-  :class:`RandomMixSizes` / :func:`random_mix_packets`.
+  :class:`RandomMixSizes`.
 * "packets were sent in deterministic fashion, with the bigger (1000
   bytes) packets alternating with the smaller (200 bytes) ones" (the GRR
   worst case) — :class:`AlternatingSizes`.
-* backlogged senders for the fairness analysis — :func:`backlogged_packets`.
-* Poisson / CBR arrival processes for the event-driven experiments.
+* CBR arrival processes for the event-driven experiments.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import random
 from bisect import bisect
 from itertools import accumulate
 from math import inf, isfinite
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.packet import Packet
 from repro.sim.engine import Simulator
@@ -31,15 +30,16 @@ class RandomMixSizes:
     an unweighted one exactly what ``rng.choice(sizes)`` would
     (``getrandbits`` until below the count), so a seed yields the same size
     sequence; both draw in this object's own frame, with the tables built
-    once here rather than once per draw.  ``sizes`` and ``weights`` are
-    read-only tuples so the tables cannot go stale; ``rng`` may be
-    reassigned.
+    once here rather than once per draw.  ``rng`` may be reassigned; no
+    other attribute can be set, so the tables cannot go stale.
 
     Raises:
         ValueError: empty or non-positive ``sizes``; ``weights`` of another
             length than ``sizes``, with a negative or non-finite entry, or
             summing to zero.
     """
+
+    __slots__ = ("_sizes", "_weights", "rng", "_bits", "_cum", "_total", "_hi")
 
     def __init__(
         self,
@@ -70,14 +70,6 @@ class RandomMixSizes:
                 raise ValueError("total of weights must be greater than zero")
             if not isfinite(self._total):
                 raise ValueError("total of weights must be finite")
-
-    @property
-    def sizes(self) -> Tuple[int, ...]:
-        return self._sizes
-
-    @property
-    def weights(self) -> Optional[Tuple[float, ...]]:
-        return self._weights
 
     def __call__(self) -> int:
         rng = self.rng
@@ -112,20 +104,6 @@ class AlternatingSizes:
         return size
 
 
-class UniformSizes:
-    """Uniformly random sizes in [lo, hi]."""
-
-    def __init__(self, lo: int, hi: int, rng: Optional[random.Random] = None) -> None:
-        if not 0 < lo <= hi:
-            raise ValueError("need 0 < lo <= hi")
-        self.lo = lo
-        self.hi = hi
-        self.rng = rng if rng is not None else random.Random(0)
-
-    def __call__(self) -> int:
-        return self.rng.randint(self.lo, self.hi)
-
-
 class ConstantSizes:
     """Always the same size (CBR-style payloads)."""
 
@@ -136,29 +114,6 @@ class ConstantSizes:
 
     def __call__(self) -> int:
         return self.size
-
-
-def backlogged_packets(
-    count: int, size_fn: Callable[[], int], flow: object = None
-) -> List[Packet]:
-    """A burst of ``count`` packets with harness sequence numbers."""
-    return [
-        Packet(size=size_fn(), seq=i, flow=flow) for i in range(count)
-    ]
-
-
-def random_mix_packets(
-    count: int,
-    sizes: Sequence[int] = (200, 1000, 1460),
-    seed: int = 0,
-) -> List[Packet]:
-    """Convenience: ``count`` packets with a seeded random size mix."""
-    return backlogged_packets(count, RandomMixSizes(sizes, rng=random.Random(seed)))
-
-
-def alternating_packets(count: int, big: int = 1000, small: int = 200) -> List[Packet]:
-    """Convenience: the paper's alternating 1000/200-byte adversary."""
-    return backlogged_packets(count, AlternatingSizes(big, small))
 
 
 class PacedSource:
@@ -204,13 +159,6 @@ class PacedSource:
         self.generated += 1
         self.sink(packet)
         self.sim.schedule(max(0.0, self.interval_fn()), self._tick)
-
-
-def poisson_intervals(rate_pps: float, rng: random.Random) -> Callable[[], float]:
-    """Exponential inter-arrival generator for a given packet rate."""
-    if rate_pps <= 0:
-        raise ValueError("rate must be positive")
-    return lambda: rng.expovariate(rate_pps)
 
 
 def cbr_intervals(rate_pps: float) -> Callable[[], float]:

@@ -198,10 +198,3 @@ class PlaybackModel:
             packets_late=self.packets_late,
             packets_lost=expected - on_time - self.packets_late,
         )
-
-
-def perceptibly_different(
-    reference: PlaybackReport, observed: PlaybackReport, threshold: float = 0.05
-) -> bool:
-    """A crude perceptibility test: quality differs by more than threshold."""
-    return abs(reference.quality - observed.quality) > threshold

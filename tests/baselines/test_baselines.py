@@ -8,8 +8,8 @@ from repro.baselines.address_hash import AddressHashing, stable_hash
 from repro.baselines.random_selection import RandomSelection
 from repro.baselines.sqf import ShortestQueueFirst
 from repro.core.packet import Packet
-from repro.core.transform import bytes_per_channel, stripe_sequence
-from tests.conftest import make_packets
+from repro.core.transform import stripe_sequence
+from tests.conftest import bytes_per_channel, make_packets
 
 
 class TestShortestQueueFirst:

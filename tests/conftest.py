@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
 import random
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import pytest
 
 from repro.core.packet import Packet
 from repro.sim.engine import Simulator
+from repro.workloads.generators import AlternatingSizes, RandomMixSizes
 
 
 @pytest.fixture()
@@ -25,6 +27,40 @@ def make_packets(sizes: Sequence[int], labels: Optional[str] = None) -> List[Pac
     return out
 
 
+def peek_time(sim: Simulator) -> Optional[float]:
+    """Time of ``sim``'s next live event (cancelled heads are dropped), or
+    None when nothing is scheduled."""
+    heap = sim._heap
+    while heap and heap[0][2] is None:
+        heapq.heappop(heap)
+        sim._cancelled -= 1
+    return heap[0][0] if heap else None
+
+
+def mirror_state(receiver) -> dict:
+    """An :class:`SRRReceiver`'s mirror of the simulated sender state."""
+    return {
+        "ptr": receiver.ptr,
+        "G": receiver.round_number,
+        "dc": tuple(receiver.dc),
+        "pending": tuple(receiver.pending),
+        "sync_round": tuple(receiver.sync_round),
+    }
+
+
+def row_where(rows, **fields):
+    """The first of ``rows`` whose attributes equal ``fields``."""
+    return next(
+        row for row in rows
+        if all(getattr(row, name) == value for name, value in fields.items())
+    )
+
+
+def bytes_per_channel(channels: Sequence[Sequence[Packet]]) -> List[int]:
+    """Total bytes assigned to each channel."""
+    return [sum(p.size for p in channel) for channel in channels]
+
+
 def random_sizes(n: int, seed: int, lo: int = 40, hi: int = 1500) -> List[int]:
     rng = random.Random(seed)
     return [rng.randint(lo, hi) for _ in range(n)]
@@ -32,3 +68,26 @@ def random_sizes(n: int, seed: int, lo: int = 40, hi: int = 1500) -> List[int]:
 
 def assert_fifo(seqs: Sequence[int]) -> None:
     assert list(seqs) == sorted(seqs), f"sequence not FIFO: {list(seqs)[:50]}"
+
+
+def backlogged_packets(
+    count: int, size_fn: Callable[[], int], flow: object = None
+) -> List[Packet]:
+    """A burst of ``count`` packets with harness sequence numbers."""
+    return [
+        Packet(size=size_fn(), seq=i, flow=flow) for i in range(count)
+    ]
+
+
+def random_mix_packets(
+    count: int,
+    sizes: Sequence[int] = (200, 1000, 1460),
+    seed: int = 0,
+) -> List[Packet]:
+    """Convenience: ``count`` packets with a seeded random size mix."""
+    return backlogged_packets(count, RandomMixSizes(sizes, rng=random.Random(seed)))
+
+
+def alternating_packets(count: int, big: int = 1000, small: int = 200) -> List[Packet]:
+    """Convenience: the paper's alternating 1000/200-byte adversary."""
+    return backlogged_packets(count, AlternatingSizes(big, small))

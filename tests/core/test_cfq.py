@@ -1,10 +1,29 @@
 """Unit tests for the CFQ interface and backlogged FQ drivers."""
 
+from typing import List, Sequence, Tuple
+
 import pytest
 
-from repro.core.cfq import bits_per_queue, fq_service_order
+from repro.core.cfq import fq_service_order
 from repro.core.srr import SRR, make_rr
+from repro.core.cfq import CausalFQ
+from repro.core.packet import Packet
 from tests.conftest import make_packets
+
+
+def bits_per_queue(
+    algorithm: CausalFQ, queues: Sequence[Sequence[Packet]]
+) -> Tuple[List[int], List[Packet]]:
+    """Service the queues and return (bytes serviced per queue, order)."""
+    order = fq_service_order(algorithm, queues)
+    totals = [0] * algorithm.n_channels
+    id_to_queue = {}
+    for i, queue in enumerate(queues):
+        for packet in queue:
+            id_to_queue[packet.uid] = i
+    for packet in order:
+        totals[id_to_queue[packet.uid]] += packet.size
+    return totals, order
 
 
 class TestFqServiceOrder:

@@ -1,12 +1,109 @@
-"""Unit tests for the DKS (non-causal) fair-queuing contrast case."""
+"""DKS fair queuing — the paper's example of a *non-causal* algorithm —
+and its unit tests, its only users.
+
+Section 3.1: "the DKS algorithm [DKS89] depends on the packets at the head
+of each queue in order to simulate bit-by-bit round robin.  Thus the DKS
+fair queuing algorithm is non-causal, while ordinary round robin is
+causal."
+
+This is the Demers–Keshav–Shenker PGPS/WFQ emulation: each packet gets a
+virtual *finish time* — the round number at which bit-by-bit round robin
+would finish sending it — and packets are served in finish-time order.
+Computing a packet's finish time requires its *length*, i.e. the algorithm
+must look at queued packets before choosing, which is exactly what makes
+it unusable for striping with logical reception: a receiver cannot predict
+the sender's next channel without the very packets it has not received.
+
+Kept (a) to regenerate the paper's causal/non-causal contrast
+in tests, and (b) as a quality yardstick: DKS's fairness is tighter than
+SRR's per-round bound, which quantifies what the paper trades for
+causality.
+"""
+
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import pytest
 
-from repro.core.cfq import fq_service_order_noncausal
-from repro.core.dks import DKS, dks_service_gap
+from repro.core.cfq import NonCausalFQ, fq_service_order, fq_service_order_noncausal
 from repro.core.srr import SRR
-from repro.core.cfq import fq_service_order
 from tests.conftest import make_packets, random_sizes
+
+
+@dataclass(frozen=True)
+class DKSState:
+    """Virtual-time state of the DKS emulation (backlogged case).
+
+    With every queue continuously backlogged, virtual time advances
+    ``1/N`` of a byte per byte sent, so it can be tracked directly from
+    the bytes served; each queue's last finish time is enough to assign
+    the next finish time.
+    """
+
+    finish_times: Tuple[float, ...]
+
+
+class DKS(NonCausalFQ):
+    """Bit-by-bit round robin emulation (backlogged behaviour).
+
+    ``weights[i]`` is queue *i*'s service share (bytes per virtual round).
+    """
+
+    def __init__(self, weights: Optional[Sequence[float]] = None,
+                 n: Optional[int] = None) -> None:
+        if weights is None:
+            if n is None or n < 1:
+                raise ValueError("give weights or a positive queue count")
+            weights = [1.0] * n
+        if not weights or any(w <= 0 for w in weights):
+            raise ValueError("weights must be positive")
+        self.weights = tuple(float(w) for w in weights)
+
+    @property
+    def n_queues(self) -> int:
+        return len(self.weights)
+
+    def initial_state(self) -> DKSState:
+        return DKSState(finish_times=tuple(0.0 for _ in self.weights))
+
+    def next(
+        self, state: DKSState, head_sizes: Sequence[Optional[int]]
+    ) -> Tuple[int, DKSState]:
+        """Serve the queue whose head packet finishes earliest.
+
+        The head *sizes* are required to compute candidate finish times —
+        the non-causal dependence the paper points at.
+        """
+        best_queue = -1
+        best_finish = float("inf")
+        for queue, head in enumerate(head_sizes):
+            if head is None:
+                continue
+            finish = state.finish_times[queue] + head / self.weights[queue]
+            if finish < best_finish:
+                best_finish = finish
+                best_queue = queue
+        if best_queue < 0:
+            raise ValueError("all queues empty")
+        return best_queue, state
+
+    def update(self, state: DKSState, queue: int, size: int) -> DKSState:
+        finish_times = list(state.finish_times)
+        finish_times[queue] += size / self.weights[queue]
+        return DKSState(finish_times=tuple(finish_times))
+
+
+def dks_service_gap(order, queue_of, n_queues: int) -> int:
+    """Largest byte-service gap between any two queues over all prefixes.
+
+    Utility for comparing DKS's fairness envelope with SRR's bound.
+    """
+    totals = [0] * n_queues
+    worst = 0
+    for packet in order:
+        totals[queue_of(packet)] += packet.size
+        worst = max(worst, max(totals) - min(totals))
+    return worst
 
 
 def queue_lookup(queues):

@@ -1,17 +1,24 @@
 """Unit tests for the fairness accounting (Theorem 3.2 bound)."""
 
 import random
+from typing import Sequence
 
 import pytest
 
 from repro.core.fairness import (
     jain_fairness_index,
-    max_pairwise_imbalance,
     normalized_shares,
     srr_fairness_report,
 )
 from repro.core.srr import SRR, make_rr
 from tests.conftest import make_packets, random_sizes
+
+
+def max_pairwise_imbalance(byte_counts: Sequence[int]) -> int:
+    """Largest difference in bytes between any two channels."""
+    if not byte_counts:
+        return 0
+    return max(byte_counts) - min(byte_counts)
 
 
 class TestSrrFairnessReport:

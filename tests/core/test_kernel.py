@@ -18,6 +18,7 @@ from repro.core.srr import SRR, SRRState, make_grr, make_rr
 from repro.core.striper import ListPort, MarkerPolicy, Striper
 from repro.core.transform import TransformedLoadSharer, stripe_sequence
 from repro.sim.engine import Simulator
+from tests.conftest import mirror_state
 from tests.session_rig import Loopback
 
 
@@ -171,7 +172,7 @@ class TestReceiverSnapshotAdoption:
         partial.adopt_snapshot(snapshots[cut])
         for index in range(cut, len(packets)):
             partial.push(placements[index], packets[index])
-        assert partial.mirror_state() == full.mirror_state()
+        assert mirror_state(partial) == mirror_state(full)
 
     def test_snapshot_restore_across_marker_adoption(self):
         """restore() rewinds marker adoptions: replaying the same arrivals
@@ -243,7 +244,7 @@ class TestSessionResetInstallsFreshKernel:
         # Both ends now sit at the new config's epoch-initial kernel state.
         kernel = loop.sender.striper._kernel
         assert kernel.snapshot() == new_config.algorithm().initial_state()
-        mirror = loop.receiver.resequencer.mirror_state()
+        mirror = mirror_state(loop.receiver.resequencer)
         assert mirror["ptr"] == 0
         assert mirror["G"] == 1
         assert mirror["dc"] == (250.0, 0.0)

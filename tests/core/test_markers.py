@@ -9,7 +9,7 @@ from repro.core.srr import SRR, SRRState, make_rr
 from repro.core.striper import ListPort, MarkerPolicy, Striper
 from repro.core.transform import TransformedLoadSharer
 from repro.sim.trace import Tracer
-from tests.conftest import make_packets, random_sizes
+from tests.conftest import make_packets, mirror_state, random_sizes
 
 
 def stripe_with_markers(algorithm, packets, interval=1, position=0):
@@ -52,7 +52,7 @@ class TestNoLossEquivalence:
         algorithm = SRR([500, 500])
         receiver = SRRReceiver(algorithm)
         receiver.push(0, Packet(600, seq=0))
-        state = receiver.mirror_state()
+        state = mirror_state(receiver)
         assert state["ptr"] == 1
         assert state["dc"][0] == pytest.approx(-100.0)
 
@@ -436,7 +436,7 @@ class TestParkedScanMatchesAlwaysDrain:
                 )
                 got, want = both("adopt_snapshot", state)
             assert got == want
-            assert fast.mirror_state() == oracle.mirror_state()
+            assert mirror_state(fast) == mirror_state(oracle)
             assert fast.stats == oracle.stats
             assert fast.buffered == oracle.buffered
 

@@ -1,6 +1,11 @@
-"""Unit tests for packet types and the randomized CFQ schemes."""
+"""Unit tests for packet types and the randomized CFQ schemes.
+
+:class:`WeightedRandomFQ`, a contrast case for fairness tests, lives here
+with its tests, its only users."""
 
 import dataclasses
+import random
+from typing import Any, Sequence, Tuple
 
 import pytest
 
@@ -12,13 +17,59 @@ from repro.core.packet import (
     SackInfo,
     is_marker,
 )
-from repro.core.schemes import SeededRandomFQ, WeightedRandomFQ
+from repro.core.cfq import Capabilities, CausalFQ
+from repro.core.schemes import RandomFQState, SeededRandomFQ
 from repro.core.transform import (
     TransformedLoadSharer,
-    bytes_per_channel,
     stripe_sequence,
 )
-from tests.conftest import make_packets
+from tests.conftest import bytes_per_channel, make_packets
+
+
+class WeightedRandomFQ(CausalFQ):
+    """Random selection with per-channel weights (probability ∝ weight)."""
+
+    capabilities = Capabilities(
+        fifo_delivery="quasi",
+        load_sharing="good",
+        environment="At all levels (requires shared seed)",
+    )
+
+    def __init__(self, weights: Sequence[float], seed: int = 0) -> None:
+        if not weights or any(w <= 0 for w in weights):
+            raise ValueError("weights must be positive")
+        self.weights = tuple(float(w) for w in weights)
+        self.seed = seed
+        total = sum(self.weights)
+        self._cumulative = []
+        acc = 0.0
+        for w in self.weights:
+            acc += w / total
+            self._cumulative.append(acc)
+
+    @property
+    def n_channels(self) -> int:
+        return len(self.weights)
+
+    def initial_state(self) -> RandomFQState:
+        return RandomFQState(random.Random(self.seed).getstate())
+
+    def _pick(self, rng_state: Tuple[Any, ...]) -> Tuple[int, Tuple[Any, ...]]:
+        rng = random.Random()
+        rng.setstate(rng_state)
+        u = rng.random()
+        for i, edge in enumerate(self._cumulative):
+            if u < edge:
+                return i, rng.getstate()
+        return len(self.weights) - 1, rng.getstate()
+
+    def select(self, state: RandomFQState) -> int:
+        value, _ = self._pick(state.rng_state)
+        return value
+
+    def update(self, state: RandomFQState, size: int) -> RandomFQState:
+        _, new_state = self._pick(state.rng_state)
+        return RandomFQState(new_state)
 
 
 class TestPacket:
@@ -234,10 +285,8 @@ class TestPacketPool:
         pool = PacketPool()
         packet = pool.acquire(100, seq=1)
         assert packet.size == 100 and packet.seq == 1
-        assert pool.stats() == {
-            "allocated": 1, "reused": 0, "released": 0,
-            "double_releases": 0, "free": 0,
-        }
+        assert (pool.allocated, pool.reused, pool.released) == (1, 0, 0)
+        assert pool.double_releases == 0 and not pool._free
 
     def test_reacquired_packet_is_reset_with_fresh_uid(self):
         pool = PacketPool()
@@ -261,7 +310,7 @@ class TestPacketPool:
         pool = PacketPool()
         pool.release(MarkerPacket(round_number=1, deficit=0.0, channel=0))
         pool.release("not a packet")
-        assert pool.stats()["free"] == 0
+        assert len(pool._free) == 0
 
     def test_free_list_capped_at_max_size(self):
         pool = PacketPool(max_size=2)
@@ -269,4 +318,4 @@ class TestPacketPool:
         for packet in packets:
             pool.release(packet)
         assert pool.released == 2
-        assert pool.stats()["free"] == 2
+        assert len(pool._free) == 2

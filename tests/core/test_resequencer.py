@@ -91,9 +91,9 @@ class TestBlocking:
     def test_expected_channel_tracks_state(self):
         srr = SRR([500, 500])
         receiver = Resequencer(srr)
-        assert receiver.expected_channel() == 0
+        assert receiver.kernel.peek() == 0
         receiver.push(0, Packet(600, seq=0))  # exhausts ch0's quantum
-        assert receiver.expected_channel() == 1
+        assert receiver.kernel.peek() == 1
 
     def test_max_buffered_statistic(self):
         receiver = Resequencer(SRR([500, 500]))

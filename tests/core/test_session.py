@@ -132,7 +132,9 @@ class TestResetProtocol:
         session.on_control(ResetAckPacket(epoch=2))
         assert session.state == session.RUNNING
         assert session.resets_completed == 1
-        wire = sorted(p.seq for port in ports for p in port.data_packets())
+        wire = sorted(
+            p.seq for port in ports for p in port.sent if isinstance(p, Packet)
+        )
         assert wire == [0, 1, 2, 3, 4, 5]
 
     def test_damaged_marker_frame_is_counted_not_raised(self, sim):

@@ -20,6 +20,11 @@ from repro.core.sprinklers import (
 )
 
 
+def stripe_of(disc, flow):
+    """The channel set currently striping ``flow``."""
+    return list(disc._stripe(flow).channels)
+
+
 def drive(disc, packets):
     """Run packets through the two-phase protocol; return channel picks."""
     channels = []
@@ -94,11 +99,11 @@ class TestSprinklersDiscipline:
 
     def test_new_flow_is_a_mouse(self):
         disc = SprinklersDiscipline(8)
-        assert len(disc.stripe_of("fresh")) == 1
+        assert len(stripe_of(disc, "fresh")) == 1
 
     def test_initial_share_provisions_full_stripe(self):
         disc = SprinklersDiscipline(8, initial_share=1.0)
-        assert disc.stripe_of("bulk") == list(range(8))
+        assert stripe_of(disc, "bulk") == list(range(8))
 
     def test_flowless_packets_share_one_stripe(self):
         disc = SprinklersDiscipline(4, initial_share=1.0)
@@ -110,7 +115,7 @@ class TestSprinklersDiscipline:
         disc = SprinklersDiscipline(4, initial_share=1.0)
         packets = [Packet(size=1000, seq=i) for i in range(64)]
         channels = drive(disc, packets)
-        stripe = disc.stripe_of(None)
+        stripe = stripe_of(disc, None)
         expected = [stripe[i % 4] for i in range(64)]
         assert channels == expected
 
@@ -137,19 +142,19 @@ class TestSprinklersDiscipline:
             packet.flow = "elephant"
         drive(disc, packets)
         assert disc.resizes > 0
-        assert len(disc.stripe_of("elephant")) == 4
+        assert len(stripe_of(disc, "elephant")) == 4
 
     def test_hysteresis_blocks_marginal_shrink(self):
         disc = SprinklersDiscipline(4, window_bytes=16_000, hysteresis=100.0)
         packets = [Packet(size=1000, seq=i) for i in range(600)]
         drive(disc, packets)  # grows to full width
-        grown = len(disc.stripe_of(None))
+        grown = len(stripe_of(disc, None))
         assert grown == 4
         resizes_after_growth = disc.resizes
         # Now the aggregate share estimate never justifies shrinking by
         # 100x, so the stripe must hold its width.
         drive(disc, [Packet(size=10, seq=i) for i in range(600)])
-        assert len(disc.stripe_of(None)) == grown or (
+        assert len(stripe_of(disc, None)) == grown or (
             disc.resizes == resizes_after_growth
         )
 
@@ -216,7 +221,7 @@ class TestInOrderProofObligations:
             packet.flow = flow
             packets.append(packet)
         channels = drive(disc, packets)
-        stripe = disc.stripe_of(flow)
+        stripe = stripe_of(disc, flow)
         assert len(stripe) == n
         start = stripe.index(channels[0])
         expected = [stripe[(start + i) % n] for i in range(len(channels))]
@@ -258,5 +263,5 @@ class TestInOrderProofObligations:
         for packet, channel in assignments:
             per_flow_channels.setdefault(packet.flow, set()).add(channel)
         for flow, used in per_flow_channels.items():
-            if len(disc.stripe_of(flow)) == 1:
+            if len(stripe_of(disc, flow)) == 1:
                 assert len(used) <= 2  # at most one resize while growing

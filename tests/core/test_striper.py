@@ -53,11 +53,12 @@ class TestBackpressure:
 
     def test_can_send_now(self):
         striper, ports = make_striper(make_rr(2), port_limits=[1, 1])
-        assert striper.can_send_now() is False  # empty input queue
+        assert striper.pump() == 0  # empty input queue
         striper.submit(Packet(100, seq=0))
         striper.submit(Packet(100, seq=1))
         striper.submit(Packet(100, seq=2))
-        assert striper.can_send_now() is False  # ch0 full
+        assert striper.backlog == 1  # seq 2 waits: its channel 0 is full
+        assert striper.pump() == 0
 
     def test_counters(self):
         striper, ports = make_striper(make_rr(2))

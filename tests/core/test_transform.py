@@ -7,11 +7,10 @@ from repro.core.schemes import SeededRandomFQ
 from repro.core.srr import SRR, make_grr, make_rr
 from repro.core.transform import (
     TransformedLoadSharer,
-    bytes_per_channel,
     stripe_sequence,
     verify_reverse_correspondence,
 )
-from tests.conftest import make_packets, random_sizes
+from tests.conftest import bytes_per_channel, make_packets, random_sizes
 
 
 class TestTransformedLoadSharer:

@@ -8,6 +8,12 @@ simulation durations so the suite stays fast.  The full-size runs live in
 import pytest
 
 from repro.experiments.runner import EXPERIMENTS, run_experiment
+from tests.conftest import row_where
+
+
+@pytest.fixture(scope="module")
+def chaos_quick():
+    return run_experiment("chaos", quick=True)
 
 
 class TestRegistry:
@@ -116,8 +122,8 @@ class TestFlowControlShape:
         from repro.experiments.flow_control import run_flow_control
 
         result = run_flow_control(duration_s=1.0)
-        without = result.row(False)
-        with_credits = result.row(True)
+        without = row_where(result.rows, use_credit=False)
+        with_credits = row_where(result.rows, use_credit=True)
         assert without.buffer_drops > 0
         assert with_credits.buffer_drops == 0
         assert with_credits.goodput_mbps >= without.goodput_mbps - 0.1
@@ -150,9 +156,9 @@ class TestExtensionShapes:
         from repro.experiments.mtu_fragmentation import run_mtu_fragmentation
 
         result = run_mtu_fragmentation(duration_s=1.5, warmup_s=0.5)
-        plain = result.row("plain strIPe (min MTU)")
-        frag = result.row("fragmenting strIPe (max MTU)")
-        atm = result.row("ATM alone, 9180 MTU")
+        plain = row_where(result.rows, label="plain strIPe (min MTU)")
+        frag = row_where(result.rows, label="fragmenting strIPe (max MTU)")
+        atm = row_where(result.rows, label="ATM alone, 9180 MTU")
         assert frag.goodput_mbps > atm.goodput_mbps > plain.goodput_mbps
 
     def test_multiflow_preserves_aggregate(self):
@@ -180,20 +186,22 @@ class TestExtensionShapes:
             scale_flows=64,
         )
         # Marker-free acceptance on one stable transport + TCP contrast.
-        socket_row = result.row("socket", "sprinklers")
+        socket_row = row_where(
+            result.head_to_head, transport="socket", discipline="sprinklers"
+        )
         assert socket_row.out_of_order == 0
         assert socket_row.receiver_hwm == 0
         assert socket_row.markers_sent == 0
-        assert result.row("socket", "srr").markers_sent > 0
+        assert row_where(
+            result.head_to_head, transport="socket", discipline="srr"
+        ).markers_sent > 0
         for row in result.scale:
             assert row.delivered == row.total
         assert "sprinklers" in result.render()
 
-    def test_chaos_recovers_and_counts_faults(self):
-        from repro.experiments.chaos import run_chaos
-
-        result = run_chaos(seeds=3, total_s=1.8)
-        assert len(result.rows) == 3
+    def test_chaos_recovers_and_counts_faults(self, chaos_quick):
+        result = chaos_quick
+        assert len(result.rows) == 7
         for row in result.rows:
             assert row.faults_injected >= 0
             assert row.delivered > 100
@@ -204,6 +212,17 @@ class TestExtensionShapes:
         # at least one schedule actually perturbed traffic
         assert any(row.faults_injected > 0 for row in result.rows)
         assert "recovered" in result.render()
+
+    def test_chaos_quick_drives_the_lifecycle_it_reports(self, chaos_quick):
+        # "full lifecycle armed" must mean something at --quick: a channel
+        # is declared failed, revived, probed and rejoined through a reset.
+        assert any(row.rejoins >= 1 for row in chaos_quick.rows)
+        assert any(row.failures and row.revivals for row in chaos_quick.rows)
+
+    def test_fig15_quick_render_reports_its_verdict(self):
+        assert run_experiment("fig15", quick=True).render().endswith(
+            "\nmatches paper: True"
+        )
 
     def test_json_export(self, tmp_path, capsys):
         from repro.experiments.runner import main
@@ -226,8 +245,8 @@ class TestExtensionShapes:
         from repro.experiments.cell_striping import run_cell_striping
 
         result = run_cell_striping(duration_s=1.0)
-        epd = result.row("packet striping + EPD")
-        cells = result.row("cell striping")
+        epd = row_where(result.rows, mode="packet striping + EPD")
+        cells = row_where(result.rows, mode="cell striping")
         # comparable raw cell loss, wildly different goodput
         assert abs(epd.cells_dropped - cells.cells_dropped) < (
             0.3 * max(epd.cells_dropped, cells.cells_dropped)

@@ -55,7 +55,7 @@ class TestBurstLossRecovery:
             for model in models:
                 model.p_g2b = 0.0
                 model.p_bad = 0.0
-                model.reset()
+                model._bad = False
 
         sim.schedule_at(1.0, stop)
         sim.run(until=2.5)

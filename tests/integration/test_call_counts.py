@@ -147,7 +147,7 @@ def test_pump_steps_the_kernel_once_per_packet_sent(name):
     assert striper.packets_sent >= len(run.delivered)  # retransmissions too
     assert run.counter.kernel_steps == striper.packets_sent
     assert run.counter.pump_saves == 0  # no snapshot / restore in the pump
-    assert striper.stats()["fallback_pumps"] == 0
+    assert striper.fallback_pumps == 0
 
 
 def test_single_event_timestamps_never_enter_the_group_path():

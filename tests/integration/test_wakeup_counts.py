@@ -42,14 +42,14 @@ def test_fabric_drain_reaches_the_striper_in_batches():
     # One submit is one pump of one packet, so the part of the burst that
     # fits the channel queues at t=0 is per-packet by construction; the
     # guard is on what the fabric drains afterwards.
-    queued = sender.striper.stats()
+    striper = sender.striper
+    queued = (striper.fallback_pumps, striper.batched_packets)
     drained = seq - sender.striper.packets_sent
     assert drained > 0.5 * seq
     sim.run(until=60.0, batch=True)
     assert sorted(delivered) == list(range(seq))
-    after = sender.striper.stats()
-    fallback = after["fallback_pumps"] - queued["fallback_pumps"]
-    batched = after["batched_packets"] - queued["batched_packets"]
+    fallback = striper.fallback_pumps - queued[0]
+    batched = striper.batched_packets - queued[1]
     assert fallback <= 0.05 * drained, (fallback, drained)
     assert batched >= 0.90 * drained, (batched, drained)
 

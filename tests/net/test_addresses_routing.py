@@ -46,18 +46,18 @@ class TestIPAddress:
 class TestMACAddress:
     def test_parse_and_str(self):
         text = "02:00:00:00:00:2a"
-        assert str(MACAddress.parse(text)) == text
+        assert str(MACAddress(0x02000000002A)) == text
 
     def test_broadcast(self):
         assert MACAddress.broadcast().is_broadcast
-        assert not MACAddress.parse("02:00:00:00:00:01").is_broadcast
+        assert not MACAddress(0x020000000001).is_broadcast
 
     def test_fresh_macs_unique(self):
         assert fresh_mac() != fresh_mac()
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            MACAddress.parse("02:00:00:00:00")
+            MACAddress(1 << 48)
 
 
 class TestRoutingTable:
@@ -92,13 +92,6 @@ class TestRoutingTable:
         route = table.lookup("99.99.99.99")
         assert route.interface == "default"
         assert str(route.next_hop) == "10.0.0.254"
-
-    def test_remove(self):
-        table = RoutingTable()
-        route = table.add("10.0.0.0", 8, "x")
-        assert len(table) == 1
-        table.remove(route)
-        assert table.lookup("10.1.1.1") is None
 
     def test_network_normalized_on_add(self):
         table = RoutingTable()

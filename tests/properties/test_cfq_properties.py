@@ -24,7 +24,6 @@ from repro.core.schemes import SeededRandomFQ
 from repro.core.srr import SRR, make_grr, make_rr
 from repro.core.transform import (
     TransformedLoadSharer,
-    bytes_per_channel,
     stripe_sequence,
     verify_reverse_correspondence,
 )

@@ -376,7 +376,7 @@ def test_chaos_lifecycle_survives_permanent_death_then_revival(sim):
 
     assert detector.failures_reported == [1]
     assert detector.revivals_reported == [1]
-    assert detector.channel_state(1) == detector.REVIVED
+    assert detector.state[1] == detector.REVIVED
     # Delivery kept flowing while channel 1 was dark...
     mid = [seq for t, seq in rig.deliveries if 0.6 < t < 1.0]
     assert len(mid) > 100

@@ -287,7 +287,7 @@ class TestFastPathCounters:
     def test_batched_pump_counters_nonzero(self):
         config = _mode_config("quasi_fifo", seed=1)
         _, _, testbed = _run_with_faults(config, True, None, 0)
-        stats = testbed.sender.striper.stats()
+        stats = vars(testbed.sender.striper)
         assert stats["batched_pumps"] > 0
         assert stats["batched_packets"] > stats["batched_pumps"]
         assert testbed.sender.reliable is None  # no ARQ in quasi_fifo mode
@@ -295,7 +295,7 @@ class TestFastPathCounters:
     def test_reliable_arq_counters_nonzero(self):
         config = _mode_config("reliable", seed=1)
         _, _, testbed = _run_with_faults(config, True, None, 0)
-        stats = testbed.sender.striper.stats()
+        stats = vars(testbed.sender.striper)
         assert stats["batched_pumps"] > 0
         assert stats["batched_packets"] > 0
         arq = testbed.sender.reliable.stats

@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 import pytest
 
-from repro.core.packet import is_marker, is_parity
+from repro.core.packet import Codepoint, is_marker
 from repro.core.srr import SRR
 from repro.core.striper import MarkerPolicy
 from repro.sim.channel import Channel
@@ -121,7 +121,7 @@ class FecRig:
             inner = self.receiver.channel_handler(index)
 
             def handler(packet, inner=inner):
-                if is_parity(packet):
+                if packet.codepoint == Codepoint.PARITY:
                     self.parity_arrived += 1
                 elif not is_marker(packet):
                     self.arrived.append(packet.seq)

@@ -149,7 +149,9 @@ def test_fabric_bursty_source_conservation_and_per_flow_fifo_across_kills(seed):
         save = rig.sender_store.save_checkpoint
 
         def observed(blob):
-            backlogs.append(rig.sender.fabric.backlog)
+            backlogs.append(
+                sum(len(flow.queue) for flow in rig.sender.fabric.table)
+            )
             save(blob)
 
         rig.sender_store.save_checkpoint = observed

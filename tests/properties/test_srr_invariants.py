@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.markers import SRRReceiver
 from repro.core.packet import Packet
 from repro.core.srr import SRR
+from tests.conftest import mirror_state
 
 sizes_strategy = st.lists(
     st.integers(min_value=1, max_value=2000), min_size=1, max_size=300
@@ -89,7 +90,7 @@ class TestSenderReceiverLockstep:
             channel = srr_s.select(state)
             receiver.push(channel, Packet(size, seq=index))
             state = srr_s.update(state, size)
-            mirror = receiver.mirror_state()
+            mirror = mirror_state(receiver)
             assert mirror["ptr"] == state.ptr
             assert mirror["G"] == state.round_number
             # dc comparison: the receiver keeps pending-quantum lazily, so

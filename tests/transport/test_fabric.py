@@ -5,11 +5,13 @@ FabricScheduler's DRR semantics (visit crediting, rotation, mid-visit
 pause under a closed downstream gate, snapshot/restore), the per-flow
 backpressure contract against PR-5's reliable mode (a stalled flow must
 neither block siblings nor leak shared window slots), and the 512-flow
-fairness smoke run backing ``make fabric-smoke``.
+fairness smoke run backing ``make fabric-smoke``; and the logarithmic
+tenant-weight policy, defined here with its test, its only user.
 """
 
 from collections import deque
-from typing import Dict, List, Tuple
+import math
+from typing import Any, Dict, List, Mapping, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,16 +25,30 @@ from repro.transport.endpoint import (
     StripeReceiverPipeline,
     StripeSenderPipeline,
 )
-from repro.transport.fabric import (
-    FabricScheduler,
-    FlowTable,
-    logarithmic_tenant_weights,
-)
+from repro.transport.fabric import FabricScheduler, FlowTable
 from repro.transport.fast_path import FastChannelPort
 
 
 def pkt(size: int = 100, **kwargs) -> Packet:
     return Packet(size=size, **kwargs)
+
+
+def logarithmic_tenant_weights(
+    populations: Mapping[Any, int], base: float = 2.0
+) -> Dict[Any, float]:
+    """Tenant weights growing logarithmically with tenant population.
+
+    ``weight(t) = 1 + log_base(1 + n_t)``: a tenant with more flows gets a
+    larger aggregate share, but sublinearly, so small tenants keep a
+    usable floor — the regime the logarithmic-weights resource-sharing
+    analysis shows is stable (see PAPERS.md).
+    """
+    if base <= 1.0:
+        raise ValueError("base must be > 1")
+    return {
+        tenant: 1.0 + math.log(1 + max(0, int(count))) / math.log(base)
+        for tenant, count in populations.items()
+    }
 
 
 class TestFlowTable:
@@ -64,9 +80,10 @@ class TestFlowTable:
         assert len(table) == 2
         table["a"].serviced_bytes = 300
         table["b"].serviced_bytes = 100
-        assert table.tenant_totals() == {"t1": 300, "t2": 100}
-        table.remove("a")
-        assert "a" not in table and len(table) == 1
+        totals = {}
+        for flow in table:
+            totals[flow.tenant] = totals.get(flow.tenant, 0) + flow.serviced_bytes
+        assert totals == {"t1": 300, "t2": 100}
 
     def test_logarithmic_tenant_weights(self):
         weights = logarithmic_tenant_weights({"big": 7, "small": 1, "none": 0})
@@ -121,7 +138,7 @@ class TestFabricScheduler:
             fabric.submit("full", pkt())
         assert not fabric.can_submit("full")
         assert fabric.can_submit("other")  # sibling unaffected
-        assert table["full"].backlog == 2
+        assert len(table["full"].queue) == 2
         assert table["full"].refusals == 3
         assert fabric.stats.refusals == 3
 
@@ -370,7 +387,7 @@ class TestBatchedDrainMatchesPerPacket:
                 fabric.restore(snap)
             assert out == reference.out
             assert fabric_state(fabric) == reference.state()
-        assert len(out) == label and fabric.backlog == 0
+        assert len(out) == label and not any(flow.queue for flow in fabric.table)
 
     @given(
         weights=WEIGHTS,
@@ -510,7 +527,7 @@ class TestReliableInterop:
         arq = sender.reliable
         assert not arq.unacked and not arq.backlog
         assert rig.fabric.table["A"].refusals == 200 - a_accepted
-        assert rig.fabric.backlog == 0
+        assert not any(flow.queue for flow in rig.fabric.table)
 
     def test_window_reopen_refills_from_fabric(self):
         sim = Simulator()
@@ -523,7 +540,7 @@ class TestReliableInterop:
         # requires the window-open / port-space pumps to keep refilling
         # from the fabric queues.
         assert 0 < len(sender.reliable.unacked) <= 64
-        assert rig.fabric.backlog > 0
+        assert any(flow.queue for flow in rig.fabric.table)
         sim.run(until=1.0)
         assert [k for f, k in rig.delivered] == list(range(150))
         assert not sender.reliable.unacked

@@ -8,7 +8,7 @@ is observable in isolation.
 
 import pytest
 
-from repro.core.packet import Codepoint, Packet, PacketPool, is_parity
+from repro.core.packet import Codepoint, Packet, PacketPool
 from repro.transport.fec import (
     PARITY_HEADER_BYTES,
     FecReceiver,
@@ -101,7 +101,7 @@ def test_sender_seals_on_count_and_stripes_parity():
         sender.submit(_packet(i))
     assert [p.fseq for p in tap.packets] == list(range(6))
     assert len(tap.parity) == 4  # two groups x two parity shards
-    assert all(is_parity(p) for p in tap.parity)
+    assert all(p.codepoint == Codepoint.PARITY for p in tap.parity)
     assert [p.group for p in tap.parity] == [0, 0, 3, 3]
     assert [p.index for p in tap.parity] == [0, 1, 0, 1]
     assert all(p.members == 3 and p.nparity == 2 for p in tap.parity)

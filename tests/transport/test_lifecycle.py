@@ -50,16 +50,16 @@ class TestChannelLifecycleManager:
         feed(sim, mgr, 1, 0.0, 0.2)
         feed(sim, mgr, 1, 0.5, 1.0)
         sim.run(until=0.45)
-        assert mgr.channel_state(1) == mgr.FAILED
+        assert mgr.state[1] == mgr.FAILED
         assert self.failures == [1]
         sim.run(until=0.52)
         # Life signs move it to probing before the threshold is met.
-        assert mgr.channel_state(1) == mgr.PROBING
+        assert mgr.state[1] == mgr.PROBING
         sim.run(until=1.0)
-        assert mgr.channel_state(1) == mgr.REVIVED
+        assert mgr.state[1] == mgr.REVIVED
         assert self.revivals == [1]
         assert mgr.revivals_reported == [1]
-        assert mgr.channel_state(0) == mgr.ACTIVE
+        assert mgr.state[0] == mgr.ACTIVE
 
     def test_hold_down_delays_revival(self, sim):
         mgr = self.make(sim, min_down_time=0.6)
@@ -68,10 +68,10 @@ class TestChannelLifecycleManager:
         feed(sim, mgr, 1, 0.4, 1.5)
         sim.run(until=0.6)
         # Plenty of life signs, but the hold-down has not elapsed.
-        assert mgr.channel_state(1) == mgr.PROBING
+        assert mgr.state[1] == mgr.PROBING
         assert self.revivals == []
         sim.run(until=1.5)
-        assert mgr.channel_state(1) == mgr.REVIVED
+        assert mgr.state[1] == mgr.REVIVED
 
     def test_flap_doubles_hold_down(self, sim):
         mgr = self.make(sim, flap_window=2.0, flap_factor=2.0)
@@ -83,7 +83,7 @@ class TestChannelLifecycleManager:
         sim.run(until=1.1)
         assert self.failures == [1, 1]
         assert mgr.flap_counts[1] == 1
-        assert mgr.hold_down(1) == pytest.approx(0.2)
+        assert mgr._hold_down[1] == pytest.approx(0.2)
         sim.run(until=2.0)
         assert self.revivals == [1, 1]
 
@@ -93,7 +93,7 @@ class TestChannelLifecycleManager:
         mgr._revived_at[1] = sim.now
         for _ in range(5):
             mgr._note_failure(1)
-        assert mgr.hold_down(1) == pytest.approx(1.0)
+        assert mgr._hold_down[1] == pytest.approx(1.0)
 
     def test_stable_failure_resets_hold_down(self, sim):
         mgr = self.make(sim, flap_window=0.5)
@@ -101,26 +101,26 @@ class TestChannelLifecycleManager:
         feed(sim, mgr, 1, 0.0, 0.2)
         feed(sim, mgr, 1, 0.5, 1.5)  # revives, then stays up a while
         sim.run(until=1.0)
-        assert mgr.channel_state(1) == mgr.REVIVED
+        assert mgr.state[1] == mgr.REVIVED
         # The second death comes well outside the flap window: no damping.
         sim.run(until=2.0)
         assert self.failures == [1, 1]
         assert mgr.flap_counts[1] == 0
-        assert mgr.hold_down(1) == pytest.approx(mgr.min_down_time)
+        assert mgr._hold_down[1] == pytest.approx(mgr.min_down_time)
 
     def test_note_probe_gates_on_threshold_and_hold_down(self, sim):
         mgr = self.make(sim, revival_arrivals=2, min_down_time=0.1)
         feed(sim, mgr, 0, 0.0, 1.0)
         feed(sim, mgr, 1, 0.0, 0.2)
         sim.run(until=0.45)
-        assert mgr.channel_state(1) == mgr.FAILED
+        assert mgr.state[1] == mgr.FAILED
         # One life sign is below the threshold: the probe is not acked.
         mgr.note_arrival(1)
         assert mgr.note_probe(1) is False
         # The second one clears it (hold-down long elapsed).
         mgr.note_arrival(1)
         assert mgr.note_probe(1) is True
-        assert mgr.channel_state(1) == mgr.REVIVED
+        assert mgr.state[1] == mgr.REVIVED
         # Healthy channels always ack.
         assert mgr.note_probe(0) is True
 
@@ -140,7 +140,7 @@ class TestChannelLifecycleManager:
         # A rejoin RESET re-admits channel 1; the stale last_arrival must
         # not instantly re-fail it, and a later death must re-report.
         mgr.note_rejoin([0, 1])
-        assert mgr.channel_state(1) == mgr.ACTIVE
+        assert mgr.state[1] == mgr.ACTIVE
         assert 1 not in mgr.failed
         sim.run(until=0.5)
         assert self.failures == [1]  # not instantly re-failed
@@ -295,7 +295,7 @@ class TestChannelProber:
             sim, session,
             initial_interval=0.01, backoff=2.0, max_interval=0.08,
         )
-        assert prober.probing_channels == [1]
+        assert sorted(prober._probing) == [1]
         sim.run(until=0.5)
         times = session.all_ports[1].send_times
         assert len(times) >= 5
@@ -319,11 +319,11 @@ class TestChannelProber:
             quanta=(1000.0, 1000.0), active_channels=(0, 2)
         )
         session.on_reset_complete(1)
-        assert prober.probing_channels == [1]
+        assert sorted(prober._probing) == [1]
         sim.run(until=0.05)
         session.on_probe_ack(ProbeAckPacket(channel=1, seq=1))
         assert prober.rejoins == 1
-        assert prober.probing_channels == []
+        assert sorted(prober._probing) == []
         rejoined = session.resets[-1]
         assert rejoined.active_channels == (0, 1, 2)
         # Channel 1 re-enters with its pre-failure quantum, not the mean.
@@ -337,7 +337,7 @@ class TestChannelProber:
         sim.run(until=1.0)
         assert len(session.all_ports[1].sent) == 3
         assert prober.abandoned == [1]
-        assert prober.probing_channels == []
+        assert sorted(prober._probing) == []
 
     def test_flap_penalty_defers_rejoin(self, sim):
         session = _ProbeSession(sim, active=(0, 2))
@@ -353,7 +353,7 @@ class TestChannelProber:
             quanta=(1000.0, 1000.0), active_channels=(0, 2)
         )
         session.on_reset_complete(2)
-        assert prober.hold_down(1) == pytest.approx(0.3)
+        assert prober._hold_down.get(1, prober.min_hold_down) == pytest.approx(0.3)
         down_at = sim.now
         sim.run(until=down_at + 0.1)
         session.on_probe_ack(ProbeAckPacket(channel=1, seq=2))

@@ -52,13 +52,28 @@ from repro.transport.recovery import (
     checksum,
     decode_checkpoint,
     encode_checkpoint,
-    receiver_from_bytes,
     receiver_to_bytes,
-    sender_from_bytes,
     sender_to_bytes,
     _decode_body,
+    _install,
+    _receiver_parts,
+    _sender_parts,
 )
 from tests.transport.arq_oracles import receiver_blocks, unsacked_index
+
+
+def sender_from_bytes(pipeline, blob):
+    """Restore a freshly constructed sender pipeline from a checkpoint."""
+    tree = decode_checkpoint(blob)
+    _install("sender", _sender_parts(pipeline), tree)
+    return tree
+
+
+def receiver_from_bytes(pipeline, blob):
+    """Restore a freshly constructed receiver pipeline from a checkpoint."""
+    tree = decode_checkpoint(blob)
+    _install("receiver", _receiver_parts(pipeline), tree)
+    return tree
 
 # ---------------------------------------------------------------------- #
 # tagged tree codec + frame

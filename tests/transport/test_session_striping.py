@@ -186,8 +186,8 @@ class TestSessionOverBurstPorts:
         burst = self._run(FastChannelPort)
         striper = burst.sender.striper
         assert isinstance(striper, FastStriper)
-        assert striper.stats()["fallback_pumps"] == 0
-        assert striper.stats()["batched_packets"] > 0
+        assert striper.fallback_pumps == 0
+        assert striper.batched_packets > 0
         # Held through three resets, the queue lost and repeated nothing.
         assert burst.delivered == sorted(set(burst.delivered))
         assert burst.delivered[-1] == self.N_PACKETS - 1

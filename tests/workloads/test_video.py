@@ -1,13 +1,21 @@
-"""Unit tests for the NV-style video workload and playback model."""
+"""Unit tests for the NV-style video workload and playback model, and for
+the perceptibility test defined here, which only these tests use."""
 
 import pytest
 
 from repro.workloads.video import (
     PlaybackModel,
+    PlaybackReport,
     VideoChunk,
-    perceptibly_different,
     synthesize_nv_trace,
 )
+
+
+def perceptibly_different(
+    reference: PlaybackReport, observed: PlaybackReport, threshold: float = 0.05
+) -> bool:
+    """A crude perceptibility test: quality differs by more than threshold."""
+    return abs(reference.quality - observed.quality) > threshold
 
 
 class TestTraceSynthesis:
