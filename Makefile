@@ -90,21 +90,25 @@ perf-ab:
 
 # Behavioural A/B of two checkouts: every experiment at --quick in both
 # trees, then the result JSON compared per experiment and the rendered text
-# compared minus the wall-clock `done in` lines.  Names every experiment
-# that differs and in what — `DIFFERS: <name> (json)`, `(text)` or
-# `(json, text)` — and exits non-zero: the check a refactoring PR owes.
+# compared minus the wall-clock `done in` lines; then every example in
+# examples/ run in both trees and its stdout compared.  Names every
+# experiment that differs and in what — `DIFFERS: <name> (json)`, `(text)`
+# or `(json, text)` — and every example whose output differs —
+# `DIFFERS: example <name>` — and exits non-zero: the check a refactoring
+# change owes.
 #   make quick-diff A=/tmp/parent B=.
 define QUICK_DIFF
-import json, os, re, subprocess, sys, tempfile
+import glob, json, os, re, subprocess, sys, tempfile
 a, b = sys.argv[1:]
+def env(tree):
+    return {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
 def run(tree):
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "quick.json")
         done = subprocess.run(
             [sys.executable, "-m", "repro.experiments", "--all", "--quick",
              "--json", out],
-            cwd=tree, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.path.join(tree, "src")})
+            cwd=tree, capture_output=True, text=True, env=env(tree))
         if done.returncode:
             sys.exit(f"{tree}: experiments failed\n{done.stderr}")
         with open(out) as handle:
@@ -127,7 +131,25 @@ for name in sorted(set(json_a) | set(json_b) | set(text_a) | set(text_b)):
         differ[name] = what
         print(f"DIFFERS: {name} ({', '.join(what)})")
 print(f"{len(set(json_a) | set(json_b))} experiments, {len(differ)} differ")
-sys.exit(1 if differ else 0)
+def example(tree, name):
+    if not os.path.exists(os.path.join(tree, "examples", name)):
+        return None
+    done = subprocess.run(
+        [sys.executable, os.path.join("examples", name)],
+        cwd=tree, capture_output=True, text=True, env=env(tree))
+    if done.returncode:
+        sys.exit(f"{tree}: example {name} failed\n{done.stderr}")
+    return done.stdout
+examples = sorted({
+    os.path.basename(path) for tree in (a, b)
+    for path in glob.glob(os.path.join(tree, "examples", "*.py"))})
+examples_differ = 0
+for name in examples:
+    if example(os.path.abspath(a), name) != example(os.path.abspath(b), name):
+        examples_differ += 1
+        print(f"DIFFERS: example {name}")
+print(f"{len(examples)} examples, {examples_differ} differ")
+sys.exit(1 if differ or examples_differ else 0)
 endef
 export QUICK_DIFF
 quick-diff:

@@ -107,9 +107,6 @@ class MpppDiscipline(LoadSharer):
     def notify_sent(self, channel: int, packet) -> None:
         self.inner.notify_sent(channel, packet)
 
-    def assign_many(self, packets, queue_depths=None) -> List[int]:
-        return self.inner.assign_many(packets, queue_depths)
-
     def reset(self) -> None:
         self.inner.reset()
         self.next_sequence = 0

@@ -10,7 +10,7 @@ to the sender, so the receiver cannot simulate it.
 from __future__ import annotations
 
 import random
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.core.cfq import Capabilities
 from repro.core.transform import LoadSharer
@@ -48,22 +48,6 @@ class RandomSelection(LoadSharer):
 
     def notify_sent(self, channel: int, packet: Any) -> None:
         self._pending = None
-
-    def assign_many(
-        self,
-        packets: Sequence[Any],
-        queue_depths: Optional[Sequence[int]] = None,
-    ) -> List[int]:
-        # Batched draws skip the per-packet latch protocol; draw order (and
-        # therefore the PRNG stream) is identical to repeated choose/notify.
-        if self._pending is not None:
-            first, self._pending = self._pending, None
-            return [first] + [
-                self.rng.randrange(self._n) for _ in packets[1:]
-            ]
-        n = self._n
-        randrange = self.rng.randrange
-        return [randrange(n) for _ in packets]
 
     def reset(self) -> None:
         self._pending = None

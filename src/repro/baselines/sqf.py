@@ -9,7 +9,7 @@ packets may be persistently misordered.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.core.cfq import Capabilities
 from repro.core.transform import LoadSharer
@@ -49,31 +49,6 @@ class ShortestQueueFirst(LoadSharer):
 
     def notify_sent(self, channel: int, packet: Any) -> None:
         self._fallback = (channel + 1) % self._n
-
-    def assign_many(
-        self,
-        packets: Sequence[Any],
-        queue_depths: Optional[Sequence[int]] = None,
-    ) -> List[int]:
-        # Same depth-tracking semantics as the generic two-phase loop, but
-        # without re-materializing the depth list per packet.
-        depths = (
-            list(queue_depths)
-            if queue_depths is not None
-            else [0] * self._n
-        )
-        out: List[int] = []
-        append = out.append
-        n = self._n
-        for _ in packets:
-            best = 0
-            for i in range(1, n):
-                if depths[i] < depths[best]:
-                    best = i
-            depths[best] += 1
-            self._fallback = (best + 1) % n
-            append(best)
-        return out
 
     def reset(self) -> None:
         self._fallback = 0

@@ -184,14 +184,14 @@ class SRRKernel(SchedulerKernel):
         nothing speculative, nothing undone.  Packets of ``queue`` (read
         for ``size``, not consumed) are stepped in order while the pointer
         channel has a free slot; ``capacity[c]()`` is channel ``c``'s free
-        slots, asked when the pointer first lands on ``c`` in this call
-        and counted down from there.  With ``due > 0`` the call also stops
-        after the step that takes the pointer into channel ``position``
-        for the ``due``-th time — a marker batch is owed there — counting
-        every entry, including each one of a hop over several channels or
-        rounds that a deep overdraw makes in one step.  ``room``, when
-        given, is what the caller already got from ``capacity[ptr]()``
-        for the pointer channel; it is not asked again.
+        slots, asked when a packet waits for ``c`` for the first time in
+        this call and counted down from there.  With ``due > 0`` the call
+        also stops after the step that takes the pointer into channel
+        ``position`` for the ``due``-th time — a marker batch is owed
+        there — counting every entry, including each one of a hop over
+        several channels or rounds that a deep overdraw makes in one step.
+        ``room``, when given, is what the caller already got from
+        ``capacity[ptr]()`` for the pointer channel; it is not asked again.
 
         Returns ``(channels, crossings)``: the channel of each packet
         stepped and how often the pointer entered ``position``.
@@ -205,10 +205,10 @@ class SRRKernel(SchedulerKernel):
         n = len(quanta)
         count_packets = self.count_packets
         rooms: Dict[int, int] = {}
-        if room is None:
-            room = capacity[ptr]()
         crossings = 0
         for packet in queue:
+            if room is None:
+                room = capacity[ptr]()
             if room <= 0:
                 break
             room -= 1
@@ -231,8 +231,6 @@ class SRRKernel(SchedulerKernel):
                 if crossings >= due > 0:
                     break
                 room = rooms.get(ptr)
-                if room is None:
-                    room = capacity[ptr]()
         self.ptr = ptr
         self.round_number = rnd
         return out, crossings

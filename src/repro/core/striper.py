@@ -15,6 +15,12 @@ is what makes plain round robin collapse to the slowest channel's rate in
 Figure 15, and it is faithfully what a kernel implementation does (the
 driver queue fills and the upper layer blocks).
 
+Because that choice never looks at the packet (Theorem 3.1), an SRR-family
+policy's pump assigns a whole burst in one kernel pass
+(:meth:`~repro.core.kernel.SRRKernel.assign_admitted`) and hands each port
+its share at once; policies that pick from live queue depths are asked
+packet by packet.
+
 The striper also hosts the :class:`MarkerScheduler` (section 5): every
 ``interval`` rounds, at a configurable position within the round, it
 injects one marker per channel carrying that channel's next implicit packet
@@ -55,8 +61,12 @@ class ChannelPort(Protocol):
 
     Optional surface, detected by attribute presence:
 
-    * ``send_burst(packets)`` + ``free_capacity() -> int`` — enables the
-      batched pump (:class:`repro.transport.endpoint.FastStriper`).
+    * ``free_capacity() -> int`` — queue slots a non-forced send could
+      still fill; without it the port offers one slot while
+      ``can_accept()`` is true.
+    * ``send_burst(packets)`` — enqueue packets the pump has already
+      admitted against ``free_capacity``; without it each packet goes
+      through ``send``.
     * ``close()`` — release the underlying transport resource.
     * ``on_unblocked`` — a slot the endpoint pipeline fills with its pump
       so the port can resume a stalled sender (ARP resolution, credit
@@ -170,6 +180,9 @@ class Striper:
         self._initial_markers_pending = (
             self._markers_enabled and marker_policy.initial_markers
         )
+        # Bound once: a striper's port list is fixed at construction.
+        self._capacity = [_capacity_of(port) for port in self.ports]
+        self._send_burst = [_send_burst_of(port) for port in self.ports]
 
     # ------------------------------------------------------------------ #
     # upper-layer API
@@ -184,8 +197,8 @@ class Striper:
 
         Equivalent to ``submit(p)`` per packet — the pump drains greedily
         either way, so sends, marker points, and backpressure stops are
-        identical — but a batched pump (``FastStriper``) sees the whole
-        burst at once and can assign it in one kernel pass.
+        identical — but the pump sees the whole burst at once and assigns
+        it in one kernel pass.
         """
         self.input_queue.extend(packets)
         self.pump()
@@ -200,31 +213,98 @@ class Striper:
 
         Returns the number of data packets sent.  Called by the owner when
         a channel frees queue space.
+
+        With an SRR kernel each pass is one
+        :meth:`~repro.core.kernel.SRRKernel.assign_admitted` — one kernel
+        step per packet sent, stopped where the pointer port has no room or
+        a marker batch falls due — and one ``send_burst`` per channel.  A
+        one-slot port (no ``free_capacity``) is visited at most once per
+        pass, so it sees the calls the packet-at-a-time loop would make,
+        except that the next channel's ``can_accept`` comes before the
+        previous channel's ``send``.
         """
         if self.held:
             return 0
         if self._initial_markers_pending:
             self._initial_markers_pending = False
             self._emit_markers()
-        sent = 0
         kernel = self._kernel
-        markers = self._markers_enabled
+        if kernel is None:
+            return self._pump_choosing()
+        queue = self.input_queue
+        if not queue:
+            return 0
+        capacity = self._capacity
+        room = capacity[kernel.ptr]()
+        if room <= 0:
+            # Head-of-line: causality forbids sending anywhere but the
+            # pointer channel, so no other port's room can matter.
+            return 0
+        send_burst = self._send_burst
+        position, interval = -1, 0
+        if self._markers_enabled:
+            policy = self.marker_policy
+            position = policy.position % len(self.ports)
+            interval = policy.interval_rounds
+        trace = self.tracer.enabled
+        popleft = queue.popleft
+        sent = 0
+        while queue:
+            # Stop the pass where the next marker batch falls due, so the
+            # batch lands exactly between the packets it separates.
+            seen = self._crossings_seen
+            due = interval - seen % interval if interval else 0
+            channels, crossings = kernel.assign_admitted(
+                queue, capacity, position, due, room
+            )
+            room = None  # the next pass asks the pointer port itself
+            bursts: Dict[int, List[Any]] = {}
+            size = 0
+            for channel in channels:
+                packet = popleft()
+                size += packet.size
+                burst = bursts.get(channel)
+                if burst is None:
+                    bursts[channel] = [packet]
+                else:
+                    burst.append(packet)
+                if trace:
+                    self.tracer.emit(
+                        self.clock(), "striper", "send",
+                        channel=channel, size=packet.size,
+                    )
+            for channel, burst in bursts.items():
+                send_burst[channel](burst)
+            sent += len(channels)
+            self.packets_sent += len(channels)
+            self.bytes_sent += size
+            if crossings:
+                self._crossings_seen = seen + crossings
+                for _ in range(
+                    (seen + crossings) // interval - seen // interval
+                ):
+                    self._emit_markers()
+            if due and crossings >= due:
+                continue  # the pass stopped for the marker batch
+            if kernel.ptr not in bursts:
+                # The pass stopped on a port it asked and found full (not
+                # on one it filled, which the next pass asks again).
+                break
+        return sent
+
+    def _pump_choosing(self) -> int:
+        """The pump of a policy without an SRR kernel: ask it for each
+        packet's channel from the live queue depths, one at a time."""
+        sent = 0
         trace = self.tracer.enabled
         while self.input_queue:
             packet = self.input_queue[0]
-            if kernel is not None:
-                # Causal policy: the kernel's pointer *is* the choice; no
-                # need to materialize queue depths it cannot look at.
-                channel = kernel.ptr
-            else:
-                depths = [p.queue_length for p in self.ports]
-                channel = self.sharer.choose(packet, depths)
+            depths = [p.queue_length for p in self.ports]
+            channel = self.sharer.choose(packet, depths)
             port = self.ports[channel]
             if not port.can_accept():
                 break  # must wait: causality forbids sending elsewhere
             self.input_queue.popleft()
-            if markers:
-                old_ptr, old_round = kernel.ptr, kernel.round_number
             port.send(packet)
             self.sharer.notify_sent(channel, packet)
             self.packets_sent += 1
@@ -235,43 +315,10 @@ class Striper:
                     self.clock(), "striper", "send",
                     channel=channel, size=getattr(packet, "size", 0),
                 )
-            if markers:
-                self._check_marker_crossing(old_ptr, old_round)
         return sent
 
     # ------------------------------------------------------------------ #
     # marker machinery
-
-    def _check_marker_crossing(self, old_ptr: int, old_round: int) -> None:
-        """Emit markers if the pointer advanced into the policy position.
-
-        A single step can hop several channels (deep overdraw skipping), so
-        we walk the pointer path from ``(old_ptr, old_round)`` to the
-        kernel's live position and count every entry into ``position``.
-        """
-        kernel = self._kernel
-        policy = self.marker_policy
-        assert kernel is not None and policy is not None
-        new_ptr, new_round = kernel.ptr, kernel.round_number
-        if old_ptr == new_ptr and old_round == new_round:
-            return
-        n = kernel.n_channels
-        position = policy.position % n
-        crossings = 0
-        ptr, rnd = old_ptr, old_round
-        while (ptr, rnd) != (new_ptr, new_round):
-            ptr += 1
-            if ptr == n:
-                ptr = 0
-                rnd += 1
-            if ptr == position:
-                crossings += 1
-            if rnd > new_round:  # safety: should never happen
-                break
-        for _ in range(crossings):
-            self._crossings_seen += 1
-            if self._crossings_seen % policy.interval_rounds == 0:
-                self._emit_markers()
 
     def _emit_markers(self) -> None:
         """Send one marker per channel with its next implicit number."""
@@ -334,6 +381,27 @@ class Striper:
         self._initial_markers_pending = state["initial_markers"]
         self.input_queue.clear()
         self.input_queue.extend(state["queue"])
+
+
+def _capacity_of(port: ChannelPort) -> Callable[[], int]:
+    """``port.free_capacity``, or one slot while ``port.can_accept()``."""
+    free_capacity = getattr(port, "free_capacity", None)
+    if free_capacity is not None:
+        return free_capacity
+    return lambda: 1 if port.can_accept() else 0
+
+
+def _send_burst_of(port: ChannelPort) -> Callable[[List[Any]], Any]:
+    """``port.send_burst``, or one ``send`` per packet."""
+    send_burst = getattr(port, "send_burst", None)
+    if send_burst is not None:
+        return send_burst
+
+    def send_each(packets: List[Any]) -> None:
+        for packet in packets:
+            port.send(packet)
+
+    return send_each
 
 
 class ListPort:

@@ -152,6 +152,33 @@ class FragmentingStriper(Striper):
                 self._check_marker_crossing(old_ptr, old_round)
         return sent
 
+    def _check_marker_crossing(self, old_ptr: int, old_round: int) -> None:
+        """Emit markers if the pointer advanced into the policy position.
+
+        A single step can hop several channels (deep overdraw skipping), so
+        we walk the pointer path from ``(old_ptr, old_round)`` to the
+        kernel's live position and count every entry into ``position``.
+        """
+        kernel = self._kernel
+        policy = self.marker_policy
+        assert kernel is not None and policy is not None
+        new_ptr, new_round = kernel.ptr, kernel.round_number
+        n = kernel.n_channels
+        position = policy.position % n
+        crossings = 0
+        ptr, rnd = old_ptr, old_round
+        while (ptr, rnd) != (new_ptr, new_round):
+            ptr += 1
+            if ptr == n:
+                ptr = 0
+                rnd += 1
+            if ptr == position:
+                crossings += 1
+        for _ in range(crossings):
+            self._crossings_seen += 1
+            if self._crossings_seen % policy.interval_rounds == 0:
+                self._emit_markers()
+
 
 class Reassembler:
     """Rebuilds packets from logically ordered fragments.

@@ -59,7 +59,6 @@ from repro.transport.endpoint import (
     ChannelFailureDetector,
     ChannelLifecycleManager,
     ChannelPort,
-    FastStriper,
     SenderHealthMonitor,
     StripeReceiverPipeline,
     StripeSenderPipeline,
@@ -97,7 +96,6 @@ __all__ = [
     "ChannelPort",
     "StripeSenderPipeline",
     "StripeReceiverPipeline",
-    "FastStriper",
     "DISCIPLINES",
     "make_discipline",
     "resolve_discipline",

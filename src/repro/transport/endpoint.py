@@ -10,12 +10,12 @@ nothing else.
 
 * :class:`ChannelPort` — the protocol a transport must implement per
   striped channel: ``send`` / ``can_accept`` / ``queue_length``, plus
-  optional ``send_burst`` + ``free_capacity`` (enables the batched fast
-  pump), ``close``, and an ``on_unblocked`` callback slot.
+  optional ``send_burst`` + ``free_capacity`` (whole bursts per port
+  instead of one ``send`` per packet), ``close``, and an ``on_unblocked``
+  callback slot.
 * :class:`StripeSenderPipeline` — kernel-driven stripe pump over any port
-  list: the batched :class:`FastStriper` when the ports support bursts,
-  FCVC credit integration, and packet-wrapping disciplines (MPPP headers,
-  BONDING frames).
+  list, FCVC credit integration, and packet-wrapping disciplines (MPPP
+  headers, BONDING frames).
 * :class:`StripeReceiverPipeline` — per-channel buffering with the
   physical buffer-cap drop rule, the reception engine
   (:func:`~repro.core.resequencer.make_resequencer`), the marker wire
@@ -94,7 +94,6 @@ __all__ = [
     "ChannelFailureDetector",
     "ChannelLifecycleManager",
     "ChannelPort",
-    "FastStriper",
     "SenderHealthMonitor",
     "StripeReceiverPipeline",
     "StripeSenderPipeline",
@@ -112,124 +111,33 @@ _MISSING = object()
 # sender side
 
 
-class FastStriper(Striper):
-    """A :class:`~repro.core.striper.Striper` with a single-pass batched pump.
-
-    Semantically identical to the base per-packet pump for SRR-family
-    policies — same channel assignments (the kernel is causal, so the
-    channel of the next packet is known before the packet is looked at),
-    same per-channel packet order, same marker emission points — but each
-    pass is one :meth:`~repro.core.kernel.SRRKernel.assign_admitted` (one
-    kernel step per packet sent, stopped where a port fills or a marker
-    batch falls due) and one ``send_burst`` per channel.  Requires ports
-    with ``send_burst``/``free_capacity``.  A non-SRR policy or an enabled
-    tracer runs the base pump.
-    """
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        # Bound once: a striper's port list is fixed at construction.
-        self._capacity = [port.free_capacity for port in self.ports]
-        #: pump calls that sent at least one packet through the batched pump
-        self.batched_pumps = 0
-        #: data packets sent by the batched pump
-        self.batched_packets = 0
-        #: pump calls routed to the per-packet pump (non-SRR or tracing)
-        self.fallback_pumps = 0
-        #: pump calls that found the pointer port full and sent nothing
-        self.blocked_pumps = 0
-
-    def pump(self) -> int:
-        if self.held:
-            return 0
-        kernel = self._kernel
-        if kernel is None or self.tracer.enabled:
-            self.fallback_pumps += 1
-            return super().pump()
-        if self._initial_markers_pending:
-            self._initial_markers_pending = False
-            self._emit_markers()
-        queue = self.input_queue
-        if not queue:
-            return 0
-        capacity = self._capacity
-        room = capacity[kernel.ptr]()
-        if room <= 0:
-            # Head-of-line: causality forbids sending anywhere but the
-            # pointer channel, so no other port's room can matter.
-            self.blocked_pumps += 1
-            return 0
-        position, interval = -1, 0
-        if self._markers_enabled:
-            policy = self.marker_policy
-            position = policy.position % len(self.ports)
-            interval = policy.interval_rounds
-        ports = self.ports
-        popleft = queue.popleft
-        sent = 0
-        while queue:
-            # Stop the pass where the next marker batch falls due, so the
-            # batch lands exactly where the per-packet pump would put it.
-            seen = self._crossings_seen
-            due = interval - seen % interval if interval else 0
-            channels, crossings = kernel.assign_admitted(
-                queue, capacity, position, due, room
-            )
-            if not channels:
-                break  # head-of-line again, after a marker batch
-            room = None  # the next pass asks the pointer port itself
-            bursts: Dict[int, List[Any]] = {}
-            size = 0
-            for channel in channels:
-                packet = popleft()
-                size += packet.size
-                burst = bursts.get(channel)
-                if burst is None:
-                    bursts[channel] = [packet]
-                else:
-                    burst.append(packet)
-            for channel, burst in bursts.items():
-                ports[channel].send_burst(burst)
-            sent += len(channels)
-            self.packets_sent += len(channels)
-            self.bytes_sent += size
-            if crossings:
-                self._crossings_seen = seen + crossings
-                for _ in range(
-                    (seen + crossings) // interval - seen // interval
-                ):
-                    self._emit_markers()
-        self.batched_packets += sent
-        self.batched_pumps += 1
-        return sent
-
-
 class _RecordingPort:
     """A :class:`ChannelPort` proxy reporting data transmissions.
 
     Reliable mode needs to know *when* and *on which channel* each
     sequenced packet actually left the striper (RTT sampling, per-channel
     retransmission accounting, channel-suspect escalation).  The proxy
-    intercepts ``send`` / ``send_burst`` and reports sequenced data
-    packets to the reliability layer; everything else (``can_accept``,
-    ``queue_length``, ``free_capacity`` where the wrapped port has it)
-    forwards to the wrapped port, so transports cannot tell the difference.
+    intercepts ``send`` (and ``send_burst``, exactly when the wrapped port
+    has one) and reports sequenced data packets to the reliability layer;
+    everything else (``can_accept``, ``queue_length``, ``free_capacity``
+    where the wrapped port has it) forwards to the wrapped port, so
+    transports cannot tell the difference.
     """
 
     def __init__(
         self,
         inner: Any,
         index: int,
-        note_sent: Optional[Callable[[int, Any], None]],
-        note_burst: Optional[Callable[[int, List[Any]], None]],
+        note_sent: Optional[Callable[[int, List[Any]], None]],
     ) -> None:
         self._inner = inner
         self._index = index
         self._note_sent = note_sent
-        self._note_burst = note_burst
         #: cumulative data bytes actually transmitted through this port
         #: (fairness-envelope accounting: includes retransmissions)
         self.data_bytes_sent = 0
+        if hasattr(inner, "send_burst"):
+            self.send_burst = self._send_burst
 
     def send(self, packet: Any, force: bool = False) -> bool:
         ok = self._inner.send(packet, force)
@@ -237,14 +145,12 @@ class _RecordingPort:
         if ok and getattr(packet, "codepoint", None) != Codepoint.MARKER:
             self.data_bytes_sent += packet.size
             if getattr(packet, "rseq", None) is not None:
-                self._note_sent(self._index, packet)
+                self._note_sent(self._index, [packet])
         return ok
 
-    def send_burst(self, packets: Sequence[Any]) -> None:
-        """For burst-capable inner ports (keeps the fast pump): the
-        burst's sequenced packets are reported in one call (one clock
-        read, one timer check), still *before* the inner ``send_burst``,
-        exactly like ``send`` reports before returning."""
+    def _send_burst(self, packets: Sequence[Any]) -> None:
+        """The burst's sequenced packets are reported in one call (one
+        clock read, one timer check)."""
         sequenced: List[Any] = []
         marker_code = Codepoint.MARKER
         for packet in packets:
@@ -253,7 +159,7 @@ class _RecordingPort:
                 if getattr(packet, "rseq", None) is not None:
                     sequenced.append(packet)
         if sequenced:
-            self._note_burst(self._index, sequenced)
+            self._note_sent(self._index, sequenced)
         self._inner.send_burst(packets)
 
     @property
@@ -288,19 +194,18 @@ def build_sender_recovery(
     ports: Sequence[Any],
     reliability: str,
     sim: Any,
-    stripe: Callable[[Any], None],
-    stripe_many: Callable[[Sequence[Any]], None],
+    stripe: Callable[[Sequence[Any]], None],
     options: Optional[Dict[str, Any]] = None,
 ) -> Tuple[List[Any], Optional[ReliableSender], Optional[FecSender]]:
     """The send-side recovery stack, built once at construction time:
     recording ports -> :class:`ReliableSender` -> :class:`FecSender`.
 
-    ``stripe`` / ``stripe_many`` are the owner's entries into its striper
-    (they may be bound before the striper exists).  Returns ``(ports,
-    reliable, fec)``: the port list to stripe over (recording proxies
-    whenever a recovery layer is mounted) and the layers ``reliability``
-    asked for, ``None`` otherwise.  ``options`` go to the ARQ sender, with
-    the FEC sender's under the ``"fec"`` key.
+    ``stripe(packets)`` is the owner's entry into its striper (it may be
+    bound before the striper exists).  Returns ``(ports, reliable, fec)``:
+    the port list to stripe over (recording proxies whenever a recovery
+    layer is mounted) and the layers ``reliability`` asked for, ``None``
+    otherwise.  ``options`` go to the ARQ sender, with the FEC sender's
+    under the ``"fec"`` key.
     """
     _check_reliability(reliability)
     ports = list(ports)
@@ -314,15 +219,15 @@ def build_sender_recovery(
         raise ValueError(f"{reliability} mode needs an event scheduler")
     options, fec_options = _split_fec_options(options)
     if arq:
-        options.setdefault("submit_many", stripe_many)
         reliable = ReliableSender(stripe, sim, **options)
     # Recording proxies report actual transmissions (channel + time) back
     # to the ARQ layer; the striper stays oblivious.  Pure fec wraps too,
     # for the envelope byte accounting — its packets carry no rseq, so
-    # the ARQ hooks (None then) never fire.
-    notes = (reliable.note_sent, reliable.note_burst) if arq else (None, None)
+    # the ARQ hook (None then) never fires.
+    note_sent = reliable.note_sent if arq else None
     ports = [
-        _RecordingPort(port, index, *notes) for index, port in enumerate(ports)
+        _RecordingPort(port, index, note_sent)
+        for index, port in enumerate(ports)
     ]
     if fec:
         # FEC sits above ARQ: the downstream stamps rseq (hybrid) before
@@ -330,11 +235,7 @@ def build_sender_recovery(
         # buffer — it is expendable redundancy — but still stripes
         # through the kernel's rotated placement.
         fec_sender = FecSender(
-            reliable.submit if arq else stripe,
-            stripe_many,
-            sim=sim,
-            downstream_many=reliable.submit_many if arq else stripe_many,
-            **fec_options,
+            reliable.submit if arq else stripe, stripe, sim=sim, **fec_options
         )
     return ports, reliable, fec_sender
 
@@ -463,25 +364,16 @@ class StripeSenderPipeline:
                 "(MPPP/BONDING fragment packets below the recovery layer)"
             )
         self.ports, self.reliable, self.fec = build_sender_recovery(
-            ports, reliability, sim, self._stripe, self._stripe_many,
-            reliability_options,
+            ports, reliability, sim, self._stripe, reliability_options,
         )
         # The submit path enters at the top recovery layer; the stacking is
         # fixed at construction, so it is bound once, not chosen per packet.
         head = self.fec or self.reliable
         self._submit = head.submit if head is not None else self._stripe
-        self._submit_many = (
-            head.submit_many if head is not None else self._stripe_many
-        )
         if clock is None and sim is not None:
             clock = lambda: sim.now  # noqa: E731
-        # ChannelPort's optional burst surface picks the batched pump.
-        burst = all(
-            hasattr(port, "send_burst") and hasattr(port, "free_capacity")
-            for port in self.ports
-        )
         self._make_striper = partial(
-            FastStriper if burst else Striper,
+            Striper,
             marker_policy=marker_policy,
             on_marker=on_marker,
             marker_decorator=marker_decorator,
@@ -588,11 +480,7 @@ class StripeSenderPipeline:
             backlog_limit = 4 * len(self.ports)
         self.fabric = fabric
         self._fabric_backlog_limit = backlog_limit
-        fabric.bind(
-            self._submit,
-            ready=self._fabric_ready,
-            downstream_many=self._submit_many,
-        )
+        fabric.bind(ready=self._fabric_ready, downstream_many=self._submit)
         if self.reliable is not None:
             # A draining ARQ window reopens the fabric gate, after any
             # callback the owner already installed on ``on_window_open``.
@@ -649,7 +537,7 @@ class StripeSenderPipeline:
             packet.flow = flow_id
             return packet if self.submit(flow_id, packet) else None
         self.messages_submitted += 1
-        self._submit(packet)
+        self._submit([packet])
         return packet
 
     def submit_packet(self, packet: Packet, flow_id: Any = None) -> None:
@@ -658,7 +546,7 @@ class StripeSenderPipeline:
             self.submit(flow_id, packet)
             return
         self.messages_submitted += 1
-        self._submit(packet)
+        self._submit([packet])
 
     def submit_packets(self, packets: Sequence[Packet]) -> None:
         """Submit a burst of caller-constructed packets in one call.
@@ -669,16 +557,9 @@ class StripeSenderPipeline:
         pump.  The direct (non-fabric) submit path only.
         """
         self.messages_submitted += len(packets)
-        self._submit_many(packets)
+        self._submit(packets)
 
-    def _stripe(self, packet: Any) -> None:
-        if self._wrap is not None:
-            for unit in self._wrap(packet):
-                self.striper.submit(unit)
-        else:
-            self.striper.submit(packet)
-
-    def _stripe_many(self, packets: Sequence[Any]) -> None:
+    def _stripe(self, packets: Sequence[Any]) -> None:
         if self._wrap is not None:
             for packet in packets:
                 for unit in self._wrap(packet):

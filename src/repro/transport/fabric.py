@@ -240,8 +240,8 @@ class FabricScheduler:
         self.auto_register = auto_register
         self.stats = FabricStats()
         self._active: Deque[FlowState] = deque()
-        self._downstream: Optional[Callable[[Any], None]] = None
-        self._downstream_many: Optional[Callable[[List[Any]], None]] = None
+        #: where each drained batch goes, bound by :meth:`bind`
+        self._drain: Optional[Callable[[List[Any]], None]] = None
         self._ready: Optional[Callable[[], int]] = None
         self._head_credited = False
         self._pumping = False
@@ -251,7 +251,7 @@ class FabricScheduler:
 
     def bind(
         self,
-        downstream: Callable[[Any], None],
+        downstream: Optional[Callable[[Any], None]] = None,
         ready: Optional[Callable[[], int]] = None,
         *,
         downstream_many: Optional[Callable[[List[Any]], None]] = None,
@@ -262,10 +262,15 @@ class FabricScheduler:
         a bool gate works unchanged (True is room for one, False for
         none) and ``None`` means unlimited.  With ``downstream_many``
         each drained batch goes down as one list in service order
-        instead of one ``downstream`` call per packet.
+        instead of one ``downstream`` call per packet, and ``downstream``
+        may be left out.
         """
-        self._downstream = downstream
-        self._downstream_many = downstream_many
+        if downstream_many is None:
+            def downstream_many(batch: List[Any]) -> None:
+                for packet in batch:
+                    downstream(packet)
+
+        self._drain = downstream_many
         self._ready = ready
 
     # ------------------------------------------------------------------ #
@@ -335,7 +340,7 @@ class FabricScheduler:
         the batches are cut.  Re-entrant calls (downstream submit can
         re-trigger port pumps) are folded into the outer drain.
         """
-        if self._pumping or self._downstream is None:
+        if self._pumping or self._drain is None:
             return 0
         active = self._active
         ready = self._ready
@@ -389,12 +394,7 @@ class FabricScheduler:
                 self.stats.packets_scheduled += len(batch)
                 self.stats.bytes_scheduled += batch_bytes
                 sent += len(batch)
-                if self._downstream_many is not None:
-                    self._downstream_many(batch)
-                else:
-                    downstream = self._downstream
-                    for packet in batch:
-                        downstream(packet)
+                self._drain(batch)
         finally:
             self._pumping = False
         return sent

@@ -8,10 +8,9 @@ one Python callback chain per packet per hop.  All of that plumbing is
 fast path therefore strips it away:
 
 * :class:`FastChannelPort` talks to a :class:`~repro.sim.channel.Channel`
-  directly; its burst surface (``send_burst`` / ``free_capacity``) makes
-  :class:`~repro.transport.endpoint.StripeSenderPipeline` pick the batched
-  pump (:class:`~repro.transport.endpoint.FastStriper`), which hands each
-  channel its packets as one burst.
+  directly; its burst surface (``send_burst`` / ``free_capacity``) lets
+  the striper's pump hand each channel all the packets it has room for
+  as one burst.
 * :func:`bind_fast_receiver` points the channels' deliveries at a
   receiver pipeline and installs :func:`wire_size` as their ``size_of``
   hook — the framing the stack would have added — so wire timing is

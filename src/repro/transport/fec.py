@@ -228,12 +228,12 @@ class FecSender:
     """Groups submitted data into stripe groups and emits parity.
 
     Args:
-        downstream: per-packet data path (``ReliableSender.submit`` in
-            hybrid mode, the pipeline's raw stripe in pure fec).  Called
-            *before* the packet is absorbed into a group so ``rseq`` is
-            already stamped when the shard is serialized.
+        downstream: batch data path (``ReliableSender.submit`` in hybrid
+            mode, the pipeline's raw stripe in pure fec).  Called
+            *before* the packets are absorbed into groups so ``rseq`` is
+            already stamped when each shard is serialized.
         stripe_parity: batch submit for parity packets — the pipeline's
-            raw ``_stripe_many``, bypassing ARQ but not the SRR kernel.
+            raw ``_stripe``, bypassing ARQ but not the SRR kernel.
         k: data shards per group.
         m: parity shards per group.
         sim: discrete-event engine for the seal timeout (optional; without
@@ -242,13 +242,11 @@ class FecSender:
             before sealing short.
         codec: explicit :class:`~repro.core.fec.FecCodec` (overrides
             ``k``/``m``).
-        downstream_many: optional burst data path (``submit_many``); falls
-            back to per-packet ``downstream``.
     """
 
     def __init__(
         self,
-        downstream: Callable[[Any], Any],
+        downstream: Callable[[Sequence[Any]], Any],
         stripe_parity: Callable[[Sequence[Any]], Any],
         *,
         k: int = 6,
@@ -256,13 +254,11 @@ class FecSender:
         sim: Any = None,
         seal_timeout_s: float = 0.01,
         codec: Optional[FecCodec] = None,
-        downstream_many: Optional[Callable[[Sequence[Any]], Any]] = None,
     ) -> None:
         self.codec = codec if codec is not None else make_codec(k, m)
         self.k = self.codec.k
         self.m = self.codec.m
         self._downstream = downstream
-        self._downstream_many = downstream_many
         self._stripe_parity = stripe_parity
         self.sim = sim
         self.seal_timeout_s = seal_timeout_s
@@ -274,27 +270,16 @@ class FecSender:
 
     # -- data path ----------------------------------------------------- #
 
-    def submit(self, packet: Any) -> Any:
-        """Stamp ``fseq``, forward downstream, absorb into the open group."""
-        packet.fseq = self._next_fseq
-        self._next_fseq += 1
-        result = self._downstream(packet)
-        self._absorb((packet,))
-        return result
-
-    def submit_many(self, packets: Sequence[Any]) -> Any:
-        """Burst variant: one downstream batch, then absorb in order."""
+    def submit(self, packets: Sequence[Any]) -> None:
+        """Stamp ``fseq`` on each packet, forward the batch downstream,
+        then absorb it into the open group(s) in order."""
         fseq = self._next_fseq
         for packet in packets:
             packet.fseq = fseq
             fseq += 1
         self._next_fseq = fseq
-        if self._downstream_many is not None:
-            result = self._downstream_many(packets)
-        else:
-            result = [self._downstream(packet) for packet in packets]
+        self._downstream(packets)
         self._absorb(packets)
-        return result
 
     def _absorb(self, packets: Sequence[Any]) -> None:
         """Pack each packet's shard into the open group, in order, sealing

@@ -225,15 +225,11 @@ class ReliabilityStats:
     escalations: int = 0
     #: submits parked in the overflow queue because the window was full
     backpressure_stalls: int = 0
-    #: bursts accepted through :meth:`ReliableSender.submit_many`
-    burst_submits: int = 0
     #: SACK scoreboard updates (one per ack processed)
     sack_scans: int = 0
     #: records examined across those updates; ``sack_visits / sack_scans``
     #: tracks holes plus newly covered records per ack, not the window
     sack_visits: int = 0
-    #: retransmissions resubmitted as one batch through the striper
-    batched_retransmissions: int = 0
     #: packets replayed from the retransmit buffer by a crash-recovery
     #: reconciliation (:meth:`ReliableSender.reconcile`)
     replays: int = 0
@@ -243,9 +239,10 @@ class ReliableSender:
     """Selective-repeat ARQ sender half, above any striping pipeline.
 
     Args:
-        submit: ``fn(packet)`` handing a packet to the striper (both
-            first transmissions and retransmissions go through it, so
-            recovery traffic obeys the SRR fairness bound).
+        submit: ``fn(packets)`` handing a batch to the striper, which
+            assigns it channels in one kernel pass.  First transmissions
+            and retransmissions both go through it, so recovery traffic
+            obeys the SRR fairness bound (Theorem 3.2).
         sim: event scheduler (``now`` / ``schedule`` returning a
             cancellable event) for the retransmission timer.
         window_packets: retransmission-buffer bound; submits beyond it
@@ -259,17 +256,11 @@ class ReliableSender:
         on_window_open: called when a full window drains below the
             bound (sources resume submitting).
         rto: optional pre-built :class:`RtoEstimator`.
-        submit_many: optional batched striper submit.  When provided,
-            :meth:`submit_many` bursts and batched retransmissions are
-            handed to the striper in one call, so the whole batch is
-            assigned channels in one pass of the scheduler kernel
-            (recovery traffic stays inside the Theorem 3.2 envelope)
-            instead of one pump per packet.
     """
 
     def __init__(
         self,
-        submit: Callable[[Any], None],
+        submit: Callable[[List[Any]], None],
         sim: Any,
         *,
         window_packets: int = 64,
@@ -277,14 +268,12 @@ class ReliableSender:
         on_channel_suspect: Optional[Callable[[int], None]] = None,
         on_window_open: Optional[Callable[[], None]] = None,
         rto: Optional[RtoEstimator] = None,
-        submit_many: Optional[Callable[[List[Any]], None]] = None,
     ) -> None:
         if window_packets < 1:
             raise ValueError("window must hold at least one packet")
         if max_retries < 1:
             raise ValueError("max_retries must be >= 1")
         self._submit = submit
-        self._submit_many = submit_many
         self.sim = sim
         self.window_packets = window_packets
         self.max_retries = max_retries
@@ -327,36 +316,13 @@ class ReliableSender:
         """Submitted packets parked behind a full window."""
         return len(self._overflow)
 
-    def submit(self, packet: Any) -> None:
-        """Register ``packet`` in the window and stripe it.
+    def submit(self, packets: List[Any]) -> None:
+        """Register ``packets`` in the window and stripe them as one batch.
 
-        A full window parks the packet instead (bounded-buffer
-        backpressure); it is replayed in order as acks open the window.
-        """
-        packet.rseq = self.next_rseq
-        self.next_rseq += 1
-        self.stats.submitted += 1
-        if self.on_register is not None:
-            self.on_register(packet)
-        if self._overflow or len(self.unacked) >= self.window_packets:
-            self.stats.backpressure_stalls += 1
-            self._overflow.append(packet)
-            return
-        self._launch(packet)
-
-    def _launch(self, packet: Any) -> None:
-        record = _TxRecord(packet=packet, size=packet.size)
-        self.unacked[packet.rseq] = record
-        self._unsacked[packet.rseq] = record
-        self._submit(packet)
-
-    def submit_many(self, packets: List[Any]) -> None:
-        """Burst submit: stamp rseqs in one pass, stripe in one batch.
-
-        Equivalent to ``submit(p)`` per packet — same rseq assignment,
-        same window/overflow behavior — but window-admissible packets are
-        registered first and handed to the striper as one burst, so
-        channel assignment happens in one kernel pass.
+        Their rseqs are stamped in one pass.  Once the window is full the
+        rest are parked instead (bounded-buffer backpressure) and replayed
+        in order as acks open the window; the admitted ones go to the
+        striper in one call, so channel assignment is one kernel pass.
         """
         rseq = self.next_rseq
         for packet in packets:
@@ -364,39 +330,35 @@ class ReliableSender:
             rseq += 1
         self.next_rseq = rseq
         self.stats.submitted += len(packets)
-        self.stats.burst_submits += 1
         if self.on_register is not None:
             for packet in packets:
                 self.on_register(packet)
+        # window_room(), without its frame
+        room = 0 if self._overflow else self.window_packets - len(self.unacked)
+        if room < len(packets):
+            parked = packets[max(room, 0):]
+            self.stats.backpressure_stalls += len(parked)
+            self._overflow.extend(parked)
+        if room > 0 and packets:
+            self._launch(packets[:room])
+
+    def _launch(self, packets: List[Any]) -> None:
+        """Register ``packets`` in the window and stripe them as one batch."""
         unacked = self.unacked
         unsacked = self._unsacked
-        overflow = self._overflow
-        window = self.window_packets
-        burst: List[Any] = []
         for packet in packets:
-            if overflow or len(unacked) >= window:
-                self.stats.backpressure_stalls += 1
-                overflow.append(packet)
-            else:
-                record = _TxRecord(packet=packet, size=packet.size)
-                unacked[packet.rseq] = record
-                unsacked[packet.rseq] = record
-                burst.append(packet)
-        if burst:
-            self._stripe_burst(burst)
+            record = _TxRecord(packet=packet, size=packet.size)
+            unacked[packet.rseq] = record
+            unsacked[packet.rseq] = record
+        self._submit(packets)
 
-    def _stripe_burst(self, packets: List[Any]) -> None:
-        if self._submit_many is not None:
-            self._submit_many(packets)
-        else:
-            for packet in packets:
-                self._submit(packet)
+    def note_sent(self, channel: int, packets: List[Any]) -> None:
+        """A recording port transmitted ``packets`` on ``channel``.
 
-    def note_burst(self, channel: int, packets: List[Any]) -> None:
-        """Batched :meth:`note_sent`: one burst transmitted on ``channel``.
-
-        One clock read, one timer check, and one retransmitted-bytes
-        update for the whole burst instead of per packet.
+        First transmissions and retransmissions are distinguished here —
+        the striper is oblivious to the difference, which is exactly how
+        retransmissions inherit its fairness properties.  One clock read,
+        one timer check and one retransmitted-bytes update per call.
         """
         now = self.sim.now
         unacked = self.unacked
@@ -421,31 +383,6 @@ class ReliableSender:
         if self._timer is None:
             self._ensure_timer()
 
-    def note_sent(self, channel: int, packet: Any) -> None:
-        """A recording port transmitted ``packet`` on ``channel``.
-
-        First transmissions and retransmissions are distinguished here —
-        the striper is oblivious to the difference, which is exactly how
-        retransmissions inherit its fairness properties.
-        """
-        record = self.unacked.get(packet.rseq)
-        if record is None:
-            return  # acked while queued inside the striper
-        now = self.sim.now
-        record.transmissions += 1
-        record.last_sent = now
-        record.last_channel = channel
-        record.rtx_pending = False
-        if record.transmissions == 1:
-            record.first_sent = now
-        else:
-            self.stats.retransmissions += 1
-            self.retransmitted_bytes[channel] = (
-                self.retransmitted_bytes.get(channel, 0) + record.size
-            )
-        if self._timer is None:
-            self._ensure_timer()
-
     # ------------------------------------------------------------------ #
     # ack path
 
@@ -462,7 +399,7 @@ class ReliableSender:
         already covered are never looked at again.
 
         The index is derived from ``unacked`` and the ``sacked`` flags:
-        ``_launch``/``submit_many`` append to it, this method and
+        ``_launch`` appends to it, this method and
         ``_absorb_cum_ack`` remove from it, and ``register_restored`` and
         ``reconcile`` (the one place a flag goes back to False) rebuild it.
         """
@@ -565,29 +502,21 @@ class ReliableSender:
                 self.stats.fast_retransmissions += 1
                 ripe.append(record)
         if ripe:
-            self._retransmit_many(ripe)
+            self._retransmit(ripe)
 
     def _refill(self) -> bool:
-        """Launch parked submits into freed window slots."""
-        launched = False
-        while self._overflow and len(self.unacked) < self.window_packets:
-            self._launch(self._overflow.popleft())
-            launched = True
-        return launched and not self._overflow
+        """Launch parked submits into freed window slots, as one batch."""
+        overflow = self._overflow
+        room = min(self.window_packets - len(self.unacked), len(overflow))
+        if room <= 0:
+            return False
+        self._launch([overflow.popleft() for _ in range(room)])
+        return not overflow
 
-    def _retransmit(self, record: _TxRecord) -> None:
-        record.rtx_pending = True
-        self._submit(record.packet)
-
-    def _retransmit_many(self, records: List[_TxRecord]) -> None:
+    def _retransmit(self, records: List[_TxRecord]) -> None:
         for record in records:
             record.rtx_pending = True
-        if self._submit_many is not None and len(records) > 1:
-            self.stats.batched_retransmissions += len(records)
-            self._submit_many([record.packet for record in records])
-        else:
-            for record in records:
-                self._submit(record.packet)
+        self._submit([record.packet for record in records])
 
     def on_channel_rejoin(self) -> None:
         """Ack-triggered channel rejoin: collapse accumulated RTO backoff.
@@ -694,7 +623,7 @@ class ReliableSender:
         live = list(unsacked.values())
         self.stats.replays += len(live)
         if live:
-            self._retransmit_many(live)
+            self._retransmit(live)
         opened = self._refill() or opened
         self.rto.reset_backoff()
         if self._timer is not None:
@@ -753,7 +682,7 @@ class ReliableSender:
             if self.on_channel_suspect is not None and record.last_channel >= 0:
                 self.on_channel_suspect(record.last_channel)
         if not record.rtx_pending:
-            self._retransmit(record)
+            self._retransmit([record])
         # A synchronous resend already re-armed via note_sent; otherwise
         # arm against the backed-off timeout ourselves.
         if self._timer is None:

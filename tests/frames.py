@@ -22,7 +22,7 @@ import sys
 from collections import Counter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.core import SRR, MarkerPolicy, Packet, SRRKernel
+from repro.core import SRR, MarkerPolicy, Packet, SRRKernel, Striper
 from repro.core.packet import PacketPool
 from repro.sim import BernoulliLoss, Channel, Simulator
 from repro.transport import (
@@ -33,7 +33,6 @@ from repro.transport import (
     StripeSenderPipeline,
     wire_size,
 )
-from repro.transport.endpoint import FastStriper
 from repro.transport.fast_path import wire_fast_ack_path
 from repro.workloads import ClosedLoopSource, ConstantSizes, RandomMixSizes
 
@@ -214,14 +213,14 @@ def drive_open_burst(sim, shape, channels, sender, receiver, table):
 class FrameCounter:
     """Python frames by code object while installed, plus the kernel steps
     (``step`` frames and the packets each batched assignment covered), the
-    ``snapshot`` / ``restore`` frames inside :meth:`FastStriper.pump` and
+    ``snapshot`` / ``restore`` frames inside :meth:`Striper.pump` and
     the engine's same-timestamp batches (a ``rest.reverse()`` each)."""
 
     _STEP = SRRKernel.step.__code__
     _ASSIGN_MANY = SRRKernel.assign_many.__code__
     _ASSIGN_ADMITTED = SRRKernel.assign_admitted.__code__
     _SAVES = (SRRKernel.snapshot.__code__, SRRKernel.restore.__code__)
-    _PUMP = FastStriper.pump.__code__
+    _PUMP = Striper.pump.__code__
     _ENGINE = Simulator.run.__code__.co_filename
 
     def __init__(self) -> None:

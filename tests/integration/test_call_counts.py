@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import pytest
 
-from repro.core import Packet, fec
+from repro.core import Packet, Striper, fec
 from repro.sim import (
     BernoulliLoss,
     Channel,
@@ -147,7 +147,8 @@ def test_pump_steps_the_kernel_once_per_packet_sent(name):
     assert striper.packets_sent >= len(run.delivered)  # retransmissions too
     assert run.counter.kernel_steps == striper.packets_sent
     assert run.counter.pump_saves == 0  # no snapshot / restore in the pump
-    assert striper.fallback_pumps == 0
+    # nothing went through the choose-per-packet loop of kernel-less policies
+    assert run.counter.frames_of(Striper._pump_choosing) == 0
 
 
 def test_single_event_timestamps_never_enter_the_group_path():

@@ -6,9 +6,8 @@ size, built from public names in ``tests/frames.py``.  They pin what makes
 those workloads cheap:
 
 * once the fan-in burst is queued, the fabric drains it into the striper
-  in batches, so the striper's batched pump engages (before batching, 91%
-  of the data packets each cost one per-packet fallback pump and 10% were
-  ever batched);
+  in batches, so each pump assigns many packets in one kernel pass (before
+  batching, 91% of the data packets each cost one pump of their own);
 * a receiver parked on one channel's empty buffer does not rescan on an
   arrival elsewhere (before, every arrival ran one ``drain()``).
 """
@@ -43,14 +42,21 @@ def test_fabric_drain_reaches_the_striper_in_batches():
     # fits the channel queues at t=0 is per-packet by construction; the
     # guard is on what the fabric drains afterwards.
     striper = sender.striper
-    queued = (striper.fallback_pumps, striper.batched_packets)
-    drained = seq - sender.striper.packets_sent
+    drained = seq - striper.packets_sent
     assert drained > 0.5 * seq
+    batches = []
+    submit_many = striper.submit_many
+
+    def counting_submit_many(packets):
+        batches.append(len(packets))
+        submit_many(packets)
+
+    striper.submit_many = counting_submit_many
     sim.run(until=60.0, batch=True)
     assert sorted(delivered) == list(range(seq))
-    fallback = striper.fallback_pumps - queued[0]
-    batched = striper.batched_packets - queued[1]
-    assert fallback <= 0.05 * drained, (fallback, drained)
+    single = batches.count(1)
+    batched = sum(batches) - single
+    assert single <= 0.05 * drained, (single, drained)
     assert batched >= 0.90 * drained, (batched, drained)
 
 

@@ -35,7 +35,6 @@ class OracleLoopback(Loopback):
     def _build(self, marker_policy, checker, reliability, session_options):
         ports, reliable, _ = build_sender_recovery(
             self.ports, reliability, self.sim,
-            lambda packet: sender.submit(packet),
             lambda packets: [sender.submit(packet) for packet in packets],
         )
         sender = OracleSender(
@@ -43,7 +42,7 @@ class OracleLoopback(Loopback):
         )
         sender.submit_packet = sender.submit
         if reliable is not None:
-            sender.submit_packet = reliable.submit
+            sender.submit_packet = lambda packet: reliable.submit([packet])
             sender.on_ack = reliable.on_ack
             sender.on_reset_complete = reliable.on_channel_rejoin
         self.sender = self.sender_session = sender

@@ -312,11 +312,11 @@ class TestBurstLoss:
             delivered.append, k=3, m=1, sim=sim, group_timeout_s=0.05
         )
         channel.on_deliver = receiver.on_packet
-        sender = FecSender(
-            lambda p: channel.send(p, force=True),
-            lambda ps: [channel.send(p, force=True) for p in ps],
-            k=3, m=1, sim=sim,
-        )
+        def send(packets):
+            for packet in packets:
+                channel.send(packet, force=True)
+
+        sender = FecSender(send, send, k=3, m=1, sim=sim)
         # Group 0 (fseq 0-2 + parity, all sent by t=0.002) transmits
         # inside the burst window; group 1 starts at t=0.003, outside it.
         schedule = burst_loss_schedule(1, 1.0, until=0.0025)
@@ -325,7 +325,7 @@ class TestBurstLoss:
             sim.schedule_at(
                 i * 0.001,
                 lambda seq=i: sender.submit(
-                    Packet(size=200, seq=seq, payload=bytes([seq]) * 8)
+                    [Packet(size=200, seq=seq, payload=bytes([seq]) * 8)]
                 ),
             )
         sim.run()

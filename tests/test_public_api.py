@@ -43,7 +43,7 @@ SURFACE = {
         "UdpLayer", "UdpSocket", "TcpLayer", "BulkSender", "BulkReceiver",
         "CreditSender", "CreditReceiver", "CreditPacket",
         "ChannelPort", "StripeSenderPipeline", "StripeReceiverPipeline",
-        "FastStriper", "DISCIPLINES", "make_discipline",
+        "DISCIPLINES", "make_discipline",
         "resolve_discipline", "receiver_mode_for",
         "UdpChannelPort", "udp_ports", "bind_udp_receiver",
         "TcpChannelPort", "tcp_ports", "bind_tcp_receiver",
@@ -100,7 +100,20 @@ REMOVED = {
         "SYNC_MODELS", "sync_model_for", "make_sync_model",
         "SynchronizationModel", "MarkerSyncModel", "HashSyncModel",
         "HeaderSyncModel", "logarithmic_tenant_weights",
+        # one pump: Striper.pump is the batched SRR pump for every port
+        "FastStriper",
     ],
+}
+
+#: methods deliberately removed from a class, as ``module:Class``: each
+#: layer under the pipeline takes batches through one entry, with no
+#: per-packet twin beside it
+REMOVED_MEMBERS = {
+    "repro.transport.reliability:ReliableSender": [
+        "submit_many", "note_burst", "_retransmit_many",
+    ],
+    "repro.transport.fec:FecSender": ["submit_many"],
+    "repro.transport.endpoint:StripeSenderPipeline": ["_stripe_many"],
 }
 
 
@@ -130,6 +143,30 @@ def test_removed_names_stay_removed(module_name):
     module = importlib.import_module(module_name)
     present = [name for name in REMOVED[module_name] if hasattr(module, name)]
     assert present == [], f"{module_name} still exports: {present}"
+
+
+@pytest.mark.parametrize("owner", sorted(REMOVED_MEMBERS))
+def test_removed_members_stay_removed(owner):
+    module_name, class_name = owner.split(":")
+    cls = getattr(importlib.import_module(module_name), class_name)
+    present = [name for name in REMOVED_MEMBERS[owner] if hasattr(cls, name)]
+    assert present == [], f"{owner} still has: {present}"
+
+
+def test_recovery_senders_take_no_per_packet_keyword():
+    """``ReliableSender`` and ``FecSender`` take one batch callable each:
+    no ``submit_many=`` / ``downstream_many=`` twin beside it."""
+    from repro.sim import Simulator
+    from repro.transport.fec import FecSender
+    from repro.transport.reliability import ReliableSender
+
+    def batch(packets):
+        return None
+
+    with pytest.raises(TypeError, match="submit_many"):
+        ReliableSender(batch, Simulator(), submit_many=batch)
+    with pytest.raises(TypeError, match="downstream_many"):
+        FecSender(batch, batch, downstream_many=batch)
 
 
 def test_version():

@@ -97,7 +97,7 @@ class FullScanSender(ReliableSender):
                 live.append(record)
         self.stats.replays += len(live)
         if live:
-            self._retransmit_many(live)
+            self._retransmit(live)
         opened = self._refill() or opened
         self.rto.reset_backoff()
         if self._timer is not None:

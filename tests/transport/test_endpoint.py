@@ -28,7 +28,6 @@ from repro.sim.loss import BernoulliLoss
 from repro.transport.endpoint import (
     DISCIPLINES,
     ChannelFailureDetector,
-    FastStriper,
     StripeReceiverPipeline,
     StripeSenderPipeline,
     make_discipline,
@@ -40,6 +39,16 @@ from tests.conftest import peek_time
 
 def make_ports(n, limit=None):
     return [ListPort(limit) for _ in range(n)]
+
+
+class BurstPort(ListPort):
+    """An unbounded list port with the burst surface."""
+
+    def send_burst(self, packets):
+        self.sent.extend(packets)
+
+    def free_capacity(self):
+        return 1 << 30
 
 
 class TestDisciplineRegistry:
@@ -158,19 +167,53 @@ class TestSenderPipeline:
         assert len(frames) == 4
         assert all(f.size == 256 for f in frames)
 
-    def test_fast_pump_selected_by_port_capabilities(self):
-        plain = StripeSenderPipeline(make_ports(2), "rr")
-        assert not isinstance(plain.striper, FastStriper)
+    def test_one_pump_over_any_port_surface(self):
+        """Ports with and without the burst surface get one striper and
+        the same packets, markers included."""
+        pipelines = [
+            StripeSenderPipeline(
+                ports, "srr", marker_policy=MarkerPolicy(interval_rounds=2)
+            )
+            for ports in (make_ports(3), [BurstPort() for _ in range(3)])
+        ]
+        for pipeline in pipelines:
+            assert type(pipeline.striper) is Striper
+            pipeline.submit_packets(
+                [Packet(size=300 + 97 * i, seq=i) for i in range(20)]
+            )
+            for seq in range(20, 30):
+                pipeline.send_message(700)
+        plain, burst = (
+            [
+                [(p.round_number, p.deficit) if is_marker(p) else p.seq
+                 for p in port.sent]
+                for port in pipeline.ports
+            ]
+            for pipeline in pipelines
+        )
+        assert plain == burst
+        assert sum(len(port.sent) for port in pipelines[1].ports) > 30
 
-        class BurstPort(ListPort):
-            def send_burst(self, packets):
-                self.sent.extend(packets)
-
-            def free_capacity(self):
-                return 1 << 30
-
-        fast = StripeSenderPipeline([BurstPort(), BurstPort()], "rr")
-        assert isinstance(fast.striper, FastStriper)
+    def test_recording_ports_offer_a_burst_only_over_burst_ports(self, sim):
+        """The recovery layers' recording proxies follow the port they
+        wrap: no ``send_burst`` over a port without one (calling it used
+        to raise ``AttributeError`` after charging the bytes)."""
+        plain, burst = (
+            StripeSenderPipeline(ports, "srr", sim=sim, reliability="reliable")
+            for ports in (make_ports(2), [BurstPort(), BurstPort()])
+        )
+        assert not any(hasattr(port, "send_burst") for port in plain.ports)
+        assert all(hasattr(port, "send_burst") for port in burst.ports)
+        channels = []
+        for pipeline in (plain, burst):
+            pipeline.submit_packets(
+                [Packet(size=1000, seq=i) for i in range(4)]
+            )
+            records = pipeline.reliable.unacked.values()
+            assert [r.transmissions for r in records] == [1] * 4
+            channels.append([r.last_channel for r in records])
+            assert sum(p.data_bytes_sent for p in pipeline.ports) == 4000
+        assert channels[0] == channels[1] and set(channels[0]) == {0, 1}
 
     def test_keepalive_requires_policy_and_scheduler(self):
         with pytest.raises(ValueError, match="marker policy"):
@@ -578,7 +621,7 @@ class TestPortFactories:
 
         once = ("attach_fabric", "_fabric_ready", "send_message",
                 "submit_packet")
-        builders = {"Striper", "FastStriper", "make_resequencer",
+        builders = {"Striper", "make_resequencer",
                     "SRRReceiver"}
         may_build = {"transport/endpoint.py"}
         root = Path(repro.__file__).parent

@@ -30,8 +30,8 @@ class _Tap:
         self.packets = []
         self.parity = []
 
-    def submit(self, packet):
-        self.packets.append(packet)
+    def submit(self, packets):
+        self.packets.extend(packets)
 
     def stripe_parity(self, parity):
         self.parity.extend(parity)
@@ -80,7 +80,7 @@ def test_empty_payload_is_not_no_payload():
 def test_reconstruction_keeps_empty_and_absent_payloads():
     sender, receiver, delivered = _wire(drop={0, 2}, k=3, m=2)
     for seq, payload in enumerate([b"", b"x", None]):
-        sender.submit(_packet(seq, payload=payload))
+        sender.submit([_packet(seq, payload=payload)])
     assert [p.seq for p in delivered] == [0, 1, 2]
     assert delivered[0].synthesized and delivered[0].payload == b""
     assert delivered[2].synthesized and delivered[2].payload is None
@@ -98,7 +98,7 @@ def test_non_bytes_payload_rejected():
 def test_sender_seals_on_count_and_stripes_parity():
     sender, tap = make_sender(k=3, m=2)
     for i in range(6):
-        sender.submit(_packet(i))
+        sender.submit([_packet(i)])
     assert [p.fseq for p in tap.packets] == list(range(6))
     assert len(tap.parity) == 4  # two groups x two parity shards
     assert all(p.codepoint == Codepoint.PARITY for p in tap.parity)
@@ -113,13 +113,14 @@ def test_sender_downstream_called_before_absorb():
     """Hybrid contract: the shard must capture the downstream-stamped rseq."""
     sender, tap = make_sender(k=2, m=1)
 
-    def stamping_downstream(packet):
-        packet.rseq = 1000 + packet.seq
-        tap.submit(packet)
+    def stamping_downstream(packets):
+        for packet in packets:
+            packet.rseq = 1000 + packet.seq
+        tap.submit(packets)
 
     sender._downstream = stamping_downstream
-    sender.submit(_packet(0))
-    sender.submit(_packet(1))
+    sender.submit([_packet(0)])
+    sender.submit([_packet(1)])
     (parity,) = tap.parity
     # XOR of the two shards must reflect the stamped rseqs: rebuild shard 0
     # from parity + shard 1 and check its rseq survived.
@@ -130,8 +131,8 @@ def test_sender_downstream_called_before_absorb():
 
 def test_sender_seal_timeout_closes_partial_group(sim):
     sender, tap = make_sender(sim=sim, k=4, m=1, seal_timeout_s=0.01)
-    sender.submit(_packet(0))
-    sender.submit(_packet(1))
+    sender.submit([_packet(0)])
+    sender.submit([_packet(1)])
     assert not tap.parity
     sim.run(until=0.02)
     assert len(tap.parity) == 1
@@ -141,7 +142,7 @@ def test_sender_seal_timeout_closes_partial_group(sim):
 
 def test_sender_flush_seals_immediately():
     sender, tap = make_sender(k=4, m=2)
-    sender.submit(_packet(0))
+    sender.submit([_packet(0)])
     sender.flush()
     assert len(tap.parity) == 2
     assert tap.parity[0].members == 1
@@ -150,14 +151,13 @@ def test_sender_flush_seals_immediately():
 
 
 def test_sender_submit_many_batches_downstream():
-    tap = _Tap()
+    """A burst goes downstream as one batch, then seals its groups."""
     batches = []
-    sender = FecSender(
-        tap.submit, tap.stripe_parity, k=3, m=1,
-        downstream_many=lambda ps: batches.append(list(ps)),
-    )
-    sender.submit_many([_packet(i) for i in range(3)])
+    sender, tap = make_sender(k=3, m=1)
+    sender._downstream = lambda ps: batches.append(list(ps))
+    sender.submit([_packet(i) for i in range(3)])
     assert len(batches) == 1 and len(batches[0]) == 3
+    assert [p.fseq for p in batches[0]] == [0, 1, 2]
     assert len(tap.parity) == 1
 
 
@@ -179,12 +179,12 @@ def _wire(sim=None, *, drop=(), k=3, m=2, **kw):
     delivered = []
     receiver = FecReceiver(delivered.append, k=k, m=m, sim=sim, **kw)
 
-    def wire(packet):
-        if getattr(packet, "fseq", None) in drop:
-            return
-        receiver.on_packet(packet)
+    def wire(packets):
+        for packet in packets:
+            if getattr(packet, "fseq", None) not in drop:
+                receiver.on_packet(packet)
 
-    sender = FecSender(wire, lambda ps: [wire(p) for p in ps], sim=sim, k=k, m=m)
+    sender = FecSender(wire, wire, sim=sim, k=k, m=m)
     return sender, receiver, delivered
 
 
@@ -192,7 +192,7 @@ def test_receiver_reconstructs_dropped_members_in_order():
     sender, receiver, delivered = _wire(drop={1, 5})
     originals = [_packet(i, payload=bytes([i]) * (10 + i)) for i in range(9)]
     for packet in originals:
-        sender.submit(packet)
+        sender.submit([packet])
     assert [p.seq for p in delivered] == list(range(9))
     for seq in (1, 5):
         rebuilt = delivered[seq]
@@ -210,12 +210,12 @@ def test_receiver_unordered_mode_passes_through_and_fills_holes():
     delivered = []
     receiver = FecReceiver(delivered.append, k=2, m=1, ordered=False)
     sender = FecSender(
-        lambda p: p.fseq != 0 and receiver.on_packet(p),
+        lambda ps: [receiver.on_packet(p) for p in ps if p.fseq != 0],
         lambda ps: [receiver.on_packet(p) for p in ps],
         k=2, m=1,
     )
-    sender.submit(_packet(0))
-    sender.submit(_packet(1))
+    sender.submit([_packet(0)])
+    sender.submit([_packet(1)])
     # Hybrid ordering is ARQ's job: the survivor arrives first, the
     # reconstruction after parity.
     assert [p.seq for p in delivered] == [1, 0]
@@ -225,9 +225,12 @@ def test_receiver_unordered_mode_passes_through_and_fills_holes():
 def test_receiver_duplicate_data_counted_once():
     delivered = []
     receiver = FecReceiver(delivered.append, k=2, m=1)
-    sender = FecSender(receiver.on_packet, lambda ps: None, k=2, m=1)
+    sender = FecSender(
+        lambda ps: [receiver.on_packet(p) for p in ps], lambda ps: None,
+        k=2, m=1,
+    )
     packet = _packet(0)
-    sender.submit(packet)
+    sender.submit([packet])
     receiver.on_packet(packet)  # replayed arrival
     assert receiver.stats.duplicate_packets == 1
     assert len(delivered) == 1
@@ -237,8 +240,8 @@ def test_receiver_late_parity_after_resolve_is_noop():
     sender, receiver, delivered = _wire(k=2, m=2)
     held = []
     sender._stripe_parity = lambda ps: held.extend(ps)
-    sender.submit(_packet(0))
-    sender.submit(_packet(1))
+    sender.submit([_packet(0)])
+    sender.submit([_packet(1)])
     receiver.on_packet(held[0])  # group complete -> resolves
     assert receiver.stats.groups_resolved == 1
     receiver.on_packet(held[1])  # sibling of a settled group
@@ -253,7 +256,7 @@ def test_receiver_group_timeout_gives_up_and_skips(sim):
         sim=sim, drop={0, 1}, k=3, m=1, group_timeout_s=0.05,
     )
     for i in range(6):
-        sender.submit(_packet(i))
+        sender.submit([_packet(i)])
     sim.run(until=1.0)
     assert [p.seq for p in delivered] == [2, 3, 4, 5]
     assert receiver.stats.unrecoverable_groups == 1
@@ -268,7 +271,7 @@ def test_receiver_escalates_after_consecutive_failures(sim):
         on_escalate=escalations.append,
     )
     for i in range(9):
-        sender.submit(_packet(i))
+        sender.submit([_packet(i)])
     sim.run(until=1.0)
     assert receiver.stats.unrecoverable_groups == 3
     assert len(escalations) == 1
@@ -285,7 +288,7 @@ def test_receiver_recovered_group_resets_failure_streak(sim):
         on_escalate=escalations.append,
     )
     for i in range(9):
-        sender.submit(_packet(i))  # group 0 fails; groups 1, 2 clean
+        sender.submit([_packet(i)])  # group 0 fails; groups 1, 2 clean
     sim.run(until=1.0)
     assert receiver.stats.unrecoverable_groups == 1
     assert not escalations

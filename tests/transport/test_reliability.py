@@ -150,8 +150,10 @@ class TestRtoEstimator:
 class SenderHarness:
     """A ReliableSender whose stripe path transmits instantly on channel 0.
 
-    ``auto_send=False`` models a striper that queued the packet but has
-    not transmitted it yet (``note_sent`` never fires).
+    Each batch the sender stripes is recorded in ``bursts`` and reported
+    back with one ``note_sent``, like a recording burst port.
+    ``auto_send=False`` models a striper that queued the packets but has
+    not transmitted them yet (``note_sent`` never fires).
     """
 
     def __init__(
@@ -159,6 +161,7 @@ class SenderHarness:
         **options
     ):
         self.sent = []
+        self.bursts = []
         self.auto_send = auto_send
         self.channel = channel
         self.suspects = []
@@ -170,15 +173,21 @@ class SenderHarness:
         )
         self.sender = sender_cls(self._stripe, sim, **options)
 
-    def _stripe(self, packet):
-        self.sent.append(packet)
+    def _stripe(self, packets):
+        burst = list(packets)
+        self.bursts.append(burst)
+        self.sent.extend(burst)
         if self.auto_send:
-            self.sender.note_sent(self.channel, packet)
+            self.sender.note_sent(self.channel, burst)
 
     def submit(self, n, size=100):
-        return [
-            self.sender.submit(Packet(size=size, seq=i)) for i in range(n)
-        ]
+        """``n`` packets, submitted one at a time."""
+        for i in range(n):
+            self.sender.submit([Packet(size=size, seq=i)])
+
+    def submit_burst(self, n, size=100):
+        """``n`` packets, submitted in one call."""
+        self.sender.submit([Packet(size=size, seq=i) for i in range(n)])
 
 
 class TestSenderWindow:
@@ -529,18 +538,19 @@ class TestLoopback:
         )
         copies = iter(range(1 << 20))
 
-        def stripe(packet):
-            h.sent.append(packet)
-            h.sender.note_sent(0, packet)
-            if not lose(next(copies)):
-                sim.schedule(delay, hr.receiver.push, packet)
+        def stripe(packets):
+            h.sent.extend(packets)
+            h.sender.note_sent(0, packets)
+            for packet in packets:
+                if not lose(next(copies)):
+                    sim.schedule(delay, hr.receiver.push, packet)
 
         h.sender._submit = stripe
         hr.receiver.send_ack = lambda info: sim.schedule(
             delay, h.sender.on_ack, info
         )
         for i in range(n):
-            h.sender.submit(Packet(size=100, seq=i))
+            h.sender.submit([Packet(size=100, seq=i)])
         sim.run(until=5.0)
         return h, hr
 
@@ -687,57 +697,27 @@ def test_session_stack_escalation_excludes_dead_channel():
 
 
 # ---------------------------------------------------------------------- #
-# batched ARQ surface: submit_many / note_burst / batched retransmissions
-
-
-class BurstHarness:
-    """SenderHarness analog whose stripe path takes whole bursts.
-
-    Models the fast path's recording burst port: ``submit_many`` bursts
-    arrive through one ``_stripe_many`` call and are reported back with
-    one ``note_burst``.
-    """
-
-    def __init__(self, sim, sender_cls=ReliableSender, **options):
-        self.sent = []
-        self.bursts = []
-        self.sender = sender_cls(
-            self._stripe, sim, submit_many=self._stripe_many, **options
-        )
-
-    def _stripe(self, packet):
-        self.sent.append(packet)
-        self.sender.note_sent(0, packet)
-
-    def _stripe_many(self, packets):
-        burst = list(packets)
-        self.bursts.append(burst)
-        self.sent.extend(burst)
-        self.sender.note_burst(0, burst)
-
-    def submit_burst(self, n, size=100):
-        packets = [Packet(size=size, seq=i) for i in range(n)]
-        self.sender.submit_many(packets)
-        return packets
+# batched ARQ surface: one submit, one note_sent, one retransmit path,
+# each taking a batch; a burst must do what one-packet calls do
 
 
 class TestBatchedArq:
     def test_submit_many_equivalent_to_per_packet_submits(self, sim):
+        """A burst submit equals one-packet submits."""
         a = SenderHarness(sim)
         a.submit(6)
-        b = BurstHarness(sim)
+        b = SenderHarness(sim)
         b.submit_burst(6)
         assert [p.rseq for p in b.sent] == [p.rseq for p in a.sent]
         assert list(b.sender.unacked) == list(a.sender.unacked)
         assert b.sender.next_rseq == a.sender.next_rseq
         assert len(b.bursts) == 1  # one striper call, not six
-        assert b.sender.stats.burst_submits == 1
-        assert b.sender.stats.submitted == 6
+        assert b.sender.stats.submitted == a.sender.stats.submitted == 6
 
     def test_submit_many_respects_window_backpressure(self, sim):
         a = SenderHarness(sim, window_packets=4)
         a.submit(6)
-        b = BurstHarness(sim, window_packets=4)
+        b = SenderHarness(sim, window_packets=4)
         b.submit_burst(6)
         assert [p.rseq for p in b.sent] == [p.rseq for p in a.sent]
         assert b.sender.backlog == a.sender.backlog == 2
@@ -747,11 +727,13 @@ class TestBatchedArq:
         # acks replay the parked tail identically on both harnesses
         assert [p.rseq for p in b.sent] == [p.rseq for p in a.sent]
         assert b.sender.backlog == a.sender.backlog == 0
+        assert len(b.bursts[-1]) == 2  # the parked tail went out as one
 
     def test_note_burst_equivalent_to_note_sent_loop(self, sim):
+        """One ``note_sent`` of a burst equals a ``note_sent`` per packet."""
         a = SenderHarness(sim)
         a.submit(4)
-        b = BurstHarness(sim)
+        b = SenderHarness(sim)
         b.submit_burst(4)
         for rseq, ra in a.sender.unacked.items():
             rb = b.sender.unacked[rseq]
@@ -764,7 +746,7 @@ class TestBatchedArq:
             )
 
     def test_multi_hole_repair_goes_out_as_one_burst(self, sim):
-        h = BurstHarness(sim)
+        h = SenderHarness(sim)
         h.submit_burst(8)
         # rseq 0 and 1 are both lost; SACKs report ever newer data.
         h.sender.rto.sample(0.001)
@@ -775,7 +757,6 @@ class TestBatchedArq:
             )
         sim.run(until=0.01 * FAST_RETRANSMIT_HINTS + 0.001)
         assert h.sender.stats.fast_retransmissions == 2
-        assert h.sender.stats.batched_retransmissions == 2
         # both holes repaired through one striper burst
         assert sorted(p.rseq for p in h.bursts[-1]) == [0, 1]
         assert h.sender.stats.sack_scans == FAST_RETRANSMIT_HINTS
@@ -839,11 +820,11 @@ class ArqTwin:
     order or not at all.
     """
 
-    def __init__(self, batched):
+    def __init__(self):
         self.sides = []
         for sender_cls in (ReliableSender, FullScanSender):
             sim = Simulator()
-            harness = (BurstHarness if batched else SenderHarness)(
+            harness = SenderHarness(
                 sim, sender_cls=sender_cls, window_packets=8, max_retries=2
             )
             self.sides.append((sim, harness))
@@ -864,10 +845,10 @@ class ArqTwin:
             for _, harness in self.sides:
                 packets = [Packet(size=100, seq=i) for i in range(step[1])]
                 if step[2]:
-                    harness.sender.submit_many(packets)
+                    harness.sender.submit(packets)
                 else:
                     for packet in packets:
-                        harness.sender.submit(packet)
+                        harness.sender.submit([packet])
         elif kind == "arrive" and self.in_flight:
             packet = Packet(size=100, seq=0)
             packet.rseq = self.in_flight.pop(step[1] % len(self.in_flight))
@@ -955,7 +936,7 @@ sender_steps = st.lists(
     False,
 )
 def test_unsacked_index_equals_a_full_scan(steps, batched):
-    twin = ArqTwin(batched)
+    twin = ArqTwin()
     (_, indexed), (_, full_scan) = twin.sides
     for step in [("submit", 6, batched)] + steps:
         twin.step(step)
