@@ -32,8 +32,10 @@ perf:
 
 # What a delivered packet costs in counts, no wall clock: Python frames per
 # delivered packet, kernel steps per packet sent and schedule_call frames
-# per packet for the five workload shapes at 0.02 scale (seconds to run;
-# tests/integration/test_call_counts.py guards bounds on the same rigs).
+# per packet for the five workload shapes at 0.02 scale, then tracemalloc
+# bytes per registered fabric flow at 1k, 10k and 100k flows (seconds to
+# run; tests/integration/test_call_counts.py and
+# tests/transport/test_fabric_storage.py guard bounds on the same rigs).
 #   make frames            the table
 #   make frames TOP=25     plus the 25 busiest functions under each shape
 frames:
@@ -51,13 +53,23 @@ unexecuted:
 # A/B of one workload between two checkouts, the way the benchmark driver
 # measures a claim: PAIRS (10) pairs of driver-form runs on one seed,
 # alternating which side runs first, then each side's median and quartiles
-# of wall_ns_per_pkt and how many pairs B won.
+# of metric M (any end-to-end metric of BENCHMARK.json, default
+# wall_ns_per_pkt) and how many pairs B won by that metric's `better`
+# direction.
 #   make perf-ab W=skewed_small A=/tmp/parent B=. SEED=31337
+#   make perf-ab W=fabric_fanin M=peak_rss_mb A=/tmp/parent B=. SEED=31337
 PAIRS ?= 10
+M ?= wall_ns_per_pkt
 define PERF_AB
 import json, subprocess, sys
 from statistics import median, quantiles
-workload, a, b, seed, pairs = sys.argv[1:]
+workload, a, b, seed, pairs, metric = sys.argv[1:]
+with open("BENCHMARK.json") as handle:
+    declared = {m["name"]: m for m in json.load(handle)["end_to_end"]}
+if metric not in declared:
+    sys.exit(f"unknown metric {metric}; BENCHMARK.json declares "
+             + ", ".join(declared))
+unit, lower = declared[metric]["unit"], declared[metric]["better"] == "lower"
 def run(tree):
     done = subprocess.run(
         ["python3", "-m", "perfbench", "--workload", workload, "--seed", seed,
@@ -66,27 +78,28 @@ def run(tree):
     if done.returncode:
         sys.exit(f"{tree}: perfbench failed\n{done.stderr}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    return result["metrics"]["wall_ns_per_pkt"]["value"]
-walls = {a: [], b: []}
+    return result["metrics"][metric]["value"]
+values = {a: [], b: []}
 for pair in range(int(pairs)):
     for tree in ((a, b) if pair % 2 == 0 else (b, a)):
-        walls[tree].append(run(tree))
-    print(f"pair {pair}: A {walls[a][-1]:.0f}  B {walls[b][-1]:.0f}  "
-          f"B/A {walls[b][-1] / walls[a][-1]:.3f}", flush=True)
+        values[tree].append(run(tree))
+    print(f"pair {pair}: A {values[a][-1]:.6g}  B {values[b][-1]:.6g}  "
+          f"B/A {values[b][-1] / values[a][-1]:.3f}", flush=True)
 for side, tree in (("A", a), ("B", b)):
-    q1, _, q3 = quantiles(walls[tree], n=4)
-    print(f"{side} {tree}: median {median(walls[tree]):.0f} ns/pkt, "
-          f"quartiles {q1:.0f}..{q3:.0f} ({q3 - q1:.0f} apart)")
-wins = sum(y < x for x, y in zip(walls[a], walls[b]))
-ties = sum(y == x for x, y in zip(walls[a], walls[b]))
-print(f"{workload} seed {seed}: B ahead in {wins} of {pairs} pairs, {ties} tied")
+    q1, _, q3 = quantiles(values[tree], n=4)
+    print(f"{side} {tree}: {metric} median {median(values[tree]):.6g} {unit}, "
+          f"quartiles {q1:.6g}..{q3:.6g} ({q3 - q1:.6g} apart)")
+wins = sum((y < x) if lower else (y > x) for x, y in zip(values[a], values[b]))
+ties = sum(y == x for x, y in zip(values[a], values[b]))
+print(f"{workload} seed {seed} {metric} ({declared[metric]['better']} is "
+      f"better): B ahead in {wins} of {pairs} pairs, {ties} tied")
 endef
 export PERF_AB
 perf-ab:
 	@test -n "$(W)" -a -n "$(SEED)" -a -d "$(A)" -a -d "$(B)" || { \
-		echo "usage: make perf-ab W=<workload> A=<checkout> B=<checkout> SEED=<n>"; \
+		echo "usage: make perf-ab W=<workload> A=<checkout> B=<checkout> SEED=<n> [M=<end-to-end metric>]"; \
 		exit 2; }
-	@python3 -c "$$PERF_AB" "$(W)" "$(A)" "$(B)" "$(SEED)" "$(PAIRS)"
+	@python3 -c "$$PERF_AB" "$(W)" "$(A)" "$(B)" "$(SEED)" "$(PAIRS)" "$(M)"
 
 # Behavioural A/B of two checkouts: every experiment at --quick in both
 # trees, then the result JSON compared per experiment and the rendered text

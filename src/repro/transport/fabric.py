@@ -25,11 +25,13 @@ fair-packet-scheduling line of work), and logarithmic weight scaling keeps
 a heavy tenant from starving light ones as its population grows (the
 stochastic analysis of resource sharing with logarithmic weights).
 
-Backpressure is strictly per flow: each flow owns a bounded queue, and
+Backpressure is strictly per flow: each flow's queue is bounded, and
 :meth:`FabricScheduler.can_submit` goes False only for the flow whose
 queue is full.  A stalled flow's surplus never reaches the downstream
 ARQ window or the striper backlog, so it cannot head-of-line block its
-siblings or leak shared window slots (the PR-5 interop requirement).
+siblings or leak shared window slots (the PR-5 interop requirement).  A
+flow holds storage only while it has packets queued, so an idle
+registered flow costs its :class:`FlowState` and table entry alone.
 
 Fairness bound (the weighted-DRR analogue of Theorem 3.2): while a flow
 stays backlogged, its serviced bytes after ``V`` completed visits differ
@@ -57,13 +59,26 @@ from typing import (
 )
 
 
+#: A flow's consumed prefix is cut once it passes half its list and is at
+#: least this long: a shorter one is not worth the call.  The list then
+#: never holds more than ``2 * backlog + _CUT_MIN`` slots.
+_CUT_MIN = 16
+
+
 class FlowState:
-    """Per-flow scheduling state and statistics (one row of the table)."""
+    """Per-flow scheduling state and statistics (one row of the table).
+
+    A flow holds storage only while it is backlogged: its packets sit in
+    a plain list that the first :meth:`FabricScheduler.submit` creates,
+    DRR visits read forward from a head index, and the visit that empties
+    the flow drops the list.  An idle registered flow is this object and
+    its table entry, nothing more.
+    """
 
     __slots__ = (
-        "flow_id", "tenant", "weight", "quantum", "queue", "deficit",
-        "active", "visits", "submitted_packets", "submitted_bytes",
-        "serviced_packets", "serviced_bytes", "refusals",
+        "flow_id", "tenant", "weight", "quantum", "deficit", "active",
+        "visits", "submitted_packets", "serviced_packets", "serviced_bytes",
+        "refusals", "_packets", "_head",
     )
 
     def __init__(
@@ -74,22 +89,42 @@ class FlowState:
         self.weight = weight
         #: DRR quantum: bytes of service credit banked per scheduler visit
         self.quantum = quantum
-        self.queue: Deque[Any] = deque()
         self.deficit = 0.0
         self.active = False
         #: completed scheduler visits (the ``V`` of the fairness bound)
         self.visits = 0
         self.submitted_packets = 0
-        self.submitted_bytes = 0
         self.serviced_packets = 0
         self.serviced_bytes = 0
         #: submissions refused because the flow's bounded queue was full
         self.refusals = 0
+        #: the queued packets are ``_packets[_head:]``; None while idle
+        self._packets: Optional[List[Any]] = None
+        self._head = 0
+
+    @property
+    def backlog(self) -> int:
+        """How many packets the flow has queued."""
+        packets = self._packets
+        return 0 if packets is None else len(packets) - self._head
+
+    @property
+    def queued(self) -> Tuple[Any, ...]:
+        """The queued packets in service order, as a read-only tuple."""
+        packets = self._packets
+        return () if packets is None else tuple(packets[self._head:])
+
+    def _cut(self) -> None:
+        """Drop the consumed prefix.  Called once it passes half the list
+        (and :data:`_CUT_MIN`), which keeps the cost O(1) amortized per
+        packet and the list under twice the backlog plus that minimum."""
+        del self._packets[: self._head]
+        self._head = 0
 
     def __repr__(self) -> str:
         return (
             f"FlowState({self.flow_id!r}, w={self.weight}, "
-            f"q={len(self.queue)}, sent={self.serviced_packets})"
+            f"q={self.backlog}, sent={self.serviced_packets})"
         )
 
 
@@ -120,6 +155,11 @@ class FlowTable:
         self.default_weight = float(default_weight)
         self.quantum_bytes = float(quantum_bytes)
         self._flows: Dict[Any, FlowState] = {}
+        #: ``get(flow_id)``: the flow or None, the dict's own lookup (no
+        #: Python frame on the per-packet path)
+        self.get: Callable[[Any], Optional[FlowState]] = self._flows.get
+        #: one shared ``(weight, quantum)`` float pair per distinct weight
+        self._rates: Dict[float, Tuple[float, float]] = {}
 
     def register(
         self,
@@ -135,14 +175,13 @@ class FlowTable:
             weight = self.tenant_weights.get(tenant, self.default_weight)
         if weight <= 0:
             raise ValueError("flow weight must be positive")
-        flow = FlowState(
-            flow_id, float(weight), self.quantum_bytes * float(weight), tenant
-        )
+        weight = float(weight)
+        rate = self._rates.get(weight)
+        if rate is None:
+            rate = self._rates[weight] = (weight, self.quantum_bytes * weight)
+        flow = FlowState(flow_id, rate[0], rate[1], tenant)
         self._flows[flow_id] = flow
         return flow
-
-    def get(self, flow_id: Any) -> Optional[FlowState]:
-        return self._flows.get(flow_id)
 
     def __getitem__(self, flow_id: Any) -> FlowState:
         return self._flows[flow_id]
@@ -161,7 +200,7 @@ class FlowTable:
         weight and queued packets.  Scheduling state is the scheduler's
         (:meth:`FabricScheduler.snapshot`)."""
         return [
-            [flow.flow_id, flow.tenant, flow.weight, list(flow.queue)]
+            [flow.flow_id, flow.tenant, flow.weight, list(flow.queued)]
             for flow in self._flows.values()
         ]
 
@@ -172,8 +211,8 @@ class FlowTable:
             flow = self._flows.get(flow_id)
             if flow is None:
                 flow = self.register(flow_id, weight=weight, tenant=tenant)
-            flow.queue.clear()
-            flow.queue.extend(queue)
+            flow._packets = list(queue) or None
+            flow._head = 0
 
 
 @dataclass
@@ -284,7 +323,7 @@ class FabricScheduler:
             return self.auto_register
         return (
             self.flow_buffer_packets is None
-            or len(flow.queue) < self.flow_buffer_packets
+            or flow.backlog < self.flow_buffer_packets
         )
 
     def submit(self, flow_id: Any, packet: Any) -> bool:
@@ -299,9 +338,11 @@ class FabricScheduler:
             if not self.auto_register:
                 raise KeyError(f"unknown flow {flow_id!r}")
             flow = self.table.register(flow_id)
+        packets = flow._packets
         if (
-            self.flow_buffer_packets is not None
-            and len(flow.queue) >= self.flow_buffer_packets
+            packets is not None
+            and self.flow_buffer_packets is not None
+            and len(packets) - flow._head >= self.flow_buffer_packets
         ):
             flow.refusals += 1
             self.stats.refusals += 1
@@ -311,9 +352,11 @@ class FabricScheduler:
                 packet.flow = flow_id
             except AttributeError:
                 pass  # foreign packet types without a flow slot
-        flow.queue.append(packet)
+        if packets is None:
+            flow._packets = [packet]
+        else:
+            packets.append(packet)
         flow.submitted_packets += 1
-        flow.submitted_bytes += getattr(packet, "size", 0)
         if not flow.active:
             flow.active = True
             self._active.append(flow)
@@ -355,40 +398,51 @@ class FabricScheduler:
                 batch_bytes = 0
                 while active and room > 0:
                     flow = active[0]
+                    deficit = flow.deficit
                     if not self._head_credited:
-                        flow.deficit += flow.quantum
+                        deficit += flow.quantum
                         self._head_credited = True
-                    queue = flow.queue
-                    while (
-                        queue
-                        and getattr(queue[0], "size", 0) <= flow.deficit
-                    ):
-                        if room <= 0:
-                            # Mid-visit pause: keep the head flow (and its
-                            # banked quantum) in place so the next batch
-                            # continues exactly where this one stopped.
-                            break
-                        packet = queue.popleft()
+                    packets = flow._packets
+                    head = flow._head
+                    end = 0 if packets is None else len(packets)
+                    while head < end:
+                        packet = packets[head]
                         size = getattr(packet, "size", 0)
-                        flow.deficit -= size
+                        if size > deficit or room <= 0:
+                            break
+                        head += 1
+                        deficit -= size
                         flow.serviced_packets += 1
                         flow.serviced_bytes += size
                         batch_bytes += size
                         batch.append(packet)
                         room -= 1
+                    if head < end:
+                        flow._head = head
+                        flow.deficit = deficit
+                        if head >= _CUT_MIN and head > end >> 1:
+                            flow._cut()
+                        if size <= deficit:
+                            # Mid-visit pause (the head fits, the room is
+                            # spent): keep the head flow and its banked
+                            # quantum in place so the next batch continues
+                            # exactly where this one stopped.
+                            break
                     else:
-                        # The visit is over: empty flows forfeit their
-                        # deficit and deactivate; backlogged flows rotate
-                        # to the tail with the remainder (always < their
-                        # head packet's size).
-                        self._head_credited = False
-                        flow.visits += 1
-                        active.popleft()
-                        if queue:
-                            active.append(flow)
-                        else:
-                            flow.deficit = 0.0
-                            flow.active = False
+                        # An emptied flow forfeits its deficit, drops its
+                        # storage and deactivates.
+                        flow._packets = None
+                        flow._head = 0
+                        flow.deficit = 0.0
+                        flow.active = False
+                    # The visit is over: a flow still holding packets
+                    # rotates to the tail with the remainder (always < its
+                    # head packet's size).
+                    self._head_credited = False
+                    flow.visits += 1
+                    active.popleft()
+                    if flow._packets is not None:
+                        active.append(flow)
                 if not batch:
                     break  # only flows with nothing queued were active
                 self.stats.packets_scheduled += len(batch)
@@ -398,6 +452,35 @@ class FabricScheduler:
         finally:
             self._pumping = False
         return sent
+
+    def take_head(self, flow_id: Any) -> Any:
+        """Remove and return ``flow_id``'s head packet outside DRR order.
+
+        For replaying a drain that already happened (a recovery WAL's
+        ``bind`` record): packets leave in the order visits take them,
+        and a flow this empties forfeits its deficit, leaves the active
+        ring and drops its storage, as the visit that empties a flow
+        does.  Raises ``IndexError`` on a flow with nothing queued.
+        """
+        flow = self.table[flow_id]
+        packets = flow._packets
+        if packets is None:
+            raise IndexError(f"flow {flow_id!r} has nothing queued")
+        packet = packets[flow._head]
+        flow._head += 1
+        if flow._head < len(packets):
+            if flow._head >= _CUT_MIN and flow._head > len(packets) >> 1:
+                flow._cut()
+            return packet
+        flow._packets = None
+        flow._head = 0
+        flow.deficit = 0.0
+        if flow.active:
+            flow.active = False
+            if self._active[0] is flow:
+                self._head_credited = False
+            self._active.remove(flow)
+        return packet
 
     # ------------------------------------------------------------------ #
     # snapshot / restore (session resets, duality tests)

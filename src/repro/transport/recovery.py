@@ -680,16 +680,18 @@ class SenderRecovery(_EndpointRecovery):
             if kind == "pkt":
                 bound.append(record["pkt"])
                 continue
-            flow = fabric.table.get(record["flow"])
-            queue = (
-                flow.queue
-                if flow is not None and flow.queue
-                else logged.get(record["flow"])
-            )
-            if queue:
-                packet = queue.popleft()
-                packet.rseq = record["rseq"]
-                bound.append(packet)
+            flow_id = record["flow"]
+            flow = fabric.table.get(flow_id)
+            if flow is not None and flow.backlog:
+                # Through the fabric, so a flow this empties leaves the
+                # active ring as the live drain left it.
+                packet = fabric.take_head(flow_id)
+            elif logged.get(flow_id):
+                packet = logged[flow_id].popleft()
+            else:
+                continue
+            packet.rseq = record["rseq"]
+            bound.append(packet)
         if bound:
             self.pipeline.reliable.register_restored(bound)
         for flow_id, packet in submitted:

@@ -6,19 +6,25 @@ Runs the five benchmark workload shapes (``BENCHMARK.json``) at 0.02 of
 their size under ``sys.setprofile`` and prints, per shape, Python frames
 per delivered packet, kernel steps per data packet the striper sent and
 ``Simulator.schedule_call`` frames per delivered packet.  ``--top N`` adds
-the N functions with the most frames per packet under each shape.
+the N functions with the most frames per packet under each shape.  A
+second table gives the tracemalloc bytes per registered flow of the
+``fabric_fanin`` flow table at 1k, 10k and 100k flows, idle and with 2
+and 8 packets queued (:func:`bytes_per_flow`).
 
 The counts are deterministic (no wall clock) and take seconds; the rigs
 are built from public names and wired the way ``perfbench/rigs.py`` wires
 them, so a perf issue can quote this table instead of re-deriving one.
 ``tests/integration/test_call_counts.py`` and ``test_wakeup_counts.py``
-guard bounds on the same rigs.
+guard bounds on the same rigs, ``tests/transport/test_fabric_storage.py``
+on the bytes per flow.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -320,6 +326,42 @@ def measure(name: str) -> Measured:
     return Measured(counter, delivered, generated, channels, sender)
 
 
+#: registered flows the bytes-per-flow table is read at (ROADMAP
+#: direction 6's flows axis) and the packets queued on each
+FLOW_COUNTS = (1_000, 10_000, 100_000)
+QUEUED = (0, 2, 8)
+
+
+def bytes_per_flow(flows: int, queued: int) -> float:
+    """tracemalloc bytes per registered flow of a ``fabric_fanin`` flow
+    table with ``queued`` packets on every flow, the packets excluded.
+
+    Flows register under the shape's tenants as perfbench registers them
+    (int ids made as they register) and nothing drains.  Every flow
+    queues the same ``queued`` packet objects, made before tracing
+    starts, so what is counted is the table, the flows and their storage.
+    """
+    size = SHAPES["fabric_fanin"].sizes[0]
+    tenants = list(TENANT_WEIGHTS)
+    packets = [Packet(size=size, seq=seq) for seq in range(queued)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = FlowTable(
+            tenant_weights=TENANT_WEIGHTS, quantum_bytes=float(size)
+        )
+        fabric = FabricScheduler(table, flow_buffer_packets=None)
+        fabric.bind(lambda packet: None, ready=lambda: 0)
+        for flow_id in range(flows):
+            table.register(flow_id, tenant=tenants[flow_id % len(tenants)])
+            for packet in packets:
+                fabric.submit(flow_id, packet)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] / flows
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     top = int(args[args.index("--top") + 1]) if "--top" in args else 0
@@ -341,6 +383,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"    {frames / packets:7.2f}  {code.co_qualname} "
                 f"({where}:{code.co_firstlineno})"
             )
+    print()
+    print(
+        f"{'flows':>7} "
+        + " ".join(f"{f'{q} queued' if q else 'idle':>9}" for q in QUEUED)
+        + "   (tracemalloc B per registered flow, packets excluded)"
+    )
+    for flows in FLOW_COUNTS:
+        cells = " ".join(f"{bytes_per_flow(flows, q):>9.0f}" for q in QUEUED)
+        print(f"{flows:>7} {cells}")
     return 0
 
 

@@ -337,15 +337,12 @@ class TestComposedFQxSRR:
         sharer2 = TransformedLoadSharer(SRR(channel_quanta))
         sent2, channels2 = [], [[] for _ in range(sharer2.n_channels)]
         budget2 = [0]
-        fabric2, table2 = self._prefilled(
+        fabric2, _ = self._prefilled(
             quanta, queues, run(sharer2, budget2, sent2, channels2),
             lambda: budget2[0] > 0,
         )
         for packet in sent[:k]:
-            flow = table2[packet.flow]
-            assert flow.queue.popleft() is packet
-            if not flow.queue:
-                flow.active = False
+            assert fabric2.take_head(packet.flow) is packet
         fabric2.restore(fabric_snap)
         sharer2.state = kernel_snap
         budget2[0] = total

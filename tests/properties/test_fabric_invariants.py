@@ -146,7 +146,7 @@ def test_channel_envelope_and_flow_drr_bound_simultaneously(sim, seed):
     arq = rig.sender.reliable
     assert arq.stats.retransmissions > 0, "the loss regime never bit"
     flows = {f.flow_id: f for f in rig.table}
-    assert all(f.queue for f in flows.values()), (
+    assert all(f.backlog for f in flows.values()), (
         "a flow drained; the fairness bounds only apply while backlogged"
     )
 

@@ -150,7 +150,7 @@ def test_fabric_bursty_source_conservation_and_per_flow_fifo_across_kills(seed):
 
         def observed(blob):
             backlogs.append(
-                sum(len(flow.queue) for flow in rig.sender.fabric.table)
+                sum(flow.backlog for flow in rig.sender.fabric.table)
             )
             save(blob)
 

@@ -138,7 +138,7 @@ class TestFabricScheduler:
             fabric.submit("full", pkt())
         assert not fabric.can_submit("full")
         assert fabric.can_submit("other")  # sibling unaffected
-        assert len(table["full"].queue) == 2
+        assert table["full"].backlog == 2
         assert table["full"].refusals == 3
         assert fabric.stats.refusals == 3
 
@@ -204,10 +204,7 @@ class TestFabricScheduler:
             fabric2.submit("b", pkt(100, label=f"b{k}"))
         # Fast-forward: drop the packets the original already serviced.
         for packet in out[:budget_pump]:
-            flow = table2[packet.flow]
-            assert flow.queue.popleft().label == packet.label
-            if not flow.queue:
-                flow.active = False
+            assert fabric2.take_head(packet.flow).label == packet.label
         fabric2.restore(snap)
         closed[0] = False
         fabric2.pump()
@@ -387,7 +384,7 @@ class TestBatchedDrainMatchesPerPacket:
                 fabric.restore(snap)
             assert out == reference.out
             assert fabric_state(fabric) == reference.state()
-        assert len(out) == label and not any(flow.queue for flow in fabric.table)
+        assert len(out) == label and not any(flow.backlog for flow in fabric.table)
 
     @given(
         weights=WEIGHTS,
@@ -527,7 +524,7 @@ class TestReliableInterop:
         arq = sender.reliable
         assert not arq.unacked and not arq.backlog
         assert rig.fabric.table["A"].refusals == 200 - a_accepted
-        assert not any(flow.queue for flow in rig.fabric.table)
+        assert not any(flow.backlog for flow in rig.fabric.table)
 
     def test_window_reopen_refills_from_fabric(self):
         sim = Simulator()
@@ -540,7 +537,7 @@ class TestReliableInterop:
         # requires the window-open / port-space pumps to keep refilling
         # from the fabric queues.
         assert 0 < len(sender.reliable.unacked) <= 64
-        assert any(flow.queue for flow in rig.fabric.table)
+        assert any(flow.backlog for flow in rig.fabric.table)
         sim.run(until=1.0)
         assert [k for f, k in rig.delivered] == list(range(150))
         assert not sender.reliable.unacked

@@ -807,6 +807,29 @@ class TestArqIndicesAcrossRestart:
 # regressions
 
 
+def _fabric_wal_sender(sim, store):
+    """A reliable sender with a four-packet window under a fabric, with
+    its recovery manager installed on ``store``."""
+    sender = StripeSenderPipeline(
+        [ListPort() for _ in range(N_CHANNELS)],
+        SRR([500.0] * N_CHANNELS),
+        sim=sim,
+        reliability="reliable",
+        reliability_options={"window_packets": 4},
+        fabric=FabricScheduler(FlowTable()),
+    )
+    recovery = SenderRecovery(sender, store, sim=sim)
+    recovery.install()
+    return sender, recovery
+
+
+def _arq_held(sender):
+    reliable = sender.reliable
+    return [r.packet for r in reliable.unacked.values()] + list(
+        reliable._overflow
+    )
+
+
 def test_fabric_wal_keeps_drained_packets_under_their_rseqs():
     """A packet drained from the fabric after the checkpoint comes back
     under the rseq it went out with, on its flow, and only once.
@@ -821,47 +844,56 @@ def test_fabric_wal_keeps_drained_packets_under_their_rseqs():
     """
     sim = Simulator()
     store = CheckpointStore()
-
-    def build():
-        sender = StripeSenderPipeline(
-            [ListPort() for _ in range(N_CHANNELS)],
-            SRR([500.0] * N_CHANNELS),
-            sim=sim,
-            reliability="reliable",
-            reliability_options={"window_packets": 4},
-            fabric=FabricScheduler(FlowTable()),
-        )
-        recovery = SenderRecovery(sender, store, sim=sim)
-        recovery.install()
-        return sender, recovery
-
-    def held(sender):
-        reliable = sender.reliable
-        return [r.packet for r in reliable.unacked.values()] + list(
-            reliable._overflow
-        )
-
-    sender, recovery = build()
+    sender, recovery = _fabric_wal_sender(sim, store)
     for i in range(8):
         sender.submit("A", Packet(500, seq=i, label=f"A{i}"))
     recovery.checkpoint()
     for i in range(4):
         sender.submit("B", Packet(500, seq=8 + i, label=f"B{i}"))
     sender.on_ack(SackInfo(cum_ack=4))
-    drained = {p.rseq: (p.flow, p.label) for p in held(sender)}
+    drained = {p.rseq: (p.flow, p.label) for p in _arq_held(sender)}
     assert sorted(drained) == [4, 5, 6, 7]
     assert {flow for flow, _ in drained.values()} == {"A", "B"}
     recovery.stop()
 
-    restarted, _ = build()
-    packets = held(restarted)
-    queued = [p for flow in restarted.fabric.table for p in flow.queue]
+    restarted, _ = _fabric_wal_sender(sim, store)
+    packets = _arq_held(restarted)
+    queued = [p for flow in restarted.fabric.table for p in flow.queued]
     labels = sorted(p.label for p in packets + queued)
     assert labels == sorted(
         [f"A{i}" for i in range(8)] + [f"B{i}" for i in range(4)]
     )
     restored = {p.rseq: (p.flow, p.label) for p in packets}
     assert {r: restored[r] for r in drained} == drained
+
+
+def test_fabric_wal_replay_takes_an_emptied_flow_off_the_ring():
+    """A flow whose checkpointed queue the WAL's drains empty ends the
+    replay as the live drain left it: inactive, off the active ring and
+    holding no packets.
+
+    A0-A3 drain as rseqs 0-3, the checkpoint keeps A4-A5 queued with A
+    on the ring, and an ack of 0-3 drains both as rseqs 4-5, which
+    empties A.
+    """
+    sim = Simulator()
+    store = CheckpointStore()
+    sender, recovery = _fabric_wal_sender(sim, store)
+    for i in range(6):
+        sender.submit("A", Packet(500, seq=i, label=f"A{i}"))
+    recovery.checkpoint()
+    sender.on_ack(SackInfo(cum_ack=4))
+    live = sender.fabric.table["A"]
+    assert not live.active and live.backlog == 0
+    recovery.stop()
+
+    restarted, _ = _fabric_wal_sender(sim, store)
+    flow = restarted.fabric.table["A"]
+    assert flow.backlog == 0 and flow.queued == ()
+    assert not flow.active and flow.deficit == 0.0
+    assert flow not in restarted.fabric._active
+    held = {p.rseq: p.label for p in _arq_held(restarted)}
+    assert {4: held[4], 5: held[5]} == {4: "A4", 5: "A5"}
 
 
 @pytest.mark.parametrize("disc", ["mppp", "bonding"])

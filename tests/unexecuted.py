@@ -102,9 +102,10 @@ ALLOWED: Dict[str, str] = {
     "MarkerPositionResult.boundary_is_near_optimal": "verdict",
     f"{_EXPERIMENTS}scalability.py:ScalabilityResult.scaling_efficiency":
         "verdict",
-    # fault: checkpoint capture and restore, session reset, channel
-    # failure and revival, ARQ loss recovery (the SACK path and the ack
-    # flow), injected loss and corruption, damaged frames, and teardown
+    # fault: checkpoint capture and restore (with the WAL replay of fabric
+    # drains), session reset, channel failure and revival, ARQ loss
+    # recovery (the SACK path and the ack flow), injected loss and
+    # corruption, damaged frames, and teardown
     **{f"{_CORE}{key}": "fault" for key in (
         "kernel.py:CFQKernelAdapter.snapshot",
         "kernel.py:CFQKernelAdapter.restore",
@@ -141,8 +142,10 @@ ALLOWED: Dict[str, str] = {
         "endpoint.py:StripeReceiverPipeline.push_wire",
         "endpoint.py:StripeReceiverPipeline.fail_channel",
         "endpoint.py:StripeReceiverPipeline.revive_channel",
+        "fabric.py:FlowState.backlog",
         "fabric.py:FlowTable.restore",
         "fabric.py:FabricScheduler.can_submit",
+        "fabric.py:FabricScheduler.take_head",
         "fabric.py:FabricScheduler.restore",
         "fec.py:_as_bytes",
         "fec.py:FecSender.stop",
