@@ -246,21 +246,17 @@ def piggybacked_sack(packet: Any) -> Optional[SackInfo]:
 
 
 @dataclass(frozen=True)
-class ReceiverSnapshot:
-    """Immutable capture of an :class:`SRRReceiver`'s mirror state.
+class ReceiverSnapshot(SRRState):
+    """Immutable capture of an :class:`SRRReceiver`.
 
-    The ``(ptr, round_number, dc)`` triple is the simulated sender state
-    (an :class:`~repro.core.srr.SRRState` worth of information); ``pending``
-    and ``sync_round`` are the receiver-only annotations: which channels
-    still owe themselves a quantum on their next visit, and which channels
-    hold an un-reached marker round (condition C1).  ``buffers`` is what
-    each channel held (empty in a snapshot built without them).
+    It *is* the receiver kernel's :class:`~repro.core.srr.SRRState` — the
+    simulated sender state, so any SRR kernel can restore it and
+    :meth:`SRRReceiver.adopt_snapshot` can adopt it — plus the receiver's
+    own annotations: each channel's sync round (``None`` unless a marker
+    installed one, condition C1) and what each channel's buffer held (empty
+    in a snapshot built without them).
     """
 
-    ptr: int
-    round_number: int
-    dc: Tuple[float, ...]
-    pending: Tuple[bool, ...]
     sync_round: Tuple[Optional[int], ...]
     buffers: Tuple[Tuple[Any, ...], ...] = ()
 
@@ -293,15 +289,27 @@ class SRRReceiverStats:
     lag_flushed: int = 0
 
 
+def _kernel_field(name: str) -> property:
+    return property(
+        lambda self: getattr(self.kernel, name),
+        lambda self, value: setattr(self.kernel, name, value),
+        doc=f"The simulated sender's ``{name}`` (the kernel's field).",
+    )
+
+
 class SRRReceiver:
     """Logical reception with marker recovery for SRR-family striping.
 
-    The receiver mirrors the sender's SRR state — pointer, global round
-    ``G``, per-channel deficit counters — and additionally keeps, per
-    channel, an optional *sync round* installed by markers.  A channel with
-    a sync round in the future (``r_c > G``) is skipped (condition C1); a
-    channel whose sync round has arrived is serviced with the marker's
-    absolute DC value.
+    The receiver runs the sender's own engine: its simulated sender state —
+    pointer, global round ``G``, per-channel deficit counters — is one
+    :class:`~repro.core.kernel.SRRKernel` (``kernel``; ``ptr``,
+    ``round_number`` and ``dc`` read and write its fields).  It keeps one
+    annotation of its own per channel, an optional *sync round* installed
+    by a marker together with the marker's absolute deficit.  A channel's
+    quantum is granted when the pointer arrives, as in
+    :meth:`~repro.core.kernel.SRRKernel.step`, except on a channel holding
+    a sync round, whose marker deficit already includes it; while that
+    round is ahead of ``G`` the channel is skipped (condition C1).
 
     Args:
         algorithm: the SRR-family algorithm in use at the sender.
@@ -310,6 +318,10 @@ class SRRReceiver:
             ``marker``, ``skip`` and ``block`` events.
         clock: optional ``() -> float`` supplying timestamps for traces.
     """
+
+    ptr = _kernel_field("ptr")
+    round_number = _kernel_field("round_number")
+    dc = _kernel_field("dc")
 
     def __init__(
         self,
@@ -331,13 +343,12 @@ class SRRReceiver:
         self.buffers: List[Deque[Any]] = [deque() for _ in range(n)]
         self._buffered = 0
         self.stats = SRRReceiverStats()
-        # Mirror of the sender's initial state (see SRR.initial_state).
-        self.ptr = 0
-        self.round_number = 1
-        self.dc: List[float] = [0.0] * n
-        self.dc[0] = algorithm.quanta[0]
-        self.pending: List[bool] = [False] + [True] * (n - 1)
+        #: the simulated sender, at the sender's initial state
+        self.kernel = SRRKernel(algorithm)
         self.sync_round: List[Optional[int]] = [None] * n
+        #: channels whose ``sync_round`` is set; while it is ``n`` and the
+        #: pointer wraps, ``G`` may jump to the nearest sync round
+        self._synced = 0
         #: channels declared dead (see :meth:`fail_channel`)
         self.failed: set = set()
         # Last adopted (round, deficit) per channel; implicit numbers are
@@ -427,14 +438,6 @@ class SRRReceiver:
 
     # ------------------------------------------------------------------ #
 
-    def _advance(self) -> None:
-        """Move the scan pointer to the next channel; wrap bumps ``G``."""
-        ptr = self.ptr + 1
-        if ptr == self._n:
-            ptr = 0
-            self.round_number += 1
-        self.ptr = ptr
-
     def fail_channel(self, channel: int) -> List[Any]:
         """Declare ``channel`` dead; expected packets there count as lost.
 
@@ -452,9 +455,10 @@ class SRRReceiver:
     def revive_channel(self, channel: int) -> None:
         """Welcome a failed channel back; stop assuming its packets lost.
 
-        The channel's pre-outage state is gone, so it re-enters pending
-        resync: its first marker installs a future sync round (condition
-        C1) and the scan skips it until that round arrives, exactly the
+        The channel's pre-outage state is gone: its deficit restarts from
+        zero (its quantum granted at once if the pointer is there), and
+        its first marker installs a future sync round (condition C1) that
+        the scan skips it for until that round arrives, exactly the
         initial-adoption path.  No session reset is required.
         """
         if not 0 <= channel < self.n_channels:
@@ -463,16 +467,16 @@ class SRRReceiver:
             return
         self.failed.discard(channel)
         self._blocked_on = None
-        self.dc[channel] = 0.0
-        self.pending[channel] = True
-        self.sync_round[channel] = None
+        kernel = self.kernel
+        kernel.dc[channel] = (
+            kernel.quanta[channel] if channel == kernel.ptr else 0.0
+        )
+        if self.sync_round[channel] is not None:
+            self.sync_round[channel] = None
+            self._synced -= 1
         # Forget the duplicate memo: the resync marker after revival may
         # legitimately repeat the last pre-outage pair on an idle channel.
         self._last_marker[channel] = None
-
-    def _nominal_size(self, channel: int) -> int:
-        """Assumed size of an unseen (lost) packet on a failed channel."""
-        return max(1, int(self.algorithm.quanta[channel]))
 
     def drain(self) -> List[Any]:
         """Deliver every packet currently deliverable, honoring C1 skips."""
@@ -480,21 +484,19 @@ class SRRReceiver:
         # Re-set where the scan parks; cleared first so that a delivery
         # callback that raises cannot leave a stale channel behind.
         self._blocked_on = None
-        # This is the receive-side per-packet hot loop (every arrival on
-        # both the reference and the fast path funnels through it), so
-        # loop-invariant attribute lookups are hoisted into locals and the
-        # per-packet helpers (adoption when not tracing, deficit charge,
-        # pointer advance) are written out in place.  The mutable lists
-        # (dc, pending, ...) are aliases the helper methods mutate in
-        # place; ``ptr`` / ``round_number`` stay on ``self``, where the
-        # helpers and the delivery callback read them.
+        # This is the receive-side per-packet hot loop (every arrival
+        # funnels through it), so it runs over the kernel's own arrays
+        # with loop-invariant lookups hoisted into locals, and the
+        # adoption (when not tracing), the kernel's charge and its pointer
+        # step are written out in place.  ``ptr`` / ``round_number`` stay
+        # on the kernel, where ``_adopt``, ``_flush_lag`` and the delivery
+        # callback read them.
+        kernel = self.kernel
         n = self._n
         assumed_budget = full_budget = 64 * n
-        algorithm = self.algorithm
-        count_packets = algorithm.count_packets
-        quanta = algorithm.quanta
-        dc = self.dc
-        pending = self.pending
+        count_packets = kernel.count_packets
+        quanta = kernel.quanta
+        dc = kernel.dc
         sync_round = self.sync_round
         buffers = self.buffers
         failed = self.failed
@@ -505,107 +507,109 @@ class SRRReceiver:
         marker_code = Codepoint.MARKER
         # The scan terminates: each iteration either consumes a buffered
         # packet, advances the pointer toward the minimum pending sync
-        # round, or blocks.  The skip budget bounds pathological spins.
+        # round, or blocks.  The write-off budget bounds pathological spins.
+        step = False
         while True:
-            c = self.ptr
-            sync = sync_round[c]
-            if sync is not None and sync > self.round_number:
-                # C1: arrived too early at this channel; skip it this scan.
-                stats.channel_skips += 1
-                if tracing:
-                    self.tracer.emit(
-                        self.clock(), "receiver", "skip",
-                        channel=c, G=self.round_number, r_c=sync,
-                    )
-                self._advance()
-                if self._all_future_synced_and_idle():
-                    # Every channel is waiting for a future round and no
-                    # data is buffered anywhere: fast-forward G.
-                    self._fast_forward()
-                continue
-            if sync is not None:
-                # The marker round has arrived: DC is already absolute.
-                sync_round[c] = None
-                pending[c] = False
-            if pending[c]:
-                dc[c] += quanta[c]
-                pending[c] = False
-            if dc[c] <= 0:
-                # Deep overdraw (quantum < max packet): skip this visit.
-                stats.deep_overdraw_skips += 1
-                pending[c] = True
-                self._advance()
-                continue
-            buffer = buffers[c]
-            if not buffer:
-                if (
-                    c in failed
-                    and self._buffered > 0
-                    and assumed_budget > 0
-                ):
-                    # Dead channel with live data elsewhere: write the
-                    # expected packet off as lost and keep scanning.
-                    stats.assumed_lost += 1
-                    assumed_budget -= 1
-                    dc[c] -= algorithm.cost(self._nominal_size(c))
-                    if dc[c] <= 0:
-                        pending[c] = True
-                        self._advance()
-                    continue
-                # Block on this channel.  A dead one does not park the
-                # scan: data arriving elsewhere lets it write the expected
-                # packet off and move on.
-                if c not in failed:
-                    self._blocked_on = c
-                return out
-            assumed_budget = full_budget
-            packet = buffer.popleft()
-            self._buffered -= 1
-            # is_marker(packet), without its frame
-            if getattr(packet, "codepoint", None) == marker_code:
-                if tracing:
-                    if not self._adopt(c, packet):
-                        continue
-                else:
-                    # _adopt(c, packet), without its frame
-                    number = (packet.round_number, packet.deficit)
-                    stats.markers_received += 1
-                    if last_marker[c] == number:
-                        stats.duplicate_markers += 1
-                        continue
-                    stats.adoptions += 1
-                    dc[c] = packet.deficit
-                    sync_round[c] = packet.round_number
-                    pending[c] = False
-                    last_marker[c] = number
-                if packet.round_number < self.round_number:
-                    # The marker is stale: the scan has already passed the
-                    # round it describes, so data buffered behind it (late
-                    # arrivals from a reorder burst or an outage) belongs
-                    # to slots that are gone.  Metering it one quantum per
-                    # round would lock in a permanent delivery lag; flush
-                    # the provably-past segments now.
-                    self._flush_lag(c, out)
-                continue
-            out.append(packet)
-            stats.delivered += 1
-            if on_deliver is not None:
-                on_deliver(packet)
-            if tracing:
-                self.tracer.emit(
-                    self.clock(), "receiver", "deliver",
-                    channel=c, G=self.round_number, dc=dc[c],
-                )
-            # algorithm.cost(size) and _advance(), without their frames
-            d = dc[c] - (1.0 if count_packets else packet.size)
-            dc[c] = d
-            if d <= 0:
-                pending[c] = True
+            if step:
+                # The kernel's pointer step: a wrap bumps G, and the quantum
+                # is granted on arrival unless a marker's deficit waits.
+                step = False
                 c += 1
                 if c == n:
                     c = 0
-                    self.round_number += 1
-                self.ptr = c
+                    kernel.round_number += 1
+                    if self._synced == n:
+                        # Every channel waits for a sync round: jump G to
+                        # the nearest one instead of skipping round by
+                        # round (a full skip-scan only increments G).
+                        target = min(sync_round)
+                        if target > kernel.round_number:
+                            kernel.round_number = target
+                kernel.ptr = c
+                if sync_round[c] is None:
+                    dc[c] += quanta[c]
+            c = kernel.ptr
+            sync = sync_round[c]
+            if sync is not None:
+                if sync > kernel.round_number:
+                    # C1: arrived too early at this channel; skip it.
+                    stats.channel_skips += 1
+                    if tracing:
+                        self.tracer.emit(
+                            self.clock(), "receiver", "skip",
+                            channel=c, G=kernel.round_number, r_c=sync,
+                        )
+                    step = True
+                    continue
+                # The marker round has arrived: DC is already absolute.
+                sync_round[c] = None
+                self._synced -= 1
+            if dc[c] <= 0:
+                # Deep overdraw (quantum < max packet): skip this visit.
+                stats.deep_overdraw_skips += 1
+                step = True
+                continue
+            buffer = buffers[c]
+            if not buffer:
+                if c not in failed:
+                    self._blocked_on = c
+                    return out
+                if not self._buffered or not assumed_budget:
+                    # A dead channel does not park the scan: data arriving
+                    # elsewhere lets it write the expected packet off.
+                    return out
+                # Dead channel with live data elsewhere: write a nominal
+                # quantum-sized packet off as lost and keep scanning.
+                stats.assumed_lost += 1
+                assumed_budget -= 1
+                size = max(1, int(quanta[c]))
+            else:
+                assumed_budget = full_budget
+                packet = buffer.popleft()
+                self._buffered -= 1
+                # is_marker(packet), without its frame
+                if getattr(packet, "codepoint", None) == marker_code:
+                    if tracing:
+                        if not self._adopt(c, packet):
+                            continue
+                    else:
+                        # _adopt(c, packet), without its frame; the
+                        # channel's sync round was cleared above
+                        number = (packet.round_number, packet.deficit)
+                        stats.markers_received += 1
+                        if last_marker[c] == number:
+                            stats.duplicate_markers += 1
+                            continue
+                        stats.adoptions += 1
+                        dc[c] = packet.deficit
+                        last_marker[c] = number
+                        if packet.round_number != kernel.round_number:
+                            sync_round[c] = packet.round_number
+                            self._synced += 1
+                    if packet.round_number < kernel.round_number:
+                        # The marker is stale: the scan has already passed
+                        # the round it describes, so data buffered behind
+                        # it (late arrivals from a reorder burst or an
+                        # outage) belongs to slots that are gone.  Metering
+                        # it one quantum per round would lock in a
+                        # permanent delivery lag; flush the provably-past
+                        # segments now.
+                        self._flush_lag(c, out)
+                    continue
+                out.append(packet)
+                stats.delivered += 1
+                if on_deliver is not None:
+                    on_deliver(packet)
+                if tracing:
+                    self.tracer.emit(
+                        self.clock(), "receiver", "deliver",
+                        channel=c, G=kernel.round_number, dc=dc[c],
+                    )
+                size = packet.size
+            # The kernel's charge (SRRKernel.step)
+            d = dc[c] - (1.0 if count_packets else size)
+            dc[c] = d
+            step = d <= 0
 
     def _adopt(self, channel: int, marker: MarkerPacket) -> bool:
         """Install the marker's ``(r, d)`` as channel state (section 5);
@@ -624,15 +628,20 @@ class SRRReceiver:
             self.stats.duplicate_markers += 1
             return False
         self.stats.adoptions += 1
-        self.dc[channel] = marker.deficit
-        self.sync_round[channel] = marker.round_number
-        self.pending[channel] = False
+        self.kernel.dc[channel] = marker.deficit
         self._last_marker[channel] = number
+        if marker.round_number != self.kernel.round_number:
+            # A marker for round G is in force at once; any other round is
+            # held as the channel's sync round, for the C1 skip or the lag
+            # flush.  (One for G would only be cleared at the next visit.)
+            if self.sync_round[channel] is None:
+                self._synced += 1
+            self.sync_round[channel] = marker.round_number
         if self.tracer.enabled:
             self.tracer.emit(
                 self.clock(), "receiver", "marker",
                 channel=channel, r=marker.round_number, d=marker.deficit,
-                G=self.round_number,
+                G=self.kernel.round_number,
             )
         return True
 
@@ -654,20 +663,21 @@ class SRRReceiver:
         the lag is repaid, the partial progress is written back and the
         next stale marker resumes from there.
         """
+        kernel = self.kernel
         buffer = self.buffers[channel]
-        quantum = self.algorithm.quanta[channel]
-        lag = self.round_number - self.sync_round[channel]
-        dc = self.dc[channel]
+        quantum = kernel.quanta[channel]
+        lag = kernel.round_number - self.sync_round[channel]
+        dc = kernel.dc[channel]
         while lag > 0:
             if buffer and is_marker(buffer[0]):
                 marker = buffer.popleft()
                 self._buffered -= 1
                 if not self._adopt(channel, marker):
                     continue
-                if marker.round_number >= self.round_number:
+                if marker.round_number >= kernel.round_number:
                     return  # live edge (or C1 future; the scan handles it)
-                lag = self.round_number - marker.round_number
-                dc = self.dc[channel]
+                lag = kernel.round_number - marker.round_number
+                dc = kernel.dc[channel]
                 continue
             if dc <= 0:
                 dc += quantum
@@ -676,8 +686,8 @@ class SRRReceiver:
             if not buffer:
                 # Partial catch-up: the rest of the overdue data is still
                 # in flight.  Record how far the replay got.
-                self.dc[channel] = dc
-                self.sync_round[channel] = self.round_number - lag
+                kernel.dc[channel] = dc
+                self.sync_round[channel] = kernel.round_number - lag
                 return
             packet = buffer.popleft()
             self._buffered -= 1
@@ -689,46 +699,24 @@ class SRRReceiver:
             if self.tracer.enabled:
                 self.tracer.emit(
                     self.clock(), "receiver", "deliver",
-                    channel=channel, G=self.round_number - lag, dc=dc,
+                    channel=channel, G=kernel.round_number - lag, dc=dc,
                 )
-            dc -= self.algorithm.cost(packet.size)
+            dc -= 1.0 if kernel.count_packets else packet.size
         # Caught up: dc is the channel's absolute deficit for the current
         # round (its quantum already granted by the replay).
-        self.dc[channel] = dc
-        self.sync_round[channel] = self.round_number
-
-    def _all_future_synced_and_idle(self) -> bool:
-        return (
-            all(
-                self.sync_round[c] is not None
-                and self.sync_round[c] > self.round_number
-                for c in range(self._n)
-            )
-        )
-
-    def _fast_forward(self) -> None:
-        """Jump ``G`` to the nearest pending sync round instead of spinning.
-
-        Semantically identical to scanning-and-skipping round by round
-        (each full skip-scan increments ``G`` by one and touches nothing
-        else), just O(1).
-        """
-        target = min(r for r in self.sync_round if r is not None)
-        if target > self.round_number and self.ptr == 0:
-            self.round_number = target
+        kernel.dc[channel] = dc
+        self.sync_round[channel] = kernel.round_number
 
     # ------------------------------------------------------------------ #
     # snapshot surface (sections 4-5; checkpoints, warm restarts)
 
     def snapshot(self) -> ReceiverSnapshot:
-        """Immutable capture of the mirror state and the channel buffers."""
+        """The kernel's state, the sync rounds and the channel buffers."""
+        kernel = self.kernel
         return ReceiverSnapshot(
-            ptr=self.ptr,
-            round_number=self.round_number,
-            dc=tuple(self.dc),
-            pending=tuple(self.pending),
-            sync_round=tuple(self.sync_round),
-            buffers=tuple(tuple(buffer) for buffer in self.buffers),
+            kernel.ptr, kernel.round_number, tuple(kernel.dc),
+            tuple(self.sync_round),
+            tuple(tuple(buffer) for buffer in self.buffers),
         )
 
     def restore(self, snapshot: ReceiverSnapshot) -> None:
@@ -738,18 +726,8 @@ class SRRReceiver:
         without buffers rewinds only the simulated sender state.  Stats
         are left alone.
         """
-        if len(snapshot.dc) != self.n_channels:
-            raise ValueError(
-                f"snapshot has {len(snapshot.dc)} channels, "
-                f"receiver has {self.n_channels}"
-            )
-        self.ptr = snapshot.ptr
-        self.round_number = snapshot.round_number
-        self.dc = list(snapshot.dc)
-        self.pending = list(snapshot.pending)
-        self.sync_round = list(snapshot.sync_round)
-        self._last_marker = [None] * self.n_channels
-        self._blocked_on = None
+        self.kernel.restore(snapshot)
+        self._resync(snapshot.sync_round)
         for buffer, held in zip(self.buffers, snapshot.buffers):
             buffer.clear()
             buffer.extend(held)
@@ -771,28 +749,23 @@ class SRRReceiver:
         """Adopt a *sender* kernel snapshot wholesale (all channels at once).
 
         Equivalent to receiving a fresh marker on every channel
-        simultaneously, but exact: the receiver's mirror becomes the
-        sender's state as of the snapshot.  Used when both ends share an
-        out-of-band state channel (session reset installing a fresh epoch,
-        or a warm standby receiver joining mid-stream); per-channel marker
-        adoption (:meth:`push` with markers) remains the in-band path.
-
-        In the sender invariant ``dc[ptr]`` already includes the current
-        visit's quantum, so ``pending`` is False only for ``ptr``; markers
-        pending against the old state are void.  Returns packets that
-        became deliverable under the adopted state.
+        simultaneously, but exact: the receiver's kernel becomes the
+        sender's as of the snapshot and sync rounds pending against the
+        old state are void.  Used when both ends share an out-of-band
+        state channel (session reset installing a fresh epoch, or a warm
+        standby receiver joining mid-stream); per-channel marker adoption
+        (:meth:`push` with markers) remains the in-band path.  Returns
+        packets that became deliverable under the adopted state.
         """
-        if len(state.dc) != self.n_channels:
-            raise ValueError(
-                f"snapshot has {len(state.dc)} channels, "
-                f"receiver has {self.n_channels}"
-            )
+        self.kernel.restore(state)
         self.stats.adoptions += 1
-        self.ptr = state.ptr
-        self.round_number = state.round_number
-        self.dc = list(state.dc)
-        self.pending = [True] * self.n_channels
-        self.pending[state.ptr] = False
-        self.sync_round = [None] * self.n_channels
-        self._last_marker = [None] * self.n_channels
+        self._resync((None,) * self.n_channels)
         return self.drain()
+
+    def _resync(self, sync_round: Tuple[Optional[int], ...]) -> None:
+        """Install ``sync_round`` after the kernel state was replaced."""
+        n = self.n_channels
+        self.sync_round = list(sync_round)
+        self._synced = n - self.sync_round.count(None)
+        self._last_marker = [None] * n
+        self._blocked_on = None

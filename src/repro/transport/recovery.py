@@ -125,7 +125,7 @@ _RECORDS: Tuple[Tuple[type, Tuple[str, ...]], ...] = (
     (SRRState, ("ptr", "round_number", "dc")),
     (
         ReceiverSnapshot,
-        ("ptr", "round_number", "dc", "pending", "sync_round", "buffers"),
+        ("ptr", "round_number", "dc", "sync_round", "buffers"),
     ),
     (FabricSnapshot, ("flows", "active_order", "head_credited")),
     (SackInfo, ("cum_ack", "blocks")),
@@ -260,7 +260,7 @@ def _decode_body(data: bytes) -> Any:
 
 
 CHECKPOINT_MAGIC = b"SRCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _HEADER = struct.Struct("!4sHI")  # magic, version, body length
 
 

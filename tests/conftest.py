@@ -38,12 +38,12 @@ def peek_time(sim: Simulator) -> Optional[float]:
 
 
 def mirror_state(receiver) -> dict:
-    """An :class:`SRRReceiver`'s mirror of the simulated sender state."""
+    """An :class:`SRRReceiver`'s simulated sender state (its kernel's
+    fields) and its sync rounds."""
     return {
         "ptr": receiver.ptr,
         "G": receiver.round_number,
         "dc": tuple(receiver.dc),
-        "pending": tuple(receiver.pending),
         "sync_round": tuple(receiver.sync_round),
     }
 

@@ -156,7 +156,8 @@ class TestReceiverSnapshotAdoption:
 
     def test_adoption_equivalent_to_full_replay(self):
         """Adopting snapshot[k] then feeding the suffix leaves the same
-        mirror state as replaying the whole stream."""
+        receiver snapshot as replaying the whole stream, and that snapshot
+        is the sender kernel's final state."""
         algorithm = SRR([700.0, 400.0])
         packets = make_packets(120, seed=2, lo=1, hi=600)
         channels, placements, snapshots = self._striped_with_states(
@@ -172,7 +173,16 @@ class TestReceiverSnapshotAdoption:
         partial.adopt_snapshot(snapshots[cut])
         for index in range(cut, len(packets)):
             partial.push(placements[index], packets[index])
-        assert mirror_state(partial) == mirror_state(full)
+        assert partial.snapshot() == full.snapshot()
+        sender = SRRKernel(algorithm)
+        sender.assign_many([packet.size for packet in packets])
+        assert full.kernel.snapshot() == sender.snapshot()
+        # One shape: the receiver's snapshot is an SRRState any SRR kernel
+        # restores.
+        assert isinstance(full.snapshot(), SRRState)
+        resumed = SRRKernel(algorithm)
+        resumed.restore(full.snapshot())
+        assert resumed.snapshot() == sender.snapshot()
 
     def test_snapshot_restore_across_marker_adoption(self):
         """restore() rewinds marker adoptions: replaying the same arrivals

@@ -9,7 +9,9 @@ per delivered packet, kernel steps per data packet the striper sent and
 the N functions with the most frames per packet under each shape.  A
 second table gives the tracemalloc bytes per registered flow of the
 ``fabric_fanin`` flow table at 1k, 10k and 100k flows, idle and with 2
-and 8 packets queued (:func:`bytes_per_flow`).
+and 8 packets queued (:func:`bytes_per_flow`).  A last line gives the
+frames per marker adoption of a resync across 4, 64 and 512 channels
+(:func:`resync_frames_per_adoption`).
 
 The counts are deterministic (no wall clock) and take seconds; the rigs
 are built from public names and wired the way ``perfbench/rigs.py`` wires
@@ -29,7 +31,8 @@ from collections import Counter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core import SRR, MarkerPolicy, Packet, SRRKernel, Striper
-from repro.core.packet import PacketPool
+from repro.core.markers import SRRReceiver
+from repro.core.packet import MarkerPacket, PacketPool
 from repro.sim import BernoulliLoss, Channel, Simulator
 from repro.transport import (
     FabricScheduler,
@@ -362,6 +365,24 @@ def bytes_per_flow(flows: int, queued: int) -> float:
         tracemalloc.stop()
 
 
+#: channel counts the resync row is read at (ROADMAP direction 6's
+#: channels axis)
+RESYNC_CHANNELS = (4, 64, 512)
+
+
+def resync_frames_per_adoption(n: int) -> float:
+    """Python frames per marker adoption while each of ``n`` channels, in
+    channel order, adopts a marker for a future round (condition C1): the
+    scan skips every synced channel and, once all are, fast-forwards."""
+    receiver = SRRReceiver(SRR([100.0] * n))
+    markers = [MarkerPacket(c, 10, 100.0) for c in range(n)]
+    with FrameCounter() as counter:
+        for channel, marker in enumerate(markers):
+            receiver.push(channel, marker)
+    assert receiver.stats.adoptions == n and receiver.round_number == 10
+    return counter.frames / n
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     top = int(args[args.index("--top") + 1]) if "--top" in args else 0
@@ -392,6 +413,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     for flows in FLOW_COUNTS:
         cells = " ".join(f"{bytes_per_flow(flows, q):>9.0f}" for q in QUEUED)
         print(f"{flows:>7} {cells}")
+    print()
+    print(
+        "resync, frames per marker adoption at N = "
+        + " / ".join(str(n) for n in RESYNC_CHANNELS) + ": "
+        + " / ".join(
+            f"{resync_frames_per_adoption(n):.2f}" for n in RESYNC_CHANNELS
+        )
+    )
     return 0
 
 

@@ -798,7 +798,10 @@ class TestFailChannelAllModes:
         pipeline.revive_channel(1)
         resequencer = pipeline.resequencer
         assert resequencer.sync_round[1] is None
-        assert resequencer.pending[1]
+        # Its deficit restarts from one fresh quantum, granted at once
+        # because the scan waits on channel 1.
+        assert resequencer.ptr == 1
+        assert resequencer.dc[1] == 100.0
 
     def test_mppp_mode_fail_skips_gap_and_flushes(self):
         discipline = MpppDiscipline(2)

@@ -23,10 +23,11 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.baselines.bonding import BondingFrame
 from repro.baselines.mppp import MpppFragment
-from repro.core.markers import ReceiverSnapshot
+from repro.core.markers import ReceiverSnapshot, SRRReceiver
 from repro.core.packet import MarkerPacket, Packet, SackInfo
 from repro.core.srr import SRR, SRRState, make_grr, make_rr
-from repro.core.striper import ListPort, MarkerPolicy
+from repro.core.striper import ListPort, MarkerPolicy, Striper
+from repro.core.transform import TransformedLoadSharer
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
 from repro.sim.faults import persistent_loss_schedule
@@ -97,7 +98,7 @@ TREES = [
     {},
     {"a": 1, 2: "b", None: [True, (b"x",)]},
     SRRState(1, 4, (0.0, 250.0, 500.0)),
-    ReceiverSnapshot(2, 7, (0.0, 1.0), (True, False), (3, 4)),
+    ReceiverSnapshot(2, 7, (0.0, 1.0), (3, None), ((), ())),
 ]
 
 
@@ -153,6 +154,14 @@ class TestCheckpointCodec:
         with pytest.raises(CheckpointVersionError):
             decode_checkpoint(blob)
 
+    def test_version_2_receiver_frame_is_version_error(self):
+        # Version 2 carried the receiver's lazy-grant ``pending`` array;
+        # version 3 records its kernel state, sync rounds and buffers.
+        snapshot = SRRReceiver(SRR([100.0, 100.0])).snapshot()
+        blob = encode_checkpoint({"engine": snapshot}, version=2)
+        with pytest.raises(CheckpointVersionError):
+            decode_checkpoint(blob)
+
     def test_corrupted_future_version_is_corrupt_not_skew(self):
         # Validation order magic -> CRC -> version: bit rot that lands in
         # the version field must still read as corruption.
@@ -169,6 +178,51 @@ class TestCheckpointCodec:
     def test_checksum_is_unsigned_crc32(self):
         assert checksum(b"") == 0
         assert 0 <= checksum(b"\xff" * 64) <= 0xFFFFFFFF
+
+
+def test_receiver_checkpointed_mid_resync_restores_to_the_live_deliveries():
+    quanta = [300.0, 500.0, 700.0]
+    ports = [ListPort() for _ in quanta]
+    striper = Striper(
+        TransformedLoadSharer(SRR(quanta)), ports,
+        MarkerPolicy(interval_rounds=1),
+    )
+    for seq, size in enumerate([200, 450, 90, 600] * 20):
+        striper.submit(Packet(size, seq=seq))
+    # Channel 0 loses two data packets: the receiver needs its markers.
+    streams = [list(port.sent) for port in ports]
+    streams[0] = [
+        p for p in streams[0] if getattr(p, "seq", None) not in (0, 11)
+    ]
+    arrivals = [
+        (channel, stream[i])
+        for i in range(max(map(len, streams)))
+        for channel, stream in enumerate(streams)
+        if i < len(stream)
+    ]
+    live = SRRReceiver(SRR(quanta))
+    for cut, (channel, packet) in enumerate(arrivals, 1):
+        live.push(channel, packet)
+        if live.buffered and any(r is not None for r in live.sync_round):
+            break
+    else:
+        pytest.fail("the receiver never held a sync round and a buffer")
+    restored = SRRReceiver(SRR(quanta))
+    restored.restore(decode_checkpoint(encode_checkpoint(live.snapshot())))
+    assert restored.kernel.snapshot() == live.kernel.snapshot()
+    assert restored.sync_round == live.sync_round
+
+    def rest(receiver):
+        delivered = []
+        receiver.on_deliver = lambda packet: delivered.append(packet.seq)
+        for channel, packet in arrivals[cut:]:
+            receiver.push(channel, packet)
+        return delivered
+
+    delivered = rest(restored)
+    assert delivered and delivered == rest(live)
+    assert restored.kernel.snapshot() == live.kernel.snapshot()
+    assert restored.sync_round == live.sync_round
 
 
 # ---------------------------------------------------------------------- #

@@ -80,7 +80,7 @@ ALLOWED: Dict[str, str] = {
     # and the seeded random CFQ the transformation, kernel adapter and
     # receiver are checked with
     **{f"{_CORE}srr.py:SRR.{name}": "oracle" for name in (
-        "initial_state", "select", "update", "advance",
+        "initial_state", "select", "update", "advance", "cost",
         "next_number_for_channel",
     )},
     f"{_CORE}srr.py:DRR": "oracle",
@@ -116,7 +116,6 @@ ALLOWED: Dict[str, str] = {
         "markers.py:piggybacked_sack",
         "markers.py:SRRReceiver.fail_channel",
         "markers.py:SRRReceiver.revive_channel",
-        "markers.py:SRRReceiver._nominal_size",
         "resequencer.py:Resequencer.snapshot",
         "resequencer.py:Resequencer.restore",
         "resequencer.py:Resequencer.sender_restarted",
