@@ -41,11 +41,15 @@ perf:
 frames:
 	PYTHONPATH=src python -m tests.frames $(if $(TOP),--top $(TOP))
 
-# What nothing the system runs ever enters: every experiment at --quick,
-# the six examples, the five frame shapes and perfbench at 0.02 scale run
-# under sys.setprofile, then every src/ function none of them entered is
-# listed.  Prints "N never entered, M allowlisted" and exits 1 on any
-# definition that is neither deleted nor on tests/unexecuted.py's ALLOWED
+# What nothing the system runs ever enters, and which constructor options
+# it only ever sets one way: every experiment at --quick, the six examples,
+# the five frame shapes and perfbench at 0.02 scale run under
+# sys.setprofile, then every src/ function none of them entered is listed,
+# and the values each optional __init__ parameter under core/ sim/ net/
+# transport/ workloads/ received are counted.  Prints "N never entered, M
+# allowlisted" and "N constructor options, M single-valued, K allowlisted";
+# exits 1 on any unentered definition that is not on tests/unexecuted.py's
+# ALLOWED table and on any single-valued option that is not on its OPTIONS
 # table (about two minutes).
 unexecuted:
 	PYTHONPATH=src python -m tests.unexecuted

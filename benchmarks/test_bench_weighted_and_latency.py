@@ -80,10 +80,10 @@ def resequencing_latency():
                 tb.sender.submit_packet(packet)
 
             source = PacedSource(
-                sim, submit, ConstantSizes(1000), cbr_intervals(1000.0),
-                count=1500,
+                sim, submit, ConstantSizes(1000), cbr_intervals(1000.0)
             )
             source.start()
+            sim.schedule_at(1.4995, source.stop)  # 1500 packets
             sim.run(until=3.0)
             per_mode[mode] = [
                 delivery.time - send_times[delivery.seq]

@@ -285,9 +285,9 @@ class CFQKernelAdapter(SchedulerKernel):
 
     __slots__ = ("algorithm", "state")
 
-    def __init__(self, algorithm: CausalFQ, state: Any = None) -> None:
+    def __init__(self, algorithm: CausalFQ) -> None:
         self.algorithm = algorithm
-        self.state = state if state is not None else algorithm.initial_state()
+        self.state = algorithm.initial_state()
 
     def peek(self) -> int:
         return self.algorithm.select(self.state)

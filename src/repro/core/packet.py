@@ -181,6 +181,10 @@ def is_marker(packet: Any) -> bool:
     return getattr(packet, "codepoint", Codepoint.DATA) == Codepoint.MARKER
 
 
+#: packets a :class:`PacketPool` keeps on its free list
+POOL_MAX_SIZE = 4096
+
+
 class PacketPool:
     """A free-list allocator for :class:`Packet` objects.
 
@@ -219,17 +223,15 @@ class PacketPool:
     __slots__ = (
         "_free",
         "_free_uids",
-        "max_size",
         "allocated",
         "reused",
         "released",
         "double_releases",
     )
 
-    def __init__(self, max_size: int = 4096) -> None:
+    def __init__(self) -> None:
         self._free: list = []
         self._free_uids: set = set()
-        self.max_size = max_size
         #: fresh constructions (free list was empty)
         self.allocated = 0
         #: packets served from the free list
@@ -281,7 +283,7 @@ class PacketPool:
         if (
             type(packet) is Packet
             and not packet.synthesized
-            and len(self._free) < self.max_size
+            and len(self._free) < POOL_MAX_SIZE
         ):
             if packet.uid in self._free_uids:
                 self.double_releases += 1

@@ -257,7 +257,7 @@ class DirectReception(NullResequencer):
     are counted in :attr:`stray_markers` and dropped undecoded.
     """
 
-    def __init__(self, n_channels: int, on_deliver=None) -> None:
+    def __init__(self, n_channels: int, on_deliver) -> None:
         super().__init__(n_channels, on_deliver)
         #: markers that reached a marker-free receiver (sender misconfig)
         self.stray_markers = 0

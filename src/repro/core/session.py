@@ -77,6 +77,11 @@ __all__ = [
     "StripeSenderSession",
 ]
 
+#: seconds before an unacknowledged RESET is retransmitted
+RESET_RETRY_S = 0.25
+#: RESET rounds before a sender session gives up (raises)
+RESET_MAX_RETRIES = 20
+
 
 def _all_active(config: StripeConfig) -> StripeConfig:
     """``config`` with ``active_channels`` spelled out (default: the first
@@ -111,12 +116,13 @@ class StripeSenderSession:
             by ``config``'s at construction, so whatever discipline it
             was built with only had to match the port count.
         config: initial striping configuration.
-        retry_timeout: seconds before an unacked RESET is retransmitted.
-        max_retries: RESET rounds before the session gives up (raises).
         discipline: optional registry name striped in every epoch in
             place of the paper's SRR at the configuration's quanta (the
             receiver session must name the same one).
         discipline_options: forwarded to the registry with the name.
+
+    An unacknowledged RESET is retransmitted every ``RESET_RETRY_S``; the
+    session gives up (raises) after ``RESET_MAX_RETRIES`` rounds.
     """
 
     RUNNING = "running"
@@ -127,8 +133,6 @@ class StripeSenderSession:
         sim: Simulator,
         pipeline: Any,
         config: StripeConfig,
-        retry_timeout: float = 0.25,
-        max_retries: int = 20,
         discipline: Optional[str] = None,
         discipline_options: Optional[dict] = None,
     ) -> None:
@@ -137,8 +141,6 @@ class StripeSenderSession:
         #: the full port set (RESETs and probes address ports, not
         #: positions in the current epoch's striper)
         self.all_ports = pipeline.ports
-        self.retry_timeout = retry_timeout
-        self.max_retries = max_retries
         self.discipline = discipline
         self.discipline_options = dict(discipline_options or {})
         self.epoch = 0
@@ -206,7 +208,7 @@ class StripeSenderSession:
     def _arm_retry(self) -> None:
         self._cancel_retry()
         self._retry_event = self.sim.schedule(
-            self.retry_timeout, self._on_retry_timeout
+            RESET_RETRY_S, self._on_retry_timeout
         )
 
     def _cancel_retry(self) -> None:
@@ -219,10 +221,10 @@ class StripeSenderSession:
         if self.state != self.RESETTING:
             return
         self._retries += 1
-        if self._retries > self.max_retries:
+        if self._retries > RESET_MAX_RETRIES:
             raise RuntimeError(
                 f"reset epoch {self.epoch} unacknowledged after "
-                f"{self.max_retries} retries"
+                f"{RESET_MAX_RETRIES} retries"
             )
         self._send_resets()
 

@@ -39,7 +39,7 @@ receiver buffering (:class:`~repro.core.resequencer.DirectReception`).
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.baselines.address_hash import stable_hash
 from repro.core.cfq import Capabilities
@@ -48,6 +48,15 @@ from repro.core.transform import LoadSharer
 __all__ = ["FlowRateEstimator", "SprinklersDiscipline", "stripe_size_for"]
 
 _LN2 = math.log(2.0)
+
+#: rate-estimator half-life, in global traffic bytes
+WINDOW_BYTES = 512 * 1024
+#: re-evaluate a flow's stripe width every this many of its packets (at
+#: its next round boundary)
+RESIZE_INTERVAL = 64
+#: shrink a stripe only when the rate-derived width is smaller by at
+#: least this factor; grows apply at once
+HYSTERESIS = 2.0
 
 
 def stripe_size_for(share: float, n_channels: int) -> int:
@@ -71,11 +80,10 @@ def stripe_size_for(share: float, n_channels: int) -> int:
 class FlowRateEstimator:
     """Per-flow traffic-share estimation with lazily decayed byte counters.
 
-    Deterministic and clockless by default: "time" is cumulative bytes
-    through the striper, so the estimate depends only on the traffic
-    sequence (property tests stay reproducible; an optional wall ``clock``
-    can replace it for rate-in-seconds estimation).  Each flow keeps an
-    exponentially decayed byte counter with half-life ``window_bytes`` of
+    Deterministic and clockless: "time" is cumulative bytes through the
+    striper, so the estimate depends only on the traffic sequence
+    (property tests stay reproducible).  Each flow keeps an
+    exponentially decayed byte counter with half-life ``WINDOW_BYTES`` of
     global traffic, decayed lazily at its own updates — updating a flow is
     O(1) regardless of how many flows exist, which is what makes the
     10k-flow scalability runs affordable.
@@ -85,15 +93,8 @@ class FlowRateEstimator:
     inverts that, clamped to [0, 1].
     """
 
-    def __init__(
-        self,
-        window_bytes: float = 512 * 1024,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        if window_bytes <= 0:
-            raise ValueError("window_bytes must be positive")
-        self.window = float(window_bytes)
-        self.clock = clock
+    def __init__(self) -> None:
+        self.window = float(WINDOW_BYTES)
         #: cumulative bytes observed across all flows (the decay clock)
         self.total_bytes = 0.0
 
@@ -166,18 +167,14 @@ class _FlowStripe:
 class SprinklersDiscipline(LoadSharer):
     """Hash each flow to a rate-sized stripe; round-robin within it.
 
+    Within a stripe, packets go round-robin over the members.  A flow's
+    stripe width is re-evaluated every ``RESIZE_INTERVAL`` of its packets;
+    a shrink needs the rate-derived width smaller by ``HYSTERESIS``, while
+    grows apply immediately (overload hurts more than a briefly-too-wide
+    stripe).
+
     Args:
         n: channel count.
-        weights: per-channel relative capacities (default equal).  Within
-            a stripe, packets interleave in proportion to member weights
-            (a per-flow surplus-round-robin over the stripe), so unequal
-            channels fill evenly.
-        resize_interval: re-evaluate a flow's stripe size every this many
-            of its packets (at its next round boundary).
-        hysteresis: shrink a stripe only when the rate-derived size is
-            smaller by at least this factor; grows apply immediately
-            (overload hurts more than a briefly-too-wide stripe).
-        window_bytes: rate-estimator half-life, in global traffic bytes.
         initial_share: assumed traffic share of a flow the estimator has
             not seen yet (default 0: new flows start as width-1 mice and
             grow as their rate is measured).  A flow whose stripe *grows*
@@ -187,7 +184,6 @@ class SprinklersDiscipline(LoadSharer):
             flowless closed-loop harness, a single bulk transfer) set
             ``initial_share=1.0`` to provision the full bundle up front
             and never resize.
-        clock: optional wall clock for the rate estimator.
 
     ``choose`` is pure (the committed channel is advanced only by
     ``notify_sent``), so the striper's two-phase backpressure protocol —
@@ -208,34 +204,15 @@ class SprinklersDiscipline(LoadSharer):
         self,
         n: int,
         *,
-        weights: Optional[Sequence[float]] = None,
-        resize_interval: int = 64,
-        hysteresis: float = 2.0,
-        window_bytes: float = 512 * 1024,
         initial_share: float = 0.0,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if n < 1:
             raise ValueError("need at least one channel")
-        if weights is None:
-            weights = [1.0] * n
-        weights = [float(w) for w in weights]
-        if len(weights) != n:
-            raise ValueError(f"weights must have {n} entries")
-        if any(w <= 0 for w in weights):
-            raise ValueError("channel weights must be positive")
-        if resize_interval < 1:
-            raise ValueError("resize_interval must be >= 1")
-        if hysteresis < 1.0:
-            raise ValueError("hysteresis must be >= 1.0")
         if not 0.0 <= initial_share <= 1.0:
             raise ValueError("initial_share must be in [0, 1]")
         self._n = n
         self.initial_share = initial_share
-        self.weights = weights
-        self.resize_interval = resize_interval
-        self.hysteresis = hysteresis
-        self.estimator = FlowRateEstimator(window_bytes, clock=clock)
+        self.estimator = FlowRateEstimator()
         self._flows: Dict[Any, _FlowStripe] = {}
         #: stripe resizes performed (each one is a transient reorder risk)
         self.resizes = 0
@@ -278,7 +255,7 @@ class SprinklersDiscipline(LoadSharer):
             # transient for flows known to be heavy.
             k = stripe_size_for(self.initial_share, self._n)
             channels = self._stripe_channels(flow, k)
-            stripe = _FlowStripe(channels, state, self.weights[channels[0]])
+            stripe = _FlowStripe(channels, state, 1.0)
             self._flows[flow] = stripe
         return stripe
 
@@ -294,13 +271,13 @@ class SprinklersDiscipline(LoadSharer):
         self.estimator.observe(stripe.rate_state, size)
         stripe.packets += 1
         if stripe.size == 1:
-            if stripe.packets % self.resize_interval == 0:
+            if stripe.packets % RESIZE_INTERVAL == 0:
                 self._maybe_resize(flow, stripe)
             return
         # Intra-stripe surplus round robin, counted in *packets* (each
-        # member's quantum is its weight): with equal weights this is
-        # exact per-packet round-robin, which is what makes delivery
-        # order-preserving across identical FIFO channels.  Byte-quantum
+        # member's quantum is one packet): exact per-packet round-robin,
+        # which is what makes delivery order-preserving across identical
+        # FIFO channels.  Byte-quantum
         # SRR would occasionally put two back-to-back packets on one
         # member while the next member transmits concurrently — the very
         # reordering the paper's resequencer absorbs, which Sprinklers
@@ -314,32 +291,26 @@ class SprinklersDiscipline(LoadSharer):
                 if cursor >= stripe.size:
                     cursor = 0
                     at_boundary = True
-                stripe.credit += self._quantum(stripe, cursor)
+                stripe.credit += 1.0
             stripe.cursor = cursor
             stripe.current = stripe.channels[cursor]
             if (
                 at_boundary
-                and stripe.packets >= self.resize_interval
-                and stripe.packets % self.resize_interval
-                < stripe.size
+                and stripe.packets >= RESIZE_INTERVAL
+                and stripe.packets % RESIZE_INTERVAL < stripe.size
             ):
                 self._maybe_resize(flow, stripe)
-
-    def _quantum(self, stripe: _FlowStripe, cursor: int) -> float:
-        """Credit refill for a stripe member: its weight, in packets per
-        round (weight 1.0 everywhere = exact packet round-robin)."""
-        return self.weights[stripe.channels[cursor]]
 
     def _maybe_resize(self, flow: Any, stripe: _FlowStripe) -> None:
         share = self.estimator.share(stripe.rate_state)
         k = stripe_size_for(share, self._n)
         if k == stripe.size:
             return
-        if k < stripe.size and k * self.hysteresis > stripe.size:
+        if k < stripe.size and k * HYSTERESIS > stripe.size:
             return  # shrink reluctantly: the rate may only be dipping
         self.resizes += 1
         channels = self._stripe_channels(flow, k)
-        new = _FlowStripe(channels, stripe.rate_state, self.weights[channels[0]])
+        new = _FlowStripe(channels, stripe.rate_state, 1.0)
         new.packets = stripe.packets
         self._flows[flow] = new
 
@@ -353,8 +324,8 @@ class SprinklersDiscipline(LoadSharer):
     def snapshot(self) -> Any:
         """Plain-data capture of every stripe + the rate estimator.
 
-        The estimator's clock callback is not state; ``total_bytes`` and
-        the per-flow ``rate_state`` pairs carry everything the EWMA needs.
+        ``total_bytes`` and the per-flow ``rate_state`` pairs carry
+        everything the EWMA needs.
         """
         return {
             "total_bytes": self.estimator.total_bytes,

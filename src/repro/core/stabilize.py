@@ -18,6 +18,22 @@ from repro.sim.engine import Simulator
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.session import StripeReceiverSession, StripeSenderSession
 
+#: first probe interval (s), its growth per unanswered probe and its cap
+PROBE_INTERVAL_S = 0.05
+PROBE_BACKOFF = 2.0
+MAX_PROBE_INTERVAL_S = 0.2
+#: unanswered probes before a channel is given up on
+MAX_PROBES = 200
+#: a channel that fails again within FLAP_WINDOW_S of rejoining sits out
+#: a hold-down of at least FLAP_PENALTY_S, doubled per flap up to
+#: MAX_HOLD_DOWN_S; a first failure has none
+FLAP_WINDOW_S = 2.0
+FLAP_PENALTY_S = 0.2
+FLAP_FACTOR = 2.0
+MAX_HOLD_DOWN_S = 4.0
+#: tolerated |marker round - receiver round| slack of the local checker
+CHECK_WINDOW_ROUNDS = 60
+
 
 class ChannelProber:
     """Sender-side revival: probe excluded channels, rejoin on an ACK.
@@ -33,10 +49,13 @@ class ChannelProber:
     reset machinery doubles as the rejoin path, so the revived channel
     re-enters with fresh epoch-initial striping state.
 
-    Flap damping mirrors the receiver's: a channel that fails again within
-    ``flap_window`` seconds of rejoining must sit out a hold-down that
-    doubles per flap (``flap_penalty``, ``flap_factor``, capped at
-    ``max_hold_down``) before the next rejoin.
+    Probes start ``PROBE_INTERVAL_S`` apart and back off by
+    ``PROBE_BACKOFF`` up to ``MAX_PROBE_INTERVAL_S``; a channel is given
+    up on after ``MAX_PROBES`` unanswered ones.  Flap damping mirrors the
+    receiver's: a channel that fails again within ``FLAP_WINDOW_S`` of
+    rejoining must sit out a hold-down that doubles per flap
+    (``FLAP_PENALTY_S``, ``FLAP_FACTOR``, capped at ``MAX_HOLD_DOWN_S``)
+    before the next rejoin.
 
     Bookkeeping is dict/set based: reconciliation after a reset touches
     only the channels whose membership actually changed plus a C-level
@@ -47,33 +66,12 @@ class ChannelProber:
         self,
         sim: Simulator,
         session: "StripeSenderSession",
-        *,
-        initial_interval: float = 0.05,
-        backoff: float = 2.0,
-        max_interval: float = 1.0,
-        max_probes: int = 200,
-        min_hold_down: float = 0.0,
-        flap_penalty: float = 0.2,
-        flap_window: float = 2.0,
-        flap_factor: float = 2.0,
-        max_hold_down: float = 4.0,
     ) -> None:
-        if backoff < 1.0:
-            raise ValueError("backoff must be >= 1")
         self.sim = sim
         self.session = session
-        self.initial_interval = initial_interval
-        self.backoff = backoff
-        self.max_interval = max_interval
-        self.max_probes = max_probes
-        self.min_hold_down = min_hold_down
-        self.flap_penalty = flap_penalty
-        self.flap_window = flap_window
-        self.flap_factor = flap_factor
-        self.max_hold_down = max_hold_down
         self.probes_sent = 0
         self.rejoins = 0
-        #: channels given up on after ``max_probes`` unanswered probes
+        #: channels given up on after ``MAX_PROBES`` unanswered probes
         self.abandoned: List[int] = []
         self._probing: dict = {}
         self._quantum: dict = {}
@@ -116,16 +114,15 @@ class ChannelProber:
     def _start(self, channel: int) -> None:
         now = self.sim.now
         rejoined = self._rejoined_at.get(channel)
-        if rejoined is not None and now - rejoined < self.flap_window:
+        if rejoined is not None and now - rejoined < FLAP_WINDOW_S:
             previous = self._hold_down.get(channel, 0.0)
             self._hold_down[channel] = min(
-                max(previous * self.flap_factor, self.flap_penalty),
-                self.max_hold_down,
+                max(previous * FLAP_FACTOR, FLAP_PENALTY_S), MAX_HOLD_DOWN_S
             )
         else:
-            self._hold_down[channel] = self.min_hold_down
+            self._hold_down[channel] = 0.0
         self._down_at[channel] = now
-        state = {"interval": self.initial_interval, "sent": 0, "event": None}
+        state = {"interval": PROBE_INTERVAL_S, "sent": 0, "event": None}
         self._probing[channel] = state
         state["event"] = self.sim.schedule(
             state["interval"], self._probe, channel
@@ -141,7 +138,7 @@ class ChannelProber:
         if state is None:
             return
         state["event"] = None
-        if state["sent"] >= self.max_probes:
+        if state["sent"] >= MAX_PROBES:
             self.abandoned.append(channel)
             del self._probing[channel]
             return
@@ -152,7 +149,7 @@ class ChannelProber:
             ProbePacket(channel=channel, seq=self._probe_seq), force=True
         )
         state["interval"] = min(
-            state["interval"] * self.backoff, self.max_interval
+            state["interval"] * PROBE_BACKOFF, MAX_PROBE_INTERVAL_S
         )
         state["event"] = self.sim.schedule(
             state["interval"], self._probe, channel
@@ -186,18 +183,13 @@ class LocalChecker:
     channel they ride; with bounded in-flight data the receiver's global
     round ``G`` must satisfy ``r - window <= G <= r + window`` whenever a
     marker is *observed on arrival* (no blocking involved).  A violation
-    proves state corruption; the correction is a reset request.
-
-    Args:
-        window_rounds: tolerated |marker round − receiver round| slack;
-            choose ≥ the worst-case in-flight rounds (channel queue depth /
-            packets-per-round) plus the marker interval.
+    proves state corruption; the correction is a reset request.  The
+    tolerated slack is ``CHECK_WINDOW_ROUNDS``, above the worst-case
+    in-flight rounds (channel queue depth / packets-per-round) plus the
+    marker interval.
     """
 
-    def __init__(self, window_rounds: int = 50) -> None:
-        if window_rounds < 1:
-            raise ValueError("window must be >= 1 round")
-        self.window_rounds = window_rounds
+    def __init__(self) -> None:
         self.violations = 0
         self.resets_requested = 0
         self._requested_this_epoch = False
@@ -210,7 +202,7 @@ class LocalChecker:
     ) -> None:
         """A marker arrived at ``session``, before its engine sees it."""
         receiver_round = session.pipeline.resequencer.round_number
-        if abs(marker.round_number - receiver_round) > self.window_rounds:
+        if abs(marker.round_number - receiver_round) > CHECK_WINDOW_ROUNDS:
             self.violations += 1
             if not self._requested_this_epoch:
                 self._requested_this_epoch = True

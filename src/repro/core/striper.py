@@ -120,8 +120,6 @@ class Striper:
         marker_decorator: invoked as ``decorator(channel, marker)`` just
             before each marker is sent — the hook that lets reverse-path
             state (FCVC credits, §6.3) piggyback on markers.
-        on_marker: test hook invoked as ``on_marker(channel, marker)``
-            after the marker is sent.
 
     The upper layer calls :meth:`submit`; packets the currently selected
     channel cannot accept wait in the input queue, and the owner must call
@@ -139,7 +137,6 @@ class Striper:
         sharer: LoadSharer,
         ports: Sequence[ChannelPort],
         marker_policy: Optional[MarkerPolicy] = None,
-        on_marker: Optional[Callable[[int, MarkerPacket], None]] = None,
         marker_decorator: Optional[Callable[[int, MarkerPacket], None]] = None,
         tracer: Tracer = NULL_TRACER,
         clock: Optional[Callable[[], float]] = None,
@@ -151,7 +148,6 @@ class Striper:
         self.sharer = sharer
         self.ports = list(ports)
         self.marker_policy = marker_policy
-        self.on_marker = on_marker
         self.marker_decorator = marker_decorator
         self.tracer = tracer
         self.clock = clock if clock is not None else (lambda: 0.0)
@@ -328,7 +324,6 @@ class Striper:
         trace = self.tracer.enabled
         size = policy.marker_size
         decorator = self.marker_decorator
-        on_marker = self.on_marker
         ports = self.ports
         for channel, (round_number, deficit) in enumerate(
             kernel.next_numbers()
@@ -343,8 +338,6 @@ class Striper:
                     self.clock(), "striper", "marker",
                     channel=channel, r=round_number, d=deficit,
                 )
-            if on_marker is not None:
-                on_marker(channel, marker)
 
     def force_marker_batch(self) -> None:
         """Emit a marker batch now (used for time-based keepalive markers)."""
@@ -411,18 +404,15 @@ class ListPort:
     event-driven timing is needed.
     """
 
-    def __init__(self, limit: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self.sent: List[Any] = []
-        self.limit = limit
 
     def send(self, packet: Any, force: bool = False) -> bool:
-        if not force and self.limit is not None and len(self.sent) >= self.limit:
-            return False
         self.sent.append(packet)
         return True
 
     def can_accept(self) -> bool:
-        return self.limit is None or len(self.sent) < self.limit
+        return True
 
     @property
     def queue_length(self) -> int:

@@ -25,12 +25,11 @@ from repro.analysis.tables import render_rows
 
 from repro.experiments.fault_tolerance import build_session_testbed
 from repro.sim.engine import Simulator
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import FAULT_START_S, FaultPlan
 from repro.transport.endpoint import ChannelLifecycleManager, SenderHealthMonitor
 
 N_CHANNELS = 3
 MESSAGE_BYTES = 1000
-FAULTS_START = 0.3
 FAULTS_CEASE = 1.1
 SETTLE_S = 0.3
 
@@ -74,7 +73,7 @@ class ChaosExperiment:
     def render(self) -> str:
         table = render_rows(self.rows, _COLUMNS, title=(
             f"chaos: seeded fault schedules on {N_CHANNELS} channels, "
-            f"faults in [{FAULTS_START}, {FAULTS_CEASE}] s, "
+            f"faults in [{FAULT_START_S}, {FAULTS_CEASE}] s, "
             f"run {self.total_s} s, full lifecycle armed:"
         ))
         degraded = [r for r in self.rows if r.goodput_during < r.goodput_before]
@@ -110,21 +109,17 @@ def _recovery_latency(
 
 def run_chaos_run(seed: int, total_s: float) -> ChaosRun:
     sim = Simulator()
-    detector = ChannelLifecycleManager(
-        sim, silence_threshold=0.15, check_interval=0.05,
-        revival_arrivals=2, min_down_time=0.1,
-    )
-    monitor = SenderHealthMonitor(sim, stall_timeout=0.25, check_interval=0.05)
+    detector = ChannelLifecycleManager(sim)
+    monitor = SenderHealthMonitor(sim)
     testbed = build_session_testbed(
         sim, n_channels=N_CHANNELS, link_mbps=(10.0,), loss_rates=(0.0,),
         message_bytes=MESSAGE_BYTES, failure_detector=detector,
         health_monitor=monitor,
-        prober_options=dict(initial_interval=0.05, max_interval=0.2),
+        prober=True,
     )
     plan = FaultPlan(
         n_channels=N_CHANNELS,
         cease_by=FAULTS_CEASE,
-        start_after=FAULTS_START,
         max_events=5,
     )
     schedule = plan.schedule(seed)
@@ -138,8 +133,8 @@ def run_chaos_run(seed: int, total_s: float) -> ChaosRun:
     return ChaosRun(
         seed=seed,
         kinds=schedule.kinds_used(),
-        goodput_before=testbed.goodput_mbps(0.1, FAULTS_START, MESSAGE_BYTES),
-        goodput_during=testbed.goodput_mbps(FAULTS_START, cease, MESSAGE_BYTES),
+        goodput_before=testbed.goodput_mbps(0.1, FAULT_START_S, MESSAGE_BYTES),
+        goodput_during=testbed.goodput_mbps(FAULT_START_S, cease, MESSAGE_BYTES),
         goodput_after=testbed.goodput_mbps(
             cease + SETTLE_S, total_s, MESSAGE_BYTES
         ),

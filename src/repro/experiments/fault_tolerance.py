@@ -34,7 +34,6 @@ from repro.core.session import (
     StripeReceiverSession,
     StripeSenderSession,
 )
-from repro.core.striper import MarkerPolicy
 from repro.experiments.socket_harness import (
     build_two_hosts,
     drive_closed_loop,
@@ -94,7 +93,7 @@ def build_session_testbed(
     queue_frames: int = 40,
     seed: int = 0,
     health_monitor: Optional[Any] = None,
-    prober_options: Optional[dict] = None,
+    prober: bool = False,
     reliability: str = "quasi_fifo",
     reliability_options: Optional[dict] = None,
     closed_loop: bool = True,
@@ -124,7 +123,6 @@ def build_session_testbed(
     arq_options = reliability_options or {}
     sender_session = udp_session_sender(
         sim, host_a, destinations, config,
-        marker_policy=MarkerPolicy(interval_rounds=1),
         control_port=CONTROL_PORT,
         health_monitor=health_monitor,
         reliability=reliability,
@@ -134,10 +132,7 @@ def build_session_testbed(
     )
     # Excluded channels are probed with exponential backoff and rejoined
     # (fresh quanta via RESET) once they answer.
-    prober = (
-        ChannelProber(sim, sender_session, **prober_options)
-        if prober_options is not None else None
-    )
+    channel_prober = ChannelProber(sim, sender_session) if prober else None
     deliveries: List[Tuple[float, int]] = []
     receiver_session = bind_udp_session_receiver(
         sim, host_b, n_channels, config,
@@ -167,7 +162,7 @@ def build_session_testbed(
     return SessionTestbed(
         sim=sim, sender=sender, receiver=receiver_session.pipeline,
         sender_session=sender_session, receiver_session=receiver_session,
-        prober=prober, source=source,
+        prober=channel_prober, source=source,
         links=links, loss_models=loss_models, deliveries=deliveries,
     )
 
@@ -281,7 +276,7 @@ def run_state_corruption(
     rows: List[CorruptionResult] = []
     for with_checker in (False, True):
         sim = Simulator()
-        checker = LocalChecker(window_rounds=60) if with_checker else None
+        checker = LocalChecker() if with_checker else None
         testbed = build_session_testbed(
             sim, n_channels=2, link_mbps=(10.0,),
             loss_rates=(loss_rate,),

@@ -36,14 +36,13 @@ from repro.transport.endpoint import (
     StripeSenderPipeline,
 )
 from repro.transport.fast_path import FastChannelPort
+from repro.transport.fec import FEC_K, FEC_M
 
 N_CHANNELS = 3
 MESSAGE_BYTES = 500
 BANDWIDTH_BPS = 8e6
 PROP_DELAY = 0.5e-3
 QUEUE_LIMIT = 64
-FEC_K = 6
-FEC_M = 2
 
 
 @dataclass
@@ -134,7 +133,7 @@ class _Rig:
         ]
         self.ports = [FastChannelPort(ch) for ch in self.channels]
         quanta = [float(MESSAGE_BYTES)] * N_CHANNELS
-        sender_options: Dict[str, object] = {"fec": {"k": FEC_K, "m": FEC_M}}
+        sender_options: Dict[str, object] = {}
         if mode in ("reliable", "hybrid"):
             sender_options["window_packets"] = 256
         self.sender = StripeSenderPipeline(
@@ -158,7 +157,6 @@ class _Rig:
             send_ack=lambda sack: sim.schedule(
                 PROP_DELAY, self.sender.on_ack, sack
             ),
-            reliability_options={"fec": {"k": FEC_K, "m": FEC_M}},
         )
         for index, channel in enumerate(self.channels):
             channel.on_deliver = self.receiver.channel_handler(index)

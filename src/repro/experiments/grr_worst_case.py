@@ -88,7 +88,7 @@ def run_grr_worst_case(
     def run(scheme: str, alternating: bool) -> float:
         config = replace(base, stripe_scheme=scheme)
         if alternating:
-            sizes_fn = AlternatingSizes(1000, 200)
+            sizes_fn = AlternatingSizes()
             result = _measure(config, sizes_fn, duration_s, warmup_s)
         else:
             rng = random.Random(11)

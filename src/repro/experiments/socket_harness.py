@@ -85,15 +85,14 @@ def build_two_hosts(
     prop_delay_s: Sequence[float] = (0.5e-3,),
     queue_frames: int = 40,
     loss_ab: Optional[Sequence[Any]] = None,
-    loss_ba: Optional[Sequence[Any]] = None,
 ) -> Tuple[Stack, Stack, List[Link]]:
     """Hosts A and B joined by ``n_links`` Ethernet links: ``(a, b, links)``.
 
     Link *i* is its own subnet, so ``b.local_addresses()[i]`` is where A
     reaches B over it (and vice versa); routes and ARP are in place.
     ``link_mbps`` / ``prop_delay_s`` take one entry per link or a single
-    entry for all; ``loss_ab`` / ``loss_ba`` are per-link loss models for
-    the A->B and B->A channels.
+    entry for all; ``loss_ab`` are per-link loss models for the A->B
+    channels.
     """
     link_mbps = per_link(link_mbps, n_links, "link_mbps")
     prop_delay_s = per_link(prop_delay_s, n_links, "prop_delay_s")
@@ -110,7 +109,6 @@ def build_two_hosts(
                 prop_delay=prop_delay_s[index],
                 queue_limit=queue_frames,
                 loss_ab=loss_ab[index] if loss_ab else None,
-                loss_ba=loss_ba[index] if loss_ba else None,
                 name=f"channel{index}",
             )
         )

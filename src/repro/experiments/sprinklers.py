@@ -51,7 +51,7 @@ from repro.experiments.socket_harness import (
 from repro.experiments.tcp_channels import build_tcp_striped
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import FAULT_START_S, FaultPlan
 from repro.transport.endpoint import (
     StripeReceiverPipeline,
     StripeSenderPipeline,
@@ -292,13 +292,12 @@ def _head_to_head(duration_s: float) -> List[HeadToHeadRow]:
 def _run_chaos_leg(
     discipline: str, seed: int, total_s: float
 ) -> ChaosRow:
-    faults_start, faults_cease = 0.3, min(1.1, total_s - 0.4)
+    faults_start, faults_cease = FAULT_START_S, min(1.1, total_s - 0.4)
     sim = Simulator()
     testbed = build_socket_testbed(sim, _socket_config(discipline, seed))
     plan = FaultPlan(
         n_channels=N_CHANNELS,
         cease_by=faults_cease,
-        start_after=faults_start,
         max_events=4,
     )
     schedule = plan.schedule(seed)

@@ -55,10 +55,7 @@ class CpuModel:
 
     def build(self, sim: Simulator) -> HostCPU:
         return HostCPU(
-            sim,
-            self.per_packet_s,
-            self.per_interrupt_s,
-            max_batch=self.max_batch,
+            sim, self.per_packet_s, self.per_interrupt_s, self.max_batch
         )
 
 
@@ -84,7 +81,6 @@ class TestbedConfig:
     #: the control-plane load comparable across the Figure 15 variants.
     marker_every_packets: int = 50
     marker_position: int = 0
-    stripe_input_queue: int = 100
     #: explicit GRR packet weights (overrides the bandwidth-ratio default);
     #: the paper's worst-case experiment tunes the PVC so GRR "reduces to
     #: RR", i.e. weights (1, 1).
@@ -231,7 +227,6 @@ def build_testbed(sim: Simulator, config: TestbedConfig) -> Testbed:
             algorithm_s,
             resequencing=reseq,
             marker_policy=marker_policy if reseq == RESEQ_MARKER else None,
-            input_queue_limit=config.stripe_input_queue,
             fragmentation=config.stripe_fragmentation,
         )
         stripe_r = StripeInterface(
@@ -240,7 +235,6 @@ def build_testbed(sim: Simulator, config: TestbedConfig) -> Testbed:
             algorithm_r,
             resequencing=reseq,
             marker_policy=marker_policy if reseq == RESEQ_MARKER else None,
-            input_queue_limit=config.stripe_input_queue,
             fragmentation=config.stripe_fragmentation,
         )
         sender.add_interface(stripe_s, use_cpu=False)

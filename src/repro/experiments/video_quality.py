@@ -103,7 +103,6 @@ class VideoQualityResult:
 def _play_striped(
     trace: VideoTrace,
     loss_rate: float,
-    latency_budget: float,
     seed: int,
 ) -> tuple:
     """Run the trace through the striped lossy testbed; returns
@@ -116,7 +115,7 @@ def _play_striped(
         seed=seed,
     )
     testbed = build_socket_testbed(sim, config)
-    playback = PlaybackModel(trace, latency_budget=latency_budget)
+    playback = PlaybackModel(trace)
     delivered_seqs: List[int] = []
 
     original = testbed.receiver.on_message
@@ -133,7 +132,7 @@ def _play_striped(
         sim.schedule_at(
             chunk.capture_time, testbed.sender.submit_packet, packet
         )
-    sim.run(until=trace.duration + latency_budget + 1.0)
+    sim.run(until=trace.duration + PlaybackModel.LATENCY_BUDGET_S + 1.0)
     return playback.report(), delivered_seqs
 
 
@@ -141,7 +140,6 @@ def _play_pure_loss(
     trace: VideoTrace,
     delivered_seqs: Sequence[int],
     network_delay: float,
-    latency_budget: float,
 ) -> PlaybackReport:
     """Control condition: the same delivered set, ideal FIFO timing.
 
@@ -149,7 +147,7 @@ def _play_pure_loss(
     regenerates packet objects, so object identity cannot be used).
     """
     delivered = set(delivered_seqs)
-    playback = PlaybackModel(trace, latency_budget=latency_budget)
+    playback = PlaybackModel(trace)
     for packet in trace.packets():
         if packet.seq in delivered:
             chunk = packet.payload
@@ -160,7 +158,6 @@ def _play_pure_loss(
 def run_video_quality(
     loss_rates: Sequence[float] = DEFAULT_LOSS_RATES,
     duration_s: float = 8.0,
-    latency_budget: float = 0.5,
     network_delay: float = 0.01,
     seed: int = 0,
 ) -> VideoQualityResult:
@@ -168,12 +165,8 @@ def run_video_quality(
     trace = synthesize_nv_trace(duration_s=duration_s, seed=seed)
     rows: List[VideoQualityRow] = []
     for loss in loss_rates:
-        striped_report, delivered_seqs = _play_striped(
-            trace, loss, latency_budget, seed
-        )
-        pure_report = _play_pure_loss(
-            trace, delivered_seqs, network_delay, latency_budget
-        )
+        striped_report, delivered_seqs = _play_striped(trace, loss, seed)
+        pure_report = _play_pure_loss(trace, delivered_seqs, network_delay)
         rows.append(
             VideoQualityRow(
                 loss_rate=loss,

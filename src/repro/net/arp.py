@@ -48,21 +48,16 @@ class ArpEntry:
 
 
 class ArpCache:
-    """Per-interface IP→MAC cache with optional entry timeout."""
+    """Per-interface IP→MAC cache; entries never expire."""
 
-    def __init__(self, timeout: Optional[float] = None) -> None:
-        self.timeout = timeout
+    def __init__(self) -> None:
         self._entries: Dict[IPAddress, ArpEntry] = {}
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, ip: IPAddress, now: float = 0.0) -> Optional[MACAddress]:
+    def lookup(self, ip: IPAddress) -> Optional[MACAddress]:
         entry = self._entries.get(ip)
         if entry is None:
-            self.misses += 1
-            return None
-        if self.timeout is not None and now - entry.installed_at > self.timeout:
-            del self._entries[ip]
             self.misses += 1
             return None
         self.hits += 1

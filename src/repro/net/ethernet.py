@@ -45,13 +45,11 @@ class EthernetInterface(NetworkInterface):
         sim: Simulator,
         name: str,
         ip_address: IPAddress | str,
-        mtu: int = ETHERNET_MTU,
         mac: Optional[MACAddress] = None,
-        arp_timeout: Optional[float] = None,
     ) -> None:
-        super().__init__(sim, name, ip_address, mtu)
+        super().__init__(sim, name, ip_address, ETHERNET_MTU)
         self.mac = mac if mac is not None else fresh_mac()
-        self.arp_cache = ArpCache(timeout=arp_timeout)
+        self.arp_cache = ArpCache()
         self._pending_arp: Dict[IPAddress, Deque[Any]] = {}
         self.arp_requests_sent = 0
         self.arp_replies_sent = 0
@@ -69,7 +67,7 @@ class EthernetInterface(NetworkInterface):
     ) -> Optional[Frame]:
         if next_hop is None:
             raise ValueError("Ethernet encapsulation requires a next hop")
-        dst_mac = self.arp_cache.lookup(next_hop, self.sim.now)
+        dst_mac = self.arp_cache.lookup(next_hop)
         if dst_mac is None:
             return None
         size = ethernet_wire_size(payload.size)
@@ -108,7 +106,7 @@ class EthernetInterface(NetworkInterface):
 
     def resolved(self, next_hop: IPAddress) -> bool:
         """True if the next hop's MAC is cached (no ARP stall pending)."""
-        return self.arp_cache.lookup(next_hop, self.sim.now) is not None
+        return self.arp_cache.lookup(next_hop) is not None
 
     def start_resolution(self, next_hop: IPAddress) -> None:
         """Kick off an ARP request if one is not already outstanding."""

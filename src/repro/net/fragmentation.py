@@ -83,12 +83,9 @@ class FragmentingStriper(Striper):
         sharer: LoadSharer,
         ports: Sequence[ChannelPort],
         mtus: Sequence[int],
-        marker_policy: Optional[MarkerPolicy] = None,
-        marker_decorator=None,
+        marker_policy: Optional[MarkerPolicy],
     ) -> None:
-        super().__init__(
-            sharer, ports, marker_policy, marker_decorator=marker_decorator
-        )
+        super().__init__(sharer, ports, marker_policy)
         if len(mtus) != len(ports):
             raise ValueError("one MTU per channel required")
         if any(m <= FRAGMENT_HEADER_BYTES for m in mtus):
@@ -188,7 +185,7 @@ class Reassembler:
     packet in progress (its missing fragments were lost).
     """
 
-    def __init__(self, on_packet: Optional[Callable[[Any], None]] = None) -> None:
+    def __init__(self, on_packet: Callable[[Any], None]) -> None:
         self.on_packet = on_packet
         self._current_id: Optional[int] = None
         self._got = 0
@@ -221,7 +218,6 @@ class Reassembler:
             inner = self._inner
             self._current_id = None
             self.packets_completed += 1
-            if self.on_packet is not None:
-                self.on_packet(inner)
+            self.on_packet(inner)
             return inner
         return None

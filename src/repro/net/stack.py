@@ -105,7 +105,12 @@ class Stack:
 
 
 class Link:
-    """A bidirectional link: two FIFO channels joining two interfaces."""
+    """A bidirectional link: two FIFO channels joining two interfaces.
+
+    Both directions run at ``bandwidth_bps`` with ``prop_delay`` and
+    ``queue_limit``; ``loss_ab`` is the A->B channel's loss model, and the
+    B->A channel loses nothing.
+    """
 
     def __init__(
         self,
@@ -115,12 +120,8 @@ class Link:
         bandwidth_bps: float,
         prop_delay: float,
         *,
-        bandwidth_ba: Optional[float] = None,
-        queue_limit: Optional[int] = 50,
+        queue_limit: Optional[int],
         loss_ab: Any = None,
-        loss_ba: Any = None,
-        skew_ab: Optional[Callable[[], float]] = None,
-        skew_ba: Optional[Callable[[], float]] = None,
         name: Optional[str] = None,
     ) -> None:
         label = name if name is not None else f"{a.name}<->{b.name}"
@@ -131,16 +132,13 @@ class Link:
             name=f"{label}:ab",
             queue_limit=queue_limit,
             loss_model=loss_ab,
-            skew=skew_ab,
         )
         self.ba = Channel(
             sim,
-            bandwidth_ba if bandwidth_ba is not None else bandwidth_bps,
+            bandwidth_bps,
             prop_delay,
             name=f"{label}:ba",
             queue_limit=queue_limit,
-            loss_model=loss_ba,
-            skew=skew_ba,
         )
         a.attach(channel_out=self.ab, channel_in=self.ba)
         b.attach(channel_out=self.ba, channel_in=self.ab)

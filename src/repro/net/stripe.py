@@ -65,6 +65,10 @@ class StripeMemberPort:
         return self.interface.queue_length
 
 
+#: packets the striper's input queue holds before it drops
+STRIPE_INPUT_QUEUE = 100
+
+
 class StripeInterface(NetworkInterface):
     """A virtual IP interface that stripes across member interfaces.
 
@@ -78,9 +82,10 @@ class StripeInterface(NetworkInterface):
         resequencing: one of :data:`RESEQ_MARKER`, :data:`RESEQ_PLAIN`,
             :data:`RESEQ_NONE`.
         marker_policy: marker emission policy (marker mode only).
-        input_queue_limit: max packets in the striper's input queue;
-            overflow is dropped (kernel ifqueue semantics) so TCP sees
-            congestion.
+
+    The striper's input queue holds at most :attr:`input_queue_limit`
+    packets (``STRIPE_INPUT_QUEUE``); overflow is dropped (kernel ifqueue
+    semantics) so TCP sees congestion.
     """
 
     def __init__(
@@ -92,7 +97,6 @@ class StripeInterface(NetworkInterface):
         algorithm: CausalFQ,
         resequencing: str = RESEQ_MARKER,
         marker_policy: Optional[MarkerPolicy] = None,
-        input_queue_limit: int = 200,
         fragmentation: bool = False,
     ) -> None:
         if not members:
@@ -117,7 +121,7 @@ class StripeInterface(NetworkInterface):
         ]
         self.algorithm = algorithm
         self.resequencing = resequencing
-        self.input_queue_limit = input_queue_limit
+        self.input_queue_limit = STRIPE_INPUT_QUEUE
         self.input_drops = 0
 
         # --- sender side -------------------------------------------------

@@ -21,7 +21,6 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.channel import Channel, ChannelStats
 from repro.sim.loss import (
     BernoulliLoss,
-    CorruptionModel,
     DeterministicLoss,
     GilbertElliottLoss,
     LossModel,
@@ -55,7 +54,6 @@ __all__ = [
     "BernoulliLoss",
     "GilbertElliottLoss",
     "DeterministicLoss",
-    "CorruptionModel",
     "HostCPU",
     "NicQueue",
     "Tracer",

@@ -3,9 +3,10 @@
 The paper's channel abstraction (section 2): a logical FIFO path with
 
 * a transmission rate (bits/second) — packets are serialized onto the wire,
-* a propagation delay, possibly different per channel (static *skew*),
-* per-packet delay variation (dynamic skew) that still preserves FIFO order,
-* packet loss and corruption (corrupted packets are discarded on arrival).
+* a propagation delay, possibly different per channel (static *skew*)
+  and changeable mid-run (a delay spike), with arrivals clamped so the
+  channel stays FIFO,
+* packet loss.
 
 A channel also has a finite transmit queue.  A full queue exerts
 *backpressure* on the striping sender: this is what makes plain round robin
@@ -13,8 +14,8 @@ throughput collapse to the slowest link in Figure 15 — the sender must wait
 for the slow channel's queue to drain before it may send the next packet in
 order.
 
-Fast path (``fast=True``): while the channel is *static* — no live loss,
-no corruption, no dynamic skew — the whole transmit queue is serialized as
+Fast path (``fast=True``): while the channel is *static* — no live
+loss — the whole transmit queue is serialized as
 one back-to-back burst per event instead of one ``_tx_done`` event per
 packet.  Completion and arrival times are accumulated with exactly the
 same floating-point expressions the per-packet path evaluates, so a packet
@@ -28,9 +29,9 @@ horizon) can see up to one transmit queue of difference.  Deliveries run
 off a *train*:
 a FIFO of precomputed ``(arrival, packet, size)`` entries with a single
 armed slot-free engine callback that re-arms itself for the next distinct
-arrival time.  A channel whose loss model is live (or that has corruption
-or skew) keeps the classic per-packet pipeline, because loss and
-corruption draws must happen at exact per-packet transmission boundaries
+arrival time.  A channel whose loss model is live keeps the classic
+per-packet pipeline, because loss draws must happen at exact per-packet
+transmission boundaries
 (``stop_losses_at`` mutates the loss probability at a simulated time).
 That pipeline schedules one transmit-complete and one delivery event per
 packet, both slot-free engine entries carrying the packet and its size
@@ -45,12 +46,17 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Optional, Sequence
 
 from repro.sim.engine import Simulator
-from repro.sim.loss import CorruptionModel, LossModel, NoLoss
+from repro.sim.loss import LossModel, NoLoss
 
 
 @dataclass
 class ChannelStats:
-    """Counters accumulated by a :class:`Channel` over its lifetime."""
+    """Counters accumulated by a :class:`Channel` over its lifetime.
+
+    ``corrupted_packets`` stays 0: a channel loses packets but does not
+    corrupt them (corrupted wire frames are injected by
+    :mod:`repro.sim.faults`).
+    """
 
     offered_packets: int = 0
     offered_bytes: int = 0
@@ -73,12 +79,6 @@ class Channel:
         queue_limit: max packets waiting in the transmit queue (excludes the
             packet on the wire).  ``None`` means unbounded.
         loss_model: decides which packets the channel loses.
-        corruption: optional bit-error model; corrupted packets are dropped
-            at the receiver (CRC failure), exactly like losses but counted
-            separately.
-        skew: optional callable ``() -> float`` giving extra per-packet delay
-            (dynamic skew).  Arrival times are clamped to be non-decreasing
-            so the channel remains FIFO, as the paper's model requires.
         size_of: maps a packet object to its size in bytes on this channel
             (default: ``packet.size`` attribute).  Interfaces override this
             to add framing overhead (Ethernet headers, ATM cell padding).
@@ -87,8 +87,8 @@ class Channel:
         fast: opt in to the burst-batched transmit path (see module
             docstring).  Same arrival instants for the same enqueue
             instants; a back-pressured sender sees up to 2 x
-            ``queue_limit`` of buffering.  Lossy or skewed channels
-            automatically stay on the classic pipeline.
+            ``queue_limit`` of buffering.  Lossy channels automatically
+            stay on the classic pipeline.
     """
 
     def __init__(
@@ -100,8 +100,6 @@ class Channel:
         name: str = "channel",
         queue_limit: Optional[int] = None,
         loss_model: Optional[LossModel] = None,
-        corruption: Optional[CorruptionModel] = None,
-        skew: Optional[Callable[[], float]] = None,
         size_of: Optional[Callable[[Any], int]] = None,
         fast: bool = False,
     ) -> None:
@@ -115,8 +113,6 @@ class Channel:
         self.name = name
         self.queue_limit = queue_limit
         self.loss_model: LossModel = loss_model if loss_model is not None else NoLoss()
-        self.corruption = corruption
-        self.skew = skew
         self.size_of = size_of if size_of is not None else _default_size
         self.fast = fast
         self.stats = ChannelStats()
@@ -224,7 +220,7 @@ class Channel:
         of the run, and vice versa.
 
         A burst is eligible when per-packet boundary work cannot observe
-        anything.  Loss and corruption draws happen at per-packet
+        anything.  Loss draws happen at per-packet
         transmission boundaries and may consume RNG state or see mutated
         probabilities, so any live model forces the classic pipeline.  A
         Bernoulli-style model with ``p == 0.0`` draws nothing, so it is
@@ -240,8 +236,6 @@ class Channel:
         if (
             self.fast
             and self._queue
-            and self.corruption is None
-            and self.skew is None
             and (type(loss) is NoLoss or getattr(loss, "p", 1.0) == 0.0)
         ):
             self._start_burst()
@@ -332,43 +326,26 @@ class Channel:
         sim = self.sim
         stats = self.stats
 
-        lost = self.loss_model.should_drop(index, size)
-        corrupted = (
-            not lost
-            and self.corruption is not None
-            and self.corruption.is_corrupted(size)
-        )
-        if lost:
+        if self.loss_model.should_drop(index, size):
             stats.lost_packets += 1
             if self.on_drop is not None:
                 self.on_drop(packet, "loss")
-        elif corrupted:
-            stats.corrupted_packets += 1
-            if self.on_drop is not None:
-                self.on_drop(packet, "corruption")
         else:
             arrival = sim.now + self.prop_delay
-            if self.skew is not None:
-                extra = self.skew()
-                if extra < 0:
-                    extra = 0.0
-                arrival += extra
             # Clamp so arrivals are non-decreasing: the channel is FIFO even
-            # under dynamic skew (the paper's model, section 2).
+            # when its delay falls mid-run (the paper's model, section 2).
             if arrival < self._last_arrival:
                 arrival = self._last_arrival
             self._last_arrival = arrival
             sim.schedule_call(arrival, self._deliver, packet, size)
 
         # Restart the transmitter.  While ``_kick`` would pick the
-        # per-packet pipeline again (its predicate, negated: live loss,
-        # corruption or skew, or not fast), the next packet starts here.
+        # per-packet pipeline again (its predicate, negated: live loss, or
+        # not fast), the next packet starts here.
         queue = self._queue
         loss = self.loss_model
         if queue and not self._paused and not (
             self.fast
-            and self.corruption is None
-            and self.skew is None
             and (type(loss) is NoLoss or getattr(loss, "p", 1.0) == 0.0)
         ):
             packet, size = queue.popleft()

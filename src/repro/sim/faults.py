@@ -86,6 +86,12 @@ EXACTLY_ONCE_KINDS = (
 #: in the testbeds are hundreds of bytes).
 CONTROL_SIZE_MAX = 64
 
+#: a :class:`FaultPlan`'s faults start no earlier than this (s), so the
+#: protocol reaches steady state first, and last between these bounds (s)
+FAULT_START_S = 0.3
+FAULT_MIN_DURATION_S = 0.02
+FAULT_MAX_DURATION_S = 0.25
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -203,12 +209,10 @@ class FaultInjector:
         sim: Simulator,
         channel: Any,
         rng: Optional[random.Random] = None,
-        control_size_max: int = CONTROL_SIZE_MAX,
     ) -> None:
         self.sim = sim
         self.channel = channel
         self.rng = rng if rng is not None else random.Random(0)
-        self.control_size_max = control_size_max
 
         self._crash_until = -1.0
         self._crash_p = 1.0
@@ -321,7 +325,7 @@ class FaultInjector:
             return
         if (
             now < self._marker_loss_until
-            and size <= self.control_size_max
+            and size <= CONTROL_SIZE_MAX
             and self.rng.random() < self._marker_loss_p
         ):
             self.marker_drops += 1
@@ -503,7 +507,6 @@ class FaultSchedule:
         channels: Sequence[Any],
         *,
         seed: int = 0,
-        control_size_max: int = CONTROL_SIZE_MAX,
         endpoints: Optional[Any] = None,
     ) -> InstalledFaults:
         """Wire injectors onto live channels and arm every event.
@@ -538,7 +541,6 @@ class FaultSchedule:
                 sim,
                 channel,
                 rng=random.Random((seed << 8) ^ index),
-                control_size_max=control_size_max,
             )
             for index, channel in enumerate(channels)
         ]
@@ -667,7 +669,8 @@ _MAGNITUDES: dict = {
 class FaultPlan:
     """A seeded generator of randomized chaos schedules.
 
-    Every generated fault starts after ``start_after`` and ends before
+    Every generated fault starts after ``FAULT_START_S``, lasts between
+    ``FAULT_MIN_DURATION_S`` and ``FAULT_MAX_DURATION_S``, and ends before
     ``cease_by`` — the "faults eventually cease" premise of Theorem 5.1 is
     guaranteed by construction, so a chaos run can assert recovery after
     ``schedule.last_fault_end``.
@@ -679,9 +682,6 @@ class FaultPlan:
             ``endpoint_crash`` must be opted into explicitly because it
             needs a crash controller at install time).
         max_events: up to this many events per schedule (at least 1).
-        start_after: no fault starts before this time (lets the protocol
-            reach steady state first).
-        min_duration / max_duration: fault length bounds in seconds.
     """
 
     def __init__(
@@ -691,9 +691,6 @@ class FaultPlan:
         *,
         kinds: Sequence[str] = CHANNEL_FAULT_KINDS,
         max_events: int = 6,
-        start_after: float = 0.1,
-        min_duration: float = 0.02,
-        max_duration: float = 0.25,
     ) -> None:
         if n_channels < 1:
             raise ValueError("need at least one channel")
@@ -704,15 +701,12 @@ class FaultPlan:
             raise ValueError("need at least one fault kind")
         if max_events < 1:
             raise ValueError("need at least one event per schedule")
-        if start_after + min_duration >= cease_by:
+        if FAULT_START_S + FAULT_MIN_DURATION_S >= cease_by:
             raise ValueError("no room for any fault before cease_by")
         self.n_channels = n_channels
         self.cease_by = cease_by
         self.kinds = tuple(kinds)
         self.max_events = max_events
-        self.start_after = start_after
-        self.min_duration = min_duration
-        self.max_duration = max_duration
 
     def schedule(self, seed: int) -> FaultSchedule:
         """The deterministic schedule for ``seed``."""
@@ -720,11 +714,11 @@ class FaultPlan:
         events: List[FaultEvent] = []
         for _ in range(rng.randint(1, self.max_events)):
             kind = rng.choice(self.kinds)
-            latest_start = self.cease_by - self.min_duration
-            start = rng.uniform(self.start_after, latest_start)
+            latest_start = self.cease_by - FAULT_MIN_DURATION_S
+            start = rng.uniform(FAULT_START_S, latest_start)
             duration = rng.uniform(
-                self.min_duration,
-                min(self.max_duration, self.cease_by - start),
+                FAULT_MIN_DURATION_S,
+                min(FAULT_MAX_DURATION_S, self.cease_by - start),
             )
             events.append(
                 FaultEvent(

@@ -35,15 +35,12 @@ class NicQueue:
     beyond the limit are dropped (counted in ``drops``).
     """
 
-    def __init__(
-        self,
-        name: str,
-        cpu: "HostCPU",
-        queue_limit: Optional[int] = None,
-    ) -> None:
+    #: ring size; None (the default) is unbounded
+    queue_limit: Optional[int] = None
+
+    def __init__(self, name: str, cpu: "HostCPU") -> None:
         self.name = name
         self.cpu = cpu
-        self.queue_limit = queue_limit
         self.queue: Deque[Any] = deque()
         self.interrupt_pending = False
         self.drops = 0
@@ -71,18 +68,19 @@ class HostCPU:
             (header parsing, demux, copy).
         per_interrupt_cost: fixed seconds of CPU time per interrupt
             (context switch, handler entry/exit).
-        on_packet: callback invoked (in simulated time) when the CPU finishes
-            processing a packet — this hands the packet to the protocol
-            stack.
+        max_batch: ring-DMA budget, packets drained per interrupt (None:
+            unbounded).
+
+    :attr:`on_packet` is invoked (in simulated time) when the CPU finishes
+    processing a packet — this hands the packet to the protocol stack.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        per_packet_cost: float = 0.0,
-        per_interrupt_cost: float = 0.0,
-        on_packet: Optional[Callable[[Any, str], None]] = None,
-        max_batch: Optional[int] = None,
+        per_packet_cost: float,
+        per_interrupt_cost: float,
+        max_batch: Optional[int],
     ) -> None:
         if per_packet_cost < 0 or per_interrupt_cost < 0:
             raise ValueError("CPU costs must be non-negative")
@@ -91,7 +89,7 @@ class HostCPU:
         self.sim = sim
         self.per_packet_cost = per_packet_cost
         self.per_interrupt_cost = per_interrupt_cost
-        self.on_packet = on_packet
+        self.on_packet: Optional[Callable[[Any, str], None]] = None
         #: ring-DMA budget: at most this many packets drained per interrupt;
         #: the remainder re-raises the interrupt.  This bounds coalescing
         #: gains, so an aggregate load sharing one CPU saturates where two
@@ -103,9 +101,9 @@ class HostCPU:
         self.total_packets = 0
         self._pending: Deque[NicQueue] = deque()
 
-    def new_nic(self, name: str, queue_limit: Optional[int] = None) -> NicQueue:
+    def new_nic(self, name: str) -> NicQueue:
         """Create a NIC receive queue attached to this CPU."""
-        return NicQueue(name, self, queue_limit)
+        return NicQueue(name, self)
 
     # ------------------------------------------------------------------ #
 

@@ -1,4 +1,4 @@
-"""Loss and corruption models for simulated channels.
+"""Loss models for simulated channels.
 
 The paper assumes channels "can be subject to packet loss and corruption"
 and models occasional non-FIFO behaviour as burst errors (section 2).  We
@@ -11,9 +11,10 @@ provide:
   to exercise the "burst error" channels the paper mentions.
 * :class:`DeterministicLoss` — drops an explicit set of packet indices; used
   to recreate the Figure 10 walkthrough where exactly packet 7 is lost.
-* :class:`CorruptionModel` — marks packets corrupted; the channel discards
-  corrupted packets ("any packet corruption causes the packet to be
-  discarded, and not handed over to the resequencing algorithm", section 5).
+
+Corruption ("any packet corruption causes the packet to be discarded, and
+not handed over to the resequencing algorithm", section 5) is injected by
+:mod:`repro.sim.faults` (``corrupt`` and ``corrupt_deliver`` faults).
 """
 
 from __future__ import annotations
@@ -54,31 +55,22 @@ class BernoulliLoss(LossModel):
 class GilbertElliottLoss(LossModel):
     """Two-state (good/bad) Markov burst-loss model.
 
-    In the good state packets are lost with probability ``p_good`` (usually
-    0); in the bad state with probability ``p_bad`` (usually near 1).  State
-    transitions happen per packet with probabilities ``p_g2b`` and ``p_b2g``.
+    The good state loses nothing and the bad state loses everything (each
+    still draws once per packet).  State transitions happen per packet
+    with probabilities ``p_g2b`` and ``p_b2g``.
     """
 
     def __init__(
         self,
         p_g2b: float,
         p_b2g: float,
-        p_bad: float = 1.0,
-        p_good: float = 0.0,
         rng: Optional[random.Random] = None,
     ) -> None:
-        for name, value in (
-            ("p_g2b", p_g2b),
-            ("p_b2g", p_b2g),
-            ("p_bad", p_bad),
-            ("p_good", p_good),
-        ):
+        for name, value in (("p_g2b", p_g2b), ("p_b2g", p_b2g)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         self.p_g2b = p_g2b
         self.p_b2g = p_b2g
-        self.p_bad = p_bad
-        self.p_good = p_good
         self.rng = rng if rng is not None else random.Random(0)
         self._bad = False
 
@@ -89,8 +81,7 @@ class GilbertElliottLoss(LossModel):
         else:
             if self.rng.random() < self.p_g2b:
                 self._bad = True
-        p = self.p_bad if self._bad else self.p_good
-        return self.rng.random() < p
+        return self.rng.random() < (1.0 if self._bad else 0.0)
 
 
 class DeterministicLoss(LossModel):
@@ -129,23 +120,3 @@ class SizeGatedLoss(LossModel):
         self._gated_index += 1
         return self.inner.should_drop(index, size)
 
-
-class CorruptionModel:
-    """Per-bit corruption; a corrupted packet fails its CRC and is discarded.
-
-    ``ber`` is the bit error rate.  The probability a packet of ``size``
-    bytes survives is ``(1 - ber) ** (8 * size)``, so bigger packets are
-    likelier to be corrupted — which matters for variable-size striping.
-    """
-
-    def __init__(self, ber: float, rng: Optional[random.Random] = None) -> None:
-        if not 0.0 <= ber <= 1.0:
-            raise ValueError(f"bit error rate must be in [0, 1], got {ber}")
-        self.ber = ber
-        self.rng = rng if rng is not None else random.Random(0)
-
-    def is_corrupted(self, size: int) -> bool:
-        if self.ber == 0.0:
-            return False
-        survive = (1.0 - self.ber) ** (8 * size)
-        return self.rng.random() >= survive

@@ -55,7 +55,6 @@ class CreditSender:
         self,
         n_channels: int,
         initial_credit: int,
-        on_unblocked: Optional[Callable[[], None]] = None,
     ) -> None:
         if n_channels < 1:
             raise ValueError("need at least one channel")
@@ -63,7 +62,9 @@ class CreditSender:
             raise ValueError("initial credit must be >= 0")
         self.limits: List[int] = [initial_credit] * n_channels
         self.sent: List[int] = [0] * n_channels
-        self.on_unblocked = on_unblocked
+        #: called when an advertisement reopens a blocked channel (the
+        #: sender pipeline points it at its pump)
+        self.on_unblocked: Optional[Callable[[], None]] = None
         #: blocked episodes: a channel found without credit counts once,
         #: however often it is polled, until an advertisement reopens it
         self.stalls = 0
@@ -112,9 +113,8 @@ class CreditReceiver:
     """Receiver-side credit generation.
 
     Call :meth:`on_consumed` whenever logical reception removes a packet
-    from a channel buffer; an advertisement is issued every
-    ``advertise_every`` consumptions (1 = per packet) through the
-    ``send_credit(channel, limit)`` callback.  :meth:`piggyback_limit`
+    from a channel buffer; an advertisement is issued per consumed packet
+    through the ``send_credit(channel, limit)`` callback.  :meth:`piggyback_limit`
     returns the current limit for stamping onto reverse-direction markers.
     """
 
@@ -123,25 +123,18 @@ class CreditReceiver:
         n_channels: int,
         buffer_packets: int,
         send_credit: Optional[Callable[[int, int], None]] = None,
-        advertise_every: int = 1,
     ) -> None:
         if buffer_packets < 1:
             raise ValueError("buffer must hold at least one packet")
-        if advertise_every < 1:
-            raise ValueError("advertise_every must be >= 1")
         self.buffer_packets = buffer_packets
         self.send_credit = send_credit
-        self.advertise_every = advertise_every
         self.consumed: List[int] = [0] * n_channels
         self._last_advertised: List[int] = [0] * n_channels
         self.advertisements = 0
 
     def on_consumed(self, channel: int) -> None:
         self.consumed[channel] += 1
-        if (
-            self.consumed[channel] - self._last_advertised[channel]
-            >= self.advertise_every
-        ):
+        if self.consumed[channel] > self._last_advertised[channel]:
             self.advertise(channel)
 
     def advertise(self, channel: int) -> None:

@@ -98,13 +98,7 @@ def _make_sprinklers(n: int, **options: Any) -> LoadSharer:
     from repro.core.sprinklers import SprinklersDiscipline
 
     return SprinklersDiscipline(
-        n,
-        weights=options.get("weights"),
-        resize_interval=options.get("resize_interval", 64),
-        hysteresis=options.get("hysteresis", 2.0),
-        window_bytes=options.get("window_bytes", 512 * 1024),
-        initial_share=options.get("initial_share", 0.0),
-        clock=options.get("clock"),
+        n, initial_share=options.get("initial_share", 0.0)
     )
 
 
@@ -130,8 +124,7 @@ def make_discipline(name: str, n_channels: int, **options: Any) -> LoadSharer:
     Names: ``srr`` (quanta/quantum/count_packets options), ``rr``, ``grr``
     (weights), ``sqf``, ``random_selection``/``random`` (seed),
     ``address_hash``/``hash``, ``mppp`` (header_bytes), ``bonding``
-    (frame_bytes), ``sprinklers`` (weights/resize_interval/hysteresis/
-    window_bytes/initial_share).
+    (frame_bytes), ``sprinklers`` (initial_share).
     """
     factory = DISCIPLINES.get(name)
     if factory is None:

@@ -58,10 +58,8 @@ def connect_duplex(
     b_to_a: Sequence[Tuple[str, int]],
     algorithm_factory=None,
     buffer_packets: Optional[int] = None,
-    marker_policy: Optional[MarkerPolicy] = None,
     base_port_a: int = 7000,
     base_port_b: int = 7100,
-    advertise_every: int = 1,
     reliability: str = "quasi_fifo",
     reliability_options: Optional[dict] = None,
     discipline: Optional[str] = None,
@@ -133,12 +131,7 @@ def connect_duplex(
         raise ValueError(
             f"buffer_packets must be at least 1, got {buffer_packets}"
         )
-    if advertise_every < 1:
-        raise ValueError("advertise_every must be >= 1")
-    if marker_free:
-        marker_policy = None
-    elif marker_policy is None:
-        marker_policy = MarkerPolicy(interval_rounds=1)
+    marker_policy = None if marker_free else MarkerPolicy(interval_rounds=1)
     options = reliability_options or {}
 
     def side(stack: Stack, targets, base_port: int) -> DuplexStripedEndpoint:
@@ -146,10 +139,7 @@ def connect_duplex(
         if not marker_free:
             credit_out = CreditSender(n, initial_credit=buffer_packets)
             # Manual credit accounting: no standalone advertisement flow.
-            credit_in = CreditReceiver(
-                n, buffer_packets, send_credit=None,
-                advertise_every=advertise_every,
-            )
+            credit_in = CreditReceiver(n, buffer_packets, send_credit=None)
 
             def decorate(channel: int, marker: MarkerPacket) -> None:
                 # This side's marker on channel c grants the peer the

@@ -176,12 +176,6 @@ class _RecordingPort:
         return getattr(self._inner, name)
 
 
-def _split_fec_options(options: Optional[Dict[str, Any]]):
-    """``(arq_options, fec_options)``: FEC knobs ride under the ``"fec"`` key."""
-    options = dict(options or {})
-    return options, dict(options.pop("fec", None) or {})
-
-
 def _check_reliability(reliability: str) -> None:
     if reliability not in RELIABILITY_MODES:
         raise ValueError(
@@ -204,8 +198,7 @@ def build_sender_recovery(
     bound before the striper exists).  Returns ``(ports, reliable, fec)``:
     the port list to stripe over (recording proxies whenever a recovery
     layer is mounted) and the layers ``reliability`` asked for, ``None``
-    otherwise.  ``options`` go to the ARQ sender, with the FEC sender's
-    under the ``"fec"`` key.
+    otherwise.  ``options`` go to the ARQ sender.
     """
     _check_reliability(reliability)
     ports = list(ports)
@@ -217,9 +210,8 @@ def build_sender_recovery(
         return ports, reliable, fec_sender
     if arq and sim is None:
         raise ValueError(f"{reliability} mode needs an event scheduler")
-    options, fec_options = _split_fec_options(options)
     if arq:
-        reliable = ReliableSender(stripe, sim, **options)
+        reliable = ReliableSender(stripe, sim, **(options or {}))
     # Recording proxies report actual transmissions (channel + time) back
     # to the ARQ layer; the striper stays oblivious.  Pure fec wraps too,
     # for the envelope byte accounting — its packets carry no rseq, so
@@ -234,9 +226,7 @@ def build_sender_recovery(
         # the shard is serialized, and parity bypasses the retransmission
         # buffer — it is expendable redundancy — but still stripes
         # through the kernel's rotated placement.
-        fec_sender = FecSender(
-            reliable.submit if arq else stripe, stripe, sim=sim, **fec_options
-        )
+        fec_sender = FecSender(reliable.submit if arq else stripe, stripe, sim)
     return ports, reliable, fec_sender
 
 
@@ -257,23 +247,19 @@ def build_receiver_recovery(
     engine's delivery callback binds to.  In hybrid mode the FEC layer
     passes packets through to the ARQ receiver (which owns rseq
     ordering/dedup) and fills its holes with reconstructions; in pure fec
-    it resequences by fseq itself.  ``options`` go to the ARQ receiver,
-    with the FEC receiver's under the ``"fec"`` key.
+    it resequences by fseq itself.  ``options`` go to the ARQ receiver.
     """
     _check_reliability(reliability)
-    options, fec_options = _split_fec_options(options)
     reliable: Optional[ReliableReceiver] = None
     fec: Optional[FecReceiver] = None
     head = final
     if arq_enabled(reliability):
         reliable = ReliableReceiver(
-            final, send_ack=send_ack, sim=sim, **options
+            final, send_ack=send_ack, sim=sim, **(options or {})
         )
         head = reliable.push
     if fec_enabled(reliability):
-        fec = FecReceiver(
-            head, ordered=reliable is None, sim=sim, **fec_options
-        )
+        fec = FecReceiver(head, sim, ordered=reliable is None)
         head = fec.on_packet
     return reliable, fec, head
 
@@ -287,7 +273,7 @@ class StripeSenderPipeline:
             a :class:`~repro.core.cfq.CausalFQ`, or a load sharer.
         marker_policy: marker emission policy (marker-synchronized
             disciplines only; marker-free disciplines reject one).
-        marker_decorator / on_marker: per-marker hooks (credit piggyback).
+        marker_decorator: per-marker hook (credit piggyback).
         credit: optional FCVC :class:`~repro.transport.credit.CreditSender`;
             its ``on_unblocked`` is pointed at the pump.
         sim: event scheduler (``schedule(delay, fn)``/``now``) — required
@@ -306,12 +292,7 @@ class StripeSenderPipeline:
             first, retransmission backstop).
         reliability_options: keyword arguments forwarded to
             :class:`~repro.transport.reliability.ReliableSender`
-            (``window_packets``, ``max_retries``,
-            ``on_channel_suspect``, ...).  FEC knobs ride under the
-            ``"fec"`` key — a dict forwarded to
-            :class:`~repro.transport.fec.FecSender` (``k``, ``m``,
-            ``seal_timeout_s``, ...) — so one dict configures every
-            mode.
+            (``window_packets``, ``on_channel_suspect``).
         discipline_options: forwarded to :func:`make_discipline` when
             ``discipline`` is a name.
         fabric: optional :class:`~repro.transport.fabric.FabricScheduler`
@@ -328,12 +309,10 @@ class StripeSenderPipeline:
         *,
         marker_policy: Optional[MarkerPolicy] = None,
         marker_decorator: Optional[Callable[[int, Any], None]] = None,
-        on_marker: Optional[Callable[[int, Any], None]] = None,
         credit: Any = None,
         sim: Any = None,
         marker_keepalive_s: Optional[float] = None,
         tracer: Tracer = NULL_TRACER,
-        clock: Optional[Callable[[], float]] = None,
         reliability: str = "quasi_fifo",
         reliability_options: Optional[Dict[str, Any]] = None,
         discipline_options: Optional[Dict[str, Any]] = None,
@@ -370,15 +349,12 @@ class StripeSenderPipeline:
         # fixed at construction, so it is bound once, not chosen per packet.
         head = self.fec or self.reliable
         self._submit = head.submit if head is not None else self._stripe
-        if clock is None and sim is not None:
-            clock = lambda: sim.now  # noqa: E731
         self._make_striper = partial(
             Striper,
             marker_policy=marker_policy,
-            on_marker=on_marker,
             marker_decorator=marker_decorator,
             tracer=tracer,
-            clock=clock,
+            clock=None if sim is None else (lambda: sim.now),
         )
         self.striper = self._make_striper(sharer, self.ports)
         self.credit = credit
@@ -707,11 +683,7 @@ class StripeReceiverPipeline:
             backstop retransmits what parity could not cover.
         send_ack: reliable/hybrid mode's ack transmitter, ``fn(SackInfo)``.
         reliability_options: keyword arguments forwarded to
-            :class:`~repro.transport.reliability.ReliableReceiver`; FEC
-            knobs ride under the ``"fec"`` key (a dict forwarded to
-            :class:`~repro.transport.fec.FecReceiver`: ``k``, ``m``,
-            ``group_timeout_s``, ``on_escalate``, ...), mirroring the
-            sender pipeline.
+            :class:`~repro.transport.reliability.ReliableReceiver`.
     """
 
     buffer_packets = _rewiring("_buffer_packets")
@@ -739,7 +711,6 @@ class StripeReceiverPipeline:
         buffer_packets: Optional[int] = None,
         credit: Any = None,
         failure_detector: Optional[ChannelFailureDetector] = None,
-        clock: Optional[Callable[[], float]] = None,
         sim: Any = None,
         reliability: str = "quasi_fifo",
         send_ack: Optional[Callable[[Any], None]] = None,
@@ -759,18 +730,17 @@ class StripeReceiverPipeline:
         self._credit = credit
         self._credit_sink: Optional[Callable[[int, int], None]] = None
         self._sack_sink: Optional[Callable[[Any], None]] = None
-        #: undecodable marker frames dropped by :meth:`push_wire`
+        #: undecodable marker frames dropped by :meth:`push`
         self.marker_decode_errors = 0
         #: wire frames a ``direct`` receiver dropped without decoding
         self.stray_wire_frames = 0
-        if clock is None and sim is not None:
-            clock = lambda: sim.now  # noqa: E731
         # The reception engine's delivery callback is bound directly to
         # its destination (FEC layer, ARQ receiver, or final delivery) —
         # one less call per delivered packet; the chain is fixed at
         # construction.
         self._make_engine = partial(
-            make_resequencer, on_deliver=head, clock=clock, sim=sim
+            make_resequencer, on_deliver=head, sim=sim,
+            clock=None if sim is None else (lambda: sim.now),
         )
         self._failure_detector = failure_detector
         if failure_detector is not None:
@@ -895,6 +865,15 @@ class StripeReceiverPipeline:
     def push(self, channel: int, packet: Any) -> List[Any]:
         """Physical arrival of ``packet`` on ``channel``.
 
+        ``packet`` may be a raw wire frame (``bytes``, e.g. a marker whose
+        bytes were corrupted in flight and delivered anyway): it is
+        decoded first, and a malformed one (truncated, oversized, corrupt)
+        is counted in :attr:`marker_decode_errors` and dropped instead of
+        surfacing struct errors into the arrival path.  A ``direct``
+        receiver has no marker path: it counts a frame in
+        :attr:`stray_wire_frames` and drops it without touching the codec.
+        Either way the arrival is one life sign for the failure detector.
+
         Returns the application packets delivered in logical order as a
         result (also passed to ``on_message``).
         """
@@ -902,10 +881,14 @@ class StripeReceiverPipeline:
         if detector is not None:
             detector.note_arrival(channel)
         if type(packet) is bytes:
-            # A raw wire frame (e.g. a marker whose bytes were corrupted
-            # in flight and delivered anyway): route through the codec,
-            # which counts malformed frames instead of raising.
-            return self.push_wire(channel, packet)
+            if self.mode == "direct":
+                self.stray_wire_frames += 1
+                return []
+            try:
+                packet = decode_marker(packet)
+            except MarkerDecodeError:
+                self.marker_decode_errors += 1
+                return []
         if not is_marker(packet):
             if (
                 self._buffer_packets is not None
@@ -928,25 +911,6 @@ class StripeReceiverPipeline:
         if self._credit is not None:
             self._issue_credits()
         return out
-
-    def push_wire(self, channel: int, data: bytes) -> List[Any]:
-        """Physical arrival of an *encoded marker frame* on ``channel``.
-
-        Decoded and pushed; malformed frames (truncated, oversized,
-        corrupt) are counted in :attr:`marker_decode_errors` and dropped
-        instead of surfacing struct errors into the arrival path.  A
-        ``direct`` receiver has no marker path: it counts the frame in
-        :attr:`stray_wire_frames` and drops it without touching the codec.
-        """
-        if self.mode == "direct":
-            self.stray_wire_frames += 1
-            return []
-        try:
-            marker = decode_marker(data)
-        except MarkerDecodeError:
-            self.marker_decode_errors += 1
-            return []
-        return self.push(channel, marker)
 
     def channel_handler(self, index: int) -> Callable[[Any], None]:
         """A per-channel arrival callback (for transports that demux).

@@ -133,9 +133,8 @@ class FlowTable:
 
     Args:
         tenant_weights: weight per tenant name; a flow registered under a
-            tenant inherits its weight unless given one explicitly.
-        default_weight: weight for flows with neither an explicit weight
-            nor a weighted tenant.
+            tenant inherits its weight unless given one explicitly (flows
+            with neither weigh 1.0).
         quantum_bytes: base DRR quantum; a flow's quantum is
             ``quantum_bytes * weight``.  For O(1)-amortized scheduling
             keep it >= the maximum packet size (Shreedhar & Varghese).
@@ -144,15 +143,11 @@ class FlowTable:
     def __init__(
         self,
         tenant_weights: Optional[Mapping[Any, float]] = None,
-        default_weight: float = 1.0,
         quantum_bytes: float = 1500.0,
     ) -> None:
-        if default_weight <= 0:
-            raise ValueError("default_weight must be positive")
         if quantum_bytes <= 0:
             raise ValueError("quantum_bytes must be positive")
         self.tenant_weights: Dict[Any, float] = dict(tenant_weights or {})
-        self.default_weight = float(default_weight)
         self.quantum_bytes = float(quantum_bytes)
         self._flows: Dict[Any, FlowState] = {}
         #: ``get(flow_id)``: the flow or None, the dict's own lookup (no
@@ -172,7 +167,7 @@ class FlowTable:
         if flow_id in self._flows:
             raise ValueError(f"flow {flow_id!r} is already registered")
         if weight is None:
-            weight = self.tenant_weights.get(tenant, self.default_weight)
+            weight = self.tenant_weights.get(tenant, 1.0)
         if weight <= 0:
             raise ValueError("flow weight must be positive")
         weight = float(weight)
@@ -256,27 +251,26 @@ class FabricScheduler:
     regardless of how many of the 10k+ registered flows are idle.
 
     Args:
-        table: the :class:`FlowTable` (one is created if omitted).
+        table: the :class:`FlowTable`.
         flow_buffer_packets: per-flow queue bound; ``None`` = unbounded.
             A full flow refuses further submissions (``can_submit`` goes
             False for that flow only).
-        auto_register: register unknown flow ids on first submit with
-            table-default weight (experiments at fabric scale should not
-            need 10k explicit register calls).
+
+    An unknown flow id is registered on its first submit at weight 1.0
+    (experiments at fabric scale should not need 10k explicit register
+    calls).
     """
 
     def __init__(
         self,
-        table: Optional[FlowTable] = None,
+        table: FlowTable,
         *,
         flow_buffer_packets: Optional[int] = 64,
-        auto_register: bool = True,
     ) -> None:
         if flow_buffer_packets is not None and flow_buffer_packets < 1:
             raise ValueError("flow_buffer_packets must be >= 1 or None")
-        self.table = table if table is not None else FlowTable()
+        self.table = table
         self.flow_buffer_packets = flow_buffer_packets
-        self.auto_register = auto_register
         self.stats = FabricStats()
         self._active: Deque[FlowState] = deque()
         #: where each drained batch goes, bound by :meth:`bind`
@@ -320,7 +314,7 @@ class FabricScheduler:
         full — a stalled sibling never shows through here."""
         flow = self.table.get(flow_id)
         if flow is None:
-            return self.auto_register
+            return True
         return (
             self.flow_buffer_packets is None
             or flow.backlog < self.flow_buffer_packets
@@ -335,8 +329,6 @@ class FabricScheduler:
         """
         flow = self.table.get(flow_id)
         if flow is None:
-            if not self.auto_register:
-                raise KeyError(f"unknown flow {flow_id!r}")
             flow = self.table.register(flow_id)
         packets = flow._packets
         if (

@@ -44,11 +44,11 @@ missing members are synthesized — fresh uids, ``synthesized=True`` (a
 Unrecoverable groups (erasures exceed surviving parity at the group
 timeout) resolve to ARQ in hybrid mode — the SACK holes are still open, so
 the normal PR-5 machinery retransmits — and count toward an escalation
-hook: ``escalate_after`` *consecutive* failed groups fire ``on_escalate``,
+hook: ``ESCALATE_AFTER`` *consecutive* failed groups fire ``on_escalate``,
 the bridge into the PR-4 lifecycle for persistent-loss regimes FEC cannot
 absorb.  In pure fec mode the receiver resequences by ``fseq`` itself and
-a gap-skip timer (same ``group_timeout_s``) abandons unrecoverable
-positions, keeping delivery live under loss heavier than ``m`` covers.
+a gap-skip timer (same ``GROUP_TIMEOUT_S``) abandons unrecoverable
+positions, keeping delivery live under loss heavier than ``FEC_M`` covers.
 """
 
 from __future__ import annotations
@@ -67,7 +67,18 @@ from typing import (
     Tuple,
 )
 
-from ..core.fec import FecCodec, FecDecodeError, make_codec
+from ..core.fec import FecDecodeError, make_codec
+
+#: data shards and parity shards per stripe group
+FEC_K = 6
+FEC_M = 2
+#: how long a partial group may wait for more data before sealing short
+SEAL_TIMEOUT_S = 0.01
+#: how long a group may wait for its members and parity before it
+#: resolves (to ARQ in hybrid mode, to a skipped gap in pure fec)
+GROUP_TIMEOUT_S = 0.25
+#: consecutive failed groups that fire ``on_escalate``
+ESCALATE_AFTER = 3
 from ..core.packet import Codepoint, Packet, _packet_ids
 
 __all__ = [
@@ -234,34 +245,24 @@ class FecSender:
             already stamped when each shard is serialized.
         stripe_parity: batch submit for parity packets — the pipeline's
             raw ``_stripe``, bypassing ARQ but not the SRR kernel.
-        k: data shards per group.
-        m: parity shards per group.
-        sim: discrete-event engine for the seal timeout (optional; without
-            it partial groups seal only on :meth:`flush`).
-        seal_timeout_s: how long a partial group may wait for more data
-            before sealing short.
-        codec: explicit :class:`~repro.core.fec.FecCodec` (overrides
-            ``k``/``m``).
+        sim: discrete-event engine for the ``SEAL_TIMEOUT_S`` timer that
+            seals a partial group short.
+
+    Groups are ``FEC_K`` data shards and ``FEC_M`` parity shards.
     """
 
     def __init__(
         self,
         downstream: Callable[[Sequence[Any]], Any],
         stripe_parity: Callable[[Sequence[Any]], Any],
-        *,
-        k: int = 6,
-        m: int = 2,
-        sim: Any = None,
-        seal_timeout_s: float = 0.01,
-        codec: Optional[FecCodec] = None,
+        sim: Any,
     ) -> None:
-        self.codec = codec if codec is not None else make_codec(k, m)
+        self.codec = make_codec(FEC_K, FEC_M)
         self.k = self.codec.k
         self.m = self.codec.m
         self._downstream = downstream
         self._stripe_parity = stripe_parity
         self.sim = sim
-        self.seal_timeout_s = seal_timeout_s
         self._next_fseq = 0
         self._group_base = 0
         self._shards: List[bytes] = []
@@ -310,7 +311,7 @@ class FecSender:
                 shards = self._shards
             elif self._seal_timer is None and self.sim is not None:
                 self._seal_timer = self.sim.schedule(
-                    self.seal_timeout_s, self._on_seal_timeout
+                    SEAL_TIMEOUT_S, self._on_seal_timeout
                 )
 
     def _on_seal_timeout(self) -> None:
@@ -414,22 +415,15 @@ class FecReceiver:
     def __init__(
         self,
         on_deliver: Callable[[Any], Any],
+        sim: Any,
         *,
-        k: int = 6,
-        m: int = 2,
-        codec: Optional[FecCodec] = None,
         ordered: bool = True,
-        sim: Any = None,
-        group_timeout_s: float = 0.25,
-        escalate_after: int = 3,
         on_escalate: Optional[Callable[[int], Any]] = None,
     ) -> None:
-        self.codec = codec if codec is not None else make_codec(k, m)
+        self.codec = make_codec(FEC_K, FEC_M)
         self.on_deliver = on_deliver
         self.ordered = ordered
         self.sim = sim
-        self.group_timeout_s = group_timeout_s
-        self.escalate_after = escalate_after
         self.on_escalate = on_escalate
         #: ``(size, seq, rseq, body)`` of every data packet seen, by fseq
         #: — the fields, not the packet (pools recycle it) and not the
@@ -515,7 +509,7 @@ class FecReceiver:
                 self._base_of[fseq] = group.base
             if self.sim is not None:
                 group.timer = self.sim.schedule(
-                    self.group_timeout_s, self._on_group_timeout, group.base
+                    GROUP_TIMEOUT_S, self._on_group_timeout, group.base
                 )
         elif group.resolved:
             return  # late sibling parity of an already-settled group
@@ -588,7 +582,7 @@ class FecReceiver:
             self._consecutive_failures += 1
             if (
                 self.on_escalate is not None
-                and self._consecutive_failures >= self.escalate_after
+                and self._consecutive_failures >= ESCALATE_AFTER
             ):
                 self.stats.escalations += 1
                 self._consecutive_failures = 0
@@ -627,7 +621,7 @@ class FecReceiver:
         if pending:
             if self._skip_timer is None and self.sim is not None:
                 self._skip_timer = self.sim.schedule(
-                    self.group_timeout_s, self._on_skip_timeout
+                    GROUP_TIMEOUT_S, self._on_skip_timeout
                 )
         elif self._skip_timer is not None:
             self._skip_timer.cancel()

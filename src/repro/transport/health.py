@@ -17,26 +17,35 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
+#: how often (s) the receiver watchdog and the sender monitor look
+CHECK_INTERVAL_S = 0.05
+#: the lifecycle manager's silence threshold (s)
+LIFECYCLE_SILENCE_S = 0.15
+#: arrivals a failed channel must produce before it is revived
+REVIVAL_ARRIVALS = 2
+#: a failed channel's hold-down (s); each failure within FLAP_WINDOW_S of
+#: a revival multiplies it by FLAP_FACTOR, up to MAX_DOWN_TIME_S
+MIN_DOWN_TIME_S = 0.1
+FLAP_WINDOW_S = 2.0
+FLAP_FACTOR = 2.0
+MAX_DOWN_TIME_S = 5.0
+#: how long (s) a blocked port may make no progress before it is stalled
+STALL_TIMEOUT_S = 0.25
+
 
 class ChannelFailureDetector:
     """Receiver-side dead-channel watchdog, transport-agnostic.
 
-    Every ``check_interval`` seconds it compares per-channel arrival
+    Every ``CHECK_INTERVAL_S`` seconds it compares per-channel arrival
     times; a channel that saw nothing for ``silence_threshold`` seconds
     while the others progressed is declared dead and reported through the
     bound failure callback — a session receiver reconfigures the sender,
     a plain pipeline writes the channel off so delivery keeps flowing.
     """
 
-    def __init__(
-        self,
-        sim: Any,
-        silence_threshold: float = 0.25,
-        check_interval: float = 0.05,
-    ) -> None:
+    def __init__(self, sim: Any, silence_threshold: float = 0.25) -> None:
         self.sim = sim
         self.silence_threshold = silence_threshold
-        self.check_interval = check_interval
         self.last_arrival: List[float] = []
         self.failed: set = set()
         self.failures_reported: List[int] = []
@@ -79,7 +88,7 @@ class ChannelFailureDetector:
         self.last_arrival[port_index] = self.sim.now
         if not self._started:
             self._started = True
-            self.sim.schedule(self.check_interval, self._check)
+            self.sim.schedule(CHECK_INTERVAL_S, self._check)
 
     def _check(self) -> None:
         if self._on_failure is None or self._active is None:
@@ -97,7 +106,7 @@ class ChannelFailureDetector:
                     self.failed.add(index)
                     self.failures_reported.append(index)
                     self._on_failure(index)
-        self.sim.schedule(self.check_interval, self._check)
+        self.sim.schedule(CHECK_INTERVAL_S, self._check)
 
 
 class ChannelLifecycleManager(ChannelFailureDetector):
@@ -106,14 +115,15 @@ class ChannelLifecycleManager(ChannelFailureDetector):
     Generalizes the fail-only watchdog.  A failed channel that shows signs
     of life again (sender probes, or data arrivals from stale in-flight
     packets) moves to ``probing``; once it has produced
-    ``revival_arrivals`` arrivals *and* its hold-down has elapsed it is
+    ``REVIVAL_ARRIVALS`` arrivals *and* its hold-down has elapsed it is
     declared ``revived`` — the bound revival callback re-admits it (a plain
     pipeline un-fails its resequencer; a session receiver acknowledges the
     sender's probes so the sender rejoins the channel via a RESET).
 
-    Flap damping: each failure that follows a revival within
-    ``flap_window`` seconds doubles the channel's hold-down (capped at
-    ``max_down_time``), so an intermittent link is re-admitted ever more
+    Silence is ``LIFECYCLE_SILENCE_S``.  Flap damping: each failure that
+    follows a revival within ``FLAP_WINDOW_S`` seconds doubles the
+    channel's hold-down (``MIN_DOWN_TIME_S``, capped at
+    ``MAX_DOWN_TIME_S``), so an intermittent link is re-admitted ever more
     reluctantly instead of thrashing the bundle with resets.
     """
 
@@ -123,26 +133,8 @@ class ChannelLifecycleManager(ChannelFailureDetector):
     PROBING = "probing"
     REVIVED = "revived"
 
-    def __init__(
-        self,
-        sim: Any,
-        silence_threshold: float = 0.25,
-        check_interval: float = 0.05,
-        *,
-        revival_arrivals: int = 2,
-        min_down_time: float = 0.2,
-        flap_window: float = 2.0,
-        flap_factor: float = 2.0,
-        max_down_time: float = 5.0,
-    ) -> None:
-        super().__init__(sim, silence_threshold, check_interval)
-        if revival_arrivals < 1:
-            raise ValueError("revival_arrivals must be >= 1")
-        self.revival_arrivals = revival_arrivals
-        self.min_down_time = min_down_time
-        self.flap_window = flap_window
-        self.flap_factor = flap_factor
-        self.max_down_time = max_down_time
+    def __init__(self, sim: Any) -> None:
+        super().__init__(sim, LIFECYCLE_SILENCE_S)
         self.state: List[str] = []
         self.revivals_reported: List[int] = []
         self.flap_counts: List[int] = []
@@ -166,7 +158,7 @@ class ChannelLifecycleManager(ChannelFailureDetector):
         self.flap_counts = [0] * n_channels
         self._failed_at = [0.0] * n_channels
         self._life_seen = [0] * n_channels
-        self._hold_down = [self.min_down_time] * n_channels
+        self._hold_down = [MIN_DOWN_TIME_S] * n_channels
         self._revived_at = [float("-inf")] * n_channels
 
     # -- failure path -------------------------------------------------- #
@@ -176,15 +168,14 @@ class ChannelLifecycleManager(ChannelFailureDetector):
         self.state[channel] = self.FAILED
         self._failed_at[channel] = now
         self._life_seen[channel] = 0
-        if now - self._revived_at[channel] < self.flap_window:
+        if now - self._revived_at[channel] < FLAP_WINDOW_S:
             # Flapping: it died again right after we let it back in.
             self.flap_counts[channel] += 1
             self._hold_down[channel] = min(
-                self._hold_down[channel] * self.flap_factor,
-                self.max_down_time,
+                self._hold_down[channel] * FLAP_FACTOR, MAX_DOWN_TIME_S
             )
         else:
-            self._hold_down[channel] = self.min_down_time
+            self._hold_down[channel] = MIN_DOWN_TIME_S
         self._user_on_failure(channel)
 
     # -- revival path -------------------------------------------------- #
@@ -243,7 +234,7 @@ class ChannelLifecycleManager(ChannelFailureDetector):
 
     def _try_revive(self, channel: int) -> bool:
         now = self.sim.now
-        if self._life_seen[channel] < self.revival_arrivals:
+        if self._life_seen[channel] < REVIVAL_ARRIVALS:
             return False
         if now - self._failed_at[channel] < self._hold_down[channel]:
             return False  # hysteresis: not convinced yet, keep damping
@@ -260,23 +251,16 @@ class SenderHealthMonitor:
     """Sender-side channel health: queue-stall and credit-starvation watch.
 
     The receiver-side detector sees silence; the sender sees *backpressure*.
-    Every ``check_interval`` seconds each port is examined: a port that is
-    blocked (its transmit queue full, or its FCVC credit exhausted) and
-    makes no drain progress for ``stall_timeout`` seconds while traffic is
+    Every ``CHECK_INTERVAL_S`` seconds each port is examined: a port that
+    is blocked (its transmit queue full, or its FCVC credit exhausted) and
+    makes no drain progress for ``STALL_TIMEOUT_S`` seconds while traffic is
     pending is declared stalled and reported through the bound callback —
     a session sender excludes the channel via a reconfiguration RESET
     without waiting for the receiver to notice the silence.
     """
 
-    def __init__(
-        self,
-        sim: Any,
-        stall_timeout: float = 0.25,
-        check_interval: float = 0.05,
-    ) -> None:
+    def __init__(self, sim: Any) -> None:
         self.sim = sim
-        self.stall_timeout = stall_timeout
-        self.check_interval = check_interval
         self.stalled: set = set()
         self.stalls_reported: List[int] = []
         self._ports: List[Any] = []
@@ -312,7 +296,7 @@ class SenderHealthMonitor:
         self._last_drained = [
             getattr(port, "drained", 0) for port in self._ports
         ]
-        self.sim.schedule(self.check_interval, self._check)
+        self.sim.schedule(CHECK_INTERVAL_S, self._check)
 
     def clear(self, port_index: int) -> None:
         """Forget a stall (the channel was reset/revived); re-arm the watch."""
@@ -346,10 +330,10 @@ class SenderHealthMonitor:
                 self._last_progress[i] = now
             elif (
                 i not in self.stalled
-                and now - self._last_progress[i] >= self.stall_timeout
+                and now - self._last_progress[i] >= STALL_TIMEOUT_S
             ):
                 self.stalled.add(i)
                 self.stalls_reported.append(i)
                 assert self._on_stall is not None
                 self._on_stall(i)
-        self.sim.schedule(self.check_interval, self._check)
+        self.sim.schedule(CHECK_INTERVAL_S, self._check)

@@ -468,6 +468,10 @@ def receiver_to_bytes(pipeline: Any, *, sender_epoch: int = 0) -> bytes:
 # recovery managers
 
 
+#: seconds between announces the peer has not echoed yet
+RESUME_RETRY_S = 0.04
+
+
 class _EndpointRecovery:
     """What both managers share: the periodic checkpoint, the announce
     retried until the peer echoes this incarnation, and :meth:`stop`.
@@ -484,14 +488,12 @@ class _EndpointRecovery:
         sim: Any = None,
         checkpoint_interval_s: Optional[float] = None,
         send_control: Optional[Callable[[Any], None]] = None,
-        resume_retry_s: float = 0.04,
     ) -> None:
         self.pipeline = pipeline
         self.store = store
         self.sim = sim
         self.checkpoint_interval_s = checkpoint_interval_s
         self.send_control = send_control
-        self.resume_retry_s = resume_retry_s
         self.epoch = 0
         self.resumed_from_checkpoint = False
         self._ckpt_timer: Any = None
@@ -533,7 +535,7 @@ class _EndpointRecovery:
 
     def _announce(self) -> None:
         """Send this incarnation's announce; while the peer has not echoed
-        it, retry every ``resume_retry_s``."""
+        it, retry every ``RESUME_RETRY_S``."""
         if self.send_control is None:
             return
         self.send_control(self._announcement())
@@ -541,7 +543,7 @@ class _EndpointRecovery:
             if self._retry_timer is not None:
                 self._retry_timer.cancel()
             self._retry_timer = self.sim.schedule(
-                self.resume_retry_s, self._retry
+                RESUME_RETRY_S, self._retry
             )
 
     def _retry(self) -> None:
@@ -583,8 +585,7 @@ class SenderRecovery(_EndpointRecovery):
     WAL, announces the new epoch with a :class:`ResumePacket` (retried
     until the receiver's report echoes it), and on the report reconciles +
     replays through SRR.  Takes the keywords of every recovery manager:
-    ``sim``, ``checkpoint_interval_s``, ``send_control``,
-    ``resume_retry_s``.
+    ``sim``, ``checkpoint_interval_s``, ``send_control``.
     """
 
     def __init__(

@@ -25,7 +25,7 @@ constraint (section 2.1: data packets are never modified):
   window bounds end-to-end recovery state).
 * Loss detection is adaptive: SRTT/RTTVAR with Karn's algorithm and
   exponential backoff (RFC 6298 shape), plus SACK-hole fast retransmit.
-  A packet that exhausts ``max_retries`` escalates the channel it last
+  A packet that exhausts ``MAX_RETRIES`` escalates the channel it last
   used to the channel-lifecycle machinery (``on_channel_suspect``) —
   persistent per-channel loss looks exactly like a dying channel.
 """
@@ -59,6 +59,17 @@ def fec_enabled(mode: str) -> bool:
 #: SACK holes are retransmitted after this many ack arrivals reported
 #: newer data while the hole stayed open (TCP's dupthresh).
 FAST_RETRANSMIT_HINTS = 3
+
+#: retransmissions of one packet before its last channel is reported
+#: through ``on_channel_suspect``
+MAX_RETRIES = 8
+#: the receiver's reorder window: rseqs this far past the cumulative ack
+#: are dropped
+RECEIVE_WINDOW_PACKETS = 1024
+#: how long an in-order delivery may wait for a delayed ack (s)
+ACK_DELAY_S = 0.005
+#: SACK blocks an ack carries, newest edge first
+MAX_SACK_BLOCKS = 4
 
 _ack_ids = itertools.count(1)
 
@@ -248,14 +259,13 @@ class ReliableSender:
         window_packets: retransmission-buffer bound; submits beyond it
             are parked and replayed as acks open the window
             (``can_submit`` lets sources implement backpressure).
-        max_retries: retransmissions of one packet before its last
-            channel is reported via ``on_channel_suspect`` (reliability
-            itself keeps retrying — escalation feeds the lifecycle
-            machinery, it does not abandon data).
-        on_channel_suspect: ``fn(channel_index)`` lifecycle escalation.
-        on_window_open: called when a full window drains below the
-            bound (sources resume submitting).
-        rto: optional pre-built :class:`RtoEstimator`.
+        on_channel_suspect: ``fn(channel_index)`` lifecycle escalation,
+            once a packet has been retransmitted ``MAX_RETRIES`` times
+            (reliability itself keeps retrying — escalation feeds the
+            lifecycle machinery, it does not abandon data).
+
+    :attr:`on_window_open` is called when a full window drains below the
+    bound (sources resume submitting).
     """
 
     def __init__(
@@ -264,21 +274,15 @@ class ReliableSender:
         sim: Any,
         *,
         window_packets: int = 64,
-        max_retries: int = 8,
         on_channel_suspect: Optional[Callable[[int], None]] = None,
-        on_window_open: Optional[Callable[[], None]] = None,
-        rto: Optional[RtoEstimator] = None,
     ) -> None:
         if window_packets < 1:
             raise ValueError("window must hold at least one packet")
-        if max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
         self._submit = submit
         self.sim = sim
         self.window_packets = window_packets
-        self.max_retries = max_retries
         self.on_channel_suspect = on_channel_suspect
-        self.on_window_open = on_window_open
+        self.on_window_open: Optional[Callable[[], None]] = None
         #: optional ``fn(packet)`` invoked as each packet's record is
         #: retired by a cumulative ack — the point after which no
         #: retransmission can resurrect the packet, i.e. the earliest
@@ -288,7 +292,7 @@ class ReliableSender:
         #: stamped (before it can reach any channel) — the write-ahead-log
         #: hook of the crash-recovery layer.
         self.on_register: Optional[Callable[[Any], None]] = None
-        self.rto = rto if rto is not None else RtoEstimator()
+        self.rto = RtoEstimator()
         self.stats = ReliabilityStats()
         self.next_rseq = 0
         #: unacked records in rseq (insertion) order
@@ -676,7 +680,7 @@ class ReliableSender:
         self.stats.timeouts += 1
         self.rto.backoff()
         record.dup_hints = 0
-        if record.transmissions > self.max_retries and not record.escalated:
+        if record.transmissions > MAX_RETRIES and not record.escalated:
             record.escalated = True
             self.stats.escalations += 1
             if self.on_channel_suspect is not None and record.last_channel >= 0:
@@ -714,7 +718,9 @@ class ReliableReceiver:
     Acks are emitted through ``send_ack(SackInfo)``: immediately on any
     out-of-order or duplicate arrival (the loss signal must not wait),
     every ``ack_every`` in-order packets, and otherwise after
-    ``ack_delay_s`` (delayed ack).  :meth:`sack_info` exposes the same
+    ``ACK_DELAY_S`` (delayed ack).  Arrivals ``RECEIVE_WINDOW_PACKETS`` or
+    more past the cumulative ack are dropped; an ack carries at most
+    ``MAX_SACK_BLOCKS`` SACK blocks.  :meth:`sack_info` exposes the same
     state for marker piggybacking on the reverse path.
     """
 
@@ -722,24 +728,16 @@ class ReliableReceiver:
         self,
         on_deliver: Callable[[Any], None],
         *,
-        window_packets: int = 1024,
         send_ack: Optional[Callable[[SackInfo], None]] = None,
         sim: Any = None,
         ack_every: int = 2,
-        ack_delay_s: float = 0.005,
-        max_sack_blocks: int = 4,
     ) -> None:
-        if window_packets < 1:
-            raise ValueError("window must hold at least one packet")
         if ack_every < 1:
             raise ValueError("ack_every must be >= 1")
         self.on_deliver = on_deliver
-        self.window_packets = window_packets
         self.send_ack = send_ack
         self.sim = sim
         self.ack_every = ack_every
-        self.ack_delay_s = ack_delay_s
-        self.max_sack_blocks = max_sack_blocks
         self.stats = ReceiverReliabilityStats()
         self.next_expected = 0
         self._ooo: Dict[int, Any] = {}
@@ -779,14 +777,14 @@ class ReliableReceiver:
                 self._ack_now()
             elif self.sim is not None and self._ack_timer is None:
                 self._ack_timer = self.sim.schedule(
-                    self.ack_delay_s, self._delayed_ack
+                    ACK_DELAY_S, self._delayed_ack
                 )
             return
         if rseq < self.next_expected or rseq in self._ooo:
             self.stats.duplicates += 1
             self._ack_now()
             return
-        if rseq >= self.next_expected + self.window_packets:
+        if rseq >= self.next_expected + RECEIVE_WINDOW_PACKETS:
             self.stats.window_drops += 1
             self._ack_now()
             return
@@ -871,7 +869,7 @@ class ReliableReceiver:
         if not starts:
             return SackInfo(cum_ack=self.next_expected)
         if max_blocks is None:
-            max_blocks = self.max_sack_blocks
+            max_blocks = MAX_SACK_BLOCKS
         ends = self._ends
         n = len(starts)
         low = max(n - max_blocks, 0)
@@ -897,7 +895,7 @@ class ReliableReceiver:
             return
         if self.sim is not None and self._ack_timer is None:
             self._ack_timer = self.sim.schedule(
-                self.ack_delay_s, self._delayed_ack
+                ACK_DELAY_S, self._delayed_ack
             )
 
     def stop(self) -> None:

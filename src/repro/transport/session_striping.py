@@ -13,7 +13,7 @@ is the data path (submission, pump, fabric mount on the send side;
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.packet import Packet
 from repro.core.session import (
@@ -43,12 +43,10 @@ def udp_session_sender(
     stack: Stack,
     destinations: Sequence[Tuple[str, int]],
     config: StripeConfig,
-    marker_policy: Optional[MarkerPolicy] = None,
     control_port: int = 6900,
     health_monitor: Optional[SenderHealthMonitor] = None,
     reliability: str = "quasi_fifo",
     reliability_options: Optional[dict] = None,
-    fabric: Any = None,
     discipline: Optional[str] = None,
     discipline_options: Optional[dict] = None,
 ) -> StripeSenderSession:
@@ -59,18 +57,19 @@ def udp_session_sender(
         destinations: per-channel ``(dst_ip, dst_port)`` (the full port
             set; the config's ``active_channels`` picks the live subset).
         config: initial striping configuration.
-        marker_policy: markers per epoch (needed by the LocalChecker).
         control_port: local UDP port where ACKs / reset requests arrive.
         health_monitor: optional :class:`SenderHealthMonitor`; a stalled
             channel (wedged queue / starved credit) is excluded via a
             reconfiguration reset without waiting for receiver silence.
-        reliability / reliability_options / fabric: the pipeline's.  In
+        reliability / reliability_options: the pipeline's.  In
             the ARQ modes a packet that keeps dying on one channel
             excludes that channel (``on_channel_suspect``).
         discipline: optional registry discipline name replacing the
             paper's SRR in every epoch (the receiver must be built with
             the same name).  A named discipline runs without markers —
-            its receiver half is the registry's marker-less mode.
+            its receiver half is the registry's marker-less mode; the
+            paper's SRR sends a marker batch every round (the LocalChecker
+            needs them).
         discipline_options: forwarded to the registry with the name.
     """
     options = dict(reliability_options or {})
@@ -84,12 +83,13 @@ def udp_session_sender(
     pipeline = StripeSenderPipeline(
         udp_ports(stack, destinations),
         config.algorithm() if discipline is None else discipline,
-        marker_policy=marker_policy if discipline is None else None,
+        marker_policy=(
+            MarkerPolicy(interval_rounds=1) if discipline is None else None
+        ),
         sim=sim,
         reliability=reliability,
         reliability_options=options,
         discipline_options=discipline_options,
-        fabric=fabric,
     )
     session = StripeSenderSession(
         sim, pipeline, config,

@@ -30,6 +30,7 @@ from repro.net.addresses import IPAddress
 from repro.net.ip import IPPacket, PROTO_TCP
 from repro.net.stack import Stack
 from repro.sim.engine import Event, Simulator
+from repro.transport.reliability import RtoEstimator
 
 TCP_HEADER_BYTES = 20
 
@@ -129,14 +130,23 @@ class BulkSender:
             segment, clipped to mss).  Default: always ``mss``.  This is
             how the paper's "random mixture of small and large packets"
             and the adversarial alternating workload enter the system.
-        total_bytes: stop after this many payload bytes (None = unbounded).
         src_ip: source address override (useful with multiple interfaces).
+
+    A bulk sender sends for as long as the connection lives; a finite
+    transfer is a message (:meth:`write_message`).  The retransmission
+    timeout is an :class:`RtoEstimator` (:attr:`rto`) with BSD's bounds:
+    1 s initially, clamped to [0.2 s, 60 s].  The connection opens with a
+    congestion window of ``INITIAL_CWND_SEGMENTS``.
     """
 
     INITIAL_RTO = 1.0
     MIN_RTO = 0.2
     MAX_RTO = 60.0
+    #: consecutive backoffs allowed: enough to double MIN_RTO past
+    #: MAX_RTO, so the cap never binds before the clamp does
+    BACKOFF_CAP = 9
     DUPACK_THRESHOLD = 3
+    INITIAL_CWND_SEGMENTS = 2
 
     def __init__(
         self,
@@ -146,9 +156,7 @@ class BulkSender:
         src_port: int,
         mss: int = 1460,
         segment_size_fn: Optional[Callable[[], int]] = None,
-        total_bytes: Optional[int] = None,
         src_ip: Optional[IPAddress | str] = None,
-        initial_cwnd_segments: int = 2,
     ) -> None:
         self.layer = layer
         self.sim = layer.sim
@@ -158,13 +166,12 @@ class BulkSender:
         self.src_ip = IPAddress.parse(src_ip) if src_ip is not None else None
         self.mss = mss
         self.segment_size_fn = segment_size_fn
-        self.total_bytes = total_bytes
         layer.register(src_port, self)
 
         self.state = "CLOSED"
         self.snd_una = 0
         self.snd_nxt = 0
-        self.cwnd = float(initial_cwnd_segments * mss)
+        self.cwnd = float(self.INITIAL_CWND_SEGMENTS * mss)
         self.ssthresh = 64 * 1024.0
         self.dupacks = 0
         self.in_recovery = False
@@ -172,9 +179,12 @@ class BulkSender:
         self.flight: List[_FlightRecord] = []
         #: records awaiting retransmission (go-back-N after an RTO)
         self._rexmit_pending: List[_FlightRecord] = []
-        self.rto = self.INITIAL_RTO
-        self.srtt: Optional[float] = None
-        self.rttvar: Optional[float] = None
+        self.rto = RtoEstimator(
+            initial_rto=self.INITIAL_RTO,
+            min_rto=self.MIN_RTO,
+            max_rto=self.MAX_RTO,
+            backoff_cap=self.BACKOFF_CAP,
+        )
         self._timer: Optional[Event] = None
         self._next_payload: Optional[int] = None
         #: message mode (transport-channel striping): queued application
@@ -238,11 +248,7 @@ class BulkSender:
         return len(self._msg_queue)
 
     def _payload_budget_left(self) -> bool:
-        if self._message_mode:
-            return bool(self._msg_queue)
-        if self.total_bytes is None:
-            return True
-        return self.snd_nxt < self.total_bytes
+        return not self._message_mode or bool(self._msg_queue)
 
     def _next_segment_size(self) -> int:
         if self._next_payload is None:
@@ -250,10 +256,7 @@ class BulkSender:
                 size = int(self.segment_size_fn())
             else:
                 size = self.mss
-            size = max(1, min(size, self.mss))
-            if self.total_bytes is not None:
-                size = min(size, self.total_bytes - self.snd_nxt)
-            self._next_payload = size
+            self._next_payload = max(1, min(size, self.mss))
         return self._next_payload
 
     def try_send(self) -> None:
@@ -345,7 +348,7 @@ class BulkSender:
             if self.state == "SYN_SENT":
                 self.state = "ESTABLISHED"
                 self._cancel_timer()
-                self.rto = self.INITIAL_RTO
+                self.rto.reset_backoff()
                 # complete handshake
                 self._transmit(
                     TcpSegment(
@@ -383,7 +386,7 @@ class BulkSender:
             if self.flight:
                 self._arm_timer()
             else:
-                self.rto = max(self.MIN_RTO, self._computed_rto())
+                self.rto.reset_backoff()
             self.try_send()
             if self.on_writable is not None:
                 self.on_writable()
@@ -398,7 +401,7 @@ class BulkSender:
         for record in self.flight:
             if record.end <= ack:
                 if not record.retransmitted:
-                    self._rtt_sample(self.sim.now - record.sent_time)
+                    self.rto.sample(self.sim.now - record.sent_time)
             else:
                 kept.append(record)
         self.flight = kept
@@ -452,7 +455,7 @@ class BulkSender:
                     flags=frozenset({FLAG_SYN}),
                 )
             )
-            self.rto = min(self.rto * 2, self.MAX_RTO)
+            self.rto.backoff()
             self._arm_timer()
             return
         if not self.flight:
@@ -468,31 +471,15 @@ class BulkSender:
         # boundaries and replay them as the window reopens).
         self._rexmit_pending = list(self.flight)
         self.try_send()  # retransmits the head within cwnd = 1 MSS
-        self.rto = min(self.rto * 2, self.MAX_RTO)
+        self.rto.backoff()
         self._arm_timer()
 
     # ------------------------------------------------------------------ #
     # timers and RTT
 
-    def _rtt_sample(self, rtt: float) -> None:
-        if self.srtt is None:
-            self.srtt = rtt
-            self.rttvar = rtt / 2
-        else:
-            assert self.rttvar is not None
-            self.rttvar = 0.75 * self.rttvar + 0.25 * abs(self.srtt - rtt)
-            self.srtt = 0.875 * self.srtt + 0.125 * rtt
-        self.rto = max(self.MIN_RTO, min(self._computed_rto(), self.MAX_RTO))
-
-    def _computed_rto(self) -> float:
-        if self.srtt is None:
-            return self.INITIAL_RTO
-        assert self.rttvar is not None
-        return self.srtt + 4 * self.rttvar
-
     def _arm_timer(self) -> None:
         self._cancel_timer()
-        self._timer = self.sim.schedule(self.rto, self._on_timeout)
+        self._timer = self.sim.schedule(self.rto.rto, self._on_timeout)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:

@@ -32,16 +32,17 @@ class TcpChannelPort:
     """Adapts one message-mode TCP connection to the endpoint port API.
 
     Backpressure comes from the connection's own send state: the port
-    refuses new messages while more than ``max_backlog_bytes`` are queued
+    refuses new messages while more than ``MAX_BACKLOG_BYTES`` are queued
     but unsent (cwnd-limited), so the causal striper waits exactly when
     the channel is congestion-limited.  The ``on_unblocked`` slot *is* the
     connection's ``on_writable`` callback, so the pipeline that fills it
     is pumped whenever the connection can take more.
     """
 
-    def __init__(self, sender: BulkSender, max_backlog_bytes: int = 64 * 1024):
+    MAX_BACKLOG_BYTES = 64 * 1024
+
+    def __init__(self, sender: BulkSender):
         self.sender = sender
-        self.max_backlog_bytes = max_backlog_bytes
         self.messages_sent = 0
 
     def send(self, packet: Any, force: bool = False) -> bool:
@@ -52,7 +53,7 @@ class TcpChannelPort:
     def can_accept(self) -> bool:
         if self.sender.state != "ESTABLISHED":
             return False
-        return self.sender.queued_message_bytes < self.max_backlog_bytes
+        return self.sender.queued_message_bytes < self.MAX_BACKLOG_BYTES
 
     @property
     def queue_length(self) -> int:

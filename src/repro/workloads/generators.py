@@ -89,13 +89,12 @@ class RandomMixSizes:
 
 
 class AlternatingSizes:
-    """Deterministic big/small alternation — the GRR adversary."""
+    """Deterministic 1000/200-byte alternation — the GRR adversary."""
 
-    def __init__(self, big: int = 1000, small: int = 200) -> None:
-        if big <= 0 or small <= 0:
-            raise ValueError("sizes must be positive")
-        self.big = big
-        self.small = small
+    big = 1000
+    small = 200
+
+    def __init__(self) -> None:
         self._next_big = True
 
     def __call__(self) -> int:
@@ -125,7 +124,8 @@ class PacedSource:
         size_fn: packet size generator.
         interval_fn: seconds until the next packet (e.g. exponential for
             Poisson, constant for CBR).
-        count: stop after this many packets (None = until sim horizon).
+
+    It runs until :meth:`stop` or the simulation horizon.
     """
 
     def __init__(
@@ -134,13 +134,11 @@ class PacedSource:
         sink: Callable[[Packet], None],
         size_fn: Callable[[], int],
         interval_fn: Callable[[], float],
-        count: Optional[int] = None,
     ) -> None:
         self.sim = sim
         self.sink = sink
         self.size_fn = size_fn
         self.interval_fn = interval_fn
-        self.count = count
         self.generated = 0
         self._stopped = False
 
@@ -152,8 +150,6 @@ class PacedSource:
 
     def _tick(self) -> None:
         if self._stopped:
-            return
-        if self.count is not None and self.generated >= self.count:
             return
         packet = Packet(size=self.size_fn(), seq=self.generated)
         self.generated += 1
@@ -173,8 +169,8 @@ class ClosedLoopSource:
     """Keeps a striper's input backlog topped up (a backlogged sender).
 
     Generates packets only while the striper backlog is below ``target``,
-    re-checking every ``check_interval`` seconds and whenever :meth:`poke`
-    is called.  This is the §6.3 sender: always data to send, but flow
+    re-checking every :attr:`check_interval` seconds and whenever
+    :meth:`poke` is called, until :meth:`stop`.  This is the §6.3 sender: always data to send, but flow
     control (credits) can throttle it without unbounded queues.
 
     Two optional hot-loop accelerations, both behavior-neutral:
@@ -188,6 +184,9 @@ class ClosedLoopSource:
       from instead of constructing them.
     """
 
+    #: seconds between backlog checks
+    check_interval = 0.001
+
     def __init__(
         self,
         sim: Simulator,
@@ -195,8 +194,6 @@ class ClosedLoopSource:
         backlog_fn: Callable[[], int],
         size_fn: Callable[[], int],
         target: int = 20,
-        check_interval: float = 0.001,
-        count: Optional[int] = None,
         submit_many: Optional[Callable[[list], None]] = None,
         pool: Optional[Any] = None,
     ) -> None:
@@ -205,8 +202,6 @@ class ClosedLoopSource:
         self.backlog_fn = backlog_fn
         self.size_fn = size_fn
         self.target = target
-        self.check_interval = check_interval
-        self.count = count
         self.submit_many = submit_many
         self.pool = pool
         self.generated = 0
@@ -230,8 +225,6 @@ class ClosedLoopSource:
         if self.submit_many is not None:
             while not self._stopped:
                 deficit = self.target - self.backlog_fn()
-                if self.count is not None:
-                    deficit = min(deficit, self.count - self.generated)
                 if deficit <= 0:
                     return
                 # One refill, no per-packet frame: the same draws, seqs
@@ -248,9 +241,7 @@ class ClosedLoopSource:
                 self.submit_many(batch)
             return
         while self.backlog_fn() < self.target:
-            if self._stopped or (
-                self.count is not None and self.generated >= self.count
-            ):
+            if self._stopped:
                 return
             self.submit(self._make())
 
@@ -260,8 +251,6 @@ class ClosedLoopSource:
 
     def _tick(self) -> None:
         if self._stopped:
-            return
-        if self.count is not None and self.generated >= self.count:
             return
         self._fill()
         self.sim.schedule(self.check_interval, self._tick)

@@ -150,15 +150,17 @@ class PlaybackModel:
 
     Args:
         trace: the original trace (ground truth).
-        latency_budget: playout deadline — a packet for a frame captured at
-            time T must arrive by ``T + latency_budget`` (receiver clock) to
-            be usable.  Reordered packets that still make the deadline cost
-            nothing, which is exactly why quasi-FIFO is tolerable for video.
+
+    The playout deadline is ``LATENCY_BUDGET_S``: a packet for a frame
+    captured at time T must arrive by ``T + LATENCY_BUDGET_S`` (receiver
+    clock) to be usable.  Reordered packets that still make the deadline
+    cost nothing, which is exactly why quasi-FIFO is tolerable for video.
     """
 
-    def __init__(self, trace: VideoTrace, latency_budget: float = 0.5) -> None:
+    LATENCY_BUDGET_S = 0.5
+
+    def __init__(self, trace: VideoTrace) -> None:
         self.trace = trace
-        self.latency_budget = latency_budget
         self._on_time: Dict[int, set] = {f.frame_id: set() for f in trace.frames}
         self.packets_late = 0
         self.packets_received = 0
@@ -169,7 +171,7 @@ class PlaybackModel:
         if not isinstance(chunk, VideoChunk):
             return
         self.packets_received += 1
-        if arrival_time <= chunk.capture_time + self.latency_budget:
+        if arrival_time <= chunk.capture_time + self.LATENCY_BUDGET_S:
             self._on_time[chunk.frame_id].add(chunk.index)
         else:
             self.packets_late += 1

@@ -9,6 +9,7 @@ from typing import Callable, List, Optional, Sequence
 import pytest
 
 from repro.core.packet import Packet
+from repro.core.striper import ListPort
 from repro.sim.engine import Simulator
 from repro.workloads.generators import AlternatingSizes, RandomMixSizes
 
@@ -16,6 +17,23 @@ from repro.workloads.generators import AlternatingSizes, RandomMixSizes
 @pytest.fixture()
 def sim() -> Simulator:
     return Simulator()
+
+
+class LimitedPort(ListPort):
+    """A :class:`ListPort` that refuses sends once it holds ``limit``
+    packets (None: unbounded); raising ``limit`` is space appearing."""
+
+    def __init__(self, limit: Optional[int] = None) -> None:
+        super().__init__()
+        self.limit = limit
+
+    def send(self, packet, force: bool = False) -> bool:
+        if not force and not self.can_accept():
+            return False
+        return super().send(packet, force)
+
+    def can_accept(self) -> bool:
+        return self.limit is None or len(self.sent) < self.limit
 
 
 def make_packets(sizes: Sequence[int], labels: Optional[str] = None) -> List[Packet]:
@@ -88,6 +106,6 @@ def random_mix_packets(
     return backlogged_packets(count, RandomMixSizes(sizes, rng=random.Random(seed)))
 
 
-def alternating_packets(count: int, big: int = 1000, small: int = 200) -> List[Packet]:
+def alternating_packets(count: int) -> List[Packet]:
     """Convenience: the paper's alternating 1000/200-byte adversary."""
-    return backlogged_packets(count, AlternatingSizes(big, small))
+    return backlogged_packets(count, AlternatingSizes())

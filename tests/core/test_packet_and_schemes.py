@@ -10,6 +10,7 @@ from typing import Any, Sequence, Tuple
 import pytest
 
 from repro.core.packet import (
+    POOL_MAX_SIZE,
     Codepoint,
     MarkerPacket,
     Packet,
@@ -313,9 +314,9 @@ class TestPacketPool:
         assert len(pool._free) == 0
 
     def test_free_list_capped_at_max_size(self):
-        pool = PacketPool(max_size=2)
-        packets = [Packet(100) for _ in range(4)]
+        pool = PacketPool()
+        packets = [Packet(100) for _ in range(POOL_MAX_SIZE + 2)]
         for packet in packets:
             pool.release(packet)
-        assert pool.released == 2
-        assert len(pool._free) == 2
+        assert pool.released == POOL_MAX_SIZE
+        assert len(pool._free) == POOL_MAX_SIZE

@@ -14,6 +14,7 @@ from repro.core.session import (
 )
 from repro.core.striper import ListPort, MarkerPolicy
 from repro.transport.endpoint import StripeSenderPipeline
+from tests.conftest import LimitedPort
 from tests.session_rig import Loopback
 
 
@@ -104,7 +105,7 @@ class TestResetProtocol:
         assert loop.sender_session.state == StripeSenderSession.RUNNING
 
     def test_retry_gives_up_eventually(self, sim):
-        loop = Loopback(sim, retry_timeout=0.01, max_retries=3)
+        loop = Loopback(sim)
         loop.sender_session.initiate_reset()  # nobody ever acks
         with pytest.raises(RuntimeError):
             sim.run(until=10.0)
@@ -114,7 +115,7 @@ class TestResetProtocol:
         """A reset started while one is in flight supersedes it: the held
         queue goes out once, in the latest epoch, and the superseded
         epoch's acknowledgment completes nothing."""
-        ports = [ListPort(1), ListPort(1)]
+        ports = [LimitedPort(1), LimitedPort(1)]
         loop = Loopback(sim, ports=ports)
         loop.lose_control = True
         for i in range(6):
@@ -185,7 +186,7 @@ class TestKeepaliveAcrossResets:
 
         pipeline = StripeSenderPipeline(
             ports, config.algorithm(), marker_policy=MarkerPolicy(1),
-            sim=sim, marker_keepalive_s=0.01, on_marker=on_marker,
+            sim=sim, marker_keepalive_s=0.01, marker_decorator=on_marker,
         )
         session = StripeSenderSession(sim, pipeline, config)
         return ports, pipeline, session, markers
@@ -297,7 +298,7 @@ class TestReconfiguration:
 
 class TestLocalChecker:
     def test_healthy_stream_never_trips(self, sim):
-        checker = LocalChecker(window_rounds=10)
+        checker = LocalChecker()
         loop = Loopback(
             sim, marker_policy=MarkerPolicy(interval_rounds=1),
             checker=checker,
@@ -309,7 +310,7 @@ class TestLocalChecker:
         assert loop.delivered == list(range(60))
 
     def test_corrupted_round_detected_and_corrected(self, sim):
-        checker = LocalChecker(window_rounds=10)
+        checker = LocalChecker()
         loop = Loopback(
             sim, marker_policy=MarkerPolicy(interval_rounds=1),
             checker=checker,
@@ -336,7 +337,7 @@ class TestLocalChecker:
         assert tail[-1] == 39
 
     def test_one_request_per_epoch(self, sim):
-        checker = LocalChecker(window_rounds=5)
+        checker = LocalChecker()
         loop = Loopback(
             sim, marker_policy=MarkerPolicy(interval_rounds=1),
             checker=checker,
@@ -349,7 +350,3 @@ class TestLocalChecker:
         # request for the corrupt epoch.
         loop.flush()
         assert checker.resets_requested <= 2  # corrupt epoch + none after
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LocalChecker(window_rounds=0)

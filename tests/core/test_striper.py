@@ -7,12 +7,13 @@ from repro.core.srr import SRR, make_rr
 from repro.core.striper import ListPort, MarkerPolicy, Striper
 from repro.core.transform import TransformedLoadSharer
 from repro.baselines.sqf import ShortestQueueFirst
+from tests.conftest import LimitedPort
 
 
 def make_striper(algorithm, port_limits=None, policy=None):
     n = algorithm.n_channels
     ports = [
-        ListPort(limit=port_limits[i] if port_limits else None)
+        LimitedPort(port_limits[i] if port_limits else None)
         for i in range(n)
     ]
     striper = Striper(TransformedLoadSharer(algorithm), ports, policy)
@@ -158,7 +159,7 @@ class TestMarkerEmission:
 
     def test_markers_bypass_full_queue(self):
         algorithm = SRR([100.0, 100.0])
-        ports = [ListPort(limit=1), ListPort(limit=1)]
+        ports = [LimitedPort(1), LimitedPort(1)]
         striper = Striper(
             TransformedLoadSharer(algorithm), ports,
             MarkerPolicy(interval_rounds=1, initial_markers=True),

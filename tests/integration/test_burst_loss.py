@@ -54,7 +54,6 @@ class TestBurstLossRecovery:
         def stop():
             for model in models:
                 model.p_g2b = 0.0
-                model.p_bad = 0.0
                 model._bad = False
 
         sim.schedule_at(1.0, stop)

@@ -13,7 +13,7 @@ from repro.net.fragmentation import (
     FragmentingStriper,
     Reassembler,
 )
-from tests.conftest import make_packets, random_sizes
+from tests.conftest import LimitedPort, make_packets, random_sizes
 
 
 def frag_setup(mtus=(1500, 1500), quanta=(1500.0, 1500.0), policy=None):
@@ -67,10 +67,10 @@ class TestFragmentingStriper:
     def test_blocking_mid_packet(self):
         """Backpressure can strike between fragments; the striper resumes
         the same packet on pump."""
-        ports = [ListPort(limit=1), ListPort(limit=1)]
+        ports = [LimitedPort(1), LimitedPort(1)]
         striper = FragmentingStriper(
             TransformedLoadSharer(SRR([1500.0, 1500.0])), ports,
-            mtus=[1500, 1500],
+            mtus=[1500, 1500], marker_policy=None,
         )
         striper.submit(Packet(6000, seq=0))
         total = sum(len(p.sent) for p in ports)
@@ -84,11 +84,12 @@ class TestFragmentingStriper:
         with pytest.raises(ValueError):
             FragmentingStriper(
                 TransformedLoadSharer(SRR([100.0, 100.0])),
-                [ListPort(), ListPort()], mtus=[1500],
+                [ListPort(), ListPort()], mtus=[1500], marker_policy=None,
             )
         with pytest.raises(ValueError):
             FragmentingStriper(
                 TransformedLoadSharer(SRR([100.0])), [ListPort()], mtus=[4],
+                marker_policy=None,
             )
 
 
@@ -137,8 +138,10 @@ class TestReassembler:
         assert reassembler.packets_completed == 2
 
     def test_non_fragment_input_ignored(self):
-        reassembler = Reassembler()
+        rebuilt = []
+        reassembler = Reassembler(on_packet=rebuilt.append)
         assert reassembler.push(Packet(100)) is None
+        assert rebuilt == []
         assert reassembler.fragments_seen == 0
 
     def test_markers_flow_through_striper(self):

@@ -46,7 +46,8 @@ def two_hosts(sim):
     b = EthernetInterface(sim, "eth0", "10.0.1.2")
     s.add_interface(a)
     r.add_interface(b)
-    link = Link(sim, a, b, bandwidth_bps=10e6, prop_delay=0.0005)
+    link = Link(sim, a, b, bandwidth_bps=10e6, prop_delay=0.0005,
+                queue_limit=50)
     s.routing.add("10.0.1.0", 24, a)
     r.routing.add("10.0.1.0", 24, b)
     return s, r, a, b, link
@@ -135,7 +136,8 @@ class TestAtmInterface:
         b = AtmInterface(sim, "atm0", "10.0.2.2")
         s.add_interface(a)
         r.add_interface(b)
-        Link(sim, a, b, bandwidth_bps=10e6, prop_delay=0.001)
+        Link(sim, a, b, bandwidth_bps=10e6, prop_delay=0.001,
+             queue_limit=50)
         s.routing.add("10.0.2.0", 24, a)
         r.routing.add("10.0.2.0", 24, b)
         packet = IPPacket(
@@ -151,7 +153,8 @@ class TestAtmInterface:
         b = AtmInterface(sim, "atm0", "10.0.2.2")
         s.add_interface(a)
         r.add_interface(b)
-        Link(sim, a, b, bandwidth_bps=10e6, prop_delay=0.001)
+        Link(sim, a, b, bandwidth_bps=10e6, prop_delay=0.001,
+             queue_limit=50)
         s.routing.add("10.0.2.0", 24, a)
         r.routing.add("10.0.2.0", 24, b)
         received = []
@@ -198,8 +201,10 @@ class TestStackBehaviour:
         m.add_interface(m1)
         m.add_interface(m2)
         r.add_interface(r1)
-        Link(sim, s1, m1, bandwidth_bps=10e6, prop_delay=0.0005)
-        Link(sim, m2, r1, bandwidth_bps=10e6, prop_delay=0.0005)
+        Link(sim, s1, m1, bandwidth_bps=10e6, prop_delay=0.0005,
+             queue_limit=50)
+        Link(sim, m2, r1, bandwidth_bps=10e6, prop_delay=0.0005,
+             queue_limit=50)
         s.routing.add("10.0.2.0", 24, s1, next_hop="10.0.1.254")
         s.routing.add("10.0.1.0", 24, s1)
         m.routing.add("10.0.1.0", 24, m1)

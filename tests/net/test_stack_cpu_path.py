@@ -10,7 +10,7 @@ from repro.sim.host import HostCPU
 
 
 def cpu_pair(sim, per_packet=1e-4, per_interrupt=1e-4, ring=None):
-    cpu = HostCPU(sim, per_packet, per_interrupt)
+    cpu = HostCPU(sim, per_packet, per_interrupt, None)
     s = Stack(sim, "S")
     r = Stack(sim, "R", cpu=cpu)
     a = EthernetInterface(sim, "eth0", "10.0.1.1")
@@ -19,7 +19,8 @@ def cpu_pair(sim, per_packet=1e-4, per_interrupt=1e-4, ring=None):
     r.add_interface(b)
     if ring is not None and b.nic_queue is not None:
         b.nic_queue.queue_limit = ring
-    Link(sim, a, b, bandwidth_bps=10e6, prop_delay=0.0005)
+    Link(sim, a, b, bandwidth_bps=10e6, prop_delay=0.0005,
+         queue_limit=50)
     s.routing.add("10.0.1.0", 24, a)
     r.routing.add("10.0.1.0", 24, b)
     a.arp_cache.install(b.ip_address, b.mac)
@@ -62,14 +63,15 @@ class TestCpuReceivePath:
         assert len(got) < 50
 
     def test_interface_without_cpu_bypasses(self, sim):
-        cpu = HostCPU(sim, 1.0, 1.0)  # pathologically slow
+        cpu = HostCPU(sim, 1.0, 1.0, None)  # pathologically slow
         s = Stack(sim, "S")
         r = Stack(sim, "R", cpu=cpu)
         a = EthernetInterface(sim, "eth0", "10.0.1.1")
         b = EthernetInterface(sim, "eth0", "10.0.1.2")
         s.add_interface(a)
         r.add_interface(b, use_cpu=False)  # direct path
-        Link(sim, a, b, bandwidth_bps=10e6, prop_delay=0.0005)
+        Link(sim, a, b, bandwidth_bps=10e6, prop_delay=0.0005,
+             queue_limit=50)
         s.routing.add("10.0.1.0", 24, a)
         r.routing.add("10.0.1.0", 24, b)
         a.arp_cache.install(b.ip_address, b.mac)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.srr import SRR
 from repro.core.striper import MarkerPolicy
+from repro.net.atm import AtmInterface
 from repro.net.ethernet import EthernetInterface
 from repro.net.ip import IPPacket
 from repro.net.stack import Link, Stack
@@ -58,8 +59,8 @@ def striped_pair(sim, reseq=RESEQ_MARKER, queue_limit=50):
 class TestConstruction:
     def test_mtu_is_minimum_of_members(self, sim):
         s = Stack(sim, "S")
-        a = EthernetInterface(sim, "eth0", "10.0.1.1", mtu=1500)
-        b = EthernetInterface(sim, "eth1", "10.0.2.1", mtu=9000)
+        a = EthernetInterface(sim, "eth0", "10.0.1.1")  # 1500
+        b = AtmInterface(sim, "atm0", "10.0.2.1", mtu=9180)
         s.add_interface(a)
         s.add_interface(b)
         stripe = StripeInterface(

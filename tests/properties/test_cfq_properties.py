@@ -239,7 +239,7 @@ class TestComposedFQxSRR:
 
         table = FlowTable(quantum_bytes=1.0)
         fabric = FabricScheduler(
-            table, flow_buffer_packets=None, auto_register=False
+            table, flow_buffer_packets=None
         )
         for index, quantum in enumerate(quanta):
             table.register(f"q{index}", weight=float(quantum))

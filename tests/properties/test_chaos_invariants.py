@@ -361,10 +361,7 @@ def test_duplicated_markers_are_adopted_once(sim):
 def test_chaos_lifecycle_survives_permanent_death_then_revival(sim):
     """A channel dies outright; the lifecycle detector writes it off, and
     when it heals the revival path re-admits it without a session."""
-    detector = ChannelLifecycleManager(
-        sim, silence_threshold=0.1, check_interval=0.02,
-        revival_arrivals=2, min_down_time=0.05,
-    )
+    detector = ChannelLifecycleManager(sim)
     rig = ChaosRig(sim, detector=detector)
     heal_at = 1.0
     schedule = FaultSchedule(

@@ -272,7 +272,7 @@ class TestMultiFlowCrossTransportEquivalence:
 
         table = FlowTable(quantum_bytes=float(self.MESSAGE_BYTES))
         fabric = FabricScheduler(
-            table, flow_buffer_packets=None, auto_register=False
+            table, flow_buffer_packets=None
         )
         for flow_id, weight, _ in self.FLOWS:
             table.register(flow_id, weight=weight)

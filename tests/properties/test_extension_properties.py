@@ -41,7 +41,8 @@ class TestFragmentationRoundtrip:
         mtus, quanta = mtus[:n], [float(q) for q in quanta[:n]]
         ports = [ListPort() for _ in range(n)]
         striper = FragmentingStriper(
-            TransformedLoadSharer(SRR(quanta)), ports, mtus=mtus
+            TransformedLoadSharer(SRR(quanta)), ports, mtus=mtus,
+            marker_policy=None,
         )
         packets = [Packet(size=s, seq=i) for i, s in enumerate(sizes)]
         for packet in packets:
@@ -80,7 +81,7 @@ class TestFragmentationRoundtrip:
         ports = [ListPort(), ListPort()]
         striper = FragmentingStriper(
             TransformedLoadSharer(SRR([1500.0, 1500.0])), ports,
-            mtus=[mtu, 2 * mtu],
+            mtus=[mtu, 2 * mtu], marker_policy=None,
         )
         for i, size in enumerate(sizes):
             striper.submit(Packet(size=size, seq=i))

@@ -62,9 +62,7 @@ class FecRig:
         sim: Simulator,
         *,
         reliability: str,
-        k: int = 6,
-        m: int = 2,
-        group_timeout_s: float = 0.25,
+        ack_delay_s: float = PROP_DELAY,
     ) -> None:
         self.sim = sim
         self.channels = [
@@ -79,7 +77,7 @@ class FecRig:
         ]
         self.ports = [FastChannelPort(ch) for ch in self.channels]
         quanta = [float(MESSAGE_BYTES)] * N_CHANNELS
-        sender_options = {"fec": {"k": k, "m": m}}
+        sender_options = {}
         if reliability in ("reliable", "hybrid"):
             # A roomy ARQ window so the closed-loop source keeps offering
             # traffic across a crash window instead of stalling on
@@ -109,11 +107,8 @@ class FecRig:
             sim=sim,
             reliability=reliability,
             send_ack=lambda sack: sim.schedule(
-                PROP_DELAY, self.sender.on_ack, sack
+                ack_delay_s, self.sender.on_ack, sack
             ),
-            reliability_options={
-                "fec": {"k": k, "m": m, "group_timeout_s": group_timeout_s}
-            },
         )
         self.arrived: List[int] = []
         self.parity_arrived = 0
@@ -165,12 +160,10 @@ def run_rig(sim, schedule, *, reliability, seed, drain=2.0, **rig_kw):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_pure_fec_random_loss_recovers_without_retransmission(sim, seed):
-    """k=6, m=3 at 5% i.i.d. loss: in-order, duplicate-free, bit-exact
+    """k=6, m=2 at 5% i.i.d. loss: in-order, duplicate-free, bit-exact
     delivery with no ARQ in the stack at all — recovery is purely local."""
     schedule = persistent_loss_schedule(N_CHANNELS, 0.05, until=0.8)
-    rig, installed = run_rig(
-        sim, schedule, reliability="fec", seed=seed, k=6, m=3,
-    )
+    rig, installed = run_rig(sim, schedule, reliability="fec", seed=seed)
     assert installed.crash_drops > 20, "the loss regime never materialized"
     # Structurally zero retransmissions: no reliability layer is mounted.
     assert rig.sender.reliable is None
@@ -210,10 +203,7 @@ def test_pure_fec_under_burst_loss_stays_in_order(sim, seed):
     a one-channel burst across many groups, so most positions still
     recover; whatever cannot is gap-skipped without breaking order."""
     schedule = burst_loss_schedule(N_CHANNELS, 0.15, until=0.8)
-    rig, installed = run_rig(
-        sim, schedule, reliability="fec", seed=seed,
-        group_timeout_s=0.1,
-    )
+    rig, installed = run_rig(sim, schedule, reliability="fec", seed=seed)
     assert installed.burst_drops > 50
     submitted = rig.sender.messages_submitted
     delivered = rig.delivered_seqs()
@@ -296,16 +286,16 @@ def test_hybrid_never_retransmits_more_than_pure_arq(sim, seed):
 
 
 def test_hybrid_unrecoverable_groups_fall_back_to_arq(sim):
-    """Loss heavier than the parity budget (m=1 at 20%): FEC alone cannot
+    """Loss heavier than the parity budget (m=2 at 20%): FEC alone cannot
     cover every group, yet nothing is lost — the ARQ backstop retransmits
     what parity could not rebuild."""
     schedule = persistent_loss_schedule(N_CHANNELS, 0.20, until=0.8)
-    # The group timeout must beat the SACK fast-retransmit path (~2 ms
-    # round trip here) to observe groups giving up: with a longer timeout
-    # the ARQ repairs land first and every group resolves as recovered.
+    # The ARQ repairs must land after the group timeout to observe groups
+    # giving up: over a fast reverse path they land first and every group
+    # resolves as recovered, so the acks here take longer than the timeout.
     rig, _ = run_rig(
         sim, schedule, reliability="hybrid", seed=11, drain=3.0,
-        k=6, m=1, group_timeout_s=0.005,
+        ack_delay_s=0.3,
     )
     submitted = rig.sender.messages_submitted
     delivered = rig.delivered_seqs()

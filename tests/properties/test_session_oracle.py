@@ -13,19 +13,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.packet import Packet, is_marker
-from repro.core.session import ResetPacket, StripeConfig
-from repro.core.striper import ListPort, MarkerPolicy
+from repro.core.session import (
+    RESET_MAX_RETRIES,
+    RESET_RETRY_S,
+    ResetPacket,
+    StripeConfig,
+)
+from repro.core.striper import MarkerPolicy
 from repro.sim.engine import Simulator
 from repro.transport.endpoint import (
     build_receiver_recovery,
     build_sender_recovery,
 )
 from repro.transport.reliability import AckPacket
+from tests.conftest import LimitedPort
 from tests.properties.session_oracle import OracleReceiver, OracleSender
 from tests.session_rig import Loopback
 
 N_PORTS = 3
-RETRY_S = 0.25
 
 
 class OracleLoopback(Loopback):
@@ -38,7 +43,7 @@ class OracleLoopback(Loopback):
             lambda packets: [sender.submit(packet) for packet in packets],
         )
         sender = OracleSender(
-            self.sim, ports, self.config, marker_policy, RETRY_S
+            self.sim, ports, self.config, marker_policy, RESET_RETRY_S
         )
         sender.submit_packet = sender.submit
         if reliable is not None:
@@ -105,6 +110,11 @@ steps = st.lists(
         st.tuples(st.just("timeout")),
     ),
     max_size=30,
+).filter(
+    # the oracle retries a RESET forever; the session gives up after
+    # RESET_MAX_RETRIES unanswered rounds
+    lambda steps: sum(step[0] == "timeout" for step in steps)
+    <= RESET_MAX_RETRIES
 )
 
 
@@ -117,11 +127,11 @@ def test_controllers_match_the_oracle_at_every_step(reliability, steps):
             Simulator(), n_ports=N_PORTS, quanta=(100.0, 200.0, 100.0),
             marker_policy=MarkerPolicy(interval_rounds=2),
             reliability=reliability,
-            ports=[ListPort(4) for _ in range(N_PORTS)],
+            ports=[LimitedPort(4) for _ in range(N_PORTS)],
             **options,
         )
         for cls, options in (
-            (Loopback, dict(retry_timeout=RETRY_S, max_retries=10**6)),
+            (Loopback, {}),
             (OracleLoopback, {}),
         )
     ]
@@ -154,7 +164,7 @@ def test_controllers_match_the_oracle_at_every_step(reliability, steps):
                 loop.flush(drop=lost, interleave=interleave)
                 loop.lose_control = False
             else:
-                loop.sim.run(until=loop.sim.now + 1.01 * RETRY_S)
+                loop.sim.run(until=loop.sim.now + 1.01 * RESET_RETRY_S)
         if kind == "submit":
             seq += step[1]
         assert observed(real) == observed(loops[1]), step

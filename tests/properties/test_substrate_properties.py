@@ -9,27 +9,38 @@ from repro.baselines.mppp import MpppFragment, MpppReceiver
 from repro.core.packet import Packet
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
+from repro.sim.faults import FaultEvent, FaultSchedule
 
 
 class TestChannelFifoProperty:
     @given(
         sizes=st.lists(st.integers(min_value=1, max_value=2000),
                        min_size=1, max_size=80),
-        skew_seed=st.integers(min_value=0, max_value=2**16),
-        skew_scale=st.floats(min_value=0.0, max_value=0.05),
+        spikes=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=0.5),
+                st.floats(min_value=0.001, max_value=0.2),
+                st.floats(min_value=0.0, max_value=0.05),
+            ),
+            max_size=8,
+        ),
     )
     @settings(max_examples=60, deadline=None)
-    def test_fifo_under_any_skew(self, sizes, skew_seed, skew_scale):
+    def test_fifo_under_any_skew(self, sizes, spikes):
         """The channel delivers in send order with non-decreasing
-        timestamps, whatever the per-packet skew process does."""
+        timestamps, whatever schedule of delay spikes (dynamic skew) it
+        runs under."""
         sim = Simulator()
-        rng = random.Random(skew_seed)
-        channel = Channel(
-            sim, bandwidth_bps=1e6, prop_delay=0.001,
-            skew=lambda: rng.uniform(0, skew_scale),
-        )
+        channel = Channel(sim, bandwidth_bps=1e6, prop_delay=0.001)
         deliveries = []
         channel.on_deliver = lambda p: deliveries.append((p.seq, sim.now))
+        FaultSchedule([
+            FaultEvent(
+                time=start, channel=0, kind="delay_spike",
+                duration=duration, magnitude=extra,
+            )
+            for start, duration, extra in spikes
+        ]).install(sim, [channel])
         for i, size in enumerate(sizes):
             channel.send(Packet(size, seq=i))
         sim.run()

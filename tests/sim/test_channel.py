@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.packet import Packet
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
-from repro.sim.loss import BernoulliLoss, DeterministicLoss, CorruptionModel
+from repro.sim.faults import FaultEvent, FaultSchedule
+from repro.sim.loss import BernoulliLoss, DeterministicLoss
 from tests.conftest import peek_time
 
 
@@ -69,12 +70,18 @@ class TestFifo:
 
     def test_skew_preserves_fifo(self, sim):
         rng = random.Random(1)
-        channel = Channel(
-            sim, bandwidth_bps=1e6, prop_delay=0.001,
-            skew=lambda: rng.uniform(0, 0.01),
-        )
+        channel = Channel(sim, bandwidth_bps=1e6, prop_delay=0.001)
         times = []
         channel.on_deliver = lambda p: times.append((p.seq, sim.now))
+        # Delay spikes of random size come and go while the queue drains.
+        FaultSchedule([
+            FaultEvent(
+                time=0.04 * k, channel=0, kind="delay_spike",
+                duration=rng.uniform(0.005, 0.03),
+                magnitude=rng.uniform(0.0, 0.01),
+            )
+            for k in range(10)
+        ]).install(sim, [channel])
         for i in range(100):
             channel.send(Packet(500, seq=i))
         sim.run()
@@ -84,14 +91,22 @@ class TestFifo:
         assert stamps == sorted(stamps)
 
     def test_negative_skew_clamped(self, sim):
-        channel = Channel(
-            sim, bandwidth_bps=1e6, prop_delay=0.001, skew=lambda: -5.0
-        )
-        out = collect(channel)
-        channel.send(Packet(500, seq=0))
+        """A delay that falls mid-stream cannot let a packet overtake:
+        packet 0 arrives inside a 10 ms spike, packet 1 after it ends,
+        and packet 1 is held back to packet 0's instant."""
+        channel = Channel(sim, bandwidth_bps=1e6, prop_delay=0.001)
+        times = []
+        channel.on_deliver = lambda p: times.append((p.seq, sim.now))
+        FaultSchedule([
+            FaultEvent(
+                time=0.0, channel=0, kind="delay_spike", duration=0.006,
+                magnitude=0.01,
+            )
+        ]).install(sim, [channel])
+        channel.send(Packet(500, seq=0))  # at the injector at 0.005
+        channel.send(Packet(500, seq=1))  # at the injector at 0.009
         sim.run()
-        assert len(out) == 1
-        assert sim.now >= 0.001
+        assert times == [(0, pytest.approx(0.015)), (1, pytest.approx(0.015))]
 
 
 class TestQueueing:
@@ -163,16 +178,21 @@ class TestLossAndCorruption:
         assert 0.25 < rate < 0.35
 
     def test_corruption_drops_and_counts(self, sim):
-        channel = Channel(
-            sim, bandwidth_bps=1e9, prop_delay=0.0,
-            corruption=CorruptionModel(1e-3, rng=random.Random(7)),
-        )
+        """A corrupted frame fails its CRC at the receiver: dropped there,
+        and counted (corruption is injected by a ``corrupt`` fault)."""
+        channel = Channel(sim, bandwidth_bps=1e9, prop_delay=0.0)
         out = collect(channel)
+        installed = FaultSchedule([
+            FaultEvent(
+                time=0.0, channel=0, kind="corrupt", duration=1.0,
+                magnitude=0.2,
+            )
+        ]).install(sim, [channel], seed=7)
         for i in range(200):
             channel.send(Packet(1000, seq=i))
         sim.run()
-        assert channel.stats.corrupted_packets > 0
-        assert len(out) + channel.stats.corrupted_packets == 200
+        assert installed.corrupt_drops > 0
+        assert len(out) + installed.corrupt_drops == 200
 
     def test_losses_occupy_bandwidth(self, sim):
         """A lost packet still consumed transmission time (it was sent)."""
@@ -428,24 +448,12 @@ class EventChannel(Channel):
     def _tx_done(self, packet, size):
         index = self._offered_index
         self._offered_index += 1
-        lost = self.loss_model.should_drop(index, size)
-        corrupted = (
-            not lost
-            and self.corruption is not None
-            and self.corruption.is_corrupted(size)
-        )
-        if lost:
+        if self.loss_model.should_drop(index, size):
             self.stats.lost_packets += 1
             if self.on_drop is not None:
                 self.on_drop(packet, "loss")
-        elif corrupted:
-            self.stats.corrupted_packets += 1
-            if self.on_drop is not None:
-                self.on_drop(packet, "corruption")
         else:
             arrival = self.sim.now + self.prop_delay
-            if self.skew is not None:
-                arrival += max(0.0, self.skew())
             if arrival < self._last_arrival:
                 arrival = self._last_arrival
             self._last_arrival = arrival
@@ -457,7 +465,7 @@ class EventChannel(Channel):
             self.on_space()
 
 
-_MODELS = ("bernoulli", "deterministic", "skew", "corruption")
+_MODELS = ("bernoulli", "deterministic")
 
 _lossy_ops = st.lists(
     st.one_of(
@@ -469,6 +477,7 @@ _lossy_ops = st.lists(
         st.tuples(st.just("pause")),
         st.tuples(st.just("resume")),
         st.tuples(st.just("lossless")),
+        st.tuples(st.just("delay"), st.sampled_from([0.0, 0.001, 0.003])),
         st.tuples(st.just("advance"), st.sampled_from([1e-4, 1e-3, 0.02])),
     ),
     max_size=60,
@@ -490,26 +499,20 @@ class TestSlotFreePerPacketPipeline:
     ):
         """Deliveries, drops, ``on_space`` calls and every executed
         event's ``(time, seq)`` match the ``schedule_at`` twin, through
-        pauses, forced sends, bursts and a mid-run drop of the loss rate
-        to zero (after which a fast channel may switch to trains)."""
+        pauses, forced sends, bursts, delay changes and a mid-run drop of
+        the loss rate to zero (after which a fast channel may switch to
+        trains)."""
 
         def play(cls):
             sim = Simulator()
             rng = random.Random(seed)
-            loss = corruption = skew = None
             if model == "bernoulli":
                 loss = BernoulliLoss(0.3, rng=rng)
-            elif model == "deterministic":
-                loss = DeterministicLoss(range(0, 200, 3))
-            elif model == "skew":
-                loss = BernoulliLoss(0.2, rng=random.Random(seed + 1))
-                skew = lambda: rng.uniform(-1e-3, 4e-3)  # noqa: E731
             else:
-                corruption = CorruptionModel(2e-4, rng=rng)
+                loss = DeterministicLoss(range(0, 200, 3))
             channel = cls(
                 sim, bandwidth_bps=1e6, prop_delay=0.003, fast=fast,
                 queue_limit=queue_limit, loss_model=loss,
-                corruption=corruption, skew=skew,
             )
             log = []
             sent = [0]
@@ -555,10 +558,11 @@ class TestSlotFreePerPacketPipeline:
                 elif op[0] == "lossless":
                     if model == "deterministic":
                         channel.loss_model.indices.clear()
-                    elif model == "corruption":
-                        channel.corruption.ber = 0.0
                     else:
                         channel.loss_model.p = 0.0
+                elif op[0] == "delay":
+                    # a delay that rises or falls mid-run (arrivals clamp)
+                    channel.prop_delay = op[1]
                 else:
                     getattr(channel, op[0])()
                 log.append((sim.now, "state", channel.queue_length,

@@ -12,6 +12,7 @@ from repro.sim.faults import (
     CONTROL_SIZE_MAX,
     EXACTLY_ONCE_KINDS,
     FAULT_KINDS,
+    FAULT_START_S,
     FaultEvent,
     FaultPlan,
     FaultSchedule,
@@ -308,20 +309,18 @@ class TestBurstLoss:
 
         channel = make_channel(sim)
         delivered = []
-        receiver = FecReceiver(
-            delivered.append, k=3, m=1, sim=sim, group_timeout_s=0.05
-        )
+        receiver = FecReceiver(delivered.append, sim)
         channel.on_deliver = receiver.on_packet
         def send(packets):
             for packet in packets:
                 channel.send(packet, force=True)
 
-        sender = FecSender(send, send, k=3, m=1, sim=sim)
-        # Group 0 (fseq 0-2 + parity, all sent by t=0.002) transmits
-        # inside the burst window; group 1 starts at t=0.003, outside it.
-        schedule = burst_loss_schedule(1, 1.0, until=0.0025)
+        sender = FecSender(send, send, sim)
+        # Group 0 (fseq 0-5 + parity, all sent by t=0.005) transmits
+        # inside the burst window; group 1 starts at t=0.006, outside it.
+        schedule = burst_loss_schedule(1, 1.0, until=0.0055)
         installed = schedule.install(sim, [channel])
-        for i in range(9):
+        for i in range(18):
             sim.schedule_at(
                 i * 0.001,
                 lambda seq=i: sender.submit(
@@ -329,9 +328,9 @@ class TestBurstLoss:
                 ),
             )
         sim.run()
-        assert installed.burst_drops == 4, "burst missed part of the group"
-        assert [p.seq for p in delivered] == list(range(3, 9))
-        assert receiver.stats.skipped == 3
+        assert installed.burst_drops == 8, "burst missed part of the group"
+        assert [p.seq for p in delivered] == list(range(6, 18))
+        assert receiver.stats.skipped == 6
         assert receiver.stats.reconstructed == 0
 
     def test_burst_loss_schedule_validation(self):
@@ -382,12 +381,12 @@ class TestSchedule:
         assert plan.schedule(43).events != a.events
 
     def test_plan_respects_cease_by(self):
-        plan = FaultPlan(n_channels=4, cease_by=0.7, start_after=0.1)
+        plan = FaultPlan(n_channels=4, cease_by=0.7)
         for seed in range(50):
             schedule = plan.schedule(seed)
             assert len(schedule) >= 1
             for event in schedule:
-                assert event.time >= 0.1
+                assert event.time >= FAULT_START_S
                 assert event.end <= 0.7 + 1e-9
                 assert event.channel < 4
 

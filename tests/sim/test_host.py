@@ -34,13 +34,10 @@ def enqueue_many(nic: NicQueue, packets: List[Any]) -> int:
     return accepted
 
 
-def make_cpu(sim, **kwargs):
+def make_cpu(sim, per_packet_cost=0.0, per_interrupt_cost=0.0, max_batch=None):
     processed = []
-    cpu = HostCPU(
-        sim,
-        on_packet=lambda p, nic: processed.append((nic, p.seq)),
-        **kwargs,
-    )
+    cpu = HostCPU(sim, per_packet_cost, per_interrupt_cost, max_batch)
+    cpu.on_packet = lambda p, nic: processed.append((nic, p.seq))
     return cpu, processed
 
 
@@ -112,7 +109,7 @@ class TestCoalescing:
 
     def test_invalid_max_batch(self, sim):
         with pytest.raises(ValueError):
-            HostCPU(sim, max_batch=0)
+            HostCPU(sim, 0.0, 0.0, max_batch=0)
 
 
 class TestRingLimits:
@@ -120,7 +117,8 @@ class TestRingLimits:
         cpu, processed = make_cpu(
             sim, per_packet_cost=1.0  # very slow CPU
         )
-        nic = cpu.new_nic("eth0", queue_limit=3)
+        nic = cpu.new_nic("eth0")
+        nic.queue_limit = 3
         accepted = [nic.enqueue(Packet(100, seq=i)) for i in range(10)]
         # First enqueue posts the interrupt and is drained immediately at
         # service start; subsequent ones queue up to the limit.
@@ -139,7 +137,7 @@ class TestRingLimits:
 
     def test_negative_costs_rejected(self, sim):
         with pytest.raises(ValueError):
-            HostCPU(sim, per_packet_cost=-1)
+            HostCPU(sim, -1, 0.0, None)
 
 
 class TestEnqueueMany:
@@ -156,7 +154,8 @@ class TestEnqueueMany:
 
     def test_ring_limit_drops_overflow(self, sim):
         cpu, processed = make_cpu(sim, per_packet_cost=0.001)
-        nic = cpu.new_nic("eth0", queue_limit=3)
+        nic = cpu.new_nic("eth0")
+        nic.queue_limit = 3
         accepted = enqueue_many(nic, [Packet(100, seq=i) for i in range(8)])
         assert accepted == 3
         assert nic.drops == 5

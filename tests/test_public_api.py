@@ -28,7 +28,7 @@ SURFACE = {
     "repro.sim": [
         "Simulator", "Event", "Channel", "ChannelStats",
         "NoLoss", "BernoulliLoss", "GilbertElliottLoss",
-        "DeterministicLoss", "CorruptionModel",
+        "DeterministicLoss",
         "HostCPU", "NicQueue", "Tracer",
     ],
     "repro.net": [

@@ -40,8 +40,11 @@ def build_duplex(sim, link_mbps=(10.0, 10.0), buffer_packets=16,
     a, b, links, a_targets, b_targets = duplex_hosts(
         sim, link_mbps=link_mbps,
         loss_ab=[gated(data_loss[0], 100 + index) for index in range(2)],
-        loss_ba=[gated(data_loss[1], 200 + index) for index in range(2)],
     )
+    for index, link in enumerate(links):  # the B->A direction
+        loss = gated(data_loss[1], 200 + index)
+        if loss is not None:
+            link.ba.loss_model = loss
     end_a, end_b = connect_duplex(
         sim, a, b, a_targets, b_targets,
         algorithm_factory=lambda: SRR([float(message_bytes)] * 2),

@@ -34,11 +34,11 @@ from repro.transport.endpoint import (
     receiver_mode_for,
     resolve_discipline,
 )
-from tests.conftest import peek_time
+from tests.conftest import LimitedPort, peek_time
 
 
 def make_ports(n, limit=None):
-    return [ListPort(limit) for _ in range(n)]
+    return [LimitedPort(limit) for _ in range(n)]
 
 
 class BurstPort(ListPort):
@@ -414,14 +414,14 @@ class TestReceiverPipeline:
         )
         seen = []
         pipeline.credit_sink = lambda ch, credit: seen.append((ch, credit))
-        pipeline.push_wire(0, wire)
+        pipeline.push(0, wire)
         assert seen == [(0, 3)]
         assert pipeline.marker_decode_errors == 0
 
     def test_push_wire_counts_and_drops_malformed_frames(self):
         pipeline = StripeReceiverPipeline(2, SRR([100.0, 100.0]))
         for blob in (b"", b"\x00" * 31, b"\xff" * 32, b"\x00" * 40):
-            assert pipeline.push_wire(0, blob) == []
+            assert pipeline.push(0, blob) == []
         assert pipeline.marker_decode_errors == 4
         assert pipeline.resequencer.stats.markers_received == 0
 
@@ -442,9 +442,7 @@ class TestReceiverPipeline:
 
 class TestFailureDetectorPipeline:
     def test_plain_pipeline_survives_dead_channel(self, sim):
-        detector = ChannelFailureDetector(
-            sim, silence_threshold=0.05, check_interval=0.01
-        )
+        detector = ChannelFailureDetector(sim, silence_threshold=0.05)
         pipeline = StripeReceiverPipeline(
             2, SRR([100.0, 100.0]), mode="plain", failure_detector=detector
         )
@@ -473,9 +471,7 @@ class TestFailureDetectorPipeline:
         assert pipeline.resequencer.assumed_lost > 0
 
     def test_striped_socket_plain_path_survives_dead_channel(self, sim):
-        detector = ChannelFailureDetector(
-            sim, silence_threshold=0.1, check_interval=0.02
-        )
+        detector = ChannelFailureDetector(sim, silence_threshold=0.1)
         config = SocketTestbedConfig(
             mode="plain", failure_detector=detector, message_bytes=1000
         )
@@ -492,9 +488,7 @@ class TestFailureDetectorPipeline:
         assert testbed.receiver.resequencer.assumed_lost > 0
 
     def test_striped_tcp_path_survives_dead_connection(self, sim):
-        detector = ChannelFailureDetector(
-            sim, silence_threshold=0.15, check_interval=0.02
-        )
+        detector = ChannelFailureDetector(sim, silence_threshold=0.15)
         sender, receiver, links = build_tcp_striped(
             sim, failure_detector=detector
         )
@@ -741,9 +735,7 @@ class TestDetectorBounds:
             marker_policy=MarkerPolicy(interval_rounds=1),
             sim=sim, marker_keepalive_s=0.05,
         )
-        detector = ChannelFailureDetector(
-            sim, silence_threshold=0.15, check_interval=0.02
-        )
+        detector = ChannelFailureDetector(sim, silence_threshold=0.15)
         receiver = StripeReceiverPipeline(
             2, SRR([500.0, 500.0]), mode="marker",
             failure_detector=detector, sim=sim,

@@ -54,7 +54,7 @@ def logarithmic_tenant_weights(
 class TestFlowTable:
     def test_weight_resolution_explicit_beats_tenant_beats_default(self):
         table = FlowTable(
-            tenant_weights={"gold": 4.0}, default_weight=1.0,
+            tenant_weights={"gold": 4.0},
             quantum_bytes=100.0,
         )
         assert table.register("a", weight=9.0, tenant="gold").weight == 9.0
@@ -125,11 +125,6 @@ class TestFabricScheduler:
         assert flow.submitted_packets == flow.serviced_packets == 1
         assert fabric.stats.packets_scheduled == 1
         assert fabric.stats.bytes_scheduled == 100
-
-    def test_auto_register_off_raises(self):
-        _, fabric, _ = self.drain_setup(auto_register=False)
-        with pytest.raises(KeyError):
-            fabric.submit("ghost", pkt())
 
     def test_per_flow_backpressure_is_isolated(self):
         table, fabric, out = self.drain_setup(flow_buffer_packets=2)
@@ -339,7 +334,7 @@ class TestBatchedDrainMatchesPerPacket:
         weights, ops = script
         table = FlowTable(quantum_bytes=100.0)
         fabric = FabricScheduler(
-            table, flow_buffer_packets=None, auto_register=False
+            table, flow_buffer_packets=None
         )
         names = [f"f{i}" for i in range(len(weights))]
         for name, weight in zip(names, weights):
@@ -401,7 +396,7 @@ class TestBatchedDrainMatchesPerPacket:
         names = [f"f{i}" for i in range(len(weights))]
         table = FlowTable(quantum_bytes=200.0)
         fabric = FabricScheduler(
-            table, flow_buffer_packets=None, auto_register=False
+            table, flow_buffer_packets=None
         )
         reference = PerPacketDRR(
             {n: 200.0 * w for n, w in zip(names, weights)}

@@ -37,9 +37,9 @@ class _Tap:
         self.parity.extend(parity)
 
 
-def make_sender(sim=None, **kw):
+def make_sender(sim):
     tap = _Tap()
-    sender = FecSender(tap.submit, tap.stripe_parity, sim=sim, **kw)
+    sender = FecSender(tap.submit, tap.stripe_parity, sim)
     return sender, tap
 
 
@@ -77,11 +77,11 @@ def test_empty_payload_is_not_no_payload():
     assert packet_from_shard(shard_for(absent), fseq=0).payload is None
 
 
-def test_reconstruction_keeps_empty_and_absent_payloads():
-    sender, receiver, delivered = _wire(drop={0, 2}, k=3, m=2)
-    for seq, payload in enumerate([b"", b"x", None]):
+def test_reconstruction_keeps_empty_and_absent_payloads(sim):
+    sender, receiver, delivered = _wire(sim, drop={0, 2})
+    for seq, payload in enumerate([b"", b"x", None, b"y", b"z", b"w"]):
         sender.submit([_packet(seq, payload=payload)])
-    assert [p.seq for p in delivered] == [0, 1, 2]
+    assert [p.seq for p in delivered] == list(range(6))
     assert delivered[0].synthesized and delivered[0].payload == b""
     assert delivered[2].synthesized and delivered[2].payload is None
 
@@ -95,23 +95,23 @@ def test_non_bytes_payload_rejected():
 # sender: group sealing
 
 
-def test_sender_seals_on_count_and_stripes_parity():
-    sender, tap = make_sender(k=3, m=2)
-    for i in range(6):
+def test_sender_seals_on_count_and_stripes_parity(sim):
+    sender, tap = make_sender(sim)
+    for i in range(12):
         sender.submit([_packet(i)])
-    assert [p.fseq for p in tap.packets] == list(range(6))
+    assert [p.fseq for p in tap.packets] == list(range(12))
     assert len(tap.parity) == 4  # two groups x two parity shards
     assert all(p.codepoint == Codepoint.PARITY for p in tap.parity)
-    assert [p.group for p in tap.parity] == [0, 0, 3, 3]
+    assert [p.group for p in tap.parity] == [0, 0, 6, 6]
     assert [p.index for p in tap.parity] == [0, 1, 0, 1]
-    assert all(p.members == 3 and p.nparity == 2 for p in tap.parity)
+    assert all(p.members == 6 and p.nparity == 2 for p in tap.parity)
     assert sender.stats.count_sealed == 2
     assert sender.stats.timeout_sealed == 0
 
 
-def test_sender_downstream_called_before_absorb():
+def test_sender_downstream_called_before_absorb(sim):
     """Hybrid contract: the shard must capture the downstream-stamped rseq."""
-    sender, tap = make_sender(k=2, m=1)
+    sender, tap = make_sender(sim)
 
     def stamping_downstream(packets):
         for packet in packets:
@@ -119,29 +119,32 @@ def test_sender_downstream_called_before_absorb():
         tap.submit(packets)
 
     sender._downstream = stamping_downstream
-    sender.submit([_packet(0)])
-    sender.submit([_packet(1)])
-    (parity,) = tap.parity
-    # XOR of the two shards must reflect the stamped rseqs: rebuild shard 0
-    # from parity + shard 1 and check its rseq survived.
-    shard1 = shard_for(tap.packets[1])
-    shard0 = bytes(a ^ b for a, b in zip(parity.payload, shard1))
-    assert packet_from_shard(shard0, fseq=0).rseq == 1000
+    for seq in range(6):
+        sender.submit([_packet(seq)])
+    # The parity must reflect the stamped rseqs: rebuild packet 0 from
+    # the parity and the other five and check its rseq survived.
+    delivered = []
+    receiver = FecReceiver(delivered.append, sim, ordered=False)
+    for packet in tap.packets[1:] + tap.parity:
+        receiver.on_packet(packet)
+    (rebuilt,) = [packet for packet in delivered if packet.synthesized]
+    assert rebuilt.seq == 0
+    assert rebuilt.rseq == 1000
 
 
 def test_sender_seal_timeout_closes_partial_group(sim):
-    sender, tap = make_sender(sim=sim, k=4, m=1, seal_timeout_s=0.01)
+    sender, tap = make_sender(sim)
     sender.submit([_packet(0)])
     sender.submit([_packet(1)])
     assert not tap.parity
     sim.run(until=0.02)
-    assert len(tap.parity) == 1
+    assert len(tap.parity) == 2
     assert tap.parity[0].members == 2
     assert sender.stats.timeout_sealed == 1
 
 
-def test_sender_flush_seals_immediately():
-    sender, tap = make_sender(k=4, m=2)
+def test_sender_flush_seals_immediately(sim):
+    sender, tap = make_sender(sim)
     sender.submit([_packet(0)])
     sender.flush()
     assert len(tap.parity) == 2
@@ -150,15 +153,15 @@ def test_sender_flush_seals_immediately():
     assert len(tap.parity) == 2
 
 
-def test_sender_submit_many_batches_downstream():
+def test_sender_submit_many_batches_downstream(sim):
     """A burst goes downstream as one batch, then seals its groups."""
     batches = []
-    sender, tap = make_sender(k=3, m=1)
+    sender, tap = make_sender(sim)
     sender._downstream = lambda ps: batches.append(list(ps))
-    sender.submit([_packet(i) for i in range(3)])
-    assert len(batches) == 1 and len(batches[0]) == 3
-    assert [p.fseq for p in batches[0]] == [0, 1, 2]
-    assert len(tap.parity) == 1
+    sender.submit([_packet(i) for i in range(6)])
+    assert len(batches) == 1 and len(batches[0]) == 6
+    assert [p.fseq for p in batches[0]] == list(range(6))
+    assert len(tap.parity) == 2
 
 
 def test_parity_packet_size_accounts_header():
@@ -174,27 +177,27 @@ def test_parity_packet_size_accounts_header():
 # receiver: reconstruction
 
 
-def _wire(sim=None, *, drop=(), k=3, m=2, **kw):
+def _wire(sim, *, drop=(), **kw):
     """Sender and receiver glued by an in-order lossy wire."""
     delivered = []
-    receiver = FecReceiver(delivered.append, k=k, m=m, sim=sim, **kw)
+    receiver = FecReceiver(delivered.append, sim, **kw)
 
     def wire(packets):
         for packet in packets:
             if getattr(packet, "fseq", None) not in drop:
                 receiver.on_packet(packet)
 
-    sender = FecSender(wire, wire, sim=sim, k=k, m=m)
+    sender = FecSender(wire, wire, sim)
     return sender, receiver, delivered
 
 
-def test_receiver_reconstructs_dropped_members_in_order():
-    sender, receiver, delivered = _wire(drop={1, 5})
-    originals = [_packet(i, payload=bytes([i]) * (10 + i)) for i in range(9)]
+def test_receiver_reconstructs_dropped_members_in_order(sim):
+    sender, receiver, delivered = _wire(sim, drop={1, 8})
+    originals = [_packet(i, payload=bytes([i]) * (10 + i)) for i in range(18)]
     for packet in originals:
         sender.submit([packet])
-    assert [p.seq for p in delivered] == list(range(9))
-    for seq in (1, 5):
+    assert [p.seq for p in delivered] == list(range(18))
+    for seq in (1, 8):
         rebuilt = delivered[seq]
         assert rebuilt.synthesized
         assert rebuilt.payload == originals[seq].payload
@@ -206,28 +209,27 @@ def test_receiver_reconstructs_dropped_members_in_order():
     assert not receiver._shards and not receiver._base_of
 
 
-def test_receiver_unordered_mode_passes_through_and_fills_holes():
+def test_receiver_unordered_mode_passes_through_and_fills_holes(sim):
     delivered = []
-    receiver = FecReceiver(delivered.append, k=2, m=1, ordered=False)
+    receiver = FecReceiver(delivered.append, sim, ordered=False)
     sender = FecSender(
         lambda ps: [receiver.on_packet(p) for p in ps if p.fseq != 0],
         lambda ps: [receiver.on_packet(p) for p in ps],
-        k=2, m=1,
+        sim,
     )
-    sender.submit([_packet(0)])
-    sender.submit([_packet(1)])
-    # Hybrid ordering is ARQ's job: the survivor arrives first, the
+    for seq in range(6):
+        sender.submit([_packet(seq)])
+    # Hybrid ordering is ARQ's job: the survivors arrive first, the
     # reconstruction after parity.
-    assert [p.seq for p in delivered] == [1, 0]
-    assert delivered[1].synthesized
+    assert [p.seq for p in delivered] == [1, 2, 3, 4, 5, 0]
+    assert delivered[5].synthesized
 
 
-def test_receiver_duplicate_data_counted_once():
+def test_receiver_duplicate_data_counted_once(sim):
     delivered = []
-    receiver = FecReceiver(delivered.append, k=2, m=1)
+    receiver = FecReceiver(delivered.append, sim)
     sender = FecSender(
-        lambda ps: [receiver.on_packet(p) for p in ps], lambda ps: None,
-        k=2, m=1,
+        lambda ps: [receiver.on_packet(p) for p in ps], lambda ps: None, sim,
     )
     packet = _packet(0)
     sender.submit([packet])
@@ -236,41 +238,38 @@ def test_receiver_duplicate_data_counted_once():
     assert len(delivered) == 1
 
 
-def test_receiver_late_parity_after_resolve_is_noop():
-    sender, receiver, delivered = _wire(k=2, m=2)
+def test_receiver_late_parity_after_resolve_is_noop(sim):
+    sender, receiver, delivered = _wire(sim)
     held = []
     sender._stripe_parity = lambda ps: held.extend(ps)
-    sender.submit([_packet(0)])
-    sender.submit([_packet(1)])
+    for seq in range(6):
+        sender.submit([_packet(seq)])
     receiver.on_packet(held[0])  # group complete -> resolves
     assert receiver.stats.groups_resolved == 1
     receiver.on_packet(held[1])  # sibling of a settled group
     assert receiver.stats.groups_resolved == 1
-    assert len(delivered) == 2
+    assert len(delivered) == 6
 
 
 def test_receiver_group_timeout_gives_up_and_skips(sim):
     """Losses beyond m: the group times out, the gap-skip timer advances
     past the dead positions, and later traffic keeps flowing."""
-    sender, receiver, delivered = _wire(
-        sim=sim, drop={0, 1}, k=3, m=1, group_timeout_s=0.05,
-    )
-    for i in range(6):
+    sender, receiver, delivered = _wire(sim, drop={0, 1, 2})
+    for i in range(12):
         sender.submit([_packet(i)])
     sim.run(until=1.0)
-    assert [p.seq for p in delivered] == [2, 3, 4, 5]
+    assert [p.seq for p in delivered] == list(range(3, 12))
     assert receiver.stats.unrecoverable_groups == 1
-    assert receiver.stats.skipped == 2
+    assert receiver.stats.skipped == 3
 
 
 def test_receiver_escalates_after_consecutive_failures(sim):
     escalations = []
     sender, receiver, delivered = _wire(
-        sim=sim, drop={0, 1, 3, 4, 6, 7}, k=3, m=1,
-        group_timeout_s=0.05, escalate_after=3,
+        sim, drop={0, 1, 2, 6, 7, 8, 12, 13, 14},
         on_escalate=escalations.append,
     )
-    for i in range(9):
+    for i in range(18):
         sender.submit([_packet(i)])
     sim.run(until=1.0)
     assert receiver.stats.unrecoverable_groups == 3
@@ -283,14 +282,16 @@ def test_receiver_escalates_after_consecutive_failures(sim):
 def test_receiver_recovered_group_resets_failure_streak(sim):
     escalations = []
     sender, receiver, delivered = _wire(
-        sim=sim, drop={0, 1}, k=3, m=1,
-        group_timeout_s=0.05, escalate_after=2,
+        sim, drop={0, 1, 2, 6, 7, 8, 18, 19, 20},
         on_escalate=escalations.append,
     )
-    for i in range(9):
-        sender.submit([_packet(i)])  # group 0 fails; groups 1, 2 clean
-    sim.run(until=1.0)
-    assert receiver.stats.unrecoverable_groups == 1
+    for i in range(12):  # groups 0 and 1 fail at their timeout ...
+        sender.submit([_packet(i)])
+    sim.run(until=0.5)
+    for i in range(12, 24):  # ... then group 2 is clean and group 3 fails
+        sender.submit([_packet(i)])
+    sim.run(until=1.5)
+    assert receiver.stats.unrecoverable_groups == 3
     assert not escalations
 
 
@@ -299,7 +300,7 @@ def test_receiver_recovered_group_resets_failure_streak(sim):
 
 
 def test_pool_refuses_synthesized_packets():
-    pool = PacketPool(max_size=4)
+    pool = PacketPool()
     original = pool.acquire(size=100, seq=0, payload=b"data")
     rebuilt = packet_from_shard(shard_for(original), fseq=0)
     assert rebuilt.synthesized
@@ -323,14 +324,14 @@ class TestTransportInheritance:
 
     The adapters (socket / fast / session / tcp / duplex) all delegate
     reliability mounting to the endpoint pipelines; these smokes pin the
-    harness plumbing — fec options forwarded, hybrid's ack path wired —
-    on the two paths the harness builds directly.
+    harness plumbing — reliability options forwarded, hybrid's ack path
+    wired — on the two paths the harness builds directly.
     """
 
     def _config(self, mode, fast, loss):
         from repro.experiments.socket_harness import SocketTestbedConfig
 
-        options = {"sender": {"fec": {"k": 4, "m": 2}}}
+        options = {"sender": {}}
         if mode == "hybrid":
             options["sender"]["window_packets"] = 128
         return SocketTestbedConfig(
@@ -340,10 +341,7 @@ class TestTransportInheritance:
             loss_rates=(loss,),
             message_bytes=1000,
             reliability=mode,
-            reliability_options={
-                **options,
-                "receiver": {"fec": {"k": 4, "m": 2}},
-            },
+            reliability_options=options,
             fast=fast,
             seed=5,
         )

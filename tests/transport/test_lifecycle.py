@@ -13,11 +13,22 @@ from typing import Any, List, Optional
 
 import pytest
 
+from repro.core.markers import encode_marker
+from repro.core.packet import MarkerPacket
 from repro.core.session import ChannelProber, ProbeAckPacket, StripeConfig
+from repro.core.srr import SRR
+from repro.core.stabilize import (
+    FLAP_PENALTY_S,
+    MAX_PROBE_INTERVAL_S,
+    MAX_PROBES,
+    PROBE_INTERVAL_S,
+)
 from repro.experiments.fault_tolerance import build_session_testbed
+from repro.transport.health import MAX_DOWN_TIME_S, MIN_DOWN_TIME_S
 from repro.transport.endpoint import (
     ChannelLifecycleManager,
     SenderHealthMonitor,
+    StripeReceiverPipeline,
 )
 
 
@@ -30,15 +41,8 @@ def feed(sim, detector, channel, start, stop, interval=0.02):
 
 
 class TestChannelLifecycleManager:
-    def make(self, sim, **kwargs):
-        defaults = dict(
-            silence_threshold=0.1,
-            check_interval=0.02,
-            revival_arrivals=3,
-            min_down_time=0.1,
-        )
-        defaults.update(kwargs)
-        mgr = ChannelLifecycleManager(sim, **defaults)
+    def make(self, sim):
+        mgr = ChannelLifecycleManager(sim)
         self.failures: List[int] = []
         self.revivals: List[int] = []
         mgr.bind(2, self.failures.append, on_revival=self.revivals.append)
@@ -52,7 +56,7 @@ class TestChannelLifecycleManager:
         sim.run(until=0.45)
         assert mgr.state[1] == mgr.FAILED
         assert self.failures == [1]
-        sim.run(until=0.52)
+        sim.run(until=0.51)
         # Life signs move it to probing before the threshold is met.
         assert mgr.state[1] == mgr.PROBING
         sim.run(until=1.0)
@@ -62,11 +66,11 @@ class TestChannelLifecycleManager:
         assert mgr.state[0] == mgr.ACTIVE
 
     def test_hold_down_delays_revival(self, sim):
-        mgr = self.make(sim, min_down_time=0.6)
+        mgr = self.make(sim)
         feed(sim, mgr, 0, 0.0, 1.5)
-        feed(sim, mgr, 1, 0.0, 0.2)
-        feed(sim, mgr, 1, 0.4, 1.5)
-        sim.run(until=0.6)
+        feed(sim, mgr, 1, 0.0, 0.2)  # fails at 0.35: hold-down to 0.45
+        feed(sim, mgr, 1, 0.38, 1.5)
+        sim.run(until=0.445)
         # Plenty of life signs, but the hold-down has not elapsed.
         assert mgr.state[1] == mgr.PROBING
         assert self.revivals == []
@@ -74,7 +78,7 @@ class TestChannelLifecycleManager:
         assert mgr.state[1] == mgr.REVIVED
 
     def test_flap_doubles_hold_down(self, sim):
-        mgr = self.make(sim, flap_window=2.0, flap_factor=2.0)
+        mgr = self.make(sim)
         feed(sim, mgr, 0, 0.0, 2.0)
         feed(sim, mgr, 1, 0.0, 0.2)
         feed(sim, mgr, 1, 0.5, 0.7)  # revive...
@@ -83,33 +87,33 @@ class TestChannelLifecycleManager:
         sim.run(until=1.1)
         assert self.failures == [1, 1]
         assert mgr.flap_counts[1] == 1
-        assert mgr._hold_down[1] == pytest.approx(0.2)
+        assert mgr._hold_down[1] == pytest.approx(2 * MIN_DOWN_TIME_S)
         sim.run(until=2.0)
         assert self.revivals == [1, 1]
 
     def test_flap_hold_down_is_capped(self, sim):
-        mgr = self.make(sim, min_down_time=0.4, max_down_time=1.0)
+        mgr = self.make(sim)
         sim.run(until=0.01)
         mgr._revived_at[1] = sim.now
-        for _ in range(5):
+        for _ in range(10):
             mgr._note_failure(1)
-        assert mgr._hold_down[1] == pytest.approx(1.0)
+        assert mgr._hold_down[1] == pytest.approx(MAX_DOWN_TIME_S)
 
     def test_stable_failure_resets_hold_down(self, sim):
-        mgr = self.make(sim, flap_window=0.5)
-        feed(sim, mgr, 0, 0.0, 3.0)
+        mgr = self.make(sim)
+        feed(sim, mgr, 0, 0.0, 4.0)
         feed(sim, mgr, 1, 0.0, 0.2)
-        feed(sim, mgr, 1, 0.5, 1.5)  # revives, then stays up a while
+        feed(sim, mgr, 1, 0.5, 3.0)  # revives, then stays up a while
         sim.run(until=1.0)
         assert mgr.state[1] == mgr.REVIVED
         # The second death comes well outside the flap window: no damping.
-        sim.run(until=2.0)
+        sim.run(until=3.5)
         assert self.failures == [1, 1]
         assert mgr.flap_counts[1] == 0
-        assert mgr._hold_down[1] == pytest.approx(mgr.min_down_time)
+        assert mgr._hold_down[1] == pytest.approx(MIN_DOWN_TIME_S)
 
     def test_note_probe_gates_on_threshold_and_hold_down(self, sim):
-        mgr = self.make(sim, revival_arrivals=2, min_down_time=0.1)
+        mgr = self.make(sim)
         feed(sim, mgr, 0, 0.0, 1.0)
         feed(sim, mgr, 1, 0.0, 0.2)
         sim.run(until=0.45)
@@ -148,6 +152,34 @@ class TestChannelLifecycleManager:
         assert self.failures == [1, 1]
 
 
+def test_one_wire_frame_is_one_life_sign(sim):
+    """Regression: an encoded marker frame pushed into a receiver pipeline
+    is one physical arrival.  It used to be noted twice (once before the
+    decode, once more on the decoded marker), so a single frame met the
+    revival threshold of 2 on its own."""
+    mgr = ChannelLifecycleManager(sim)
+    pipeline = StripeReceiverPipeline(
+        2, SRR([100.0, 100.0]), failure_detector=mgr, sim=sim
+    )
+    feed(sim, mgr, 0, 0.0, 1.0)
+    feed(sim, mgr, 1, 0.0, 0.2)
+    sim.run(until=0.6)  # failed at 0.35, hold-down long elapsed
+    assert mgr.state[1] == mgr.FAILED
+
+    def frame():
+        return encode_marker(
+            MarkerPacket(channel=1, round_number=1, deficit=100.0)
+        )
+
+    pipeline.push(1, frame())
+    assert mgr.state[1] == mgr.PROBING
+    assert mgr._life_seen[1] == 1
+    assert mgr.revivals_reported == []
+    pipeline.push(1, frame())
+    assert mgr.state[1] == mgr.REVIVED
+    assert mgr.revivals_reported == [1]
+
+
 class _StallPort:
     """A port whose queue/acceptance the test scripts directly."""
 
@@ -160,10 +192,8 @@ class _StallPort:
 
 
 class TestSenderHealthMonitor:
-    def make(self, sim, n=2, backlog=1, **kwargs):
-        defaults = dict(stall_timeout=0.1, check_interval=0.02)
-        defaults.update(kwargs)
-        monitor = SenderHealthMonitor(sim, **defaults)
+    def make(self, sim, n=2, backlog=1):
+        monitor = SenderHealthMonitor(sim)
         self.ports = [_StallPort() for _ in range(n)]
         self.stalls: List[int] = []
         monitor.bind(
@@ -175,7 +205,7 @@ class TestSenderHealthMonitor:
         monitor = self.make(sim)
         self.ports[0].accepting = False
         self.ports[0].queue_length = 5
-        sim.run(until=0.3)
+        sim.run(until=0.4)
         assert self.stalls == [0]
         assert monitor.stalled == {0}
 
@@ -204,18 +234,18 @@ class TestSenderHealthMonitor:
         self.make(sim, backlog=0)
         self.ports[0].accepting = False
         self.ports[0].queue_length = 3
-        sim.run(until=0.3)
+        sim.run(until=0.4)
         assert self.stalls == [0]
 
     def test_clear_rearms_the_watch(self, sim):
         monitor = self.make(sim)
         self.ports[0].accepting = False
         self.ports[0].queue_length = 5
-        sim.run(until=0.3)
+        sim.run(until=0.4)
         assert self.stalls == [0]
         monitor.clear(0)
         assert monitor.stalled == set()
-        sim.run(until=0.6)  # still wedged: reported again after the timeout
+        sim.run(until=0.8)  # still wedged: reported again after the timeout
         assert self.stalls == [0, 0]
 
     def test_credit_starvation_blocks(self, sim):
@@ -223,16 +253,14 @@ class TestSenderHealthMonitor:
             def available(self, i: int) -> int:
                 return 0
 
-        monitor = SenderHealthMonitor(
-            sim, stall_timeout=0.1, check_interval=0.02
-        )
+        monitor = SenderHealthMonitor(sim)
         port = _StallPort()
         port.queue_length = 1  # pending traffic, port itself would accept
         stalls: List[int] = []
         monitor.bind(
             [port], stalls.append, credit=Starved(), backlog_fn=lambda: 1
         )
-        sim.run(until=0.3)
+        sim.run(until=0.4)
         assert stalls == [0]
 
 
@@ -291,20 +319,17 @@ class _ProbeSession:
 class TestChannelProber:
     def test_probes_back_off_exponentially(self, sim):
         session = _ProbeSession(sim, active=(0, 2))
-        prober = ChannelProber(
-            sim, session,
-            initial_interval=0.01, backoff=2.0, max_interval=0.08,
-        )
+        prober = ChannelProber(sim, session)
         assert sorted(prober._probing) == [1]
-        sim.run(until=0.5)
+        sim.run(until=1.5)
         times = session.all_ports[1].send_times
         assert len(times) >= 5
         gaps = [b - a for a, b in zip(times, times[1:])]
         # Doubling until the cap, then steady at the cap.
-        assert gaps[0] == pytest.approx(0.02)
-        assert gaps[1] == pytest.approx(0.04)
-        assert gaps[2] == pytest.approx(0.08)
-        assert all(g == pytest.approx(0.08) for g in gaps[2:])
+        assert times[0] == pytest.approx(PROBE_INTERVAL_S)
+        assert gaps[0] == pytest.approx(2 * PROBE_INTERVAL_S)
+        assert gaps[1] == pytest.approx(MAX_PROBE_INTERVAL_S)
+        assert all(g == pytest.approx(MAX_PROBE_INTERVAL_S) for g in gaps[1:])
         assert session.all_ports[0].sent == []
         assert session.all_ports[2].sent == []
 
@@ -313,7 +338,7 @@ class TestChannelProber:
         session.config = StripeConfig(
             quanta=(1000.0, 750.0, 1000.0), active_channels=(0, 1, 2)
         )
-        prober = ChannelProber(sim, session, initial_interval=0.01)
+        prober = ChannelProber(sim, session)
         # The session drops channel 1 (e.g. stall exclusion).
         session.config = StripeConfig(
             quanta=(1000.0, 1000.0), active_channels=(0, 2)
@@ -331,20 +356,15 @@ class TestChannelProber:
 
     def test_abandons_after_max_probes(self, sim):
         session = _ProbeSession(sim, active=(0, 2))
-        prober = ChannelProber(
-            sim, session, initial_interval=0.01, max_probes=3
-        )
-        sim.run(until=1.0)
-        assert len(session.all_ports[1].sent) == 3
+        prober = ChannelProber(sim, session)
+        sim.run(until=50.0)  # MAX_PROBES probes, the last at ~40 s
+        assert len(session.all_ports[1].sent) == MAX_PROBES
         assert prober.abandoned == [1]
         assert sorted(prober._probing) == []
 
     def test_flap_penalty_defers_rejoin(self, sim):
         session = _ProbeSession(sim, active=(0, 2))
-        prober = ChannelProber(
-            sim, session,
-            initial_interval=0.01, flap_penalty=0.3, flap_window=2.0,
-        )
+        prober = ChannelProber(sim, session)
         sim.run(until=0.05)
         session.on_probe_ack(ProbeAckPacket(channel=1, seq=1))
         assert prober.rejoins == 1
@@ -353,12 +373,12 @@ class TestChannelProber:
             quanta=(1000.0, 1000.0), active_channels=(0, 2)
         )
         session.on_reset_complete(2)
-        assert prober._hold_down.get(1, prober.min_hold_down) == pytest.approx(0.3)
+        assert prober._hold_down.get(1, 0.0) == pytest.approx(FLAP_PENALTY_S)
         down_at = sim.now
         sim.run(until=down_at + 0.1)
         session.on_probe_ack(ProbeAckPacket(channel=1, seq=2))
         assert prober.rejoins == 1  # damped: ack inside the hold-down
-        sim.run(until=down_at + 0.4)
+        sim.run(until=down_at + 0.3)
         session.on_probe_ack(ProbeAckPacket(channel=1, seq=3))
         assert prober.rejoins == 2
 
@@ -374,14 +394,10 @@ class TestEndToEndLifecycle:
     def test_fail_probe_rejoin_restores_quantum_share(self, sim):
         """The acceptance scenario: a dark channel is excluded, probed,
         and rejoined; right after the rejoin it carries its share again."""
-        detector = ChannelLifecycleManager(
-            sim, silence_threshold=0.15, check_interval=0.05,
-            revival_arrivals=2, min_down_time=0.1,
-        )
+        detector = ChannelLifecycleManager(sim)
         testbed = build_session_testbed(
             sim, n_channels=3, link_mbps=(10.0,), loss_rates=(0.0,),
-            message_bytes=1000, failure_detector=detector,
-            prober_options=dict(initial_interval=0.05, max_interval=0.2),
+            message_bytes=1000, failure_detector=detector, prober=True,
         )
         dark_at, heal_at = 0.6, 1.4
         sim.schedule_at(
@@ -453,9 +469,7 @@ class TestEndToEndLifecycle:
     def test_stalled_channel_excluded_by_health_monitor(self, sim):
         """Sender-side detection: a wedged queue is excluded without
         waiting for the receiver to notice silence."""
-        monitor = SenderHealthMonitor(
-            sim, stall_timeout=0.2, check_interval=0.05
-        )
+        monitor = SenderHealthMonitor(sim)
         testbed = build_session_testbed(
             sim, n_channels=3, link_mbps=(10.0,), loss_rates=(0.0,),
             message_bytes=1000, health_monitor=monitor,

@@ -69,8 +69,8 @@ class TestHashSyncModel:
             endpoint_module, "decode_marker", lambda data: calls.append(data)
         )
         pipeline = direct_pipeline()
-        assert pipeline.push_wire(0, marker_frame()) == []
-        assert pipeline.push_wire(1, b"\x00garbage") == []
+        assert pipeline.push(0, marker_frame()) == []
+        assert pipeline.push(1, b"\x00garbage") == []
         assert pipeline.stray_wire_frames == 2
         assert pipeline.marker_decode_errors == 0
         assert calls == []  # a real marker frame never reaches the codec
@@ -135,12 +135,12 @@ class TestMarkerSyncModel:
 
     def test_decode_errors_counted(self):
         pipeline = StripeReceiverPipeline(2, None, mode="none")
-        assert pipeline.push_wire(0, b"\x00bad") == []
+        assert pipeline.push(0, b"\x00bad") == []
         assert pipeline.marker_decode_errors == 1
         # The count lives on the pipeline: a new epoch's engine keeps it.
         pipeline.restart_reception("srr", 2, markers=True)
         assert pipeline.receiver_state()["marker_decode_errors"] == 1
-        pipeline.push_wire(0, marker_frame(round_number=7))
+        pipeline.push(0, marker_frame(round_number=7))
         assert pipeline.resequencer.stats.markers_received == 1
         assert pipeline.marker_decode_errors == 1
 
@@ -181,7 +181,7 @@ class TestMarkerFreeReceivePath:
         assert isinstance(pipeline.resequencer, DirectReception)
         # A genuine encoded marker frame arrives on the wire (e.g. from a
         # misconfigured marker-mode sender): dropped undecoded.
-        assert pipeline.push_wire(0, marker_frame()) == []
+        assert pipeline.push(0, marker_frame()) == []
         assert calls["n"] == 0
         assert pipeline.stray_wire_frames == 1
         pipeline.push(0, Packet(size=100, seq=0))
@@ -195,7 +195,7 @@ class TestMarkerFreeReceivePath:
         calls = self._count_codec(monkeypatch)
         disc = make_discipline("srr", 2)
         pipeline = StripeReceiverPipeline(2, disc.algorithm, mode="marker")
-        pipeline.push_wire(0, marker_frame())
+        pipeline.push(0, marker_frame())
         assert calls["n"] == 1
 
     @pytest.mark.parametrize("fast", [False, True])

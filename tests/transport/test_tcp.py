@@ -26,7 +26,7 @@ class TestHandshake:
     def test_connection_establishes(self, sim):
         ts, tr, _ = tcp_pair(sim)
         rx = BulkReceiver(tr, 80)
-        tx = BulkSender(ts, "10.0.1.2", 80, 1000, total_bytes=0)
+        tx = BulkSender(ts, "10.0.1.2", 80, 1000)
         tx.start()
         sim.run(until=0.1)
         assert tx.state == "ESTABLISHED"
@@ -35,7 +35,7 @@ class TestHandshake:
     def test_lost_syn_retried(self, sim):
         ts, tr, _ = tcp_pair(sim, loss_ab=DeterministicLoss([0]))
         BulkReceiver(tr, 80)
-        tx = BulkSender(ts, "10.0.1.2", 80, 1000, total_bytes=0)
+        tx = BulkSender(ts, "10.0.1.2", 80, 1000)
         tx.start()
         sim.run(until=5.0)
         assert tx.state == "ESTABLISHED"
@@ -59,7 +59,8 @@ class TestTransfer:
     def test_finite_transfer_completes(self, sim):
         ts, tr, _ = tcp_pair(sim)
         rx = BulkReceiver(tr, 80)
-        tx = BulkSender(ts, "10.0.1.2", 80, 1000, total_bytes=200_000)
+        tx = BulkSender(ts, "10.0.1.2", 80, 1000)
+        tx.write_message(None, 200_000)  # a finite transfer
         tx.start()
         sim.run(until=5.0)
         assert rx.bytes_delivered == 200_000
@@ -101,7 +102,8 @@ class TestLossRecovery:
         # segment index 10 lost (plus handshake offset); transfer completes.
         ts, tr, _ = tcp_pair(sim, loss_ab=DeterministicLoss([12]))
         rx = BulkReceiver(tr, 80)
-        tx = BulkSender(ts, "10.0.1.2", 80, 1000, total_bytes=300_000)
+        tx = BulkSender(ts, "10.0.1.2", 80, 1000)
+        tx.write_message(None, 300_000)  # a finite transfer
         tx.start()
         sim.run(until=10.0)
         assert rx.bytes_delivered == 300_000
@@ -112,7 +114,8 @@ class TestLossRecovery:
             sim, loss_ab=DeterministicLoss(range(20, 35))
         )
         rx = BulkReceiver(tr, 80)
-        tx = BulkSender(ts, "10.0.1.2", 80, 1000, total_bytes=300_000)
+        tx = BulkSender(ts, "10.0.1.2", 80, 1000)
+        tx.write_message(None, 300_000)  # a finite transfer
         tx.start()
         sim.run(until=20.0)
         assert rx.bytes_delivered == 300_000
@@ -120,7 +123,8 @@ class TestLossRecovery:
     def test_fast_retransmit_triggered_by_dupacks(self, sim):
         ts, tr, _ = tcp_pair(sim, loss_ab=DeterministicLoss([15]))
         rx = BulkReceiver(tr, 80)
-        tx = BulkSender(ts, "10.0.1.2", 80, 1000, total_bytes=400_000)
+        tx = BulkSender(ts, "10.0.1.2", 80, 1000)
+        tx.write_message(None, 400_000)  # a finite transfer
         tx.start()
         sim.run(until=10.0)
         assert tx.fast_retransmits >= 1
@@ -138,7 +142,8 @@ class TestLossRecovery:
     def test_receiver_tracks_reorder_events(self, sim):
         ts, tr, _ = tcp_pair(sim, loss_ab=DeterministicLoss([15]))
         rx = BulkReceiver(tr, 80)
-        tx = BulkSender(ts, "10.0.1.2", 80, 1000, total_bytes=200_000)
+        tx = BulkSender(ts, "10.0.1.2", 80, 1000)
+        tx.write_message(None, 200_000)  # a finite transfer
         tx.start()
         sim.run(until=10.0)
         # The retransmission arrives after later segments: one reorder.
@@ -158,9 +163,10 @@ class TestSegment:
     def test_rtt_estimator_updates(self, sim):
         ts, tr, _ = tcp_pair(sim)
         BulkReceiver(tr, 80)
-        tx = BulkSender(ts, "10.0.1.2", 80, 1000, total_bytes=50_000)
+        tx = BulkSender(ts, "10.0.1.2", 80, 1000)
+        tx.write_message(None, 50_000)  # a finite transfer
         tx.start()
         sim.run(until=2.0)
-        assert tx.srtt is not None
-        assert 0 < tx.srtt < 0.5
-        assert tx.rto >= tx.MIN_RTO
+        assert tx.rto.srtt is not None
+        assert 0 < tx.rto.srtt < 0.5
+        assert tx.rto.rto >= tx.MIN_RTO

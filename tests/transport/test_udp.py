@@ -14,7 +14,8 @@ def udp_pair(sim):
     b = EthernetInterface(sim, "eth0", "10.0.1.2")
     s.add_interface(a)
     r.add_interface(b)
-    Link(sim, a, b, bandwidth_bps=10e6, prop_delay=0.0005)
+    Link(sim, a, b, bandwidth_bps=10e6, prop_delay=0.0005,
+         queue_limit=50)
     s.routing.add("10.0.1.0", 24, a)
     r.routing.add("10.0.1.0", 24, b)
     return UdpLayer(s), UdpLayer(r)

@@ -16,21 +16,34 @@ are stubs whose body is only a docstring, ``...``, ``pass`` or ``raise``.
 A definition nothing enters is deleted, or kept on :data:`ALLOWED` for one
 of the :data:`REASONS`; the run prints the counts and exits 1 on any
 definition that is neither, and on any allowlist entry that covers no
-definition left unentered.  About two minutes.
+definition left unentered.
+
+The same run records the values each optional parameter of an entered
+``__init__`` under :data:`OPTION_DIRS` receives (the frame shapes aside:
+their own profiler is installed then).  An option that only ever takes one
+value is a constant, unless :data:`OPTIONS` keeps it for one of the
+:data:`OPTION_REASONS`; the run prints ``N constructor options, M
+single-valued, K allowlisted`` and exits 1 on a single-valued option that
+is not allowlisted, and on an allowlist entry that names no single-valued
+option.  About two minutes.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import enum
+import functools
 import io
 import os
+import random
 import runpy
 import sys
 import tempfile
+import types
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -134,11 +147,9 @@ ALLOWED: Dict[str, str] = {
         "transform.py:TransformedLoadSharer.reset",
     )},
     "src/repro/sim/loss.py:DeterministicLoss.should_drop": "fault",
-    "src/repro/sim/loss.py:CorruptionModel.is_corrupted": "fault",
     **{f"{_TRANSPORT}{key}": "fault" for key in (
         "credit.py:CreditSender.available",
         "endpoint.py:StripeSenderPipeline.close",
-        "endpoint.py:StripeReceiverPipeline.push_wire",
         "endpoint.py:StripeReceiverPipeline.fail_channel",
         "endpoint.py:StripeReceiverPipeline.revive_channel",
         "fabric.py:FlowState.backlog",
@@ -162,6 +173,52 @@ ALLOWED: Dict[str, str] = {
         "udp.py:UdpSocket.close",
     )},
     "src/repro/workloads/generators.py:PacedSource.stop": "fault",
+}
+
+
+#: the packages whose constructor options the run measures
+OPTION_DIRS = ("core", "sim", "net", "transport", "workloads")
+
+#: why an option that only ever takes one value may stay a parameter
+OPTION_REASONS = {
+    "record": "a field of a record type: packet, ack, parity, control",
+    "benchmark": "a name or keyword perfbench uses",
+    "deployment": "an address, port or name a deployment sets",
+    "switch": "a switch or hook that arms fault detection or recovery",
+    "trace": "a tracer",
+}
+
+#: constructor options kept though they only ever take one value, by
+#: ``path:Class.parameter``
+OPTIONS: Dict[str, str] = {
+    # record: the fields of the packets, parity and acks a transport
+    # builds, read back on the receive side
+    **{f"{_CORE}packet.py:Packet.{name}": "record" for name in (
+        "codepoint", "flow", "uid",
+    )},
+    **{f"{_TRANSPORT}fec.py:ParityPacket.{name}": "record" for name in (
+        "codepoint", "fseq", "rseq", "seq", "size", "uid",
+    )},
+    **{f"{_TRANSPORT}reliability.py:AckPacket.{name}": "record" for name in (
+        "codepoint", "size", "uid",
+    )},
+    # benchmark: keywords perfbench/rigs.py passes
+    f"{_TRANSPORT}fabric.py:FabricScheduler.flow_buffer_packets": "benchmark",
+    f"{_TRANSPORT}fabric.py:FlowTable.quantum_bytes": "benchmark",
+    # deployment: addresses
+    "src/repro/net/ethernet.py:EthernetInterface.mac": "deployment",
+    f"{_TRANSPORT}tcp.py:BulkSender.src_ip": "deployment",
+    # switch: the receiver's channel watchdog, FEC's escalation hook, and
+    # which fault kinds a chaos plan arms (tests narrow it to the kinds
+    # an exactly-once run survives)
+    f"{_TRANSPORT}endpoint.py:StripeReceiverPipeline.failure_detector":
+        "switch",
+    f"{_TRANSPORT}fec.py:FecReceiver.on_escalate": "switch",
+    "src/repro/sim/faults.py:FaultPlan.kinds": "switch",
+    # trace
+    f"{_CORE}striper.py:Striper.tracer": "trace",
+    f"{_TRANSPORT}endpoint.py:StripeSenderPipeline.tracer": "trace",
+    "src/repro/sim/trace.py:Tracer.max_events": "trace",
 }
 
 
@@ -218,15 +275,120 @@ def definitions() -> Dict[Tuple[str, int], Definition]:
     return found
 
 
-class Recorder:
-    """The code objects entered while installed as the profiler."""
+def constructors() -> Dict[Tuple[str, int], Tuple[str, Tuple[str, ...]]]:
+    """Each ``__init__`` under :data:`OPTION_DIRS` that has optional
+    parameters, by ``(file, first line)``: its ``path:Class`` and the names
+    of those parameters."""
+    found = {}
+    for folder in OPTION_DIRS:
+        for path in sorted((SRC / "repro" / folder).rglob("*.py")):
+            where = path.relative_to(ROOT).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                for init in node.body:
+                    if not (
+                        isinstance(init, ast.FunctionDef)
+                        and init.name == "__init__"
+                    ):
+                        continue
+                    args = init.args
+                    positional = args.posonlyargs + args.args
+                    names = [
+                        arg.arg for arg in
+                        positional[len(positional) - len(args.defaults):]
+                    ] + [
+                        arg.arg for arg, default in
+                        zip(args.kwonlyargs, args.kw_defaults)
+                        if default is not None
+                    ]
+                    if names:
+                        first = min(
+                            [init.lineno]
+                            + [line.lineno for line in init.decorator_list]
+                        )
+                        found[str(path), first] = (
+                            f"{where}:{node.name}", tuple(names)
+                        )
+    return found
 
-    def __init__(self) -> None:
+
+_CALLABLES = (
+    types.FunctionType, types.MethodType, types.BuiltinFunctionType,
+    functools.partial, type,
+)
+
+
+def _shape(value: Any, plain: bool = False) -> Any:
+    """A hashable stand-in for an option's value: equal plain values read
+    equal, a callable reads as its name, a random generator as its state,
+    and any other object as its type and its plain attributes."""
+    if value is None or isinstance(value, (int, float, str, bytes, enum.Enum)):
+        return type(value) is bool, value
+    if plain:
+        return None
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, tuple(_shape(item) for item in value)
+    if isinstance(value, (set, frozenset)):
+        return "set", tuple(sorted(repr(_shape(item)) for item in value))
+    if isinstance(value, dict):
+        return "dict", tuple(
+            sorted((repr(key), _shape(item)) for key, item in value.items())
+        )
+    if isinstance(value, _CALLABLES):
+        return "callable", getattr(value, "__qualname__", repr(value))
+    if isinstance(value, random.Random):
+        return "random", hash(value.getstate())
+    try:
+        attributes = tuple(sorted(
+            (name, shape) for name, item in vars(value).items()
+            for shape in [_shape(item, plain=True)] if shape is not None
+        ))
+    except TypeError:
+        attributes = ()
+    return "object", type(value).__qualname__, attributes
+
+
+class Recorder:
+    """The code objects entered while installed as the profiler, and the
+    values each watched constructor's optional parameters received."""
+
+    def __init__(
+        self, watched: Dict[Tuple[str, int], Tuple[str, Tuple[str, ...]]]
+    ) -> None:
         self.entered: Set = set()
+        self.watched = watched
+        self.values: Dict[Tuple[str, int], Dict[str, Set]] = {}
+        self._spots: Dict[Any, Any] = {}
 
     def __call__(self, frame, event, arg) -> None:
         if event == "call":
-            self.entered.add(frame.f_code)
+            code = frame.f_code
+            self.entered.add(code)
+            if code.co_name == "__init__":
+                if code not in self._spots:
+                    spot = (
+                        os.path.realpath(code.co_filename),
+                        code.co_firstlineno,
+                    )
+                    self._spots[code] = spot if spot in self.watched else None
+                spot = self._spots[code]
+                if spot is not None:
+                    received = frame.f_locals
+                    seen = self.values.setdefault(spot, {})
+                    for name in self.watched[spot][1]:
+                        seen.setdefault(name, set()).add(
+                            _shape(received[name])
+                        )
+
+    def options(self) -> Dict[str, Set]:
+        """The distinct values each recorded option received, by
+        ``path:Class.parameter``."""
+        return {
+            f"{self.watched[spot][0]}.{name}": values
+            for spot, seen in self.values.items()
+            for name, values in seen.items()
+        }
 
     @contextlib.contextmanager
     def installed(self) -> Iterator[None]:
@@ -243,13 +405,14 @@ def _quietly(run, *args) -> object:
 
 
 def record() -> Recorder:
-    """Run the four things and return what they entered."""
+    """Run the four things and return what they entered and the values
+    the watched constructors received."""
     from perfbench.__main__ import main as perfbench
     from perfbench.rigs import WORKLOADS
     from repro.experiments.runner import main as experiments
     from tests import frames
 
-    recorder = Recorder()
+    recorder = Recorder(constructors())
     with tempfile.TemporaryDirectory() as tmp, recorder.installed():
         status = _quietly(
             experiments, ["--all", "--quick", "--json", f"{tmp}/quick.json"]
@@ -291,9 +454,10 @@ def allowed_key(key: str) -> str:
 
 def main() -> int:
     found = definitions()
+    recorder = record()
     entered = {
         (os.path.realpath(code.co_filename), code.co_firstlineno)
-        for code in record().entered
+        for code in recorder.entered
     }
     unentered = [found[spot] for spot in sorted(found) if spot not in entered]
     covered: Dict[str, List[Definition]] = {}
@@ -323,7 +487,23 @@ def main() -> int:
               f"({definition.lines} lines)")
     for key in stale:
         print(f"allowlisted, but covers nothing left unentered: {key}")
-    return 1 if neither or stale else 0
+    options = recorder.options()
+    single = {key: values for key, values in options.items() if len(values) == 1}
+    unlisted = sorted(set(single) - set(OPTIONS))
+    unused = sorted(set(OPTIONS) - set(single))
+    kept = Counter(OPTIONS[key] for key in single if key in OPTIONS)
+    print(
+        f"{len(options)} constructor options, {len(single)} single-valued, "
+        f"{sum(kept.values())} allowlisted"
+    )
+    for reason in OPTION_REASONS:
+        print(f"  {reason:<10} {kept[reason]:>4} options")
+    for key in unlisted:
+        (value,) = single[key]
+        print(f"single-valued, not allowlisted: {key} = {value!r}")
+    for key in unused:
+        print(f"allowlisted, but not a single-valued option: {key}")
+    return 1 if neither or stale or unlisted or unused else 0
 
 
 if __name__ == "__main__":

@@ -62,7 +62,7 @@ class TestTraceSynthesis:
 class TestPlayback:
     def test_all_on_time_is_perfect(self):
         trace = synthesize_nv_trace(duration_s=2.0)
-        playback = PlaybackModel(trace, latency_budget=0.5)
+        playback = PlaybackModel(trace)
         for packet in trace.packets():
             playback.feed(packet, packet.payload.capture_time + 0.01)
         report = playback.report()
@@ -81,7 +81,7 @@ class TestPlayback:
 
     def test_late_packet_counts_as_unusable(self):
         trace = synthesize_nv_trace(duration_s=1.0)
-        playback = PlaybackModel(trace, latency_budget=0.2)
+        playback = PlaybackModel(trace)
         for packet in trace.packets():
             playback.feed(packet, packet.payload.capture_time + 1.0)
         report = playback.report()
@@ -92,7 +92,7 @@ class TestPlayback:
         """The crux of the paper's video argument: reordering within the
         playout budget is invisible."""
         trace = synthesize_nv_trace(duration_s=2.0)
-        playback = PlaybackModel(trace, latency_budget=0.5)
+        playback = PlaybackModel(trace)
         packets = list(reversed(trace.packets()[:20])) + trace.packets()[20:]
         for packet in packets:
             playback.feed(packet, packet.payload.capture_time + 0.1)
