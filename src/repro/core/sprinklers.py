@@ -135,31 +135,24 @@ class FlowRateEstimator:
 
 
 class _FlowStripe:
-    """One flow's striping state: member channels + intra-stripe SRR."""
+    """One flow's striping state: member channels + intra-stripe round robin."""
 
     __slots__ = (
         "size",
         "channels",
         "cursor",
         "current",
-        "credit",
         "rate_state",
         "packets",
     )
 
-    def __init__(
-        self,
-        channels: List[int],
-        rate_state: List[float],
-        initial_credit: float,
-    ) -> None:
+    def __init__(self, channels: List[int], rate_state: List[float]) -> None:
         self.size = len(channels)
         self.channels = channels
         self.cursor = 0
         #: the committed next channel — what :meth:`choose` returns;
         #: advanced only by ``notify_sent`` (two-phase purity).
         self.current = channels[0]
-        self.credit = initial_credit
         self.rate_state = rate_state
         self.packets = 0
 
@@ -255,7 +248,7 @@ class SprinklersDiscipline(LoadSharer):
             # transient for flows known to be heavy.
             k = stripe_size_for(self.initial_share, self._n)
             channels = self._stripe_channels(flow, k)
-            stripe = _FlowStripe(channels, state, 1.0)
+            stripe = _FlowStripe(channels, state)
             self._flows[flow] = stripe
         return stripe
 
@@ -274,32 +267,26 @@ class SprinklersDiscipline(LoadSharer):
             if stripe.packets % RESIZE_INTERVAL == 0:
                 self._maybe_resize(flow, stripe)
             return
-        # Intra-stripe surplus round robin, counted in *packets* (each
-        # member's quantum is one packet): exact per-packet round-robin,
-        # which is what makes delivery order-preserving across identical
-        # FIFO channels.  Byte-quantum
+        # Intra-stripe round robin, one packet per member: exact
+        # per-packet round-robin, which is what makes delivery
+        # order-preserving across identical FIFO channels.  Byte-quantum
         # SRR would occasionally put two back-to-back packets on one
         # member while the next member transmits concurrently — the very
         # reordering the paper's resequencer absorbs, which Sprinklers
         # must avoid at the source since it has no resequencer.
-        stripe.credit -= 1.0
-        if stripe.credit <= 0:
-            cursor = stripe.cursor
-            at_boundary = False
-            while stripe.credit <= 0:
-                cursor += 1
-                if cursor >= stripe.size:
-                    cursor = 0
-                    at_boundary = True
-                stripe.credit += 1.0
+        cursor = stripe.cursor + 1
+        if cursor < stripe.size:
             stripe.cursor = cursor
             stripe.current = stripe.channels[cursor]
-            if (
-                at_boundary
-                and stripe.packets >= RESIZE_INTERVAL
-                and stripe.packets % RESIZE_INTERVAL < stripe.size
-            ):
-                self._maybe_resize(flow, stripe)
+            return
+        # A round ends: the width may change only at its boundary.
+        stripe.cursor = 0
+        stripe.current = stripe.channels[0]
+        if (
+            stripe.packets >= RESIZE_INTERVAL
+            and stripe.packets % RESIZE_INTERVAL < stripe.size
+        ):
+            self._maybe_resize(flow, stripe)
 
     def _maybe_resize(self, flow: Any, stripe: _FlowStripe) -> None:
         share = self.estimator.share(stripe.rate_state)
@@ -310,7 +297,7 @@ class SprinklersDiscipline(LoadSharer):
             return  # shrink reluctantly: the rate may only be dipping
         self.resizes += 1
         channels = self._stripe_channels(flow, k)
-        new = _FlowStripe(channels, stripe.rate_state, 1.0)
+        new = _FlowStripe(channels, stripe.rate_state)
         new.packets = stripe.packets
         self._flows[flow] = new
 
@@ -336,7 +323,6 @@ class SprinklersDiscipline(LoadSharer):
                     list(s.channels),
                     s.cursor,
                     s.current,
-                    s.credit,
                     list(s.rate_state),
                     s.packets,
                 ]
@@ -348,12 +334,11 @@ class SprinklersDiscipline(LoadSharer):
         self.estimator.total_bytes = state["total_bytes"]
         self.resizes = state["resizes"]
         self._flows.clear()
-        for flow, channels, cursor, current, credit, rate_state, packets in (
+        for flow, channels, cursor, current, rate_state, packets in (
             state["flows"]
         ):
-            stripe = _FlowStripe(list(channels), list(rate_state), credit)
+            stripe = _FlowStripe(list(channels), list(rate_state))
             stripe.cursor = cursor
             stripe.current = current
-            stripe.credit = credit
             stripe.packets = packets
             self._flows[flow] = stripe

@@ -129,16 +129,10 @@ class CreditReceiver:
         self.buffer_packets = buffer_packets
         self.send_credit = send_credit
         self.consumed: List[int] = [0] * n_channels
-        self._last_advertised: List[int] = [0] * n_channels
         self.advertisements = 0
 
     def on_consumed(self, channel: int) -> None:
         self.consumed[channel] += 1
-        if self.consumed[channel] > self._last_advertised[channel]:
-            self.advertise(channel)
-
-    def advertise(self, channel: int) -> None:
-        self._last_advertised[channel] = self.consumed[channel]
         self.advertisements += 1
         if self.send_credit is not None:
             self.send_credit(channel, self.piggyback_limit(channel))

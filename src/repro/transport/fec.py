@@ -68,17 +68,6 @@ from typing import (
 )
 
 from ..core.fec import FecDecodeError, make_codec
-
-#: data shards and parity shards per stripe group
-FEC_K = 6
-FEC_M = 2
-#: how long a partial group may wait for more data before sealing short
-SEAL_TIMEOUT_S = 0.01
-#: how long a group may wait for its members and parity before it
-#: resolves (to ARQ in hybrid mode, to a skipped gap in pure fec)
-GROUP_TIMEOUT_S = 0.25
-#: consecutive failed groups that fire ``on_escalate``
-ESCALATE_AFTER = 3
 from ..core.packet import Codepoint, Packet, _packet_ids
 
 __all__ = [
@@ -91,6 +80,18 @@ __all__ = [
     "packet_from_shard",
     "shard_for",
 ]
+
+
+#: data shards and parity shards per stripe group
+FEC_K = 6
+FEC_M = 2
+#: how long a partial group may wait for more data before sealing short
+SEAL_TIMEOUT_S = 0.01
+#: how long a group may wait for its members and parity before it
+#: resolves (to ARQ in hybrid mode, to a skipped gap in pure fec)
+GROUP_TIMEOUT_S = 0.25
+#: consecutive failed groups that fire ``on_escalate``
+ESCALATE_AFTER = 3
 
 
 # --------------------------------------------------------------------- #

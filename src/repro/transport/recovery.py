@@ -260,7 +260,7 @@ def _decode_body(data: bytes) -> Any:
 
 
 CHECKPOINT_MAGIC = b"SRCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 _HEADER = struct.Struct("!4sHI")  # magic, version, body length
 
 

@@ -25,6 +25,7 @@ from repro.baselines.bonding import BondingFrame
 from repro.baselines.mppp import MpppFragment
 from repro.core.markers import ReceiverSnapshot, SRRReceiver
 from repro.core.packet import MarkerPacket, Packet, SackInfo
+from repro.core.sprinklers import SprinklersDiscipline
 from repro.core.srr import SRR, SRRState, make_grr, make_rr
 from repro.core.striper import ListPort, MarkerPolicy, Striper
 from repro.core.transform import TransformedLoadSharer
@@ -159,6 +160,15 @@ class TestCheckpointCodec:
         # version 3 records its kernel state, sync rounds and buffers.
         snapshot = SRRReceiver(SRR([100.0, 100.0])).snapshot()
         blob = encode_checkpoint({"engine": snapshot}, version=2)
+        with pytest.raises(CheckpointVersionError):
+            decode_checkpoint(blob)
+
+    def test_version_3_sprinklers_frame_is_version_error(self):
+        # Version 3 carried a per-stripe ``credit`` in each Sprinklers
+        # flow row; version 4 rows have no such field.
+        sharer = SprinklersDiscipline(4)
+        sharer.notify_sent(0, Packet(seq=0, size=100, flow="a"))
+        blob = encode_checkpoint({"sharer": sharer.snapshot()}, version=3)
         with pytest.raises(CheckpointVersionError):
             decode_checkpoint(blob)
 

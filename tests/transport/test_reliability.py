@@ -665,24 +665,27 @@ def test_session_stack_escalation_excludes_dead_channel():
     """A channel that goes fully dark: ARQ escalation feeds the session's
     exclusion machinery, and the stream still delivers everything.
 
-    Escalation itself needs MAX_RETRIES lost copies of one packet
-    (``test_escalation_reports_last_channel_once``); the retransmissions
-    here rotate onto live channels first, so the escalation the dark
-    channel would raise is raised through the ARQ's own hook."""
+    With two channels the resequencer stalls on the dark one, so the
+    oldest packet's copies alternate between the two channels unacked.
+    MAX_RETRIES is even, so the copy whose timeout escalates went out on
+    the channel of the first copy, the dark one.  Backoff puts that
+    timeout near 7 s; the source keeps running past it so the recovered
+    bundle carries fresh traffic."""
     from repro.experiments.fault_tolerance import build_session_testbed
 
+    assert MAX_RETRIES % 2 == 0
     sim = Simulator()
     testbed = build_session_testbed(
-        sim, n_channels=3, link_mbps=(10.0,), loss_rates=(0.0,),
+        sim, n_channels=2, link_mbps=(10.0,), loss_rates=(0.0,),
         reliability="reliable",
     )
-    arq = testbed.sender.reliable
     sim.schedule_at(
         0.3, lambda: setattr(testbed.loss_models[1], "p", 1.0)
     )
-    sim.schedule_at(0.35, lambda: arq.on_channel_suspect(1))
-    drain(sim, testbed, until=1.2, settle=2.0)
+    drain(sim, testbed, until=8.0, settle=2.0)
 
+    arq = testbed.sender.reliable
+    assert arq.stats.escalations >= 1
     assert testbed.sender_session.resets_completed >= 1
     assert 1 not in testbed.sender_session.config.active_channels
     seqs = [seq for _, seq in testbed.deliveries]
