@@ -110,7 +110,8 @@ perf-ab:
 # compared minus the wall-clock `done in` lines; then every example in
 # examples/ run in both trees and its stdout compared.  Names every
 # experiment that differs and in what — `DIFFERS: <name> (json)`, `(text)`
-# or `(json, text)` — and every example whose output differs —
+# or `(json, text)`, followed by up to five differing JSON paths with
+# their A and B values — and every example whose output differs —
 # `DIFFERS: example <name>` — and exits non-zero: the check a refactoring
 # change owes.
 #   make quick-diff A=/tmp/parent B=.
@@ -139,6 +140,20 @@ def run(tree):
             lines.append(line)
     return results, sections
 (json_a, text_a), (json_b, text_b) = run(os.path.abspath(a)), run(os.path.abspath(b))
+ABSENT = object()
+def paths(x, y, at):
+    """Yield (path, A value, B value) for each leaf where x and y differ."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        for key in sorted(set(x) | set(y), key=str):
+            yield from paths(x.get(key, ABSENT), y.get(key, ABSENT), f"{at}.{key}")
+    elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        for index, (u, v) in enumerate(zip(x, y)):
+            yield from paths(u, v, f"{at}[{index}]")
+    elif x != y:
+        yield at, x, y
+def shown(value):
+    text = "(absent)" if value is ABSENT else json.dumps(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 differ = {}
 for name in sorted(set(json_a) | set(json_b) | set(text_a) | set(text_b)):
     what = [kind for kind, a_side, b_side in (
@@ -147,6 +162,11 @@ for name in sorted(set(json_a) | set(json_b) | set(text_a) | set(text_b)):
     if what:
         differ[name] = what
         print(f"DIFFERS: {name} ({', '.join(what)})")
+        moved = list(paths(json_a.get(name, ABSENT), json_b.get(name, ABSENT), name))
+        for at, x, y in moved[:5]:
+            print(f"    {at}: A {shown(x)}  B {shown(y)}")
+        if len(moved) > 5:
+            print(f"    ... {len(moved) - 5} more paths differ")
 print(f"{len(set(json_a) | set(json_b))} experiments, {len(differ)} differ")
 def example(tree, name):
     if not os.path.exists(os.path.join(tree, "examples", name)):

@@ -55,13 +55,22 @@ class SackInfo:
     received in order: every rseq below it has been delivered.  ``blocks``
     are absolute ``[start, end)`` ranges of rseqs received out of order
     above ``cum_ack`` (most recently touched first, per RFC 2018 custom).
+    ``acks`` is how many acks this one stands for: the receiver merges
+    the acks one simulated instant earns into one, and the sender counts
+    each toward its fast-retransmit threshold.  It rides reserved header
+    space, as the ack's ``epoch`` does; a SACK piggybacked on a marker
+    always stands for one.
     """
 
     cum_ack: int
     blocks: Tuple[Tuple[int, int], ...] = ()
+    acks: int = 1
 
     def __init__(
-        self, cum_ack: int, blocks: Tuple[Tuple[int, int], ...] = ()
+        self,
+        cum_ack: int,
+        blocks: Tuple[Tuple[int, int], ...] = (),
+        acks: int = 1,
     ) -> None:
         for start, end in blocks:
             if not cum_ack <= start < end:
@@ -70,6 +79,7 @@ class SackInfo:
                 )
         object.__setattr__(self, "cum_ack", cum_ack)
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "acks", acks)
 
 
 _packet_ids = itertools.count()

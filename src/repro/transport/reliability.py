@@ -56,8 +56,9 @@ def fec_enabled(mode: str) -> bool:
     """True when ``mode`` mounts the erasure-coded recovery layer."""
     return mode in ("fec", "hybrid")
 
-#: SACK holes are retransmitted after this many ack arrivals reported
-#: newer data while the hole stayed open (TCP's dupthresh).
+#: SACK holes are retransmitted after this many acks reported newer data
+#: while the hole stayed open (TCP's dupthresh); a merged ack counts as
+#: the ``SackInfo.acks`` acks it stands for.
 FAST_RETRANSMIT_HINTS = 3
 
 #: retransmissions of one packet before its last channel is reported
@@ -218,7 +219,7 @@ class _TxRecord:
     sacked: bool = False
     #: resubmitted to the striper but not yet actually transmitted
     rtx_pending: bool = False
-    #: ack arrivals that reported newer data while this stayed unacked
+    #: acks that reported newer data while this stayed unacked
     dup_hints: int = 0
     escalated: bool = False
 
@@ -439,7 +440,7 @@ class ReliableSender:
             del unsacked[rseq]
         self.stats.sack_scans += 1
         self.stats.sack_visits += visits
-        self._fast_retransmit(holes)
+        self._fast_retransmit(holes, sack.acks)
         opened = self._refill() or opened
         if self._timer is None:
             self._ensure_timer()
@@ -481,13 +482,15 @@ class ReliableSender:
         self.stats.acked += retired
         return was_full and retired > 0
 
-    def _fast_retransmit(self, holes: List[_TxRecord]) -> None:
+    def _fast_retransmit(self, holes: List[_TxRecord], acks: int) -> None:
         """Retransmit holes the SACK scoreboard has repeatedly exposed.
 
         ``holes`` are the un-sacked records below the newest acked data,
-        collected by the :meth:`on_ack` index walk.  Ripe holes are
-        resubmitted as one batch, so a multi-packet repair is striped
-        through the scheduler kernel like any other burst.
+        collected by the :meth:`on_ack` index walk; the ack stands for
+        ``acks`` acks (:attr:`SackInfo.acks`), each one hint toward
+        ``FAST_RETRANSMIT_HINTS``.  Ripe holes are resubmitted as one
+        batch, so a multi-packet repair is striped through the scheduler
+        kernel like any other burst.
         """
         srtt = self.rto.srtt or 0.0
         now = self.sim.now
@@ -498,7 +501,7 @@ class ReliableSender:
                 # newer data say nothing about it (prevents retransmit
                 # storms while a repair is still in flight).
                 continue
-            record.dup_hints += 1
+            record.dup_hints += acks
             if record.dup_hints >= FAST_RETRANSMIT_HINTS and (
                 not record.rtx_pending
             ):
@@ -715,11 +718,17 @@ class ReliableReceiver:
     exactly-once in-order delivery — duplicates dropped, gaps held back
     until retransmissions fill them.
 
-    Acks are emitted through ``send_ack(SackInfo)``: immediately on any
-    out-of-order or duplicate arrival (the loss signal must not wait),
-    every ``ack_every`` in-order packets, and otherwise after
-    ``ACK_DELAY_S`` (delayed ack).  Arrivals ``RECEIVE_WINDOW_PACKETS`` or
-    more past the cumulative ack are dropped; an ack carries at most
+    Acks are emitted through ``send_ack(SackInfo)``.  An event earns
+    one without delay when it is an out-of-order, duplicate, window-drop
+    or gap-filling arrival (the loss signal must not wait, and RFC 5681
+    §3.2 acks a filled gap at once), or the ``ack_every``-th in-order
+    delivery; otherwise an in-order delivery waits at most
+    ``ACK_DELAY_S`` (delayed ack).  The acks one simulated instant earns
+    go out as one: the first arms a flush event at ``sim.now`` that
+    sends the state at the end of the instant, with ``SackInfo.acks``
+    saying how many acks it stands for.  Without a ``sim`` each ack goes
+    out as it is earned.  Arrivals ``RECEIVE_WINDOW_PACKETS`` or more
+    past the cumulative ack are dropped; an ack carries at most
     ``MAX_SACK_BLOCKS`` SACK blocks.  :meth:`sack_info` exposes the same
     state for marker piggybacking on the reverse path.
     """
@@ -749,6 +758,9 @@ class ReliableReceiver:
         self._ends: List[int] = []
         self._unacked_deliveries = 0
         self._ack_timer: Any = None
+        #: acks the current instant has earned, and the flush sending them
+        self._acks_owed = 0
+        self._flush: Any = None
         self._last_ooo: Optional[int] = None
 
     # ------------------------------------------------------------------ #
@@ -765,7 +777,7 @@ class ReliableReceiver:
         stats.received += 1
         if rseq == self.next_expected and not self._ooo:
             # Hot case — in-order arrival with nothing buffered:
-            # _deliver_run + _ack_progress inlined (identical effect).
+            # _deliver_run inlined.
             self.next_expected = rseq + 1
             stats.delivered += 1
             undelivered = self._unacked_deliveries + 1
@@ -774,7 +786,7 @@ class ReliableReceiver:
             if self.send_ack is None:
                 return
             if undelivered >= self.ack_every:
-                self._ack_now()
+                self._owe_ack()
             elif self.sim is not None and self._ack_timer is None:
                 self._ack_timer = self.sim.schedule(
                     ACK_DELAY_S, self._delayed_ack
@@ -782,21 +794,21 @@ class ReliableReceiver:
             return
         if rseq < self.next_expected or rseq in self._ooo:
             self.stats.duplicates += 1
-            self._ack_now()
+            self._owe_ack()
             return
         if rseq >= self.next_expected + RECEIVE_WINDOW_PACKETS:
             self.stats.window_drops += 1
-            self._ack_now()
+            self._owe_ack()
             return
         if rseq == self.next_expected:
+            # It fills (part of) a gap: ack at once (RFC 5681 §3.2).
             self._deliver_run(packet)
-            self._ack_progress()
-            return
-        self.stats.out_of_order += 1
-        self._ooo[rseq] = packet
-        self._last_ooo = rseq
-        self._add_to_blocks(rseq)
-        self._ack_now()
+        else:
+            self.stats.out_of_order += 1
+            self._ooo[rseq] = packet
+            self._last_ooo = rseq
+            self._add_to_blocks(rseq)
+        self._owe_ack()
 
     def _add_to_blocks(self, rseq: int) -> None:
         """Insert a newly buffered ``rseq``, merging with its neighbours."""
@@ -849,8 +861,11 @@ class ReliableReceiver:
     # ------------------------------------------------------------------ #
     # ack generation
 
-    def sack_info(self, max_blocks: Optional[int] = None) -> SackInfo:
-        """Current cumulative-ack + SACK-block state.
+    def sack_info(
+        self, max_blocks: Optional[int] = None, acks: int = 1
+    ) -> SackInfo:
+        """Current cumulative-ack + SACK-block state, standing for ``acks``
+        acks.
 
         The block containing the most recent out-of-order arrival is
         reported first (RFC 2018 custom), then the rest newest-edge
@@ -867,7 +882,7 @@ class ReliableReceiver:
         """
         starts = self._starts
         if not starts:
-            return SackInfo(cum_ack=self.next_expected)
+            return SackInfo(self.next_expected, (), acks)
         if max_blocks is None:
             max_blocks = MAX_SACK_BLOCKS
         ends = self._ends
@@ -884,22 +899,15 @@ class ReliableReceiver:
             elif i >= 0 and last < ends[i]:
                 # Below the truncation: it displaces the stalest block.
                 blocks = ([(starts[i], ends[i])] + blocks)[:max_blocks]
-        return SackInfo(cum_ack=self.next_expected, blocks=tuple(blocks))
-
-    def _ack_progress(self) -> None:
-        """In-order delivery: ack every Nth packet, else delay-ack."""
-        if self.send_ack is None:
-            return
-        if self._unacked_deliveries >= self.ack_every:
-            self._ack_now()
-            return
-        if self.sim is not None and self._ack_timer is None:
-            self._ack_timer = self.sim.schedule(
-                ACK_DELAY_S, self._delayed_ack
-            )
+        return SackInfo(self.next_expected, tuple(blocks), acks)
 
     def stop(self) -> None:
-        """Cancel the delayed-ack timer (the owner is shutting down)."""
+        """The owner is shutting down: send the ack this instant owes,
+        then cancel the flush and the delayed-ack timer."""
+        flush = self._flush
+        if flush is not None:
+            self._send_owed()
+            flush.cancel()
         if self._ack_timer is not None:
             self._ack_timer.cancel()
             self._ack_timer = None
@@ -907,17 +915,37 @@ class ReliableReceiver:
     def _delayed_ack(self) -> None:
         self._ack_timer = None
         if self._unacked_deliveries > 0:
-            self._ack_now()
+            self._owe_ack()
 
-    def _ack_now(self) -> None:
+    def _owe_ack(self) -> None:
+        """An event earned an ack: owe it to the end of this instant.
+
+        Earning one restarts the in-order count and the delayed-ack
+        timer, as sending one did; the first debt of an instant arms the
+        flush.  Without a simulator the ack goes out at once.
+        """
         if self.send_ack is None:
             return
         if self._ack_timer is not None:
             self._ack_timer.cancel()
             self._ack_timer = None
         self._unacked_deliveries = 0
+        self._acks_owed += 1
+        if self._flush is None:
+            sim = self.sim
+            if sim is None:
+                self._send_owed()
+            else:
+                self._flush = sim.schedule_at(sim.now, self._send_owed)
+
+    def _send_owed(self) -> None:
+        """One ack with the state now, standing for every ack owed (the
+        flush event, and :meth:`stop`)."""
+        self._flush = None
+        acks = self._acks_owed
+        self._acks_owed = 0
         self.stats.acks_sent += 1
-        self.send_ack(self.sack_info())
+        self.send_ack(self.sack_info(acks=acks))
 
     # ------------------------------------------------------------------ #
     # crash recovery (see repro.transport.recovery)

@@ -137,7 +137,7 @@ class TestWireTypeConstructors:
             ("sack", None), ("uid", "drawn"), ("codepoint", "marker"),
         ]
         assert _field_defaults(SackInfo) == [
-            ("cum_ack", required), ("blocks", ()),
+            ("cum_ack", required), ("blocks", ()), ("acks", 1),
         ]
         assert _field_defaults(AckPacket) == [
             ("sack", required), ("size", 0), ("uid", "drawn"),
@@ -168,8 +168,9 @@ class TestWireTypeConstructors:
         bare = MarkerPacket(0, 1, 2.0)
         assert (bare.size, bare.credit, bare.sack) == (32, None, None)
         sack = SackInfo(5, ((7, 9),))
-        assert (sack.cum_ack, sack.blocks) == (5, ((7, 9),))
+        assert (sack.cum_ack, sack.blocks, sack.acks) == (5, ((7, 9),), 1)
         assert SackInfo(5).blocks == ()
+        assert SackInfo(5, (), 3).acks == 3
         ack = AckPacket(sack, 99, 4, "c", 3)
         assert (ack.sack, ack.size, ack.uid, ack.codepoint, ack.epoch) == (
             sack, 99, 4, "c", 3
@@ -200,6 +201,7 @@ class TestWireTypeConstructors:
         assert MarkerPacket(0, 1, 2.0, uid=1) != MarkerPacket(0, 1, 2.5, uid=1)
         sack = SackInfo(5, ((7, 9),))
         assert sack == SackInfo(5, ((7, 9),)) and sack != SackInfo(5)
+        assert sack != SackInfo(5, ((7, 9),), 2)
         assert hash(sack) == hash(SackInfo(5, ((7, 9),)))
         with pytest.raises(dataclasses.FrozenInstanceError):
             sack.cum_ack = 6
@@ -207,7 +209,7 @@ class TestWireTypeConstructors:
         assert repr(Packet(100, seq=7)) == "Packet(7, 100B)"
         assert repr(Packet(100, seq=7, label="a")) == "Packet(a, 100B)"
         assert repr(MarkerPacket(1, 3, 9.0)) == "Marker(ch=1, G=3, DC=9.0)"
-        assert repr(sack) == "SackInfo(cum_ack=5, blocks=((7, 9),))"
+        assert repr(sack) == "SackInfo(cum_ack=5, blocks=((7, 9),), acks=1)"
         assert repr(AckPacket(sack)) == "AckPacket(cum=5, blocks=[(7, 9)])"
 
     def test_exact_errors(self):

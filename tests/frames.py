@@ -4,8 +4,9 @@
 
 Runs the five benchmark workload shapes (``BENCHMARK.json``) at 0.02 of
 their size under ``sys.setprofile`` and prints, per shape, Python frames
-per delivered packet, kernel steps per data packet the striper sent and
-``Simulator.schedule_call`` frames per delivered packet.  ``--top N`` adds
+per delivered packet, kernel steps per data packet the striper sent,
+``Simulator.schedule_call`` frames per delivered packet and, on the two
+ARQ shapes, acks the receiver sent per delivered packet.  ``--top N`` adds
 the N functions with the most frames per packet under each shape.  A
 second table gives the tracemalloc bytes per registered flow of the
 ``fabric_fanin`` flow table at 1k, 10k and 100k flows, idle and with 2
@@ -285,6 +286,7 @@ class Measured(NamedTuple):
     generated: int
     channels: List[Channel]
     sender: StripeSenderPipeline
+    receiver: StripeReceiverPipeline
 
     @property
     def frames_per_packet(self) -> float:
@@ -298,6 +300,14 @@ class Measured(NamedTuple):
     def schedule_calls_per_packet(self) -> float:
         frames = self.counter.frames_of(Simulator.schedule_call)
         return frames / len(self.delivered)
+
+    @property
+    def acks_per_packet(self) -> Optional[float]:
+        """Acks the ARQ receiver sent per delivered packet (None: no ARQ)."""
+        arq = self.receiver.reliable
+        if arq is None:
+            return None
+        return arq.stats.acks_sent / len(self.delivered)
 
 
 def measure(name: str) -> Measured:
@@ -326,7 +336,7 @@ def measure(name: str) -> Measured:
         )
     with FrameCounter() as counter:
         generated = run()
-    return Measured(counter, delivered, generated, channels, sender)
+    return Measured(counter, delivered, generated, channels, sender, receiver)
 
 
 #: registered flows the bytes-per-flow table is read at (ROADMAP
@@ -388,15 +398,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     top = int(args[args.index("--top") + 1]) if "--top" in args else 0
     print(
         f"{'shape':<15} {'packets':>8} {'frames/pkt':>11} "
-        f"{'kernel steps/sent':>18} {'schedule_call/pkt':>18}"
+        f"{'kernel steps/sent':>18} {'schedule_call/pkt':>18} "
+        f"{'acks/pkt':>9}"
     )
     for name in SHAPES:
         m = measure(name)
         packets = len(m.delivered)
+        acks = m.acks_per_packet
         print(
             f"{name:<15} {packets:>8} {m.frames_per_packet:>11.2f} "
             f"{m.steps_per_packet_sent:>18.2f} "
-            f"{m.schedule_calls_per_packet:>18.2f}"
+            f"{m.schedule_calls_per_packet:>18.2f} "
+            + (f"{'-':>9}" if acks is None else f"{acks:>9.2f}")
         )
         for code, frames in m.counter.by_code.most_common(top):
             where = code.co_filename.rsplit("/", 1)[-1]

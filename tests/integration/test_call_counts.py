@@ -30,6 +30,12 @@ transmit and per delivery, a ``_kick``/``_start_next`` pair per restart,
 the per-packet shard helpers of both FEC ends, the pump's kernel call on a
 blocked pump and the Karn-sample, clamp and timer-check helpers per ack.
 
+The ARQ receiver then merged the acks each simulated instant earns into
+one standing for all of them, same measure, before -> after:
+
+* ``lossy_reliable`` shape: 62.46 -> 54.11 frames per packet, bound 60;
+  0.99 -> 0.39 acks sent per delivered packet, bound 0.5
+
 A marker resync across N channels, frames per adoption at N = 64 / 512
 (``resync_frames_per_adoption``): 39.53 / 263.50 -> 2.02 / 2.00, once the
 receiver counted the channels holding a sync round instead of testing all
@@ -56,10 +62,11 @@ from tests.frames import FrameCounter, measure, resync_frames_per_adoption
 FRAMES_PER_PACKET_BOUND = {
     "clean_bulk": 24.0,
     "skewed_small": 12.0,
-    "lossy_reliable": 72.0,
+    "lossy_reliable": 60.0,
     "lossy_hybrid": 90.0,
 }
 SCHEDULE_CALLS_PER_PACKET_BOUND = 0.2
+ACKS_PER_PACKET_BOUND = 0.5
 
 run_of = lru_cache(maxsize=None)(measure)
 
@@ -92,6 +99,14 @@ def test_frames_per_lossy_packet(name):
     assert run.delivered == list(range(run.generated)) and run.delivered
     assert sum(ch.stats.lost_packets for ch in run.channels) > 20
     assert run.frames_per_packet <= FRAMES_PER_PACKET_BOUND[name]
+
+
+def test_one_ack_per_instant_on_the_lossy_reliable_shape():
+    # A drain releases many buffered packets in one instant; their acks
+    # leave as one that stands for all of them.
+    run = run_of("lossy_reliable")
+    assert run.delivered == list(range(run.generated)) and run.delivered
+    assert run.acks_per_packet <= ACKS_PER_PACKET_BOUND
 
 
 def test_a_second_hybrid_rig_builds_no_tables():

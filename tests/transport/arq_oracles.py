@@ -6,9 +6,13 @@ blocks as an incrementally maintained interval set and
 un-sacked records; both are derived from state the checkpoint already
 holds.  These are the slow, obviously-right versions the tests compare
 them with: recompute everything from ``_ooo`` / ``unacked`` on every call.
+
+The receiver's ack emission has a reference too: :class:`PerEventAckReceiver`
+sends every ack the moment it is earned, where the receiver merges the acks
+of one simulated instant into one.
 """
 
-from repro.transport.reliability import ReliableSender
+from repro.transport.reliability import ReliableReceiver, ReliableSender
 
 
 def sack_blocks(ooo, last_ooo, max_blocks):
@@ -80,7 +84,7 @@ class FullScanSender(ReliableSender):
                 record.transmissions > 0
             ):
                 holes.append(record)
-        self._fast_retransmit(holes)
+        self._fast_retransmit(holes, sack.acks)
         opened = self._refill() or opened
         self._ensure_timer()
         if opened and self.on_window_open is not None:
@@ -113,3 +117,23 @@ class FullScanSender(ReliableSender):
             if not record.sacked and record.transmissions > 0:
                 return record
         return None
+
+
+class PerEventAckReceiver(ReliableReceiver):
+    """The receiver with every earned ack sent at once, standing for one.
+
+    The rule before acks were merged per instant: an out-of-order,
+    duplicate, window-drop or gap-filling arrival, every ``ack_every``-th
+    in-order delivery and a delayed-ack expiry each send their own ack
+    the moment they happen.  Everything else is the receiver's.
+    """
+
+    def _owe_ack(self):
+        if self.send_ack is None:
+            return
+        if self._ack_timer is not None:
+            self._ack_timer.cancel()
+            self._ack_timer = None
+        self._unacked_deliveries = 0
+        self.stats.acks_sent += 1
+        self.send_ack(self.sack_info())

@@ -30,6 +30,7 @@ from repro.transport.reliability import (
 )
 from tests.transport.arq_oracles import (
     FullScanSender,
+    PerEventAckReceiver,
     receiver_blocks,
     sack_blocks,
     unsacked_index,
@@ -291,6 +292,22 @@ class TestFastRetransmit:
         assert h.sender.stats.fast_retransmissions == 1
         assert [p.rseq for p in h.sent].count(0) == 2
 
+    @pytest.mark.parametrize("acks", [FAST_RETRANSMIT_HINTS - 1,
+                                      FAST_RETRANSMIT_HINTS])
+    def test_merged_ack_counts_every_ack_it_stands_for(self, sim, acks):
+        """One ack packet standing for dupthresh acks repairs the hole
+        below the data it reports, where each ack once needed its own
+        packet; one standing for fewer adds that many hints."""
+        h = SenderHarness(sim)
+        h.submit(6)
+        h.sender.rto.sample(0.001)
+        sim.run(until=0.01)
+        h.sender.on_ack(AckPacket(SackInfo(0, ((1, 3),), acks=acks)))
+        repaired = acks >= FAST_RETRANSMIT_HINTS
+        assert h.sender.unacked[0].dup_hints == (0 if repaired else acks)
+        assert h.sender.stats.fast_retransmissions == int(repaired)
+        assert [p.rseq for p in h.sent].count(0) == 1 + repaired
+
     def test_no_retransmit_while_repair_in_flight(self, sim):
         h = SenderHarness(sim)
         h.submit(6)
@@ -399,11 +416,11 @@ class TestTimerAndEscalation:
 
 
 class ReceiverHarness:
-    def __init__(self, sim=None, **options):
+    def __init__(self, sim=None, receiver_cls=ReliableReceiver, **options):
         self.delivered = []
         self.acks = []
         options.setdefault("send_ack", self.acks.append)
-        self.receiver = ReliableReceiver(
+        self.receiver = receiver_cls(
             self.delivered.append, sim=sim, **options
         )
 
@@ -482,6 +499,41 @@ class TestReceiverAcks:
         h.push(0)
         assert len(h.acks) == 1  # the loss signal must not wait
 
+    def test_gap_fill_acks_at_once(self, sim):
+        """A packet that fills a gap is acked in its own instant (RFC 5681
+        §3.2), not after the delayed-ack timer."""
+        h = ReceiverHarness(sim=sim, ack_every=16)
+        sent = []
+        h.receiver.send_ack = lambda info: sent.append((sim.now, info))
+        for at_ms, rseq in ((1, 1), (2, 2), (3, 0), (4, 4), (10, 3)):
+            sim.schedule_at(at_ms / 1000, h.push, rseq)
+        sim.run(until=0.1)
+        assert [round(t * 1000, 6) for t, _ in sent] == [1, 2, 3, 4, 10]
+        assert [info.cum_ack for _, info in sent] == [0, 0, 3, 3, 5]
+        assert [p.rseq for p in h.delivered] == [0, 1, 2, 3, 4]
+
+    def test_one_ack_per_instant_standing_for_each_earned(self, sim):
+        h = ReceiverHarness(sim=sim, ack_every=2)
+
+        def drain():  # one resequencer drain: a gap, then its repair
+            for rseq in (0, 2, 3, 2, 1, 4, 5):
+                h.push(rseq)
+
+        sim.schedule_at(0.001, drain)
+        sim.run(until=0.001)
+        # 2, 3 out of order, 2 again, 1 fills the gap, 5 is 2nd in order
+        assert h.acks == [SackInfo(cum_ack=6, acks=5)]
+        assert h.receiver.stats.acks_sent == 1
+        assert [p.rseq for p in h.delivered] == [0, 1, 2, 3, 4, 5]
+
+    def test_stop_sends_the_owed_ack_and_cancels_the_flush(self, sim):
+        h = ReceiverHarness(sim=sim, ack_every=100)
+        h.push(2)
+        h.receiver.stop()
+        assert h.acks == [SackInfo(cum_ack=0, blocks=((2, 3),))]
+        assert sim.run() == 0
+        assert len(h.acks) == 1
+
     def test_delayed_ack_fires(self, sim):
         h = ReceiverHarness(sim=sim, ack_every=10)
         h.push(0)
@@ -519,14 +571,14 @@ class TestReceiverAcks:
 class TestLoopback:
     def run_loopback(
         self, sim, lose, n=50, delay=0.002, window=64,
-        sender_cls=ReliableSender,
+        sender_cls=ReliableSender, receiver_cls=ReliableReceiver,
     ):
         """Stripe sender->receiver with per-copy drop decisions."""
         h = SenderHarness(
             sim, auto_send=False, sender_cls=sender_cls,
             window_packets=window,
         )
-        hr = ReceiverHarness(sim=sim, ack_every=2)
+        hr = ReceiverHarness(sim=sim, receiver_cls=receiver_cls, ack_every=2)
         copies = iter(range(1 << 20))
 
         def stripe(packets):
@@ -561,7 +613,10 @@ class TestLoopback:
         """Window 512 at 5% loss: an ack examines the holes and what it
         newly covers, far fewer records than the window holds.  Counted,
         not timed; the full-scan reference on the same traffic shows the
-        bound is one a scan of the window does not meet."""
+        bound is one a scan of the window does not meet.  The receiver
+        acks every event on its own (the per-event reference): this
+        loopback lands a whole window in one instant, which a merged ack
+        covers at once, and the claim is about what each ack changes."""
         window = 512
         per_ack = {}
         for sender_cls in (ReliableSender, FullScanSender):
@@ -570,6 +625,7 @@ class TestLoopback:
             h, hr = self.run_loopback(
                 sim, lose=lambda i: rng.random() < 0.05, n=4000,
                 window=window, sender_cls=sender_cls,
+                receiver_cls=PerEventAckReceiver,
             )
             assert [p.seq for p in hr.delivered] == list(range(4000))
             stats = h.sender.stats
@@ -815,6 +871,96 @@ def test_sack_blocks_equal_a_from_scratch_rebuild(steps):
             )
 
 
+# One instant is a list of events at the same simulated time (channel
+# deliveries), each a list of arrivals handed over in one call (a
+# resequencer drain).  An arrival is relative to the cursor: in order (or
+# filling the gap when something is buffered), out of order, below the
+# cursor, or past the window.  Gaps between instants straddle ACK_DELAY_S,
+# so delayed acks expire between some instants and are cut short in others.
+arrival = st.one_of(
+    st.just(("next",)),
+    st.tuples(st.just("ahead"), st.integers(1, 10)),
+    st.tuples(st.just("behind"), st.integers(1, 3)),
+    st.tuples(st.just("beyond"), st.integers(0, 3)),
+)
+ack_scripts = st.lists(
+    st.tuples(
+        st.sampled_from((0.0005, 0.002, 0.004, 0.006, 0.02)),
+        st.lists(st.lists(arrival, min_size=1, max_size=6), min_size=1,
+                 max_size=3),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def run_ack_script(receiver_cls, ack_every, script):
+    """``script`` against a fresh receiver: what it did, in order, as
+    ``(time, "deliver", rseq)`` and ``(time, "ack", SackInfo)``."""
+    sim = Simulator()
+    log = []
+    rx = receiver_cls(
+        lambda packet: log.append((sim.now, "deliver", packet.rseq)),
+        send_ack=lambda info: log.append((sim.now, "ack", info)),
+        sim=sim, ack_every=ack_every,
+    )
+
+    def arrive(arrivals):
+        for kind, *offset in arrivals:
+            rseq = rx.next_expected
+            if kind == "ahead":
+                rseq += offset[0]
+            elif kind == "behind":
+                rseq -= offset[0]
+            elif kind == "beyond":
+                rseq += RECEIVE_WINDOW_PACKETS + offset[0]
+            packet = Packet(size=100, seq=0)
+            packet.rseq = rseq
+            rx.push(packet)
+
+    at = 0.0
+    for gap, events in script:
+        at += gap
+        for arrivals in events:
+            sim.schedule_at(at, arrive, arrivals)
+    sim.run()
+    return log
+
+
+@settings(max_examples=200, deadline=None)
+@given(ack_scripts, st.sampled_from((1, 2, 16)))
+def test_one_merged_ack_per_instant_equals_the_per_event_acks(
+    script, ack_every
+):
+    """The receiver sends at most one ack per instant, in exactly the
+    instants the per-event rule acks in, and it stands for every ack the
+    per-event rule sends then.  It carries the state at the end of the
+    instant: the per-event rule's last ack of the instant plus the
+    in-order deliveries that followed it, which earned no ack of their
+    own.  Deliveries are the same."""
+    merged = run_ack_script(ReliableReceiver, ack_every, script)
+    per_event = run_ack_script(PerEventAckReceiver, ack_every, script)
+    assert [e for e in merged if e[1] == "deliver"] == [
+        e for e in per_event if e[1] == "deliver"
+    ]
+    acks = [(at, info) for at, kind, info in merged if kind == "ack"]
+    # per instant: the per-event acks, then the deliveries after the last
+    by_instant = {}
+    for at, kind, value in per_event:
+        if kind == "ack":
+            entry = by_instant.setdefault(at, [[], 0])
+            entry[0].append(value)
+            entry[1] = 0
+        elif at in by_instant:
+            by_instant[at][1] += 1
+    assert [at for at, _ in acks] == list(by_instant)
+    for at, info in acks:
+        sent, trailing = by_instant[at]
+        assert info.blocks == sent[-1].blocks
+        assert info.cum_ack == sent[-1].cum_ack + trailing
+        assert info.acks == len(sent)
+
+
 class ArqTwin:
     """One input stream fed to a sender and to its full-scan reference.
 
@@ -857,7 +1003,7 @@ class ArqTwin:
             packet = Packet(size=100, seq=0)
             packet.rseq = self.in_flight.pop(step[1] % len(self.in_flight))
             self.rx.push(packet)
-            self.acks.append(self.rx.sack_info(step[2]))
+            self.acks.append(self.rx.sack_info(step[2], acks=step[3]))
         elif kind == "lose" and self.in_flight:
             self.in_flight.pop(step[1] % len(self.in_flight))
         elif kind == "lose_ack" and self.acks:
@@ -900,8 +1046,11 @@ class ArqTwin:
         )
 
 
+# the ack an arrival produces has 1, 2 or 4 blocks and stands for 1 or 3
+# acks (a merged ack)
 arrive_step = st.tuples(
-    st.just("arrive"), st.integers(0, 63), st.sampled_from((1, 2, 4))
+    st.just("arrive"), st.integers(0, 63), st.sampled_from((1, 2, 4)),
+    st.sampled_from((1, 1, 3)),
 )
 # keep=True leaves the ack queued: it comes again later, stale
 ack_step = st.tuples(st.just("ack"), st.integers(0, 63), st.booleans())
@@ -929,13 +1078,17 @@ sender_steps = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(sender_steps, st.booleans())
 @example(  # two holes ripen together: one batched fast retransmit
-    [("arrive", 3, 4), ("advance", 0.001)] + [("ack", 0, True)] * 4
-    + [("arrive", 0, 4), ("ack", 1, False), ("advance", 0.05)],
+    [("arrive", 3, 4, 1), ("advance", 0.001)] + [("ack", 0, True)] * 4
+    + [("arrive", 0, 4, 1), ("ack", 1, False), ("advance", 0.05)],
+    True,
+)
+@example(  # one merged ack ripens a hole on its own
+    [("arrive", 3, 4, 3), ("advance", 0.05), ("ack", 0, False)],
     True,
 )
 @example(  # SACK reneging: a restarted receiver lost what it had acked
-    [("arrive", 2, 2), ("arrive", 3, 2), ("ack", 1, False),
-     ("reconcile", True), ("arrive", 0, 4), ("ack", 0, False),
+    [("arrive", 2, 2, 1), ("arrive", 3, 2, 1), ("ack", 1, False),
+     ("reconcile", True), ("arrive", 0, 4, 1), ("ack", 0, False),
      ("advance", 0.5)],
     False,
 )
