@@ -199,6 +199,25 @@ class Striper:
         self.input_queue.extend(packets)
         self.pump()
 
+    def withdraw(self, packet: Any) -> bool:
+        """Take ``packet`` back out of the input queue before the policy
+        assigns it a channel; True if it was queued.
+
+        The queue is searched by identity, not ``==``: packets compare by
+        contents, and an equal packet is another transmission.  A
+        withdrawn packet was never assigned, so no kernel step, marker
+        crossing or send counter saw it, and a receiver simulating this
+        striper's kernel cannot tell it was ever queued.  A discipline
+        that queues wrapped units (MPPP fragments, BONDING frames) never
+        holds the packet itself, so nothing is found and its units go out.
+        """
+        queue = self.input_queue
+        for index, queued in enumerate(queue):
+            if queued is packet:
+                del queue[index]
+                return True
+        return False
+
     @property
     def backlog(self) -> int:
         """Packets waiting in the striper's input queue."""

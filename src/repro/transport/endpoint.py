@@ -189,13 +189,17 @@ def build_sender_recovery(
     reliability: str,
     sim: Any,
     stripe: Callable[[Sequence[Any]], None],
+    withdraw: Callable[[Any], bool],
     options: Optional[Dict[str, Any]] = None,
 ) -> Tuple[List[Any], Optional[ReliableSender], Optional[FecSender]]:
     """The send-side recovery stack, built once at construction time:
     recording ports -> :class:`ReliableSender` -> :class:`FecSender`.
 
     ``stripe(packets)`` is the owner's entry into its striper (it may be
-    bound before the striper exists).  Returns ``(ports, reliable, fec)``:
+    bound before the striper exists) and ``withdraw(packet)`` takes a
+    queued packet back out of it before a channel is assigned (True if it
+    was there): the ARQ sender withdraws retransmissions an ack answered
+    while they waited.  Returns ``(ports, reliable, fec)``:
     the port list to stripe over (recording proxies whenever a recovery
     layer is mounted) and the layers ``reliability`` asked for, ``None``
     otherwise.  ``options`` go to the ARQ sender.
@@ -212,6 +216,7 @@ def build_sender_recovery(
         raise ValueError(f"{reliability} mode needs an event scheduler")
     if arq:
         reliable = ReliableSender(stripe, sim, **(options or {}))
+        reliable.withdraw = withdraw
     # Recording proxies report actual transmissions (channel + time) back
     # to the ARQ layer; the striper stays oblivious.  Pure fec wraps too,
     # for the envelope byte accounting — its packets carry no rseq, so
@@ -343,7 +348,8 @@ class StripeSenderPipeline:
                 "(MPPP/BONDING fragment packets below the recovery layer)"
             )
         self.ports, self.reliable, self.fec = build_sender_recovery(
-            ports, reliability, sim, self._stripe, reliability_options,
+            ports, reliability, sim, self._stripe, self._withdraw,
+            reliability_options,
         )
         # The submit path enters at the top recovery layer; the stacking is
         # fixed at construction, so it is bound once, not chosen per packet.
@@ -542,6 +548,17 @@ class StripeSenderPipeline:
                     self.striper.submit(unit)
         else:
             self.striper.submit_many(packets)
+
+    def _withdraw(self, packet: Any) -> bool:
+        """Take ``packet`` back out of the live striper's input queue.
+
+        The striper is read per call: a session reset holds it (what it
+        withdraws then never enters the queue :meth:`restripe` carries
+        into the new epoch), and ``restripe`` replaces it.  ARQ refuses
+        the wrapping disciplines, whose queues hold fragments and frames,
+        not the packet, so the packet itself is what a queue holds.
+        """
+        return self.striper.withdraw(packet)
 
     def can_submit(self, flow_id: Any = None) -> bool:
         """Backpressure signal: False while a reliable window is full.

@@ -18,15 +18,19 @@ constraint (section 2.1: data packets are never modified):
   marker-quiet periods.
 * Retransmissions are resubmitted through the same SRR kernel as new
   data, so recovery traffic is striped under the Theorem 3.2 fairness
-  bound instead of hammering one channel.
+  bound instead of hammering one channel.  A retransmission an ack
+  answers while it still waits in the striper's input queue is withdrawn
+  before the kernel assigns it a channel (:attr:`ReliableSender.withdraw`),
+  so the scoreboard is consulted when a copy leaves, not only when it is
+  decided (RFC 6675's NextSeg).
 * The retransmission buffer is bounded (``window_packets``); a full
   window exerts backpressure on the submit path, composing with the
   FCVC credit layer (credits bound per-channel receiver buffers, the
   window bounds end-to-end recovery state).
 * Loss detection is adaptive: SRTT/RTTVAR with Karn's algorithm and
   exponential backoff (RFC 6298 shape), plus SACK-hole fast retransmit.
-  A packet that exhausts ``MAX_RETRIES`` escalates the channel it last
-  used to the channel-lifecycle machinery (``on_channel_suspect``) —
+  A packet that exhausts ``MAX_RETRIES`` escalates the channel its first
+  copy took to the channel-lifecycle machinery (``on_channel_suspect``) —
   persistent per-channel loss looks exactly like a dying channel.
 """
 
@@ -215,9 +219,12 @@ class _TxRecord:
     first_sent: float = -1.0
     last_sent: float = -1.0
     transmissions: int = 0
-    last_channel: int = -1
+    #: the channel the first copy took: the copy whose loss left the
+    #: record outstanding (what escalation reports)
+    first_channel: int = -1
     sacked: bool = False
-    #: resubmitted to the striper but not yet actually transmitted
+    #: resubmitted to the striper but not yet actually transmitted (the
+    #: copy waits in the striper's input queue)
     rtx_pending: bool = False
     #: acks that reported newer data while this stayed unacked
     dup_hints: int = 0
@@ -245,6 +252,14 @@ class ReliabilityStats:
     #: packets replayed from the retransmit buffer by a crash-recovery
     #: reconciliation (:meth:`ReliableSender.reconcile`)
     replays: int = 0
+    #: retransmissions taken back out of the striper's input queue before
+    #: any channel took them: an ack answered the record first (or a
+    #: reconciliation replays it anyway).  ``retransmissions`` counts only
+    #: the copies a channel took.
+    withdrawn: int = 0
+    #: copies a channel took after an ack had already retired or SACKed
+    #: their rseq (a copy no withdrawal reached)
+    late_copies: int = 0
 
 
 class ReliableSender:
@@ -260,8 +275,9 @@ class ReliableSender:
         window_packets: retransmission-buffer bound; submits beyond it
             are parked and replayed as acks open the window
             (``can_submit`` lets sources implement backpressure).
-        on_channel_suspect: ``fn(channel_index)`` lifecycle escalation,
-            once a packet has been retransmitted ``MAX_RETRIES`` times
+        on_channel_suspect: ``fn(channel_index)`` lifecycle escalation of
+            the channel a packet's first copy took, once the packet has
+            been retransmitted ``MAX_RETRIES`` times
             (reliability itself keeps retrying — escalation feeds the
             lifecycle machinery, it does not abandon data).
 
@@ -293,6 +309,13 @@ class ReliableSender:
         #: stamped (before it can reach any channel) — the write-ahead-log
         #: hook of the crash-recovery layer.
         self.on_register: Optional[Callable[[Any], None]] = None
+        #: optional ``fn(packet) -> bool`` taking a queued copy of
+        #: ``packet`` back out of the striper's input queue before a
+        #: channel is assigned to it; True if one was there.  Called when
+        #: an ack retires or SACKs a record whose retransmission is still
+        #: pending, so no channel sends what the receiver already holds.
+        #: The owner of the striper installs it (``build_sender_recovery``).
+        self.withdraw: Optional[Callable[[Any], bool]] = None
         self.rto = RtoEstimator()
         self.stats = ReliabilityStats()
         self.next_rseq = 0
@@ -371,13 +394,17 @@ class ReliableSender:
         for packet in packets:
             record = unacked.get(packet.rseq)
             if record is None:
-                continue  # acked while queued inside the striper
+                # acked while queued where no withdrawal reached it
+                self.stats.late_copies += 1
+                continue
+            if record.sacked:
+                self.stats.late_copies += 1
             record.transmissions += 1
             record.last_sent = now
-            record.last_channel = channel
             record.rtx_pending = False
             if record.transmissions == 1:
                 record.first_sent = now
+                record.first_channel = channel
             else:
                 self.stats.retransmissions += 1
                 rtx_bytes += record.size
@@ -430,6 +457,8 @@ class ReliableSender:
             if bi < n_blocks and blocks[bi][0] <= rseq:
                 record.sacked = True
                 covered.append(rseq)
+                if record.rtx_pending:
+                    self._take_back(record)
                 # Karn's rule: RTT only from packets transmitted once.
                 if record.transmissions == 1 and record.last_sent >= 0:
                     self.stats.rtt_samples += 1
@@ -477,10 +506,30 @@ class ReliableSender:
             ):
                 self.stats.rtt_samples += 1
                 self.rto.sample(now - record.last_sent)
+            if record.rtx_pending:
+                # Before on_retire: a pool must not recycle a queued copy.
+                self._take_back(record)
             if on_retire is not None:
                 on_retire(record.packet)
         self.stats.acked += retired
         return was_full and retired > 0
+
+    def _take_back(self, record: _TxRecord) -> None:
+        """Withdraw ``record``'s pending retransmission from the striper's
+        input queue, if the owner installed :attr:`withdraw` and the copy
+        is still there.
+
+        A copy that never reached a channel was never assigned one: no
+        kernel step, marker crossing or envelope byte counted it, so the
+        receiver's simulation of the sender's kernel cannot notice it was
+        ever queued.  A copy not found (no hook, or a discipline that
+        queues wrapped units instead of the packet) goes out as before;
+        when an ack answered it, it counts in ``late_copies``.
+        """
+        withdraw = self.withdraw
+        if withdraw is not None and withdraw(record.packet):
+            record.rtx_pending = False
+            self.stats.withdrawn += 1
 
     def _fast_retransmit(self, holes: List[_TxRecord], acks: int) -> None:
         """Retransmit holes the SACK scoreboard has repeatedly exposed.
@@ -607,8 +656,10 @@ class ReliableSender:
         once acknowledged (SACK reneging, which the normal ack path is
         forbidden to express) — then replays every live record through
         the striper and collapses RTO backoff per Karn (samples from the
-        dead incarnation describe a path that no longer exists).  The
-        un-sacked index is rebuilt from the records left live.
+        dead incarnation describe a path that no longer exists).  A copy
+        still queued from before is withdrawn first, so a record has one
+        copy in the striper's queue, not two.  The un-sacked index is
+        rebuilt from the records left live.
 
         Returns the number of packets replayed.
         """
@@ -623,6 +674,8 @@ class ReliableSender:
             covered = bi < n_blocks and block_list[bi][0] <= rseq
             record.sacked = covered
             record.dup_hints = 0
+            if record.rtx_pending:
+                self._take_back(record)
             record.rtx_pending = False
             if not covered:
                 unsacked[rseq] = record
@@ -686,8 +739,12 @@ class ReliableSender:
         if record.transmissions > MAX_RETRIES and not record.escalated:
             record.escalated = True
             self.stats.escalations += 1
-            if self.on_channel_suspect is not None and record.last_channel >= 0:
-                self.on_channel_suspect(record.last_channel)
+            # The first copy's channel, not the last's: retransmissions
+            # follow the kernel's pointer wherever it stands, so which
+            # channel the latest copy took is an accident of its parity.
+            channel = record.first_channel
+            if self.on_channel_suspect is not None and channel >= 0:
+                self.on_channel_suspect(channel)
         if not record.rtx_pending:
             self._retransmit([record])
         # A synchronous resend already re-armed via note_sent; otherwise

@@ -16,7 +16,7 @@ import random
 from bisect import bisect
 from itertools import accumulate
 from math import inf, isfinite
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.core.packet import Packet
 from repro.sim.engine import Simulator
@@ -228,15 +228,20 @@ class ClosedLoopSource:
                 if deficit <= 0:
                     return
                 # One refill, no per-packet frame: the same draws, seqs
-                # and packets as ``deficit`` calls of :meth:`_make`.
+                # and packets as ``deficit`` calls of :meth:`_make`.  A
+                # loop, not a comprehension, which CPython 3.11 runs as a
+                # frame of its own per refill.
                 size_fn = self.size_fn
                 first = self.generated
-                seqs = range(first, first + deficit)
+                batch: List[Packet] = []
+                append = batch.append
                 if self.pool is not None:
                     acquire = self.pool.acquire
-                    batch = [acquire(size_fn(), seq) for seq in seqs]
+                    for seq in range(first, first + deficit):
+                        append(acquire(size_fn(), seq))
                 else:
-                    batch = [Packet(size=size_fn(), seq=seq) for seq in seqs]
+                    for seq in range(first, first + deficit):
+                        append(Packet(size=size_fn(), seq=seq))
                 self.generated = first + deficit
                 self.submit_many(batch)
             return

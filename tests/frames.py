@@ -6,7 +6,8 @@ Runs the five benchmark workload shapes (``BENCHMARK.json``) at 0.02 of
 their size under ``sys.setprofile`` and prints, per shape, Python frames
 per delivered packet, kernel steps per data packet the striper sent,
 ``Simulator.schedule_call`` frames per delivered packet and, on the two
-ARQ shapes, acks the receiver sent per delivered packet.  ``--top N`` adds
+ARQ shapes, acks the receiver sent and duplicates it dropped per
+delivered packet.  ``--top N`` adds
 the N functions with the most frames per packet under each shape.  A
 second table gives the tracemalloc bytes per registered flow of the
 ``fabric_fanin`` flow table at 1k, 10k and 100k flows, idle and with 2
@@ -309,6 +310,15 @@ class Measured(NamedTuple):
             return None
         return arq.stats.acks_sent / len(self.delivered)
 
+    @property
+    def duplicates_per_packet(self) -> Optional[float]:
+        """Duplicates the ARQ receiver dropped per delivered packet (None:
+        no ARQ)."""
+        arq = self.receiver.reliable
+        if arq is None:
+            return None
+        return arq.stats.duplicates / len(self.delivered)
+
 
 def measure(name: str) -> Measured:
     """Run shape ``name`` to completion under a :class:`FrameCounter`."""
@@ -399,17 +409,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         f"{'shape':<15} {'packets':>8} {'frames/pkt':>11} "
         f"{'kernel steps/sent':>18} {'schedule_call/pkt':>18} "
-        f"{'acks/pkt':>9}"
+        f"{'acks/pkt':>9} {'dup/pkt':>8}"
     )
     for name in SHAPES:
         m = measure(name)
         packets = len(m.delivered)
-        acks = m.acks_per_packet
+        acks, dups = m.acks_per_packet, m.duplicates_per_packet
         print(
             f"{name:<15} {packets:>8} {m.frames_per_packet:>11.2f} "
             f"{m.steps_per_packet_sent:>18.2f} "
             f"{m.schedule_calls_per_packet:>18.2f} "
-            + (f"{'-':>9}" if acks is None else f"{acks:>9.2f}")
+            + (f"{'-':>9} {'-':>8}" if acks is None
+               else f"{acks:>9.2f} {dups:>8.4f}")
         )
         for code, frames in m.counter.by_code.most_common(top):
             where = code.co_filename.rsplit("/", 1)[-1]

@@ -36,6 +36,20 @@ one standing for all of them, same measure, before -> after:
 * ``lossy_reliable`` shape: 62.46 -> 54.11 frames per packet, bound 60;
   0.99 -> 0.39 acks sent per delivered packet, bound 0.5
 
+A retransmission an ack answered while it waited in the striper's input
+queue used to be striped and sent anyway.  Copies a channel took after an
+ack had retired or SACKed their rseq, and receiver duplicates per
+delivered packet, same measure, before -> after the sender withdrew them:
+
+* ``lossy_reliable`` shape: 8 -> 0 copies; 7/1,267 -> 3/1,286 duplicates
+* ``lossy_hybrid`` shape: 16 -> 0 copies; 19/866 -> 5/877 duplicates
+
+Every duplicate left is a copy that went out before any ack or FEC rebuild
+answered it.  On the hybrid shape, four are fast retransmissions racing a
+rebuild that landed 0.07-2.8 ms later, and one is a timeout that fired
+while a delayed ack was in flight (``DESIGN.md`` "Reliability", the RTO
+paragraph).  That is 0.0057 per packet, so the hybrid bound is 0.006.
+
 A marker resync across N channels, frames per adoption at N = 64 / 512
 (``resync_frames_per_adoption``): 39.53 / 263.50 -> 2.02 / 2.00, once the
 receiver counted the channels holding a sync round instead of testing all
@@ -67,6 +81,7 @@ FRAMES_PER_PACKET_BOUND = {
 }
 SCHEDULE_CALLS_PER_PACKET_BOUND = 0.2
 ACKS_PER_PACKET_BOUND = 0.5
+DUPLICATES_PER_PACKET_BOUND = {"lossy_reliable": 0.005, "lossy_hybrid": 0.006}
 
 run_of = lru_cache(maxsize=None)(measure)
 
@@ -107,6 +122,18 @@ def test_one_ack_per_instant_on_the_lossy_reliable_shape():
     run = run_of("lossy_reliable")
     assert run.delivered == list(range(run.generated)) and run.delivered
     assert run.acks_per_packet <= ACKS_PER_PACKET_BOUND
+
+
+@pytest.mark.parametrize("name", ["lossy_reliable", "lossy_hybrid"])
+def test_no_channel_takes_a_copy_an_ack_already_answered(name):
+    run = run_of(name)
+    assert run.delivered == list(range(run.generated)) and run.delivered
+    stats = run.sender.reliable.stats
+    # The repairs an ack overtook were there to withdraw ...
+    assert stats.withdrawn > 0
+    # ... and none reached a channel after its rseq was retired or SACKed.
+    assert stats.late_copies == 0
+    assert run.duplicates_per_packet <= DUPLICATES_PER_PACKET_BOUND[name]
 
 
 def test_a_second_hybrid_rig_builds_no_tables():

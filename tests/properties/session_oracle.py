@@ -39,6 +39,16 @@ class OracleSender:
     def pump(self):
         return 0 if self.resetting else self.striper.pump()
 
+    def withdraw(self, packet):
+        # A queued copy waits in this epoch's striper or, mid-reset, in
+        # the parked list; identity, not ==, picks it out.
+        for queue in (self.striper.input_queue, self.parked):
+            for index, queued in enumerate(queue):
+                if queued is packet:
+                    del queue[index]
+                    return True
+        return False
+
     def initiate_reset(self, config=None):
         queue = self.striper.input_queue
         self.parked = list(queue) + self.parked

@@ -41,6 +41,7 @@ class OracleLoopback(Loopback):
         ports, reliable, _ = build_sender_recovery(
             self.ports, reliability, self.sim,
             lambda packets: [sender.submit(packet) for packet in packets],
+            lambda packet: sender.withdraw(packet),
         )
         sender = OracleSender(
             self.sim, ports, self.config, marker_policy, RESET_RETRY_S

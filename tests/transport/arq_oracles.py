@@ -76,6 +76,8 @@ class FullScanSender(ReliableSender):
             if any(start <= rseq < end for start, end in sack.blocks):
                 if not record.sacked:
                     record.sacked = True
+                    if record.rtx_pending:
+                        self._take_back(record)
                     # Karn's rule: RTT only from packets transmitted once.
                     if record.transmissions == 1 and record.last_sent >= 0:
                         self.stats.rtt_samples += 1
@@ -96,6 +98,8 @@ class FullScanSender(ReliableSender):
         for rseq, record in self.unacked.items():
             record.sacked = any(start <= rseq < end for start, end in blocks)
             record.dup_hints = 0
+            if record.rtx_pending:
+                self._take_back(record)
             record.rtx_pending = False
             if not record.sacked:
                 live.append(record)

@@ -211,7 +211,7 @@ class TestSenderPipeline:
             )
             records = pipeline.reliable.unacked.values()
             assert [r.transmissions for r in records] == [1] * 4
-            channels.append([r.last_channel for r in records])
+            channels.append([r.first_channel for r in records])
             assert sum(p.data_bytes_sent for p in pipeline.ports) == 4000
         assert channels[0] == channels[1] and set(channels[0]) == {0, 1}
 

@@ -11,6 +11,7 @@ submitted message exactly once in FIFO order on both the socket stack and
 the session stack, and the sender's retransmission state fully drains.
 """
 
+import copy
 import dataclasses
 import random
 
@@ -18,7 +19,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.packet import Packet, SackInfo
+from repro.core.srr import SRR
+from repro.core.striper import Striper
+from repro.core.transform import TransformedLoadSharer
 from repro.sim.engine import Simulator
+from repro.transport.endpoint import StripeSenderPipeline
 from repro.transport.reliability import (
     FAST_RETRANSMIT_HINTS,
     MAX_RETRIES,
@@ -28,6 +33,8 @@ from repro.transport.reliability import (
     ReliableSender,
     RtoEstimator,
 )
+from tests.conftest import LimitedPort
+from tests.session_rig import Loopback
 from tests.transport.arq_oracles import (
     FullScanSender,
     PerEventAckReceiver,
@@ -636,6 +643,136 @@ class TestLoopback:
 
 
 # ---------------------------------------------------------------------- #
+# a retransmission an ack answers while it waits in the striper's input
+# queue is withdrawn before the kernel assigns it a channel
+
+
+def data_sent(ports):
+    """The sequenced data packets each port took, in order (rseqs)."""
+    return [
+        [p.rseq for p in port.sent if getattr(p, "rseq", None) is not None]
+        for port in ports
+    ]
+
+
+class TestWithdrawal:
+    def queued_repairs(self, sim):
+        """Six packets out on two ports, then both ports full and a
+        merged ack exposing holes 0 and 2: their fast retransmissions
+        wait in the striper's input queue."""
+        ports = [LimitedPort(), LimitedPort()]
+        pipeline = StripeSenderPipeline(
+            ports, SRR([100.0, 100.0]), sim=sim, reliability="reliable",
+        )
+        pipeline.submit_packets([Packet(size=100, seq=i) for i in range(6)])
+        assert data_sent(ports) == [[0, 2, 4], [1, 3, 5]]
+        for port in ports:
+            port.limit = len(port.sent)
+        pipeline.on_ack(SackInfo(0, ((1, 2), (3, 6)), 3))
+        arq = pipeline.reliable
+        assert arq.stats.fast_retransmissions == 2
+        queue = pipeline.striper.input_queue
+        assert [p.rseq for p in queue] == [0, 2]
+        return ports, pipeline, [arq.unacked[0].packet, arq.unacked[2].packet]
+
+    def drain(self, ports, pipeline):
+        for port in ports:
+            port.limit = None
+        pipeline.pump()
+        return data_sent(ports)
+
+    def test_a_sack_covering_a_queued_copy_withdraws_it(self, sim):
+        ports, pipeline, (zero, two) = self.queued_repairs(sim)
+        # The original of 2 was late, not lost: the next ack covers it.
+        pipeline.on_ack(SackInfo(0, ((1, 6),)))
+        queue = pipeline.striper.input_queue
+        assert list(queue) == [zero] and queue[0] is zero
+        stats = pipeline.reliable.stats
+        assert stats.withdrawn == 1
+        assert self.drain(ports, pipeline) == [[0, 2, 4, 0], [1, 3, 5]]
+        assert stats.retransmissions == 1  # only copies a channel took
+        assert stats.late_copies == 0
+
+    def test_a_cumulative_ack_retiring_a_queued_copy_withdraws_it(self, sim):
+        ports, pipeline, (zero, two) = self.queued_repairs(sim)
+        retired = []
+        pipeline.reliable.on_retire = lambda packet: retired.append(
+            (packet.rseq, any(p is packet for p in pipeline.striper.input_queue))
+        )
+        pipeline.on_ack(SackInfo(2, ((3, 6),)))
+        # Out of the queue before the retire hook may recycle the packet.
+        assert retired == [(0, False), (1, False)]
+        assert list(pipeline.striper.input_queue) == [two]
+        stats = pipeline.reliable.stats
+        assert stats.withdrawn == 1
+        assert self.drain(ports, pipeline) == [[0, 2, 4, 2], [1, 3, 5]]
+        assert stats.retransmissions == 1
+        assert stats.late_copies == 0
+
+    def test_the_queue_is_searched_by_identity(self):
+        striper = Striper(
+            TransformedLoadSharer(SRR([100.0])), [LimitedPort(limit=0)]
+        )
+        first = Packet(size=100, seq=7)
+        twin = copy.copy(first)  # another transmission of the same packet
+        assert first == twin and first is not twin
+        striper.submit_many([first, twin])
+        assert striper.withdraw(twin)
+        assert list(striper.input_queue) == [first]
+        assert striper.input_queue[0] is first
+        assert not striper.withdraw(twin)
+
+    def test_an_ack_during_a_session_reset_keeps_the_copy_out_of_the_new_epoch(
+        self, sim
+    ):
+        lb = Loopback(sim, reliability="reliable")
+        lb.sender.submit_packets([Packet(size=100, seq=i) for i in range(6)])
+        assert data_sent(lb.ports) == [[0, 2, 4], [1, 3, 5]]
+        lb.sender_session.initiate_reset()
+        held = lb.sender.striper
+        assert held.held
+        lb.sender.on_ack(SackInfo(0, ((1, 2), (3, 6)), 3))
+        assert [p.rseq for p in held.input_queue] == [0, 2]
+        lb.sender.on_ack(SackInfo(0, ((1, 6),)))
+        assert [p.rseq for p in held.input_queue] == [0]
+        lb.flush()  # the RESETs complete; restripe carries the queue
+        assert lb.sender.striper is not held
+        assert lb.sender_session.resets_completed == 1
+        # The new epoch opens with a fresh kernel: channel 0 goes first.
+        assert data_sent(lb.ports) == [[0, 2, 4, 0], [1, 3, 5]]
+        lb.flush()
+        assert lb.delivered == list(range(6))
+        assert lb.sender.reliable.stats.withdrawn == 1
+
+    @pytest.mark.parametrize("discipline", ["mppp", "bonding"])
+    def test_wrapping_disciplines_queue_units_a_withdrawal_never_finds(
+        self, sim, discipline
+    ):
+        # The recovery layers refuse a wrapping discipline outright ...
+        with pytest.raises(ValueError, match="non-transforming"):
+            StripeSenderPipeline(
+                [LimitedPort(), LimitedPort()], discipline, sim=sim,
+                reliability="reliable",
+            )
+        # ... and its striper queues the units, never the packet, so a
+        # withdrawal finds nothing and every unit still goes out.
+        ports = [LimitedPort(limit=0), LimitedPort(limit=0)]
+        pipeline = StripeSenderPipeline(ports, discipline, sim=sim)
+        packet = Packet(size=3000, seq=0)
+        pipeline.submit_packet(packet)
+        pipeline.flush()
+        units = list(pipeline.striper.input_queue)
+        assert units and all(unit is not packet for unit in units)
+        assert not pipeline.striper.withdraw(packet)
+        for port in ports:
+            port.limit = None
+        pipeline.pump()
+        sent = [p for port in ports for p in port.sent]
+        assert len(sent) == len(units)
+        assert all(any(p is unit for p in sent) for unit in units)
+
+
+# ---------------------------------------------------------------------- #
 # end to end on the real stacks, under persistent loss
 
 
@@ -723,10 +860,11 @@ def test_session_stack_escalation_excludes_dead_channel():
 
     With two channels the resequencer stalls on the dark one, so the
     oldest packet's copies alternate between the two channels unacked.
-    MAX_RETRIES is even, so the copy whose timeout escalates went out on
-    the channel of the first copy, the dark one.  Backoff puts that
-    timeout near 7 s; the source keeps running past it so the recovered
-    bundle carries fresh traffic."""
+    Escalation reports the channel of the first copy, the dark one; the
+    channel of the copy whose timeout escalates depends on the pointer's
+    parity (MAX_RETRIES even and no repair withdrawn made it the dark
+    one too).  Backoff puts that timeout near 7 s; the source keeps
+    running past it so the recovered bundle carries fresh traffic."""
     from repro.experiments.fault_tolerance import build_session_testbed
 
     assert MAX_RETRIES % 2 == 0
@@ -793,10 +931,10 @@ class TestBatchedArq:
             rb = b.sender.unacked[rseq]
             assert (
                 rb.transmissions, rb.first_sent, rb.last_sent,
-                rb.last_channel, rb.rtx_pending,
+                rb.first_channel, rb.rtx_pending,
             ) == (
                 ra.transmissions, ra.first_sent, ra.last_sent,
-                ra.last_channel, ra.rtx_pending,
+                ra.first_channel, ra.rtx_pending,
             )
 
     def test_multi_hole_repair_goes_out_as_one_burst(self, sim):
