@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.core.kernel import SRRKernel
-from repro.core.packet import Codepoint, MarkerPacket, SackInfo, is_marker
+from repro.core.packet import Codepoint, MarkerPacket, is_marker
 from repro.core.srr import SRR, SRRState
 from repro.sim.trace import NULL_TRACER, Tracer
 
@@ -45,45 +45,21 @@ from repro.sim.trace import NULL_TRACER, Tracer
 #
 #   magic     u16   0x5352 ("SR") — demux guard
 #   version   u8    codec version (1)
-#   flags     u8    bit 0: a piggybacked credit is present
-#                   bit 1: a SACK extension follows the base frame
+#   flags     u8    bit 0: a piggybacked credit is present; no other bit
+#                   is defined
 #   channel   u32   sender's channel number (condition C2)
 #   round     i64   round number r of the next data packet
 #   deficit   f64   deficit-counter value d of that packet
 #   credit    i64   piggybacked FCVC credit (0 unless flagged)
 #
-# 32 bytes total — exactly the default MarkerPacket.size, so simulated
-# wire timing and the real encoding agree.
-#
-# When bit 1 of flags is set, a SACK extension follows:
-#
-#   cum_ack   u64   lowest bundle rseq not yet received in order
-#   count     u8    number of SACK blocks (<= MAX_SACK_BLOCKS_WIRE)
-#   then count x:
-#     start   u32   block start, as an offset above cum_ack
-#     length  u32   block length in packets
-#
-# A marker with the full complement of piggybacked SACK blocks is
-# 32 + 9 + 2*8 = 57 bytes — still below the 64-byte control-packet
-# threshold of the fault layer, so SACK-bearing markers keep behaving as
-# control traffic everywhere.
+# 32 bytes total — MarkerPacket.size, so simulated wire timing and the
+# real encoding agree.
 
 _MARKER_STRUCT = struct.Struct("!HBBIqdq")
-_SACK_HEAD_STRUCT = struct.Struct("!QB")
-_SACK_BLOCK_STRUCT = struct.Struct("!II")
 MARKER_MAGIC = 0x5352
 MARKER_CODEC_VERSION = 1
 MARKER_WIRE_BYTES = _MARKER_STRUCT.size
 _FLAG_CREDIT = 0x01
-_FLAG_SACK = 0x02
-#: reserved for FEC group metadata on reverse markers (forward compat:
-#: assigned now so no other extension claims the bit; no payload format
-#: is defined yet, so decoders reject frames carrying it)
-_FLAG_FEC = 0x04
-#: the flag bits this codec version understands
-_KNOWN_FLAGS = _FLAG_CREDIT | _FLAG_SACK | _FLAG_FEC
-#: most SACK blocks a piggybacked marker may carry (wire-size budget)
-MAX_SACK_BLOCKS_WIRE = 2
 
 
 class MarkerDecodeError(ValueError):
@@ -95,138 +71,48 @@ class MarkerDecodeError(ValueError):
     """
 
 
-def marker_wire_size(sack: Optional[SackInfo]) -> int:
-    """Encoded size of a marker carrying ``sack`` (None → base frame)."""
-    if sack is None:
-        return MARKER_WIRE_BYTES
-    return (
-        MARKER_WIRE_BYTES
-        + _SACK_HEAD_STRUCT.size
-        + _SACK_BLOCK_STRUCT.size * len(sack.blocks)
-    )
-
-
 def encode_marker(marker: MarkerPacket) -> bytes:
-    """Serialize a marker to its canonical wire form (32 B + SACK ext)."""
-    flags = 0
-    credit = 0
-    if marker.credit is not None:
-        flags |= _FLAG_CREDIT
-        credit = marker.credit
-    sack = getattr(marker, "sack", None)
-    if sack is not None:
-        flags |= _FLAG_SACK
-    frame = _MARKER_STRUCT.pack(
+    """Serialize a marker to its canonical 32-byte wire form."""
+    credit = marker.credit
+    return _MARKER_STRUCT.pack(
         MARKER_MAGIC,
         MARKER_CODEC_VERSION,
-        flags,
+        0 if credit is None else _FLAG_CREDIT,
         marker.channel,
         marker.round_number,
         marker.deficit,
-        credit,
+        0 if credit is None else credit,
     )
-    if sack is None:
-        return frame
-    if len(sack.blocks) > MAX_SACK_BLOCKS_WIRE:
-        raise ValueError(
-            f"marker SACK carries at most {MAX_SACK_BLOCKS_WIRE} blocks, "
-            f"got {len(sack.blocks)}"
-        )
-    parts = [frame, _SACK_HEAD_STRUCT.pack(sack.cum_ack, len(sack.blocks))]
-    for start, end in sack.blocks:
-        parts.append(
-            _SACK_BLOCK_STRUCT.pack(start - sack.cum_ack, end - start)
-        )
-    return b"".join(parts)
-
-
-def _decode_sack(data: bytes, offset: int) -> SackInfo:
-    """Parse the SACK extension starting at ``offset``; validates length."""
-    head_end = offset + _SACK_HEAD_STRUCT.size
-    if len(data) < head_end:
-        raise MarkerDecodeError(
-            f"marker SACK extension truncated at {len(data)} bytes"
-        )
-    cum_ack, count = _SACK_HEAD_STRUCT.unpack_from(data, offset)
-    expected = head_end + count * _SACK_BLOCK_STRUCT.size
-    if len(data) != expected:
-        raise MarkerDecodeError(
-            f"marker SACK extension with {count} blocks must be "
-            f"{expected} bytes total, got {len(data)}"
-        )
-    blocks = []
-    pos = head_end
-    for _ in range(count):
-        start_off, length = _SACK_BLOCK_STRUCT.unpack_from(data, pos)
-        pos += _SACK_BLOCK_STRUCT.size
-        if length == 0:
-            raise MarkerDecodeError("marker SACK block with zero length")
-        start = cum_ack + start_off
-        blocks.append((start, start + length))
-    return SackInfo(cum_ack=cum_ack, blocks=tuple(blocks))
 
 
 def decode_marker(data: bytes) -> MarkerPacket:
     """Parse the canonical wire form back into a :class:`MarkerPacket`.
 
     Raises :class:`MarkerDecodeError` (a :class:`ValueError`) on any
-    malformed input: truncated or oversized frames, bad magic, unknown
-    codec version, or an inconsistent SACK extension.
+    malformed input: a frame that is not 32 bytes, bad magic, an unknown
+    codec version, or a flag bit other than the credit's.
     """
-    if len(data) < MARKER_WIRE_BYTES:
+    if len(data) != MARKER_WIRE_BYTES:
         raise MarkerDecodeError(
-            f"marker frame must be at least {MARKER_WIRE_BYTES} bytes, "
-            f"got {len(data)}"
+            f"marker frame must be {MARKER_WIRE_BYTES} bytes, got {len(data)}"
         )
     magic, version, flags, channel, round_number, deficit, credit = (
-        _MARKER_STRUCT.unpack_from(data, 0)
+        _MARKER_STRUCT.unpack(data)
     )
     if magic != MARKER_MAGIC:
         raise MarkerDecodeError(f"bad marker magic {magic:#06x}")
     if version != MARKER_CODEC_VERSION:
         raise MarkerDecodeError(f"unsupported marker codec version {version}")
-    if flags & ~_KNOWN_FLAGS:
-        # A flag bit this codec version has never assigned: the frame's
-        # layout past the base header is unknowable, so parsing on would
-        # misread it.  Reject rather than guess.
+    if flags & ~_FLAG_CREDIT:
         raise MarkerDecodeError(
-            f"unknown marker flag bits {flags & ~_KNOWN_FLAGS:#04x}"
-        )
-    if flags & _FLAG_FEC:
-        # Reserved, not yet specified: a frame claiming an FEC extension
-        # carries bytes this decoder cannot frame.
-        raise MarkerDecodeError(
-            "marker carries the reserved FEC-metadata flag (0x04); "
-            "no extension format is defined for it yet"
-        )
-    sack: Optional[SackInfo] = None
-    if flags & _FLAG_SACK:
-        try:
-            sack = _decode_sack(data, MARKER_WIRE_BYTES)
-        except ValueError as exc:  # SackInfo validation → typed error
-            raise MarkerDecodeError(str(exc)) from None
-    elif len(data) != MARKER_WIRE_BYTES:
-        raise MarkerDecodeError(
-            f"marker frame must be {MARKER_WIRE_BYTES} bytes, got {len(data)}"
+            f"unknown marker flag bits {flags & ~_FLAG_CREDIT:#04x}"
         )
     return MarkerPacket(
         channel=channel,
         round_number=round_number,
         deficit=deficit,
-        size=len(data),
         credit=credit if flags & _FLAG_CREDIT else None,
-        sack=sack,
     )
-
-
-def attach_sack(marker: MarkerPacket, sack: SackInfo) -> None:
-    """Piggyback ``sack`` on ``marker``, updating its simulated size."""
-    if len(sack.blocks) > MAX_SACK_BLOCKS_WIRE:
-        sack = SackInfo(
-            cum_ack=sack.cum_ack, blocks=sack.blocks[:MAX_SACK_BLOCKS_WIRE]
-        )
-    marker.sack = sack
-    marker.size = marker_wire_size(sack)
 
 
 def piggybacked_credit(packet: Any) -> Optional[Tuple[int, int]]:
@@ -234,14 +120,6 @@ def piggybacked_credit(packet: Any) -> Optional[Tuple[int, int]]:
     marker (the §6.3 FCVC piggyback); None otherwise."""
     if is_marker(packet) and packet.credit is not None:
         return (packet.channel, packet.credit)
-    return None
-
-
-def piggybacked_sack(packet: Any) -> Optional[SackInfo]:
-    """The :class:`SackInfo` riding ``packet``, if it is a SACK-bearing
-    marker (the reliability-layer reverse path); None otherwise."""
-    if is_marker(packet):
-        return getattr(packet, "sack", None)
     return None
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any, ClassVar, Optional, Tuple
 
 
 class Codepoint:
@@ -58,8 +58,7 @@ class SackInfo:
     ``acks`` is how many acks this one stands for: the receiver merges
     the acks one simulated instant earns into one, and the sender counts
     each toward its fast-retransmit threshold.  It rides reserved header
-    space, as the ack's ``epoch`` does; a SACK piggybacked on a marker
-    always stands for one.
+    space, as the ack's ``epoch`` does.
     """
 
     cum_ack: int
@@ -163,19 +162,18 @@ class MarkerPacket:
         deficit: deficit-counter value ``d`` that channel will have when
             that next packet is sent (the packet's implicit number is the
             pair ``(r, d)``).
-        size: marker size in bytes; markers are tiny control packets.
         credit: optional piggybacked flow-control credit (section 6.3 /
             Kung-Chapman FCVC), in packets.
+        size: bytes on the wire, the same for every marker: the length of
+            :func:`~repro.core.markers.encode_marker`'s frame
+            (``MARKER_WIRE_BYTES``).
     """
 
+    size: ClassVar[int] = 32
     channel: int
     round_number: int
     deficit: float
-    size: int = 32
     credit: Optional[int] = None
-    #: optional piggybacked selective acknowledgment (reverse-path SACK of
-    #: the reliability layer); rides the marker exactly like ``credit``.
-    sack: Optional[SackInfo] = None
     uid: int = field(default_factory=_packet_ids.__next__)
     codepoint: str = Codepoint.MARKER
 

@@ -338,7 +338,7 @@ class StripeReceiverSession:
     the pipeline's codec path, like on any other transport).  The first
     RESET of a new epoch has the pipeline install a fresh reception
     engine for the configuration the RESET carries; delivery, the
-    ARQ/FEC chain and the piggyback sinks are the pipeline's and survive.
+    ARQ/FEC chain and the credit sink are the pipeline's and survive.
 
     Args:
         pipeline: the receiver pipeline.  Its reception engine is

@@ -93,13 +93,14 @@ class MarkerPolicy:
             "beginning or end of the round", found optimal in section 6.3.
         initial_markers: emit a batch before the first data packet, so the
             receiver starts synchronized even if it boots late.
-        marker_size: bytes per marker packet on the wire.
+
+    A marker is :attr:`~repro.core.packet.MarkerPacket.size` bytes on the
+    wire, the codec's frame.
     """
 
     interval_rounds: int = 1
     position: int = 0
     initial_markers: bool = True
-    marker_size: int = 32
 
     def __post_init__(self) -> None:
         if self.interval_rounds < 0:
@@ -338,16 +339,14 @@ class Striper:
     def _emit_markers(self) -> None:
         """Send one marker per channel with its next implicit number."""
         kernel = self._kernel
-        policy = self.marker_policy
-        assert kernel is not None and policy is not None
+        assert kernel is not None
         trace = self.tracer.enabled
-        size = policy.marker_size
         decorator = self.marker_decorator
         ports = self.ports
         for channel, (round_number, deficit) in enumerate(
             kernel.next_numbers()
         ):
-            marker = MarkerPacket(channel, round_number, deficit, size)
+            marker = MarkerPacket(channel, round_number, deficit)
             if decorator is not None:
                 decorator(channel, marker)
             ports[channel].send(marker, True)

@@ -39,8 +39,9 @@ Transports — a port type plus the functions that build and bind it:
   (section 2's transport channels).
 * :mod:`repro.transport.fast_path` — simulated channels driven directly,
   no UDP/IP stack in between.
-* :mod:`repro.transport.duplex` — two UDP endpoints with credits and
-  SACKs piggybacked on each other's markers.
+* :mod:`repro.transport.duplex` — two UDP endpoints with credits
+  piggybacked on each other's markers (and, reliable, acks on a UDP ack
+  flow each way).
 * :mod:`repro.transport.session_striping` — UDP ports, each pipeline
   driven by a reset/reconfiguration controller of :mod:`repro.core.session`.
 

@@ -14,21 +14,25 @@ host; :func:`connect_duplex` wires two endpoints so that
 * each receiver forwards arriving piggybacked credits to its co-located
   sender's :class:`~repro.transport.credit.CreditSender`.
 
-No standalone credit packets are sent at all.  Everything here is plain
-composition over the endpoint layer: each side is a
-:class:`~repro.transport.endpoint.StripeSenderPipeline` over
-:func:`~repro.transport.socket_striping.udp_ports` and a
+No standalone credit packets are sent at all.  In reliable mode each
+receiver's acks travel as
+:class:`~repro.transport.reliability.AckPacket` frames on a UDP ack flow
+to the peer's sender
+(:func:`~repro.transport.socket_striping.udp_ack_flow` /
+:func:`~repro.transport.socket_striping.ack_listener`), as on every other
+transport.  Everything here is plain composition over the endpoint layer:
+each side is a :class:`~repro.transport.endpoint.StripeSenderPipeline`
+over :func:`~repro.transport.socket_striping.udp_ports` and a
 :class:`~repro.transport.endpoint.StripeReceiverPipeline` bound with
 :func:`~repro.transport.socket_striping.bind_udp_receiver`, and the
 piggyback plumbing is the pipelines' ``marker_decorator`` /
-``credit_sink`` / ``sack_sink`` hooks — all of it local to one side.
+``credit_sink`` hooks — all of it local to one side.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.markers import MAX_SACK_BLOCKS_WIRE, attach_sack
 from repro.core.packet import MarkerPacket
 from repro.core.striper import MarkerPolicy
 from repro.net.stack import Stack
@@ -40,7 +44,13 @@ from repro.transport.endpoint import (
     StripeSenderPipeline,
 )
 from repro.transport.reliability import arq_enabled
-from repro.transport.socket_striping import bind_udp_receiver, udp_ports
+from repro.transport.socket_striping import (
+    ack_listener,
+    bind_udp_receiver,
+    udp_ack_flow,
+    udp_listen,
+    udp_ports,
+)
 
 
 class DuplexStripedEndpoint(NamedTuple):
@@ -83,9 +93,9 @@ def connect_duplex(
             markers (the credits ride them); None means no cap and is
             accepted only by the marker-free variant below.
         reliability: ``"reliable"`` arms selective-repeat ARQ in *both*
-            directions, with SACKs piggybacked on the reverse markers
-            exactly like the credits (an ack-worthy event forces a
-            marker batch, so no standalone ack packets are sent at all).
+            directions.  Each side's receiver acks to the peer's
+            ``base_port + n`` (one past its data ports), where the
+            peer's sender listens.
         reliability_options: forwarded to both ARQ halves (sender keys
             are passed to the senders, receiver keys to the receivers —
             use ``{"sender": {...}, "receiver": {...}}``).
@@ -93,11 +103,10 @@ def connect_duplex(
             SRR-family ``algorithm_factory`` on both sides.  A
             **marker-free** discipline (Sprinklers, address hashing)
             builds the *marker-free duplex variant*: no marker stream in
-            either direction, hence no credit or SACK piggybacking and no
+            either direction, hence no credit piggybacking and no
             keepalives — and none is needed, because direct reception
             buffers nothing (FCVC bounds resequencer memory, which is
-            structurally zero here).  Reliable mode is rejected for
-            marker-free duplex: its SACKs have no markers to ride on.
+            structurally zero here).
         discipline_options: forwarded to ``make_discipline``.
     """
     n = len(a_to_b)
@@ -115,12 +124,6 @@ def connect_duplex(
         raise ValueError("need an algorithm_factory or a discipline")
     mode, _ = receiver_args_for(algorithm_factory(), n, markers=True)
     marker_free = mode == "direct"
-    arq = arq_enabled(reliability)
-    if marker_free and arq:
-        raise ValueError(
-            f"marker-free duplex cannot be {reliability}: piggybacked "
-            "SACKs need a marker stream to ride on"
-        )
     if buffer_packets is None:
         if not marker_free:
             raise ValueError(
@@ -134,8 +137,10 @@ def connect_duplex(
     marker_policy = None if marker_free else MarkerPolicy(interval_rounds=1)
     options = reliability_options or {}
 
-    def side(stack: Stack, targets, base_port: int) -> DuplexStripedEndpoint:
-        credit_out = credit_in = decorate = None
+    def side(
+        stack: Stack, targets, base_port: int, peer_port: int
+    ) -> DuplexStripedEndpoint:
+        credit_out = credit_in = decorate = send_ack = None
         if not marker_free:
             credit_out = CreditSender(n, initial_credit=buffer_packets)
             # Manual credit accounting: no standalone advertisement flow.
@@ -143,20 +148,17 @@ def connect_duplex(
 
             def decorate(channel: int, marker: MarkerPacket) -> None:
                 # This side's marker on channel c grants the peer the
-                # right to push more data at this side's receiver ...
+                # right to push more data at this side's receiver.
                 marker.credit = credit_in.piggyback_limit(channel)
-                if receiver.reliable is not None:
-                    # ... and acknowledges what it has received so far.
-                    attach_sack(
-                        marker,
-                        receiver.reliable.sack_info(MAX_SACK_BLOCKS_WIRE),
-                    )
+
+        if arq_enabled(reliability):
+            send_ack = udp_ack_flow(stack, targets[0][0], peer_port + n)
 
         _, algorithm = receiver_args_for(algorithm_factory(), n, markers=True)
         receiver = StripeReceiverPipeline(
             n, algorithm, mode=mode, buffer_packets=buffer_packets,
             credit=credit_in, sim=sim, reliability=reliability,
-            reliability_options=options.get("receiver"),
+            send_ack=send_ack, reliability_options=options.get("receiver"),
         )
         bind_udp_receiver(stack, receiver, base_port)
         sender = StripeSenderPipeline(
@@ -171,19 +173,11 @@ def connect_duplex(
         if credit_out is not None:
             # Arriving piggybacked credits feed the co-located sender.
             receiver.credit_sink = credit_out.on_credit
-        if arq:
-            # Arriving piggybacked SACKs feed the co-located sender's ARQ,
-            # and an ack-worthy event (out-of-order arrival, delayed-ack
-            # expiry) forces a marker batch out of the co-located sender
-            # so the fresh SACK travels immediately — zero standalone
-            # acks, mirroring the credit scheme.
-            receiver.sack_sink = sender.on_ack
-            receiver.reliable.send_ack = (
-                lambda sack: sender.striper.force_marker_batch()
-            )
+        if send_ack is not None:
+            udp_listen(stack, base_port + n, ack_listener(sender))
         return DuplexStripedEndpoint(sender=sender, receiver=receiver)
 
     return (
-        side(stack_a, a_to_b, base_port_a),
-        side(stack_b, b_to_a, base_port_b),
+        side(stack_a, a_to_b, base_port_a, base_port_b),
+        side(stack_b, b_to_a, base_port_b, base_port_a),
     )

@@ -19,7 +19,7 @@ nothing else.
 * :class:`StripeReceiverPipeline` — per-channel buffering with the
   physical buffer-cap drop rule, the reception engine
   (:func:`~repro.core.resequencer.make_resequencer`), the marker wire
-  codec and the credit/SACK piggyback sinks.
+  codec and the credit piggyback sink.
 * :func:`build_sender_recovery` / :func:`build_receiver_recovery` — the
   ARQ/FEC stacking (recording ports -> ARQ -> FEC; reception engine -> FEC
   -> ARQ -> application), assembled once at construction time.
@@ -62,7 +62,6 @@ from repro.core.markers import (
     MarkerDecodeError,
     decode_marker,
     piggybacked_credit,
-    piggybacked_sack,
 )
 from repro.core.packet import Codepoint, Packet, is_marker
 from repro.core.resequencer import make_resequencer
@@ -581,9 +580,8 @@ class StripeSenderPipeline:
     def on_ack(self, ack: Any) -> None:
         """Feed a reverse-path acknowledgment to the reliability layer.
 
-        Accepts an :class:`~repro.transport.reliability.AckPacket`, a
-        bare :class:`~repro.core.packet.SackInfo`, or anything carrying
-        a ``sack`` attribute (a SACK-bearing reverse marker).
+        Accepts an :class:`~repro.transport.reliability.AckPacket` or a
+        bare :class:`~repro.core.packet.SackInfo`.
         """
         if self.reliable is not None:
             self.reliable.on_ack(ack)
@@ -666,8 +664,7 @@ class StripeReceiverPipeline:
     header reception for MPPP/BONDING, and — for marker-free disciplines
     (mode ``"direct"``) — delivery at arrival, with no resequencer
     buffers and no marker codec call at all.  A marker arriving in any
-    mode first hands its piggybacked credit and SACK to
-    :attr:`credit_sink` / :attr:`sack_sink`.
+    mode first hands its piggybacked credit to :attr:`credit_sink`.
 
     Args:
         n_channels: striped channel count.
@@ -708,9 +705,6 @@ class StripeReceiverPipeline:
     #: invoked as fn(channel, credit) when a piggybacked credit rides an
     #: arriving marker (the reverse direction's flow-control state)
     credit_sink = _rewiring("_credit_sink")
-    #: invoked as fn(SackInfo) when a piggybacked SACK rides an arriving
-    #: marker (acks for the reverse direction's sender)
-    sack_sink = _rewiring("_sack_sink")
     failure_detector = _rewiring("_failure_detector")
     on_message = _rewiring("_on_message")
     #: keep every delivered packet in :attr:`delivered` (the default).
@@ -746,7 +740,6 @@ class StripeReceiverPipeline:
         )
         self._credit = credit
         self._credit_sink: Optional[Callable[[int, int], None]] = None
-        self._sack_sink: Optional[Callable[[Any], None]] = None
         #: undecodable marker frames dropped by :meth:`push`
         self.marker_decode_errors = 0
         #: wire frames a ``direct`` receiver dropped without decoding
@@ -798,7 +791,7 @@ class StripeReceiverPipeline:
         and algorithm (:func:`~repro.transport.discipline.receiver_args_for`)
         and the reception engine is rebuilt at its initial state as the
         constructor built it.  What the old engine still buffered is
-        dropped with it; the credit / SACK sinks, the counters, the
+        dropped with it; the credit sink, the counters, the
         ARQ/FEC chain, :attr:`delivered` and ``on_message`` survive.
         Closures taken from :meth:`channel_handler` stay bound to the
         engine they were issued for — a session enters through
@@ -813,7 +806,7 @@ class StripeReceiverPipeline:
         """Re-derive the two per-packet choices from the attributes.
 
         Arrivals need :meth:`push`'s checks under the drop rule, credits,
-        the watchdog, or a piggyback sink for markers.  The reception
+        the watchdog, or a credit sink for markers.  The reception
         engine delivers straight to ``on_message`` when nothing else
         happens at final delivery: no ARQ/FEC layer between (those hold
         :meth:`_deliver_final`, which reads both attributes per packet)
@@ -824,7 +817,6 @@ class StripeReceiverPipeline:
             or self._credit is not None
             or self._failure_detector is not None
             or self._credit_sink is not None
-            or self._sack_sink is not None
         )
         if self.reliable is None and self.fec is None:
             direct = not self._retain_delivered and self._on_message is not None
@@ -920,10 +912,6 @@ class StripeReceiverPipeline:
                 piggyback = piggybacked_credit(packet)
                 if piggyback is not None:
                     self._credit_sink(*piggyback)
-            if self._sack_sink is not None:
-                sack = piggybacked_sack(packet)
-                if sack is not None:
-                    self._sack_sink(sack)
             out = self.resequencer.push(channel, packet)
         if self._credit is not None:
             self._issue_credits()
@@ -932,13 +920,13 @@ class StripeReceiverPipeline:
     def channel_handler(self, index: int) -> Callable[[Any], None]:
         """A per-channel arrival callback (for transports that demux).
 
-        While no drop rule, credit layer, watchdog or piggyback sink is
+        While no drop rule, credit layer, watchdog or credit sink is
         configured (the fast transport) an arrival skips :meth:`push`'s
         per-packet checks: it is counted and handed straight to the
         reception engine.  Reliable mode rides along fine: the ARQ
         receiver hangs off the engine's delivery callback, not off this
         arrival path.  The choice is read per arrival, so a handler
-        follows a ``credit``/``sack_sink``/... assigned after it was taken.
+        follows a ``credit``/``credit_sink``/... assigned after it was taken.
         """
         engine = self.resequencer
         checked = self._checked_arrivals

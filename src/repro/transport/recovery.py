@@ -61,7 +61,7 @@ from repro.baselines.bonding import BondingFrame
 from repro.baselines.mppp import MpppFragment
 from repro.core.control import ResumePacket, ResumeReportPacket
 from repro.core.markers import ReceiverSnapshot
-from repro.core.packet import MarkerPacket, Packet, SackInfo
+from repro.core.packet import MarkerPacket, Packet
 from repro.core.srr import SRRState
 from repro.transport.fabric import FabricSnapshot
 from repro.transport.fec import ParityPacket
@@ -128,14 +128,12 @@ _RECORDS: Tuple[Tuple[type, Tuple[str, ...]], ...] = (
         ("ptr", "round_number", "dc", "sync_round", "buffers"),
     ),
     (FabricSnapshot, ("flows", "active_order", "head_credited")),
-    (SackInfo, ("cum_ack", "blocks")),
     (
         Packet,
         ("size", "seq", "label", "flow", "payload", "codepoint", "rseq",
          "fseq", "synthesized"),
     ),
-    (MarkerPacket, ("channel", "round_number", "deficit", "size", "credit",
-                    "sack")),
+    (MarkerPacket, ("channel", "round_number", "deficit", "credit")),
     (
         ParityPacket,
         ("group", "members", "index", "nparity", "shard_len", "payload",
@@ -260,7 +258,7 @@ def _decode_body(data: bytes) -> Any:
 
 
 CHECKPOINT_MAGIC = b"SRCK"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 _HEADER = struct.Struct("!4sHI")  # magic, version, body length
 
 

@@ -12,10 +12,9 @@ constraint (section 2.1: data packets are never modified):
   real deployment would place it in the application framing above the
   stripe, exactly where the harness ``seq`` lives.
 * The receiver acknowledges with a cumulative ack plus SACK blocks
-  (RFC 2018 style).  Acks ride the existing reverse control path:
-  piggybacked on markers travelling the other way (like §6.3 FCVC
-  credits) or as standalone :class:`AckPacket` control messages for
-  marker-quiet periods.
+  (RFC 2018 style), each an :class:`AckPacket` on the reverse control
+  path.  Markers carry only what the paper gives them: the next implicit
+  number, and the §6.3 FCVC credit.
 * Retransmissions are resubmitted through the same SRR kernel as new
   data, so recovery traffic is striped under the Theorem 3.2 fairness
   bound instead of hammering one channel.  A retransmission an ack
@@ -81,14 +80,12 @@ _ack_ids = itertools.count(1)
 
 @dataclass(init=False)
 class AckPacket:
-    """A standalone reliability acknowledgment (control packet).
+    """A reliability acknowledgment (control packet): the one carrier of
+    a :class:`~repro.core.packet.SackInfo` on every transport.
 
-    Carries the same :class:`~repro.core.packet.SackInfo` a marker
-    piggyback would; used on reverse paths with no marker traffic (or
-    between markers, when acks must not wait for the next round).
     Sized like the other control packets (16 B header + 8 B per SACK
-    block) and kept under the 64-byte control threshold of the fault
-    layer.
+    block, at most ``MAX_SACK_BLOCKS``) and kept under the 64-byte
+    control threshold of the fault layer.
     """
 
     sack: SackInfo
@@ -786,8 +783,8 @@ class ReliableReceiver:
     saying how many acks it stands for.  Without a ``sim`` each ack goes
     out as it is earned.  Arrivals ``RECEIVE_WINDOW_PACKETS`` or more
     past the cumulative ack are dropped; an ack carries at most
-    ``MAX_SACK_BLOCKS`` SACK blocks.  :meth:`sack_info` exposes the same
-    state for marker piggybacking on the reverse path.
+    ``MAX_SACK_BLOCKS`` SACK blocks.  :meth:`sack_info` reads the same
+    state (crash recovery's resume report).
     """
 
     def __init__(
@@ -918,20 +915,18 @@ class ReliableReceiver:
     # ------------------------------------------------------------------ #
     # ack generation
 
-    def sack_info(
-        self, max_blocks: Optional[int] = None, acks: int = 1
-    ) -> SackInfo:
+    def sack_info(self, acks: int = 1) -> SackInfo:
         """Current cumulative-ack + SACK-block state, standing for ``acks``
         acks.
 
-        The block containing the most recent out-of-order arrival is
-        reported first (RFC 2018 custom), then the rest newest-edge
-        first, so a truncated piggyback still carries the freshest
-        information.
+        At most ``MAX_SACK_BLOCKS`` blocks: the one containing the most
+        recent out-of-order arrival first (RFC 2018 custom), then the rest
+        newest-edge first, so a truncated ack still carries the freshest
+        information.  The first ``k`` blocks are the ``k``-block ack.
 
         Blocks are read straight off the interval set (``_starts`` /
         ``_ends``) that ``push`` maintains — one bisect for the block
-        holding the last arrival plus the top ``max_blocks`` — so the
+        holding the last arrival plus the top ``MAX_SACK_BLOCKS`` — so the
         cost does not depend on how many packets are buffered.  The set
         is derived from ``_ooo``: ``push`` inserts with left/right merge,
         ``_deliver_run`` drops the lowest block as it consumes it, and
@@ -940,11 +935,9 @@ class ReliableReceiver:
         starts = self._starts
         if not starts:
             return SackInfo(self.next_expected, (), acks)
-        if max_blocks is None:
-            max_blocks = MAX_SACK_BLOCKS
         ends = self._ends
         n = len(starts)
-        low = max(n - max_blocks, 0)
+        low = max(n - MAX_SACK_BLOCKS, 0)
         # Newest-edge first: the highest blocks describe the live edge.
         blocks = list(zip(starts[low:], ends[low:]))
         blocks.reverse()
@@ -955,7 +948,7 @@ class ReliableReceiver:
                 blocks.insert(0, blocks.pop(n - 1 - i))
             elif i >= 0 and last < ends[i]:
                 # Below the truncation: it displaces the stalest block.
-                blocks = ([(starts[i], ends[i])] + blocks)[:max_blocks]
+                blocks = ([(starts[i], ends[i])] + blocks)[:MAX_SACK_BLOCKS]
         return SackInfo(self.next_expected, tuple(blocks), acks)
 
     def stop(self) -> None:

@@ -20,8 +20,8 @@ and bind it — the pipelines themselves are
 * :func:`udp_flow` / :func:`udp_listen` are the two ends of a reverse
   control flow, and :func:`udp_credit_flow` + :func:`credit_listener`,
   :func:`udp_ack_flow` + :func:`ack_listener` specialise them for FCVC
-  credit advertisements and reliability acknowledgments (both can also
-  piggyback on reverse-direction markers — see
+  credit advertisements and reliability acknowledgments (credits can
+  also piggyback on reverse-direction markers — see
   :mod:`repro.transport.duplex`).
 """
 
@@ -206,14 +206,14 @@ def udp_ack_flow(
     stack: Stack, to: IPAddress | str, port: int
 ) -> Callable[[Any], None]:
     """A receiver pipeline ``send_ack`` over a dedicated reverse UDP flow
-    (like the credit one).  Without it acks must ride the reverse
-    direction's markers (the duplex piggyback)."""
+    (like the credit one): each ack an
+    :class:`~repro.transport.reliability.AckPacket`."""
     send = udp_flow(stack, to, port, force=True)
     return lambda sack: send(AckPacket(sack=sack))
 
 
 def ack_listener(sender: Any) -> Callable[[Any], None]:
-    """The sender end of an ack flow: SACK-bearing payloads reach
+    """The sender end of an ack flow: every ack reaches
     ``sender.on_ack``."""
 
     def on_payload(payload: Any) -> None:

@@ -1,22 +1,20 @@
 """The canonical marker wire codec (one encoder for every transport)."""
 
 import random
+import struct
 
 import pytest
 
 from repro.core.markers import (
     MARKER_CODEC_VERSION,
+    MARKER_MAGIC,
     MARKER_WIRE_BYTES,
-    MAX_SACK_BLOCKS_WIRE,
     MarkerDecodeError,
-    attach_sack,
     decode_marker,
     encode_marker,
-    marker_wire_size,
     piggybacked_credit,
-    piggybacked_sack,
 )
-from repro.core.packet import MarkerPacket, Packet, SackInfo
+from repro.core.packet import MarkerPacket, Packet
 
 
 class TestRoundTrip:
@@ -46,59 +44,9 @@ class TestRoundTrip:
     def test_wire_bytes_match_default_marker_size(self):
         """The simulated marker size is the real encoded size, so wire
         timing in the simulator matches what a live codec would cost."""
-        assert MARKER_WIRE_BYTES == 32
-        assert MarkerPacket(channel=0, round_number=0, deficit=0.0).size == 32
-
-
-class TestSackExtension:
-    def make(self, cum, *blocks):
-        marker = MarkerPacket(
-            channel=1, round_number=4, deficit=12.0, credit=7
-        )
-        attach_sack(marker, SackInfo(cum_ack=cum, blocks=tuple(blocks)))
-        return marker
-
-    def test_cum_only_roundtrip(self):
-        marker = self.make(19)
-        wire = encode_marker(marker)
-        assert len(wire) == marker_wire_size(marker.sack) == marker.size
-        back = decode_marker(wire)
-        assert back.sack == SackInfo(cum_ack=19)
-        assert back.credit == 7  # credit and SACK coexist
-
-    def test_blocks_roundtrip(self):
-        marker = self.make(10, (12, 15), (40, 41))
-        back = decode_marker(encode_marker(marker))
-        assert back.sack == SackInfo(
-            cum_ack=10, blocks=((12, 15), (40, 41))
-        )
-        assert back.size == len(encode_marker(marker))
-
-    def test_full_marker_stays_control_sized(self):
-        """SACK-bearing markers must stay under the 64-byte control
-        threshold of the fault layer (marker_loss targeting)."""
-        marker = self.make(10, (12, 15), (40, 41))
-        assert len(encode_marker(marker)) == 57 <= 64
-
-    def test_attach_sack_truncates_to_wire_budget(self):
         marker = MarkerPacket(channel=0, round_number=0, deficit=0.0)
-        attach_sack(
-            marker,
-            SackInfo(cum_ack=0, blocks=((2, 3), (5, 6), (8, 9))),
-        )
-        assert len(marker.sack.blocks) == MAX_SACK_BLOCKS_WIRE
-        # Truncation keeps the leading blocks — the receiver reports
-        # freshest-first, so these are the most informative ones.
-        assert marker.sack.blocks == ((2, 3), (5, 6))
-        decode_marker(encode_marker(marker))  # still encodable
-
-    def test_encode_rejects_oversized_sack(self):
-        marker = MarkerPacket(channel=0, round_number=0, deficit=0.0)
-        marker.sack = SackInfo(
-            cum_ack=0, blocks=((2, 3), (5, 6), (8, 9))
-        )
-        with pytest.raises(ValueError, match="at most"):
-            encode_marker(marker)
+        assert MARKER_WIRE_BYTES == 32 == marker.size == MarkerPacket.size
+        assert len(encode_marker(marker)) == marker.size
 
 
 class TestRejection:
@@ -119,29 +67,20 @@ class TestRejection:
         with pytest.raises(MarkerDecodeError, match="32 bytes"):
             decode_marker(wire + b"\x00")
 
-    def test_truncated_sack_extension(self):
-        marker = MarkerPacket(channel=0, round_number=0, deficit=0.0)
-        attach_sack(marker, SackInfo(cum_ack=5, blocks=((7, 9),)))
-        wire = encode_marker(marker)
-        for cut in range(MARKER_WIRE_BYTES, len(wire)):
+    def test_sack_extension_frame_is_refused(self):
+        """The SACK extension is gone: a well-formed 57-byte frame with
+        flag bit 0x02 and two SACK blocks, as codec version 1 used to
+        encode it, is refused whole, and so is its 32-byte head alone."""
+        head = struct.pack(
+            "!HBBIqdq", MARKER_MAGIC, MARKER_CODEC_VERSION, 0x01 | 0x02,
+            1, 4, 12.0, 7,
+        )
+        sack = struct.pack("!QB", 10, 2) + struct.pack("!IIII", 2, 3, 30, 1)
+        wire = head + sack
+        assert len(wire) == 57
+        for frame in (wire, head):
             with pytest.raises(MarkerDecodeError):
-                decode_marker(wire[:cut])
-
-    def test_sack_block_count_mismatch(self):
-        marker = MarkerPacket(channel=0, round_number=0, deficit=0.0)
-        attach_sack(marker, SackInfo(cum_ack=5, blocks=((7, 9),)))
-        wire = bytearray(encode_marker(marker))
-        wire[MARKER_WIRE_BYTES + 8] = 2  # claim two blocks, carry one
-        with pytest.raises(MarkerDecodeError, match="blocks"):
-            decode_marker(bytes(wire))
-
-    def test_zero_length_sack_block(self):
-        marker = MarkerPacket(channel=0, round_number=0, deficit=0.0)
-        attach_sack(marker, SackInfo(cum_ack=5, blocks=((7, 9),)))
-        wire = bytearray(encode_marker(marker))
-        wire[-4:] = b"\x00\x00\x00\x00"  # length field of the only block
-        with pytest.raises(MarkerDecodeError):
-            decode_marker(bytes(wire))
+                decode_marker(frame)
 
 
 class TestFuzz:
@@ -163,8 +102,8 @@ class TestFuzz:
         marker = MarkerPacket(
             channel=2, round_number=9, deficit=100.0, credit=3
         )
-        attach_sack(marker, SackInfo(cum_ack=4, blocks=((6, 8), (11, 12))))
         wire = encode_marker(marker)
+        assert len(wire) == MARKER_WIRE_BYTES
         for position in range(len(wire)):
             corrupted = bytearray(wire)
             corrupted[position] ^= 1 << rng.randrange(8)
@@ -190,22 +129,22 @@ class TestFuzz:
             decode_marker(bytes(wire))
 
     def test_reserved_fec_flag_rejected(self):
-        """0x04 is reserved for FEC metadata: no payload format is defined
-        at codec version 1, so a frame claiming it must not half-parse."""
+        """0x04 was reserved for FEC metadata that never got a format; it
+        is an unknown flag bit now, like every bit but the credit's."""
         wire = bytearray(
             encode_marker(MarkerPacket(channel=0, round_number=0, deficit=0.0))
         )
         wire[3] |= 0x04
-        with pytest.raises(MarkerDecodeError, match="FEC"):
+        with pytest.raises(MarkerDecodeError, match="flag"):
             decode_marker(bytes(wire))
 
     def test_unknown_flag_bits_rejected(self):
-        """Every flag bit outside the known mask (credit | sack | fec) is
-        a hard decode error, alone or combined with valid bits."""
+        """Every flag bit but the credit's is a hard decode error, alone
+        or combined with it."""
         marker = MarkerPacket(channel=1, round_number=2, deficit=3.0, credit=4)
         wire = bytearray(encode_marker(marker))
         base_flags = wire[3]
-        for bit in range(3, 8):
+        for bit in range(1, 8):
             corrupted = bytearray(wire)
             corrupted[3] = base_flags | (1 << bit)
             with pytest.raises(MarkerDecodeError):
@@ -213,10 +152,10 @@ class TestFuzz:
 
     def test_flag_byte_fuzz_never_escapes_typed_error(self):
         """All 256 flag-byte values either decode or raise the typed
-        error; the ones that decode carry only known flag bits."""
+        error; only 0x00 and the credit bit 0x01 decode."""
         marker = MarkerPacket(channel=0, round_number=5, deficit=1.0)
-        attach_sack(marker, SackInfo(cum_ack=4, blocks=((6, 8),)))
         wire = bytearray(encode_marker(marker))
+        decoded = []
         for flags in range(256):
             corrupted = bytearray(wire)
             corrupted[3] = flags
@@ -224,8 +163,8 @@ class TestFuzz:
                 decode_marker(bytes(corrupted))
             except MarkerDecodeError:
                 continue
-            assert flags & ~0x07 == 0
-            assert not flags & 0x04
+            decoded.append(flags)
+        assert decoded == [0x00, 0x01]
 
 
 class TestPiggyback:
@@ -239,14 +178,3 @@ class TestPiggyback:
     def test_credit_marker_yields_channel_and_credit(self):
         marker = MarkerPacket(channel=2, round_number=1, deficit=0.0, credit=5)
         assert piggybacked_credit(marker) == (2, 5)
-
-    def test_sackless_marker_carries_no_sack(self):
-        marker = MarkerPacket(channel=0, round_number=1, deficit=2.0)
-        assert piggybacked_sack(marker) is None
-        assert piggybacked_sack(Packet(size=100, seq=0)) is None
-
-    def test_sack_marker_yields_sack(self):
-        marker = MarkerPacket(channel=0, round_number=1, deficit=2.0)
-        info = SackInfo(cum_ack=3, blocks=((5, 7),))
-        attach_sack(marker, info)
-        assert piggybacked_sack(marker) == info

@@ -133,9 +133,10 @@ class TestWireTypeConstructors:
         ]
         assert _field_defaults(MarkerPacket) == [
             ("channel", required), ("round_number", required),
-            ("deficit", required), ("size", 32), ("credit", None),
-            ("sack", None), ("uid", "drawn"), ("codepoint", "marker"),
+            ("deficit", required), ("credit", None), ("uid", "drawn"),
+            ("codepoint", "marker"),
         ]
+        assert MarkerPacket.size == 32  # the codec's frame, not a field
         assert _field_defaults(SackInfo) == [
             ("cum_ack", required), ("blocks", ()), ("acks", 1),
         ]
@@ -160,13 +161,13 @@ class TestWireTypeConstructors:
         bare = Packet(5)
         assert dataclasses.astuple(bare)[:5] == (5, None, None, None, None)
         assert dataclasses.astuple(bare)[6:] == ("data", None, None, False)
-        marker = MarkerPacket(2, 9, 4.5, 40, 6, SackInfo(1), 8, "m")
+        marker = MarkerPacket(2, 9, 4.5, 6, 8, "m")
         assert (
-            marker.channel, marker.round_number, marker.deficit, marker.size,
-            marker.credit, marker.sack, marker.uid, marker.codepoint,
-        ) == (2, 9, 4.5, 40, 6, SackInfo(1), 8, "m")
+            marker.channel, marker.round_number, marker.deficit,
+            marker.credit, marker.uid, marker.codepoint,
+        ) == (2, 9, 4.5, 6, 8, "m")
         bare = MarkerPacket(0, 1, 2.0)
-        assert (bare.size, bare.credit, bare.sack) == (32, None, None)
+        assert (bare.size, bare.credit) == (32, None)
         sack = SackInfo(5, ((7, 9),))
         assert (sack.cum_ack, sack.blocks, sack.acks) == (5, ((7, 9),), 1)
         assert SackInfo(5).blocks == ()

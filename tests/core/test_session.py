@@ -149,13 +149,13 @@ class TestResetProtocol:
         assert loop.receiver.marker_decode_errors == 1
         loop.receiver_session.push(0, Packet(100, seq=0))
         assert loop.delivered == [0]
-        # The count and the piggyback sinks outlive the epoch's engine.
-        loop.receiver.sack_sink = sink = object()
+        # The count and the credit sink outlive the epoch's engine.
+        loop.receiver.credit_sink = sink = lambda channel, credit: None
         loop.sender_session.initiate_reset()
         loop.flush()
         assert loop.receiver_session.epoch == 1
         assert loop.receiver.marker_decode_errors == 1
-        assert loop.receiver.sack_sink is sink
+        assert loop.receiver.credit_sink is sink
 
     def test_damaged_frame_racing_a_reset_is_discarded(self, sim):
         loop = Loopback(sim)

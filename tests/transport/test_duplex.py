@@ -1,11 +1,14 @@
 """Tests for duplex striping with marker-piggybacked credits."""
 
+import sys
+
 import pytest
 
 from repro.core.srr import SRR
 from repro.experiments.socket_harness import build_two_hosts
 from repro.net.stack import Stack
 from repro.transport.duplex import connect_duplex
+from repro.transport.reliability import AckPacket
 from repro.workloads.generators import ClosedLoopSource, ConstantSizes
 
 
@@ -19,12 +22,13 @@ def duplex_hosts(sim, **link_options):
 
 def build_duplex(sim, link_mbps=(10.0, 10.0), buffer_packets=16,
                  message_bytes=1000, reliability="quasi_fifo",
-                 data_loss=(0.0, 0.0)):
-    """Two hosts, two bidirectional links, duplex striped session.
+                 data_loss=(0.0, 0.0), discipline=None):
+    """Two hosts, two bidirectional links, duplex striped session (SRR,
+    or the registry ``discipline``).
 
     ``data_loss`` installs per-direction Bernoulli loss on data-sized
-    frames only (markers — and the credits/SACKs they carry — survive),
-    the regime where piggybacked-ack recovery is observable in isolation.
+    frames only (markers, the credits they carry, and acks survive), the
+    regime where ARQ recovery is observable in isolation.
     """
     import random
 
@@ -45,11 +49,17 @@ def build_duplex(sim, link_mbps=(10.0, 10.0), buffer_packets=16,
         loss = gated(data_loss[1], 200 + index)
         if loss is not None:
             link.ba.loss_model = loss
+    if discipline is None:
+        algorithm = {
+            "algorithm_factory": lambda: SRR([float(message_bytes)] * 2)
+        }
+    else:
+        algorithm = {"discipline": discipline}
     end_a, end_b = connect_duplex(
         sim, a, b, a_targets, b_targets,
-        algorithm_factory=lambda: SRR([float(message_bytes)] * 2),
         buffer_packets=buffer_packets,
         reliability=reliability,
+        **algorithm,
     )
 
     # Closed-loop sources both ways; wake on link drain both directions.
@@ -106,40 +116,71 @@ class TestDuplexCredits:
         assert end_b.receiver.buffer_drops == 0
         assert end_a.sender.credit.stalls > 0  # throttling happened
 
+
+def exactly_once_both_ways_under_loss(sim, discipline=None):
+    """Reliable duplex at 8% data loss: both directions deliver
+    exactly once and in order, and the losses were repaired."""
+    end_a, end_b, _ = build_duplex(
+        sim, reliability="reliable", data_loss=(0.08, 0.08),
+        discipline=discipline,
+    )
+    sim.run(until=2.0)
+    # Stop the sources so the windows can drain, then let the
+    # retransmission machinery finish.
+    end_a.sender.reliable.on_window_open = None
+    end_b.sender.reliable.on_window_open = None
+    sim.run(until=4.0)
+    for endpoint, peer in ((end_a, end_b), (end_b, end_a)):
+        seqs = [p.seq for p in endpoint.receiver.delivered]
+        assert len(seqs) > 100
+        assert seqs == sorted(seqs)  # in order
+        assert len(seqs) == len(set(seqs))  # exactly once
+        # Losses were real and repaired.
+        assert peer.sender.reliable.stats.retransmissions > 0
+
+
 class TestDuplexReliable:
     def test_exactly_once_both_directions_under_loss(self, sim):
-        """Reliable duplex: both directions survive data loss with
-        exactly-once in-order delivery, acks riding markers only."""
-        end_a, end_b, _ = build_duplex(
-            sim, reliability="reliable", data_loss=(0.08, 0.08)
-        )
-        sim.run(until=2.0)
-        # Stop the sources so the windows can drain, then let the
-        # retransmission machinery finish.
-        end_a.sender.reliable.on_window_open = None
-        end_b.sender.reliable.on_window_open = None
-        sim.run(until=4.0)
-        for endpoint, peer in ((end_a, end_b), (end_b, end_a)):
-            seqs = [p.seq for p in endpoint.receiver.delivered]
-            assert len(seqs) > 100
-            assert seqs == sorted(seqs)  # in order
-            assert len(seqs) == len(set(seqs))  # exactly once
-            # Losses were real and repaired.
-            assert peer.sender.reliable.stats.retransmissions > 0
+        exactly_once_both_ways_under_loss(sim)
 
-    def test_acks_ride_markers_only(self, sim):
-        """Duplex mode has no standalone ack path at all: every SACK
-        that reached a sender was piggybacked on a reverse marker."""
+    def test_marker_free_duplex_is_reliable_too(self, sim):
+        """Acks need no marker stream to ride: the marker-free variant
+        (Sprinklers) is exactly-once both ways under the same loss."""
+        exactly_once_both_ways_under_loss(sim, "sprinklers")
+
+    def test_acks_arrive_as_ack_packets(self, sim):
+        """Every ack a duplex sender consumes arrives as an AckPacket on
+        the ack flow, and no ack forces a marker batch: only the
+        keepalive calls ``force_marker_batch``."""
         end_a, end_b, _ = build_duplex(
             sim, reliability="reliable", data_loss=(0.05, 0.05)
         )
+        consumed, forced_by = [], []
+        for endpoint in (end_a, end_b):
+            reliable, striper = endpoint.sender.reliable, endpoint.sender.striper
+
+            def on_ack(ack, on_ack=reliable.on_ack):
+                consumed.append(type(ack))
+                on_ack(ack)
+
+            def force(force=striper.force_marker_batch):
+                forced_by.append(sys._getframe(1).f_code.co_name)
+                force()
+
+            reliable.on_ack = on_ack
+            striper.force_marker_batch = force
         sim.run(until=1.0)
         for endpoint in (end_a, end_b):
             assert endpoint.receiver.credit.send_credit is None
-            # The senders did consume acks (the windows move)...
+            # The senders did consume acks (the windows move).
             assert endpoint.sender.reliable.stats.acked > 100
-            # ...which only markers could have carried.
             assert endpoint.receiver.reliable.stats.acks_sent > 0
+        assert 0 < len(consumed) <= sum(
+            endpoint.receiver.reliable.stats.acks_sent
+            for endpoint in (end_a, end_b)
+        )
+        assert set(consumed) == {AckPacket}
+        assert set(forced_by) <= {"_keepalive_tick"}
 
     def test_quasi_fifo_duplex_unaffected(self, sim):
         """Default mode builds no ARQ state on either side."""

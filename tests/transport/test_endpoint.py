@@ -280,34 +280,17 @@ class TestReceiverPipeline:
         self.feed(pipeline, SRR([100.0, 100.0]), n_packets=8)
         assert sorted(credit.consumed) == [0] * 4 + [1] * 4
 
-    def test_piggybacked_sack_reaches_sink(self):
-        from repro.core.markers import attach_sack
-        from repro.core.packet import SackInfo
-
-        pipeline = StripeReceiverPipeline(2, SRR([100.0, 100.0]))
-        seen = []
-        pipeline.sack_sink = seen.append
-        marker = MarkerPacket(channel=0, round_number=0, deficit=100.0)
-        attach_sack(marker, SackInfo(cum_ack=5, blocks=((7, 9),)))
-        pipeline.push(0, marker)
-        assert seen == [SackInfo(cum_ack=5, blocks=((7, 9),))]
-
     def test_issued_handler_follows_a_sink_assigned_later(self):
-        from repro.core.markers import attach_sack
-        from repro.core.packet import SackInfo
-
         pipeline = StripeReceiverPipeline(2, SRR([100.0, 100.0]))
         handle = pipeline.channel_handler(0)  # taken on the unchecked path
-        sacks, credits = [], []
-        pipeline.sack_sink = sacks.append
-        marker = MarkerPacket(channel=0, round_number=0, deficit=100.0)
-        attach_sack(marker, SackInfo(cum_ack=5, blocks=((7, 9),)))
-        handle(marker)
-        assert sacks == [SackInfo(cum_ack=5, blocks=((7, 9),))]
-        pipeline.sack_sink = None
+        credits = []
         pipeline.credit_sink = lambda ch, credit: credits.append((ch, credit))
+        handle(MarkerPacket(channel=0, round_number=0, deficit=100.0, credit=7))
+        assert credits == [(0, 7)]
+        pipeline.credit_sink = None
         handle(MarkerPacket(channel=0, round_number=1, deficit=100.0, credit=4))
-        assert credits == [(0, 4)]
+        assert credits == [(0, 7)]
+        assert not pipeline._checked_arrivals[0]  # back on the unchecked path
 
     def test_issued_handler_follows_credit_and_cap_assigned_later(self):
         class StubCredit:
@@ -384,7 +367,7 @@ class TestReceiverPipeline:
             pipeline = StripeReceiverPipeline(2, SRR([100.0, 100.0]))
             handlers = [pipeline.channel_handler(i) for i in range(2)]
             if checked:
-                pipeline.sack_sink = lambda sack: None
+                pipeline.credit_sink = lambda channel, credit: None
             ports = make_ports(2)
             sender = StripeSenderPipeline(
                 ports, SRR([100.0, 100.0]),

@@ -2,7 +2,7 @@
 
 Each pipeline holds its synchronization itself: the sender pipeline its
 marker policy and keepalive, the receiver pipeline the reception engine
-its mode builds, the marker codec and the piggyback sinks.  The
+its mode builds, the marker codec and the credit sink.  The
 load-bearing guarantee: a hash-synchronized (``direct``) receiver makes
 **zero marker-codec calls** and allocates **zero resequencer buffers** —
 checked here at the pipeline and through the full socket receive path,

@@ -27,6 +27,7 @@ from repro.transport.endpoint import StripeSenderPipeline
 from repro.transport.reliability import (
     FAST_RETRANSMIT_HINTS,
     MAX_RETRIES,
+    MAX_SACK_BLOCKS,
     RECEIVE_WINDOW_PACKETS,
     AckPacket,
     ReliableReceiver,
@@ -564,11 +565,18 @@ class TestReceiverAcks:
 
     def test_sack_truncation_keeps_freshest(self):
         h = ReceiverHarness()
-        for rseq in (2, 5, 8):
+        for rseq in (2, 5, 8, 11, 14):
             h.push(rseq)
-        info = h.receiver.sack_info(max_blocks=2)
-        # newest arrival (8) first, then newest edge of the rest
-        assert info.blocks == ((8, 9), (5, 6))
+        # newest arrival (14) first, then newest edge of the rest; the
+        # stalest block falls past MAX_SACK_BLOCKS
+        assert MAX_SACK_BLOCKS == 4
+        assert h.receiver.sack_info().blocks == (
+            (14, 15), (11, 12), (8, 9), (5, 6),
+        )
+        h.push(3)  # the newest arrival displaces the stalest block
+        assert h.receiver.sack_info().blocks == (
+            (2, 4), (14, 15), (11, 12), (8, 9),
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -1002,10 +1010,12 @@ def test_sack_blocks_equal_a_from_scratch_rebuild(steps):
                 last_ooo=None if last is None else base + last,
             )
         assert (rx._starts, rx._ends) == receiver_blocks(rx)
-        for max_blocks in (1, 2, 4):
-            assert rx.sack_info(max_blocks) == SackInfo(
-                cum_ack=rx.next_expected,
-                blocks=sack_blocks(rx._ooo, rx._last_ooo, max_blocks),
+        info = rx.sack_info()
+        assert info.cum_ack == rx.next_expected
+        # the first k blocks are the k-block ack
+        for max_blocks in (1, 2, MAX_SACK_BLOCKS):
+            assert info.blocks[:max_blocks] == sack_blocks(
+                rx._ooo, rx._last_ooo, max_blocks
             )
 
 
@@ -1141,7 +1151,10 @@ class ArqTwin:
             packet = Packet(size=100, seq=0)
             packet.rseq = self.in_flight.pop(step[1] % len(self.in_flight))
             self.rx.push(packet)
-            self.acks.append(self.rx.sack_info(step[2], acks=step[3]))
+            info = self.rx.sack_info(acks=step[3])  # cut to step[2] blocks
+            self.acks.append(
+                SackInfo(info.cum_ack, info.blocks[: step[2]], info.acks)
+            )
         elif kind == "lose" and self.in_flight:
             self.in_flight.pop(step[1] % len(self.in_flight))
         elif kind == "lose_ack" and self.acks:
@@ -1157,7 +1170,7 @@ class ArqTwin:
         elif kind == "reconcile":
             if step[1]:  # the receiver restarted without its buffer
                 self.rx.restore_window(self.rx.next_expected, {})
-            report = self.rx.sack_info(64)
+            report = self.rx.sack_info()
             self.acks.clear()  # the old incarnation's acks are fenced off
             for _, harness in self.sides:
                 harness.sender.reconcile(report.cum_ack, report.blocks)

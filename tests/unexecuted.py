@@ -117,16 +117,12 @@ ALLOWED: Dict[str, str] = {
         "verdict",
     # fault: checkpoint capture and restore (with the WAL replay of fabric
     # drains), session reset, channel failure and revival, ARQ loss
-    # recovery (the SACK path and the ack flow), injected loss and
+    # recovery (the ack flow), injected loss and
     # corruption, damaged frames, and teardown
     **{f"{_CORE}{key}": "fault" for key in (
         "kernel.py:CFQKernelAdapter.snapshot",
         "kernel.py:CFQKernelAdapter.restore",
         "kernel.py:CFQKernelAdapter.reset",
-        "markers.py:marker_wire_size",
-        "markers.py:_decode_sack",
-        "markers.py:attach_sack",
-        "markers.py:piggybacked_sack",
         "markers.py:SRRReceiver.fail_channel",
         "markers.py:SRRReceiver.revive_channel",
         "resequencer.py:Resequencer.snapshot",
