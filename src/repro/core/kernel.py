@@ -107,10 +107,6 @@ class SRRKernel(SchedulerKernel):
         self.count_packets = algorithm.count_packets
         self.reset()
 
-    @property
-    def n_channels(self) -> int:
-        return len(self.quanta)
-
     def reset(self) -> None:
         self.ptr = 0
         self.round_number = 1

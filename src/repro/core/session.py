@@ -350,8 +350,9 @@ class StripeReceiverSession:
         failure_detector: optional
             :class:`~repro.transport.health.ChannelFailureDetector` over
             the full port set; a silent channel becomes a reset request
-            excluding it.  A ``ChannelLifecycleManager`` also gates probe
-            acknowledgments behind its hold-down and revival thresholds.
+            excluding it, probe acknowledgments wait for its hold-down and
+            revival threshold, and a rejoin RESET re-arms it.  Without
+            one, every probe is acknowledged.
         discipline / discipline_options: the sender session's.
     """
 
@@ -449,11 +450,10 @@ class StripeReceiverSession:
             self.resets_seen += 1
             if self.checker is not None:
                 self.checker.on_reset(self.epoch)
-            note_rejoin = getattr(self.failure_detector, "note_rejoin", None)
-            if note_rejoin is not None:
+            if self.failure_detector is not None:
                 # A rejoin RESET re-admits previously failed channels; the
-                # lifecycle manager must rearm its silence watch for them.
-                note_rejoin(self.config.active_channels)
+                # detector must re-arm its silence watch for them.
+                self.failure_detector.note_rejoin(self.config.active_channels)
         # Mark this channel as switched (idempotent for retries).
         self._channel_epoch[port_index] = packet.epoch
         if all(
@@ -465,10 +465,10 @@ class StripeReceiverSession:
 
     def _on_probe(self, port_index: int, packet: "ProbePacket") -> None:
         self.probes_seen += 1
-        # A lifecycle manager gates the acknowledgment behind its
-        # hold-down and revival thresholds; otherwise every probe is acked.
-        note_probe = getattr(self.failure_detector, "note_probe", None)
-        if note_probe is None or note_probe(port_index):
+        # The detector gates the acknowledgment behind its hold-down and
+        # revival threshold; without one every probe is acked.
+        detector = self.failure_detector
+        if detector is None or detector.note_probe(port_index):
             self.probe_acks_sent += 1
             self.send_control(
                 ProbeAckPacket(channel=port_index, seq=packet.seq)

@@ -43,7 +43,7 @@ class ChannelProber:
     is probed with exponentially backed-off :class:`ProbePacket` sends
     (forced past the queue limit, so a wedged queue cannot mask a probe).
     A probe that gets through elicits a :class:`ProbeAckPacket` on the
-    reverse control path — gated by the receiver's lifecycle manager's
+    reverse control path — gated by the receiver's failure detector's
     hold-down — and the prober then re-admits the channel via a
     reconfiguration RESET carrying its pre-failure quantum: the paper's
     reset machinery doubles as the rejoin path, so the revived channel
@@ -51,11 +51,14 @@ class ChannelProber:
 
     Probes start ``PROBE_INTERVAL_S`` apart and back off by
     ``PROBE_BACKOFF`` up to ``MAX_PROBE_INTERVAL_S``; a channel is given
-    up on after ``MAX_PROBES`` unanswered ones.  Flap damping mirrors the
-    receiver's: a channel that fails again within ``FLAP_WINDOW_S`` of
-    rejoining must sit out a hold-down that doubles per flap
-    (``FLAP_PENALTY_S``, ``FLAP_FACTOR``, capped at ``MAX_HOLD_DOWN_S``)
-    before the next rejoin.
+    up on after ``MAX_PROBES`` unanswered ones.  A channel that fails again
+    within ``FLAP_WINDOW_S`` of rejoining must sit out a hold-down that
+    doubles per flap (``FLAP_PENALTY_S``, ``FLAP_FACTOR``, capped at
+    ``MAX_HOLD_DOWN_S``) before the next rejoin.  This is not a copy of
+    the receiver detector's damping: the prober sees every exclusion,
+    while the receiver's detector never learns of the ones it did not
+    cause (a sender-side stall, an ARQ suspect), so for those this
+    hold-down is the only damping.
 
     Bookkeeping is dict/set based: reconciliation after a reset touches
     only the channels whose membership actually changed plus a C-level

@@ -2,7 +2,7 @@
 
 Each run installs a seeded :class:`~repro.sim.faults.FaultPlan` schedule on
 the session testbed's channels with the complete fault-tolerance machinery
-armed — receiver-side :class:`ChannelLifecycleManager` (silence watchdog +
+armed — receiver-side :class:`ChannelFailureDetector` (silence watchdog +
 probe gating + flap damping), sender-side :class:`SenderHealthMonitor`
 (queue-stall exclusion), and the :class:`ChannelProber` (backed-off probes
 and rejoin RESETs).  Reported per seed, then aggregated:
@@ -26,7 +26,7 @@ from repro.analysis.tables import render_rows
 from repro.experiments.fault_tolerance import build_session_testbed
 from repro.sim.engine import Simulator
 from repro.sim.faults import FAULT_START_S, FaultPlan
-from repro.transport.endpoint import ChannelLifecycleManager, SenderHealthMonitor
+from repro.transport.endpoint import ChannelFailureDetector, SenderHealthMonitor
 
 N_CHANNELS = 3
 MESSAGE_BYTES = 1000
@@ -109,7 +109,7 @@ def _recovery_latency(
 
 def run_chaos_run(seed: int, total_s: float) -> ChaosRun:
     sim = Simulator()
-    detector = ChannelLifecycleManager(sim)
+    detector = ChannelFailureDetector(sim, silence_threshold=0.15)
     monitor = SenderHealthMonitor(sim)
     testbed = build_session_testbed(
         sim, n_channels=N_CHANNELS, link_mbps=(10.0,), loss_rates=(0.0,),

@@ -11,7 +11,7 @@ This module implements the alternative the paper chose not to take —
 *internal* fragmentation — so the trade-off can be measured:
 
 * :class:`FragmentingStriper` cuts each upper-layer packet into fragments
-  sized to the MTU of whichever channel the **causal** algorithm selects:
+  sized to the MTU of whichever channel the **causal** SRR kernel selects:
   the channel is chosen first (from state alone, so logical reception
   still works), then the fragment is cut to fit it.  Fairness is
   preserved because SRR charges actual bytes sent.
@@ -29,8 +29,9 @@ receiver handles fewer, bigger packets (the paper's 8 KB-MTU observation).
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Deque, Optional, Sequence
 
 from repro.core.striper import ChannelPort, MarkerPolicy, Striper
 from repro.core.transform import LoadSharer
@@ -69,12 +70,21 @@ class Fragment:
 class FragmentingStriper(Striper):
     """A striper that cuts packets to the selected channel's MTU.
 
-    The order of operations preserves causality: ``f(state)`` picks the
-    channel **first**; the fragment is then sized to that channel's MTU and
-    ``g(state, fragment_size)`` advances the state.  The receiver running
+    The order of operations preserves causality: the SRR kernel's pointer
+    picks the channel **first**; the fragment is then sized to that
+    channel's MTU and the kernel charges its size.  The receiver running
     the same algorithm predicts the same channels and sees the same sizes.
 
+    Whole packets wait in their own queue.  :meth:`pump` cuts one fragment
+    at a time, for the channel the kernel points at, into ``input_queue``
+    and lets :meth:`Striper.pump` send it and place the markers, so the
+    send counters (``packets_sent``, ``bytes_sent``) count fragments and
+    ``backlog`` counts the whole packets not yet started.
+
     Args:
+        sharer: a :class:`~repro.core.transform.TransformedLoadSharer`
+            wrapping an SRR-family algorithm (the kernel pointer is what a
+            fragment is cut for; anything else raises).
         mtus: per-channel maximum fragment wire size.
     """
 
@@ -86,95 +96,67 @@ class FragmentingStriper(Striper):
         marker_policy: Optional[MarkerPolicy],
     ) -> None:
         super().__init__(sharer, ports, marker_policy)
+        if self._kernel is None:
+            raise ValueError("fragmentation requires an SRR-family algorithm")
         if len(mtus) != len(ports):
             raise ValueError("one MTU per channel required")
         if any(m <= FRAGMENT_HEADER_BYTES for m in mtus):
             raise ValueError("MTUs must exceed the fragment header")
         self.mtus = list(mtus)
-        #: in-progress packet: (original, bytes_remaining, packet_id,
-        #: fragments_emitted, fragment_count)
+        self._packets: Deque[Any] = deque()
+        #: in-progress packet: [original, bytes_remaining, packet_id,
+        #: fragments cut so far]
         self._current: Optional[list] = None
-        self.fragments_sent = 0
-        self.fragment_overhead_bytes = 0
+
+    def submit(self, packet: Any) -> None:
+        self.submit_many((packet,))
+
+    def submit_many(self, packets: Any) -> None:
+        self._packets.extend(packets)
+        self.pump()
+
+    @property
+    def backlog(self) -> int:
+        """Whole packets waiting to be cut."""
+        return len(self._packets)
 
     def pump(self) -> int:
-        if self._initial_markers_pending:
-            self._initial_markers_pending = False
-            self._emit_markers()
         sent = 0
-        kernel = self._kernel
-        markers = self._markers_enabled
-        while True:
-            if self._current is None:
-                if not self.input_queue:
-                    break
-                packet = self.input_queue.popleft()
-                self._current = [
-                    packet, int(packet.size), next(_fragment_packet_ids), [],
-                ]
-            packet, remaining, packet_id, fragments = self._current
-            if kernel is not None:
-                channel = kernel.ptr
-            else:
-                depths = [p.queue_length for p in self.ports]
-                channel = self.sharer.choose(packet, depths)
-            port = self.ports[channel]
-            if not port.can_accept():
-                return sent  # causal blocking, mid-packet included
-            chunk = min(remaining, self.mtus[channel] - FRAGMENT_HEADER_BYTES)
-            fragment = Fragment(
-                packet_id=packet_id,
-                index=len(fragments),
-                count=0,  # patched below when the packet completes
-                payload_bytes=chunk,
-                inner=packet,
-            )
-            fragments.append(fragment)
-            remaining -= chunk
-            self._current[1] = remaining
-            if markers:
-                old_ptr, old_round = kernel.ptr, kernel.round_number
-            port.send(fragment)
-            self.sharer.notify_sent(channel, fragment)
-            self.fragments_sent += 1
-            self.fragment_overhead_bytes += FRAGMENT_HEADER_BYTES
-            sent += 1
-            if remaining <= 0:
-                for piece in fragments:
-                    piece.count = len(fragments)
-                self.packets_sent += 1
-                self.bytes_sent += packet.size
-                self._current = None
-            if markers:
-                self._check_marker_crossing(old_ptr, old_round)
+        while self.input_queue or self._cut():
+            sent += super().pump()
+            if self.input_queue:
+                break  # causal blocking (or held): the fragment waits
         return sent
 
-    def _check_marker_crossing(self, old_ptr: int, old_round: int) -> None:
-        """Emit markers if the pointer advanced into the policy position.
-
-        A single step can hop several channels (deep overdraw skipping), so
-        we walk the pointer path from ``(old_ptr, old_round)`` to the
-        kernel's live position and count every entry into ``position``.
-        """
-        kernel = self._kernel
-        policy = self.marker_policy
-        assert kernel is not None and policy is not None
-        new_ptr, new_round = kernel.ptr, kernel.round_number
-        n = kernel.n_channels
-        position = policy.position % n
-        crossings = 0
-        ptr, rnd = old_ptr, old_round
-        while (ptr, rnd) != (new_ptr, new_round):
-            ptr += 1
-            if ptr == n:
-                ptr = 0
-                rnd += 1
-            if ptr == position:
-                crossings += 1
-        for _ in range(crossings):
-            self._crossings_seen += 1
-            if self._crossings_seen % policy.interval_rounds == 0:
-                self._emit_markers()
+    def _cut(self) -> bool:
+        """Cut the next fragment for the kernel's pointer channel into
+        ``input_queue``; False when no packet is waiting."""
+        if self._current is None:
+            if not self._packets:
+                return False
+            packet = self._packets.popleft()
+            self._current = [
+                packet, int(packet.size), next(_fragment_packet_ids), [],
+            ]
+        packet, remaining, packet_id, fragments = self._current
+        chunk = min(
+            remaining, self.mtus[self._kernel.ptr] - FRAGMENT_HEADER_BYTES
+        )
+        fragment = Fragment(
+            packet_id=packet_id,
+            index=len(fragments),
+            count=0,  # patched below when the packet's last piece is cut
+            payload_bytes=chunk,
+            inner=packet,
+        )
+        fragments.append(fragment)
+        self._current[1] = remaining - chunk
+        if remaining <= chunk:
+            for piece in fragments:
+                piece.count = len(fragments)
+            self._current = None
+        self.input_queue.append(fragment)
+        return True
 
 
 class Reassembler:

@@ -58,7 +58,6 @@ from repro.headers import UDP_HEADER_BYTES
 from repro.transport.endpoint import (
     DISCIPLINES,
     ChannelFailureDetector,
-    ChannelLifecycleManager,
     ChannelPort,
     SenderHealthMonitor,
     StripeReceiverPipeline,
@@ -101,7 +100,6 @@ __all__ = [
     "make_discipline",
     "resolve_discipline",
     "receiver_mode_for",
-    "ChannelLifecycleManager",
     "SenderHealthMonitor",
     "UdpChannelPort",
     "FastChannelPort",

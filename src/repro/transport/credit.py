@@ -105,9 +105,6 @@ class CreditSender:
         if was_blocked and self.on_unblocked is not None:
             self.on_unblocked()
 
-    def available(self, channel: int) -> int:
-        return max(0, self.limits[channel] - self.sent[channel])
-
 
 class CreditReceiver:
     """Receiver-side credit generation.

@@ -109,9 +109,7 @@ DISCIPLINES: Dict[str, Callable[..., LoadSharer]] = {
     "grr": _make_grr,
     "sqf": _make_sqf,
     "random_selection": _make_random,
-    "random": _make_random,
     "address_hash": _make_hash,
-    "hash": _make_hash,
     "mppp": _make_mppp,
     "bonding": _make_bonding,
     "sprinklers": _make_sprinklers,
@@ -122,14 +120,14 @@ def make_discipline(name: str, n_channels: int, **options: Any) -> LoadSharer:
     """Build a named striping discipline for ``n_channels`` channels.
 
     Names: ``srr`` (quanta/quantum/count_packets options), ``rr``, ``grr``
-    (weights), ``sqf``, ``random_selection``/``random`` (seed),
-    ``address_hash``/``hash``, ``mppp`` (header_bytes), ``bonding``
-    (frame_bytes), ``sprinklers`` (initial_share).
+    (weights), ``sqf``, ``random_selection`` (seed), ``address_hash``,
+    ``mppp`` (header_bytes), ``bonding`` (frame_bytes), ``sprinklers``
+    (initial_share).
     """
     factory = DISCIPLINES.get(name)
     if factory is None:
         raise ValueError(
-            f"unknown discipline {name!r}; known: {sorted(set(DISCIPLINES))}"
+            f"unknown discipline {name!r}; known: {sorted(DISCIPLINES)}"
         )
     return factory(n_channels, **options)
 

@@ -76,7 +76,6 @@ from repro.transport.discipline import (
 )
 from repro.transport.health import (
     ChannelFailureDetector,
-    ChannelLifecycleManager,
     SenderHealthMonitor,
 )
 from repro.transport.fec import FecReceiver, FecSender
@@ -91,7 +90,6 @@ from repro.transport.reliability import (
 __all__ = [
     "DISCIPLINES",
     "ChannelFailureDetector",
-    "ChannelLifecycleManager",
     "ChannelPort",
     "SenderHealthMonitor",
     "StripeReceiverPipeline",
@@ -680,9 +678,10 @@ class StripeReceiverPipeline:
         credit: optional :class:`~repro.transport.credit.CreditReceiver`
             notified as buffered packets are consumed.
         failure_detector: optional :class:`ChannelFailureDetector`; it is
-            bound to :meth:`fail_channel`, so plain pipelines survive a
-            dead channel (delivery degrades to quasi-FIFO with gaps
-            instead of stalling forever).
+            bound to :meth:`fail_channel` and :meth:`revive_channel`, so
+            plain pipelines survive a dead channel (delivery degrades to
+            quasi-FIFO with gaps instead of stalling forever) and take it
+            back when it speaks again.
         sim: event scheduler, used for the marker-receiver clock and the
             MPPP gap timeout.
         reliability: service level — ``"best_effort"`` / ``"quasi_fifo"``

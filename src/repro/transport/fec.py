@@ -42,11 +42,12 @@ missing members are synthesized — fresh uids, ``synthesized=True`` (a
 ``seq``/``rseq``/payload restored bit-exact.
 
 Unrecoverable groups (erasures exceed surviving parity at the group
-timeout) resolve to ARQ in hybrid mode — the SACK holes are still open, so
-the normal PR-5 machinery retransmits — and count toward an escalation
-hook: ``ESCALATE_AFTER`` *consecutive* failed groups fire ``on_escalate``,
-the bridge into the PR-4 lifecycle for persistent-loss regimes FEC cannot
-absorb.  In pure fec mode the receiver resequences by ``fseq`` itself and
+timeout) are counted and resolve to ARQ in hybrid mode — the SACK holes
+are still open, so the normal ARQ machinery retransmits, and a packet that
+keeps dying on one channel reaches channel exclusion through ARQ's
+``on_channel_suspect``, the one path from a recovery layer to the
+lifecycle (a group spans channels, so its failure names none).  In pure
+fec mode the receiver resequences by ``fseq`` itself and
 a gap-skip timer (same ``GROUP_TIMEOUT_S``) abandons unrecoverable
 positions, keeping delivery live under loss heavier than ``FEC_M`` covers.
 """
@@ -90,8 +91,6 @@ SEAL_TIMEOUT_S = 0.01
 #: how long a group may wait for its members and parity before it
 #: resolves (to ARQ in hybrid mode, to a skipped gap in pure fec)
 GROUP_TIMEOUT_S = 0.25
-#: consecutive failed groups that fire ``on_escalate``
-ESCALATE_AFTER = 3
 
 
 # --------------------------------------------------------------------- #
@@ -381,7 +380,6 @@ class FecReceiverStats:
     unrecoverable_groups: int = 0
     duplicate_packets: int = 0
     skipped: int = 0
-    escalations: int = 0
 
 
 class _Group:
@@ -419,13 +417,11 @@ class FecReceiver:
         sim: Any,
         *,
         ordered: bool = True,
-        on_escalate: Optional[Callable[[int], Any]] = None,
     ) -> None:
         self.codec = make_codec(FEC_K, FEC_M)
         self.on_deliver = on_deliver
         self.ordered = ordered
         self.sim = sim
-        self.on_escalate = on_escalate
         #: ``(size, seq, rseq, body)`` of every data packet seen, by fseq
         #: — the fields, not the packet (pools recycle it) and not the
         #: shard: only a group that decodes ever needs its bytes packed.
@@ -434,7 +430,6 @@ class FecReceiver:
         self._base_of: Dict[int, int] = {}
         self._resolved_fifo: Deque[int] = deque()
         self._delivered_hw = -1  # highest fseq handed downstream (hybrid)
-        self._consecutive_failures = 0
         # Hybrid mode caps orphan shards (groups whose parity never
         # arrives, so no timer ever covers them) to a sliding window of
         # recent positions; ARQ owns anything older.
@@ -580,16 +575,6 @@ class FecReceiver:
         self.stats.groups_resolved += 1
         if failed:
             self.stats.unrecoverable_groups += 1
-            self._consecutive_failures += 1
-            if (
-                self.on_escalate is not None
-                and self._consecutive_failures >= ESCALATE_AFTER
-            ):
-                self.stats.escalations += 1
-                self._consecutive_failures = 0
-                self.on_escalate(group.base)
-        else:
-            self._consecutive_failures = 0
 
     def stop(self) -> None:
         """Cancel the gap-skip and group timers (the owner is shutting

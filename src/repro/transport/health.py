@@ -1,16 +1,14 @@
-"""Channel-health machinery: failure detection, lifecycle, stall watch.
+"""Channel health: the receiver's failure detector, the sender's stall watch.
 
-Split out of :mod:`repro.transport.endpoint` by the synchronization-model
-refactor: none of these classes depends on how the endpoint synchronizes
-(markers, hashes, or headers), only on per-channel arrival/progress
-signals, so they live below the sync-model layer.
+Neither depends on how the endpoint synchronizes (markers, hashes, or
+headers), only on per-channel arrival and progress signals, so they live
+below the reception layer.
 
-* :class:`ChannelFailureDetector` — receiver-side silence watchdog.
-* :class:`ChannelLifecycleManager` — the full
-  ``active -> failed -> probing -> revived`` state machine with flap
-  damping (PR 4).
-* :class:`SenderHealthMonitor` — sender-side queue-stall and
-  credit-starvation watch.
+* :class:`ChannelFailureDetector` — the receiver-side channel lifecycle,
+  ``active -> failed -> probing -> revived``: a silence watchdog that
+  reports a dead channel, gates the sender's probe acks behind a
+  flap-damped hold-down, and re-arms a channel that rejoins.
+* :class:`SenderHealthMonitor` — sender-side queue-stall watch.
 """
 
 from __future__ import annotations
@@ -19,8 +17,6 @@ from typing import Any, Callable, List, Optional, Sequence
 
 #: how often (s) the receiver watchdog and the sender monitor look
 CHECK_INTERVAL_S = 0.05
-#: the lifecycle manager's silence threshold (s)
-LIFECYCLE_SILENCE_S = 0.15
 #: arrivals a failed channel must produce before it is revived
 REVIVAL_ARRIVALS = 2
 #: a failed channel's hold-down (s); each failure within FLAP_WINDOW_S of
@@ -34,24 +30,45 @@ STALL_TIMEOUT_S = 0.25
 
 
 class ChannelFailureDetector:
-    """Receiver-side dead-channel watchdog, transport-agnostic.
+    """Receiver-side channel lifecycle: ``active -> failed -> probing ->
+    revived``, transport-agnostic.
 
     Every ``CHECK_INTERVAL_S`` seconds it compares per-channel arrival
     times; a channel that saw nothing for ``silence_threshold`` seconds
-    while the others progressed is declared dead and reported through the
-    bound failure callback — a session receiver reconfigures the sender,
-    a plain pipeline writes the channel off so delivery keeps flowing.
+    while the others progressed is declared ``failed`` and reported
+    through the bound failure callback — a session receiver asks the
+    sender to exclude it, a plain pipeline writes it off so delivery
+    keeps flowing.
+
+    A failed channel that shows signs of life again (sender probes, or
+    data arrivals from stale in-flight packets) moves to ``probing``; once
+    it has produced ``REVIVAL_ARRIVALS`` arrivals *and* its hold-down has
+    elapsed it is ``revived`` — the bound revival callback re-admits it (a
+    plain pipeline un-fails its resequencer; a session receiver
+    acknowledges the sender's probes, so the sender rejoins the channel
+    via a RESET, which :meth:`note_rejoin` turns back into ``active`` so a
+    second death is reported too).
+
+    Flap damping: each failure that follows a revival within
+    ``FLAP_WINDOW_S`` seconds doubles the channel's hold-down
+    (``MIN_DOWN_TIME_S``, capped at ``MAX_DOWN_TIME_S``), so an
+    intermittent link is re-admitted ever more reluctantly instead of
+    thrashing the bundle with resets.
     """
 
-    def __init__(self, sim: Any, silence_threshold: float = 0.25) -> None:
+    #: lifecycle states, as stored in :attr:`state`
+    ACTIVE = "active"
+    FAILED = "failed"
+    PROBING = "probing"
+    REVIVED = "revived"
+
+    def __init__(self, sim: Any, silence_threshold: float) -> None:
         self.sim = sim
         self.silence_threshold = silence_threshold
         self.last_arrival: List[float] = []
-        self.failed: set = set()
+        self.state: List[str] = []
         self.failures_reported: List[int] = []
-        self._on_failure: Optional[Callable[[int], Any]] = None
-        self._on_revival: Optional[Callable[[int], Any]] = None
-        self._active: Optional[Callable[[], Sequence[int]]] = None
+        self.revivals_reported: List[int] = []
         self._started = False
 
     def bind(
@@ -61,38 +78,42 @@ class ChannelFailureDetector:
         active_channels: Optional[Callable[[], Sequence[int]]] = None,
         on_revival: Optional[Callable[[int], Any]] = None,
     ) -> None:
-        """Generic wiring: watch ``n_channels``, report via ``on_failure``.
+        """Watch ``n_channels``; report via ``on_failure`` / ``on_revival``.
 
         ``active_channels`` yields the channel set currently expected to
         carry traffic (a session's live subset); by default every channel
-        not yet declared failed.  ``on_revival`` is stored for lifecycle
-        subclasses; the fail-only detector never invokes it.
+        neither failed nor probing.
         """
-        self.last_arrival = [0.0] * n_channels
         self._on_failure = on_failure
         self._on_revival = on_revival
         if active_channels is None:
             active_channels = lambda: [  # noqa: E731
-                i for i in range(n_channels) if i not in self.failed
+                i for i in range(n_channels) if self._up(i)
             ]
         self._active = active_channels
+        self.last_arrival = [0.0] * n_channels
+        self.state = [self.ACTIVE] * n_channels
+        self.flap_counts = [0] * n_channels
+        self._failed_at = [0.0] * n_channels
+        self._life_seen = [0] * n_channels
+        self._hold_down = [MIN_DOWN_TIME_S] * n_channels
+        self._revived_at = [float("-inf")] * n_channels
 
-    def note_arrival(self, port_index: int) -> None:
-        if not 0 <= port_index < len(self.last_arrival):
-            # A negative index would silently alias last_arrival[-1] and an
+    def _up(self, channel: int) -> bool:
+        return self.state[channel] in (self.ACTIVE, self.REVIVED)
+
+    def _watched(self, port_index: int, what: str) -> None:
+        if not 0 <= port_index < len(self.state):
+            # A negative index would silently alias the last channel and an
             # oversized one would vanish — both are wiring bugs upstream.
             raise ValueError(
-                f"arrival on port {port_index}, but the detector watches "
-                f"{len(self.last_arrival)} channels (was bind() called?)"
+                f"{what} on port {port_index}, but the detector watches "
+                f"{len(self.state)} channels (was bind() called?)"
             )
-        self.last_arrival[port_index] = self.sim.now
-        if not self._started:
-            self._started = True
-            self.sim.schedule(CHECK_INTERVAL_S, self._check)
+
+    # -- failure path -------------------------------------------------- #
 
     def _check(self) -> None:
-        if self._on_failure is None or self._active is None:
-            return
         now = self.sim.now
         active = list(self._active())
         alive = [
@@ -102,69 +123,13 @@ class ChannelFailureDetector:
         ]
         if alive and len(alive) < len(active):
             for index in active:
-                if index not in alive and index not in self.failed:
-                    self.failed.add(index)
-                    self.failures_reported.append(index)
-                    self._on_failure(index)
+                if index not in alive and self._up(index):
+                    self._fail(index)
         self.sim.schedule(CHECK_INTERVAL_S, self._check)
 
-
-class ChannelLifecycleManager(ChannelFailureDetector):
-    """Full channel lifecycle: ``active -> failed -> probing -> revived``.
-
-    Generalizes the fail-only watchdog.  A failed channel that shows signs
-    of life again (sender probes, or data arrivals from stale in-flight
-    packets) moves to ``probing``; once it has produced
-    ``REVIVAL_ARRIVALS`` arrivals *and* its hold-down has elapsed it is
-    declared ``revived`` — the bound revival callback re-admits it (a plain
-    pipeline un-fails its resequencer; a session receiver acknowledges the
-    sender's probes so the sender rejoins the channel via a RESET).
-
-    Silence is ``LIFECYCLE_SILENCE_S``.  Flap damping: each failure that
-    follows a revival within ``FLAP_WINDOW_S`` seconds doubles the
-    channel's hold-down (``MIN_DOWN_TIME_S``, capped at
-    ``MAX_DOWN_TIME_S``), so an intermittent link is re-admitted ever more
-    reluctantly instead of thrashing the bundle with resets.
-    """
-
-    #: lifecycle states, as stored in :attr:`state`
-    ACTIVE = "active"
-    FAILED = "failed"
-    PROBING = "probing"
-    REVIVED = "revived"
-
-    def __init__(self, sim: Any) -> None:
-        super().__init__(sim, LIFECYCLE_SILENCE_S)
-        self.state: List[str] = []
-        self.revivals_reported: List[int] = []
-        self.flap_counts: List[int] = []
-        self._failed_at: List[float] = []
-        self._life_seen: List[int] = []
-        self._hold_down: List[float] = []
-        self._revived_at: List[float] = []
-
-    def bind(
-        self,
-        n_channels: int,
-        on_failure: Callable[[int], Any],
-        active_channels: Optional[Callable[[], Sequence[int]]] = None,
-        on_revival: Optional[Callable[[int], Any]] = None,
-    ) -> None:
-        self._user_on_failure = on_failure
-        super().bind(
-            n_channels, self._note_failure, active_channels, on_revival
-        )
-        self.state = [self.ACTIVE] * n_channels
-        self.flap_counts = [0] * n_channels
-        self._failed_at = [0.0] * n_channels
-        self._life_seen = [0] * n_channels
-        self._hold_down = [MIN_DOWN_TIME_S] * n_channels
-        self._revived_at = [float("-inf")] * n_channels
-
-    # -- failure path -------------------------------------------------- #
-
-    def _note_failure(self, channel: int) -> None:
+    def _fail(self, channel: int) -> None:
         now = self.sim.now
+        self.failures_reported.append(channel)
         self.state[channel] = self.FAILED
         self._failed_at[channel] = now
         self._life_seen[channel] = 0
@@ -176,7 +141,7 @@ class ChannelLifecycleManager(ChannelFailureDetector):
             )
         else:
             self._hold_down[channel] = MIN_DOWN_TIME_S
-        self._user_on_failure(channel)
+        self._on_failure(channel)
 
     # -- revival path -------------------------------------------------- #
 
@@ -187,11 +152,12 @@ class ChannelLifecycleManager(ChannelFailureDetector):
         toward the revival threshold; revival itself fires here too, so a
         plain pipeline (no probes) still revives on returning data.
         """
-        super().note_arrival(port_index)
-        if self.state and self.state[port_index] in (
-            self.FAILED,
-            self.PROBING,
-        ):
+        self._watched(port_index, "arrival")
+        self.last_arrival[port_index] = self.sim.now
+        if not self._started:
+            self._started = True
+            self.sim.schedule(CHECK_INTERVAL_S, self._check)
+        if not self._up(port_index):
             self.state[port_index] = self.PROBING
             self._life_seen[port_index] += 1
             self._try_revive(port_index)
@@ -203,30 +169,21 @@ class ChannelLifecycleManager(ChannelFailureDetector):
         reports every arrival, probes included); this method only
         *evaluates* the channel's standing — and performs the revival
         transition when the threshold and hold-down have been cleared.
-        Returns True when the probe should be acknowledged.
         """
-        if not 0 <= port_index < len(self.state):
-            raise ValueError(
-                f"probe on port {port_index}, but the lifecycle manager "
-                f"watches {len(self.state)} channels (was bind() called?)"
-            )
-        self.last_arrival[port_index] = self.sim.now
-        if self.state[port_index] in (self.ACTIVE, self.REVIVED):
-            return True
-        return self._try_revive(port_index)
+        self._watched(port_index, "probe")
+        return self._up(port_index) or self._try_revive(port_index)
 
     def note_rejoin(self, active_channels: Sequence[int]) -> None:
         """A reconfiguration re-activated channels (rejoin RESET installed).
 
-        Rearms silence detection for every re-admitted channel: clears the
-        ``failed`` latch (so a second death is reported again) and resets
-        its arrival clock (its ``last_arrival`` is stale from the outage,
-        which would otherwise re-fail it on the next check).
+        Re-arms silence detection for every re-admitted channel that is
+        not ``active``: its failure is reported again on a second death,
+        and its arrival clock restarts (its ``last_arrival`` is stale from
+        the outage, which would otherwise re-fail it on the next check).
         """
         now = self.sim.now
         for channel in active_channels:
-            if channel in self.failed or self.state[channel] != self.ACTIVE:
-                self.failed.discard(channel)
+            if self.state[channel] != self.ACTIVE:
                 self.last_arrival[channel] = now
                 if self.state[channel] != self.REVIVED:
                     self._revived_at[channel] = now
@@ -241,55 +198,43 @@ class ChannelLifecycleManager(ChannelFailureDetector):
         self.state[channel] = self.REVIVED
         self.revivals_reported.append(channel)
         self._revived_at[channel] = now
-        self.failed.discard(channel)
         if self._on_revival is not None:
             self._on_revival(channel)
         return True
 
 
 class SenderHealthMonitor:
-    """Sender-side channel health: queue-stall and credit-starvation watch.
+    """Sender-side channel health: the queue-stall watch.
 
     The receiver-side detector sees silence; the sender sees *backpressure*.
     Every ``CHECK_INTERVAL_S`` seconds each port is examined: a port that
-    is blocked (its transmit queue full, or its FCVC credit exhausted) and
-    makes no drain progress for ``STALL_TIMEOUT_S`` seconds while traffic is
-    pending is declared stalled and reported through the bound callback —
-    a session sender excludes the channel via a reconfiguration RESET
-    without waiting for the receiver to notice the silence.
+    is blocked (``can_accept()`` is False: its transmit queue is full, or
+    its FCVC credit is exhausted) and makes no drain progress for
+    ``STALL_TIMEOUT_S`` seconds while traffic is pending is declared
+    stalled and reported through the bound callback — a session sender
+    excludes the channel via a reconfiguration RESET without waiting for
+    the receiver to notice the silence.
     """
 
     def __init__(self, sim: Any) -> None:
         self.sim = sim
         self.stalled: set = set()
         self.stalls_reported: List[int] = []
-        self._ports: List[Any] = []
-        self._on_stall: Optional[Callable[[int], Any]] = None
-        self._credit: Any = None
-        self._backlog: Callable[[], int] = lambda: 1
-        self._last_progress: List[float] = []
-        self._last_queue: List[int] = []
-        self._last_drained: List[int] = []
 
     def bind(
         self,
         ports: Sequence[Any],
         on_stall: Callable[[int], Any],
-        *,
-        credit: Any = None,
-        backlog_fn: Optional[Callable[[], int]] = None,
+        backlog_fn: Callable[[], int],
     ) -> None:
         """Watch ``ports``; report stalled port indices via ``on_stall``.
 
-        ``credit`` (a :class:`~repro.transport.credit.CreditSender`) adds
-        credit starvation as a blocking condition; ``backlog_fn`` reports
-        pending traffic (no backlog means an idle sender, never a stall).
+        ``backlog_fn`` reports the traffic pending above the ports (no
+        backlog and empty ports mean an idle sender, never a stall).
         """
         self._ports = list(ports)
         self._on_stall = on_stall
-        self._credit = credit
-        if backlog_fn is not None:
-            self._backlog = backlog_fn
+        self._backlog = backlog_fn
         now = self.sim.now
         self._last_progress = [now] * len(self._ports)
         self._last_queue = [port.queue_length for port in self._ports]
@@ -309,11 +254,6 @@ class SenderHealthMonitor:
         for i, port in enumerate(self._ports):
             qlen = port.queue_length
             blocked = not port.can_accept()
-            if (
-                self._credit is not None
-                and self._credit.available(i) <= 0
-            ):
-                blocked = True
             drained = getattr(port, "drained", None)
             if drained is not None:
                 # Transmission completions are the real progress signal: a
@@ -334,6 +274,5 @@ class SenderHealthMonitor:
             ):
                 self.stalled.add(i)
                 self.stalls_reported.append(i)
-                assert self._on_stall is not None
                 self._on_stall(i)
         self.sim.schedule(CHECK_INTERVAL_S, self._check)

@@ -59,8 +59,8 @@ def udp_session_sender(
         config: initial striping configuration.
         control_port: local UDP port where ACKs / reset requests arrive.
         health_monitor: optional :class:`SenderHealthMonitor`; a stalled
-            channel (wedged queue / starved credit) is excluded via a
-            reconfiguration reset without waiting for receiver silence.
+            channel (a wedged queue) is excluded via a reconfiguration
+            reset without waiting for receiver silence.
         reliability / reliability_options: the pipeline's.  In
             the ARQ modes a packet that keeps dying on one channel
             excludes that channel (``on_channel_suspect``).

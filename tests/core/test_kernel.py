@@ -274,7 +274,7 @@ class TestSessionResetInstallsFreshKernel:
         session.initiate_reset(session.config_without(1))
         loop.flush()
         sim.run()
-        assert loop.sender.striper._kernel.n_channels == 2
+        assert len(loop.sender.striper._kernel.quanta) == 2
         assert loop.receiver.resequencer.n_channels == 2
         for packet in make_packets(30, seed=6, lo=10, hi=90):
             loop.sender.submit_packet(packet)

@@ -56,12 +56,14 @@ class TestFragmentingStriper:
                     assert fragment.size <= (1500, 9180)[index]
 
     def test_overhead_accounting(self):
+        """The send counters count fragments, each with its header."""
         striper, ports = frag_setup()
         striper.submit(Packet(4000, seq=0))
-        assert striper.fragments_sent >= 3
+        fragments = [f for port in ports for f in port.sent]
+        assert striper.packets_sent == len(fragments) >= 3
         assert (
-            striper.fragment_overhead_bytes
-            == striper.fragments_sent * FRAGMENT_HEADER_BYTES
+            striper.bytes_sent
+            == 4000 + len(fragments) * FRAGMENT_HEADER_BYTES
         )
 
     def test_blocking_mid_packet(self):

@@ -50,7 +50,7 @@ class PerPacketStriper(Striper):
         several channels, or rounds, in one step."""
         kernel = self._kernel
         policy = self.marker_policy
-        n = kernel.n_channels
+        n = len(kernel.quanta)
         while (ptr, rnd) != (kernel.ptr, kernel.round_number):
             ptr += 1
             if ptr == n:

@@ -41,7 +41,7 @@ from repro.sim.faults import (
     persistent_loss_schedule,
 )
 from repro.transport.endpoint import (
-    ChannelLifecycleManager,
+    ChannelFailureDetector,
     StripeReceiverPipeline,
     StripeSenderPipeline,
 )
@@ -76,7 +76,7 @@ class ChaosRig:
         self,
         sim: Simulator,
         n_channels: int = N_CHANNELS,
-        detector: ChannelLifecycleManager = None,
+        detector: ChannelFailureDetector = None,
         reliability: str = "quasi_fifo",
     ) -> None:
         self.sim = sim
@@ -361,7 +361,7 @@ def test_duplicated_markers_are_adopted_once(sim):
 def test_chaos_lifecycle_survives_permanent_death_then_revival(sim):
     """A channel dies outright; the lifecycle detector writes it off, and
     when it heals the revival path re-admits it without a session."""
-    detector = ChannelLifecycleManager(sim)
+    detector = ChannelFailureDetector(sim, silence_threshold=0.15)
     rig = ChaosRig(sim, detector=detector)
     heal_at = 1.0
     schedule = FaultSchedule(

@@ -184,7 +184,7 @@ class TestRegistryRoundTrip:
             return {"initial_share": 1.0}
         return None
 
-    @pytest.mark.parametrize("name", sorted(set(DISCIPLINES)))
+    @pytest.mark.parametrize("name", sorted(DISCIPLINES))
     @pytest.mark.parametrize("loss", [0.0, 0.1])
     def test_socket_conservation(self, name, loss):
         sim = Simulator()
@@ -210,7 +210,7 @@ class TestRegistryRoundTrip:
         if loss == 0.0:
             assert len(seqs) > 50, f"{name}: clean run barely delivered"
 
-    @pytest.mark.parametrize("name", sorted(set(DISCIPLINES)))
+    @pytest.mark.parametrize("name", sorted(DISCIPLINES))
     def test_session_builds_and_conserves(self, name):
         sim = Simulator()
         if name in self.FRAGMENTING:
@@ -230,7 +230,7 @@ class TestRegistryRoundTrip:
         assert len(seqs) > 50
         assert len(seqs) == len(set(seqs))
 
-    @pytest.mark.parametrize("name", sorted(set(DISCIPLINES)))
+    @pytest.mark.parametrize("name", sorted(DISCIPLINES))
     def test_tcp_builds_and_conserves(self, name):
         sim = Simulator()
         _, receiver, _ = build_tcp_striped(

@@ -193,7 +193,7 @@ def test_lossy_channel_does_not_starve_any_flow(sim):
     """While one channel drops half its packets, every flow progresses.
 
     (A *fully* silent channel legitimately stalls the whole bundle until
-    it heals or a lifecycle manager excludes it — that is the marker
+    it heals or a failure detector excludes it — that is the marker
     algorithm's head-of-line wait, shared fairly by all flows — so the
     per-flow liveness claim is tested against a degraded channel that
     still carries occasional markers.)

@@ -28,7 +28,10 @@ class TestCreditSender:
         sender.on_send(0)
         assert not sender.can_send(0)
         sender.on_credit(0, limit=5)
-        assert sender.available(0) == 4
+        for _ in range(4):
+            assert sender.can_send(0)
+            sender.on_send(0)
+        assert not sender.can_send(0)
 
     def test_stale_advertisement_ignored(self):
         sender = CreditSender(1, initial_credit=10)
@@ -112,7 +115,7 @@ class TestStallEpisodes:
     def test_exhausted_but_unpolled_is_no_stall(self):
         sender = CreditSender(1, initial_credit=1)
         sender.on_send(0)
-        assert sender.available(0) == 0
+        assert sender.sent[0] == sender.limits[0]
         sender.on_credit(0, limit=2)
         assert sender.stalls == 0
 
@@ -134,7 +137,7 @@ class TestStallEpisodes:
         for _ in range(10):
             assert not port.can_accept()
         monitor = SenderHealthMonitor(sim)
-        monitor.bind([port], lambda index: None, credit=credit)
+        monitor.bind([port], lambda index: None, backlog_fn=lambda: 1)
         sim.run(until=0.1)
         assert credit.stalls == 1
 

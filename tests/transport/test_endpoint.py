@@ -52,7 +52,7 @@ class BurstPort(ListPort):
 
 
 class TestDisciplineRegistry:
-    @pytest.mark.parametrize("name", sorted(set(DISCIPLINES)))
+    @pytest.mark.parametrize("name", sorted(DISCIPLINES))
     def test_every_name_builds(self, name):
         sharer = make_discipline(name, 3)
         assert sharer.n_channels == 3
@@ -690,14 +690,14 @@ class TestSenderPipelineClose:
 
 class TestDetectorBounds:
     def test_note_arrival_out_of_range_raises(self, sim):
-        detector = ChannelFailureDetector(sim)
+        detector = ChannelFailureDetector(sim, silence_threshold=0.2)
         detector.bind(2, lambda channel: None)
         with pytest.raises(ValueError, match="arrival on port 5"):
             detector.note_arrival(5)
         with pytest.raises(ValueError):
             detector.note_arrival(-1)
         with pytest.raises(ValueError, match="was bind"):
-            ChannelFailureDetector(sim).note_arrival(0)
+            ChannelFailureDetector(sim, 0.2).note_arrival(0)
 
     def test_idle_sender_keepalive_prevents_false_failure(self, sim):
         """The source stops but the channels are healthy: keepalive

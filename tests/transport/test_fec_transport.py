@@ -177,10 +177,10 @@ def test_parity_packet_size_accounts_header():
 # receiver: reconstruction
 
 
-def _wire(sim, *, drop=(), **kw):
+def _wire(sim, *, drop=()):
     """Sender and receiver glued by an in-order lossy wire."""
     delivered = []
-    receiver = FecReceiver(delivered.append, sim, **kw)
+    receiver = FecReceiver(delivered.append, sim)
 
     def wire(packets):
         for packet in packets:
@@ -261,38 +261,6 @@ def test_receiver_group_timeout_gives_up_and_skips(sim):
     assert [p.seq for p in delivered] == list(range(3, 12))
     assert receiver.stats.unrecoverable_groups == 1
     assert receiver.stats.skipped == 3
-
-
-def test_receiver_escalates_after_consecutive_failures(sim):
-    escalations = []
-    sender, receiver, delivered = _wire(
-        sim, drop={0, 1, 2, 6, 7, 8, 12, 13, 14},
-        on_escalate=escalations.append,
-    )
-    for i in range(18):
-        sender.submit([_packet(i)])
-    sim.run(until=1.0)
-    assert receiver.stats.unrecoverable_groups == 3
-    assert len(escalations) == 1
-    assert receiver.stats.escalations == 1
-    # A successful group resets the streak.
-    assert receiver._consecutive_failures == 0
-
-
-def test_receiver_recovered_group_resets_failure_streak(sim):
-    escalations = []
-    sender, receiver, delivered = _wire(
-        sim, drop={0, 1, 2, 6, 7, 8, 18, 19, 20},
-        on_escalate=escalations.append,
-    )
-    for i in range(12):  # groups 0 and 1 fail at their timeout ...
-        sender.submit([_packet(i)])
-    sim.run(until=0.5)
-    for i in range(12, 24):  # ... then group 2 is clean and group 3 fails
-        sender.submit([_packet(i)])
-    sim.run(until=1.5)
-    assert receiver.stats.unrecoverable_groups == 3
-    assert not escalations
 
 
 # --------------------------------------------------------------------- #

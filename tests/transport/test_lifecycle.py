@@ -1,12 +1,13 @@
 """Channel lifecycle tests: fail -> probe -> revive -> rejoin.
 
 Unit-level coverage of the three lifecycle actors — the receiver-side
-:class:`ChannelLifecycleManager` state machine (hold-down, flap damping,
-probe gating), the sender-side :class:`SenderHealthMonitor` (queue-stall
+:class:`ChannelFailureDetector` state machine (hold-down, flap damping,
+probe gating, rejoin re-arm), the sender-side :class:`SenderHealthMonitor` (queue-stall
 watch), and the :class:`ChannelProber` (exponential-backoff probes and
 the rejoin RESET) — plus the end-to-end acceptance scenario: a channel
 goes dark mid-run, is excluded, probed, and rejoined, and carries its
-quantum share again right after the rejoin.
+quantum share again right after the rejoin, and a channel that dies a
+second time after rejoining is excluded again.
 """
 
 from typing import Any, List, Optional
@@ -24,12 +25,19 @@ from repro.core.stabilize import (
     PROBE_INTERVAL_S,
 )
 from repro.experiments.fault_tolerance import build_session_testbed
+from repro.net.ethernet import EthernetInterface
+from repro.net.stack import Link, Stack
+from repro.transport.credit import CreditSender
 from repro.transport.health import MAX_DOWN_TIME_S, MIN_DOWN_TIME_S
 from repro.transport.endpoint import (
-    ChannelLifecycleManager,
+    ChannelFailureDetector,
     SenderHealthMonitor,
     StripeReceiverPipeline,
 )
+from repro.transport.socket_striping import udp_ports
+
+#: the silence threshold the chaos experiment runs the detector at
+SILENCE_S = 0.15
 
 
 def feed(sim, detector, channel, start, stop, interval=0.02):
@@ -42,7 +50,7 @@ def feed(sim, detector, channel, start, stop, interval=0.02):
 
 class TestChannelLifecycleManager:
     def make(self, sim):
-        mgr = ChannelLifecycleManager(sim)
+        mgr = ChannelFailureDetector(sim, SILENCE_S)
         self.failures: List[int] = []
         self.revivals: List[int] = []
         mgr.bind(2, self.failures.append, on_revival=self.revivals.append)
@@ -96,7 +104,7 @@ class TestChannelLifecycleManager:
         sim.run(until=0.01)
         mgr._revived_at[1] = sim.now
         for _ in range(10):
-            mgr._note_failure(1)
+            mgr._fail(1)
         assert mgr._hold_down[1] == pytest.approx(MAX_DOWN_TIME_S)
 
     def test_stable_failure_resets_hold_down(self, sim):
@@ -145,7 +153,6 @@ class TestChannelLifecycleManager:
         # not instantly re-fail it, and a later death must re-report.
         mgr.note_rejoin([0, 1])
         assert mgr.state[1] == mgr.ACTIVE
-        assert 1 not in mgr.failed
         sim.run(until=0.5)
         assert self.failures == [1]  # not instantly re-failed
         sim.run(until=1.5)  # channel 1 stays silent: genuine second death
@@ -157,7 +164,7 @@ def test_one_wire_frame_is_one_life_sign(sim):
     is one physical arrival.  It used to be noted twice (once before the
     decode, once more on the decoded marker), so a single frame met the
     revival threshold of 2 on its own."""
-    mgr = ChannelLifecycleManager(sim)
+    mgr = ChannelFailureDetector(sim, SILENCE_S)
     pipeline = StripeReceiverPipeline(
         2, SRR([100.0, 100.0]), failure_detector=mgr, sim=sim
     )
@@ -249,17 +256,23 @@ class TestSenderHealthMonitor:
         assert self.stalls == [0, 0]
 
     def test_credit_starvation_blocks(self, sim):
-        class Starved:
-            def available(self, i: int) -> int:
-                return 0
-
+        """A UDP port out of FCVC credit reports itself blocked, so the
+        watch stalls it on ``can_accept`` alone."""
+        stack = Stack(sim, "S")
+        peer = Stack(sim, "R")
+        a = EthernetInterface(sim, "eth0", "10.0.1.1")
+        b = EthernetInterface(sim, "eth0", "10.0.1.2")
+        stack.add_interface(a)
+        peer.add_interface(b)
+        Link(sim, a, b, bandwidth_bps=10e6, prop_delay=0.0005,
+             queue_limit=50)
+        stack.routing.add("10.0.1.0", 24, a)
+        credit = CreditSender(1, initial_credit=1)
+        [port] = udp_ports(stack, [("10.0.1.2", 5000)], credit=credit)
+        credit.on_send(0)  # the one credit is spent; the queue is empty
         monitor = SenderHealthMonitor(sim)
-        port = _StallPort()
-        port.queue_length = 1  # pending traffic, port itself would accept
         stalls: List[int] = []
-        monitor.bind(
-            [port], stalls.append, credit=Starved(), backlog_fn=lambda: 1
-        )
+        monitor.bind([port], stalls.append, backlog_fn=lambda: 1)
         sim.run(until=0.4)
         assert stalls == [0]
 
@@ -394,7 +407,7 @@ class TestEndToEndLifecycle:
     def test_fail_probe_rejoin_restores_quantum_share(self, sim):
         """The acceptance scenario: a dark channel is excluded, probed,
         and rejoined; right after the rejoin it carries its share again."""
-        detector = ChannelLifecycleManager(sim)
+        detector = ChannelFailureDetector(sim, SILENCE_S)
         testbed = build_session_testbed(
             sim, n_channels=3, link_mbps=(10.0,), loss_rates=(0.0,),
             message_bytes=1000, failure_detector=detector, prober=True,
@@ -465,6 +478,27 @@ class TestEndToEndLifecycle:
         # ...and is sequence-exact overall (no duplicates ever).
         seqs = [seq for _, seq in testbed.deliveries]
         assert len(seqs) == len(set(seqs))
+
+    def test_second_death_after_rejoin_is_excluded_again(self, sim):
+        """Regression: a channel that dies, rejoins and dies again is
+        reported twice and excluded twice.  A detector whose failure
+        latch outlived the rejoin never reported the second death, so the
+        dead channel stayed in the bundle and delivery stopped."""
+        detector = ChannelFailureDetector(sim, silence_threshold=0.2)
+        testbed = build_session_testbed(
+            sim, n_channels=3, link_mbps=(10.0,), loss_rates=(0.0,),
+            message_bytes=1000, failure_detector=detector, prober=True,
+        )
+        loss = testbed.loss_models[1]
+        for at, p in ((0.5, 1.0), (1.2, 0.0), (3.0, 1.0)):
+            sim.schedule_at(at, lambda p=p: setattr(loss, "p", p))
+        sim.run(until=4.0)
+        assert testbed.prober.rejoins == 1
+        assert detector.failures_reported == [1, 1]
+        assert tuple(testbed.sender_session.config.active_channels) == (
+            0, 2,
+        )
+        assert len(testbed.delivered_between(3.5, 4.0)) > 100
 
     def test_stalled_channel_excluded_by_health_monitor(self, sim):
         """Sender-side detection: a wedged queue is excluded without

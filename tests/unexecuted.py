@@ -66,9 +66,10 @@ _TRANSPORT = "src/repro/transport/"
 #: ``path:qualname`` (or ``path:Class`` for all its methods)
 ALLOWED: Dict[str, str] = {
     # registry: the Table 1 baselines make_discipline builds by name
-    # (sqf, random, hash, mppp, bonding), their receiver halves, the
-    # srr/rr/grr names, the batch default the name-built policies without
-    # their own inherit, and the port queue depths SQF reads
+    # (sqf, random_selection, address_hash, mppp, bonding), their receiver
+    # halves, the srr/rr/grr names, the batch default the name-built
+    # policies without their own inherit, and the port queue depths SQF
+    # reads
     **{f"{_BASELINES}{key}": "registry" for key in (
         "address_hash.py:AddressHashing",
         "bonding.py:BondingFrame",
@@ -144,7 +145,6 @@ ALLOWED: Dict[str, str] = {
     )},
     "src/repro/sim/loss.py:DeterministicLoss.should_drop": "fault",
     **{f"{_TRANSPORT}{key}": "fault" for key in (
-        "credit.py:CreditSender.available",
         "endpoint.py:StripeSenderPipeline.close",
         "endpoint.py:StripeReceiverPipeline.fail_channel",
         "endpoint.py:StripeReceiverPipeline.revive_channel",
@@ -204,12 +204,11 @@ OPTIONS: Dict[str, str] = {
     # deployment: addresses
     "src/repro/net/ethernet.py:EthernetInterface.mac": "deployment",
     f"{_TRANSPORT}tcp.py:BulkSender.src_ip": "deployment",
-    # switch: the receiver's channel watchdog, FEC's escalation hook, and
-    # which fault kinds a chaos plan arms (tests narrow it to the kinds
-    # an exactly-once run survives)
+    # switch: the receiver's channel watchdog, and which fault kinds a
+    # chaos plan arms (tests narrow it to the kinds an exactly-once run
+    # survives)
     f"{_TRANSPORT}endpoint.py:StripeReceiverPipeline.failure_detector":
         "switch",
-    f"{_TRANSPORT}fec.py:FecReceiver.on_escalate": "switch",
     "src/repro/sim/faults.py:FaultPlan.kinds": "switch",
     # trace
     f"{_CORE}striper.py:Striper.tracer": "trace",
