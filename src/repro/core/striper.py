@@ -153,6 +153,9 @@ class Striper:
         self.tracer = tracer
         self.clock = clock if clock is not None else (lambda: 0.0)
         self.input_queue: Deque[Any] = deque()
+        #: packets at the head of the input queue that :meth:`expedite`
+        #: put there and no pass has sent yet
+        self._expedited = 0
         self.packets_sent = 0
         self.bytes_sent = 0
         self.markers_sent = 0
@@ -200,6 +203,24 @@ class Striper:
         self.input_queue.extend(packets)
         self.pump()
 
+    def expedite(self, packets: Sequence[Any]) -> None:
+        """Queue a burst ahead of everything waiting, except earlier
+        expedited packets not yet sent, and pump.
+
+        The entry for repairs of proven losses (RFC 6675's NextSeg): they
+        leave before queued new data.  Only the queue order changes — the
+        policy still assigns each packet one kernel step on the channel
+        its pointer names when the packet reaches the head, so a receiver
+        simulating this striper's kernel sees nothing different.
+        """
+        queue = self.input_queue
+        ahead = self._expedited
+        queue.rotate(-ahead)
+        queue.extendleft(reversed(packets))
+        queue.rotate(ahead)
+        self._expedited = ahead + len(packets)
+        self.pump()
+
     def withdraw(self, packet: Any) -> bool:
         """Take ``packet`` back out of the input queue before the policy
         assigns it a channel; True if it was queued.
@@ -216,6 +237,8 @@ class Striper:
         for index, queued in enumerate(queue):
             if queued is packet:
                 del queue[index]
+                if index < self._expedited:
+                    self._expedited -= 1
                 return True
         return False
 
@@ -293,6 +316,8 @@ class Striper:
                 send_burst[channel](burst)
             sent += len(channels)
             self.packets_sent += len(channels)
+            if self._expedited:
+                self._expedited = max(self._expedited - len(channels), 0)
             self.bytes_sent += size
             if crossings:
                 self._crossings_seen = seen + crossings
@@ -321,6 +346,8 @@ class Striper:
             if not port.can_accept():
                 break  # must wait: causality forbids sending elsewhere
             self.input_queue.popleft()
+            if self._expedited:
+                self._expedited -= 1
             port.send(packet)
             self.sharer.notify_sent(channel, packet)
             self.packets_sent += 1
@@ -383,7 +410,8 @@ class Striper:
         """Install a :meth:`snapshot` capture.  The input queue comes back
         as it was — the packets the layers above already stamped, parity
         and discipline frames included — and nothing is sent until the
-        next :meth:`pump`."""
+        next :meth:`pump`.  Which of them :meth:`expedite` queued is not
+        kept: the next expedited burst goes ahead of all of them."""
         self.sharer.restore(state["sharer"])
         self.packets_sent = state["packets_sent"]
         self.bytes_sent = state["bytes_sent"]
@@ -392,6 +420,7 @@ class Striper:
         self._initial_markers_pending = state["initial_markers"]
         self.input_queue.clear()
         self.input_queue.extend(state["queue"])
+        self._expedited = 0
 
 
 def _capacity_of(port: ChannelPort) -> Callable[[], int]:

@@ -187,16 +187,22 @@ def build_sender_recovery(
     sim: Any,
     stripe: Callable[[Sequence[Any]], None],
     withdraw: Callable[[Any], bool],
+    expedite: Callable[[Sequence[Any]], None],
     options: Optional[Dict[str, Any]] = None,
 ) -> Tuple[List[Any], Optional[ReliableSender], Optional[FecSender]]:
     """The send-side recovery stack, built once at construction time:
     recording ports -> :class:`ReliableSender` -> :class:`FecSender`.
 
     ``stripe(packets)`` is the owner's entry into its striper (it may be
-    bound before the striper exists) and ``withdraw(packet)`` takes a
-    queued packet back out of it before a channel is assigned (True if it
-    was there): the ARQ sender withdraws retransmissions an ack answered
-    while they waited.  Returns ``(ports, reliable, fec)``:
+    bound before the striper exists), ``expedite(packets)`` its entry
+    ahead of the queued data, for the ARQ sender's fast retransmissions,
+    and ``withdraw(packet)`` takes a queued packet back out of it before
+    a channel is assigned (True if it was there): the ARQ sender
+    withdraws retransmissions an ack answered while they waited.  In
+    hybrid mode each sealed FEC group holds its members' holes from fast
+    retransmit until data striped after its parity is acked
+    (:meth:`ReliableSender.hold_for_parity`).  Returns
+    ``(ports, reliable, fec)``:
     the port list to stripe over (recording proxies whenever a recovery
     layer is mounted) and the layers ``reliability`` asked for, ``None``
     otherwise.  ``options`` go to the ARQ sender.
@@ -214,6 +220,7 @@ def build_sender_recovery(
     if arq:
         reliable = ReliableSender(stripe, sim, **(options or {}))
         reliable.withdraw = withdraw
+        reliable.expedite = expedite
     # Recording proxies report actual transmissions (channel + time) back
     # to the ARQ layer; the striper stays oblivious.  Pure fec wraps too,
     # for the envelope byte accounting — its packets carry no rseq, so
@@ -229,6 +236,8 @@ def build_sender_recovery(
         # buffer — it is expendable redundancy — but still stripes
         # through the kernel's rotated placement.
         fec_sender = FecSender(reliable.submit if arq else stripe, stripe, sim)
+        if arq:
+            fec_sender.on_seal = reliable.hold_for_parity
     return ports, reliable, fec_sender
 
 
@@ -346,7 +355,7 @@ class StripeSenderPipeline:
             )
         self.ports, self.reliable, self.fec = build_sender_recovery(
             ports, reliability, sim, self._stripe, self._withdraw,
-            reliability_options,
+            self._expedite, reliability_options,
         )
         # The submit path enters at the top recovery layer; the stacking is
         # fixed at construction, so it is bound once, not chosen per packet.
@@ -545,6 +554,11 @@ class StripeSenderPipeline:
                     self.striper.submit(unit)
         else:
             self.striper.submit_many(packets)
+
+    def _expedite(self, packets: Sequence[Any]) -> None:
+        """Queue ``packets`` ahead of the data waiting in the live
+        striper (read per call, as :meth:`_withdraw` reads it)."""
+        self.striper.expedite(packets)
 
     def _withdraw(self, packet: Any) -> bool:
         """Take ``packet`` back out of the live striper's input queue.

@@ -265,9 +265,15 @@ class FecSender:
         self.sim = sim
         self._next_fseq = 0
         self._group_base = 0
+        #: the open group's first rseq (None in pure fec: nothing stamps one)
+        self._group_rseq: Optional[int] = None
         self._shards: List[bytes] = []
         self._seal_timer: Any = None
         self.stats = FecSenderStats()
+        #: optional ``fn(first_rseq, members)`` called as a group seals,
+        #: before its parity is striped — hybrid mode points it at
+        #: :meth:`ReliableSender.hold_for_parity`
+        self.on_seal: Optional[Callable[[int, int], None]] = None
 
     # -- data path ----------------------------------------------------- #
 
@@ -299,6 +305,7 @@ class FecSender:
             seq, rseq = packet.seq, packet.rseq
             if not shards:
                 self._group_base = packet.fseq
+                self._group_rseq = rseq
             shards.append(_pack_header(
                 packet.size,
                 -1 if seq is None else seq,
@@ -351,6 +358,8 @@ class FecSender:
             stats.count_sealed += 1
         stats.parity_packets += m
         stats.parity_bytes += m * (length + PARITY_HEADER_BYTES)
+        if self.on_seal is not None:
+            self.on_seal(self._group_rseq, members)
         self._stripe_parity(parity)
 
     # -- checkpoint support (repro.transport.recovery) ------------------ #

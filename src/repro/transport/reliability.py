@@ -21,7 +21,11 @@ constraint (section 2.1: data packets are never modified):
   answers while it still waits in the striper's input queue is withdrawn
   before the kernel assigns it a channel (:attr:`ReliableSender.withdraw`),
   so the scoreboard is consulted when a copy leaves, not only when it is
-  decided (RFC 6675's NextSeg).
+  decided (RFC 6675's NextSeg).  NextSeg's order holds too: a fast
+  retransmission, a loss the SACKs proved, is queued ahead of the new
+  data waiting there (:attr:`ReliableSender.expedite`); timer repairs
+  and replays queue behind it.  In hybrid mode a hole FEC parity may
+  still rebuild waits for it (:meth:`ReliableSender.hold_for_parity`).
 * The retransmission buffer is bounded (``window_packets``); a full
   window exerts backpressure on the submit path, composing with the
   FCVC credit layer (credits bound per-channel receiver buffers, the
@@ -226,6 +230,11 @@ class _TxRecord:
     #: acks that reported newer data while this stayed unacked
     dup_hints: int = 0
     escalated: bool = False
+    #: hybrid mode: the rseq of the first data striped after this
+    #: record's FEC parity.  Once that data is submitted, fast retransmit
+    #: holds the hole until an ack reports data at or past it: the parity
+    #: may still rebuild the hole.  0 holds nothing.
+    horizon: int = 0
 
 
 @dataclass
@@ -313,6 +322,11 @@ class ReliableSender:
         #: pending, so no channel sends what the receiver already holds.
         #: The owner of the striper installs it (``build_sender_recovery``).
         self.withdraw: Optional[Callable[[Any], bool]] = None
+        #: optional ``fn(packets)`` handing fast retransmissions to the
+        #: striper ahead of the data already queued there (proven losses
+        #: leave first); without it they queue behind, like every other
+        #: batch.  Installed by ``build_sender_recovery``.
+        self.expedite: Optional[Callable[[List[Any]], None]] = None
         self.rto = RtoEstimator()
         self.stats = ReliabilityStats()
         self.next_rseq = 0
@@ -466,7 +480,7 @@ class ReliableSender:
             del unsacked[rseq]
         self.stats.sack_scans += 1
         self.stats.sack_visits += visits
-        self._fast_retransmit(holes, sack.acks)
+        self._fast_retransmit(holes, sack.acks, newest)
         opened = self._refill() or opened
         if self._timer is None:
             self._ensure_timer()
@@ -528,24 +542,35 @@ class ReliableSender:
             record.rtx_pending = False
             self.stats.withdrawn += 1
 
-    def _fast_retransmit(self, holes: List[_TxRecord], acks: int) -> None:
+    def _fast_retransmit(
+        self, holes: List[_TxRecord], acks: int, newest: int
+    ) -> None:
         """Retransmit holes the SACK scoreboard has repeatedly exposed.
 
-        ``holes`` are the un-sacked records below the newest acked data,
-        collected by the :meth:`on_ack` index walk; the ack stands for
-        ``acks`` acks (:attr:`SackInfo.acks`), each one hint toward
-        ``FAST_RETRANSMIT_HINTS``.  Ripe holes are resubmitted as one
-        batch, so a multi-packet repair is striped through the scheduler
-        kernel like any other burst.
+        ``holes`` are the un-sacked records below ``newest``, the newest
+        acked rseq, collected by the :meth:`on_ack` index walk; the ack
+        stands for ``acks`` acks (:attr:`SackInfo.acks`), each one hint
+        toward ``FAST_RETRANSMIT_HINTS``.  A hole whose FEC parity may
+        still rebuild it is skipped: data at its
+        :attr:`_TxRecord.horizon` has been submitted and ``newest`` is
+        below it.  (With no data there yet, no ack can reach the horizon,
+        so the hole is not held.)  The timer still covers a held hole.
+        Ripe holes are proven losses: they go to the striper as one batch
+        through :attr:`expedite`, ahead of queued new data, and are
+        striped through the scheduler kernel like any other burst.
         """
         srtt = self.rto.srtt or 0.0
         now = self.sim.now
         ripe: List[_TxRecord] = []
+        next_rseq = self.next_rseq
         for record in holes:
-            if now - record.last_sent < srtt:
+            if now - record.last_sent < srtt or (
+                newest < record.horizon < next_rseq
+            ):
                 # The last copy has not had a round trip yet — acks of
                 # newer data say nothing about it (prevents retransmit
-                # storms while a repair is still in flight).
+                # storms while a repair is still in flight) — or the data
+                # striped after its parity is not acked yet.
                 continue
             record.dup_hints += acks
             if record.dup_hints >= FAST_RETRANSMIT_HINTS and (
@@ -555,7 +580,7 @@ class ReliableSender:
                 self.stats.fast_retransmissions += 1
                 ripe.append(record)
         if ripe:
-            self._retransmit(ripe)
+            self._retransmit(ripe, self.expedite)
 
     def _refill(self) -> bool:
         """Launch parked submits into freed window slots, as one batch."""
@@ -566,10 +591,30 @@ class ReliableSender:
         self._launch([overflow.popleft() for _ in range(room)])
         return not overflow
 
-    def _retransmit(self, records: List[_TxRecord]) -> None:
+    def _retransmit(
+        self,
+        records: List[_TxRecord],
+        submit: Optional[Callable[[List[Any]], None]] = None,
+    ) -> None:
+        """Resubmit ``records``' packets through ``submit`` (default: the
+        ordinary stripe path, behind the data already queued)."""
         for record in records:
             record.rtx_pending = True
-        self._submit([record.packet for record in records])
+        (submit or self._submit)([record.packet for record in records])
+
+    def hold_for_parity(self, first_rseq: int, count: int) -> None:
+        """FEC sealed the group of ``count`` packets from ``first_rseq``
+        and is about to stripe its parity: hold their holes from fast
+        retransmit until an ack reports data submitted after it
+        (:attr:`_TxRecord.horizon`, the rseq the next submit stamps; that
+        data enters the striper behind the parity).  Members still parked
+        behind a full window have no record yet and are not held."""
+        horizon = self.next_rseq
+        unacked = self.unacked
+        for rseq in range(first_rseq, first_rseq + count):
+            record = unacked.get(rseq)
+            if record is not None:
+                record.horizon = horizon
 
     def on_channel_rejoin(self) -> None:
         """Ack-triggered channel rejoin: collapse accumulated RTO backoff.

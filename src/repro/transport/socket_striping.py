@@ -12,8 +12,9 @@ and bind it — the pipelines themselves are
 :class:`~repro.transport.endpoint.StripeReceiverPipeline`, unmodified:
 
 * :class:`UdpChannelPort` maps one UDP flow onto the
-  :class:`~repro.transport.endpoint.ChannelPort` protocol (ARP and FCVC
-  credit stalls resume the pump through ``on_unblocked``);
+  :class:`~repro.transport.endpoint.ChannelPort` protocol (ARP, FCVC
+  credit and full-egress-queue stalls resume the pump through
+  ``on_unblocked``);
 * :func:`udp_ports` builds the N sender-side ports,
   :func:`bind_udp_receiver` binds the N arrival sockets to
   ``receiver.push``;
@@ -60,6 +61,7 @@ class UdpChannelPort:
         self.sent_data = 0
         self.sent_markers = 0
         #: filled by the owning pipeline; called when an ARP stall resolves
+        #: or a full egress queue frees a slot
         self.on_unblocked = None
         self._arp_hooked = False
 
@@ -96,7 +98,17 @@ class UdpChannelPort:
                 self._arp_hooked = True
                 iface.on_arp_resolved.append(lambda ip: self.on_unblocked())
             return False
-        return iface.can_accept()
+        if iface.can_accept():
+            return True
+        # A full egress queue: the channel's next free slot resumes the
+        # pump, unless its owner already listens for space.
+        channel = getattr(iface, "channel_out", None)
+        if (
+            channel is not None and channel.on_space is None
+            and self.on_unblocked is not None
+        ):
+            channel.on_space = lambda: self.on_unblocked()
+        return False
 
     def close(self) -> None:
         self.socket.close()

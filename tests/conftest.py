@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import pytest
 
@@ -12,6 +12,40 @@ from repro.core.packet import Packet
 from repro.core.striper import ListPort
 from repro.sim.engine import Simulator
 from repro.workloads.generators import AlternatingSizes, RandomMixSizes
+
+
+#: how many characters of a test's tracked id a per-test record keeps
+TRACKED_ID_WIDTH = 100
+
+
+def tracked_id(nodeid: str) -> str:
+    """A pytest node id in the dotted form per-test records use:
+    ``tests/a/test_b.py::TestC::test_d[p]`` -> ``tests.a.test_b.TestC::test_d[p]``."""
+    path, _, rest = nodeid.partition("::")
+    head, bracket, params = rest.partition("[")
+    *classes, name = head.split("::")
+    module = path[: -len(".py")].replace("/", ".")
+    return ".".join([module, *classes]) + "::" + name + bracket + params
+
+
+def pytest_collection_modifyitems(config, items) -> None:
+    """Fail collection when two tests' tracked ids read the same in their
+    first ``TRACKED_ID_WIDTH`` characters: a record keyed on the cut id
+    could not tell them apart.  Shorten the test name or give the
+    parameters short explicit ``ids=``."""
+    seen: Dict[str, str] = {}
+    clashes = []
+    for item in items:
+        key = tracked_id(item.nodeid)[:TRACKED_ID_WIDTH]
+        if key in seen:
+            clashes.append(f"{seen[key]}\n  {item.nodeid}")
+        else:
+            seen[key] = item.nodeid
+    if clashes:
+        raise pytest.UsageError(
+            f"test ids alike in their first {TRACKED_ID_WIDTH} characters:"
+            "\n" + "\n".join(clashes)
+        )
 
 
 @pytest.fixture()
@@ -109,3 +143,47 @@ def random_mix_packets(
 def alternating_packets(count: int) -> List[Packet]:
     """Convenience: the paper's alternating 1000/200-byte adversary."""
     return backlogged_packets(count, AlternatingSizes())
+
+
+class RepairOrderWatch:
+    """Watches a reliable pipeline's send order: ``repairs`` counts the
+    fast retransmissions its ARQ sender expedited, ``passed`` the first
+    transmissions a channel took while one of them still waited in the
+    striper's input queue.
+
+    Installed by wrapping the sender's ``expedite`` hook and each
+    recording port's transmission report; what the pipeline sends is
+    unchanged.
+    """
+
+    def __init__(self, pipeline) -> None:
+        self.repairs = 0
+        self.passed = 0
+        reliable = pipeline.reliable
+        waiting = {}
+        expedite = reliable.expedite
+
+        def watched(packets) -> None:
+            self.repairs += len(packets)
+            waiting.update((id(packet), packet) for packet in packets)
+            expedite(packets)
+
+        def watch_port(note_sent):
+            def noted(channel, packets) -> None:
+                for packet in packets:
+                    waiting.pop(id(packet), None)
+                if waiting and any(
+                    id(queued) in waiting
+                    for queued in pipeline.striper.input_queue
+                ):
+                    self.passed += sum(
+                        1 for packet in packets
+                        if reliable.unacked[packet.rseq].transmissions == 0
+                    )
+                note_sent(channel, packets)
+
+            return noted
+
+        reliable.expedite = watched
+        for port in pipeline.ports:
+            port._note_sent = watch_port(port._note_sent)

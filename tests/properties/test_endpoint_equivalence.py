@@ -211,7 +211,7 @@ class TestRegistryRoundTrip:
             assert len(seqs) > 50, f"{name}: clean run barely delivered"
 
     @pytest.mark.parametrize("name", sorted(DISCIPLINES))
-    def test_session_builds_and_conserves(self, name):
+    def test_session_conserves(self, name):
         sim = Simulator()
         if name in self.FRAGMENTING:
             with pytest.raises(ValueError, match="whole packets"):

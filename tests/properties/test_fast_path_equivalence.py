@@ -189,7 +189,7 @@ class TestReliabilityModeEquivalence:
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", [0, 11])
-    def test_clean_runs_identical(self, mode, seed):
+    def test_clean_runs(self, mode, seed):
         config = _mode_config(mode, seed=seed)
         ref_records, _, _ = _run_with_faults(config, False, None, 0)
         fast_records, _, _ = _run_with_faults(config, True, None, 0)
@@ -197,7 +197,7 @@ class TestReliabilityModeEquivalence:
         assert fast_records == ref_records
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_lossy_runs_identical(self, mode):
+    def test_lossy_runs(self, mode):
         """10% Bernoulli loss for the whole run, never stopped — the
         regime the benchmark's per-mode equivalence column runs in."""
         config = _mode_config(mode, loss=0.1, seed=3)
@@ -215,7 +215,7 @@ class TestReliabilityModeEquivalence:
         assert arq is not None and arq.stats.retransmissions > 0
 
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_reliable_channel_crash_identical(self, seed):
+    def test_crash_runs(self, seed):
         """Reliable mode under 10% loss plus a one-channel crash: both
         paths recover identically (the injector forces faulted channels
         onto the classic per-packet pump on both runs, and the crash
@@ -306,7 +306,7 @@ class TestFastPathCounters:
         assert arq.sack_visits == 0
 
     @pytest.mark.parametrize("fast", [False, True])
-    def test_marker_free_pool_recycles_at_delivery(self, fast):
+    def test_marker_free_pool_recycles(self, fast):
         """The PacketPool contract for marker-free receive: direct
         reception holds no reference past the delivery callback, so
         release-at-delivery actually recycles — after warm-up the pool

@@ -127,7 +127,7 @@ def test_hybrid_exactly_once_in_order_across_kills(seed):
 
 
 @pytest.mark.parametrize("seed", range(200, 206))
-def test_fabric_conservation_and_per_flow_fifo_across_kills(seed):
+def test_fabric_per_flow_fifo_across_kills(seed):
     rig = _run(seed, reliability="reliable", with_fabric=True)
     delivered = rig.delivered_seqs()
     assert len(delivered) == len(set(delivered)), "duplicate delivery"
@@ -139,7 +139,7 @@ def test_fabric_conservation_and_per_flow_fifo_across_kills(seed):
 
 
 @pytest.mark.parametrize("seed", range(200, 206))
-def test_fabric_bursty_source_conservation_and_per_flow_fifo_across_kills(seed):
+def test_fabric_bursty_per_flow_fifo_across_kills(seed):
     """The fabric case with checkpoints taken over non-empty flow queues:
     packets drained after a checkpoint must come back under the rseqs
     they went out with, never re-drained under new ones."""

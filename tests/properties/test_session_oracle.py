@@ -42,6 +42,7 @@ class OracleLoopback(Loopback):
             self.ports, reliability, self.sim,
             lambda packets: [sender.submit(packet) for packet in packets],
             lambda packet: sender.withdraw(packet),
+            lambda packets: [sender.submit(packet) for packet in packets],
         )
         sender = OracleSender(
             self.sim, ports, self.config, marker_policy, RESET_RETRY_S

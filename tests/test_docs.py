@@ -39,6 +39,8 @@ _SOURCE = re.compile(
 _DOTTED = re.compile(r"(?<![\w.])(repro(?:\.\w+)+)")
 _SECTION = re.compile(r"^##+ .*?`(repro\.\w+)")
 _DOCUMENTED = re.compile(r"([A-Z]\w*|\w+(?=\())")
+_MAKE = re.compile(r"^make ([\w-]+)")
+_TARGET = re.compile(r"^([A-Za-z][\w-]*):", re.MULTILINE)
 
 
 def references() -> List[Tuple[str, str, str]]:
@@ -194,3 +196,23 @@ def test_api_row_names_resolve(package, name):
     assert any(
         hasattr(module, name) for module in _modules_of(package)
     ), f"API.md documents {name} under {package}, where nothing defines it"
+
+
+def make_citations() -> List[Tuple[str, str]]:
+    """``(doc, target)`` for every backticked ``make <target> ...``."""
+    found = []
+    for doc in DOCS:
+        text = (ROOT / doc).read_text(encoding="utf-8")
+        for span in _SPAN.findall(text):
+            match = _MAKE.match(span)
+            if match:
+                found.append((doc, match.group(1)))
+    return sorted(set(found))
+
+
+def test_cited_make_targets_exist():
+    targets = set(_TARGET.findall((ROOT / "Makefile").read_text()))
+    cited = make_citations()
+    assert {target for _, target in cited} >= {"frames", "smoke"}
+    missing = [f"{doc} cites make {t}" for doc, t in cited if t not in targets]
+    assert not missing, missing

@@ -9,7 +9,9 @@ them with: recompute everything from ``_ooo`` / ``unacked`` on every call.
 
 The receiver's ack emission has a reference too: :class:`PerEventAckReceiver`
 sends every ack the moment it is earned, where the receiver merges the acks
-of one simulated instant into one.
+of one simulated instant into one.  And the sender's repair placement:
+:func:`tail_placement` queues fast retransmissions behind the data already
+waiting in the striper, where the sender puts them ahead of it.
 """
 
 from repro.transport.reliability import ReliableReceiver, ReliableSender
@@ -86,7 +88,7 @@ class FullScanSender(ReliableSender):
                 record.transmissions > 0
             ):
                 holes.append(record)
-        self._fast_retransmit(holes, sack.acks)
+        self._fast_retransmit(holes, sack.acks, newest)
         opened = self._refill() or opened
         self._ensure_timer()
         if opened and self.on_window_open is not None:
@@ -121,6 +123,16 @@ class FullScanSender(ReliableSender):
             if not record.sacked and record.transmissions > 0:
                 return record
         return None
+
+
+def tail_placement(sender):
+    """Queue ``sender``'s fast retransmissions at the tail of the
+    striper's input queue, behind the first transmissions and parity
+    already waiting, as every retransmission was queued before proven
+    losses went first.  Without its ``expedite`` hook the sender hands
+    them to the ordinary stripe path; nothing else changes."""
+    sender.expedite = None
+    return sender
 
 
 class PerEventAckReceiver(ReliableReceiver):

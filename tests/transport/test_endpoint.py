@@ -503,7 +503,7 @@ def _udp_behind_arp(sim, a, b, links):
     return ports, None, lambda: sim.run(until=0.05)  # ARP replies arrive
 
 
-def _udp_behind_credit(sim, a, b, links):
+def _credit_stalled_udp(sim, a, b, links):
     from repro.transport.credit import CreditPacket, CreditSender
     from repro.transport.socket_striping import credit_listener, udp_ports
 
@@ -514,6 +514,19 @@ def _udp_behind_credit(sim, a, b, links):
     )
     on_payload = credit_listener(credit)
     return ports, credit, lambda: on_payload(CreditPacket(channel=0, limit=1))
+
+
+def _full_udp_egress(sim, a, b, links):
+    from repro.transport.socket_striping import udp_ports
+
+    ports = udp_ports(
+        a, [(ip, 6000 + i) for i, ip in enumerate(b.local_addresses())]
+    )
+    for port, link in zip(ports, links):
+        link.ab.queue_limit = 1
+        while port.can_accept():  # one frame on the wire, one queued
+            port.send(Packet(size=1000))
+    return ports, None, lambda: sim.run(until=0.05)  # the frames leave
 
 
 def _tcp_before_handshake(sim, a, b, links):
@@ -542,7 +555,8 @@ class TestPortFactories:
 
     @pytest.mark.parametrize("blocked_ports", [
         _udp_behind_arp,
-        _udp_behind_credit,
+        _credit_stalled_udp,
+        _full_udp_egress,
         _tcp_before_handshake,
         _fast_behind_full_queue,
     ])

@@ -332,7 +332,7 @@ class TestTransportInheritance:
         assert testbed.receiver.fec.stats.reconstructed > 0
 
     @pytest.mark.parametrize("fast", [False, True])
-    def test_hybrid_exactly_once_on_both_paths(self, fast):
+    def test_hybrid_exactly_once(self, fast):
         from repro.experiments.socket_harness import build_socket_testbed
         from repro.sim.engine import Simulator
 

@@ -20,10 +20,17 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.packet import Packet, SackInfo
 from repro.core.srr import SRR
-from repro.core.striper import Striper
+from repro.core.striper import MarkerPolicy, Striper
 from repro.core.transform import TransformedLoadSharer
+from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
-from repro.transport.endpoint import StripeSenderPipeline
+from repro.sim.loss import DeterministicLoss, SizeGatedLoss
+from repro.transport import FastChannelPort, wire_size
+from repro.transport.endpoint import (
+    StripeReceiverPipeline,
+    StripeSenderPipeline,
+)
+from repro.transport.fast_path import wire_fast_ack_path
 from repro.transport.reliability import (
     FAST_RETRANSMIT_HINTS,
     MAX_RETRIES,
@@ -34,13 +41,14 @@ from repro.transport.reliability import (
     ReliableSender,
     RtoEstimator,
 )
-from tests.conftest import LimitedPort
+from tests.conftest import LimitedPort, RepairOrderWatch
 from tests.session_rig import Loopback
 from tests.transport.arq_oracles import (
     FullScanSender,
     PerEventAckReceiver,
     receiver_blocks,
     sack_blocks,
+    tail_placement,
     unsacked_index,
 )
 
@@ -302,7 +310,7 @@ class TestFastRetransmit:
 
     @pytest.mark.parametrize("acks", [FAST_RETRANSMIT_HINTS - 1,
                                       FAST_RETRANSMIT_HINTS])
-    def test_merged_ack_counts_every_ack_it_stands_for(self, sim, acks):
+    def test_merged_ack_counts_every_ack(self, sim, acks):
         """One ack packet standing for dupthresh acks repairs the hole
         below the data it reports, where each ack once needed its own
         packet; one standing for fewer adds that many hints."""
@@ -753,9 +761,7 @@ class TestWithdrawal:
         assert lb.sender.reliable.stats.withdrawn == 1
 
     @pytest.mark.parametrize("discipline", ["mppp", "bonding"])
-    def test_wrapping_disciplines_queue_units_a_withdrawal_never_finds(
-        self, sim, discipline
-    ):
+    def test_wrapped_units_are_never_withdrawn(self, sim, discipline):
         # The recovery layers refuse a wrapping discipline outright ...
         with pytest.raises(ValueError, match="non-transforming"):
             StripeSenderPipeline(
@@ -778,6 +784,199 @@ class TestWithdrawal:
         sent = [p for port in ports for p in port.sent]
         assert len(sent) == len(units)
         assert all(any(p is unit for p in sent) for unit in units)
+
+
+# ---------------------------------------------------------------------- #
+# proven losses leave first: a fast retransmission enters the striper's
+# input queue ahead of the first transmissions waiting there; a timer
+# retransmission keeps the tail; a hybrid hole waits for its parity
+
+
+class TestRepairPlacement:
+    def backed_up(self, sim, reliability="reliable", queued=4):
+        """Six packets out on two ports, both ports then full, and
+        ``queued`` first transmissions waiting in the striper."""
+        ports = [LimitedPort(), LimitedPort()]
+        pipeline = StripeSenderPipeline(
+            ports, SRR([100.0, 100.0]), sim=sim, reliability=reliability,
+        )
+        pipeline.submit_packets([Packet(size=100, seq=i) for i in range(6)])
+        assert data_sent(ports) == [[0, 2, 4], [1, 3, 5]]
+        for port in ports:
+            port.limit = len(port.sent)
+        pipeline.submit_packets(
+            [Packet(size=100, seq=6 + i) for i in range(queued)]
+        )
+        return ports, pipeline
+
+    def queued_rseqs(self, pipeline):
+        return [
+            p.rseq for p in pipeline.striper.input_queue
+            if getattr(p, "rseq", None) is not None
+        ]
+
+    def test_a_fast_retransmission_is_the_next_packet_assigned(self, sim):
+        ports, pipeline = self.backed_up(sim)
+        assert self.queued_rseqs(pipeline) == [6, 7, 8, 9]
+        pipeline.on_ack(SackInfo(0, ((1, 6),), FAST_RETRANSMIT_HINTS))
+        assert pipeline.reliable.stats.fast_retransmissions == 1
+        assert self.queued_rseqs(pipeline) == [0, 6, 7, 8, 9]
+        for port in ports:
+            port.limit = None
+        pipeline.pump()
+        # The kernel's pointer stands on channel 0: the repair takes it.
+        assert data_sent(ports) == [[0, 2, 4, 0, 7, 9], [1, 3, 5, 6, 8]]
+        assert pipeline.striper.packets_sent == 11
+
+    def test_later_repairs_queue_behind_earlier_ones(self, sim):
+        """Mutant: ``expedite`` always inserting at the very head puts
+        hole 2's repair ahead of hole 0's."""
+        _, pipeline = self.backed_up(sim)
+        pipeline.on_ack(SackInfo(0, ((1, 2),), FAST_RETRANSMIT_HINTS))
+        pipeline.on_ack(
+            SackInfo(0, ((1, 2), (3, 6)), FAST_RETRANSMIT_HINTS)
+        )
+        assert pipeline.reliable.stats.fast_retransmissions == 2
+        assert self.queued_rseqs(pipeline) == [0, 2, 6, 7, 8, 9]
+
+    def test_a_timer_retransmission_keeps_the_tail(self, sim):
+        """Mutant: every retransmission through ``expedite`` (the timer's
+        included) puts rseq 0 at the head."""
+        _, pipeline = self.backed_up(sim)
+        sim.run(until=pipeline.reliable.rto.rto * 1.5)
+        assert pipeline.reliable.stats.timeouts == 1
+        assert pipeline.reliable.stats.fast_retransmissions == 0
+        assert self.queued_rseqs(pipeline) == [6, 7, 8, 9, 0]
+
+    def test_an_ack_still_withdraws_a_queued_fast_retransmission(self, sim):
+        ports, pipeline = self.backed_up(sim)
+        pipeline.on_ack(SackInfo(0, ((1, 2),), FAST_RETRANSMIT_HINTS))
+        pipeline.on_ack(
+            SackInfo(0, ((1, 2), (3, 6)), FAST_RETRANSMIT_HINTS)
+        )
+        assert self.queued_rseqs(pipeline) == [0, 2, 6, 7, 8, 9]
+        # The original of 2 was late, not lost.
+        pipeline.on_ack(SackInfo(0, ((1, 6),)))
+        assert self.queued_rseqs(pipeline) == [0, 6, 7, 8, 9]
+        stats = pipeline.reliable.stats
+        assert stats.withdrawn == 1
+        # A repair proven after the withdrawal still queues behind 0.
+        pipeline.on_ack(SackInfo(0, ((1, 6),), FAST_RETRANSMIT_HINTS))
+        assert self.queued_rseqs(pipeline) == [0, 6, 7, 8, 9]
+        pipeline.on_ack(SackInfo(1, ((2, 6),)))
+        assert self.queued_rseqs(pipeline) == [6, 7, 8, 9]
+        assert stats.withdrawn == 2
+        for port in ports:
+            port.limit = None
+        pipeline.pump()
+        assert data_sent(ports) == [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]
+        assert stats.retransmissions == 0 and stats.late_copies == 0
+
+    def test_a_hybrid_hole_waits_for_the_data_behind_its_parity(self, sim):
+        """Group 0-5 seals and its parity is striped before rseq 6: hole 0
+        is held while acks report only its own group, and repaired once
+        one reports rseq 6."""
+        ports, pipeline = self.backed_up(sim, reliability="hybrid", queued=1)
+        arq = pipeline.reliable
+        assert [arq.unacked[r].horizon for r in range(7)] == [6] * 6 + [0]
+        for _ in range(3):
+            pipeline.on_ack(SackInfo(0, ((1, 6),), FAST_RETRANSMIT_HINTS))
+        assert arq.stats.fast_retransmissions == 0
+        pipeline.on_ack(SackInfo(0, ((1, 7),), FAST_RETRANSMIT_HINTS))
+        assert arq.stats.fast_retransmissions == 1
+        # Ahead of what still waits: the parity and rseq 6.
+        assert pipeline.striper.input_queue[0] is arq.unacked[0].packet
+
+    def test_a_held_hybrid_hole_is_still_repaired_by_the_timer(self, sim):
+        """The data behind the parity never gets acked: the timer
+        repairs the hole."""
+        _, pipeline = self.backed_up(sim, reliability="hybrid", queued=1)
+        arq = pipeline.reliable
+        pipeline.on_ack(SackInfo(0, ((1, 6),), FAST_RETRANSMIT_HINTS))
+        sim.run(until=1.0)
+        assert arq.stats.fast_retransmissions == 0
+        assert arq.stats.timeouts >= 1
+        assert any(p is arq.unacked[0].packet
+                   for p in pipeline.striper.input_queue)
+
+    def test_a_hybrid_hole_with_no_data_behind_its_parity_is_not_held(
+        self, sim
+    ):
+        """Nothing was submitted after the group: no ack can reach its
+        horizon, so the hole is repaired as in reliable mode (a stream's
+        last group, whose parity could otherwise only be waited out by a
+        backed-off timer)."""
+        _, pipeline = self.backed_up(sim, reliability="hybrid", queued=0)
+        arq = pipeline.reliable
+        assert arq.unacked[0].horizon == arq.next_rseq == 6
+        pipeline.on_ack(SackInfo(0, ((1, 6),), FAST_RETRANSMIT_HINTS))
+        assert arq.stats.fast_retransmissions == 1
+
+
+def lossy_bundle(drops, placement=None, n=48):
+    """``n`` packets submitted at t=0 to a reliable two-channel bundle
+    whose three-slot queues back the rest up in the striper; channel
+    ``i`` drops the data packets at the indices in ``drops[i]`` (markers
+    pass).  Returns the delivered seqs, the sender's ARQ stats, the data
+    packets the channels dropped and a :class:`RepairOrderWatch` on the
+    sender (None under a ``placement``)."""
+    sim = Simulator()
+    channels = [
+        Channel(
+            sim, 10e6, (0.5 + 0.7 * i) * 1e-3, name=f"ch{i}",
+            queue_limit=3, size_of=wire_size, fast=True,
+            loss_model=SizeGatedLoss(DeterministicLoss(dropped), 100),
+        )
+        for i, dropped in enumerate(drops)
+    ]
+    sender = StripeSenderPipeline(
+        [FastChannelPort(channel) for channel in channels],
+        SRR([1000.0] * len(channels)),
+        marker_policy=MarkerPolicy(interval_rounds=1), sim=sim,
+        marker_keepalive_s=0.02, reliability="reliable",
+    )
+    watch = None
+    if placement is not None:
+        placement(sender.reliable)
+    else:
+        watch = RepairOrderWatch(sender)
+    reverse = Channel(sim, 10e6, 0.5e-3, name="reverse")
+    delivered = []
+    receiver = StripeReceiverPipeline(
+        len(channels), SRR([1000.0] * len(channels)), mode="marker",
+        on_message=lambda packet: delivered.append(packet.seq), sim=sim,
+        reliability="reliable",
+        send_ack=wire_fast_ack_path(reverse, sender).send_sack,
+    )
+    for index, channel in enumerate(channels):
+        channel.on_deliver = receiver.channel_handler(index)
+        channel.on_space = sender.pump
+    sender.submit_packets([Packet(size=1000, seq=i) for i in range(n)])
+    sim.run(until=5.0)
+    lost = sum(channel.stats.lost_packets for channel in channels)
+    return delivered, sender.reliable.stats, lost, watch
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.sets(st.integers(min_value=0, max_value=30), max_size=6),
+        min_size=2, max_size=2,
+    )
+)
+@example([{1, 2, 3}, {0, 5}])
+def test_repairs_first_and_at_the_tail_both_deliver_exactly_once(drops):
+    """On the same loss script, repairs placed ahead of queued data and
+    repairs placed behind it (the oracle) both deliver every packet
+    exactly once and in order, and ahead of it no first transmission
+    leaves while a fast retransmission waits.  Mutant: ``expedite``
+    appending at the tail (``Striper.submit_many``) lets them pass."""
+    ahead, stats, lost, watch = lossy_bundle(drops)
+    behind, _, _, _ = lossy_bundle(drops, placement=tail_placement)
+    assert ahead == list(range(48))
+    assert behind == list(range(48))
+    assert stats.retransmissions >= lost
+    assert watch.passed == 0
 
 
 # ---------------------------------------------------------------------- #

@@ -88,8 +88,12 @@ class TestSizeGenerators:
             (0.0, 0.0),
             (1e308, 1e308),
         ],
+        ids=[
+            "too_few", "too_many", "negative", "nan", "inf", "zero_total",
+            "inf_total",
+        ],
     )
-    def test_random_mix_rejects_bad_weights_at_construction(self, weights):
+    def test_random_mix_rejects_bad_weights(self, weights):
         # Not at the first draw, which is inside a running simulation.
         with pytest.raises(ValueError):
             RandomMixSizes((64, 576), weights=weights)
@@ -239,7 +243,7 @@ class TestClosedLoopSource:
         assert backlog[0] == 5
 
     @pytest.mark.parametrize("pooled", [False, True])
-    def test_batched_refill_makes_the_per_packet_refill_s_packets(self, pooled):
+    def test_batched_refill_matches_per_packet(self, pooled):
         def run(batched):
             sim = Simulator()
             backlog = []
