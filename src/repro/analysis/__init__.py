@@ -6,14 +6,12 @@ from repro.analysis.tables import (
     extended_rows,
     paper_table1_rows,
     render_rows,
-    row_for,
 )
 
 __all__ = [
     "ReorderReport",
     "analyze_order",
     "TableRow",
-    "row_for",
     "paper_table1_rows",
     "extended_rows",
     "render_rows",

@@ -14,7 +14,7 @@ members; DRR and the randomized CFQ schemes live in core as well.)
 
 from repro.baselines.sqf import ShortestQueueFirst
 from repro.baselines.random_selection import RandomSelection
-from repro.baselines.address_hash import AddressHashing, stable_hash
+from repro.baselines.address_hash import AddressHashing
 from repro.baselines.mppp import (
     MPPP_HEADER_BYTES,
     MpppDiscipline,
@@ -33,7 +33,6 @@ __all__ = [
     "ShortestQueueFirst",
     "RandomSelection",
     "AddressHashing",
-    "stable_hash",
     "MpppReceiver",
     "MpppFragment",
     "MpppDiscipline",

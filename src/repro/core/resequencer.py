@@ -299,7 +299,8 @@ def make_resequencer(
       ``sim`` enables the gap timeout).
     * ``"bonding"`` — BONDING-style frame alignment (baseline).
 
-    Returns an object with ``push(channel, packet)`` / ``drain()``.
+    Returns an object with ``push(channel, packet)`` / ``drain()`` and
+    ``fail_channel(channel)`` / ``revive_channel(channel)``.
     """
     if n_channels is None:
         if algorithm is None:

@@ -350,9 +350,10 @@ class StripeReceiverSession:
         failure_detector: optional
             :class:`~repro.transport.health.ChannelFailureDetector` over
             the full port set; a silent channel becomes a reset request
-            excluding it, probe acknowledgments wait for its hold-down and
-            revival threshold, and a rejoin RESET re-arms it.  Without
-            one, every probe is acknowledged.
+            excluding it, each new epoch's RESET tells it which channels
+            the sender excluded or re-admitted, and probe acknowledgments
+            wait for its hold-down and revival threshold — the one gate on
+            every rejoin.  Without one, every probe is acknowledged.
         discipline / discipline_options: the sender session's.
     """
 
@@ -451,9 +452,9 @@ class StripeReceiverSession:
             if self.checker is not None:
                 self.checker.on_reset(self.epoch)
             if self.failure_detector is not None:
-                # A rejoin RESET re-admits previously failed channels; the
-                # detector must re-arm its silence watch for them.
-                self.failure_detector.note_rejoin(self.config.active_channels)
+                # The detector learns every exclusion and every rejoin
+                # from the configuration the RESET installs.
+                self.failure_detector.note_reset(self.config.active_channels)
         # Mark this channel as switched (idempotent for retries).
         self._channel_epoch[port_index] = packet.epoch
         if all(

@@ -1,10 +1,12 @@
 """Self-stabilization companions of the session layer.
 
 Split out of :mod:`repro.core.session`: the sender-side channel prober
-(revival detection for excluded channels) and the [Var93]-style local
-checker (round-divergence detection on markers).  Both work on the
-session controllers of :mod:`repro.core.session` but carry no session
-state of their own.
+(probes excluded channels and rejoins the ones the receiver acks) and
+the [Var93]-style local checker (round-divergence detection on markers).
+Both work on the session controllers of :mod:`repro.core.session` but
+carry no session state of their own.  Neither damps flapping channels:
+that is the receiver's failure detector's hold-down
+(:mod:`repro.transport.health`), the one gate on every rejoin.
 """
 
 from __future__ import annotations
@@ -24,13 +26,6 @@ PROBE_BACKOFF = 2.0
 MAX_PROBE_INTERVAL_S = 0.2
 #: unanswered probes before a channel is given up on
 MAX_PROBES = 200
-#: a channel that fails again within FLAP_WINDOW_S of rejoining sits out
-#: a hold-down of at least FLAP_PENALTY_S, doubled per flap up to
-#: MAX_HOLD_DOWN_S; a first failure has none
-FLAP_WINDOW_S = 2.0
-FLAP_PENALTY_S = 0.2
-FLAP_FACTOR = 2.0
-MAX_HOLD_DOWN_S = 4.0
 #: tolerated |marker round - receiver round| slack of the local checker
 CHECK_WINDOW_ROUNDS = 60
 
@@ -43,22 +38,18 @@ class ChannelProber:
     is probed with exponentially backed-off :class:`ProbePacket` sends
     (forced past the queue limit, so a wedged queue cannot mask a probe).
     A probe that gets through elicits a :class:`ProbeAckPacket` on the
-    reverse control path — gated by the receiver's failure detector's
-    hold-down — and the prober then re-admits the channel via a
+    reverse control path, and the prober then re-admits the channel via a
     reconfiguration RESET carrying its pre-failure quantum: the paper's
     reset machinery doubles as the rejoin path, so the revived channel
     re-enters with fresh epoch-initial striping state.
 
     Probes start ``PROBE_INTERVAL_S`` apart and back off by
     ``PROBE_BACKOFF`` up to ``MAX_PROBE_INTERVAL_S``; a channel is given
-    up on after ``MAX_PROBES`` unanswered ones.  A channel that fails again
-    within ``FLAP_WINDOW_S`` of rejoining must sit out a hold-down that
-    doubles per flap (``FLAP_PENALTY_S``, ``FLAP_FACTOR``, capped at
-    ``MAX_HOLD_DOWN_S``) before the next rejoin.  This is not a copy of
-    the receiver detector's damping: the prober sees every exclusion,
-    while the receiver's detector never learns of the ones it did not
-    cause (a sender-side stall, an ARQ suspect), so for those this
-    hold-down is the only damping.
+    up on after ``MAX_PROBES`` unanswered ones.  The prober damps nothing
+    itself: every ack is a rejoin.  When to ack is the receiver's
+    :class:`~repro.transport.health.ChannelFailureDetector`'s decision —
+    it learns every exclusion from the RESET that installs it and holds
+    the acks back for its flap-damped hold-down.
 
     Bookkeeping is dict/set based: reconciliation after a reset touches
     only the channels whose membership actually changed plus a C-level
@@ -78,9 +69,6 @@ class ChannelProber:
         self.abandoned: List[int] = []
         self._probing: dict = {}
         self._quantum: dict = {}
-        self._hold_down: dict = {}
-        self._down_at: dict = {}
-        self._rejoined_at: dict = {}
         self._probe_seq = 0
         #: the full channel universe, computed once (the port set is fixed
         #: for a session's lifetime; only membership in ``active`` moves)
@@ -115,16 +103,6 @@ class ChannelProber:
             self._start(channel)
 
     def _start(self, channel: int) -> None:
-        now = self.sim.now
-        rejoined = self._rejoined_at.get(channel)
-        if rejoined is not None and now - rejoined < FLAP_WINDOW_S:
-            previous = self._hold_down.get(channel, 0.0)
-            self._hold_down[channel] = min(
-                max(previous * FLAP_FACTOR, FLAP_PENALTY_S), MAX_HOLD_DOWN_S
-            )
-        else:
-            self._hold_down[channel] = 0.0
-        self._down_at[channel] = now
         state = {"interval": PROBE_INTERVAL_S, "sent": 0, "event": None}
         self._probing[channel] = state
         state["event"] = self.sim.schedule(
@@ -162,18 +140,13 @@ class ChannelProber:
         channel = packet.channel
         if channel not in self._probing:
             return
-        now = self.sim.now
-        if now - self._down_at[channel] < self._hold_down[channel]:
-            return  # flap-damped: not willing to rejoin yet
         session = self.session
         if session.state != session.RUNNING:
             return  # a reset is in flight; _sync re-evaluates after it
-        if session.config.is_active(channel):
-            self._stop(channel)
-            return
         self._stop(channel)
+        if session.config.is_active(channel):
+            return
         self.rejoins += 1
-        self._rejoined_at[channel] = now
         session.initiate_reset(
             session.config_with(channel, self._quantum.get(channel))
         )

@@ -6,71 +6,32 @@ virtual interface itself (section 6.1 of the paper).
 """
 
 from repro.net.addresses import IPAddress, MACAddress, fresh_mac
-from repro.net.ip import (
-    IP_HEADER_BYTES,
-    IPPacket,
-    PROTO_ICMP,
-    PROTO_TCP,
-    PROTO_UDP,
-)
-from repro.net.routing import Route, RoutingTable
-from repro.net.arp import ArpCache, ArpPacket
-from repro.net.interface import Frame, FrameType, NetworkInterface
-from repro.net.ethernet import (
-    ETHERNET_MTU,
-    ETHERNET_OVERHEAD,
-    EthernetInterface,
-    ethernet_wire_size,
-)
-from repro.net.atm import (
-    ATM_CELL_BYTES,
-    ATM_DEFAULT_MTU,
-    AtmInterface,
-    aal5_cell_count,
-    aal5_wire_size,
-)
+from repro.net.ip import IPPacket
+from repro.net.routing import RoutingTable
+from repro.net.interface import FrameType
+from repro.net.ethernet import EthernetInterface, ethernet_wire_size
+from repro.net.atm import AtmInterface, aal5_wire_size
 from repro.net.stripe import (
     RESEQ_MARKER,
     RESEQ_NONE,
     RESEQ_PLAIN,
     StripeInterface,
-    StripeMemberPort,
 )
 from repro.net.stack import Link, Stack
-from repro.net.fragmentation import (
-    FRAGMENT_HEADER_BYTES,
-    Fragment,
-    FragmentingStriper,
-    Reassembler,
-)
+from repro.net.fragmentation import Fragment, FragmentingStriper, Reassembler
 
 __all__ = [
     "IPAddress",
     "MACAddress",
     "fresh_mac",
     "IPPacket",
-    "IP_HEADER_BYTES",
-    "PROTO_ICMP",
-    "PROTO_TCP",
-    "PROTO_UDP",
-    "Route",
     "RoutingTable",
-    "ArpCache",
-    "ArpPacket",
-    "Frame",
     "FrameType",
-    "NetworkInterface",
     "EthernetInterface",
-    "ETHERNET_MTU",
-    "ETHERNET_OVERHEAD",
     "ethernet_wire_size",
     "AtmInterface",
-    "ATM_CELL_BYTES",
-    "ATM_DEFAULT_MTU",
     "aal5_wire_size",
-    "aal5_cell_count",
     "StripeInterface",
-    "StripeMemberPort",
     "RESEQ_MARKER",
     "RESEQ_PLAIN",
     "RESEQ_NONE",
@@ -79,5 +40,4 @@ __all__ = [
     "Fragment",
     "FragmentingStriper",
     "Reassembler",
-    "FRAGMENT_HEADER_BYTES",
 ]

@@ -787,7 +787,6 @@ class StripeReceiverPipeline:
         )
         self._pushed_data: List[int] = [0] * n_channels
         self._credited: List[int] = [0] * n_channels
-        self.failed_channels: set = set()
         self._rewire()
 
     def restart_reception(
@@ -965,14 +964,12 @@ class StripeReceiverPipeline:
         return handle
 
     def fail_channel(self, channel: int) -> List[Any]:
-        """Declare a channel dead so delivery does not block on it."""
-        if channel in self.failed_channels:
-            return []
-        self.failed_channels.add(channel)
-        fail = getattr(self.resequencer, "fail_channel", None)
-        if fail is None:
-            return []
-        return fail(channel)
+        """Declare a channel dead so delivery does not block on it.
+
+        Every reception engine implements it (a no-op where delivery
+        never blocks on one channel); returns the packets it released.
+        """
+        return self.resequencer.fail_channel(channel)
 
     def revive_channel(self, channel: int) -> None:
         """Welcome a failed channel back into the bundle.
@@ -981,12 +978,7 @@ class StripeReceiverPipeline:
         next marker on the channel resyncs its simulated state (condition
         C1), so delivery re-aligns without a session reset.
         """
-        if channel not in self.failed_channels:
-            return
-        self.failed_channels.discard(channel)
-        revive = getattr(self.resequencer, "revive_channel", None)
-        if revive is not None:
-            revive(channel)
+        self.resequencer.revive_channel(channel)
 
     # ------------------------------------------------------------------ #
 

@@ -6,8 +6,10 @@ below the reception layer.
 
 * :class:`ChannelFailureDetector` — the receiver-side channel lifecycle,
   ``active -> failed -> probing -> revived``: a silence watchdog that
-  reports a dead channel, gates the sender's probe acks behind a
-  flap-damped hold-down, and re-arms a channel that rejoins.
+  reports a dead channel, learns every other exclusion from the RESET
+  that installs it, gates the sender's probe acks behind a flap-damped
+  hold-down, and re-arms a channel that rejoins.  Its hold-down is the
+  only flap damper: the sender's prober rejoins whatever it acks.
 * :class:`SenderHealthMonitor` — sender-side queue-stall watch.
 """
 
@@ -40,13 +42,18 @@ class ChannelFailureDetector:
     sender to exclude it, a plain pipeline writes it off so delivery
     keeps flowing.
 
+    A session receiver also tells it each configuration a RESET installs
+    (:meth:`note_reset`): a channel the sender excluded on its own (a
+    queue stall, an ARQ suspect) fails here too, with no report, so every
+    exclusion pays the same hold-down before it may rejoin.
+
     A failed channel that shows signs of life again (sender probes, or
     data arrivals from stale in-flight packets) moves to ``probing``; once
     it has produced ``REVIVAL_ARRIVALS`` arrivals *and* its hold-down has
     elapsed it is ``revived`` — the bound revival callback re-admits it (a
     plain pipeline un-fails its resequencer; a session receiver
     acknowledges the sender's probes, so the sender rejoins the channel
-    via a RESET, which :meth:`note_rejoin` turns back into ``active`` so a
+    via a RESET, which :meth:`note_reset` turns back into ``active`` so a
     second death is reported too).
 
     Flap damping: each failure that follows a revival within
@@ -128,8 +135,13 @@ class ChannelFailureDetector:
         self.sim.schedule(CHECK_INTERVAL_S, self._check)
 
     def _fail(self, channel: int) -> None:
-        now = self.sim.now
         self.failures_reported.append(channel)
+        self._down(channel)
+        self._on_failure(channel)
+
+    def _down(self, channel: int) -> None:
+        """Mark ``channel`` failed now and set its hold-down."""
+        now = self.sim.now
         self.state[channel] = self.FAILED
         self._failed_at[channel] = now
         self._life_seen[channel] = 0
@@ -141,7 +153,6 @@ class ChannelFailureDetector:
             )
         else:
             self._hold_down[channel] = MIN_DOWN_TIME_S
-        self._on_failure(channel)
 
     # -- revival path -------------------------------------------------- #
 
@@ -173,19 +184,31 @@ class ChannelFailureDetector:
         self._watched(port_index, "probe")
         return self._up(port_index) or self._try_revive(port_index)
 
-    def note_rejoin(self, active_channels: Sequence[int]) -> None:
-        """A reconfiguration re-activated channels (rejoin RESET installed).
+    def note_reset(self, active_channels: Sequence[int]) -> None:
+        """A RESET installed a configuration carrying ``active_channels``.
 
-        Re-arms silence detection for every re-admitted channel that is
-        not ``active``: its failure is reported again on a second death,
+        Each channel it re-admits that is not ``active`` becomes ``active``
+        with its silence watch re-armed: a second death is reported again,
         and its arrival clock restarts (its ``last_arrival`` is stale from
         the outage, which would otherwise re-fail it on the next check).
+
+        Each ``active`` channel it leaves out was excluded by the sender
+        (a queue stall, an ARQ suspect): it becomes ``failed`` with the
+        hold-down and flap doubling a reported failure gets, so its probes
+        wait like any other.  It is not reported — the sender already
+        excluded it.  A failed or probing channel keeps its failure time
+        and hold-down, and a revived one its standing: it is left out only
+        until the rejoin RESET its probe ack asked for.
         """
         now = self.sim.now
-        for channel in active_channels:
-            if self.state[channel] != self.ACTIVE:
+        admitted = set(active_channels)
+        for channel, standing in enumerate(self.state):
+            if channel not in admitted:
+                if standing == self.ACTIVE:
+                    self._down(channel)
+            elif standing != self.ACTIVE:
                 self.last_arrival[channel] = now
-                if self.state[channel] != self.REVIVED:
+                if standing != self.REVIVED:
                     self._revived_at[channel] = now
                 self.state[channel] = self.ACTIVE
 
@@ -237,10 +260,7 @@ class SenderHealthMonitor:
         self._backlog = backlog_fn
         now = self.sim.now
         self._last_progress = [now] * len(self._ports)
-        self._last_queue = [port.queue_length for port in self._ports]
-        self._last_drained = [
-            getattr(port, "drained", 0) for port in self._ports
-        ]
+        self._last_drained = [port.drained for port in self._ports]
         self.sim.schedule(CHECK_INTERVAL_S, self._check)
 
     def clear(self, port_index: int) -> None:
@@ -252,21 +272,20 @@ class SenderHealthMonitor:
         now = self.sim.now
         backlogged = self._backlog() > 0
         for i, port in enumerate(self._ports):
-            qlen = port.queue_length
             blocked = not port.can_accept()
-            drained = getattr(port, "drained", None)
-            if drained is not None:
-                # Transmission completions are the real progress signal: a
-                # saturated queue sits at its limit between checks even
-                # while frames flow through it.
-                progressed = drained > self._last_drained[i]
-                self._last_drained[i] = drained
-            else:
-                progressed = qlen < self._last_queue[i]
-            self._last_queue[i] = qlen
+            # Transmission completions are the progress signal: a
+            # saturated queue sits at its limit between checks even while
+            # frames flow through it.
+            drained = port.drained
+            progressed = drained > self._last_drained[i]
+            self._last_drained[i] = drained
             # Traffic is pending if the pipeline has backlog *or* this
             # port itself still holds undrained packets.
-            if progressed or not blocked or not (backlogged or qlen > 0):
+            if (
+                progressed
+                or not blocked
+                or not (backlogged or port.queue_length > 0)
+            ):
                 self._last_progress[i] = now
             elif (
                 i not in self.stalled

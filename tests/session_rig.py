@@ -34,7 +34,8 @@ class Loopback:
 
     def __init__(self, sim, n_ports=2, quanta=(100.0, 100.0),
                  marker_policy=None, checker=None,
-                 reliability="quasi_fifo", ports=None, **session_options):
+                 reliability="quasi_fifo", ports=None,
+                 failure_detector=None, **session_options):
         self.sim = sim
         self.ports = ports or [ListPort() for _ in range(n_ports)]
         self.config = StripeConfig(
@@ -45,6 +46,7 @@ class Loopback:
         self.control_log = []
         self.lose_control = False
         self._cursor = [0] * len(self.ports)
+        self.failure_detector = failure_detector
         self._build(marker_policy, checker, reliability, session_options)
 
     def _build(self, marker_policy, checker, reliability, session_options):
@@ -65,7 +67,7 @@ class Loopback:
         )
         self.receiver_session = StripeReceiverSession(
             self.receiver, n_ports, self.config, self.send_control,
-            checker=checker,
+            checker=checker, failure_detector=self.failure_detector,
         )
 
     def send_control(self, packet):

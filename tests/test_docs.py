@@ -9,9 +9,12 @@ name.
 
 In backticks, every source path (``src/repro/core/striper.py``, or
 ``core/striper.py`` relative to ``src/repro``) must be a file, and every
-dotted ``repro.`` name must import and resolve.  Each class, constant or
-call an API.md row documents (a backticked name in its first cell that is
-capitalized or called) must resolve in the package its section covers.
+dotted ``repro.`` name must import and resolve.  A ``file.py:Qualname``
+citation names a class or function that file defines.  Each class,
+constant or call an API.md row documents (a backticked name in its first
+cell that is capitalized or called) must resolve in the package its
+section covers; conversely, every name in a documented package's
+``__all__`` opens a backticked span in the first cell of a row under it.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ DOCS = ("DESIGN.md", "API.md", "README.md", "EXPERIMENTS.md")
 
 _PATH = re.compile(r"(?<![\w/.])((?:tests|benchmarks)/[\w/]+\.py)")
 _NODE = re.compile(r"(?<![\w.])([\w/]*\w\.py)((?:::\w+)+)")
+_QUALNAME = re.compile(r"(?<![\w/.])([\w/]*\w\.py):([A-Za-z_]\w*(?:\.\w+)*)")
 _SPAN = re.compile(r"`([^`\n]+)`")
 _SOURCE = re.compile(
     r"(?<![\w/.])(src/[\w/]+\.py|(?:analysis|baselines|core|experiments"
@@ -39,6 +43,7 @@ _SOURCE = re.compile(
 _DOTTED = re.compile(r"(?<![\w.])(repro(?:\.\w+)+)")
 _SECTION = re.compile(r"^##+ .*?`(repro\.\w+)")
 _DOCUMENTED = re.compile(r"([A-Z]\w*|\w+(?=\())")
+_LEADING = re.compile(r"\w+")
 _MAKE = re.compile(r"^make ([\w-]+)")
 _TARGET = re.compile(r"^([A-Za-z][\w-]*):", re.MULTILINE)
 
@@ -124,10 +129,10 @@ def code_references() -> List[Tuple[str, str, str]]:
     return sorted(set(found))
 
 
-def api_rows() -> List[Tuple[str, str]]:
-    """``(package, name)`` for every name an API.md row documents.  The
-    support matrices list modes and discipline names, not code, and are
-    skipped."""
+def _row_spans() -> List[Tuple[str, str]]:
+    """``(package, span)`` for every backticked span in the first cell of
+    an API.md row.  The support matrices list modes and discipline names,
+    not code, and are skipped."""
     found = []
     package = None
     for line in (ROOT / "API.md").read_text(encoding="utf-8").splitlines():
@@ -143,10 +148,17 @@ def api_rows() -> List[Tuple[str, str]]:
         if package is None or not line.startswith("| `"):
             continue
         first_cell = line.split(" | ")[0]
-        for span in _SPAN.findall(first_cell):
-            match = _DOCUMENTED.match(span)
-            if match:
-                found.append((package, match.group(1)))
+        found += [(package, span) for span in _SPAN.findall(first_cell)]
+    return found
+
+
+def api_rows() -> List[Tuple[str, str]]:
+    """``(package, name)`` for every name an API.md row documents."""
+    found = []
+    for package, span in _row_spans():
+        match = _DOCUMENTED.match(span)
+        if match:
+            found.append((package, match.group(1)))
     return sorted(set(found))
 
 
@@ -171,6 +183,7 @@ def _modules_of(package: str) -> tuple:
     return (root,) + tuple(
         importlib.import_module(info.name)
         for info in pkgutil.walk_packages(root.__path__, package + ".")
+        if not info.name.endswith(".__main__")  # a CLI runs on import
     )
 
 
@@ -196,6 +209,43 @@ def test_api_row_names_resolve(package, name):
     assert any(
         hasattr(module, name) for module in _modules_of(package)
     ), f"API.md documents {name} under {package}, where nothing defines it"
+
+
+@pytest.mark.parametrize(
+    "package", sorted({package for package, _ in api_rows()})
+)
+def test_every_export_has_an_api_row(package):
+    rows = set()
+    for section, span in _row_spans():
+        match = _LEADING.match(span)
+        if section == package and match:
+            rows.add(match.group(0))
+    exported = importlib.import_module(package).__all__
+    missing = [name for name in exported if name not in rows]
+    assert not missing, f"{package} exports {missing} with no API.md row"
+
+
+def qualname_citations() -> List[Tuple[str, str, str]]:
+    """``(doc, path, qualname)`` for every ``file.py:Qualname``."""
+    found = []
+    for doc in DOCS:
+        text = (ROOT / doc).read_text(encoding="utf-8")
+        found += [(doc, *match) for match in _QUALNAME.findall(text)]
+    return sorted(set(found))
+
+
+def test_cited_qualnames_exist():
+    cited = qualname_citations()
+    assert cited
+    missing = []
+    for doc, path, qualname in cited:
+        found = resolve(path)
+        if found is None:
+            source = ROOT / "src" / "repro" / path
+            found = source if source.is_file() else ROOT / path
+        if not found.is_file() or not defines(found, qualname.replace(".", "::")):
+            missing.append(f"{doc} cites {path}:{qualname}")
+    assert not missing, missing
 
 
 def make_citations() -> List[Tuple[str, str]]:

@@ -2,24 +2,30 @@
 
 Unit-level coverage of the three lifecycle actors — the receiver-side
 :class:`ChannelFailureDetector` state machine (hold-down, flap damping,
-probe gating, rejoin re-arm), the sender-side :class:`SenderHealthMonitor` (queue-stall
-watch), and the :class:`ChannelProber` (exponential-backoff probes and
-the rejoin RESET) — plus the end-to-end acceptance scenario: a channel
-goes dark mid-run, is excluded, probed, and rejoined, and carries its
-quantum share again right after the rejoin, and a channel that dies a
-second time after rejoining is excluded again.
+probe gating, rejoin re-arm, exclusions learned from the RESET), the
+sender-side :class:`SenderHealthMonitor` (queue-stall watch), and the
+:class:`ChannelProber` (exponential-backoff probes and the rejoin RESET)
+— plus the end-to-end acceptance scenario: a channel goes dark mid-run,
+is excluded, probed, and rejoined, and carries its quantum share again
+right after the rejoin, and a channel that dies a second time after
+rejoining is excluded again.
 """
 
 from typing import Any, List, Optional
 
 import pytest
 
+from repro.core.control import ProbePacket, ResetPacket
 from repro.core.markers import encode_marker
 from repro.core.packet import MarkerPacket
-from repro.core.session import ChannelProber, ProbeAckPacket, StripeConfig
+from repro.core.session import (
+    ChannelProber,
+    ProbeAckPacket,
+    StripeConfig,
+    StripeReceiverSession,
+)
 from repro.core.srr import SRR
 from repro.core.stabilize import (
-    FLAP_PENALTY_S,
     MAX_PROBE_INTERVAL_S,
     MAX_PROBES,
     PROBE_INTERVAL_S,
@@ -28,13 +34,19 @@ from repro.experiments.fault_tolerance import build_session_testbed
 from repro.net.ethernet import EthernetInterface
 from repro.net.stack import Link, Stack
 from repro.transport.credit import CreditSender
-from repro.transport.health import MAX_DOWN_TIME_S, MIN_DOWN_TIME_S
+from repro.transport.health import (
+    FLAP_WINDOW_S,
+    MAX_DOWN_TIME_S,
+    MIN_DOWN_TIME_S,
+    REVIVAL_ARRIVALS,
+)
 from repro.transport.endpoint import (
     ChannelFailureDetector,
     SenderHealthMonitor,
     StripeReceiverPipeline,
 )
 from repro.transport.socket_striping import udp_ports
+from tests.session_rig import Loopback
 
 #: the silence threshold the chaos experiment runs the detector at
 SILENCE_S = 0.15
@@ -143,7 +155,7 @@ class TestChannelLifecycleManager:
         with pytest.raises(ValueError):
             mgr.note_probe(-1)
 
-    def test_note_rejoin_rearms_silence_watch(self, sim):
+    def test_note_reset_rearms_silence_watch(self, sim):
         mgr = self.make(sim)
         feed(sim, mgr, 0, 0.0, 1.5)
         feed(sim, mgr, 1, 0.0, 0.2)
@@ -151,12 +163,143 @@ class TestChannelLifecycleManager:
         assert self.failures == [1]
         # A rejoin RESET re-admits channel 1; the stale last_arrival must
         # not instantly re-fail it, and a later death must re-report.
-        mgr.note_rejoin([0, 1])
+        mgr.note_reset([0, 1])
         assert mgr.state[1] == mgr.ACTIVE
         sim.run(until=0.5)
         assert self.failures == [1]  # not instantly re-failed
         sim.run(until=1.5)  # channel 1 stays silent: genuine second death
         assert self.failures == [1, 1]
+
+    def test_a_reset_keeps_a_reported_failure_as_it_was(self, sim):
+        mgr = self.make(sim)
+        feed(sim, mgr, 0, 0.0, 1.0)
+        feed(sim, mgr, 1, 0.0, 0.2)
+        sim.run(until=0.45)
+        failed_at = mgr._failed_at[1]
+        # The exclusion RESET the failure asked for arrives later: the
+        # failure time, and so the hold-down's end, stay put.
+        mgr.note_reset([0])
+        assert mgr.state[1] == mgr.FAILED
+        assert mgr._failed_at[1] == failed_at
+        assert mgr.flap_counts[1] == 0
+
+
+class TestEveryExclusionIsDamped:
+    """The receiver's detector is the one gate on every rejoin: it learns
+    an exclusion it never reported (a sender stall, an ARQ suspect) from
+    the RESET that installs it, and holds that channel's probe acks back
+    exactly as for a failure it reported itself."""
+
+    def make(self, sim):
+        self.detector = ChannelFailureDetector(sim, SILENCE_S)
+        self.control: List[Any] = []
+        config = StripeConfig(quanta=(1000.0, 1000.0, 1000.0))
+        pipeline = StripeReceiverPipeline(3, config.algorithm(), sim=sim)
+        self.session = StripeReceiverSession(
+            pipeline, 3, config, self.control.append,
+            failure_detector=self.detector,
+        )
+        self.epoch = 0
+
+    def reset(self, active):
+        """The sender installs a configuration carrying ``active``."""
+        self.epoch += 1
+        config = StripeConfig(
+            quanta=tuple(1000.0 for _ in active), active_channels=active
+        )
+        for port in active:
+            self.session.push(port, ResetPacket(self.epoch, config))
+
+    def probe_acked(self, sim, at):
+        """Probe channel 1 at ``at``; was the probe acknowledged?"""
+        sim.run(until=at)
+        before = len(self.control)
+        self.session.push(1, ProbePacket(channel=1, seq=len(self.control)))
+        return any(
+            isinstance(packet, ProbeAckPacket)
+            for packet in self.control[before:]
+        )
+
+    def test_a_sender_exclusion_waits_out_the_hold_down(self, sim):
+        self.make(sim)
+        self.reset((0, 2))  # a stall exclusion: channel 1 was never silent
+        assert self.detector.state[1] == self.detector.FAILED
+        assert self.detector.failures_reported == []  # the sender knows
+        # Below the revival threshold, then inside the hold-down: no ack.
+        assert REVIVAL_ARRIVALS == 2
+        assert not self.probe_acked(sim, 0.01)
+        assert not self.probe_acked(sim, 0.02)
+        assert not self.probe_acked(sim, MIN_DOWN_TIME_S - 0.001)
+        assert self.probe_acked(sim, MIN_DOWN_TIME_S + 1e-6)
+        assert self.detector.revivals_reported == [1]
+
+    def test_a_flap_within_the_window_waits_twice_as_long(self, sim):
+        self.make(sim)
+        self.reset((0, 2))
+        self.probe_acked(sim, 0.01)
+        assert self.probe_acked(sim, MIN_DOWN_TIME_S + 1e-6)
+        self.reset((0, 1, 2))  # the rejoin RESET the ack asked for
+        assert self.detector.state[1] == self.detector.ACTIVE
+        down_at = 0.5
+        assert down_at < FLAP_WINDOW_S
+        sim.run(until=down_at)
+        self.reset((0, 2))  # excluded again right after rejoining
+        assert self.detector.flap_counts[1] == 1
+        self.probe_acked(sim, down_at + 0.01)
+        assert not self.probe_acked(sim, down_at + MIN_DOWN_TIME_S + 1e-6)
+        assert not self.probe_acked(
+            sim, down_at + 2 * MIN_DOWN_TIME_S - 0.001
+        )
+        assert self.probe_acked(sim, down_at + 2 * MIN_DOWN_TIME_S + 1e-6)
+
+    def test_a_revived_channel_keeps_its_standing_until_it_rejoins(self, sim):
+        self.make(sim)
+        self.reset((0, 2))
+        self.probe_acked(sim, 0.01)
+        assert self.probe_acked(sim, MIN_DOWN_TIME_S + 1e-6)
+        # Another reconfiguration lands before the rejoin RESET: leaving
+        # the revived channel out is no new exclusion.
+        self.reset((0, 2))
+        assert self.detector.state[1] == self.detector.REVIVED
+        assert self.detector.flap_counts[1] == 0
+        assert self.probe_acked(sim, MIN_DOWN_TIME_S + 0.01)
+
+    def test_the_prober_rejoins_only_what_the_detector_acks(self, sim):
+        """A sender-excluded channel that flaps waits out the receiver's
+        doubled hold-down before the prober rejoins it (the prober keeps
+        no hold-down of its own)."""
+        detector = ChannelFailureDetector(sim, silence_threshold=10.0)
+        loop = Loopback(
+            sim, n_ports=3, quanta=(1000.0, 1000.0, 1000.0),
+            failure_detector=detector,
+        )
+        prober = ChannelProber(sim, loop.sender_session)
+
+        def ferry():
+            loop.flush()
+            sim.schedule(0.001, ferry)
+
+        def exclude():
+            assert loop.sender_session.exclude_channel(1)
+            loop.flush()
+
+        exclude()  # the stall path, at t = 0
+        ferry()
+        # Probes leave at 0.05 and 0.15: the first is one life sign, the
+        # second clears the threshold and the 0.1 s hold-down.
+        sim.run(until=0.12)
+        assert prober.rejoins == 0
+        sim.run(until=0.2)
+        assert prober.rejoins == 1
+        # It flaps: excluded again 0.15 s after rejoining.  Probes leave
+        # at 0.35, 0.45 and 0.65; the hold-down is now 0.2 s.
+        sim.schedule_at(0.3, exclude)
+        sim.run(until=0.6)
+        assert detector.flap_counts[1] == 1
+        assert prober.rejoins == 1  # damped: acks held back until 0.5
+        sim.run(until=0.7)
+        assert prober.rejoins == 2
+        assert loop.sender_session.config.active_channels == (0, 1, 2)
 
 
 def test_one_wire_frame_is_one_life_sign(sim):
@@ -192,6 +335,7 @@ class _StallPort:
 
     def __init__(self) -> None:
         self.queue_length = 0
+        self.drained = 0
         self.accepting = True
 
     def can_accept(self) -> bool:
@@ -222,8 +366,8 @@ class TestSenderHealthMonitor:
         self.ports[0].queue_length = 50
 
         def drain():
-            if self.ports[0].queue_length > 0:
-                self.ports[0].queue_length -= 1
+            # A saturated port: one frame leaves, the next takes its slot.
+            self.ports[0].drained += 1
             sim.schedule(0.02, drain)
 
         sim.schedule_at(0.0, drain)
@@ -374,26 +518,6 @@ class TestChannelProber:
         assert len(session.all_ports[1].sent) == MAX_PROBES
         assert prober.abandoned == [1]
         assert sorted(prober._probing) == []
-
-    def test_flap_penalty_defers_rejoin(self, sim):
-        session = _ProbeSession(sim, active=(0, 2))
-        prober = ChannelProber(sim, session)
-        sim.run(until=0.05)
-        session.on_probe_ack(ProbeAckPacket(channel=1, seq=1))
-        assert prober.rejoins == 1
-        # It flaps: excluded again right after rejoining.
-        session.config = StripeConfig(
-            quanta=(1000.0, 1000.0), active_channels=(0, 2)
-        )
-        session.on_reset_complete(2)
-        assert prober._hold_down.get(1, 0.0) == pytest.approx(FLAP_PENALTY_S)
-        down_at = sim.now
-        sim.run(until=down_at + 0.1)
-        session.on_probe_ack(ProbeAckPacket(channel=1, seq=2))
-        assert prober.rejoins == 1  # damped: ack inside the hold-down
-        sim.run(until=down_at + 0.3)
-        session.on_probe_ack(ProbeAckPacket(channel=1, seq=3))
-        assert prober.rejoins == 2
 
     def test_stale_ack_for_active_channel_is_ignored(self, sim):
         session = _ProbeSession(sim, active=(0, 1, 2))
