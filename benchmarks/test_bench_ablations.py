@@ -9,13 +9,14 @@
 """
 
 from repro.analysis.reorder import analyze_order
-from repro.baselines.mppp import MpppReceiver, MpppSender
+from repro.baselines.mppp import MpppReceiver
 from repro.core.markers import SRRReceiver
 from repro.core.packet import is_marker
 from repro.core.resequencer import Resequencer
 from repro.core.srr import SRR, make_rr
 from repro.core.striper import ListPort, MarkerPolicy, Striper
 from repro.core.transform import TransformedLoadSharer, stripe_sequence
+from tests.baselines.test_mppp import MpppSender
 from tests.conftest import random_mix_packets
 
 

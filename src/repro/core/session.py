@@ -373,7 +373,10 @@ class StripeReceiverSession:
         self.send_control = send_control
         self.checker = checker
         self.failure_detector = failure_detector
+        self.config = _all_active(config)
         if failure_detector is not None:
+            # A channel the initial configuration leaves out starts
+            # failed, so its probes wait like any excluded channel's.
             failure_detector.bind(
                 n_ports,
                 lambda index: self.request_reset(
@@ -384,7 +387,6 @@ class StripeReceiverSession:
         self.discipline = discipline
         self.discipline_options = dict(discipline_options or {})
         self.epoch = 0
-        self.config = _all_active(config)
         self._install()
         #: epoch each physical channel's stream is currently in
         self._channel_epoch = [0] * n_ports

@@ -57,7 +57,9 @@ class ChannelPort(Protocol):
 
         send(packet, force=False) -> bool   # enqueue for transmission
         can_accept() -> bool                # queue space for one more?
-        queue_length -> int                 # packets queued (depth policies)
+        queue_length -> int                 # packets waiting now, not yet
+                                            # transmitted (depth policies,
+                                            # stop/wake marks)
 
     Optional surface, detected by attribute presence:
 
@@ -448,7 +450,10 @@ class ListPort:
     """A trivial in-memory channel port: records everything sent.
 
     Used by offline tests and the Figure 3/6 reproductions, where no
-    event-driven timing is needed.
+    event-driven timing is needed.  Nothing drains it: :attr:`sent` is
+    its queue, so its depth is everything it took (what a depth policy
+    such as ``sqf`` reads), and a recovery-mode sender sets it no
+    stop/wake marks, which would wait for a depth that never falls.
     """
 
     def __init__(self) -> None:

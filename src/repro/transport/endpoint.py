@@ -47,6 +47,7 @@ the in-memory list ports the offline tests use.
 from __future__ import annotations
 
 from functools import partial
+from math import ceil
 from typing import (
     Any,
     Callable,
@@ -65,7 +66,14 @@ from repro.core.markers import (
 )
 from repro.core.packet import Codepoint, Packet, is_marker
 from repro.core.resequencer import make_resequencer
-from repro.core.striper import ChannelPort, MarkerPolicy, Striper
+from repro.core.kernel import SRRKernel
+from repro.core.striper import (
+    ChannelPort,
+    ListPort,
+    MarkerPolicy,
+    Striper,
+    _capacity_of,
+)
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.transport.discipline import (
     DISCIPLINES,
@@ -108,17 +116,57 @@ _MISSING = object()
 # sender side
 
 
-class _RecordingPort:
-    """A :class:`ChannelPort` proxy reporting data transmissions.
+class _StripedSizes:
+    """The data packets a recovery-mode sender has striped, in the three
+    figures its stop/wake marks need: how many, their bytes, the largest.
 
-    Reliable mode needs to know *when* and *on which channel* each
-    sequenced packet actually left the striper (RTT sampling, per-channel
-    retransmission accounting, channel-suspect escalation).  The proxy
-    intercepts ``send`` (and ``send_burst``, exactly when the wrapped port
-    has one) and reports sequenced data packets to the reliability layer;
-    everything else (``can_accept``, ``queue_length``, ``free_capacity``
-    where the wrapped port has it) forwards to the wrapped port, so
-    transports cannot tell the difference.
+    The recording ports of one pipeline share one, so every channel's
+    envelope is read off the same stream (SRR's ``Max`` and the mean size
+    that turns bytes into transmit-queue frames).
+    """
+
+    __slots__ = ("packets", "bytes", "largest")
+
+    def __init__(self) -> None:
+        self.packets = 0
+        self.bytes = 0
+        self.largest = 0
+
+
+class _RecordingPort:
+    """The :class:`ChannelPort` proxy a recovery-mode sender stripes over.
+
+    It does two things the striper does not see.
+
+    *Reporting.*  Reliable mode needs to know *when* and *on which
+    channel* each sequenced packet actually left the striper (RTT
+    sampling, per-channel retransmission accounting, channel-suspect
+    escalation).  The proxy intercepts ``send`` (and ``send_burst``,
+    exactly when the wrapped port has one), reports sequenced data
+    packets to the reliability layer and counts what was striped.
+
+    *Stop and wake.*  Between two visits of SRR's pointer a channel sends
+    at most one envelope, ``Quantum_i + Max`` bytes (Theorem 3.2), so a
+    channel holding one envelope cannot run dry before the pointer is
+    back; everything queued beyond that is delay the sender causes
+    itself.  While :attr:`quantum` is set (the pipeline sets it from the
+    live SRR kernel, over any port whose depth drains: not a
+    :class:`ListPort`), :meth:`free_capacity` works like a NIC driver's
+    stopped queue: a channel that has reached its high-water mark (two
+    envelopes) reports no room until it has drained to its low-water
+    mark (one envelope), and from there room up to the high mark, never
+    more than the wrapped port has.  The envelope's bytes become frames
+    through the mean striped size, because ports count frames.  A stopped
+    proxy asks its port nothing, so whatever resumes the pump must not
+    wait for the port to be asked when full (a rig's ``on_space``, or a
+    UDP port's wake-up, armed at its first ask).
+
+    So a transport can tell the proxy from its port: the striper, which
+    reads ``free_capacity``, sees less room.  ``can_accept`` and
+    everything else (``queue_length``, ``on_unblocked``, ``drained``)
+    forward to the wrapped port, so a stall watch sees the port's own
+    backpressure, not the proxy's stop, and a policy without an SRR
+    kernel (which asks ``can_accept``) has no envelope to keep anyway.
     """
 
     def __init__(
@@ -126,21 +174,76 @@ class _RecordingPort:
         inner: Any,
         index: int,
         note_sent: Optional[Callable[[int, List[Any]], None]],
+        striped: _StripedSizes,
     ) -> None:
         self._inner = inner
         self._index = index
         self._note_sent = note_sent
+        self._striped = striped
+        self._room = _capacity_of(inner)
+        #: this channel's SRR quantum in the live epoch, in the kernel's
+        #: cost unit; None while it has no envelope (no SRR kernel, or a
+        #: channel the epoch leaves out): the wrapped port's room then
+        self.quantum: Optional[float] = None
+        #: True when the kernel charges one unit per packet (RR / GRR),
+        #: so the quantum already counts frames
+        self.counts_packets = False
+        #: False from reaching the high-water mark to draining to the low
+        self._awake = True
+        #: frames the channel could take, at the last ask, before its high
+        #: mark; each data send counts down, and the one that reaches the
+        #: mark stops the port (so when it stops does not depend on who
+        #: asked in between)
+        self._short = 0
         #: cumulative data bytes actually transmitted through this port
         #: (fairness-envelope accounting: includes retransmissions)
         self.data_bytes_sent = 0
         if hasattr(inner, "send_burst"):
             self.send_burst = self._send_burst
 
+    def free_capacity(self) -> int:
+        """Slots the striper may fill now: the wrapped port's room, held
+        between this channel's stop/wake marks while it has a quantum."""
+        quantum = self.quantum
+        if quantum is None:
+            return self._room()
+        striped = self._striped
+        if self.counts_packets:
+            envelope = quantum + 1.0
+        elif striped.packets:
+            # Quantum_i + Max bytes, in frames of the mean striped size
+            envelope = (
+                (quantum + striped.largest) * striped.packets / striped.bytes
+            )
+        else:
+            envelope = 2.0  # nothing striped: one quantum stands for both
+        depth = self._inner.queue_length
+        if depth <= ceil(envelope):
+            self._awake = True
+        elif not self._awake:
+            return 0
+        room = self._short = ceil(2.0 * envelope) - depth
+        if room <= 0:
+            self._awake = False
+            return 0
+        inner = self._room()
+        return room if room < inner else inner
+
     def send(self, packet: Any, force: bool = False) -> bool:
         ok = self._inner.send(packet, force)
         # not is_marker(packet), without its frame (here and in the burst)
         if ok and getattr(packet, "codepoint", None) != Codepoint.MARKER:
-            self.data_bytes_sent += packet.size
+            size = packet.size
+            self.data_bytes_sent += size
+            if not force:  # striped by the pump, not a control packet
+                self._short -= 1
+                if self._short <= 0:
+                    self._awake = False
+                striped = self._striped
+                striped.packets += 1
+                striped.bytes += size
+                if size > striped.largest:
+                    striped.largest = size
             if getattr(packet, "rseq", None) is not None:
                 self._note_sent(self._index, [packet])
         return ok
@@ -150,11 +253,25 @@ class _RecordingPort:
         clock read, one timer check)."""
         sequenced: List[Any] = []
         marker_code = Codepoint.MARKER
+        striped = self._striped
+        largest = striped.largest
+        count = sent = 0
         for packet in packets:
             if getattr(packet, "codepoint", None) != marker_code:
-                self.data_bytes_sent += packet.size
+                size = packet.size
+                count += 1
+                sent += size
+                if size > largest:
+                    largest = size
                 if getattr(packet, "rseq", None) is not None:
                     sequenced.append(packet)
+        self._short -= count
+        if self._short <= 0:
+            self._awake = False
+        self.data_bytes_sent += sent
+        striped.packets += count
+        striped.bytes += sent
+        striped.largest = largest
         if sequenced:
             self._note_sent(self._index, sequenced)
         self._inner.send_burst(packets)
@@ -226,8 +343,9 @@ def build_sender_recovery(
     # for the envelope byte accounting — its packets carry no rseq, so
     # the ARQ hook (None then) never fires.
     note_sent = reliable.note_sent if arq else None
+    striped = _StripedSizes()
     ports = [
-        _RecordingPort(port, index, note_sent)
+        _RecordingPort(port, index, note_sent, striped)
         for index, port in enumerate(ports)
     ]
     if fec:
@@ -369,6 +487,7 @@ class StripeSenderPipeline:
             clock=None if sim is None else (lambda: sim.now),
         )
         self.striper = self._make_striper(sharer, self.ports)
+        self._set_envelopes(range(n_ports))
         self.credit = credit
         if credit is not None:
             credit.on_unblocked = self.pump
@@ -439,9 +558,32 @@ class StripeSenderPipeline:
         carried = self.striper.input_queue
         self.sharer = sharer
         self.striper = self._make_striper(sharer, ports)
+        self._set_envelopes(active)
         self._markers_at_last_tick = 0  # the new striper counts from zero
         if carried:
             self.striper.submit_many(carried)
+
+    def _set_envelopes(self, active: Sequence[int]) -> None:
+        """Give each recording port of the live epoch its channel's SRR
+        quantum (``active[i]`` is channel ``i``); a port the epoch leaves
+        out, a :class:`ListPort` (nothing drains it), or every port when
+        the discipline has no SRR kernel, gets none and keeps its wrapped
+        port's room.  Quasi-FIFO pipelines mount no recording port: their
+        burst path serializes a whole transmit queue per event, so they
+        keep the full queue."""
+        if self.reliable is None and self.fec is None:
+            return
+        kernel = getattr(self.sharer, "kernel", None)
+        for port in self.ports:
+            port.quantum = None
+        if not isinstance(kernel, SRRKernel):
+            return
+        for channel, index in enumerate(active):
+            port = self.ports[index]
+            if isinstance(port._inner, ListPort):
+                continue
+            port.quantum = kernel.quanta[channel]
+            port.counts_packets = kernel.count_packets
 
     # ------------------------------------------------------------------ #
     # multi-flow fabric mount

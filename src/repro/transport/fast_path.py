@@ -109,7 +109,7 @@ class FastChannelPort:
 
     @property
     def queue_length(self) -> int:
-        return self.channel.queue_length
+        return len(self.channel._queue)  # Channel.queue_length, one frame
 
 
 def bind_fast_receiver(channels: Sequence[Channel], receiver: Any) -> None:

@@ -89,7 +89,10 @@ class ChannelFailureDetector:
 
         ``active_channels`` yields the channel set currently expected to
         carry traffic (a session's live subset); by default every channel
-        neither failed nor probing.
+        neither failed nor probing.  A channel it leaves out at bind time
+        starts ``failed``, as if a RESET had excluded it
+        (:meth:`note_reset`): unreported, with the base hold-down, and
+        its probes wait for the revival threshold.
         """
         self._on_failure = on_failure
         self._on_revival = on_revival
@@ -105,6 +108,7 @@ class ChannelFailureDetector:
         self._life_seen = [0] * n_channels
         self._hold_down = [MIN_DOWN_TIME_S] * n_channels
         self._revived_at = [float("-inf")] * n_channels
+        self.note_reset(self._active())
 
     def _up(self, channel: int) -> bool:
         return self.state[channel] in (self.ACTIVE, self.REVIVED)

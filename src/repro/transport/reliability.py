@@ -765,6 +765,38 @@ class ReliableSender:
             max(due, self.sim.now), self._on_timeout
         )
 
+    def _stranded_holes(
+        self, oldest: _TxRecord, now: float
+    ) -> List[_TxRecord]:
+        """The holes a timeout repairs besides ``oldest``: every
+        un-SACKed record below the newest SACKed one whose last copy has
+        had a round trip and is not already queued again.
+
+        Fast retransmit ripens a hole with the acks that arrive after it;
+        once acks stop (the source went quiet, or they all came in one
+        burst before the hole had a round trip), nothing else would
+        repair these but one timeout each, every one backed off.
+        """
+        unacked = self.unacked
+        newest = -1
+        for rseq in reversed(unacked):
+            if unacked[rseq].sacked:
+                newest = rseq
+                break
+        srtt = self.rto.srtt or 0.0
+        stranded: List[_TxRecord] = []
+        for rseq, record in self._unsacked.items():
+            if rseq >= newest:
+                break
+            if (
+                record is not oldest
+                and record.transmissions > 0
+                and not record.rtx_pending
+                and now - record.last_sent >= srtt
+            ):
+                stranded.append(record)
+        return stranded
+
     def _on_timeout(self) -> None:
         self._timer = None
         record = self._oldest_outstanding()
@@ -787,8 +819,10 @@ class ReliableSender:
             channel = record.first_channel
             if self.on_channel_suspect is not None and channel >= 0:
                 self.on_channel_suspect(channel)
-        if not record.rtx_pending:
-            self._retransmit([record])
+        lost = [] if record.rtx_pending else [record]
+        lost.extend(self._stranded_holes(record, now))
+        if lost:
+            self._retransmit(lost)
         # A synchronous resend already re-armed via note_sent; otherwise
         # arm against the backed-off timeout ourselves.
         if self._timer is None:

@@ -61,7 +61,7 @@ class UdpChannelPort:
         self.sent_data = 0
         self.sent_markers = 0
         #: filled by the owning pipeline; called when an ARP stall resolves
-        #: or a full egress queue frees a slot
+        #: or the egress queue frees a slot
         self.on_unblocked = None
         self._arp_hooked = False
 
@@ -98,17 +98,17 @@ class UdpChannelPort:
                 self._arp_hooked = True
                 iface.on_arp_resolved.append(lambda ip: self.on_unblocked())
             return False
-        if iface.can_accept():
-            return True
-        # A full egress queue: the channel's next free slot resumes the
-        # pump, unless its owner already listens for space.
+        # The channel's free slots resume the pump, unless its owner
+        # already listens for space.  Armed at the first ask, not at the
+        # first full queue: a recovery-mode sender stops asking at its
+        # channel's high-water mark, long before the egress queue fills.
         channel = getattr(iface, "channel_out", None)
         if (
             channel is not None and channel.on_space is None
             and self.on_unblocked is not None
         ):
             channel.on_space = lambda: self.on_unblocked()
-        return False
+        return iface.can_accept()
 
     def close(self) -> None:
         self.socket.close()

@@ -239,6 +239,8 @@ class FrameCounter:
         self.kernel_steps = 0
         self.pump_saves = 0
         self.engine_groups = 0
+        #: :meth:`Striper.pump` calls that sent at least one data packet
+        self.sending_pumps = 0
         self._pump_depth = 0
 
     @property
@@ -264,6 +266,8 @@ class FrameCounter:
             code = frame.f_code
             if code is self._PUMP:
                 self._pump_depth -= 1
+                if arg:
+                    self.sending_pumps += 1
             elif code is self._ASSIGN_ADMITTED and arg is not None:
                 self.kernel_steps += len(arg[0])
         elif (

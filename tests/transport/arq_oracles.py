@@ -54,7 +54,8 @@ class FullScanSender(ReliableSender):
 
     ``on_ack`` walks the whole window up to the newest acked rseq,
     ``reconcile`` tests every record against every block and the timer
-    scans past the sacked prefix; the un-sacked index is never read.
+    scans past the sacked prefix, and for the holes a timeout repairs
+    too; the un-sacked index is never read.
     """
 
     def _absorb_cum_ack(self, cum_ack):
@@ -123,6 +124,17 @@ class FullScanSender(ReliableSender):
             if not record.sacked and record.transmissions > 0:
                 return record
         return None
+
+    def _stranded_holes(self, oldest, now):
+        sacked = [rseq for rseq, r in self.unacked.items() if r.sacked]
+        newest = max(sacked, default=-1)
+        srtt = self.rto.srtt or 0.0
+        return [
+            record for rseq, record in self.unacked.items()
+            if rseq < newest and not record.sacked and record is not oldest
+            and record.transmissions > 0 and not record.rtx_pending
+            and now - record.last_sent >= srtt
+        ]
 
 
 def tail_placement(sender):

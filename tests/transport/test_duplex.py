@@ -194,17 +194,31 @@ class TestDuplexReliable:
 
 
 class TestDuplexRepumpsItself:
-    @pytest.mark.parametrize("reliability", ["reliable", "quasi_fifo"])
-    def test_full_egress_resumes_unwired(self, sim, reliability):
+    @pytest.mark.parametrize(
+        "reliability, srr",
+        [("reliable", False), ("quasi_fifo", False), ("reliable", True)],
+        ids=["reliable", "quasi_fifo", "reliable-srr"],
+    )
+    def test_full_egress_resumes_unwired(self, sim, reliability, srr):
         """200 messages per side at t=0 and no ``on_space`` wiring by the
-        rig: each UDP port arms its channel's free-slot wake-up when it
-        finds the egress queue full, so every message leaves and arrives
-        exactly once (the unwired rig used to strand 22 of them per side
-        in the striper reliably, 159 in quasi_fifo)."""
+        rig: each UDP port arms its channel's free-slot wake-up when it is
+        first asked for room, so every message leaves and arrives exactly
+        once (the unwired rig used to strand 22 of them per side in the
+        striper reliably, 159 in quasi_fifo).  Under SRR a reliable sender
+        stops at its channel's high-water mark, before the egress queue
+        is full, and the same wake-up resumes it (armed only at a full
+        queue, it stranded 58 per side)."""
         a, b, links, a_targets, b_targets = duplex_hosts(sim)
+        if srr:
+            algorithm = {
+                "algorithm_factory": lambda: SRR([1000.0] * 2),
+                "buffer_packets": 16,
+            }
+        else:
+            algorithm = {"discipline": "sprinklers"}
         end_a, end_b = connect_duplex(
-            sim, a, b, a_targets, b_targets, discipline="sprinklers",
-            reliability=reliability,
+            sim, a, b, a_targets, b_targets, reliability=reliability,
+            **algorithm,
         )
         for endpoint in (end_a, end_b):
             endpoint.sender.submit_packets(

@@ -24,7 +24,9 @@ from repro.experiments.socket_harness import (
     build_socket_testbed,
 )
 from repro.experiments.tcp_channels import build_tcp_striped
+from repro.sim.channel import Channel
 from repro.sim.loss import BernoulliLoss
+from repro.transport.fast_path import FastChannelPort
 from repro.transport.endpoint import (
     DISCIPLINES,
     ChannelFailureDetector,
@@ -817,3 +819,100 @@ class TestFailChannelAllModes:
         released = pipeline.fail_channel(0)
         assert [p.seq for p in released] == [3, 4, 5]
         assert pipeline.resequencer.gaps_skipped == 1
+
+
+class TestStopWakeMarks:
+    """A recovery-mode sender refills a channel at one SRR envelope
+    (Quantum_i + Max) and up to two, in frames of the mean striped size;
+    here (1000 + 1000) / 1000 = 2 frames, so the marks are 2 and 4."""
+
+    def rig(self, sim, reliability, discipline=None, n=2):
+        channels = [
+            Channel(sim, 10e6, 1e-3, queue_limit=40) for _ in range(n)
+        ]
+        pipeline = StripeSenderPipeline(
+            [FastChannelPort(channel) for channel in channels],
+            discipline or SRR([1000.0] * n),
+            sim=sim,
+            reliability=reliability,
+        )
+        for channel in channels:
+            channel.on_space = pipeline.pump
+        return channels, pipeline
+
+    @pytest.mark.parametrize("reliability", ["reliable", "fec", "hybrid"])
+    def test_a_channel_stops_at_two_envelopes(self, sim, reliability):
+        channels, pipeline = self.rig(sim, reliability)
+        pipeline.submit_packets([Packet(size=1000, seq=i) for i in range(40)])
+        # Four each, one of them on the wire.
+        assert [channel.queue_length for channel in channels] == [3, 3]
+        assert [port.free_capacity() for port in pipeline.ports] == [0, 0]
+
+    def test_it_wakes_at_one_envelope(self, sim):
+        channels, pipeline = self.rig(sim, "reliable")
+        pipeline.submit_packets([Packet(size=1000, seq=i) for i in range(40)])
+        depths = []
+        pump = pipeline.pump
+
+        def watched():
+            before = [channel.queue_length for channel in channels]
+            if pump():
+                depths.append(before)
+
+        for channel in channels:
+            channel.on_space = watched
+        sim.run(until=0.01)
+        assert depths
+        # A pump that sends finds the pointer's channel at the low mark.
+        assert all(min(before) <= 2 for before in depths)
+        assert max(channel.stats.offered_packets for channel in channels) > 4
+
+    def test_quasi_fifo_keeps_the_full_queue(self, sim):
+        channels, pipeline = self.rig(sim, "quasi_fifo")
+        pipeline.submit_packets([Packet(size=1000, seq=i) for i in range(40)])
+        assert [channel.queue_length for channel in channels] == [19, 19]
+
+    def test_a_packet_counting_quantum_is_frames_already(self, sim):
+        # RR: one packet per visit, so one envelope is 1 + 1 frames.
+        channels, pipeline = self.rig(sim, "reliable", discipline="rr")
+        assert all(port.counts_packets for port in pipeline.ports)
+        pipeline.submit_packets([Packet(size=300, seq=i) for i in range(40)])
+        assert [channel.queue_length for channel in channels] == [3, 3]
+
+    @pytest.mark.parametrize("reliability", ["reliable", "fec", "hybrid"])
+    @pytest.mark.parametrize("port", [ListPort, BurstPort])
+    def test_a_listport_gets_no_marks(self, sim, reliability, port):
+        """Nothing drains a ``ListPort``, so a recovery-mode sender sets
+        it no marks (they would stop it for good at the high mark): all
+        it was given reaches the receiver, exactly once and in order."""
+        ports = [port() for _ in range(2)]
+        sender = StripeSenderPipeline(
+            ports, SRR([1000.0] * 2), sim=sim, reliability=reliability,
+        )
+        delivered = []
+        receiver = StripeReceiverPipeline(
+            2, SRR([1000.0] * 2), sim=sim, reliability=reliability,
+            on_message=lambda packet: delivered.append(packet.seq),
+        )
+        sender.submit_packets([Packet(size=1000, seq=i) for i in range(60)])
+        sender.flush()
+        assert all(port.quantum is None for port in sender.ports)
+        assert sender.backlog == 0
+        for index, port in enumerate(ports):
+            handle = receiver.channel_handler(index)
+            for packet in port.sent:
+                handle(packet)
+        assert delivered == list(range(60))
+
+    def test_no_srr_kernel_no_envelope(self, sim):
+        _, pipeline = self.rig(sim, "reliable", discipline="random_selection")
+        assert all(port.quantum is None for port in pipeline.ports)
+        assert [port.free_capacity() for port in pipeline.ports] == [40, 40]
+
+    def test_restripe_gives_each_active_port_its_new_quantum(self, sim):
+        _, pipeline = self.rig(sim, "reliable", n=3)
+        assert [port.quantum for port in pipeline.ports] == [1000.0] * 3
+        pipeline.restripe(SRR([500.0, 2000.0]), (0, 2))
+        assert [port.quantum for port in pipeline.ports] == [
+            500.0, None, 2000.0,
+        ]

@@ -190,10 +190,11 @@ class TestEveryExclusionIsDamped:
     the RESET that installs it, and holds that channel's probe acks back
     exactly as for a failure it reported itself."""
 
-    def make(self, sim):
+    def make(self, sim, config=None):
         self.detector = ChannelFailureDetector(sim, SILENCE_S)
         self.control: List[Any] = []
-        config = StripeConfig(quanta=(1000.0, 1000.0, 1000.0))
+        if config is None:
+            config = StripeConfig(quanta=(1000.0, 1000.0, 1000.0))
         pipeline = StripeReceiverPipeline(3, config.algorithm(), sim=sim)
         self.session = StripeReceiverSession(
             pipeline, 3, config, self.control.append,
@@ -232,6 +233,22 @@ class TestEveryExclusionIsDamped:
         assert not self.probe_acked(sim, MIN_DOWN_TIME_S - 0.001)
         assert self.probe_acked(sim, MIN_DOWN_TIME_S + 1e-6)
         assert self.detector.revivals_reported == [1]
+
+    def test_a_channel_configured_out_from_the_start_is_not_acked(
+        self, sim
+    ):
+        """The initial configuration is an exclusion too: a probe on a
+        channel it leaves out waits like one a RESET excluded."""
+        self.make(sim, StripeConfig(
+            quanta=(1000.0, 1000.0), active_channels=(0, 2)
+        ))
+        assert self.detector.state[1] == self.detector.FAILED
+        assert self.detector.failures_reported == []
+        assert self.detector.flap_counts[1] == 0
+        assert not self.probe_acked(sim, 0.05)
+        assert not any(
+            isinstance(packet, ProbeAckPacket) for packet in self.control
+        )
 
     def test_a_flap_within_the_window_waits_twice_as_long(self, sim):
         self.make(sim)
